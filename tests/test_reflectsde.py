@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -287,3 +288,75 @@ class TestBlockKernelMonteCarlo:
         w = np.exp(-0.5 * ((X[:, 0] + 1.0) ** 2 + (X[:, 1] - 1.0) ** 2 + Y[:, 0] ** 2) / h**2)
         est = w.sum() / pb.tau.shape[0] / (h * math.sqrt(2 * math.pi)) ** 3
         assert est == pytest.approx(q_exact, rel=0.1)
+
+
+def _y_pair(n):
+    rng = np.random.default_rng(3)
+    return np.column_stack([rng.uniform(0.1, 0.5, n), rng.uniform(0.7, 1.1, n)])
+
+
+def _golden_cases():
+    from interlace_lab.harness.checks import run_gt2
+
+    bm = make_spec("bm")
+    refl = make_spec("bm_halfline:refl")
+    # name -> (simulation, first constrained level)
+    return {
+        # default y_spec is the conjugate bm_halfline:abs, so Y is killed at 0
+        "two-level-nnp1": (lambda: rs.simulate_two_level(
+            refl, Shape.NNP1, np.array([0.05, 0.6, 1.3]), _y_pair, T=0.3, dt=2e-3,
+            n_paths=400, seed=7, record_stride=30), 1),
+        "two-level-nn": (lambda: rs.simulate_two_level(
+            make_spec("bm_halfline:abs"), Shape.NN, np.array([1.0]), np.array([0.5]),
+            T=0.3, dt=2e-3, n_paths=400, seed=21, y_spec=refl), 1),
+        "two-level-np1n": (lambda: rs.simulate_two_level(
+            bm, Shape.NP1N, np.array([0.0]), np.array([-0.3, 0.3]), T=0.3, dt=2e-3,
+            n_paths=400, seed=4), 1),
+        "gt2-gue": (lambda: run_gt2("gue", 400, 5e-3, 5), 1),
+        "gt2-besq": (lambda: run_gt2("besq:2", 400, 5e-3, 15, init_seed=21), 1),
+        # sizes 2, 3, 3: crossings of the free first level make level 2 collide
+        "gt-equal-size": (lambda: rs.simulate_gt(
+            [bm] * 3, [np.array([-0.05, 0.05]), np.array([-0.5, 0.0, 0.5]),
+                       np.array([-0.2, 0.3, 0.8])],
+            T=0.3, dt=2e-3, n_paths=400, seed=8, record_stride=50), 1),
+        "edge-right-bm": (lambda: rs.simulate_edge(
+            bm, 3, "right", np.zeros(3), T=0.3, dt=2e-3, n_paths=400, seed=9), 0),
+        "edge-left-besq": (lambda: rs.simulate_edge(
+            make_spec("besq:2"), 2, "left", np.array([2e-4, 1e-4]), T=0.3, dt=2e-3,
+            n_paths=400, seed=15, record_stride=40), 0),
+    }
+
+
+def _digest(pb, first_constrained):
+    h = hashlib.sha256()
+    for a in [*pb.levels, pb.tau, pb.grid,
+              *pb.k_lower[first_constrained:], *pb.k_upper[first_constrained:]]:
+        a = np.ascontiguousarray(a, dtype=float)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of levels, tau, grid and the constrained levels' pushes, and the
+# exact contact fraction, for pinned seeds.  A change to the stepper that
+# keeps the RNG layout and the scheme must leave these unchanged.
+GOLDEN = {
+    "two-level-nnp1": ("90a916a212bf092f2ef1ed392d8db5c40192eb0be1558f82a1a05b132451d36a", 0.05376111111111102),
+    "two-level-nn": ("fbb1e03fce8068ca1bb95f9e71f818978dacf861e3ba88aecbebe65973596d1f", 0.03346666666666667),
+    "two-level-np1n": ("7501179eb688bde3ce6ddfb1266ee1df1d900b45b67874de705cf28dfc71571c", 0.08408333333333334),
+    "gt2-gue": ("5025a5daffd4951925dc167cb7c931cc52c727264182576ab325f67862807dd9", 0.07199375000000002),
+    "gt2-besq": ("474bf6f8c400ab8dcaf5fd0109d27a050146ead19b4abba856112f47574c08d4", 0.09340000000000007),
+    "gt-equal-size": ("05c7bcb156db0ecdb512e95f3a898ce3d22508d1301d22974728edc8cee14d46", 0.11952499999999991),
+    "edge-right-bm": ("51a6f7b461040ca18a8897a491cf26c1e57b0e1ab689d58b197dad763c6f4ba4", 0.11210833333333334),
+    "edge-left-besq": ("1bfadbf1f9d90c4395e83ad8cef8ad22b3abc30642926dc19d4adbc8d1107f31", 0.05825),
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_pinned_seed_outputs_are_unchanged(self, case):
+        run, first_constrained = _golden_cases()[case]
+        pb = run()
+        digest, contact_fraction = GOLDEN[case]
+        assert _digest(pb, first_constrained) == digest
+        assert pb.contact_fraction == contact_fraction
