@@ -95,12 +95,6 @@ def _bm_like_scale(c):
     )
 
 
-def _closed_scale_named(**kw):
-    return _closed_scale(
-        kw["s_prime"], kw["m"], kw["s"], kw["M"], kw["log_sp"], kw["log_m"]
-    )
-
-
 @functools.lru_cache(maxsize=256)
 def make_spec(spec_id: str) -> DiffusionSpec:
     """Build a catalog spec from its string id (e.g. 'besq:3', 'jac:1,1')."""

@@ -383,7 +383,6 @@ class TransitionKernel:
     atom_r: Callable
     window: Callable
     source: str = "closed-form"
-    max_derivative_order: int = 4
     dx_derivative: Callable = None
     dy_derivative: Callable = None
 

@@ -94,7 +94,7 @@ def _check_kwargs(cfg: CampaignConfig) -> dict:
 def run_campaign(cfg: CampaignConfig) -> CheckResult:
     """Execute one named campaign (or 'all'), write CSV + summary, and
     return the aggregate result; exit status is passed/failed."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     outdir = ensure_outdir(cfg.out)
     if cfg.name == "all":
         names = list(ALL_CHECKS)
@@ -112,7 +112,7 @@ def run_campaign(cfg: CampaignConfig) -> CheckResult:
             for r in results
         ]
         agg = CheckResult("all", rows, passed, f"{sum(r.passed for r in results)}/{len(results)} campaigns passed",
-                          time.time() - t0)
+                          time.perf_counter() - t0)
         if outdir:
             for r in results:
                 write_csv(os.path.join(outdir, f"{r.name}.csv"), r.fieldnames, r.rows)

@@ -64,7 +64,7 @@ def ks_compare(
     """Two-sided KS (statistic + asymptotic p-value) of samples against a
     monotone exact CDF, with first-moment errors against quadrature moments.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     samples = np.sort(np.asarray(samples, float))
     n = len(samples)
     if n < 1000:
@@ -89,7 +89,7 @@ def ks_compare(
         ks_statistic=stat,
         ks_pvalue=ks_pvalue(stat, n),
         moment_errors=errs,
-        runtime=time.time() - t0,
+        runtime=time.perf_counter() - t0,
         seed=seed,
         label=label,
     )

@@ -68,17 +68,6 @@ class Eigenfunction:
     def __call__(self, x):
         return det_of_components(self.components, x)
 
-    def grad_log(self, x, h=1e-6):
-        """Componentwise d/dx_i log h(x) by central differences (vector x)."""
-        x = np.asarray(x, float)
-        g = np.empty_like(x)
-        base = self(x)
-        for i in range(x.shape[-1]):
-            e = np.zeros_like(x)
-            e[..., i] = h
-            g[..., i] = (self(x + e) - self(x - e)) / (2 * h * base)
-        return g
-
 
 def km_density(kern: TransitionKernel, t: float, x, y):
     """det(p_t(x_i, y_j)); interior (killed) densities only, no atoms."""

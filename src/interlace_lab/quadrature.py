@@ -30,13 +30,6 @@ def integrate(f: Callable, a: float, b: float, n: int = 96) -> float:
     return float(np.dot(w, f(x)))
 
 
-def integrate_adaptive(f: Callable, a: float, b: float, tol: float = 1e-10) -> float:
-    from scipy.integrate import quad
-
-    val, _ = quad(f, a, b, epsabs=tol, epsrel=tol, limit=200)
-    return float(val)
-
-
 def ordered_nodes(ndim: int, lo: float, hi: float, n: int = 32):
     """Nodes/weights for the ordered region lo < y_1 <= ... <= y_ndim < hi.
 

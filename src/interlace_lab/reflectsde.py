@@ -9,15 +9,34 @@ per-step projection is the discrete two-sided Skorokhod solution, and the
 constraining increments are accumulated exactly like the finite-variation
 terms they approximate.
 
+Every simulator here steps one interlacing array.  A system is a list of
+levels, each an (n_paths, size) state moved in order.  Particle i of level
+k >= 1 is projected onto [prev[i-1+above], prev[i+above]], where prev is
+level k-1 already moved this step and above in {0, 1} is the level's
+offset; an index out of range stands for the level's static wall (a
+regular-reflecting endpoint, else none).  Level 0 sees only its walls.
+
+  * two-level: levels (Y, X); NNP1 has above=0, NN and NP1N above=1;
+  * GT: a level one larger than the previous has above=0 (triangular),
+    an equal-size level above=1 (it sits above the previous one);
+  * edge: one single-particle level per particle, above=1 on the right
+    edge (pushed up) and above=0 on the left edge (pushed down).
+
 Driving noise comes from counter-based Philox streams keyed by
-(level, particle), so bundles are bit-reproducible for a fixed seed and
-independent of scheduling.
+(kind, level, particle): (0, 0, i) for Y and (1, 0, i) for X in two-level
+systems, (2, k, i) for GT level k, (3, 0, i) for edge particle i.  Bundles
+are bit-reproducible for a fixed seed and independent of scheduling.
+
+Stop rules: a two-level system tests Y's proposal before anything moves;
+coincident or crossed Y particles, or a Y particle at a killing endpoint,
+stop the path, which then stays frozen for the whole step.  A GT pattern
+tests its interior levels after the step; only a strict crossing stops it.
+Edge systems never stop.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -108,35 +127,66 @@ class PathBundle:
         return ~np.isfinite(self.tau)
 
 
+@dataclass
+class _Level:
+    """One level of an interlacing array.
+
+    x is the (n_paths, size) state, advanced in place; gens holds one
+    Philox stream per particle; particle i is bounded by columns i-1+above
+    and i+above of the previous level.
+    """
+
+    spec: DiffusionSpec
+    x: np.ndarray
+    gens: list
+    above: int = 0
+
+
 @dataclass(frozen=True)
-class RNGStreams:
+class _StopRule:
+    """A path stops at a collision inside a tested level or at a hit of a
+    killing end (kill = (lower, upper), infinite for none).
+
+    on_proposal=True tests level 0's proposal before anything moves, so a
+    stopped path freezes for the whole step, and coincident particles
+    count as collided.  Otherwise `levels` are tested after the step and
+    only a strict crossing counts, since projected particles may touch.
+    """
+
+    levels: tuple
+    on_proposal: bool
+    kill: tuple = (-np.inf, np.inf)
+
+    def hits(self, states) -> np.ndarray:
+        stopped = np.zeros(states[0].shape[0], bool)
+        lo, hi = self.kill
+        for x in states:
+            if x.shape[1] > 1:
+                gaps = np.diff(x, axis=1)
+                stopped |= np.any(gaps <= 0.0 if self.on_proposal else gaps < 0.0, axis=1)
+            if np.isfinite(lo):
+                stopped |= np.any(x <= lo, axis=1)
+            if np.isfinite(hi):
+                stopped |= np.any(x >= hi, axis=1)
+        return stopped
+
+
+def _streams(seed: int, kind: int, level: int, particles) -> list:
     """Counter-based Philox streams keyed by (kind, level, particle).
 
     Streams are pairwise independent by seed-sequence spawning and the
     assignment depends only on the integer key, so it is stable under any
     reordering of the simulation set-up.
     """
-
-    seed: int
-
-    def stream(self, kind: int, level: int, particle: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(kind, level, particle))
-        return np.random.Generator(np.random.Philox(ss))
-
-
-def _stream(seed: int, kind: int, level: int, particle: int) -> np.random.Generator:
-    return RNGStreams(seed).stream(kind, level, particle)
-
-
-def _clamp_state(spec: DiffusionSpec, x):
-    l, r = spec.interval
-    lo = l if np.isinf(l) else l
-    hi = r if np.isinf(r) else r
-    return np.clip(x, lo, hi)
+    return [
+        np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(kind, level, i))))
+        for i in particles
+    ]
 
 
 def _euler_raw(spec: DiffusionSpec, x, dt, xi):
-    xc = _clamp_state(spec, x)
+    xc = np.clip(x, *spec.interval)
     return x + np.asarray(spec.b(xc), float) * dt + np.sqrt(
         2.0 * np.maximum(np.asarray(spec.a(xc), float), 0.0) * dt
     ) * xi
@@ -149,15 +199,107 @@ def _static_barriers(spec: DiffusionSpec):
     return lo, hi
 
 
-def _killing_ends(spec: DiffusionSpec):
-    kl = spec.behavior_l in (Boundary.EXIT, Boundary.REGULAR_ABSORBING)
-    kr = spec.behavior_r in (Boundary.EXIT, Boundary.REGULAR_ABSORBING)
-    return kl, kr
-
-
 def _resolve_steps(T, dt, t0=0.0):
     n_steps = max(int(round((T - t0) / dt)), 1)
     return n_steps, (T - t0) / n_steps
+
+
+def _record_indices(n_steps, stride):
+    if stride is None:
+        return {n_steps}
+    return set(range(0, n_steps + 1, stride)) | {n_steps}
+
+
+def _bound_pieces(size, m, shift, wall):
+    """(particles, bound) pieces of one side of a level.
+
+    Particle i is bounded by column i+shift of the previous level (m
+    columns) when it exists, else by the static wall; an infinite wall
+    bounds nothing and is left out.
+    """
+    lo = min(max(-shift, 0), size)
+    hi = max(min(m - shift, size), lo)
+    pieces = [(slice(lo, hi), slice(lo + shift, hi + shift))] if hi > lo else []
+    if np.isfinite(wall):
+        pieces += [(p, wall) for p in (slice(0, lo), slice(hi, size)) if p.stop > p.start]
+    return pieces
+
+
+def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) -> PathBundle:
+    """Step an interlacing array: each level in turn takes an Euler step
+    and is projected onto the interval its bounds set, with the previous
+    level already moved.  Pushes, contacts and stop times are recorded for
+    the paths alive after each stop test."""
+    n_paths = levels[0].x.shape[0]
+    tau = np.full(n_paths, np.inf)
+    alive = np.ones(n_paths, bool)
+    # a view of alive: the in-place stop updates below narrow it too
+    where = alive[:, None] if stop is not None else True
+    klow = [np.zeros_like(lv.x) for lv in levels]
+    kup = [np.zeros_like(lv.x) for lv in levels]
+    noise = [np.empty(lv.x.shape[::-1]) for lv in levels]
+    # per level: (is_lower, particles, bound source, push accumulator), lower
+    # side first so that the projection is min(max(raw, lower), upper)
+    pieces = []
+    for k, lv in enumerate(levels):
+        m = levels[k - 1].x.shape[1] if k else 0
+        size = lv.x.shape[1]
+        lo_wall, hi_wall = _static_barriers(lv.spec)
+        pieces.append(
+            [(True, p, src, klow[k][:, p])
+             for p, src in _bound_pieces(size, m, lv.above - 1, lo_wall)]
+            + [(False, p, src, kup[k][:, p])
+               for p, src in _bound_pieces(size, m, lv.above, hi_wall)])
+    contacts = 0.0
+    rec_idx = _record_indices(n_steps, record_stride)
+    rec_t, rec = [t0], [[lv.x.copy()] for lv in levels]
+
+    for j in range(1, n_steps + 1):
+        t = t0 + j * dt
+        for k, lv in enumerate(levels):
+            for g, row in zip(lv.gens, noise[k]):
+                g.standard_normal(out=row)
+            raw = _euler_raw(lv.spec, lv.x, dt, noise[k].T)
+            proj = raw.copy()
+            pushes = []
+            for lower, p, src, acc in pieces[k]:
+                bound = levels[k - 1].x[:, src] if isinstance(src, slice) else src
+                gap = bound - raw[:, p] if lower else raw[:, p] - bound
+                pushes.append((acc, np.maximum(gap, 0.0)))
+                (np.maximum if lower else np.minimum)(proj[:, p], bound, out=proj[:, p])
+            if k == 0 and stop is not None and stop.on_proposal:
+                stopped = stop.hits([proj])
+                tau[alive & stopped] = t
+                alive &= ~stopped
+            np.copyto(lv.x, proj, where=where)
+            for acc, push in pushes:
+                np.add(acc, push, out=acc, where=where)
+            if k:
+                # summed a particle at a time in stepping order, so the
+                # fraction does not depend on how levels are laid out
+                for c in np.count_nonzero((proj != raw) & where, axis=0).tolist():
+                    contacts += c / n_paths
+        if stop is not None and not stop.on_proposal:
+            stopped = stop.hits([levels[k].x for k in stop.levels])
+            tau[alive & stopped] = t
+            alive &= ~stopped
+        if j in rec_idx:
+            rec_t.append(t)
+            for r, lv in zip(rec, levels):
+                r.append(lv.x.copy())
+
+    n_constrained = sum(lv.x.shape[1] for lv in levels[1:])
+    return PathBundle(
+        grid=np.asarray(rec_t),
+        levels=[np.asarray(r) for r in rec],
+        k_lower=klow,
+        k_upper=kup,
+        tau=tau,
+        seed=seed,
+        dt=dt,
+        level_names=names,
+        contact_fraction=contacts / max(n_steps * n_constrained, 1),
+    )
 
 
 def simulate_two_level(
@@ -170,18 +312,16 @@ def simulate_two_level(
     n_paths: int,
     seed: int = 0,
     y_spec: Optional[DiffusionSpec] = None,
-    y_extra_drift: Optional[Callable] = None,
     t0: float = 0.0,
     record_stride: Optional[int] = None,
 ) -> PathBundle:
     """Evolve (X, Y) on an interlacing space.
 
     Y advances first as independent y_spec-diffusions (default: the raw
-    conjugate of spec, i.e. the two-level kernel dynamics), optionally with
-    an interaction drift (for h-transformed duals).  X is then projected
-    per step onto the interval between its updated Y neighbours.  tau is
-    set at the first Y collision or killing-boundary hit required by the
-    shape; stopped paths are frozen.
+    conjugate of spec, i.e. the two-level kernel dynamics).  X is then
+    projected per step onto the interval between its updated Y neighbours.
+    tau is set at the first Y collision or killing-boundary hit required
+    by the shape; stopped paths are frozen.
     """
     from .twolevel import check_shape_assumptions, interlaces
 
@@ -203,108 +343,25 @@ def simulate_two_level(
     n2 = x0.shape[-1]
     x = np.broadcast_to(x0, (n_paths, n2)).copy()
     if callable(y0):
-        y = np.asarray(y0(n_paths), float)
+        y = np.array(y0(n_paths), float)
     else:
         y = np.broadcast_to(np.asarray(y0, float), (n_paths, np.asarray(y0).shape[-1])).copy()
     n1 = y.shape[-1]
-    l0, r0 = spec.interval
+    l, r = spec.interval
     for a, b in ((x[:1], y[:1]), (x[-1:], y[-1:])):
-        if n1 and not interlaces(a[0], b[0], shape, l0, r0, tol=1e-12):
+        if n1 and not interlaces(a[0], b[0], shape, l, r, tol=1e-12):
             raise ValueError("initial configuration violates the interlacing inequalities")
 
-    gy = [_stream(seed, 0, 0, i) for i in range(n1)]
-    gx = [_stream(seed, 1, 0, i) for i in range(n2)]
-    l, r = spec.interval
-    ylo_wall, yhi_wall = _static_barriers(y_spec)
-    kill_l, kill_r = _killing_ends(y_spec)
-    xlo_wall, xhi_wall = _static_barriers(spec)
-
-    tau = np.full(n_paths, np.inf)
-    alive = np.ones(n_paths, bool)
-    klow = np.zeros((n_paths, n2))
-    kup = np.zeros((n_paths, n2))
-    contacts = 0.0
-
-    rec_idx = _record_indices(n_steps, record_stride)
-    rec_x, rec_y, rec_t = [], [], []
-
-    def record(j):
-        rec_t.append(t0 + j * dt)
-        rec_x.append(x.copy())
-        rec_y.append(y.copy())
-
-    record(0)
-    sq = math.sqrt(dt)
-    for j in range(1, n_steps + 1):
-        ynew = np.empty_like(y)
-        for i in range(n1):
-            drift_extra = 0.0
-            if y_extra_drift is not None:
-                drift_extra = y_extra_drift(y)[:, i] * dt
-            ynew[:, i] = _euler_raw(y_spec, y[:, i], dt, gy[i].standard_normal(n_paths)) + drift_extra
-            if np.isfinite(ylo_wall):
-                ynew[:, i] = np.maximum(ynew[:, i], ylo_wall)
-            if np.isfinite(yhi_wall):
-                ynew[:, i] = np.minimum(ynew[:, i], yhi_wall)
-        # stopping: Y collision or killing-boundary hit
-        stopped = np.zeros(n_paths, bool)
-        if n1 > 1:
-            stopped |= np.any(np.diff(ynew, axis=1) <= 0.0, axis=1)
-        if kill_l and np.isfinite(l):
-            stopped |= np.min(ynew, axis=1) <= l
-        if kill_r and np.isfinite(r):
-            stopped |= np.max(ynew, axis=1) >= r
-        newly = alive & stopped
-        tau[newly] = t0 + j * dt
-        upd = alive & ~stopped
-        y[upd] = ynew[upd]
-        alive = alive & ~stopped
-
-        xnew = np.empty_like(x)
-        for i in range(n2):
-            raw = _euler_raw(spec, x[:, i], dt, gx[i].standard_normal(n_paths))
-            lo, hi = _x_bounds(shape, y, i, n2, xlo_wall, xhi_wall)
-            proj = np.clip(raw, lo, hi)
-            klow[upd, i] += np.maximum(lo - raw, 0.0)[upd]
-            kup[upd, i] += np.maximum(raw - hi, 0.0)[upd]
-            contacts += float(np.mean((proj != raw) & upd))
-            xnew[:, i] = proj
-        x[upd] = xnew[upd]
-        if j in rec_idx:
-            record(j)
-
-    return PathBundle(
-        grid=np.asarray(rec_t),
-        levels=[np.asarray(rec_y), np.asarray(rec_x)],
-        k_lower=[np.zeros((n_paths, n1)), klow],
-        k_upper=[np.zeros((n_paths, n1)), kup],
-        tau=tau,
-        seed=seed,
-        dt=dt,
-        level_names=["y", "x"],
-        contact_fraction=contacts / max(n_steps * n2, 1),
-    )
-
-
-def _record_indices(n_steps, stride):
-    if stride is None:
-        return {n_steps}
-    return set(range(0, n_steps + 1, stride)) | {n_steps}
-
-
-def _x_bounds(shape: Shape, y, i, n2, xlo_wall, xhi_wall):
-    """Moving interval for x particle i given the updated y level."""
-    n1 = y.shape[1]
-    if shape is Shape.NNP1:
-        lo = y[:, i - 1] if i >= 1 else xlo_wall
-        hi = y[:, i] if i < n1 else xhi_wall
-    elif shape is Shape.NN:
-        lo = y[:, i]
-        hi = y[:, i + 1] if i + 1 < n1 else xhi_wall
-    else:  # NP1N
-        lo = y[:, i]
-        hi = y[:, i + 1]
-    return lo, hi
+    killing = (Boundary.EXIT, Boundary.REGULAR_ABSORBING)
+    stop = _StopRule(levels=(0,), on_proposal=True, kill=(
+        l if y_spec.behavior_l in killing else -np.inf,
+        r if y_spec.behavior_r in killing else np.inf,
+    ))
+    levels = [
+        _Level(y_spec, y, _streams(seed, 0, 0, range(n1))),
+        _Level(spec, x, _streams(seed, 1, 0, range(n2)), above=int(shape is not Shape.NNP1)),
+    ]
+    return _simulate(levels, n_steps, dt, t0, seed, ["y", "x"], record_stride, stop)
 
 
 def simulate_gt(
@@ -330,85 +387,28 @@ def simulate_gt(
     N = len(level_specs)
     n_steps, dt = _resolve_steps(T, dt, t0)
     if callable(x0):
-        levels = [np.atleast_2d(np.asarray(a, float)).copy() for a in x0(n_paths)]
+        states = [np.atleast_2d(np.asarray(a, float)).copy() for a in x0(n_paths)]
     else:
-        levels = [
+        states = [
             np.broadcast_to(np.asarray(a, float), (n_paths, np.asarray(a).shape[-1])).copy()
             for a in x0
         ]
-    sizes = [lv.shape[1] for lv in levels]
+    sizes = [x.shape[1] for x in states]
     if len(sizes) != N:
         raise ValueError("one initial array per level is required")
     for k in range(1, N):
         if sizes[k] - sizes[k - 1] not in (0, 1):
             raise ValueError("consecutive level sizes may grow by at most one")
 
-    gens = [[_stream(seed, 2, k, i) for i in range(sizes[k])] for k in range(N)]
-    walls = [_static_barriers(sp) for sp in level_specs]
-    tau = np.full(n_paths, np.inf)
-    alive = np.ones(n_paths, bool)
-    klow = [np.zeros((n_paths, sizes[k])) for k in range(N)]
-    kup = [np.zeros((n_paths, sizes[k])) for k in range(N)]
-    contacts = 0.0
-    n_constrained = sum(sizes[1:]) if N > 1 else 1
-
-    rec_idx = _record_indices(n_steps, record_stride)
-    rec = [[lv.copy()] for lv in levels]
-    rec_t = [t0]
-
-    for j in range(1, n_steps + 1):
-        prev = None
-        for k in range(N):
-            sp = level_specs[k]
-            lo_wall, hi_wall = walls[k]
-            cur = levels[k]
-            nk = sizes[k]
-            grow = prev is not None and nk == prev.shape[1] + 1
-            new = np.empty_like(cur)
-            for i in range(nk):
-                raw = _euler_raw(sp, cur[:, i], dt, gens[k][i].standard_normal(n_paths))
-                if prev is None:
-                    lo, hi = lo_wall, hi_wall
-                elif grow:
-                    # triangular step: particle i sits between prev i-1, i
-                    lo = prev[:, i - 1] if i >= 1 else lo_wall
-                    hi = prev[:, i] if i < nk - 1 else hi_wall
-                else:
-                    # equal-size step: the new level sits above the old one
-                    lo = prev[:, i]
-                    hi = prev[:, i + 1] if i + 1 < nk else hi_wall
-                proj = np.clip(raw, lo, hi)
-                klow[k][alive, i] += np.broadcast_to(np.maximum(lo - raw, 0.0), raw.shape)[alive]
-                kup[k][alive, i] += np.broadcast_to(np.maximum(raw - hi, 0.0), raw.shape)[alive]
-                if k >= 1:
-                    contacts += float(np.mean((proj != raw) & alive))
-                new[:, i] = proj
-            levels[k][alive] = new[alive]
-            prev = levels[k]
-        # interior-level collisions stop the pattern
-        stopped = np.zeros(n_paths, bool)
-        for k in range(1, N - 1):
-            if levels[k].shape[1] > 1:
-                stopped |= np.any(np.diff(levels[k], axis=1) < 0.0, axis=1)
-        newly = alive & stopped
-        tau[newly] = t0 + j * dt
-        alive = alive & ~stopped
-        if j in rec_idx:
-            rec_t.append(t0 + j * dt)
-            for k in range(N):
-                rec[k].append(levels[k].copy())
-
-    return PathBundle(
-        grid=np.asarray(rec_t),
-        levels=[np.asarray(r) for r in rec],
-        k_lower=klow,
-        k_upper=kup,
-        tau=tau,
-        seed=seed,
-        dt=dt,
-        level_names=[f"level{k+1}" for k in range(N)],
-        contact_fraction=contacts / max(n_steps * max(n_constrained, 1), 1),
-    )
+    levels = [
+        _Level(sp, x, _streams(seed, 2, k, range(sizes[k])),
+               above=int(k > 0 and sizes[k] == sizes[k - 1]))
+        for k, (sp, x) in enumerate(zip(level_specs, states))
+    ]
+    # only interior levels can collide; with none, no path ever stops
+    stop = _StopRule(levels=tuple(range(1, N - 1)), on_proposal=False) if N > 2 else None
+    names = [f"level{k+1}" for k in range(N)]
+    return _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop)
 
 
 def edge_ladder_spec(base: DiffusionSpec, n: int, k: int) -> DiffusionSpec:
@@ -465,43 +465,14 @@ def simulate_edge(
                 f"edge systems require natural/entrance boundaries; {sp.name} violates this"
             )
     n_steps, dt = _resolve_steps(T, dt, t0)
-    x = np.broadcast_to(np.asarray(x0, float), (n_paths, n)).copy()
-    gens = [_stream(seed, 3, 0, i) for i in range(n)]
-    klow = np.zeros((n_paths, n))
-    kup = np.zeros((n_paths, n))
-    contacts = 0.0
-
-    rec_idx = _record_indices(n_steps, record_stride)
-    rec = [x.copy()]
-    rec_t = [t0]
-    for j in range(1, n_steps + 1):
-        prev_new = None
-        for i in range(n):
-            raw = _euler_raw(specs[i], x[:, i], dt, gens[i].standard_normal(n_paths))
-            if i == 0:
-                proj = raw
-            elif side == "right":
-                proj = np.maximum(raw, prev_new)
-                klow[:, i] += np.maximum(prev_new - raw, 0.0)
-                contacts += float(np.mean(proj != raw))
-            else:
-                proj = np.minimum(raw, prev_new)
-                kup[:, i] += np.maximum(raw - prev_new, 0.0)
-                contacts += float(np.mean(proj != raw))
-            x[:, i] = proj
-            prev_new = x[:, i]
-        if j in rec_idx:
-            rec_t.append(t0 + j * dt)
-            rec.append(x.copy())
-
-    return PathBundle(
-        grid=np.asarray(rec_t),
-        levels=[np.asarray(rec)],
-        k_lower=[klow],
-        k_upper=[kup],
-        tau=np.full(n_paths, np.inf),
-        seed=seed,
-        dt=dt,
-        level_names=["edge"],
-        contact_fraction=contacts / max(n_steps * (n - 1), 1),
+    x = np.broadcast_to(np.asarray(x0, float), (n_paths, n))
+    above = int(side == "right")
+    levels = [_Level(sp, x[:, i:i + 1].copy(), _streams(seed, 3, 0, [i]), above)
+              for i, sp in enumerate(specs)]
+    pb = _simulate(levels, n_steps, dt, t0, seed, ["edge"], record_stride)
+    return replace(
+        pb,
+        levels=[np.concatenate(pb.levels, axis=-1)],
+        k_lower=[np.hstack(pb.k_lower)],
+        k_upper=[np.hstack(pb.k_upper)],
     )
