@@ -1,10 +1,11 @@
 """Campaign orchestration: configs, budget caps, CSV output, exit status."""
 from __future__ import annotations
 
+import inspect
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .checks import ALL_CHECKS, CheckResult
@@ -20,10 +21,28 @@ MAX_PATHS = 1_000_000
 MAX_NODES = 128
 
 
+#: config fields passed to checks, each with the check parameters it may
+#: fill (the first one a check takes)
+CHECK_PARAMS = {
+    "paths": ("paths",),
+    "dt": ("dt",),
+    "nodes": ("n_nodes",),
+    "tolerance": ("tol", "ks_tol"),
+    "seed": ("seed",),
+    "perturb": ("perturb",),
+}
+
+
 @dataclass
 class CampaignConfig:
+    """A campaign: a check name from ALL_CHECKS (or 'all') and settings.
+
+    Every setting in CHECK_PARAMS that is not None must be taken by the
+    check, or under 'all' by at least one check; run_campaign raises
+    CampaignError otherwise.
+    """
+
     name: str
-    parameters: dict = field(default_factory=dict)
     paths: Optional[int] = None
     dt: Optional[float] = None
     nodes: Optional[int] = None
@@ -56,55 +75,51 @@ class CampaignConfig:
             kw["out"] = raw.pop("out")
         if "perturb" in raw:
             kw["perturb"] = raw.pop("perturb")
-        kw["parameters"] = raw
+        if raw:
+            raise CampaignError(f"unknown campaign config keys in {path}: {sorted(raw)}")
         return cls(**kw)
 
 
-def _check_kwargs(cfg: CampaignConfig) -> dict:
-    kw = {}
-    name = cfg.name
-    if cfg.paths is not None and name in ("warren-dyson", "entrance-gt", "edge-formulas", "skorokhod"):
-        kw["paths"] = cfg.paths
-    if cfg.dt is not None and name in ("warren-dyson", "entrance-gt"):
-        kw["dt"] = cfg.dt
-    if cfg.seed is not None and name in ("warren-dyson", "entrance-gt", "edge-formulas", "skorokhod"):
-        kw["seed"] = cfg.seed
-    if cfg.nodes is not None and name in ("chapman-bm",):
-        kw["n_nodes"] = cfg.nodes
-    if cfg.nodes is not None and name in ("master-intertwinings",):
-        kw["n_nodes"] = cfg.nodes
-    if cfg.tolerance is not None:
-        tol_key = {
-            "duality-catalog": None,
-            "chapman-bm": "tol",
-            "master-intertwinings": "tol",
-            "warren-dyson": "ks_tol",
-            "entrance-gt": "ks_tol",
-            "edge-formulas": "tol",
-            "eigen-structure": "tol",
-            "entrance-lemma": "tol",
-        }.get(name)
-        if tol_key:
-            kw[tol_key] = cfg.tolerance
-    if cfg.perturb and name == "master-intertwinings":
-        kw["perturb"] = cfg.perturb
-    return kw
+def _check_kwargs(name: str, cfg: CampaignConfig):
+    """Keyword arguments for check `name` from cfg, read off the check's
+    signature, and the settings given in cfg that the check does not take."""
+    params = inspect.signature(ALL_CHECKS[name]).parameters
+    kw, unused = {}, set()
+    for key, targets in CHECK_PARAMS.items():
+        value = getattr(cfg, key)
+        if value is None:
+            continue
+        target = next((t for t in targets if t in params), None)
+        if target is None:
+            unused.add(key)
+        else:
+            kw[target] = value
+    return kw, unused
 
 
 def run_campaign(cfg: CampaignConfig) -> CheckResult:
     """Execute one named campaign (or 'all'), write CSV + summary, and
     return the aggregate result; exit status is passed/failed."""
     t0 = time.perf_counter()
+    if cfg.name != "all" and cfg.name not in ALL_CHECKS:
+        raise CampaignError(f"unknown campaign {cfg.name!r}; known: {sorted(ALL_CHECKS)}")
+    names = list(ALL_CHECKS) if cfg.name == "all" else [cfg.name]
+    # under 'all' a setting goes to the checks that take it, and only a
+    # setting that no check takes is an error
+    kwargs, untaken = {}, set(CHECK_PARAMS)
+    for n in names:
+        kwargs[n], unused = _check_kwargs(n, cfg)
+        untaken &= unused
+    if untaken:
+        raise CampaignError(f"no check in campaign {cfg.name!r} takes {', '.join(sorted(untaken))}")
     outdir = ensure_outdir(cfg.out)
     if cfg.name == "all":
-        names = list(ALL_CHECKS)
-        results = []
         if cfg.threads > 1:
             with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-                futs = {n: ex.submit(_run_one, n, cfg) for n in names}
+                futs = {n: ex.submit(_run_one, n, kwargs[n]) for n in names}
                 results = [futs[n].result() for n in names]
         else:
-            results = [_run_one(n, cfg) for n in names]
+            results = [_run_one(n, kwargs[n]) for n in names]
         passed = all(r.passed for r in results)
         rows = [
             {"campaign": r.name, "passed": r.passed, "runtime": round(r.runtime, 3),
@@ -118,18 +133,16 @@ def run_campaign(cfg: CampaignConfig) -> CheckResult:
                 write_csv(os.path.join(outdir, f"{r.name}.csv"), r.fieldnames, r.rows)
             write_csv(os.path.join(outdir, "summary.csv"), agg.fieldnames, agg.rows)
         return agg
-    res = _run_one(cfg.name, cfg)
+    res = _run_one(cfg.name, kwargs[cfg.name])
     if outdir:
         write_csv(os.path.join(outdir, f"{res.name}.csv"), res.fieldnames, res.rows)
         _write_summary(os.path.join(outdir, "summary.csv"), res)
     return res
 
 
-def _run_one(name: str, cfg: CampaignConfig) -> CheckResult:
-    if name not in ALL_CHECKS:
-        raise CampaignError(f"unknown campaign {name!r}; known: {sorted(ALL_CHECKS)}")
+def _run_one(name: str, kwargs: dict) -> CheckResult:
     try:
-        return ALL_CHECKS[name](**_check_kwargs(cfg))
+        return ALL_CHECKS[name](**kwargs)
     except CampaignError:
         raise
     except Exception as exc:  # component failure propagates with context

@@ -22,10 +22,27 @@ regular-reflecting endpoint, else none).  Level 0 sees only its walls.
   * edge: one single-particle level per particle, above=1 on the right
     edge (pushed up) and above=0 on the left edge (pushed down).
 
+Edge pushes are not projections: per-step projection misses the pushes
+inside a step and leaves an O(sqrt(dt)) deficit.  Edge particle k >= 1 is
+pushed instead by the exact maximum over the step of the gap to its
+leader k-1 (already moved), taken as a Brownian bridge from the
+start-of-step gap a <= 0 to the gap b after the Euler proposal, with
+variance rate v = 2 (a_{k-1}(x_{k-1}) + a_k(x_k)) frozen at the start of
+the step:
+
+    push = max(M, 0),  M = (a + b + sqrt((b - a)^2 + 2 v dt E)) / 2,
+
+E ~ Exp(1).  On the right edge the gap is leader minus particle and the
+push is added; on the left edge it is particle minus leader and the push
+is subtracted.  M >= b, so the ordering holds after every step.
+
 Driving noise comes from counter-based Philox streams keyed by
 (kind, level, particle): (0, 0, i) for Y and (1, 0, i) for X in two-level
-systems, (2, k, i) for GT level k, (3, 0, i) for edge particle i.  Bundles
-are bit-reproducible for a fixed seed and independent of scheduling.
+systems, (2, k, i) for GT level k, (3, 0, i) for edge particle i.  The
+bridge draws E of edge particle i >= 1 come from separate streams keyed
+(4, 0, i), so the normals are those of a system without bridge pushes.
+Bundles are bit-reproducible for a fixed seed and independent of
+scheduling.
 
 Stop rules: a two-level system tests Y's proposal before anything moves;
 coincident or crossed Y particles, or a Y particle at a killing endpoint,
@@ -105,8 +122,10 @@ class PathBundle:
 
     levels[i] has shape (n_recorded, n_paths, n_particles_i); k_lower and
     k_upper hold the cumulative push-up/push-down amounts at the final
-    time.  tau is +inf for paths never stopped.  contact_fraction tracks
-    the average fraction of steps spent in exact contact with a barrier.
+    time.  tau is +inf for paths never stopped.  contact_fraction is the
+    fraction of constrained particle-steps, over all paths, in which a
+    push moved the particle off its raw Euler proposal: a projection onto
+    a barrier, or a nonzero bridge-sampled push on an edge.
     """
 
     grid: np.ndarray
@@ -131,15 +150,19 @@ class PathBundle:
 class _Level:
     """One level of an interlacing array.
 
-    x is the (n_paths, size) state, advanced in place; gens holds one
-    Philox stream per particle; particle i is bounded by columns i-1+above
-    and i+above of the previous level.
+    x is the (n_paths, size) state, replaced by a new array each step;
+    gens holds one Philox stream per particle; particle i is bounded by
+    columns i-1+above and i+above of the previous level.  bridge, set on
+    the constrained levels of an edge system, holds one stream of Exp(1)
+    draws per particle: the push off the previous level is then sampled
+    from the bridge maximum of the gap instead of projected.
     """
 
     spec: DiffusionSpec
     x: np.ndarray
     gens: list
     above: int = 0
+    bridge: Optional[list] = None
 
 
 @dataclass(frozen=True)
@@ -186,10 +209,19 @@ def _streams(seed: int, kind: int, level: int, particles) -> list:
 
 
 def _euler_raw(spec: DiffusionSpec, x, dt, xi):
+    """Full-truncation Euler proposal, and the diffusivity a it used: the
+    coefficients are evaluated at x clamped into the interval, a floored
+    at 0."""
     xc = np.clip(x, *spec.interval)
-    return x + np.asarray(spec.b(xc), float) * dt + np.sqrt(
-        2.0 * np.maximum(np.asarray(spec.a(xc), float), 0.0) * dt
-    ) * xi
+    a = np.maximum(np.asarray(spec.a(xc), float), 0.0)
+    return x + np.asarray(spec.b(xc), float) * dt + np.sqrt(2.0 * a * dt) * xi, a
+
+
+def _bridge_max(a, b, var, e):
+    """Maximum over a step of a Brownian bridge from a to b with variance
+    var over the step, by inversion of P(max > m) = exp(-2 (m-a)(m-b) / var)
+    at the Exp(1) draw e."""
+    return 0.5 * (a + b + np.sqrt((b - a) ** 2 + 2.0 * var * e))
 
 
 def _static_barriers(spec: DiffusionSpec):
@@ -225,11 +257,28 @@ def _bound_pieces(size, m, shift, wall):
     return pieces
 
 
+def _check_start(levels, names):
+    """Raise unless every path starts interlaced: particle i of level k >= 1
+    within columns i-1+above and i+above of level k-1, up to the 1e-12
+    slack simulate_two_level allows."""
+    for k in range(1, len(levels)):
+        prev, x = levels[k - 1].x, levels[k].x
+        for lower, shift in ((True, levels[k].above - 1), (False, levels[k].above)):
+            for p, src in _bound_pieces(x.shape[1], prev.shape[1], shift, np.inf):
+                gap = prev[:, src] - x[:, p] if lower else x[:, p] - prev[:, src]
+                if not np.all(gap <= 1e-12):
+                    raise ValueError(
+                        f"initial {names[k]} does not interlace with {names[k - 1]}: it starts "
+                        f"{'below' if lower else 'above'} a particle that bounds it")
+
+
 def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) -> PathBundle:
     """Step an interlacing array: each level in turn takes an Euler step
     and is projected onto the interval its bounds set, with the previous
-    level already moved.  Pushes, contacts and stop times are recorded for
-    the paths alive after each stop test."""
+    level already moved; a level with bridge streams is pushed off the
+    previous one by the sampled bridge maximum instead.  Pushes, contacts
+    and stop times are recorded for the paths alive after each stop
+    test."""
     n_paths = levels[0].x.shape[0]
     tau = np.full(n_paths, np.inf)
     alive = np.ones(n_paths, bool)
@@ -238,6 +287,7 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
     klow = [np.zeros_like(lv.x) for lv in levels]
     kup = [np.zeros_like(lv.x) for lv in levels]
     noise = [np.empty(lv.x.shape[::-1]) for lv in levels]
+    expo = [None if lv.bridge is None else np.empty(lv.x.shape[::-1]) for lv in levels]
     # per level: (is_lower, particles, bound source, push accumulator), lower
     # side first so that the projection is min(max(raw, lower), upper)
     pieces = []
@@ -252,26 +302,39 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
                for p, src in _bound_pieces(size, m, lv.above, hi_wall)])
     contacts = 0.0
     rec_idx = _record_indices(n_steps, record_stride)
-    rec_t, rec = [t0], [[lv.x.copy()] for lv in levels]
+    rec_t, rec = [t0], [[lv.x] for lv in levels]
 
     for j in range(1, n_steps + 1):
         t = t0 + j * dt
         for k, lv in enumerate(levels):
             for g, row in zip(lv.gens, noise[k]):
                 g.standard_normal(out=row)
-            raw = _euler_raw(lv.spec, lv.x, dt, noise[k].T)
+            raw, diff = _euler_raw(lv.spec, lv.x, dt, noise[k].T)
+            if lv.bridge is not None:
+                for g, row in zip(lv.bridge, expo[k]):
+                    g.standard_exponential(out=row)
             proj = raw.copy()
             pushes = []
             for lower, p, src, acc in pieces[k]:
                 bound = levels[k - 1].x[:, src] if isinstance(src, slice) else src
                 gap = bound - raw[:, p] if lower else raw[:, p] - bound
-                pushes.append((acc, np.maximum(gap, 0.0)))
-                (np.maximum if lower else np.minimum)(proj[:, p], bound, out=proj[:, p])
+                if lv.bridge is None:
+                    push = np.maximum(gap, 0.0)
+                    (np.maximum if lower else np.minimum)(proj[:, p], bound, out=proj[:, p])
+                else:
+                    # edge levels have no walls, so src is the leader's column;
+                    # the gap and its variance start from the start-of-step state
+                    start = prev_x[:, src] - lv.x[:, p] if lower else lv.x[:, p] - prev_x[:, src]
+                    var = 2.0 * (prev_diff[:, src] + diff[:, p]) * dt
+                    push = np.maximum(_bridge_max(start, gap, var, expo[k][p].T), 0.0)
+                    proj[:, p] += push if lower else -push
+                pushes.append((acc, push))
             if k == 0 and stop is not None and stop.on_proposal:
                 stopped = stop.hits([proj])
                 tau[alive & stopped] = t
                 alive &= ~stopped
-            np.copyto(lv.x, proj, where=where)
+            prev_x, prev_diff = lv.x, diff
+            lv.x = np.where(where, proj, lv.x)
             for acc, push in pushes:
                 np.add(acc, push, out=acc, where=where)
             if k:
@@ -286,7 +349,7 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
         if j in rec_idx:
             rec_t.append(t)
             for r, lv in zip(rec, levels):
-                r.append(lv.x.copy())
+                r.append(lv.x)
 
     n_constrained = sum(lv.x.shape[1] for lv in levels[1:])
     return PathBundle(
@@ -382,7 +445,8 @@ def simulate_gt(
     pattern, where the new level sits above the previous one).  x0: list of
     per-level arrays or a callable sampler(n_paths) -> list of arrays.
     tau is the first interior-level collision, matching the stopping rule
-    under which the pattern dynamics are defined.
+    under which the pattern dynamics are defined.  Every path of x0 must
+    interlace.
     """
     N = len(level_specs)
     n_steps, dt = _resolve_steps(T, dt, t0)
@@ -405,9 +469,10 @@ def simulate_gt(
                above=int(k > 0 and sizes[k] == sizes[k - 1]))
         for k, (sp, x) in enumerate(zip(level_specs, states))
     ]
+    names = [f"level{k+1}" for k in range(N)]
+    _check_start(levels, names)
     # only interior levels can collide; with none, no path ever stops
     stop = _StopRule(levels=tuple(range(1, N - 1)), on_proposal=False) if N > 2 else None
-    names = [f"level{k+1}" for k in range(N)]
     return _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop)
 
 
@@ -451,7 +516,9 @@ def simulate_edge(
 
     side='right': particle k (spec of ladder level k) is pushed up off
     particle k-1, ordering increasing.  side='left': pushed down, ordering
-    decreasing.  Particle 1 is free.
+    decreasing.  Particle 1 is free.  x0 must be ordered that way.  Each
+    push is the sampled maximum of the gap over the step (see the module
+    docstring), so no push inside a step is missed.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -467,8 +534,10 @@ def simulate_edge(
     n_steps, dt = _resolve_steps(T, dt, t0)
     x = np.broadcast_to(np.asarray(x0, float), (n_paths, n))
     above = int(side == "right")
-    levels = [_Level(sp, x[:, i:i + 1].copy(), _streams(seed, 3, 0, [i]), above)
+    levels = [_Level(sp, x[:, i:i + 1].copy(), _streams(seed, 3, 0, [i]), above,
+                     bridge=_streams(seed, 4, 0, [i]) if i else None)
               for i, sp in enumerate(specs)]
+    _check_start(levels, [f"{side} edge particle {i + 1}" for i in range(n)])
     pb = _simulate(levels, n_steps, dt, t0, seed, ["edge"], record_stride)
     return replace(
         pb,

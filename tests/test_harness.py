@@ -149,6 +149,25 @@ class TestCampaigns:
         with pytest.raises(CampaignError):
             run_campaign(CampaignConfig(name="no-such-campaign"))
 
+    def test_setting_the_check_does_not_take_is_rejected(self):
+        # edge-formulas picks its own step size: a dt would do nothing
+        with pytest.raises(CampaignError, match="dt"):
+            run_campaign(CampaignConfig(name="edge-formulas", dt=1e-3))
+
+    def test_unknown_config_file_key_is_rejected(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("[campaign]\nname = chapman-bm\nnode = 40\n")
+        with pytest.raises(CampaignError, match="node"):
+            CampaignConfig.from_file(str(p))
+
+    def test_all_passes_each_setting_to_the_checks_that_take_it(self):
+        from interlace_lab.harness.campaign import _check_kwargs
+
+        cfg = CampaignConfig(name="all", dt=1e-3, tolerance=0.05)
+        assert _check_kwargs("warren-dyson", cfg) == ({"dt": 1e-3, "ks_tol": 0.05}, set())
+        assert _check_kwargs("chapman-bm", cfg) == ({"tol": 0.05}, {"dt"})
+        assert _check_kwargs("skorokhod", cfg) == ({}, {"dt", "tolerance"})
+
     def test_fast_campaign_writes_outputs(self, tmp_path):
         cfg = CampaignConfig(name="boundary-table", out=str(tmp_path))
         res = run_campaign(cfg)

@@ -209,6 +209,12 @@ class TestGTSimulation:
             rs.simulate_gt(specs, [np.array([0.0]), np.array([-1.0, 0.0, 1.0])],
                            T=0.1, dt=1e-2, n_paths=5, seed=0)
 
+    def test_non_interlacing_start_rejected(self):
+        specs = [make_spec("bm")] * 2
+        with pytest.raises(ValueError, match="level2"):
+            rs.simulate_gt(specs, [np.array([5.0]), np.array([-1.0, 1.0])],
+                           T=0.1, dt=1e-2, n_paths=4, seed=0)
+
     def test_symplectic_pattern_half_line(self):
         # alternating sizes 1,1: the second level, reflected upward off the
         # first, evolves as the scale-conditioned motion from the origin
@@ -266,6 +272,37 @@ class TestEdgeSimulation:
         with pytest.raises(ValueError):
             rs.simulate_edge(make_spec("bm_halfline:refl"), 2, "right",
                              np.array([0.5, 1.0]), T=0.1, dt=1e-3, n_paths=10, seed=0)
+
+    def test_disordered_start_rejected(self):
+        with pytest.raises(ValueError, match="particle 2"):
+            rs.simulate_edge(make_spec("bm"), 2, "right", np.array([1.0, -1.0]),
+                             T=0.1, dt=1e-2, n_paths=4, seed=0)
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bridge_pushes_match_edge_law_at_coarse_dt(self, side, n):
+        # per-step projection misses the pushes inside a step and is off by
+        # 0.04-0.09 here; the bridge-sampled push is not.  The left edge is
+        # the mirror image, so -min has the law of the right edge's max.
+        from interlace_lab import edgekernels as ek
+        from interlace_lab.harness.stats import empirical_cdf_on_grid
+
+        bm = make_spec("bm")
+        pb = rs.simulate_edge(bm, n, side, np.zeros(n), T=1.0, dt=1e-2,
+                              n_paths=20000, seed=12)
+        ext = pb.terminal(0)[:, -1] * (1.0 if side == "right" else -1.0)
+        zg = np.linspace(-2.5, 5.0, 151)
+        F = ek.edge_max_cdf_degenerate(bm, n, 1.0, 0.0, zg)
+        assert np.max(np.abs(F - empirical_cdf_on_grid(ext, zg))) <= 0.02
+
+    def test_free_particle_ignores_bridge_draws(self):
+        # the bridge draws have their own streams: the free particle's path
+        # is that of a one-particle system, bit for bit
+        bm = make_spec("bm")
+        kw = dict(T=0.2, dt=1e-2, n_paths=300, seed=5, record_stride=1)
+        three = rs.simulate_edge(bm, 3, "right", np.zeros(3), **kw)
+        one = rs.simulate_edge(bm, 1, "right", np.zeros(1), **kw)
+        assert np.array_equal(three.levels[0][..., 0], one.levels[0][..., 0])
 
 
 class TestBlockKernelMonteCarlo:
@@ -347,8 +384,8 @@ GOLDEN = {
     "gt2-gue": ("5025a5daffd4951925dc167cb7c931cc52c727264182576ab325f67862807dd9", 0.07199375000000002),
     "gt2-besq": ("474bf6f8c400ab8dcaf5fd0109d27a050146ead19b4abba856112f47574c08d4", 0.09340000000000007),
     "gt-equal-size": ("05c7bcb156db0ecdb512e95f3a898ce3d22508d1301d22974728edc8cee14d46", 0.11952499999999991),
-    "edge-right-bm": ("51a6f7b461040ca18a8897a491cf26c1e57b0e1ab689d58b197dad763c6f4ba4", 0.11210833333333334),
-    "edge-left-besq": ("1bfadbf1f9d90c4395e83ad8cef8ad22b3abc30642926dc19d4adbc8d1107f31", 0.05825),
+    "edge-right-bm": ("2636ba76ab5e20e8f447a06a48ea9072f11f78c8c68029e71d1faf3aa7216893", 0.13141666666666663),
+    "edge-left-besq": ("d0b874d29fb1ddddc28ee8162058c6cff8d42f80b0031da2303837ba26fa396b", 0.0812833333333333),
 }
 
 
