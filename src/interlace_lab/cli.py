@@ -18,6 +18,7 @@ from . import reflectsde as rs
 from . import edgekernels as ek
 from .diffusion1d import (
     CATALOG_IDS,
+    CatalogError,
     boundary_integrals,
     classify_boundary,
     conjugate,
@@ -27,6 +28,7 @@ from .diffusion1d import (
 )
 from .harness import (
     CampaignConfig,
+    CampaignError,
     empirical_cdf_on_grid,
     read_config,
     rmt_oracle,
@@ -349,7 +351,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "simulate" and not args.config:
         parser.error("simulate requires --config")
-    ret = args.func(args)
+    try:
+        ret = args.func(args)
+    except (CampaignError, CatalogError) as e:
+        # CatalogError is a KeyError, whose str() would quote the message
+        print(f"{parser.prog}: error: {e.args[0] if e.args else e}", file=sys.stderr)
+        return 2
     return int(ret) if ret else 0
 
 

@@ -20,6 +20,15 @@ interval, lognormal, ncx2-type squared-Bessel/Laguerre forms.  Spectral
 series: sine/cosine on the interval, Hermite for ou, generalized Laguerre
 for lag, Jacobi polynomials for jac.  Duals of lag/jac are h-transforms of
 parameter-shifted members of the same family.
+
+Ids are exact: parameters are written as the shortest decimal that reads
+back to the same float, so make_spec(spec.name) rebuilds spec.params bit for
+bit, and a malformed id raises CatalogError naming the expected form.
+
+FAMILIES holds one record per family, and every other module asks the
+record, never the family name: its id grammar, spec builder, dual, kernel,
+spectral basis, closed-form eigenfunction, edge ladder, Gaussian moments and
+quadrature coordinates.  Adding a family means adding one record.
 """
 from __future__ import annotations
 
@@ -31,11 +40,12 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special as sc
 
-from ..quadrature import gl_nodes
+from ..quadrature import fd_derivative, gl_nodes
 from .core import (
     Boundary,
     CatalogError,
     DiffusionSpec,
+    DUAL_BOUNDARY,
     ScaleSpeed,
     TransitionKernel,
     TruncationError,
@@ -60,6 +70,10 @@ def _Phi(z):
     return sc.ndtr(z)
 
 
+def _zero_atom(t, x):
+    return np.zeros_like(np.asarray(x, float))
+
+
 def _hermite_e(n: int, z):
     """Probabilists' Hermite He_n by recurrence, vectorised in z."""
     z = np.asarray(z, float)
@@ -80,17 +94,13 @@ def _const(v):
     return lambda x: np.full_like(np.asarray(x, float), v)
 
 
-def _closed_scale(s_prime, m, s, M, log_sp, log_m):
-    return ScaleSpeed(s_prime=s_prime, m=m, s=s, M=M, log_s_prime=log_sp, log_m=log_m)
-
-
 def _bm_like_scale(c):
-    return _closed_scale(
+    return ScaleSpeed(
         s_prime=_const(1.0),
         m=_const(2.0),
         s=lambda x: np.asarray(x, float) - c,
         M=lambda x: 2.0 * (np.asarray(x, float) - c),
-        log_sp=_const(0.0),
+        log_s_prime=_const(0.0),
         log_m=_const(math.log(2.0)),
     )
 
@@ -98,277 +108,242 @@ def _bm_like_scale(c):
 @functools.lru_cache(maxsize=256)
 def make_spec(spec_id: str) -> DiffusionSpec:
     """Build a catalog spec from its string id (e.g. 'besq:3', 'jac:1,1')."""
-    parts = spec_id.split(":")
-    fam = parts[0]
-    if fam == "bm":
-        return DiffusionSpec(
-            name="bm",
-            a=_const(0.5),
-            b=_const(0.0),
-            a_prime=_const(0.0),
-            interval=(-np.inf, np.inf),
-            behavior_l=Boundary.NATURAL,
-            behavior_r=Boundary.NATURAL,
-            c=0.0,
-            family="bm",
-            scale=_bm_like_scale(0.0),
-        )
-    if fam == "bm_drift":
-        mu = float(parts[1])
-        if mu == 0.0:
-            return make_spec("bm")
-        sp = lambda x: np.exp(-2.0 * mu * np.asarray(x, float))
-        return DiffusionSpec(
-            name=f"bm_drift:{mu:g}",
-            a=_const(0.5),
-            b=_const(mu),
-            a_prime=_const(0.0),
-            interval=(-np.inf, np.inf),
-            behavior_l=Boundary.NATURAL,
-            behavior_r=Boundary.NATURAL,
-            c=0.0,
-            family="bm_drift",
-            params=(mu,),
-            scale=_closed_scale(
-                s_prime=sp,
-                m=lambda x: 2.0 * np.exp(2.0 * mu * np.asarray(x, float)),
-                s=lambda x: (1.0 - np.exp(-2.0 * mu * np.asarray(x, float)))
-                / (2.0 * mu),
-                M=lambda x: (np.exp(2.0 * mu * np.asarray(x, float)) - 1.0) / mu,
-                log_sp=lambda x: -2.0 * mu * np.asarray(x, float),
-                log_m=lambda x: math.log(2.0) + 2.0 * mu * np.asarray(x, float),
-            ),
-        )
-    if fam in ("ou", "ou_out"):
-        sgn = -1.0 if fam == "ou" else 1.0  # drift b = sgn * x
-        return DiffusionSpec(
-            name=fam,
-            a=_const(0.5),
-            b=lambda x: sgn * np.asarray(x, float),
-            a_prime=_const(0.0),
-            interval=(-np.inf, np.inf),
-            behavior_l=Boundary.NATURAL,
-            behavior_r=Boundary.NATURAL,
-            c=0.0,
-            family=fam,
-            scale=_closed_scale(
-                s_prime=lambda x: np.exp(-sgn * np.asarray(x, float) ** 2),
-                m=lambda x: 2.0 * np.exp(sgn * np.asarray(x, float) ** 2),
-                s=(lambda x: (math.sqrt(math.pi) / 2.0) * sc.erfi(x))
-                if sgn < 0
-                else (lambda x: (math.sqrt(math.pi) / 2.0) * sc.erf(x)),
-                M=(lambda x: math.sqrt(math.pi) * sc.erf(x))
-                if sgn < 0
-                else (lambda x: math.sqrt(math.pi) * sc.erfi(x)),
-                log_sp=lambda x: -sgn * np.asarray(x, float) ** 2,
-                log_m=lambda x: math.log(2.0) + sgn * np.asarray(x, float) ** 2,
-            ),
-        )
-    if fam == "besq":
-        d = float(parts[1])
-        killed = len(parts) > 2 and parts[2] == "abs"
-        if d <= 0.0:
-            killed = True
-        if killed and d >= 2.0:
-            raise CatalogError("besq absorption at 0 requires d < 2")
-        if d >= 2.0:
-            bl = Boundary.ENTRANCE
-        elif d > 0.0:
-            bl = Boundary.REGULAR_ABSORBING if killed else Boundary.REGULAR_REFLECTING
+    fam, *fields = spec_id.split(":")
+    rec = FAMILIES.get(fam)
+    if rec is None:
+        raise CatalogError(f"unknown family id: {spec_id!r}")
+    try:
+        params = rec.parse(fields)
+    except ValueError:
+        raise CatalogError(f"malformed id {spec_id!r}: expected {rec.form}") from None
+    return rec.build(*params)
+
+
+def _spec(fam, params, **fields) -> DiffusionSpec:
+    return DiffusionSpec(name=FAMILIES[fam].fmt(params), family=fam, params=params, **fields)
+
+
+_MODE_BOUNDARY = {"refl": Boundary.REGULAR_REFLECTING, "abs": Boundary.REGULAR_ABSORBING}
+
+
+def _brownian_spec(fam, params, interval, bl, br, c):
+    """Driftless Brownian motion a = 1/2 on interval, centred at c."""
+    return _spec(
+        fam,
+        params,
+        a=_const(0.5),
+        b=_const(0.0),
+        a_prime=_const(0.0),
+        interval=interval,
+        behavior_l=bl,
+        behavior_r=br,
+        c=c,
+        scale=_bm_like_scale(c),
+    )
+
+
+def _bm_drift_spec(mu):
+    if mu == 0.0:
+        return make_spec("bm")
+    sp = lambda x: np.exp(-2.0 * mu * np.asarray(x, float))
+    return _spec(
+        "bm_drift",
+        (mu,),
+        a=_const(0.5),
+        b=_const(mu),
+        a_prime=_const(0.0),
+        interval=(-np.inf, np.inf),
+        behavior_l=Boundary.NATURAL,
+        behavior_r=Boundary.NATURAL,
+        c=0.0,
+        scale=ScaleSpeed(
+            s_prime=sp,
+            m=lambda x: 2.0 * np.exp(2.0 * mu * np.asarray(x, float)),
+            s=lambda x: (1.0 - np.exp(-2.0 * mu * np.asarray(x, float)))
+            / (2.0 * mu),
+            M=lambda x: (np.exp(2.0 * mu * np.asarray(x, float)) - 1.0) / mu,
+            log_s_prime=lambda x: -2.0 * mu * np.asarray(x, float),
+            log_m=lambda x: math.log(2.0) + 2.0 * mu * np.asarray(x, float),
+        ),
+    )
+
+
+def _ou_spec(fam, sgn):
+    """OU with drift b = sgn * x: ou (sgn = -1) and its dual ou_out (+1)."""
+    return _spec(
+        fam,
+        (),
+        a=_const(0.5),
+        b=lambda x: sgn * np.asarray(x, float),
+        a_prime=_const(0.0),
+        interval=(-np.inf, np.inf),
+        behavior_l=Boundary.NATURAL,
+        behavior_r=Boundary.NATURAL,
+        c=0.0,
+        scale=ScaleSpeed(
+            s_prime=lambda x: np.exp(-sgn * np.asarray(x, float) ** 2),
+            m=lambda x: 2.0 * np.exp(sgn * np.asarray(x, float) ** 2),
+            s=(lambda x: (math.sqrt(math.pi) / 2.0) * sc.erfi(x))
+            if sgn < 0
+            else (lambda x: (math.sqrt(math.pi) / 2.0) * sc.erf(x)),
+            M=(lambda x: math.sqrt(math.pi) * sc.erf(x))
+            if sgn < 0
+            else (lambda x: math.sqrt(math.pi) * sc.erfi(x)),
+            log_s_prime=lambda x: -sgn * np.asarray(x, float) ** 2,
+            log_m=lambda x: math.log(2.0) + sgn * np.asarray(x, float) ** 2,
+        ),
+    )
+
+
+def _besq_spec(d, killed):
+    if d <= 0.0:
+        killed = True
+    if killed and d >= 2.0:
+        raise CatalogError("besq absorption at 0 requires d < 2")
+    if d >= 2.0:
+        bl = Boundary.ENTRANCE
+    elif d > 0.0:
+        bl = Boundary.REGULAR_ABSORBING if killed else Boundary.REGULAR_REFLECTING
+    else:
+        bl = Boundary.EXIT
+
+    def s_fun(x):
+        x = np.asarray(x, float)
+        if d == 2.0:
+            return np.log(x)
+        return (x ** (1.0 - d / 2.0) - 1.0) / (1.0 - d / 2.0)
+
+    def M_fun(x):
+        x = np.asarray(x, float)
+        if d == 0.0:
+            return 0.5 * np.log(x)
+        return (x ** (d / 2.0) - 1.0) / d
+
+    return _spec(
+        "besq",
+        (d, killed),
+        a=lambda x: 2.0 * np.asarray(x, float),
+        b=_const(d),
+        a_prime=_const(2.0),
+        interval=(0.0, np.inf),
+        behavior_l=bl,
+        behavior_r=Boundary.NATURAL,
+        c=1.0,
+        scale=ScaleSpeed(
+            s_prime=lambda x: np.asarray(x, float) ** (-d / 2.0),
+            m=lambda x: np.asarray(x, float) ** (d / 2.0 - 1.0) / 2.0,
+            s=s_fun,
+            M=M_fun,
+            log_s_prime=lambda x: (-d / 2.0) * np.log(x),
+            log_m=lambda x: (d / 2.0 - 1.0) * np.log(x) - math.log(2.0),
+        ),
+    )
+
+
+def _laguerre_spec(fam, alpha, dual):
+    if alpha <= 0:
+        raise CatalogError("lag requires alpha > 0")
+    if not dual:
+        bl = Boundary.ENTRANCE if alpha >= 2.0 else Boundary.REGULAR_REFLECTING
+        b_fun = lambda x: alpha - 2.0 * np.asarray(x, float)
+        log_sp = lambda x: (-alpha / 2.0) * np.log(x) + (np.asarray(x, float) - 1.0)
+    else:
+        bl = Boundary.EXIT if alpha >= 2.0 else Boundary.REGULAR_ABSORBING
+        b_fun = lambda x: 2.0 - alpha + 2.0 * np.asarray(x, float)
+        log_sp = lambda x: (alpha / 2.0) * np.log(x) - (np.asarray(x, float) - 1.0)
+    log_a = lambda x: math.log(2.0) + np.log(x)
+    return _spec(
+        fam,
+        (alpha,),
+        a=lambda x: 2.0 * np.asarray(x, float),
+        b=b_fun,
+        a_prime=_const(2.0),
+        interval=(0.0, np.inf),
+        behavior_l=bl,
+        behavior_r=Boundary.NATURAL,
+        c=1.0,
+        scale=ScaleSpeed(
+            s_prime=lambda x: np.exp(log_sp(x)),
+            m=lambda x: np.exp(-log_sp(x) - log_a(x)),
+            s=_numeric_cumulative(lambda x: np.exp(log_sp(x)), 1.0),
+            M=_numeric_cumulative(lambda x: np.exp(-log_sp(x) - log_a(x)), 1.0),
+            log_s_prime=log_sp,
+            log_m=lambda x: -log_sp(x) - log_a(x),
+        ),
+    )
+
+
+def _jacobi_spec(fam, beta, gamma, dual):
+    bb, gg = (1.0 - beta, 1.0 - gamma) if dual else (beta, gamma)
+    b_fun = lambda x: 2.0 * (bb - (bb + gg) * np.asarray(x, float))
+    log_sp = lambda x: -bb * np.log(2.0 * np.asarray(x, float)) - gg * np.log(
+        2.0 * (1.0 - np.asarray(x, float))
+    )
+    log_a = lambda x: np.log(2.0 * np.asarray(x, float) * (1.0 - np.asarray(x, float)))
+
+    def _end(par):
+        if par >= 1.0:
+            end = Boundary.ENTRANCE
+        elif par > 0.0:
+            end = Boundary.REGULAR_REFLECTING
         else:
-            bl = Boundary.EXIT
-        nu = d / 2.0 - 1.0
+            end = Boundary.EXIT
+        # the dual has the dual endpoints of the primal classes
+        return DUAL_BOUNDARY[end] if dual else end
 
-        def s_fun(x):
-            x = np.asarray(x, float)
-            if d == 2.0:
-                return np.log(x)
-            return (x ** (1.0 - d / 2.0) - 1.0) / (1.0 - d / 2.0)
+    return _spec(
+        fam,
+        (beta, gamma),
+        a=lambda x: 2.0 * np.asarray(x, float) * (1.0 - np.asarray(x, float)),
+        b=b_fun,
+        a_prime=lambda x: 2.0 - 4.0 * np.asarray(x, float),
+        interval=(0.0, 1.0),
+        behavior_l=_end(beta),
+        behavior_r=_end(gamma),
+        c=0.5,
+        scale=ScaleSpeed(
+            s_prime=lambda x: np.exp(log_sp(x)),
+            m=lambda x: np.exp(-log_sp(x) - log_a(x)),
+            s=_numeric_cumulative(lambda x: np.exp(log_sp(x)), 0.5),
+            M=_numeric_cumulative(lambda x: np.exp(-log_sp(x) - log_a(x)), 0.5),
+            log_s_prime=log_sp,
+            log_m=lambda x: -log_sp(x) - log_a(x),
+        ),
+    )
 
-        def M_fun(x):
-            x = np.asarray(x, float)
-            if d == 0.0:
-                return 0.5 * np.log(x)
-            return (x ** (d / 2.0) - 1.0) / d
 
-        return DiffusionSpec(
-            name=f"besq:{d:g}" + (":abs" if killed and 0.0 < d < 2.0 else ""),
-            a=lambda x: 2.0 * np.asarray(x, float),
-            b=_const(d),
-            a_prime=_const(2.0),
-            interval=(0.0, np.inf),
-            behavior_l=bl,
-            behavior_r=Boundary.NATURAL,
-            c=1.0,
-            family="besq",
-            params=(d, killed),
-            scale=_closed_scale(
-                s_prime=lambda x: np.asarray(x, float) ** (-d / 2.0),
-                m=lambda x: np.asarray(x, float) ** (d / 2.0 - 1.0) / 2.0,
-                s=s_fun,
-                M=M_fun,
-                log_sp=lambda x: (-d / 2.0) * np.log(x),
-                log_m=lambda x: (d / 2.0 - 1.0) * np.log(x) - math.log(2.0),
-            ),
-        )
-    if fam in ("lag", "lag_dual"):
-        alpha = float(parts[1])
-        if alpha <= 0:
-            raise CatalogError("lag requires alpha > 0")
-        nu = alpha / 2.0 - 1.0
-        if fam == "lag":
-            bl = Boundary.ENTRANCE if alpha >= 2.0 else Boundary.REGULAR_REFLECTING
-            b_fun = lambda x: alpha - 2.0 * np.asarray(x, float)
-            log_sp = lambda x: (-alpha / 2.0) * np.log(x) + (np.asarray(x, float) - 1.0)
-        else:
-            bl = Boundary.EXIT if alpha >= 2.0 else Boundary.REGULAR_ABSORBING
-            b_fun = lambda x: 2.0 - alpha + 2.0 * np.asarray(x, float)
-            log_sp = lambda x: (alpha / 2.0) * np.log(x) - (np.asarray(x, float) - 1.0)
-        log_a = lambda x: math.log(2.0) + np.log(x)
-        return DiffusionSpec(
-            name=f"{fam}:{alpha:g}",
-            a=lambda x: 2.0 * np.asarray(x, float),
-            b=b_fun,
-            a_prime=_const(2.0),
-            interval=(0.0, np.inf),
-            behavior_l=bl,
-            behavior_r=Boundary.NATURAL,
-            c=1.0,
-            family=fam,
-            params=(alpha,),
-            scale=_closed_scale(
-                s_prime=lambda x: np.exp(log_sp(x)),
-                m=lambda x: np.exp(-log_sp(x) - log_a(x)),
-                s=_numeric_cumulative(lambda x: np.exp(log_sp(x)), 1.0),
-                M=_numeric_cumulative(lambda x: np.exp(-log_sp(x) - log_a(x)), 1.0),
-                log_sp=log_sp,
-                log_m=lambda x: -log_sp(x) - log_a(x),
-            ),
-        )
-    if fam in ("jac", "jac_dual"):
-        beta, gamma = (float(v) for v in parts[1].split(","))
-        if fam == "jac":
-            bb, gg = beta, gamma
-        else:
-            bb, gg = 1.0 - beta, 1.0 - gamma
-        b_fun = lambda x: 2.0 * (bb - (bb + gg) * np.asarray(x, float))
-        log_sp = lambda x: -bb * np.log(2.0 * np.asarray(x, float)) - gg * np.log(
-            2.0 * (1.0 - np.asarray(x, float))
-        )
-        log_a = lambda x: np.log(2.0 * np.asarray(x, float) * (1.0 - np.asarray(x, float)))
+def _gbm_spec(alpha):
+    def s_fun(x):
+        x = np.asarray(x, float)
+        if alpha == 0.5:
+            return np.log(x)
+        return (x ** (1.0 - 2.0 * alpha) - 1.0) / (1.0 - 2.0 * alpha)
 
-        def _end(par):
-            if par >= 1.0:
-                return Boundary.ENTRANCE
-            if par > 0.0:
-                return Boundary.REGULAR_REFLECTING
-            return Boundary.EXIT
+    def M_fun(x):
+        x = np.asarray(x, float)
+        if alpha == 0.5:
+            return 2.0 * np.log(x)
+        return 2.0 * (x ** (2.0 * alpha - 1.0) - 1.0) / (2.0 * alpha - 1.0)
 
-        if fam == "jac":
-            bl, br = _end(beta), _end(gamma)
-        else:
-            # dual endpoints of the primal classes
-            from .core import DUAL_BOUNDARY
-
-            bl, br = DUAL_BOUNDARY[_end(beta)], DUAL_BOUNDARY[_end(gamma)]
-        return DiffusionSpec(
-            name=f"{fam}:{beta:g},{gamma:g}",
-            a=lambda x: 2.0 * np.asarray(x, float) * (1.0 - np.asarray(x, float)),
-            b=b_fun,
-            a_prime=lambda x: 2.0 - 4.0 * np.asarray(x, float),
-            interval=(0.0, 1.0),
-            behavior_l=bl,
-            behavior_r=br,
-            c=0.5,
-            family=fam,
-            params=(beta, gamma),
-            scale=_closed_scale(
-                s_prime=lambda x: np.exp(log_sp(x)),
-                m=lambda x: np.exp(-log_sp(x) - log_a(x)),
-                s=_numeric_cumulative(lambda x: np.exp(log_sp(x)), 0.5),
-                M=_numeric_cumulative(lambda x: np.exp(-log_sp(x) - log_a(x)), 0.5),
-                log_sp=log_sp,
-                log_m=lambda x: -log_sp(x) - log_a(x),
-            ),
-        )
-    if fam == "gbm":
-        alpha = float(parts[1])
-        p = 1.0 - 2.0 * alpha  # s' = x^(p-1+...)
-
-        def s_fun(x):
-            x = np.asarray(x, float)
-            if alpha == 0.5:
-                return np.log(x)
-            return (x ** (1.0 - 2.0 * alpha) - 1.0) / (1.0 - 2.0 * alpha)
-
-        def M_fun(x):
-            x = np.asarray(x, float)
-            if alpha == 0.5:
-                return 2.0 * np.log(x)
-            return 2.0 * (x ** (2.0 * alpha - 1.0) - 1.0) / (2.0 * alpha - 1.0)
-
-        return DiffusionSpec(
-            name=f"gbm:{alpha:g}",
-            a=lambda x: 0.5 * np.asarray(x, float) ** 2,
-            b=lambda x: alpha * np.asarray(x, float),
-            a_prime=lambda x: np.asarray(x, float),
-            interval=(0.0, np.inf),
-            behavior_l=Boundary.NATURAL,
-            behavior_r=Boundary.NATURAL,
-            c=1.0,
-            family="gbm",
-            params=(alpha,),
-            scale=_closed_scale(
-                s_prime=lambda x: np.asarray(x, float) ** (-2.0 * alpha),
-                m=lambda x: 2.0 * np.asarray(x, float) ** (2.0 * alpha - 2.0),
-                s=s_fun,
-                M=M_fun,
-                log_sp=lambda x: -2.0 * alpha * np.log(x),
-                log_m=lambda x: math.log(2.0) + (2.0 * alpha - 2.0) * np.log(x),
-            ),
-        )
-    if fam == "bm_halfline":
-        mode = parts[1]
-        if mode not in ("refl", "abs"):
-            raise CatalogError("bm_halfline mode must be refl or abs")
-        return DiffusionSpec(
-            name=f"bm_halfline:{mode}",
-            a=_const(0.5),
-            b=_const(0.0),
-            a_prime=_const(0.0),
-            interval=(0.0, np.inf),
-            behavior_l=Boundary.REGULAR_REFLECTING
-            if mode == "refl"
-            else Boundary.REGULAR_ABSORBING,
-            behavior_r=Boundary.NATURAL,
-            c=1.0,
-            family="bm_halfline",
-            params=(mode,),
-            scale=_bm_like_scale(1.0),
-        )
-    if fam == "bm_interval":
-        b0, b1 = parts[1].split(",")
-        for v in (b0, b1):
-            if v not in ("refl", "abs"):
-                raise CatalogError("bm_interval modes must be refl or abs")
-        to_b = {
-            "refl": Boundary.REGULAR_REFLECTING,
-            "abs": Boundary.REGULAR_ABSORBING,
-        }
-        return DiffusionSpec(
-            name=f"bm_interval:{b0},{b1}",
-            a=_const(0.5),
-            b=_const(0.0),
-            a_prime=_const(0.0),
-            interval=(0.0, math.pi),
-            behavior_l=to_b[b0],
-            behavior_r=to_b[b1],
-            c=math.pi / 2.0,
-            family="bm_interval",
-            params=(b0, b1),
-            scale=_bm_like_scale(math.pi / 2.0),
-        )
-    raise CatalogError(f"unknown family id: {spec_id!r}")
+    return _spec(
+        "gbm",
+        (alpha,),
+        a=lambda x: 0.5 * np.asarray(x, float) ** 2,
+        b=lambda x: alpha * np.asarray(x, float),
+        a_prime=lambda x: np.asarray(x, float),
+        interval=(0.0, np.inf),
+        behavior_l=Boundary.NATURAL,
+        behavior_r=Boundary.NATURAL,
+        c=1.0,
+        scale=ScaleSpeed(
+            s_prime=lambda x: np.asarray(x, float) ** (-2.0 * alpha),
+            m=lambda x: 2.0 * np.asarray(x, float) ** (2.0 * alpha - 2.0),
+            s=s_fun,
+            M=M_fun,
+            log_s_prime=lambda x: -2.0 * alpha * np.log(x),
+            log_m=lambda x: math.log(2.0) + (2.0 * alpha - 2.0) * np.log(x),
+        ),
+    )
 
 
 def _numeric_cumulative(f, c):
@@ -407,41 +382,10 @@ CATALOG_IDS = [
 
 def catalog_conjugate(spec: DiffusionSpec) -> Optional[DiffusionSpec]:
     """Closed-form dual for catalog members, with swapped scale/speed."""
-    fam = spec.family
-    dual_id = None
-    if fam == "bm":
-        dual_id = "bm"
-    elif fam == "bm_drift":
-        dual_id = f"bm_drift:{-spec.params[0]:g}"
-    elif fam == "ou":
-        dual_id = "ou_out"
-    elif fam == "ou_out":
-        dual_id = "ou"
-    elif fam == "besq":
-        d, killed = spec.params
-        dd = 2.0 - d
-        if dd >= 2.0 or dd <= 0.0:
-            dual_id = f"besq:{dd:g}"
-        else:
-            dual_id = f"besq:{dd:g}" + ("" if killed else ":abs")
-    elif fam == "lag":
-        dual_id = f"lag_dual:{spec.params[0]:g}"
-    elif fam == "lag_dual":
-        dual_id = f"lag:{spec.params[0]:g}"
-    elif fam == "jac":
-        dual_id = f"jac_dual:{spec.params[0]:g},{spec.params[1]:g}"
-    elif fam == "jac_dual":
-        dual_id = f"jac:{spec.params[0]:g},{spec.params[1]:g}"
-    elif fam == "gbm":
-        dual_id = f"gbm:{1.0 - spec.params[0]:g}"
-    elif fam == "bm_halfline":
-        dual_id = "bm_halfline:" + ("abs" if spec.params[0] == "refl" else "refl")
-    elif fam == "bm_interval":
-        flip = {"refl": "abs", "abs": "refl"}
-        dual_id = f"bm_interval:{flip[spec.params[0]]},{flip[spec.params[1]]}"
-    if dual_id is None:
+    rec = FAMILIES.get(spec.family)
+    if rec is None:
         return None
-    dual = make_spec(dual_id)
+    dual = make_spec(rec.dual(spec.params))
     return replace(dual, scale=swapped_scale_speed(spec.scale or numeric_scale_speed(spec)))
 
 
@@ -461,49 +405,45 @@ def kernel(spec: DiffusionSpec) -> TransitionKernel:
 
 
 def _build_kernel(spec: DiffusionSpec) -> TransitionKernel:
-    fam = spec.family
-    if fam in ("bm", "bm_drift"):
-        mu = spec.params[0] if fam == "bm_drift" else 0.0
-        return _gaussian_kernel(
-            spec,
-            mean=lambda t, x: np.asarray(x, float) + mu * t,
-            var=lambda t: t,
-            dmean_dx=lambda t: 1.0,
-        )
-    if fam == "ou":
-        return _gaussian_kernel(
-            spec,
-            mean=lambda t, x: np.asarray(x, float) * math.exp(-t),
-            var=lambda t: 0.5 * (1.0 - math.exp(-2.0 * t)),
-            dmean_dx=lambda t: math.exp(-t),
-        )
-    if fam == "ou_out":
-        return _gaussian_kernel(
-            spec,
-            mean=lambda t, x: np.asarray(x, float) * math.exp(t),
-            var=lambda t: 0.5 * (math.exp(2.0 * t) - 1.0),
-            dmean_dx=lambda t: math.exp(t),
-        )
-    if fam == "besq":
-        return _besq_kernel(spec, *spec.params)
-    if fam == "lag":
-        return _laguerre_kernel(spec, spec.params[0])
-    if fam == "lag_dual":
-        return _laguerre_dual_kernel(spec, spec.params[0])
-    if fam == "jac":
-        return _spectral_only_kernel(spec)
-    if fam == "jac_dual":
-        return _jacobi_dual_kernel(spec, *spec.params)
-    if fam == "gbm":
-        return _gbm_kernel(spec, spec.params[0])
-    if fam == "bm_halfline":
-        return _halfline_kernel(spec, spec.params[0])
-    if fam == "bm_interval":
-        return _interval_kernel(spec, *spec.params)
-    raise CatalogError(f"no kernel for family {fam!r}")
+    rec = FAMILIES.get(spec.family)
+    if rec is None:
+        raise CatalogError(f"no kernel for family {spec.family!r}")
+    return rec.kernel(spec)
 
 
-def _gaussian_kernel(spec, mean, var, dmean_dx):
+def _harmonic_atom(density, h, lo, hi, n):
+    """Mass absorbed at an end, h(x) - int p_t(x, y) h(y) dy over [lo, hi],
+    with h the scale-harmonic hitting probability of that end (h = 1 at a
+    lone absorbing end: the mass deficit)."""
+
+    def atom(t, x):
+        def one(xx):
+            xs, ws = gl_nodes(lo, hi, n)
+            return float(h(xx) - np.dot(ws, density(t, xx, xs) * h(xs)))
+
+        return np.vectorize(one, otypes=[float])(x)
+
+    return atom
+
+
+def _quadrature_cdf(density, atom_l, lo, hi, n):
+    """atom_l + int_lo^y p_t(x, z) dz by Gauss-Legendre quadrature."""
+
+    def cdf(t, x, y):
+        def one(yy):
+            if yy <= lo:
+                return float(atom_l(t, x))
+            xs, ws = gl_nodes(lo, min(yy, hi), n)
+            return float(atom_l(t, x) + np.dot(ws, density(t, x, xs)))
+
+        return np.vectorize(one, otypes=[float])(np.asarray(y, float))
+
+    return cdf
+
+
+def _gaussian_kernel(spec):
+    mean, var, dmean_dx = gaussian_moments(spec)
+
     def density(t, x, y):
         v = var(t)
         return _gpdf(np.asarray(y, float) - mean(t, x), v)
@@ -527,21 +467,37 @@ def _gaussian_kernel(spec, mean, var, dmean_dx):
         pad = _WINDOW_SD * math.sqrt(v)
         return float(np.min(mu) - pad), float(np.max(mu) + pad)
 
-    zero = lambda t, x: np.zeros_like(np.asarray(x, float))
     return TransitionKernel(
         spec=spec,
         density=density,
         cdf=cdf,
-        atom_l=zero,
-        atom_r=zero,
+        atom_l=_zero_atom,
+        atom_r=_zero_atom,
         window=window,
         dx_derivative=dx,
         dy_derivative=dy,
     )
 
 
-def _besq_core_density(t, x, y, nu):
-    """(1/2t)(y/x)^(nu/2) exp(-(sqrt x - sqrt y)^2 / 2t) ive(nu, sqrt(xy)/t)."""
+def _from_first_derivatives(dx1, dy1):
+    """dx/dy evaluators from closed first derivatives; higher orders are
+    finite differences of the first, kept off the origin."""
+
+    def dx(o, t, x, y):
+        if o == 1:
+            return dx1(t, x, y)
+        return fd_derivative(lambda u: dx1(t, np.maximum(u, 1e-12), y), np.asarray(x, float), order=o - 1)
+
+    def dy(o, t, x, y):
+        if o == 1:
+            return dy1(t, x, y)
+        return fd_derivative(lambda v: dy1(t, x, np.maximum(v, 1e-12)), np.asarray(y, float), order=o - 1)
+
+    return dx, dy
+
+
+def _besq_core_density(t, x, y, nu, order):
+    """(1/2t)(y/x)^(nu/2) exp(-(sqrt x - sqrt y)^2 / 2t) ive(order, sqrt(xy)/t)."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     xs = np.maximum(x, 1e-300)
@@ -550,7 +506,7 @@ def _besq_core_density(t, x, y, nu):
         (1.0 / (2.0 * t))
         * (y / xs) ** (nu / 2.0)
         * np.exp(-0.5 * (np.sqrt(xs) - np.sqrt(y)) ** 2 / t)
-        * sc.ive(nu, z)
+        * sc.ive(order, z)
     )
     return val
 
@@ -562,24 +518,16 @@ def _besq_kernel(spec, d, killed):
     def density(t, x, y):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
+        main = _besq_core_density(t, x, y, nu, order)
         if killed:
-            out = _besq_core_density(t, x, y, nu) * 0.0
-            pos = x > 1e-300
-            main = (
-                (1.0 / (2.0 * t))
-                * (y / np.maximum(x, 1e-300)) ** (nu / 2.0)
-                * np.exp(-0.5 * (np.sqrt(np.maximum(x, 0)) - np.sqrt(y)) ** 2 / t)
-                * sc.ive(-nu, np.sqrt(np.maximum(x, 0) * y) / t)
-            )
-            return np.where(pos, main, 0.0)
-        main = _besq_core_density(t, x, y, nu)
+            return np.where(x > 1e-300, main, 0.0)
         # entrance limit from 0: gamma(d/2, scale 2t)
         lim = (
             y ** (d / 2.0 - 1.0)
             * np.exp(-y / (2.0 * t))
             / ((2.0 * t) ** (d / 2.0) * sc.gamma(d / 2.0))
         )
-        return np.where(np.asarray(x, float) > 1e-300, main, lim)
+        return np.where(x > 1e-300, main, lim)
 
     if killed:
 
@@ -591,9 +539,7 @@ def _besq_kernel(spec, d, killed):
             return cdf_from_density(kern_ref, t, x, y)
 
     else:
-
-        def atom_l(t, x):
-            return np.zeros_like(np.asarray(x, float))
+        atom_l = _zero_atom
 
         def cdf(t, x, y):
             x = np.asarray(x, float)
@@ -638,19 +584,7 @@ def _besq_kernel(spec, d, killed):
             + np.sqrt(np.maximum(x, 0.0) / ys) / (2.0 * t) * ratio_next(z)
         )
 
-    def dx(o, t, x, y):
-        if o == 1:
-            return dx1(t, x, y)
-        from ..quadrature import fd_derivative
-
-        return fd_derivative(lambda u: dx1(t, np.maximum(u, 1e-12), y), np.asarray(x, float), order=o - 1)
-
-    def dy(o, t, x, y):
-        if o == 1:
-            return dy1(t, x, y)
-        from ..quadrature import fd_derivative
-
-        return fd_derivative(lambda v: dy1(t, x, np.maximum(v, 1e-12)), np.asarray(y, float), order=o - 1)
+    dx, dy = _from_first_derivatives(dx1, dy1)
 
     def window(t, x):
         x = float(np.max(np.asarray(x, float)))
@@ -664,7 +598,7 @@ def _besq_kernel(spec, d, killed):
         density=density,
         cdf=cdf,
         atom_l=atom_l,
-        atom_r=lambda t, x: np.zeros_like(np.asarray(x, float)),
+        atom_r=_zero_atom,
         window=window,
         dx_derivative=dx,
         dy_derivative=dy,
@@ -676,7 +610,7 @@ def _besq_kernel(spec, d, killed):
 def _laguerre_kernel(spec, alpha):
     """Laguerre via squared-Bessel time change: e^{2t} X_t is BESQ(alpha) at
     tau = (e^{2t}-1)/2, so p_t(x,y) = e^{2t} q_tau(x, e^{2t} y)."""
-    besq = _kernel_by_name(f"besq:{alpha:g}")
+    besq = _kernel_by_name(_id("besq", (alpha, False)))
 
     def density(t, x, y):
         e2, tau = math.exp(2.0 * t), 0.5 * (math.exp(2.0 * t) - 1.0)
@@ -699,13 +633,12 @@ def _laguerre_kernel(spec, alpha):
         lo, hi = besq.window(tau, x)
         return lo / e2, hi / e2
 
-    zero = lambda t, x: np.zeros_like(np.asarray(x, float))
     return TransitionKernel(
         spec=spec,
         density=density,
         cdf=cdf,
-        atom_l=zero,
-        atom_r=zero,
+        atom_l=_zero_atom,
+        atom_r=_zero_atom,
         window=window,
         dx_derivative=dx,
         dy_derivative=dy,
@@ -715,7 +648,7 @@ def _laguerre_kernel(spec, alpha):
 def _laguerre_dual_kernel(spec, alpha):
     """Dual of lag(alpha): h-transform of lag(alpha+2) by hh(x) = x^{a/2}e^{-x}
     with rate -2, giving p(x,y) = e^{-2t} (hh(x)/hh(y)) p^{alpha+2}_t(x,y)."""
-    up = _kernel_by_name(f"lag:{alpha + 2:g}")
+    up = _kernel_by_name(_id("lag", (alpha + 2,)))
 
     def hh_ratio(x, y):
         x = np.asarray(x, float)
@@ -748,7 +681,7 @@ def _laguerre_dual_kernel(spec, alpha):
         density=density,
         cdf=cdf,
         atom_l=atom_l,
-        atom_r=lambda t, x: np.zeros_like(np.asarray(x, float)),
+        atom_r=_zero_atom,
         window=window,
     )
     holder = [kern]
@@ -758,7 +691,7 @@ def _laguerre_dual_kernel(spec, alpha):
 def _jacobi_dual_kernel(spec, beta, gamma):
     """Dual of jac(beta,gamma): h-transform of jac(beta+1,gamma+1) by
     hh(x) = x^beta (1-x)^gamma with rate -2(beta+gamma); exit at both ends."""
-    up = _kernel_by_name(f"jac:{beta + 1:g},{gamma + 1:g}")
+    up = _kernel_by_name(_id("jac", (beta + 1, gamma + 1)))
     rate = 2.0 * (beta + gamma)
 
     def hh(x):
@@ -771,39 +704,16 @@ def _jacobi_dual_kernel(spec, beta, gamma):
     def window(t, x):
         return 0.0, 1.0
 
-    # absorption split: u_l(t,x) = h_l(x) - int p(t,x,y) h_l(y) dy with
-    # h_l the scale-harmonic hitting probability of the left end
+    # h_l is the scale-harmonic hitting probability of the left end
     def h_l(x):
         return 1.0 - sc.betainc(beta, gamma, np.asarray(x, float))
 
-    def atom_l(t, x):
-        def one(xx):
-            xs, ws = gl_nodes(0.0, 1.0, 240)
-            return float(h_l(xx) - np.dot(ws, density(t, xx, xs) * h_l(xs)))
-
-        return np.vectorize(one, otypes=[float])(x)
-
-    def atom_r(t, x):
-        def one(xx):
-            xs, ws = gl_nodes(0.0, 1.0, 240)
-            hr = 1.0 - h_l(xs)
-            return float((1.0 - h_l(xx)) - np.dot(ws, density(t, xx, xs) * hr))
-
-        return np.vectorize(one, otypes=[float])(x)
-
-    def cdf(t, x, y):
-        def one(yy):
-            if yy <= 0.0:
-                return float(atom_l(t, x))
-            xs, ws = gl_nodes(0.0, min(yy, 1.0), 240)
-            return float(atom_l(t, x) + np.dot(ws, density(t, x, xs)))
-
-        return np.vectorize(one, otypes=[float])(np.asarray(y, float))
-
+    atom_l = _harmonic_atom(density, h_l, 0.0, 1.0, 240)
+    atom_r = _harmonic_atom(density, lambda u: 1.0 - h_l(u), 0.0, 1.0, 240)
     return TransitionKernel(
         spec=spec,
         density=density,
-        cdf=cdf,
+        cdf=_quadrature_cdf(density, atom_l, 0.0, 1.0, 240),
         atom_l=atom_l,
         atom_r=atom_r,
         window=window,
@@ -833,25 +743,13 @@ def _gbm_kernel(spec, alpha):
         z = (np.log(y / np.asarray(x, float)) - drift * t) / s
         return density(t, x, y) * (-1.0 / y) * (1.0 + z / s)
 
-    def dy(o, t, x, y):
-        if o == 1:
-            return dy1(t, x, y)
-        from ..quadrature import fd_derivative
-
-        return fd_derivative(lambda v: dy1(t, x, np.maximum(v, 1e-12)), np.asarray(y, float), order=o - 1)
-
     def dx1(t, x, y):
         x = np.asarray(x, float)
         s = math.sqrt(t)
         z = (np.log(np.asarray(y, float) / x) - drift * t) / s
         return density(t, x, y) * z / (s * x)
 
-    def dx(o, t, x, y):
-        if o == 1:
-            return dx1(t, x, y)
-        from ..quadrature import fd_derivative
-
-        return fd_derivative(lambda u: dx1(t, np.maximum(u, 1e-12), y), np.asarray(x, float), order=o - 1)
+    dx, dy = _from_first_derivatives(dx1, dy1)
 
     def window(t, x):
         x = np.asarray(x, float)
@@ -860,13 +758,12 @@ def _gbm_kernel(spec, alpha):
         hi = float(np.max(x)) * math.exp(drift * t + _WINDOW_SD * s)
         return lo, hi
 
-    zero = lambda t, x: np.zeros_like(np.asarray(x, float))
     return TransitionKernel(
         spec=spec,
         density=density,
         cdf=cdf,
-        atom_l=zero,
-        atom_r=zero,
+        atom_l=_zero_atom,
+        atom_r=_zero_atom,
         window=window,
         dx_derivative=dx,
         dy_derivative=dy,
@@ -890,8 +787,7 @@ def _halfline_kernel(spec, mode):
             y = np.asarray(y, float)
             return _Phi((y - x) / s) - _Phi((-y - x) / s)
 
-        def atom_l(t, x):
-            return np.zeros_like(np.asarray(x, float))
+        atom_l = _zero_atom
 
     else:
 
@@ -938,7 +834,7 @@ def _halfline_kernel(spec, mode):
         density=density,
         cdf=cdf,
         atom_l=atom_l,
-        atom_r=lambda t, x: np.zeros_like(np.asarray(x, float)),
+        atom_r=_zero_atom,
         window=window,
         dx_derivative=dx,
         dy_derivative=dy,
@@ -1002,33 +898,16 @@ def _interval_kernel(spec, b0, b1):
         density, dx, dy = _series_evaluators(basis)
         cdf_interior = None
 
-    zero_atom = lambda t, x: np.zeros_like(np.asarray(x, float))
-
-    def _deficit(t, x):
-        def one(xx):
-            xs, ws = gl_nodes(0.0, L, 200)
-            return float(1.0 - np.dot(ws, density(t, xx, xs)))
-
-        return np.vectorize(one, otypes=[float])(x)
-
-    def _harmonic_atom(t, x, h):
-        # absorbed mass at an end: h(x) - int p_t(x, y) h(y) dy with h the
-        # scale-harmonic hitting probability of that end
-        def one(xx):
-            xs, ws = gl_nodes(0.0, L, 200)
-            return float(h(xx) - np.dot(ws, density(t, xx, xs) * h(xs)))
-
-        return np.vectorize(one, otypes=[float])(x)
-
+    _deficit = _harmonic_atom(density, lambda u: 1.0, 0.0, L, 200)
     if b0 == "abs" and b1 == "abs":
-        atom_l = lambda t, x: _harmonic_atom(t, x, lambda u: (L - np.asarray(u, float)) / L)
-        atom_r = lambda t, x: _harmonic_atom(t, x, lambda u: np.asarray(u, float) / L)
+        atom_l = _harmonic_atom(density, lambda u: (L - np.asarray(u, float)) / L, 0.0, L, 200)
+        atom_r = _harmonic_atom(density, lambda u: np.asarray(u, float) / L, 0.0, L, 200)
     elif b0 == "abs":
-        atom_l, atom_r = _deficit, zero_atom
+        atom_l, atom_r = _deficit, _zero_atom
     elif b1 == "abs":
-        atom_l, atom_r = zero_atom, _deficit
+        atom_l, atom_r = _zero_atom, _deficit
     else:
-        atom_l = atom_r = zero_atom
+        atom_l = atom_r = _zero_atom
 
     if cdf_interior is not None:
 
@@ -1036,15 +915,7 @@ def _interval_kernel(spec, b0, b1):
             return atom_l(t, x) + cdf_interior(t, x, y)
 
     else:
-
-        def cdf(t, x, y):
-            def one(yy):
-                if yy <= 0.0:
-                    return float(atom_l(t, x))
-                xs, ws = gl_nodes(0.0, min(yy, L), 200)
-                return float(atom_l(t, x) + np.dot(ws, density(t, x, xs)))
-
-            return np.vectorize(one, otypes=[float])(np.asarray(y, float))
+        cdf = _quadrature_cdf(density, atom_l, 0.0, L, 200)
 
     return TransitionKernel(
         spec=spec,
@@ -1113,8 +984,6 @@ def _series_evaluators(basis: SpectralBasis):
 
     def dy(order, t, x, y):
         if order > 2:
-            from ..quadrature import fd_derivative
-
             return fd_derivative(lambda v: density(t, x, v), np.asarray(y, float), order=order)
         K = basis.n_terms(t)
         x = np.asarray(x, float)
@@ -1125,8 +994,6 @@ def _series_evaluators(basis: SpectralBasis):
             if order == 1:
                 acc = acc + w * (basis.phi_prime(k, y) * basis.m(y) + basis.phi(k, y) * basis.m_prime(y))
             else:
-                from ..quadrature import fd_derivative
-
                 term = fd_derivative(
                     lambda v, kk=k: basis.phi_prime(kk, v) * basis.m(v) + basis.phi(kk, v) * basis.m_prime(v),
                     y,
@@ -1137,8 +1004,6 @@ def _series_evaluators(basis: SpectralBasis):
 
     def dx(order, t, x, y):
         if order > 2:
-            from ..quadrature import fd_derivative
-
             return fd_derivative(lambda u: density(t, u, y), np.asarray(x, float), order=order)
         K = basis.n_terms(t)
         x = np.asarray(x, float)
@@ -1149,8 +1014,6 @@ def _series_evaluators(basis: SpectralBasis):
             if order == 1:
                 acc = acc + w * basis.phi_prime(k, x)
             else:
-                from ..quadrature import fd_derivative
-
                 acc = acc + w * fd_derivative(lambda u, kk=k: basis.phi_prime(kk, u), x, order=1)
         return acc
 
@@ -1160,25 +1023,13 @@ def _series_evaluators(basis: SpectralBasis):
 def _spectral_only_kernel(spec):
     basis = spectral_basis(spec)
     density, dx, dy = _series_evaluators(basis)
-
-    def cdf(t, x, y):
-        def one(yy):
-            l = spec.interval[0]
-            if yy <= l:
-                return 0.0
-            xs, ws = gl_nodes(l, min(yy, spec.interval[1]), 200)
-            return float(np.dot(ws, density(t, x, xs)))
-
-        return np.vectorize(one, otypes=[float])(np.asarray(y, float))
-
-    zero = lambda t, x: np.zeros_like(np.asarray(x, float))
     lo, hi = spec.interval
     return TransitionKernel(
         spec=spec,
         density=density,
-        cdf=cdf,
-        atom_l=zero,
-        atom_r=zero,
+        cdf=_quadrature_cdf(density, _zero_atom, lo, hi, 200),
+        atom_l=_zero_atom,
+        atom_r=_zero_atom,
         window=lambda t, x: (lo, hi),
         dx_derivative=dx,
         dy_derivative=dy,
@@ -1186,156 +1037,144 @@ def _spectral_only_kernel(spec):
     )
 
 
+#: bm_interval end modes -> (f, f', frequency shift, eigenfunction name): the
+#: k-th mode is f((k + shift) x), k >= 0, with eigenvalue (k + shift)^2 / 2
+_INTERVAL_MODES = {
+    ("abs", "abs"): (np.sin, np.cos, 1.0, "sine-det"),
+    ("refl", "refl"): (np.cos, lambda z: -np.sin(z), 0.0, "cosine-det"),
+    ("refl", "abs"): (np.cos, lambda z: -np.sin(z), 0.5, "half-cosine-det"),
+    ("abs", "refl"): (np.sin, np.cos, 0.5, "half-sine-det"),
+}
+
+
+def _interval_basis(spec):
+    f, fp, shift, _ = _INTERVAL_MODES[spec.params]
+    rt_pi = math.sqrt(math.pi)
+    freq = lambda k: k + shift
+
+    def phi(k, x):
+        x = np.asarray(x, float)
+        if freq(k) == 0.0:  # the constant mode of refl,refl
+            return np.full_like(x, 1.0 / math.sqrt(2.0 * math.pi))
+        return f(freq(k) * x) / rt_pi
+
+    def phi_prime(k, x):
+        return freq(k) * fp(freq(k) * np.asarray(x, float)) / rt_pi
+
+    return SpectralBasis(
+        spec=spec,
+        eigenvalue=lambda k: 0.5 * freq(k) ** 2,
+        phi=phi,
+        phi_prime=phi_prime,
+        m=_const(2.0),
+        m_prime=_const(0.0),
+    )
+
+
+def _hermite_basis(spec):
+    m = lambda x: 2.0 * np.exp(-np.asarray(x, float) ** 2)
+    mp = lambda x: -2.0 * np.asarray(x, float) * m(x)
+
+    @functools.lru_cache(maxsize=1024)
+    def norm(k):
+        return 1.0 / math.sqrt(2.0 * math.sqrt(math.pi) * 2.0**k * math.factorial(k))
+
+    def phi(k, x):
+        return sc.eval_hermite(k, np.asarray(x, float)) * norm(k)
+
+    def phi_prime(k, x):
+        if k == 0:
+            return np.zeros_like(np.asarray(x, float))
+        return 2.0 * k * sc.eval_hermite(k - 1, np.asarray(x, float)) * norm(k)
+
+    return SpectralBasis(
+        spec=spec,
+        eigenvalue=lambda k: float(k),
+        phi=phi,
+        phi_prime=phi_prime,
+        m=m,
+        m_prime=mp,
+        max_terms=200,
+    )
+
+
+def _laguerre_basis(spec):
+    alpha = spec.params[0]
+    nu = alpha / 2.0 - 1.0
+    ss = spec.scale
+    nodes, weights = sc.roots_genlaguerre(320, nu)
+
+    @functools.lru_cache(maxsize=1024)
+    def norm(k):
+        vals = sc.eval_genlaguerre(k, nu, nodes)
+        raw = float(np.dot(weights, vals * vals))  # int L_k^2 x^nu e^-x
+        return 1.0 / math.sqrt(raw * (math.e / 2.0))
+
+    def phi(k, x):
+        return sc.eval_genlaguerre(k, nu, np.asarray(x, float)) * norm(k)
+
+    def phi_prime(k, x):
+        if k == 0:
+            return np.zeros_like(np.asarray(x, float))
+        return -sc.eval_genlaguerre(k - 1, nu + 1.0, np.asarray(x, float)) * norm(k)
+
+    return SpectralBasis(
+        spec=spec,
+        eigenvalue=lambda k: 2.0 * float(k),
+        phi=phi,
+        phi_prime=phi_prime,
+        m=ss.m,
+        m_prime=lambda x: ss.m(x) * (nu / np.maximum(np.asarray(x, float), 1e-300) - 1.0),
+        max_terms=300,
+        grid=np.linspace(1e-6, 12.0 + 4.0 * alpha, 257),
+    )
+
+
+def _jacobi_basis(spec):
+    beta, gamma = spec.params
+    a_j, b_j = gamma - 1.0, beta - 1.0
+    ss = spec.scale
+    nodes, weights = sc.roots_jacobi(160, a_j, b_j)
+
+    @functools.lru_cache(maxsize=1024)
+    def norm(k):
+        vals = sc.eval_jacobi(k, a_j, b_j, nodes)
+        raw = float(np.dot(weights, vals * vals))
+        return 1.0 / math.sqrt(raw)
+
+    def phi(k, x):
+        u = 2.0 * np.asarray(x, float) - 1.0
+        return sc.eval_jacobi(k, a_j, b_j, u) * norm(k)
+
+    def phi_prime(k, x):
+        if k == 0:
+            return np.zeros_like(np.asarray(x, float))
+        u = 2.0 * np.asarray(x, float) - 1.0
+        return (k + a_j + b_j + 1.0) * sc.eval_jacobi(k - 1, a_j + 1.0, b_j + 1.0, u) * norm(k)
+
+    def m_prime(x):
+        x = np.asarray(x, float)
+        return ss.m(x) * ((beta - 1.0) / np.maximum(x, 1e-300) - (gamma - 1.0) / np.maximum(1.0 - x, 1e-300))
+
+    return SpectralBasis(
+        spec=spec,
+        eigenvalue=lambda k: 2.0 * k * (k + beta + gamma - 1.0),
+        phi=phi,
+        phi_prime=phi_prime,
+        m=ss.m,
+        m_prime=m_prime,
+        max_terms=150,
+        grid=np.linspace(1e-6, 1.0 - 1e-6, 257),
+    )
+
+
 @functools.lru_cache(maxsize=64)
 def _spectral_basis_by_name(name: str) -> SpectralBasis:
     spec = make_spec(name)
-    fam = spec.family
-    if fam == "bm_interval":
-        b0, b1 = spec.params
-        m = _const(2.0)
-        mp = _const(0.0)
-        rt_pi = math.sqrt(math.pi)
-        if (b0, b1) == ("abs", "abs"):
-            freq = lambda k: k + 1.0
-            f, fp = np.sin, np.cos
-            s0 = 1.0
-        elif (b0, b1) == ("refl", "refl"):
-
-            def phi(k, x):
-                x = np.asarray(x, float)
-                if k == 0:
-                    return np.full_like(x, 1.0 / math.sqrt(2.0 * math.pi))
-                return np.cos(k * x) / rt_pi
-
-            def phi_prime(k, x):
-                x = np.asarray(x, float)
-                if k == 0:
-                    return np.zeros_like(x)
-                return -k * np.sin(k * x) / rt_pi
-
-            return SpectralBasis(
-                spec=spec,
-                eigenvalue=lambda k: 0.5 * k**2,
-                phi=phi,
-                phi_prime=phi_prime,
-                m=m,
-                m_prime=mp,
-            )
-        elif (b0, b1) == ("refl", "abs"):
-            freq = lambda k: k + 0.5
-            f, fp = np.cos, lambda z: -np.sin(z)
-            s0 = 1.0
-        else:  # abs, refl
-            freq = lambda k: k + 0.5
-            f, fp = np.sin, np.cos
-            s0 = 1.0
-
-        def phi(k, x):
-            return s0 * f(freq(k) * np.asarray(x, float)) / rt_pi
-
-        def phi_prime(k, x):
-            return s0 * freq(k) * fp(freq(k) * np.asarray(x, float)) / rt_pi
-
-        return SpectralBasis(
-            spec=spec,
-            eigenvalue=lambda k: 0.5 * freq(k) ** 2,
-            phi=phi,
-            phi_prime=phi_prime,
-            m=m,
-            m_prime=mp,
-        )
-    if fam == "ou":
-        m = lambda x: 2.0 * np.exp(-np.asarray(x, float) ** 2)
-        mp = lambda x: -2.0 * np.asarray(x, float) * m(x)
-
-        @functools.lru_cache(maxsize=1024)
-        def norm(k):
-            return 1.0 / math.sqrt(2.0 * math.sqrt(math.pi) * 2.0**k * math.factorial(k))
-
-        def phi(k, x):
-            return sc.eval_hermite(k, np.asarray(x, float)) * norm(k)
-
-        def phi_prime(k, x):
-            if k == 0:
-                return np.zeros_like(np.asarray(x, float))
-            return 2.0 * k * sc.eval_hermite(k - 1, np.asarray(x, float)) * norm(k)
-
-        return SpectralBasis(
-            spec=spec,
-            eigenvalue=lambda k: float(k),
-            phi=phi,
-            phi_prime=phi_prime,
-            m=m,
-            m_prime=mp,
-            max_terms=200,
-        )
-    if fam == "lag":
-        alpha = spec.params[0]
-        nu = alpha / 2.0 - 1.0
-        ss = spec.scale
-        nodes, weights = sc.roots_genlaguerre(320, nu)
-
-        @functools.lru_cache(maxsize=1024)
-        def norm(k):
-            vals = sc.eval_genlaguerre(k, nu, nodes)
-            raw = float(np.dot(weights, vals * vals))  # int L_k^2 x^nu e^-x
-            return 1.0 / math.sqrt(raw * (math.e / 2.0))
-
-        def phi(k, x):
-            return sc.eval_genlaguerre(k, nu, np.asarray(x, float)) * norm(k)
-
-        def phi_prime(k, x):
-            if k == 0:
-                return np.zeros_like(np.asarray(x, float))
-            return -sc.eval_genlaguerre(k - 1, nu + 1.0, np.asarray(x, float)) * norm(k)
-
-        return SpectralBasis(
-            spec=spec,
-            eigenvalue=lambda k: 2.0 * float(k),
-            phi=phi,
-            phi_prime=phi_prime,
-            m=ss.m,
-            m_prime=lambda x: ss.m(x) * (nu / np.maximum(np.asarray(x, float), 1e-300) - 1.0),
-            max_terms=300,
-            grid=np.linspace(1e-6, 12.0 + 4.0 * alpha, 257),
-        )
-    if fam == "jac":
-        beta, gamma = spec.params
-        a_j, b_j = gamma - 1.0, beta - 1.0
-        ss = spec.scale
-        nodes, weights = sc.roots_jacobi(160, a_j, b_j)
-
-        @functools.lru_cache(maxsize=1024)
-        def norm(k):
-            vals = sc.eval_jacobi(k, a_j, b_j, nodes)
-            raw = float(np.dot(weights, vals * vals))
-            return 1.0 / math.sqrt(raw)
-
-        def phi(k, x):
-            u = 2.0 * np.asarray(x, float) - 1.0
-            return sc.eval_jacobi(k, a_j, b_j, u) * norm(k)
-
-        def phi_prime(k, x):
-            if k == 0:
-                return np.zeros_like(np.asarray(x, float))
-            u = 2.0 * np.asarray(x, float) - 1.0
-            return (k + a_j + b_j + 1.0) * sc.eval_jacobi(k - 1, a_j + 1.0, b_j + 1.0, u) * norm(k)
-
-        def m_prime(x):
-            x = np.asarray(x, float)
-            return ss.m(x) * ((beta - 1.0) / np.maximum(x, 1e-300) - (gamma - 1.0) / np.maximum(1.0 - x, 1e-300))
-
-        return SpectralBasis(
-            spec=spec,
-            eigenvalue=lambda k: 2.0 * k * (k + beta + gamma - 1.0),
-            phi=phi,
-            phi_prime=phi_prime,
-            m=ss.m,
-            m_prime=m_prime,
-            max_terms=150,
-            grid=np.linspace(1e-6, 1.0 - 1e-6, 257),
-        )
-    raise CatalogError(f"no spectral basis for {name!r}")
+    basis = FAMILIES[spec.family].basis
+    if basis is None:
+        raise CatalogError(f"no spectral basis for {name!r}")
+    return basis(spec)
 
 
 def spectral_basis(spec: DiffusionSpec) -> SpectralBasis:
@@ -1343,8 +1182,261 @@ def spectral_basis(spec: DiffusionSpec) -> SpectralBasis:
 
 
 def has_spectral_basis(spec: DiffusionSpec) -> bool:
-    try:
-        spectral_basis(spec)
-        return True
-    except CatalogError:
-        return False
+    rec = FAMILIES.get(spec.family)
+    return rec is not None and rec.basis is not None
+
+
+# ---------------------------------------------------------------------------
+# the family registry
+# ---------------------------------------------------------------------------
+
+
+def _num(v) -> str:
+    """Shortest repr that round-trips the float, without a trailing '.0'."""
+    r = repr(float(v))
+    return r[:-2] if r.endswith(".0") else r
+
+
+def _mode(v: str) -> str:
+    if v not in _MODE_BOUNDARY:
+        raise ValueError(v)
+    return v
+
+
+def _ids(fam, names="", conv=float):
+    """Id grammar 'fam' or 'fam:v1,...,vk' with k = len(names.split(',')):
+    the form quoted in errors, the parser of the ':'-fields after the family
+    name (ValueError when malformed) and the canonical formatter."""
+    k = len(names.split(",")) if names else 0
+
+    def parse(fields):
+        if k == 0 and not fields:
+            return ()
+        if len(fields) != 1 or len(fields[0].split(",")) != k:
+            raise ValueError(fields)
+        return tuple(conv(v) for v in fields[0].split(","))
+
+    def fmt(params):
+        vals = [v if isinstance(v, str) else _num(v) for v in params]
+        return ":".join([fam] + ([",".join(vals)] if vals else []))
+
+    return dict(form=":".join([fam] + ([names] if names else [])), parse=parse, fmt=fmt)
+
+
+_BESQ_IDS = _ids("besq", "d")
+
+
+def _besq_parse(fields):
+    if fields[1:] == ["abs"]:
+        return _BESQ_IDS["parse"](fields[:1]) + (True,)
+    return _BESQ_IDS["parse"](fields) + (False,)
+
+
+def _besq_fmt(params):
+    d, killed = params
+    # killing is implied for d <= 0 and impossible for d >= 2
+    return _BESQ_IDS["fmt"]((d,)) + (":abs" if killed and 0.0 < d < 2.0 else "")
+
+
+def _power(p):
+    return lambda x: np.asarray(x, float) ** p
+
+
+def _vandermonde(n, rate):
+    return [_power(j) for j in range(n)], rate, "vandermonde"
+
+
+def _besq_eigen(params, n):
+    d, killed = params
+    if not killed:
+        return _vandermonde(n, 0.0)
+    nu_dual = -d / 2.0  # index of the conjugate squared Bessel
+    return [_power(j + 1 + nu_dual) for j in range(n)], 0.0, "power-det"
+
+
+def _halfline_eigen(params, n):
+    if params[0] == "abs":
+        return [_power(2 * j + 1) for j in range(n)], 0.0, "odd-powers"
+    return [_power(2 * j) for j in range(n)], 0.0, "even-powers"
+
+
+def _interval_eigen(params, n):
+    f, _, shift, name = _INTERVAL_MODES[params]
+    freqs = [j + shift for j in range(n)]
+    comps = [lambda x, w=w: f(w * np.asarray(x, float)) for w in freqs]
+    return comps, -0.5 * sum(w**2 for w in freqs), name
+
+
+def _brownian_gaussian(mu):
+    return (lambda t, x: np.asarray(x, float) + mu * t, lambda t: t, lambda t: 1.0)
+
+
+def _ou_gaussian(sgn):
+    """Drift b = sgn * x: mean x e^{sgn t}, variance (e^{2 sgn t} - 1) / (2 sgn)."""
+    return (
+        lambda t, x: np.asarray(x, float) * math.exp(sgn * t),
+        lambda t: 0.5 * sgn * (math.exp(2.0 * sgn * t) - 1.0),
+        lambda t: math.exp(sgn * t),
+    )
+
+
+_FLIP = {"refl": "abs", "abs": "refl"}
+
+
+@dataclass(frozen=True)
+class _Family:
+    """Everything the package knows about one diffusion family.
+
+    ``params`` is always the tuple ``spec.params`` of a member; callables
+    that return an id return its canonical form, so ``make_spec`` of it
+    rebuilds the same parameters bit for bit.
+    """
+
+    form: str  # id grammar, quoted when an id is malformed
+    parse: Callable  # ':'-fields after the family name -> params
+    fmt: Callable  # params -> canonical id
+    build: Callable  # *params -> DiffusionSpec
+    dual: Callable  # params -> id of the Siegmund dual
+    kernel: Callable  # spec -> TransitionKernel
+    basis: Optional[Callable] = None  # spec -> SpectralBasis
+    eigen: Optional[Callable] = None  # (params, n) -> (components, rate, name)
+    ladder: Optional[Callable] = None  # (params, m) -> id of the member with drift b + m a'
+    gaussian: Optional[Callable] = None  # params -> (mean(t, x), var(t), dmean_dx(t))
+    coords: str = "linear"  # quadrature coordinates: "linear", "sqrt" or "log"
+
+
+def _id(fam: str, params: tuple) -> str:
+    return FAMILIES[fam].fmt(params)
+
+
+FAMILIES: dict[str, _Family] = {
+    "bm": _Family(
+        **_ids("bm"),
+        build=lambda: _brownian_spec(
+            "bm", (), (-np.inf, np.inf), Boundary.NATURAL, Boundary.NATURAL, 0.0
+        ),
+        dual=lambda p: "bm",
+        kernel=_gaussian_kernel,
+        eigen=lambda p, n: _vandermonde(n, 0.0),
+        ladder=lambda p, m: "bm",
+        gaussian=lambda p: _brownian_gaussian(0.0),
+    ),
+    "bm_drift": _Family(
+        **_ids("bm_drift", "mu"),
+        build=_bm_drift_spec,
+        dual=lambda p: _id("bm_drift", (-p[0],)),
+        kernel=_gaussian_kernel,
+        eigen=lambda p, n: _vandermonde(n, 0.0),
+        ladder=lambda p, m: _id("bm_drift", p),
+        gaussian=lambda p: _brownian_gaussian(p[0]),
+    ),
+    "ou": _Family(
+        **_ids("ou"),
+        build=lambda: _ou_spec("ou", -1.0),
+        dual=lambda p: "ou_out",
+        kernel=_gaussian_kernel,
+        basis=_hermite_basis,
+        eigen=lambda p, n: _vandermonde(n, -0.5 * n * (n - 1)),
+        ladder=lambda p, m: "ou",
+        gaussian=lambda p: _ou_gaussian(-1.0),
+    ),
+    "ou_out": _Family(
+        **_ids("ou_out"),
+        build=lambda: _ou_spec("ou_out", 1.0),
+        dual=lambda p: "ou",
+        kernel=_gaussian_kernel,
+        gaussian=lambda p: _ou_gaussian(1.0),
+    ),
+    "besq": _Family(
+        form="besq:d[:abs]",
+        parse=_besq_parse,
+        fmt=_besq_fmt,
+        build=_besq_spec,
+        # d -> 2 - d; inside (0, 2) reflection and killing swap
+        dual=lambda p: _id("besq", (2.0 - p[0], not p[1])),
+        kernel=lambda s: _besq_kernel(s, *s.params),
+        eigen=_besq_eigen,
+        ladder=lambda p, m: _id("besq", (p[0] + 2 * m, False)),
+        coords="sqrt",
+    ),
+    "lag": _Family(
+        **_ids("lag", "alpha"),
+        build=lambda alpha: _laguerre_spec("lag", alpha, dual=False),
+        dual=lambda p: _id("lag_dual", p),
+        kernel=lambda s: _laguerre_kernel(s, *s.params),
+        basis=_laguerre_basis,
+        eigen=lambda p, n: _vandermonde(n, -float(n * (n - 1))),
+        ladder=lambda p, m: _id("lag", (p[0] + 2 * m,)),
+        coords="sqrt",
+    ),
+    "lag_dual": _Family(
+        **_ids("lag_dual", "alpha"),
+        build=lambda alpha: _laguerre_spec("lag_dual", alpha, dual=True),
+        dual=lambda p: _id("lag", p),
+        kernel=lambda s: _laguerre_dual_kernel(s, *s.params),
+        coords="sqrt",
+    ),
+    "jac": _Family(
+        **_ids("jac", "beta,gamma"),
+        build=lambda beta, gamma: _jacobi_spec("jac", beta, gamma, dual=False),
+        dual=lambda p: _id("jac_dual", p),
+        kernel=_spectral_only_kernel,
+        basis=_jacobi_basis,
+        eigen=lambda p, n: _vandermonde(
+            n, -sum(2.0 * k * (k + p[0] + p[1] - 1.0) for k in range(n))
+        ),
+        ladder=lambda p, m: _id("jac", (p[0] + m, p[1] + m)),
+    ),
+    "jac_dual": _Family(
+        **_ids("jac_dual", "beta,gamma"),
+        build=lambda beta, gamma: _jacobi_spec("jac_dual", beta, gamma, dual=True),
+        dual=lambda p: _id("jac", p),
+        kernel=lambda s: _jacobi_dual_kernel(s, *s.params),
+    ),
+    "gbm": _Family(
+        **_ids("gbm", "alpha"),
+        build=_gbm_spec,
+        dual=lambda p: _id("gbm", (1.0 - p[0],)),
+        kernel=lambda s: _gbm_kernel(s, *s.params),
+        eigen=lambda p, n: _vandermonde(n, 0.5 * n * (n - 1) * ((n - 2) / 3.0 + p[0])),
+        ladder=lambda p, m: _id("gbm", (p[0] + m,)),
+        coords="log",
+    ),
+    "bm_halfline": _Family(
+        **_ids("bm_halfline", "refl|abs", _mode),
+        build=lambda mode: _brownian_spec(
+            "bm_halfline", (mode,), (0.0, np.inf), _MODE_BOUNDARY[mode], Boundary.NATURAL, 1.0
+        ),
+        dual=lambda p: _id("bm_halfline", (_FLIP[p[0]],)),
+        kernel=lambda s: _halfline_kernel(s, *s.params),
+        eigen=_halfline_eigen,
+    ),
+    "bm_interval": _Family(
+        **_ids("bm_interval", "refl|abs,refl|abs", _mode),
+        build=lambda b0, b1: _brownian_spec(
+            "bm_interval",
+            (b0, b1),
+            (0.0, math.pi),
+            _MODE_BOUNDARY[b0],
+            _MODE_BOUNDARY[b1],
+            math.pi / 2.0,
+        ),
+        dual=lambda p: _id("bm_interval", (_FLIP[p[0]], _FLIP[p[1]])),
+        kernel=lambda s: _interval_kernel(s, *s.params),
+        basis=_interval_basis,
+        eigen=_interval_eigen,
+    ),
+}
+
+
+def gaussian_moments(spec: DiffusionSpec):
+    """(mean(t, x), var(t), dmean_dx(t)) of a Gaussian family's kernel, else None."""
+    rec = FAMILIES.get(spec.family)
+    return rec.gaussian(spec.params) if rec is not None and rec.gaussian else None
+
+
+def quad_coords(spec: DiffusionSpec) -> str:
+    """Coordinates that make quadrature of spec's densities converge:
+    'sqrt' (u = sqrt(y)) and 'log' (u = log(y)) remove endpoint kinks."""
+    rec = FAMILIES.get(spec.family)
+    return rec.coords if rec is not None else "linear"

@@ -29,43 +29,17 @@ import numpy as np
 from scipy import special as sc
 
 from .diffusion1d import Boundary, DiffusionSpec, TransitionKernel, kernel
+from .diffusion1d.catalog import gaussian_moments
 from .quadrature import fd_derivative, gl_nodes
 from .reflectsde import edge_ladder_spec
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
-def _coeff_form(spec: DiffusionSpec):
-    """(a2, b1) of a(x) = a0 + a1 x + a2 x^2, b = b0 + b1 x, per family."""
-    fam = spec.family
-    if fam in ("bm", "bm_drift", "bm_halfline", "bm_interval"):
-        return 0.0, 0.0
-    if fam in ("ou",):
-        return 0.0, -1.0
-    if fam == "ou_out":
-        return 0.0, 1.0
-    if fam == "besq":
-        return 0.0, 0.0
-    if fam == "lag":
-        return 0.0, -2.0
-    if fam == "jac":
-        beta, gamma = spec.params
-        return -2.0, -2.0 * (beta + gamma)
-    if fam == "gbm":
-        return 0.5, spec.params[0]
-    raise ValueError(f"coefficients of {spec.name!r} are not quadratic/affine")
-
-
 def _gaussian_params(spec: DiffusionSpec, t: float, x: float):
     """(mean, var) of the level kernel for the Gaussian families."""
-    fam = spec.family
-    if fam == "bm":
-        return x, t
-    if fam == "bm_drift":
-        return x + spec.params[0] * t, t
-    if fam == "ou":
-        return x * math.exp(-t), 0.5 * (1.0 - math.exp(-2.0 * t))
-    raise ValueError
+    mean, var, _ = gaussian_moments(spec)
+    return mean(t, x), var(t)
 
 
 @dataclass(eq=False)
@@ -89,11 +63,15 @@ class EdgeOperatorTable:
                 Boundary.ENTRANCE,
             ):
                 raise ValueError("edge tables require natural/entrance boundaries")
-        a2, b1 = _coeff_form(self.base)
         self.specs = [edge_ladder_spec(self.base, self.n, k) for k in range(1, self.n + 1)]
         self.kernels = [kernel(sp) for sp in self.specs]
+        # a is quadratic and b affine on every laddered family: read a2 and
+        # b1 off a' = a1 + 2 a2 x and b = b0 + b1 x
+        ap = np.asarray(self.base.a_prime(np.array([0.0, 1.0])), float)
+        b = np.asarray(self.base.b(np.array([0.0, 1.0])), float)
+        a2, b1 = 0.5 * (ap[1] - ap[0]), b[1] - b[0]
         self.c = [2.0 * (self.n - k - 1) * a2 + b1 for k in range(1, self.n + 1)]
-        self._gaussian = self.base.family in ("bm", "bm_drift", "ou")
+        self._gaussian = gaussian_moments(self.base) is not None
 
     def _kern(self, k: int) -> TransitionKernel:
         return self.kernels[k - 1]

@@ -28,6 +28,7 @@ from .diffusion1d import (
     TransitionKernel,
     spectral_basis,
 )
+from .diffusion1d.catalog import FAMILIES, _power, gaussian_moments, quad_coords
 from .quadrature import (
     chebyshev_antiderivative,
     fd_derivative,
@@ -103,8 +104,8 @@ def semigroup_entries(kern: TransitionKernel, h: Eigenfunction, t: float, x, n_q
     x = np.asarray(x, float)
     n = x.shape[-1]
     lo, hi = kern.window(t, x)
-    fam = kern.spec.family
-    if fam == "gbm":
+    coords = quad_coords(kern.spec)
+    if coords == "log":
         # log coordinates; widen multiplicatively for the polynomial tails
         ulo, uhi = math.log(lo), math.log(hi)
         span = uhi - ulo
@@ -118,7 +119,7 @@ def semigroup_entries(kern: TransitionKernel, h: Eigenfunction, t: float, x, n_q
         l, r = kern.spec.interval
         lo = max(lo, l) if np.isfinite(l) else lo
         hi = min(hi, r) if np.isfinite(r) else hi
-        if fam in ("besq", "lag", "lag_dual") and lo <= 1e-12:
+        if coords == "sqrt" and lo <= 1e-12:
             us, ws = gl_nodes(0.0, math.sqrt(hi), n_quad)
             ys = us * us
             jac = 2.0 * us
@@ -150,10 +151,6 @@ def eigen_residual(kern: TransitionKernel, h: Eigenfunction, t: float, probes, n
 # ---------------------------------------------------------------------------
 
 
-def _power(p):
-    return lambda x: np.asarray(x, float) ** p
-
-
 def vandermonde(n: int, rate: float = 0.0, name="vandermonde") -> Eigenfunction:
     return Eigenfunction(n=n, components=[_power(j) for j in range(n)], rate=rate, name=name)
 
@@ -164,66 +161,21 @@ def eigenfunction_catalog(spec: DiffusionSpec, n: int) -> Eigenfunction:
     Rates are stored (never inferred at runtime) and validated against the
     semigroup by eigen_residual in the test-suite.
     """
-    fam = spec.family
-    if fam in ("bm", "bm_drift", "besq") and not (fam == "besq" and spec.params[1]):
-        return vandermonde(n, 0.0)
-    if fam == "besq":  # killed at the origin
-        d = spec.params[0]
-        nu_dual = -d / 2.0  # index of the conjugate squared Bessel
-        comps = [_power(j + 1 + nu_dual) for j in range(n)]
-        return Eigenfunction(n=n, components=comps, rate=0.0, name="power-det")
-    if fam == "ou":
-        return vandermonde(n, -0.5 * n * (n - 1))
-    if fam == "lag":
-        return vandermonde(n, -float(n * (n - 1)))
-    if fam == "jac":
-        beta, gamma = spec.params
-        rate = -sum(2.0 * k * (k + beta + gamma - 1.0) for k in range(n))
-        return vandermonde(n, rate)
-    if fam == "gbm":
-        alpha = spec.params[0]
-        rate = 0.5 * n * (n - 1) * ((n - 2) / 3.0 + alpha)
-        return vandermonde(n, rate)
-    if fam == "bm_halfline":
-        if spec.params[0] == "abs":
-            comps = [_power(2 * j + 1) for j in range(n)]
-            return Eigenfunction(n=n, components=comps, rate=0.0, name="odd-powers")
-        comps = [_power(2 * j) for j in range(n)]
-        return Eigenfunction(n=n, components=comps, rate=0.0, name="even-powers")
-    if fam == "bm_interval":
-        b0, b1 = spec.params
-        if (b0, b1) == ("abs", "abs"):
-            comps = [lambda x, k=k: np.sin(k * np.asarray(x, float)) for k in range(1, n + 1)]
-            return Eigenfunction(
-                n=n, components=comps, rate=-0.5 * sum(k**2 for k in range(1, n + 1)),
-                name="sine-det",
-            )
-        if (b0, b1) == ("refl", "refl"):
-            comps = [lambda x, k=k: np.cos((k - 1) * np.asarray(x, float)) for k in range(1, n + 1)]
-            return Eigenfunction(
-                n=n, components=comps, rate=-0.5 * sum((k - 1) ** 2 for k in range(1, n + 1)),
-                name="cosine-det",
-            )
-        if (b0, b1) == ("refl", "abs"):
-            comps = [lambda x, k=k: np.cos((k - 0.5) * np.asarray(x, float)) for k in range(1, n + 1)]
-            return Eigenfunction(
-                n=n, components=comps, rate=-0.5 * sum((k - 0.5) ** 2 for k in range(1, n + 1)),
-                name="half-cosine-det",
-            )
-        comps = [lambda x, k=k: np.sin((k - 0.5) * np.asarray(x, float)) for k in range(1, n + 1)]
-        return Eigenfunction(
-            n=n, components=comps, rate=-0.5 * sum((k - 0.5) ** 2 for k in range(1, n + 1)),
-            name="half-sine-det",
-        )
-    raise CatalogError(f"no eigenfunction catalog entry for family {fam!r}")
+    rec = FAMILIES.get(spec.family)
+    if rec is None or rec.eigen is None:
+        raise CatalogError(f"no eigenfunction catalog entry for family {spec.family!r}")
+    comps, rate, name = rec.eigen(spec.params, n)
+    return Eigenfunction(n=n, components=comps, rate=rate, name=name)
 
 
 def drifted_exponential_eigenfunction(spec: DiffusionSpec, drifts) -> Eigenfunction:
     """det(e^{mu_i x_j}) for Brownian motions with drift; rate from moment
     generating functions of the one-particle motion."""
-    if spec.family not in ("bm", "bm_drift"):
+    # Brownian families: Gaussian kernels whose mean is x + mu0 t
+    gauss = gaussian_moments(spec)
+    if gauss is None or gauss[2](1.0) != 1.0:
         raise CatalogError("exponential eigenfunctions are for Brownian families")
-    mu0 = spec.params[0] if spec.family == "bm_drift" else 0.0
+    mu0 = float(gauss[0](1.0, 0.0))
     drifts = np.asarray(drifts, float)
     comps = [lambda x, m=m: np.exp(m * np.asarray(x, float)) for m in drifts]
     rate = float(np.sum(drifts * mu0 + 0.5 * drifts**2))
@@ -643,7 +595,7 @@ def polynomial_ensemble_limit(
     l, r = kern.spec.interval
     lo = max(lo, l) if np.isfinite(l) else lo
     hi = min(hi, r) if np.isfinite(r) else hi
-    if kern.spec.family in ("besq", "lag", "lag_dual") and lo <= 1e-12:
+    if quad_coords(kern.spec) == "sqrt" and lo <= 1e-12:
         upts, wts = ordered_nodes(n, 0.0, math.sqrt(hi), n_nodes)
         pts = upts**2
         jacs = np.prod(2.0 * upts, axis=-1)

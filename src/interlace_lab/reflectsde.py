@@ -58,6 +58,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .diffusion1d import Boundary, DiffusionSpec, conjugate, make_spec
+from .diffusion1d.catalog import FAMILIES
 from .twolevel import Shape
 
 
@@ -103,17 +104,6 @@ def skorokhod_map(z, lower=None, upper=None) -> SkorokhodResult:
         x[j] = z[j] + kcur
         k[j] = kcur
     return SkorokhodResult(x=x, k=k, crossing_index=crossing)
-
-
-def yw_check(spec: DiffusionSpec) -> str:
-    """'Holds' when a pathwise-uniqueness modulus is registered for the
-    family (1/2-Hoelder diffusion coefficient, Lipschitz drift); otherwise
-    'Unknown' and simulation proceeds with a warning."""
-    known = {
-        "bm", "bm_drift", "ou", "ou_out", "besq", "lag", "lag_dual",
-        "jac", "jac_dual", "gbm", "bm_halfline", "bm_interval",
-    }
-    return "Holds" if spec.family in known else "Unknown"
 
 
 @dataclass
@@ -389,14 +379,6 @@ def simulate_two_level(
     from .twolevel import check_shape_assumptions, interlaces
 
     check_shape_assumptions(spec, shape)
-    if yw_check(spec) == "Unknown" or yw_check(y_spec or conjugate(spec)) == "Unknown":
-        import warnings
-
-        warnings.warn(
-            "no pathwise-uniqueness modulus registered for this family; "
-            "simulating anyway",
-            stacklevel=2,
-        )
     if y_spec is None:
         y_spec = conjugate(spec)
     if dt <= 0:
@@ -480,24 +462,12 @@ def edge_ladder_spec(base: DiffusionSpec, n: int, k: int) -> DiffusionSpec:
     """Level-k spec of the edge system: drift b + (n-k) a' stays in-family
     for the quadratic-a / affine-b catalog."""
     m = n - k
-    fam = base.family
     if m == 0:
         return base
-    if fam in ("bm", "bm_drift"):
-        mu = base.params[0] if fam == "bm_drift" else 0.0
-        return make_spec(f"bm_drift:{mu:g}") if mu else base
-    if fam == "ou":
-        return base
-    if fam == "besq":
-        return make_spec(f"besq:{base.params[0] + 2 * m:g}")
-    if fam == "lag":
-        return make_spec(f"lag:{base.params[0] + 2 * m:g}")
-    if fam == "jac":
-        b, g = base.params
-        return make_spec(f"jac:{b + m:g},{g + m:g}")
-    if fam == "gbm":
-        return make_spec(f"gbm:{base.params[0] + m:g}")
-    raise ValueError(f"edge ladder undefined for family {fam!r}")
+    rec = FAMILIES.get(base.family)
+    if rec is None or rec.ladder is None:
+        raise ValueError(f"edge ladder undefined for family {base.family!r}")
+    return make_spec(rec.ladder(base.params, m))
 
 
 def simulate_edge(

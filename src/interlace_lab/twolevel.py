@@ -37,6 +37,7 @@ from .diffusion1d import (
     kernel,
     scale_speed,
 )
+from .diffusion1d.catalog import quad_coords
 from .kmgroup import Eigenfunction
 from .quadrature import ordered_nodes, stacked_box_nodes
 
@@ -205,23 +206,17 @@ def block_kernel(
     return np.linalg.det(M)
 
 
-def _use_sqrt_coords(spec: DiffusionSpec) -> bool:
-    """Half-line families whose speed/dual densities carry integrable power
-    singularities at 0; quadrature runs in u = sqrt(y) coordinates there."""
-    return spec.family in ("besq", "lag", "lag_dual") and spec.interval[0] == 0.0
-
-
 def chamber_quad(spec: DiffusionSpec, ndim: int, lo: float, hi: float, n: int):
-    """Ordered-chamber nodes, in sqrt coordinates for half-line families."""
-    if _use_sqrt_coords(spec):
+    """Ordered-chamber nodes, in u = sqrt(y) where the family asks for it."""
+    if quad_coords(spec) == "sqrt":
         u, w = ordered_nodes(ndim, math.sqrt(max(lo, 0.0)), math.sqrt(max(hi, 0.0)), n)
         return u * u, w * np.prod(2.0 * u, axis=-1)
     return ordered_nodes(ndim, lo, hi, n)
 
 
 def fiber_quad(spec: DiffusionSpec, flo, fhi, n: int):
-    """Batched fiber-box nodes, in sqrt coordinates for half-line families."""
-    if _use_sqrt_coords(spec):
+    """Batched fiber-box nodes, in u = sqrt(y) where the family asks for it."""
+    if quad_coords(spec) == "sqrt":
         u, w, outer = stacked_box_nodes(
             np.sqrt(np.maximum(flo, 0.0)), np.sqrt(np.maximum(fhi, 0.0)), n
         )
@@ -370,7 +365,7 @@ def sample_interlacing_fiber(
 
     # sample in sqrt coordinates on the half line: the Jacobian regularizes
     # the integrable power singularity of the weight at the origin
-    use_sqrt = _use_sqrt_coords(spec)
+    use_sqrt = quad_coords(spec) == "sqrt"
     if use_sqrt:
         ulo, uhi = np.sqrt(np.maximum(lo, 0.0)), np.sqrt(np.maximum(hi, 0.0))
     else:

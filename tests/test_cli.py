@@ -98,3 +98,15 @@ class TestCLI:
         cfg.write_text("[campaign]\nname = chapman-bm\nnodes = 48\n")
         assert main(["campaign", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "chapman-bm.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["campaign", "--name", "no-such-campaign"],
+         ["campaign", "--name", "boundary-table", "--seed", "3"],
+         ["classify", "--spec", "besq"]],
+    )
+    def test_errors_are_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("interlace-lab: error: ")
+        assert err.count("\n") == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from interlace_lab.diffusion1d import (
+    CATALOG_IDS,
     Boundary,
     CatalogError,
     DegenerateInputError,
@@ -22,6 +23,8 @@ from interlace_lab.diffusion1d import (
     symmetry_residual,
     validate_spec,
 )
+from interlace_lab.diffusion1d.catalog import catalog_conjugate, gaussian_moments
+from interlace_lab.reflectsde import edge_ladder_spec
 
 
 class TestScaleSpeed:
@@ -314,3 +317,87 @@ class TestSpectralBases:
             for k in range(j, 3):
                 val = float(np.dot(w, basis.phi(j, z) * basis.phi(k, z) * basis.m(z)))
                 assert val == pytest.approx(1.0 if j == k else 0.0, abs=5e-7)
+
+
+def _probes(spec):
+    """Three interior points, chosen without the catalog's own windows."""
+    l, r = spec.interval
+    if np.isfinite(l) and np.isfinite(r):
+        return l + (r - l) * np.array([0.2, 0.45, 0.8])
+    if np.isfinite(l):
+        return l + np.array([0.3, 1.1, 2.7])
+    return np.array([-1.3, 0.2, 1.9])
+
+
+class TestFamilyRegistry:
+    @pytest.mark.parametrize("sid", CATALOG_IDS)
+    def test_conjugate_is_an_involution_on_names(self, sid):
+        spec = make_spec(sid)
+        assert catalog_conjugate(catalog_conjugate(spec)).name == spec.name
+
+    @pytest.mark.parametrize("sid", CATALOG_IDS)
+    def test_name_rebuilds_params_exactly(self, sid):
+        spec = make_spec(sid)
+        for s in (spec, catalog_conjugate(spec)):
+            assert make_spec(s.name).params == s.params
+
+    @pytest.mark.parametrize("sid", CATALOG_IDS)
+    def test_edge_ladder_drift_is_b_plus_m_a_prime(self, sid):
+        base = make_spec(sid)
+        x = _probes(base)
+        for n in (2, 3, 4):
+            for k in range(1, n + 1):
+                try:
+                    level = edge_ladder_spec(base, n, k)
+                except ValueError:
+                    # only families with an end the edge tables reject lack a ladder
+                    assert {base.behavior_l, base.behavior_r} - {Boundary.NATURAL, Boundary.ENTRANCE}
+                    continue
+                np.testing.assert_allclose(level.a(x), base.a(x), rtol=1e-14)
+                np.testing.assert_allclose(
+                    level.b(x), base.b(x) + (n - k) * base.a_prime(x), rtol=1e-12, atol=1e-12
+                )
+
+    @pytest.mark.parametrize("sid", CATALOG_IDS)
+    def test_gaussian_moments_reproduce_density(self, sid):
+        spec = make_spec(sid)
+        xs = np.linspace(-1.5, 1.5, 5)
+        # dX = (b0 + b1 X) dt + sqrt(2 a) dW with constant a is Gaussian on the line
+        gaussian = bool(
+            np.isinf(spec.l) and np.isinf(spec.r)
+            and np.ptp(spec.a(xs)) == 0.0 and np.allclose(np.diff(spec.b(xs), 2), 0.0)
+        )
+        moments = gaussian_moments(spec)
+        assert (moments is not None) == gaussian
+        if not gaussian:
+            return
+        mean, var, dmean_dx = moments
+        a = float(spec.a(0.0))
+        b0 = float(spec.b(0.0))
+        b1 = float(spec.b(1.0)) - b0
+        y = np.linspace(-2.0, 2.0, 9)
+        for t in (0.3, 1.0):
+            g = math.exp(b1 * t)
+            v = 2.0 * a * ((g * g - 1.0) / (2.0 * b1) if b1 else t)
+            for x in _probes(spec):
+                m = x * g + (b0 * (g - 1.0) / b1 if b1 else b0 * t)
+                assert float(mean(t, x)) == pytest.approx(m, rel=1e-13, abs=1e-13)
+                assert var(t) == pytest.approx(v, rel=1e-13)
+                assert dmean_dx(t) == pytest.approx(g, rel=1e-13)
+                expect = np.exp(-0.5 * (y - m) ** 2 / v) / math.sqrt(2.0 * math.pi * v)
+                np.testing.assert_allclose(kernel(spec).density(t, x, y), expect, rtol=1e-12)
+
+    @pytest.mark.parametrize("sid", ["besq:2.0000001", "bm_drift:0.123456789"])
+    def test_ids_are_exact(self, sid):
+        spec = make_spec(sid)
+        assert kernel(spec).spec.params == spec.params
+        assert catalog_conjugate(catalog_conjugate(spec)).params == spec.params
+
+    @pytest.mark.parametrize(
+        "sid",
+        ["bm:3", "ou:5", "lag:2:9", "besq:1:foo", "besq", "gbm", "jac:1",
+         "bm_interval:refl", "bm_drift:x"],
+    )
+    def test_malformed_id_raises(self, sid):
+        with pytest.raises(CatalogError, match=f"'{sid}'.*expected"):
+            make_spec(sid)

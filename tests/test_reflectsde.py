@@ -66,18 +66,6 @@ class TestSkorokhodMap:
         assert np.max(np.abs(ra.x - rb.x)) <= 4.0 * eps + 1e-12
 
 
-class TestYWCheck:
-    @pytest.mark.parametrize("sid", ["bm", "ou", "besq:3", "lag:2", "jac:1,1", "gbm:1"])
-    def test_catalog_holds(self, sid):
-        assert rs.yw_check(make_spec(sid)) == "Holds"
-
-    def test_unregistered_modulus_unknown(self):
-        import dataclasses
-
-        custom = dataclasses.replace(make_spec("bm"), family="custom")
-        assert rs.yw_check(custom) == "Unknown"
-
-
 class TestTwoLevelSimulation:
     def test_free_particle_variance(self):
         # no y level: a single unconstrained motion, terminal variance = T
