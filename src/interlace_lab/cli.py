@@ -162,10 +162,29 @@ def cmd_intertwine_check(args):
           ["spec", "shape", "identity", "test_function", "residual", "pass"], rows)
 
 
+#: [simulate] keys read in every mode, and those read by one mode (gt also
+#: reads init1 ... init<levels>)
+SIMULATE_KEYS = ("family", "mode", "t", "dt", "paths", "seed", "output", "record_stride")
+SIMULATE_MODE_KEYS = {
+    "two-level": ("shape", "init_x", "init_y", "y_family"),
+    "edge": ("n", "side", "init"),
+    "gt": ("levels", "level_families"),
+}
+
+
 def cmd_simulate(args):
     cfg = read_config(args.config, "simulate")
     family = cfg["family"]
     mode = cfg.get("mode", "two-level")
+    if mode not in SIMULATE_MODE_KEYS:
+        raise CampaignError(f"unknown simulate mode {mode!r} in {args.config}: "
+                            f"expected one of {', '.join(SIMULATE_MODE_KEYS)}")
+    known = set(SIMULATE_KEYS + SIMULATE_MODE_KEYS[mode])
+    if mode == "gt":
+        known.update(f"init{k + 1}" for k in range(int(cfg["levels"])))
+    unread = sorted(set(cfg) - known)
+    if unread:
+        raise CampaignError(f"[simulate] keys not read in {mode} mode in {args.config}: {unread}")
     T = float(cfg.get("t", 1.0))
     dt = float(cfg.get("dt", 1e-3))
     paths = int(cfg.get("paths", 1000))

@@ -29,6 +29,11 @@ FAMILIES holds one record per family, and every other module asks the
 record, never the family name: its id grammar, spec builder, dual, kernel,
 spectral basis, closed-form eigenfunction, edge ladder, Gaussian moments and
 quadrature coordinates.  Adding a family means adding one record.
+
+The quadrature coordinates are used only here, by the two node builders for
+state-space integrals: chamber_quad (ordered chambers) and fiber_quad
+(batched interlacing-fiber boxes).  Both clip to the spec's interval and
+return states with the Jacobian folded into the weights.
 """
 from __future__ import annotations
 
@@ -40,7 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special as sc
 
-from ..quadrature import fd_derivative, gl_nodes
+from ..quadrature import fd_derivative, gl_nodes, ordered_nodes, stacked_box_nodes
 from .core import (
     Boundary,
     CatalogError,
@@ -1440,3 +1445,51 @@ def quad_coords(spec: DiffusionSpec) -> str:
     'sqrt' (u = sqrt(y)) and 'log' (u = log(y)) remove endpoint kinks."""
     rec = FAMILIES.get(spec.family)
     return rec.coords if rec is not None else "linear"
+
+
+# u = fwd(y), y = inv(u) and dy/du of the non-linear quadrature coordinates
+_COORD_MAPS = {
+    "sqrt": (np.sqrt, np.square, lambda u, y: 2.0 * u),
+    "log": (np.log, np.exp, lambda u, y: y),
+}
+
+
+def _in_coords(spec: DiffusionSpec, nodes: Callable, lo, hi):
+    """nodes(lo, hi) -> (points, weights, ...) run on [lo, hi] clipped to
+    spec.interval, in spec's quadrature coordinates; the returned points are
+    states y and the weights carry the Jacobian dy/du."""
+    l, r = spec.interval
+    lo, hi = np.maximum(lo, l), np.minimum(hi, r)
+    coords = quad_coords(spec)
+    if coords == "linear":
+        return nodes(lo, hi)
+    fwd, inv, jac = _COORD_MAPS[coords]
+    u, w, *rest = nodes(fwd(lo), fwd(hi))
+    y = inv(u)
+    return (y, w * np.prod(jac(u, y), axis=-1), *rest)
+
+
+def chamber_quad(spec: DiffusionSpec, ndim: int, lo: float, hi: float, n: int, pad=None):
+    """Nodes and weights over the ordered chamber lo < y_1 <= ... <= y_ndim < hi
+    of spec's state space (see _in_coords).
+
+    pad = (below, above) first widens the window by these fractions of its
+    span, for integrands whose polynomial factors amplify the density's tails;
+    a log-coordinate family's windows are multiplicative, so it widens in log y.
+    """
+    if pad is not None:
+        below, above = pad
+        if quad_coords(spec) == "log":
+            ratio = hi / lo
+            lo, hi = lo * ratio**-below, hi * ratio**above
+        else:
+            span = hi - lo
+            lo, hi = lo - below * span, hi + above * span
+    return _in_coords(spec, lambda a, b: ordered_nodes(ndim, a, b, n), lo, hi)
+
+
+def fiber_quad(spec: DiffusionSpec, flo, fhi, n: int):
+    """Batched tensor nodes over the boxes prod_j [flo_j, fhi_j] (rows of
+    (N, k) arrays) of spec's state space: (points, weights, outer index), as
+    quadrature.stacked_box_nodes but in spec's coordinates (see _in_coords)."""
+    return _in_coords(spec, lambda a, b: stacked_box_nodes(a, b, n), flo, fhi)

@@ -287,13 +287,8 @@ def check_warren_dyson(paths=20000, dt=5e-4, ks_tol=0.02, seed=7) -> CheckResult
 
 def run_gt2(family: str, paths, dt, seed, t_start=1e-3, T=1.0, init_seed=11):
     """GT(2) from the origin via the entrance law at t_start."""
-    if family == "gue":
-        elaw = km.entrance_law("gue", 2)
-        specs = [make_spec("bm"), make_spec("bm")]
-    else:
-        elaw = km.entrance_law(family, 2)
-        d = float(family.split(":")[1])
-        specs = [make_spec(f"besq:{d + 2:g}"), make_spec(f"besq:{d:g}")]
+    elaw = km.entrance_law(family, 2)
+    specs = [rs.edge_ladder_spec(elaw.spec, 2, k) for k in (1, 2)]
 
     def init(n):
         rng = np.random.default_rng(init_seed)

@@ -12,6 +12,12 @@ closed-form eigenfunctions, spectral expansions and ground states for
 discrete-spectrum families, eigenfunctions built by iterating interlacing
 integral kernels, entrance laws from degenerate starting points, and the
 Taylor-expansion limit densities (biorthogonal/polynomial ensembles).
+
+Each entrance law names the one-particle spec it enters and carries its own
+squared-Vandermonde factor.  Every state-space integral here (one-particle
+actions, entrance-law normalizations, degenerate-start limits) takes its
+nodes from diffusion1d.catalog.chamber_quad, which clips to the spec's
+interval and integrates in the family's coordinates.
 """
 from __future__ import annotations
 
@@ -21,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy import special
 
 from .diffusion1d import (
     CatalogError,
@@ -28,13 +35,8 @@ from .diffusion1d import (
     TransitionKernel,
     spectral_basis,
 )
-from .diffusion1d.catalog import FAMILIES, _power, gaussian_moments, quad_coords
-from .quadrature import (
-    chebyshev_antiderivative,
-    fd_derivative,
-    gl_nodes,
-    ordered_nodes,
-)
+from .diffusion1d.catalog import FAMILIES, _power, chamber_quad, gaussian_moments, make_spec
+from .quadrature import chebyshev_antiderivative, fd_derivative
 
 
 def as_weyl(x, interval=(-np.inf, np.inf)) -> np.ndarray:
@@ -95,41 +97,16 @@ def h_transform_density(kern: TransitionKernel, h: Eigenfunction, t: float, x, y
 
 
 def semigroup_entries(kern: TransitionKernel, h: Eigenfunction, t: float, x, n_quad=240):
-    """Matrix g_ij = int p_t(x_i, y) h_j(y) dy of one-particle actions.
-
-    Half-line kernels are integrated in u = sqrt(y) and geometric Brownian
-    motion in u = log(y); both substitutions remove endpoint kinks so the
-    Gauss-Legendre rule converges spectrally.
-    """
+    """Matrix g_ij = int p_t(x_i, y) h_j(y) dy of one-particle actions, over
+    the kernel window widened for the polynomial tails of the components."""
     x = np.asarray(x, float)
     n = x.shape[-1]
-    lo, hi = kern.window(t, x)
-    coords = quad_coords(kern.spec)
-    if coords == "log":
-        # log coordinates; widen multiplicatively for the polynomial tails
-        ulo, uhi = math.log(lo), math.log(hi)
-        span = uhi - ulo
-        us, ws = gl_nodes(ulo - 0.5 * span, uhi + 0.9 * span, n_quad)
-        ys = np.exp(us)
-        jac = ys
-    else:
-        # polynomial components amplify the density tail; widen the window
-        span = hi - lo
-        lo, hi = lo - 0.5 * span, hi + 0.9 * span
-        l, r = kern.spec.interval
-        lo = max(lo, l) if np.isfinite(l) else lo
-        hi = min(hi, r) if np.isfinite(r) else hi
-        if coords == "sqrt" and lo <= 1e-12:
-            us, ws = gl_nodes(0.0, math.sqrt(hi), n_quad)
-            ys = us * us
-            jac = 2.0 * us
-        else:
-            ys, ws = gl_nodes(lo, hi, n_quad)
-            jac = 1.0
+    ys, ws = chamber_quad(kern.spec, 1, *kern.window(t, x), n_quad, pad=(0.5, 0.9))
+    ys = ys[:, 0]
     G = np.empty((n, n))
     hy = [np.asarray(h.components[j](ys), float) for j in range(n)]
     for i in range(n):
-        py = kern.density(t, x[i], ys) * jac
+        py = kern.density(t, x[i], ys)
         for j in range(n):
             G[i, j] = np.dot(ws, py * hy[j])
     return G
@@ -316,222 +293,210 @@ def wronskian(components: Sequence[Callable], x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _delta(z) -> np.ndarray:
+    """Vandermonde product prod_{i<j} (z_j - z_i) over the last axis."""
+    n = z.shape[-1]
+    V = np.ones(z.shape[:-1])
+    for i in range(n):
+        for j in range(i + 1, n):
+            V = V * (z[..., j] - z[..., i])
+    return V
+
+
 @dataclass(eq=False)
 class EntranceLawSpec:
-    """Entrance law from a degenerate point: density over W^n at time t.
+    """Entrance law of n particles of `spec` from the origin: a density over
+    W^n at time t.
 
-    The normalizing constant is always recomputed by chamber quadrature and
-    cached per t.  `sample` draws by rejection from a Gaussian or gamma
-    proposal with an explicit envelope bound.
+    The normalizing constant is computed by quadrature over the law's
+    chamber (its window at t, in spec's state space and coordinates) and
+    cached per t.  Laws of the form V(a) prod g_t(a_i) in a = y (a = y^2 on
+    the half line), with V the squared-Vandermonde factor, are sampled by
+    rejection: `propose` draws sorted z from a Gaussian or gamma law q_t,
+    accepted with probability (V / P)(z) E(z), where the polynomial P bounds
+    V and E = P g_t / (q_t sup(P g_t / q_t)) <= 1.
     """
 
-    family: str
+    family: str  # the law's id
     n: int
+    spec: DiffusionSpec  # the one-particle motion the law enters
     unnormalized: Callable  # (t, y[..., n]) -> weight
-    support: str  # "real" | "positive"
-    proposal_scale: Callable  # t -> scale parameter of the proposal
-    envelope_power: float  # V-type polynomial degree used in the bound
+    window: Callable  # t -> (lo, hi) holding the law's mass
+    vandermonde2: Optional[Callable] = None  # z -> V(z)
+    propose: Optional[Callable] = None  # (rng, t, m) -> (z, log E(z), log P(z))
     _norms: dict = field(default_factory=dict)
+
+    def chamber(self, t: float, n_nodes: int = 80):
+        """Quadrature nodes and weights over the law's chamber at time t."""
+        return chamber_quad(self.spec, self.n, *self.window(t), n_nodes)
 
     def log_norm(self, t: float, n_nodes: int = 80) -> float:
         key = (round(float(t), 12), n_nodes)
         if key not in self._norms:
-            self._norms[key] = math.log(self._integral(t, n_nodes))
+            pts, wts = self.chamber(t, n_nodes)
+            self._norms[key] = math.log(float(np.dot(wts, self.unnormalized(t, pts))))
         return self._norms[key]
-
-    def _integral(self, t: float, n_nodes: int) -> float:
-        if self.support == "real":
-            w = math.sqrt(t) * (2.0 * math.sqrt(self.n) + 6.5)
-            pts, wts = ordered_nodes(self.n, -w, w, n_nodes)
-            vals = self.unnormalized(t, pts)
-            return float(np.dot(wts, vals))
-        # positive support: integrate in u = sqrt(y) coordinates
-        w = math.sqrt(max(40.0 * t * (1.0 + self.n), 1e-12))
-        pts, wts = ordered_nodes(self.n, 0.0, w, n_nodes)
-        ys = pts**2
-        jac = np.prod(2.0 * pts, axis=-1)
-        vals = self.unnormalized(t, ys) * jac
-        return float(np.dot(wts, vals))
 
     def density(self, t: float, y):
         return self.unnormalized(t, y) * math.exp(-self.log_norm(t))
 
     def sample(self, rng: np.random.Generator, t: float, size: int) -> np.ndarray:
+        if self.propose is None:
+            raise CatalogError(f"entrance law {self.family!r} has no sampler")
         out = np.empty((size, self.n))
         got = 0
-        p = self.envelope_power
         while got < size:
             m = max(4 * (size - got), 256)
-            if self.support == "real":
-                scale = self.proposal_scale(t)
-                z = rng.normal(0.0, math.sqrt(scale), size=(m, self.n))
-                z.sort(axis=1)
-                ssq = np.sum(z * z, axis=1)
-                # envelope: (2 s)^p e^{-delta s} <= bound at s = p/delta
-                delta = 0.5 / t - 0.5 / scale
-                logbound = p * (math.log(2.0 * p / delta)) - p
-                logratio = p * np.log(np.maximum(2.0 * ssq, 1e-300)) - delta * ssq - logbound
-            else:
-                shape, scale0 = self.proposal_scale(t)
-                z = rng.gamma(shape, scale0, size=(m, self.n))
-                z.sort(axis=1)
-                ssum = np.sum(z, axis=1)
-                delta = 0.5 / t - 1.0 / scale0
-                logbound = p * (math.log(p / delta)) - p
-                logratio = p * np.log(np.maximum(ssum, 1e-300)) - delta * ssum - logbound
+            z, log_e, log_p = self.propose(rng, t, m)
             u = rng.random(m)
-            keep = np.log(np.maximum(u, 1e-300)) < logratio + self._log_shape_ratio(t, z)
+            log_v = np.log(np.maximum(self.vandermonde2(z), 1e-300))
+            keep = np.log(np.maximum(u, 1e-300)) < log_e + (log_v - log_p)
             acc = z[keep]
             take = min(size - got, acc.shape[0])
             out[got : got + take] = acc[:take]
             got += take
         return out
 
-    def _log_shape_ratio(self, t, z):
-        """log of (target V-part) / (envelope polynomial), always <= 0."""
-        p = self.envelope_power
-        if self.support == "real":
-            V2 = _squared_vandermonde_like(self.family, z)
-            ssq = np.sum(z * z, axis=1)
-            return np.log(np.maximum(V2, 1e-300)) - p * np.log(np.maximum(2.0 * ssq, 1e-300))
-        V2 = _squared_vandermonde_like(self.family, z)
-        ssum = np.sum(z, axis=1)
-        return np.log(np.maximum(V2, 1e-300)) - p * np.log(np.maximum(ssum, 1e-300))
+
+def _log_peak(p: float, delta: float) -> float:
+    """log max_s s^p e^{-delta s} = p log(p / delta) - p (0 when p = 0)."""
+    return p * math.log(p / delta) - p if p > 0 else 0.0
 
 
-def _squared_vandermonde_like(family: str, z: np.ndarray) -> np.ndarray:
-    n = z.shape[-1]
-    V = np.ones(z.shape[:-1])
-    for i in range(n):
-        for j in range(i + 1, n):
-            V = V * (z[..., j] - z[..., i])
-    if family == "gue" or family.startswith("besq"):
-        return V * V
-    if family == "halfline_nn":
-        W = np.ones(z.shape[:-1])
-        for i in range(n):
-            for j in range(i + 1, n):
-                W = W * (z[..., j] ** 2 - z[..., i] ** 2)
-        return (W * np.prod(z, axis=-1)) ** 2
-    if family == "halfline_n1n":
-        W = np.ones(z.shape[:-1])
-        for i in range(n):
-            for j in range(i + 1, n):
-                W = W * (z[..., j] ** 2 - z[..., i] ** 2)
-        return W * W
-    raise CatalogError(f"no V-factor for entrance family {family!r}")
+def _gaussian_proposal(n: int, p: float) -> Callable:
+    """Sorted N(0, 1.6 t) draws, for g_t(y) = e^{-y^2 / 2t} and V <= (2 s)^p,
+    s = sum y^2."""
+
+    def propose(rng, t, m):
+        scale = 1.6 * t
+        z = rng.normal(0.0, math.sqrt(scale), size=(m, n))
+        z.sort(axis=1)
+        ssq = np.sum(z * z, axis=1)
+        delta = 0.5 / t - 0.5 / scale
+        log_p = p * np.log(np.maximum(2.0 * ssq, 1e-300))
+        # (2 s)^p e^{-delta s} peaks where r = 2 s maximizes r^p e^{-delta r / 2}
+        return z, log_p - delta * ssq - _log_peak(p, delta / 2.0), log_p
+
+    return propose
+
+
+def _gamma_proposal(n: int, shape: float, root: bool) -> Callable:
+    """Sorted a ~ Gamma(shape, 3.2 t), for g_t(a) = a^(shape - 1) e^{-a / 2t}
+    and V = Delta(a)^2 <= c s^p, s = sum a, p = n(n - 1); the draws are
+    y = sqrt(a) when `root` (for shape 1/2, the folded Gaussian |N(0, 1.6 t)|).
+
+    c, the largest value of Delta(a)^2 on the simplex a >= 0, sum a = 1, is
+    attained at a_1 = 0 and a_2..a_n proportional to the zeros of the
+    Laguerre polynomial L_{n-1}^{(1)} (Stieltjes); c = 1 for n = 2.
+    """
+    p = float(n * (n - 1))
+    log_c = 0.0
+    if n > 2:
+        x = special.roots_genlaguerre(n - 1, 1.0)[0]
+        log_c = math.log(_delta(np.concatenate([[0.0], x / x.sum()])) ** 2)
+
+    def propose(rng, t, m):
+        scale = 3.2 * t
+        a = rng.gamma(shape, scale, size=(m, n))
+        a.sort(axis=1)
+        s = np.sum(a, axis=1)
+        delta = 0.5 / t - 1.0 / scale
+        log_p = p * np.log(np.maximum(s, 1e-300))
+        return (np.sqrt(a) if root else a), log_p - delta * s - _log_peak(p, delta), log_p + log_c
+
+    return propose
+
+
+def _gaussian_window(n: int) -> Callable:
+    def window(t):
+        w = math.sqrt(t) * (2.0 * math.sqrt(n) + 6.5)
+        return -w, w
+
+    return window
+
+
+ENTRANCE_LAW_IDS = ("gue", "besq:d", "halfline_nn", "halfline_n1n", "bm_drift")
+
+#: the half-line laws are the images under y = sqrt(a) of squared-Bessel
+#: laws: dimension 3 for BM absorbed at 0 (h = prod y Delta(y^2)), dimension 1
+#: for BM reflected at 0 (h = Delta(y^2))
+_HALFLINE_LAWS = {
+    "halfline_nn": (3.0, "bm_halfline:abs"),
+    "halfline_n1n": (1.0, "bm_halfline:refl"),
+}
 
 
 def entrance_law(family: str, n: int, extra=None) -> EntranceLawSpec:
-    """Entrance laws from the origin for the supported families.
+    """Entrance law of n particles from the origin, by id:
 
-    family: 'gue' | 'besq:d' | 'halfline_nn' | 'halfline_n1n' | 'bm_drift'
-    (the latter takes the drift vector in `extra`).
+        gue            n Brownian motions (bm)
+        besq:d         squared Bessel, d > 0 (besq:d)
+        halfline_nn    BM absorbed at 0 (bm_halfline:abs)
+        halfline_n1n   BM reflected at 0 (bm_halfline:refl)
+        bm_drift       BM with the n increasing drifts in `extra` (bm)
+
+    A malformed id, a bad n or a misplaced drift vector raises CatalogError.
     """
-    if family == "gue":
+    name, *fields = family.split(":")
+    if name not in {f.split(":")[0] for f in ENTRANCE_LAW_IDS}:
+        raise CatalogError(
+            f"unknown entrance law {family!r}: expected one of {', '.join(ENTRANCE_LAW_IDS)}"
+        )
+    try:
+        params = [float(v) for v in fields]
+    except ValueError:
+        params = None
+    if params is None or len(params) != (name == "besq") or not all(
+        math.isfinite(v) and v > 0 for v in params
+    ):
+        form = "besq:d with d > 0" if name == "besq" else name
+        raise CatalogError(f"malformed entrance-law id {family!r}: expected {form}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise CatalogError(f"entrance law {family!r}: n must be a positive integer, got {n!r}")
+    if name != "bm_drift" and extra is not None:
+        raise CatalogError(f"entrance law {family!r} takes no drift vector")
+    if name == "gue":
+        v2 = lambda y: _delta(y) ** 2
 
         def w(t, y):
             y = np.asarray(y, float)
-            return _squared_vandermonde_like("gue", y) * np.exp(
-                -np.sum(y * y, axis=-1) / (2.0 * t)
+            return v2(y) * np.exp(-np.sum(y * y, axis=-1) / (2.0 * t))
+
+        return EntranceLawSpec(family, n, make_spec("bm"), w, _gaussian_window(n), v2,
+                               _gaussian_proposal(n, 0.5 * n * (n - 1)))
+    if name == "bm_drift":
+        mus = np.asarray(extra if extra is not None else [], float)
+        if mus.shape != (n,) or not (np.all(np.isfinite(mus)) and np.all(np.diff(mus) > 0)):
+            raise CatalogError(
+                f"entrance law 'bm_drift' needs {n} increasing finite drifts, got {extra!r}"
             )
-
-        return EntranceLawSpec(
-            family="gue",
-            n=n,
-            unnormalized=w,
-            support="real",
-            proposal_scale=lambda t: 1.6 * t,
-            envelope_power=0.5 * n * (n - 1),
-        )
-    if family.startswith("besq"):
-        d = float(family.split(":")[1])
-        nu = d / 2.0 - 1.0
-
-        def w(t, y):
-            y = np.asarray(y, float)
-            return (
-                _squared_vandermonde_like("gue", y)
-                * np.prod(np.maximum(y, 1e-300) ** nu, axis=-1)
-                * np.exp(-np.sum(y, axis=-1) / (2.0 * t))
-            )
-
-        return EntranceLawSpec(
-            family=family,
-            n=n,
-            unnormalized=w,
-            support="positive",
-            proposal_scale=lambda t: (max(nu + 1.0, 0.5), 3.2 * t),
-            envelope_power=float(n * (n - 1)),
-        )
-    if family in ("halfline_nn", "halfline_n1n"):
-
-        def w(t, y, fam=family):
-            y = np.asarray(y, float)
-            return _squared_vandermonde_like(fam, y) * np.exp(
-                -np.sum(y * y, axis=-1) / (2.0 * t)
-            )
-
-        power = n * (n - 1) + (n if family == "halfline_nn" else 0)
-        return EntranceLawSpec(
-            family=family,
-            n=n,
-            unnormalized=w,
-            support="real",  # half-line handled by symmetrised proposal below
-            proposal_scale=lambda t: 1.6 * t,
-            envelope_power=float(power),
-        )
-    if family == "bm_drift":
-        mus = np.asarray(extra, float)
 
         def w(t, y):
             y = np.atleast_2d(np.asarray(y, float))
-            M = np.exp(
-                -((y[..., :, None] - t * mus[None, :]) ** 2) / (2.0 * t)
-            )
-            dets = np.linalg.det(M)
-            V = np.ones(y.shape[:-1])
-            for i in range(n):
-                for j in range(i + 1, n):
-                    V = V * (y[..., j] - y[..., i])
-            return dets * V
+            M = np.exp(-((y[..., :, None] - t * mus[None, :]) ** 2) / (2.0 * t))
+            return np.linalg.det(M) * _delta(y)
 
-        return EntranceLawSpec(
-            family="bm_drift",
-            n=n,
-            unnormalized=w,
-            support="real",
-            proposal_scale=lambda t: 1.6 * t,
-            envelope_power=0.5 * n * (n - 1),
+        # the density is not V(y) prod g_t(y_i), so it has no rejection sampler
+        return EntranceLawSpec(family, n, make_spec("bm"), w, _gaussian_window(n))
+    # V(a) prod a^nu e^{-a / 2t} in a = y (besq) or a = y^2 (half line)
+    root = name in _HALFLINE_LAWS
+    d, spec_id = _HALFLINE_LAWS[name] if root else (params[0], family)
+    nu = d / 2.0 - 1.0
+    power = 2.0 * nu + 1.0 if root else nu  # da = 2 y dy
+    to_a = (lambda y: y * y) if root else (lambda y: y)
+    v2 = lambda y: _delta(to_a(y)) ** 2
+
+    def w(t, y):
+        y = np.asarray(y, float)
+        return (
+            v2(y)
+            * np.prod(np.maximum(y, 1e-300) ** power, axis=-1)
+            * np.exp(-np.sum(to_a(y), axis=-1) / (2.0 * t))
         )
-    raise CatalogError(f"unknown entrance-law family {family!r}")
 
-
-def halfline_entrance_sample(elaw: EntranceLawSpec, rng, t, size):
-    """Rejection sampler on the positive half line for the |.|-symmetric
-    half-line families (propose folded Gaussians)."""
-    out = np.empty((size, elaw.n))
-    got = 0
-    p = elaw.envelope_power
-    scale = 1.6 * t
-    delta = 0.5 / t - 0.5 / scale
-    logbound = p * math.log(2.0 * p / delta) - p
-    while got < size:
-        m = max(4 * (size - got), 256)
-        z = np.abs(rng.normal(0.0, math.sqrt(scale), size=(m, elaw.n)))
-        z.sort(axis=1)
-        ssq = np.sum(z * z, axis=1)
-        V2 = _squared_vandermonde_like(elaw.family, z)
-        logratio = (
-            np.log(np.maximum(V2, 1e-300)) - delta * ssq - logbound
-        )
-        u = rng.random(m)
-        keep = np.log(np.maximum(u, 1e-300)) < logratio
-        acc = z[keep]
-        take = min(size - got, acc.shape[0])
-        out[got : got + take] = acc[:take]
-        got += take
-    return out
+    window = _gaussian_window(n) if root else (lambda t: (0.0, 40.0 * t * (1.0 + n)))
+    return EntranceLawSpec(family, n, make_spec(spec_id), w, window, v2,
+                           _gamma_proposal(n, nu + 1.0, root))
 
 
 def entrance_consistency_residual(
@@ -545,22 +510,14 @@ def entrance_consistency_residual(
 ) -> float:
     """max over probes of |mu_s P_t^h (y) - mu_{s+t}(y)| (both normalized)."""
     probes = np.atleast_2d(np.asarray(probes, float))
+    pts, wts = elaw.chamber(s, n_nodes)
+    mu_s = wts * elaw.density(s, pts)
     worst = 0.0
-    if elaw.support == "real":
-        w = math.sqrt(s) * (2.0 * math.sqrt(elaw.n) + 6.5)
-        pts, wts = ordered_nodes(elaw.n, -w, w, n_nodes)
-        jac = 1.0
-    else:
-        w = math.sqrt(40.0 * s * (1.0 + elaw.n))
-        upts, wts = ordered_nodes(elaw.n, 0.0, w, n_nodes)
-        pts = upts**2
-        jac = np.prod(2.0 * upts, axis=-1)
-    mu_s = elaw.density(s, pts) * jac
     for y in probes:
         vals = np.empty(pts.shape[0])
         for i, xrow in enumerate(pts):
             vals[i] = float(h_transform_density(kern, h, t, xrow, y))
-        lhs = float(np.dot(wts, mu_s * vals))
+        lhs = float(np.dot(mu_s, vals))
         rhs = elaw.density(s + t, y[None, :]).item()
         worst = max(worst, abs(lhs - rhs))
     return worst
@@ -589,20 +546,8 @@ def polynomial_ensemble_limit(
         D = np.stack(rows, axis=-2)
         return np.linalg.det(H) * np.linalg.det(D)
 
-    lo, hi = kern.window(t, x)
-    span = hi - lo
-    lo, hi = lo - 0.4 * span, hi + 0.9 * span
-    l, r = kern.spec.interval
-    lo = max(lo, l) if np.isfinite(l) else lo
-    hi = min(hi, r) if np.isfinite(r) else hi
-    if quad_coords(kern.spec) == "sqrt" and lo <= 1e-12:
-        upts, wts = ordered_nodes(n, 0.0, math.sqrt(hi), n_nodes)
-        pts = upts**2
-        jacs = np.prod(2.0 * upts, axis=-1)
-        Z = float(np.dot(wts, raw(pts) * jacs))
-    else:
-        pts, wts = ordered_nodes(n, lo, hi, n_nodes)
-        Z = float(np.dot(wts, raw(pts)))
+    pts, wts = chamber_quad(kern.spec, n, *kern.window(t, x), n_nodes, pad=(0.4, 0.9))
+    Z = float(np.dot(wts, raw(pts)))
     if not Z > 0:
         raise ArithmeticError("degenerate-start density failed to normalize")
 

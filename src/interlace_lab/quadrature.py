@@ -25,11 +25,6 @@ def gl_nodes(a: float, b: float, n: int):
     return a + half * (u + 1.0), half * w
 
 
-def integrate(f: Callable, a: float, b: float, n: int = 96) -> float:
-    x, w = gl_nodes(a, b, n)
-    return float(np.dot(w, f(x)))
-
-
 def ordered_nodes(ndim: int, lo: float, hi: float, n: int = 32):
     """Nodes/weights for the ordered region lo < y_1 <= ... <= y_ndim < hi.
 

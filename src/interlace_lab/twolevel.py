@@ -18,7 +18,9 @@ and projection identities).
 The module also provides the interlacing integral operators (unnormalized
 and Markov-normalized), and quadrature residuals for the projection
 (Dynkin) identity, the intertwining with killed determinant semigroups,
-and the semigroup property.
+and the semigroup property.  Chamber and fiber nodes come from
+diffusion1d.catalog.chamber_quad and fiber_quad (clipped to the spec's
+interval, in the family's coordinates).
 """
 from __future__ import annotations
 
@@ -37,9 +39,8 @@ from .diffusion1d import (
     kernel,
     scale_speed,
 )
-from .diffusion1d.catalog import quad_coords
-from .kmgroup import Eigenfunction
-from .quadrature import ordered_nodes, stacked_box_nodes
+from .diffusion1d.catalog import chamber_quad, fiber_quad
+from .kmgroup import Eigenfunction, km_density
 
 
 class Shape(enum.Enum):
@@ -206,38 +207,14 @@ def block_kernel(
     return np.linalg.det(M)
 
 
-def chamber_quad(spec: DiffusionSpec, ndim: int, lo: float, hi: float, n: int):
-    """Ordered-chamber nodes, in u = sqrt(y) where the family asks for it."""
-    if quad_coords(spec) == "sqrt":
-        u, w = ordered_nodes(ndim, math.sqrt(max(lo, 0.0)), math.sqrt(max(hi, 0.0)), n)
-        return u * u, w * np.prod(2.0 * u, axis=-1)
-    return ordered_nodes(ndim, lo, hi, n)
-
-
-def fiber_quad(spec: DiffusionSpec, flo, fhi, n: int):
-    """Batched fiber-box nodes, in u = sqrt(y) where the family asks for it."""
-    if quad_coords(spec) == "sqrt":
-        u, w, outer = stacked_box_nodes(
-            np.sqrt(np.maximum(flo, 0.0)), np.sqrt(np.maximum(fhi, 0.0)), n
-        )
-        return u * u, w * np.prod(2.0 * u, axis=-1), outer
-    return stacked_box_nodes(flo, fhi, n)
-
-
 def _image_nodes(sys: TwoLevelSystem, t: float, z, n_nodes: int):
     """Quadrature nodes over the image space W^{n1,n2} within the kernel
     window of the starting configuration: ordered x'-chamber, then the
     y'-fiber boxes over each x' node."""
     x, y = z
-    x = np.asarray(x, float)
-    n2, n1 = x.shape[-1], np.asarray(y).shape[-1]
     lo, hi = sys.kern.window(t, np.concatenate([np.atleast_1d(x), np.atleast_1d(y)]))
-    l, r = sys.spec.interval
-    lo = max(lo, l) if np.isfinite(l) else lo
-    hi = min(hi, r) if np.isfinite(r) else hi
-    xp, wx = chamber_quad(sys.spec, n2, lo, hi, n_nodes)
-    flo, fhi = fiber_bounds(xp, sys.shape, max(l, lo), min(r, hi))
-    yp, wy, outer = fiber_quad(sys.spec, flo, fhi, n_nodes)
+    xp, wx = chamber_quad(sys.spec, np.shape(x)[-1], lo, hi, n_nodes)
+    yp, wy, outer = fiber_quad(sys.spec, *fiber_bounds(xp, sys.shape, lo, hi), n_nodes)
     w = wx[outer] * wy
     return xp[outer], yp, w
 
@@ -257,22 +234,11 @@ def collapse_residual(sys: TwoLevelSystem, t: float, z, yp, n_nodes: int = 48) -
     """
     x, y = z
     yp = np.asarray(yp, float)
-    n1 = yp.shape[-1]
-    l, r = sys.spec.interval
     lo, hi = sys.kern.window(t, np.concatenate([np.atleast_1d(x), np.atleast_1d(y)]))
-    lo = max(lo, l) if np.isfinite(l) else lo
-    hi = min(hi, r) if np.isfinite(r) else hi
-    flo, fhi = x_fiber_bounds(yp, sys.shape, lo, hi)
-    xp, wx, outer = stacked_box_nodes(flo, fhi, n_nodes)
+    xp, wx, _ = fiber_quad(sys.spec, *x_fiber_bounds(yp, sys.shape, lo, hi), n_nodes)
     q = block_kernel(sys, t, z, (xp, np.repeat(yp[None, :], xp.shape[0], axis=0)))
     lhs = float(np.dot(wx, q))
-    y = np.asarray(y, float)
-    D = np.stack(
-        [np.stack([sys.dual_kern.density(t, y[i], yp[j]) for j in range(n1)], axis=-1)
-         for i in range(n1)],
-        axis=-2,
-    )
-    return abs(lhs - float(np.linalg.det(D)))
+    return abs(lhs - float(km_density(sys.dual_kern, t, np.asarray(y, float), yp)))
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +263,11 @@ def lambda_apply(
     x = np.asarray(x, float)
     l, r = spec.interval
     mh_fun = scale_speed(spec).s_prime
+    lo_w, hi_w = kernel(spec).window(1.0, x)
 
     def on_window(pad):
-        kern = kernel(spec)
-        lo_w, hi_w = kern.window(1.0, x)
-        lo, hi = fiber_bounds(x, shape, max(l, lo_w - pad), min(r, hi_w + pad))
-        yp, wy, _ = fiber_quad(spec, lo[None, :], hi[None, :], n_nodes)
+        lo, hi = fiber_bounds(x[None, :], shape, lo_w - pad, hi_w + pad)
+        yp, wy, _ = fiber_quad(spec, lo, hi, n_nodes)
         weights = np.prod(np.asarray(mh_fun(yp), float), axis=-1)
         xrep = np.repeat(x[None, :], yp.shape[0], axis=0)
         if h_hat is None:
@@ -346,8 +311,9 @@ def sample_interlacing_fiber(
 ) -> np.ndarray:
     """Draw y from the normalized fiber density prop. to prod m_hat(y) h(y).
 
-    Rejection from the uniform law on the fiber box with a grid-estimated
-    envelope (the fiber is compact for the starts used here).
+    Rejection from the uniform law on the fiber box, with 1.6 times the
+    weight's largest value on the fiber's quadrature nodes as the envelope
+    (the fiber is compact and the weight bounded for the starts used here).
     """
     x = np.asarray(x, float)
     l, r = spec.interval
@@ -363,34 +329,18 @@ def sample_interlacing_fiber(
             w = w * np.maximum(h_hat(y), 0.0)
         return w
 
-    # sample in sqrt coordinates on the half line: the Jacobian regularizes
-    # the integrable power singularity of the weight at the origin
-    use_sqrt = quad_coords(spec) == "sqrt"
-    if use_sqrt:
-        ulo, uhi = np.sqrt(np.maximum(lo, 0.0)), np.sqrt(np.maximum(hi, 0.0))
-    else:
-        ulo, uhi = lo, hi
-
-    def u_density(u):
-        y = u * u if use_sqrt else u
-        w = weight(y)
-        if use_sqrt:
-            w = w * np.prod(2.0 * u, axis=-1)
-        return w
-
-    probe, _, _ = stacked_box_nodes(ulo[None, :], uhi[None, :], 24)
-    bound = 1.6 * float(np.max(u_density(probe))) + 1e-300
+    probe, _, _ = fiber_quad(spec, lo[None, :], hi[None, :], 24)
+    bound = 1.6 * float(np.max(weight(probe))) + 1e-300
     out = np.empty((size, n1))
     got = 0
     while got < size:
         m = max(oversample * (size - got), 128)
-        u = rng.uniform(ulo, uhi, size=(m, n1))
-        u.sort(axis=1)
-        uu = rng.random(m)
-        keep = uu * bound < u_density(u)
-        acc = u[keep]
+        y = rng.uniform(lo, hi, size=(m, n1))
+        y.sort(axis=1)
+        keep = rng.random(m) * bound < weight(y)
+        acc = y[keep]
         take = min(size - got, acc.shape[0])
-        out[got : got + take] = acc[:take] ** 2 if use_sqrt else acc[:take]
+        out[got : got + take] = acc[:take]
         got += take
     return out
 
@@ -400,31 +350,14 @@ def sample_interlacing_fiber(
 # ---------------------------------------------------------------------------
 
 
-def km_det(kern: TransitionKernel, t, a, b):
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    n = a.shape[-1]
-    M = np.stack(
-        [np.stack([kern.density(t, a[..., i], b[..., j]) for j in range(n)], axis=-1)
-         for i in range(n)],
-        axis=-2,
-    )
-    return np.linalg.det(M)
-
-
 def dynkin_residual(
     sys: TwoLevelSystem, t: float, f: Callable, z, n_nodes: int = 32
 ) -> float:
     """|(P_hat^{n1} f)(y) - int q_t(z, dz') f(y')| for f on the y level."""
     x, y = z
     y = np.asarray(y, float)
-    n1 = y.shape[-1]
-    l, r = sys.spec.interval
-    lo, hi = sys.dual_kern.window(t, y)
-    lo = max(lo, l) if np.isfinite(l) else lo
-    hi = min(hi, r) if np.isfinite(r) else hi
-    ypts, wy = chamber_quad(sys.spec, n1, lo, hi, max(n_nodes, 48))
-    lhs = float(np.dot(wy, km_det(sys.dual_kern, t, y, ypts) * f(ypts)))
+    ypts, wy = chamber_quad(sys.spec, y.shape[-1], *sys.dual_kern.window(t, y), max(n_nodes, 48))
+    lhs = float(np.dot(wy, km_density(sys.dual_kern, t, y, ypts) * f(ypts)))
     xp, yp, w = _image_nodes(sys, t, z, n_nodes)
     rhs = float(np.dot(w, block_kernel(sys, t, z, (xp, yp)) * f(yp)))
     return abs(lhs - rhs)
@@ -459,18 +392,11 @@ def master_intertwining_residual(
     x = np.asarray(x, float)
     n2 = x.shape[-1]
     lam = h_hat.rate
-    spec = sys.spec
-    l, r = spec.interval
-    hx = lambda_mass(spec, sys.shape, x, h_hat, n_nodes=max(48, fiber_nodes))
-
-    lo, hi = sys.kern.window(t, x)
-    lo = max(lo, l) if np.isfinite(l) else lo
-    hi = min(hi, r) if np.isfinite(r) else hi
-    xp, wx = chamber_quad(sys.spec, n2, lo, hi, n_nodes)
+    hx = lambda_mass(sys.spec, sys.shape, x, h_hat, n_nodes=max(48, fiber_nodes))
+    xp, wx = chamber_quad(sys.spec, n2, *sys.kern.window(t, x), n_nodes)
 
     # normalized fiber integrals at each x' node, for every test function
-    flo, fhi = fiber_bounds(xp, sys.shape, l, r)
-    yf, wf, outer = fiber_quad(sys.spec, flo, fhi, fiber_nodes)
+    yf, wf, outer = fiber_quad(sys.spec, *fiber_bounds(xp, sys.shape), fiber_nodes)
     mh = np.prod(np.asarray(sys.m_hat(yf), float), axis=-1)
     hyf = h_hat(yf)
     xf = xp[outer]
@@ -478,7 +404,7 @@ def master_intertwining_residual(
     hxp = np.zeros(xp.shape[0])
     np.add.at(hxp, outer, base)
     lhs_vals = []
-    kmh = km_det(sys.kern, t, x, xp)
+    kmh = km_density(sys.kern, t, x, xp)
     for f in fs:
         num = np.zeros(xp.shape[0])
         np.add.at(num, outer, base * f(xf, yf))
@@ -488,13 +414,11 @@ def master_intertwining_residual(
         lhs_vals.append(lhs)
 
     # right side: integrate q from each fiber point of x
-    ylo, yhi = fiber_bounds(x, sys.shape, l, r)
-    y0, w0, _ = fiber_quad(sys.spec, ylo[None, :], yhi[None, :], max(24, fiber_nodes))
+    ylo, yhi = fiber_bounds(x[None, :], sys.shape)
+    y0, w0, _ = fiber_quad(sys.spec, ylo, yhi, max(24, fiber_nodes))
     mh0 = np.prod(np.asarray(sys.m_hat(y0), float), axis=-1)
-    hy0 = h_hat(y0)
     xq, wq = xp, wx
-    fq_lo, fq_hi = fiber_bounds(xq, sys.shape, l, r)
-    yq, wyq, oq = fiber_quad(sys.spec, fq_lo, fq_hi, fiber_nodes)
+    yq, wyq, oq = fiber_quad(sys.spec, *fiber_bounds(xq, sys.shape), fiber_nodes)
     wz = wq[oq] * wyq
     xz = xq[oq]
     inner = np.zeros((len(fs), y0.shape[0]))

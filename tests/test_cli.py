@@ -103,10 +103,26 @@ class TestCLI:
         "argv",
         [["campaign", "--name", "no-such-campaign"],
          ["campaign", "--name", "boundary-table", "--seed", "3"],
-         ["classify", "--spec", "besq"]],
+         ["classify", "--spec", "besq"],
+         ["entrance-law", "--family", "besq", "--n", "2", "--points", "1 2"]],
     )
     def test_errors_are_one_line(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("interlace-lab: error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "body, named",
+        [("family = bm\ninit_x = -1 1\ninit_y = 0\npath = 50\n", "'path'"),
+         ("family = bm\nmode = edge\nn = 2\nshape = n,n\ny_family = bm\n", "'shape', 'y_family'"),
+         ("family = bm\nmode = gt\nlevels = 2\ninit1 = 0\ninit2 = -1 1\ninit3 = 0\n", "'init3'"),
+         ("family = bm\nmode = two_level\ninit_x = -1 1\ninit_y = 0\n", "'two_level'")],
+    )
+    def test_simulate_rejects_keys_its_mode_does_not_read(self, tmp_path, capsys, body, named):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"[simulate]\n{body}t = 0.1\ndt = 0.05\npaths = 2\noutput = {tmp_path}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+        assert not (tmp_path / "terminal.csv").exists()

@@ -23,7 +23,12 @@ from interlace_lab.diffusion1d import (
     symmetry_residual,
     validate_spec,
 )
-from interlace_lab.diffusion1d.catalog import catalog_conjugate, gaussian_moments
+from interlace_lab.diffusion1d.catalog import (
+    catalog_conjugate,
+    chamber_quad,
+    fiber_quad,
+    gaussian_moments,
+)
 from interlace_lab.reflectsde import edge_ladder_spec
 
 
@@ -401,3 +406,42 @@ class TestFamilyRegistry:
     def test_malformed_id_raises(self, sid):
         with pytest.raises(CatalogError, match=f"'{sid}'.*expected"):
             make_spec(sid)
+
+
+class TestQuadratureCoordinates:
+    """chamber_quad and fiber_quad: clipped to the state space, in the
+    family's coordinates (linear, sqrt or log), Jacobian in the weights."""
+
+    @pytest.mark.parametrize(
+        "sid, x, t",
+        [("bm_halfline:refl", 0.3, 0.5), ("besq:3", 0.2, 0.7), ("lag:3", 1.0, 0.4),
+         ("gbm:1", 1.5, 0.3), ("ou", -0.4, 0.6)],
+    )
+    def test_one_particle_kernel_has_unit_mass(self, sid, x, t):
+        kern = kernel(make_spec(sid))
+        l, r = kern.spec.interval
+        lo, hi = kern.window(t, x)
+        ys, ws = chamber_quad(kern.spec, 1, lo, hi, 96)
+        assert ys.shape == (96, 1)
+        assert np.all((ys > max(l, lo)) & (ys < min(r, hi)))
+        ys, ws = chamber_quad(kern.spec, 1, lo, hi, 96, pad=(0.5, 0.9))
+        assert np.all((ys > l) & (ys < r))
+        assert float(np.dot(ws, kern.density(t, x, ys[:, 0]))) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "sid, lo, hi, volume",
+        [("bm", [[-1.0, 0.5]], [[0.5, 2.0]], 2.25),
+         ("bm_interval:abs,abs", [[-1.0, 3.0]], [[0.5, 5.0]], 0.5 * (math.pi - 3.0)),
+         ("besq:3", [[-1.0, 1.0]], [[0.5, 4.0]], 1.5),
+         ("gbm:1", [[0.01, 1.0]], [[0.5, 3.0]], 0.49 * 2.0)],
+    )
+    def test_weights_measure_the_clipped_region(self, sid, lo, hi, volume):
+        spec = make_spec(sid)
+        ys, ws, outer = fiber_quad(spec, lo, hi, 24)
+        l, r = spec.interval
+        assert np.all((ys >= l) & (ys <= r)) and np.all(outer == 0)
+        assert float(np.sum(ws)) == pytest.approx(volume, rel=1e-12)
+        a, b = max(lo[0][0], l), min(hi[0][1], r)
+        pts, wts = chamber_quad(spec, 3, lo[0][0], hi[0][1], 24)
+        assert np.all(np.diff(pts, axis=1) >= 0.0)
+        assert float(np.sum(wts)) == pytest.approx((b - a) ** 3 / 6.0, rel=1e-12)

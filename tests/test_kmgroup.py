@@ -5,6 +5,7 @@ import pytest
 
 from interlace_lab import kmgroup as km
 from interlace_lab.diffusion1d import CatalogError, kernel, make_spec
+from interlace_lab.diffusion1d.catalog import chamber_quad
 from interlace_lab.quadrature import gl_nodes, ordered_nodes
 
 
@@ -268,6 +269,46 @@ class TestEntranceLaws:
             elaw, bm_kernel, km.vandermonde(2), 0.5, 0.5, [[-0.5, 0.8], [0.0, 1.5]]
         )
         assert res < 1e-4
+        # positive support: the law's chamber is integrated in u = sqrt(y)
+        spec = make_spec("besq:3")
+        elaw = km.entrance_law("besq:3", 2)
+        assert elaw.spec is spec
+        probes = np.array([[0.5, 2.0], [1.0, 3.0]])
+        assert np.all(elaw.density(1.0, probes) > 0.01)
+        res = km.entrance_consistency_residual(
+            elaw, kernel(spec), km.eigenfunction_catalog(spec, 2), 0.5, 0.5, probes
+        )
+        assert res < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "law", ["gue", "besq:2", "besq:3", "halfline_nn", "halfline_n1n", "bm_drift"]
+    )
+    def test_normalized_over_its_state_space(self, law, n):
+        # an independent chamber: wider window, other node count
+        extra = np.linspace(0.0, 0.5, n) if law == "bm_drift" else None
+        elaw = km.entrance_law(law, n, extra=extra)
+        lo, hi = (0.0, 100.0) if law.startswith("besq") else (-10.0, 10.0)
+        pts, wts = chamber_quad(elaw.spec, n, lo, hi, 56)
+        assert float(np.dot(wts, elaw.density(0.8, pts))) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("law", ["halfline_nn", "halfline_n1n"])
+    def test_halfline_laws_live_on_the_positive_chamber(self, law, n):
+        elaw = km.entrance_law(law, n)
+        assert elaw.spec.interval == (0.0, np.inf)
+        t = 0.8
+        pts, wts = ordered_nodes(n, 0.0, 12.0, 48)
+        dens = elaw.density(t, pts)
+        assert float(np.dot(wts, dens)) == pytest.approx(1.0, abs=1e-8)
+        m2 = float(np.dot(wts, dens * np.sum(pts * pts, axis=1)))
+        # y^2 of the law is a Laguerre ensemble: E sum y^2 = 2 t n (n + nu)
+        nu = 0.5 if law == "halfline_nn" else -0.5
+        assert m2 == pytest.approx(2.0 * t * n * (n + nu), rel=1e-10)
+        s = elaw.sample(np.random.default_rng(40 + n), t, 20000)
+        assert np.all(s >= 0.0) and np.all(np.diff(s, axis=1) >= 0.0)
+        q = np.sum(s * s, axis=1)
+        assert abs(q.mean() - m2) < 4.0 * q.std() / math.sqrt(q.size)
 
     def test_sampler_matches_density(self):
         elaw = km.entrance_law("gue", 2)
@@ -280,6 +321,24 @@ class TestEntranceLaws:
         ev = gue_sample(np.random.default_rng(17), 2, 100000)
         assert two_sample_ks(s[:, 1], ev[:, 1]) < 0.015
         assert two_sample_ks(s[:, 0], ev[:, 0]) < 0.015
+
+    @pytest.mark.parametrize(
+        "law", ["besq", "besq:x", "besq:2:abs", "besq:0", "besq:-1", "besq:inf",
+                "gue:3", "halfline_nn:2", "bm_drift:0.5", "halfline", "wishart"],
+    )
+    def test_malformed_id_raises(self, law):
+        with pytest.raises(CatalogError, match=f"'{law}'.*expected"):
+            km.entrance_law(law, 2)
+
+    @pytest.mark.parametrize(
+        "law, n, extra",
+        [("bm_drift", 2, None), ("bm_drift", 2, [0.5]), ("bm_drift", 2, [0.5, 0.0]),
+         ("bm_drift", 2, [0.0, np.nan]), ("gue", 2, [0.0, 0.5]), ("gue", 0, None),
+         ("besq:2", 1.5, None)],
+    )
+    def test_bad_arguments_raise(self, law, n, extra):
+        with pytest.raises(CatalogError, match=f"'{law}'"):
+            km.entrance_law(law, n, extra=extra)
 
     def test_vanishes_at_chamber_wall(self):
         elaw = km.entrance_law("gue", 2)
