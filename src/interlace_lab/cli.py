@@ -132,7 +132,7 @@ def cmd_entrance_law(args):
 
 def cmd_intertwine_check(args):
     spec = make_spec(args.spec)
-    shape = {"n,n+1": tl.Shape.NNP1, "n,n": tl.Shape.NN, "n+1,n": tl.Shape.NP1N}[args.shape]
+    shape = tl.Shape(args.shape)
     sys_ = tl.TwoLevelSystem(spec, shape)
     n1 = args.n
     n2 = tl.counts(shape, n1)
@@ -205,9 +205,7 @@ def cmd_simulate(args):
         x0 = [np.array(_floats(cfg[f"init{k+1}"])) for k in range(N)]
         pb = rs.simulate_gt(specs, x0, T, dt, paths, seed, record_stride=stride)
     else:
-        shape = {"n,n+1": tl.Shape.NNP1, "n,n": tl.Shape.NN, "n+1,n": tl.Shape.NP1N}[
-            cfg.get("shape", "n,n+1")
-        ]
+        shape = tl.Shape(cfg.get("shape", "n,n+1"))
         spec = make_spec(family)
         x0 = np.array(_floats(cfg["init_x"]))
         y0 = np.array(_floats(cfg["init_y"]))
@@ -257,6 +255,9 @@ def cmd_edge_cdf(args):
     if args.oracle:
         rng = np.random.default_rng(args.seed or 0)
         samples = rmt_oracle(args.oracle, args.oracle_count, rng)
+        if samples.shape[1] != args.n:
+            raise CatalogError(f"oracle {args.oracle!r} samples {samples.shape[1]} eigenvalues, "
+                               f"but --n is {args.n}")
         col = -1 if args.side == "right" else 0
         oracle_F = empirical_cdf_on_grid(samples[:, col], z)
     for i, zz in enumerate(z):
@@ -287,20 +288,23 @@ def cmd_campaign(args):
     return 0 if res.passed else 1
 
 
+def _option(*names, **kw):
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(*names, **kw)
+    return p
+
+
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=None)
-    common.add_argument("--out", default=None, help="output directory (default: stdout)")
-    common.add_argument("--config", default=None, help="config file for campaign/simulate")
+    """One subparser per command, each with only the options its command reads."""
+    out = _option("--out", default=None, help="output directory (default: stdout)")
+    seed = _option("--seed", type=int, default=None)
 
     p = argparse.ArgumentParser(prog="interlace-lab",
-                                description="interlacing-diffusion numerics",
-                                parents=[common])
+                                description="interlacing-diffusion numerics")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add(name, *parents, **kw):
+        return sub.add_parser(name, parents=[out, *parents], **kw)
 
     s = add("classify", help="Feller boundary classes")
     s.add_argument("--spec", action="append", help="catalog spec id (repeatable)")
@@ -343,10 +347,11 @@ def build_parser():
     s.add_argument("--tolerance", type=float, default=1e-4)
     s.set_defaults(func=cmd_intertwine_check)
 
-    s = add("simulate", help="reflected-SDE simulation from a config file")
+    s = add("simulate", seed, help="reflected-SDE simulation from a config file")
+    s.add_argument("--config", required=True, help="config file with a [simulate] section")
     s.set_defaults(func=cmd_simulate)
 
-    s = add("edge-cdf", help="extreme-particle distribution")
+    s = add("edge-cdf", seed, help="extreme-particle distribution")
     s.add_argument("--spec", required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--t", type=float, default=1.0)
@@ -355,12 +360,15 @@ def build_parser():
     s.add_argument("--zmin", type=float, required=True)
     s.add_argument("--zmax", type=float, required=True)
     s.add_argument("--znum", type=int, default=41)
-    s.add_argument("--oracle", default=None, help="e.g. gue:2 or wishart:2,2")
+    s.add_argument("--oracle", default=None,
+                   help="gue:n, wishart:n,k or jue:n,p,q, with n = --n")
     s.add_argument("--oracle-count", type=int, default=100000)
     s.set_defaults(func=cmd_edge_cdf)
 
-    s = add("campaign", help="run a verification campaign")
+    s = add("campaign", seed, help="run a verification campaign")
     s.add_argument("--name", default="all")
+    s.add_argument("--config", default=None, help="campaign config file")
+    s.add_argument("--threads", type=int, default=None)
     s.set_defaults(func=cmd_campaign)
     return p
 
@@ -368,8 +376,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate" and not args.config:
-        parser.error("simulate requires --config")
     try:
         ret = args.func(args)
     except (CampaignError, CatalogError) as e:

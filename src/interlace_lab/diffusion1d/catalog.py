@@ -15,11 +15,14 @@ Families and string ids (parameters after the colon):
     bm_halfline:refl|abs     BM on [0, inf) reflected/absorbed at 0
     bm_interval:b0,b1        BM on [0, pi], b in {refl, abs} per endpoint
 
-Closed forms: Gaussian families, image method on the half line and the
-interval, lognormal, ncx2-type squared-Bessel/Laguerre forms.  Spectral
-series: sine/cosine on the interval, Hermite for ou, generalized Laguerre
-for lag, Jacobi polynomials for jac.  Duals of lag/jac are h-transforms of
-parameter-shifted members of the same family.
+Closed forms: signed sums of Gaussian images of the start (_image_kernel:
+one image for bm, bm_drift, ou and ou_out; mirror and 2 pi shifts for the
+half line and all four interval kernels), lognormal, ncx2-type
+squared-Bessel/Laguerre forms.  Spectral series: the jac kernel; the
+sine/cosine bases of the interval, Hermite for ou and generalized Laguerre
+for lag are kept for spectral_km and ground states.  Duals of lag/jac are
+h-transforms of parameter-shifted members of the same family.  Every
+window(t, x) misses at most 1e-12 of the kernel's mass.
 
 Ids are exact: parameters are written as the shortest decimal that reads
 back to the same float, so make_spec(spec.name) rebuilds spec.params bit for
@@ -446,42 +449,116 @@ def _quadrature_cdf(density, atom_l, lo, hi, n):
     return cdf
 
 
-def _gaussian_kernel(spec):
-    mean, var, dmean_dx = gaussian_moments(spec)
+def _image_kernel(spec, moments, images, atoms=lambda density: (_zero_atom, _zero_atom)):
+    """Kernel sum_k w_k g_t(y - c_k) of Gaussian images of the start.
+
+    moments = (mean(t, x), var(t), dmean_dx(t)) of the free motion, whose
+    density is g_t(y - mean); images(t) lists (sign, offset, weight), the
+    image with centre c = sign * mean + offset entering with weight w.
+    atoms(density) -> (atom_l, atom_r).  The CDF is measured from the
+    interval's left end and adds atom_l; derivatives of every order are
+    Hermite closed forms; the window is the free motion's _WINDOW_SD window
+    clipped to the interval.  A single unit image (1, 0, 1) is evaluated
+    as the free Gaussian itself, with no extra array pass or temporary.
+    """
+    mean, var, dmean_dx = moments
+    l, r = spec.interval
+
+    def image_sum(t, x, y, term, scale=None):
+        """sum_k w_k term(u_k, sign_k) with u_k = (y - c_k) / scale (scale
+        None: y - c_k), no temporary kept alive beside u_k."""
+        y = np.asarray(y, float)
+        acc = None
+        for sg, off, w in images(t):
+            u = y - (mean(t, x) if sg == 1.0 and off == 0.0 else sg * mean(t, x) + off)
+            if scale is not None:
+                u = u / scale
+            v = term(u, sg)
+            v = v if w == 1.0 else w * v
+            acc = v if acc is None else acc + v
+        return acc
 
     def density(t, x, y):
         v = var(t)
-        return _gpdf(np.asarray(y, float) - mean(t, x), v)
+        return image_sum(t, x, y, lambda u, sg: _gpdf(u, v))
 
     def cdf(t, x, y):
-        v = var(t)
-        return _Phi((np.asarray(y, float) - mean(t, x)) / math.sqrt(v))
+        s = math.sqrt(var(t))
+        F = image_sum(t, x, y, lambda z, sg: _Phi(z), s)
+        if l == -np.inf:
+            return F
+        F = F - image_sum(t, x, l, lambda z, sg: _Phi(z), s)
+        return F if atom_l is _zero_atom else atom_l(t, x) + F
 
-    def dy(order, t, x, y):
-        v = var(t)
-        s = math.sqrt(v)
-        z = (np.asarray(y, float) - mean(t, x)) / s
+    def hermite(order, s, z):
         return (-1.0 / s) ** order * _hermite_e(order, z) * _npdf(z) / s
 
+    def dy(order, t, x, y):
+        s = math.sqrt(var(t))
+        return image_sum(t, x, y, lambda z, sg: hermite(order, s, z), s)
+
     def dx(order, t, x, y):
-        return (-dmean_dx(t)) ** order * dy(order, t, x, y)
+        # the centre moves by sign * dmean_dx per unit x
+        s, dm = math.sqrt(var(t)), dmean_dx(t)
+        return image_sum(t, x, y, lambda z, sg: (-sg * dm) ** order * hermite(order, s, z), s)
 
     def window(t, x):
-        v = var(t)
-        mu = mean(t, x)
-        pad = _WINDOW_SD * math.sqrt(v)
-        return float(np.min(mu) - pad), float(np.max(mu) + pad)
+        m = mean(t, x)
+        pad = _WINDOW_SD * math.sqrt(var(t))
+        return max(l, float(np.min(m) - pad)), min(r, float(np.max(m) + pad))
 
+    atom_l, atom_r = atoms(density)
     return TransitionKernel(
         spec=spec,
         density=density,
         cdf=cdf,
-        atom_l=_zero_atom,
-        atom_r=_zero_atom,
+        atom_l=atom_l,
+        atom_r=atom_r,
         window=window,
         dx_derivative=dx,
         dy_derivative=dy,
     )
+
+
+def _gaussian_kernel(spec):
+    return _image_kernel(spec, gaussian_moments(spec), lambda t: ((1.0, 0.0, 1.0),))
+
+
+#: image sign of a reflecting / absorbing wall
+_WALL_SIGN = {"refl": 1.0, "abs": -1.0}
+
+
+def _walled_bm_kernel(spec):
+    """BM between walls at 0 (bm_halfline) or at 0 and pi (bm_interval),
+    each reflecting (s = +1) or absorbing (s = -1), by images of the start:
+    the mirror x -> -x carries s0, and on [0, pi] the shift x -> x + 2 pi j
+    (j reflections off each wall) carries (s0 s1)^|j|.  The atoms are the
+    closed-form absorbed mass on the half line, and on the interval the
+    scale-harmonic split of the mass missing from [0, pi]."""
+    modes = spec.params
+    s0, q = _WALL_SIGN[modes[0]], _WALL_SIGN[modes[0]] * _WALL_SIGN[modes[-1]]
+    L = spec.r
+
+    def images(t):
+        # the shifts reach _WINDOW_SD standard deviations beyond the interval;
+        # the half line (L = inf) has none
+        J = 0 if len(modes) == 1 else max(2, int(math.ceil(_WINDOW_SD * math.sqrt(t) / (2.0 * L))) + 1)
+        return [(sg, 2.0 * L * j if j else 0.0, q ** abs(j) * (1.0 if sg > 0 else s0))
+                for j in range(-J, J + 1) for sg in (1.0, -1.0)]
+
+    def atoms(density):
+        if len(modes) == 1:
+            if s0 > 0:
+                return _zero_atom, _zero_atom
+            return (lambda t, x: 2.0 * _Phi(-np.asarray(x, float) / math.sqrt(t))), _zero_atom
+        # the hitting probability of each absorbing end: 1 when it is the only one
+        both = modes == ("abs", "abs")
+        hits = (lambda u: (L - np.asarray(u, float)) / L if both else 1.0,
+                lambda u: np.asarray(u, float) / L if both else 1.0)
+        return tuple(_harmonic_atom(density, h, 0.0, L, 200) if m == "abs" else _zero_atom
+                     for m, h in zip(modes, hits))
+
+    return _image_kernel(spec, _brownian_gaussian(0.0), images, atoms)
 
 
 def _from_first_derivatives(dx1, dy1):
@@ -592,11 +669,11 @@ def _besq_kernel(spec, d, killed):
     dx, dy = _from_first_derivatives(dx1, dy1)
 
     def window(t, x):
+        # sqrt(y) is a Bessel radius |sqrt(x) e + B_t| <= sqrt(x) + |B_t| with
+        # E|B_t| <= sqrt(dd t), dd = max(d, 2) >= d; |B_t| exceeds its mean by
+        # z sqrt(t) with probability <= exp(-z^2 / 2) (Gaussian concentration)
         x = float(np.max(np.asarray(x, float)))
-        dd = max(abs(d), 2.0)
-        sd = math.sqrt(t * (4.0 * x + 2.0 * dd * t))
-        hi = x + max(d, 0.0) * t + _WINDOW_SD * sd + 6.0 * dd * t
-        return 0.0, hi
+        return 0.0, (math.sqrt(x) + math.sqrt(t) * (math.sqrt(max(d, 2.0)) + _WINDOW_SD)) ** 2
 
     kern = TransitionKernel(
         spec=spec,
@@ -722,7 +799,6 @@ def _jacobi_dual_kernel(spec, beta, gamma):
         atom_l=atom_l,
         atom_r=atom_r,
         window=window,
-        source="spectral-series",
     )
 
 
@@ -772,166 +848,6 @@ def _gbm_kernel(spec, alpha):
         window=window,
         dx_derivative=dx,
         dy_derivative=dy,
-    )
-
-
-def _halfline_kernel(spec, mode):
-    refl = mode == "refl"
-    sgn = 1.0 if refl else -1.0
-
-    def density(t, x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        return _gpdf(y - x, t) + sgn * _gpdf(y + x, t)
-
-    if refl:
-
-        def cdf(t, x, y):
-            s = math.sqrt(t)
-            x = np.asarray(x, float)
-            y = np.asarray(y, float)
-            return _Phi((y - x) / s) - _Phi((-y - x) / s)
-
-        atom_l = _zero_atom
-
-    else:
-
-        def cdf(t, x, y):
-            s = math.sqrt(t)
-            x = np.asarray(x, float)
-            y = np.asarray(y, float)
-            return _Phi((y - x) / s) + _Phi(-(y + x) / s)
-
-        def atom_l(t, x):
-            return 2.0 * _Phi(-np.asarray(x, float) / math.sqrt(t))
-
-    def dy(order, t, x, y):
-        s = math.sqrt(t)
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        zm, zp = (y - x) / s, (y + x) / s
-        st = s**order
-        return (
-            (-1.0) ** order
-            * (_hermite_e(order, zm) * _npdf(zm) + sgn * _hermite_e(order, zp) * _npdf(zp))
-            / (s * st)
-        )
-
-    def dx(order, t, x, y):
-        s = math.sqrt(t)
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        zm, zp = (y - x) / s, (y + x) / s
-        st = s**order
-        return (
-            (_hermite_e(order, zm) * _npdf(zm)
-             + sgn * (-1.0) ** order * _hermite_e(order, zp) * _npdf(zp))
-            / (s * st)
-        )
-
-    def window(t, x):
-        x = np.asarray(x, float)
-        pad = _WINDOW_SD * math.sqrt(t)
-        return max(0.0, float(np.min(x)) - pad), float(np.max(x)) + pad
-
-    return TransitionKernel(
-        spec=spec,
-        density=density,
-        cdf=cdf,
-        atom_l=atom_l,
-        atom_r=_zero_atom,
-        window=window,
-        dx_derivative=dx,
-        dy_derivative=dy,
-    )
-
-
-def _interval_kernel(spec, b0, b1):
-    """BM on [0, pi]: image method for refl,refl / abs,abs; spectral series
-    for the mixed combinations (cos/sin of half-integer frequencies)."""
-    L = math.pi
-    basis = spectral_basis(spec)
-
-    def n_images(t):
-        return max(2, int(math.ceil(_WINDOW_SD * math.sqrt(t) / (2.0 * L))) + 1)
-
-    if (b0, b1) in (("refl", "refl"), ("abs", "abs")):
-        sgn = 1.0 if b0 == "refl" else -1.0
-
-        def density(t, x, y):
-            x = np.asarray(x, float)
-            y = np.asarray(y, float)
-            acc = 0.0
-            for j in range(-n_images(t), n_images(t) + 1):
-                acc = acc + _gpdf(y - x + 2 * L * j, t) + sgn * _gpdf(y + x + 2 * L * j, t)
-            return acc
-
-        def cdf_interior(t, x, y):
-            s = math.sqrt(t)
-            x = np.asarray(x, float)
-            y = np.asarray(y, float)
-            acc = 0.0
-            for j in range(-n_images(t), n_images(t) + 1):
-                acc = acc + (
-                    _Phi((y - x + 2 * L * j) / s) - _Phi((-x + 2 * L * j) / s)
-                ) + sgn * (_Phi((y + x + 2 * L * j) / s) - _Phi((x + 2 * L * j) / s))
-            return acc
-
-        def dy(order, t, x, y):
-            s = math.sqrt(t)
-            x = np.asarray(x, float)
-            y = np.asarray(y, float)
-            acc = 0.0
-            for j in range(-n_images(t), n_images(t) + 1):
-                zm = (y - x + 2 * L * j) / s
-                zp = (y + x + 2 * L * j) / s
-                acc = acc + _hermite_e(order, zm) * _npdf(zm) + sgn * _hermite_e(order, zp) * _npdf(zp)
-            return (-1.0) ** order * acc / s ** (order + 1)
-
-        def dx(order, t, x, y):
-            s = math.sqrt(t)
-            x = np.asarray(x, float)
-            y = np.asarray(y, float)
-            acc = 0.0
-            for j in range(-n_images(t), n_images(t) + 1):
-                zm = (y - x + 2 * L * j) / s
-                zp = (y + x + 2 * L * j) / s
-                acc = acc + _hermite_e(order, zm) * _npdf(zm) + sgn * (-1.0) ** order * _hermite_e(order, zp) * _npdf(zp)
-            return acc / s ** (order + 1)
-
-    else:
-        density, dx, dy = _series_evaluators(basis)
-        cdf_interior = None
-
-    _deficit = _harmonic_atom(density, lambda u: 1.0, 0.0, L, 200)
-    if b0 == "abs" and b1 == "abs":
-        atom_l = _harmonic_atom(density, lambda u: (L - np.asarray(u, float)) / L, 0.0, L, 200)
-        atom_r = _harmonic_atom(density, lambda u: np.asarray(u, float) / L, 0.0, L, 200)
-    elif b0 == "abs":
-        atom_l, atom_r = _deficit, _zero_atom
-    elif b1 == "abs":
-        atom_l, atom_r = _zero_atom, _deficit
-    else:
-        atom_l = atom_r = _zero_atom
-
-    if cdf_interior is not None:
-
-        def cdf(t, x, y):
-            return atom_l(t, x) + cdf_interior(t, x, y)
-
-    else:
-        cdf = _quadrature_cdf(density, atom_l, 0.0, L, 200)
-
-    return TransitionKernel(
-        spec=spec,
-        density=density,
-        cdf=cdf,
-        atom_l=atom_l,
-        atom_r=atom_r,
-        window=lambda t, x: (0.0, L),
-        dx_derivative=dx,
-        dy_derivative=dy,
-        source="closed-form" if cdf_interior is not None else "spectral-series",
     )
 
 
@@ -1038,7 +954,6 @@ def _spectral_only_kernel(spec):
         window=lambda t, x: (lo, hi),
         dx_derivative=dx,
         dy_derivative=dy,
-        source="spectral-series",
     )
 
 
@@ -1413,7 +1328,7 @@ FAMILIES: dict[str, _Family] = {
             "bm_halfline", (mode,), (0.0, np.inf), _MODE_BOUNDARY[mode], Boundary.NATURAL, 1.0
         ),
         dual=lambda p: _id("bm_halfline", (_FLIP[p[0]],)),
-        kernel=lambda s: _halfline_kernel(s, *s.params),
+        kernel=_walled_bm_kernel,
         eigen=_halfline_eigen,
     ),
     "bm_interval": _Family(
@@ -1427,7 +1342,7 @@ FAMILIES: dict[str, _Family] = {
             math.pi / 2.0,
         ),
         dual=lambda p: _id("bm_interval", (_FLIP[p[0]], _FLIP[p[1]])),
-        kernel=lambda s: _interval_kernel(s, *s.params),
+        kernel=_walled_bm_kernel,
         basis=_interval_basis,
         eigen=_interval_eigen,
     ),

@@ -382,7 +382,6 @@ class TransitionKernel:
     atom_l: Callable
     atom_r: Callable
     window: Callable
-    source: str = "closed-form"
     dx_derivative: Callable = None
     dy_derivative: Callable = None
 

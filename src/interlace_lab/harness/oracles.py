@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..diffusion1d import CatalogError
+
 
 def gue_sample(rng: np.random.Generator, n: int, count: int, scale: float = 1.0) -> np.ndarray:
     """Eigenvalues of Hermitian matrices with N(0, scale) diagonal and
@@ -51,21 +53,27 @@ def jacobi_unitary_sample(
     return vals
 
 
+#: oracle kind -> (sampler, number of size parameters)
+_ORACLES = {"gue": (gue_sample, 1), "wishart": (complex_wishart_sample, 2),
+            "jue": (jacobi_unitary_sample, 3)}
+
+
 def rmt_oracle(ensemble: str, count: int, rng: np.random.Generator) -> np.ndarray:
-    """String-addressable oracle: 'gue:n', 'wishart:n,k', 'jue:n,p,q'.
+    """String-addressable oracle: 'gue:n', 'wishart:n,k', 'jue:n,p,q' with
+    positive integer sizes; any other id raises CatalogError.
 
     Returns sorted eigenvalue samples of shape (count, n).
     """
     if count > 1_000_000:
         raise ValueError("count capped at 1e6")
     kind, _, rest = ensemble.partition(":")
-    args = [int(v) for v in rest.split(",")] if rest else []
-    if args and args[0] > 6:
+    sampler, k = _ORACLES.get(kind, (None, 0))
+    try:
+        args = [int(v) for v in rest.split(",")]
+    except ValueError:
+        args = []
+    if sampler is None or len(args) != k or min(args) < 1:
+        raise CatalogError(f"malformed oracle id {ensemble!r}: expected gue:n, wishart:n,k or jue:n,p,q")
+    if args[0] > 6:
         raise ValueError("matrix size capped at 6")
-    if kind == "gue":
-        return gue_sample(rng, args[0], count)
-    if kind == "wishart":
-        return complex_wishart_sample(rng, args[0], args[1], count)
-    if kind == "jue":
-        return jacobi_unitary_sample(rng, args[0], args[1], args[2], count)
-    raise ValueError(f"unknown ensemble {ensemble!r}")
+    return sampler(rng, *args, count)

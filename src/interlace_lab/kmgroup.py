@@ -364,8 +364,17 @@ def _log_peak(p: float, delta: float) -> float:
 
 
 def _gaussian_proposal(n: int, p: float) -> Callable:
-    """Sorted N(0, 1.6 t) draws, for g_t(y) = e^{-y^2 / 2t} and V <= (2 s)^p,
-    s = sum y^2."""
+    """Sorted N(0, 1.6 t) draws, for g_t(y) = e^{-y^2 / 2t} and V = Delta(y)^2
+    <= c (2 s)^p, s = sum y^2, p = n(n - 1) / 2.
+
+    2^p c, the largest value of Delta(y)^2 on the unit sphere, is attained at
+    the zeros of the Hermite polynomial H_n scaled to unit norm (Stieltjes);
+    c = 1 for n = 2.
+    """
+    log_c = 0.0
+    if n > 2:
+        x = special.roots_hermite(n)[0]
+        log_c = math.log(_delta(x / np.linalg.norm(x)) ** 2) - p * math.log(2.0)
 
     def propose(rng, t, m):
         scale = 1.6 * t
@@ -375,7 +384,7 @@ def _gaussian_proposal(n: int, p: float) -> Callable:
         delta = 0.5 / t - 0.5 / scale
         log_p = p * np.log(np.maximum(2.0 * ssq, 1e-300))
         # (2 s)^p e^{-delta s} peaks where r = 2 s maximizes r^p e^{-delta r / 2}
-        return z, log_p - delta * ssq - _log_peak(p, delta / 2.0), log_p
+        return z, log_p - delta * ssq - _log_peak(p, delta / 2.0), log_p + log_c
 
     return propose
 

@@ -376,7 +376,7 @@ def simulate_two_level(
     tau is set at the first Y collision or killing-boundary hit required
     by the shape; stopped paths are frozen.
     """
-    from .twolevel import check_shape_assumptions, interlaces
+    from .twolevel import check_shape_assumptions
 
     check_shape_assumptions(spec, shape)
     if y_spec is None:
@@ -393,9 +393,8 @@ def simulate_two_level(
         y = np.broadcast_to(np.asarray(y0, float), (n_paths, np.asarray(y0).shape[-1])).copy()
     n1 = y.shape[-1]
     l, r = spec.interval
-    for a, b in ((x[:1], y[:1]), (x[-1:], y[-1:])):
-        if n1 and not interlaces(a[0], b[0], shape, l, r, tol=1e-12):
-            raise ValueError("initial configuration violates the interlacing inequalities")
+    if not np.all((y >= l - 1e-12) & (y <= r + 1e-12)):
+        raise ValueError(f"initial y leaves the state interval [{l:g}, {r:g}]")
 
     killing = (Boundary.EXIT, Boundary.REGULAR_ABSORBING)
     stop = _StopRule(levels=(0,), on_proposal=True, kill=(
@@ -406,7 +405,9 @@ def simulate_two_level(
         _Level(y_spec, y, _streams(seed, 0, 0, range(n1))),
         _Level(spec, x, _streams(seed, 1, 0, range(n2)), above=int(shape is not Shape.NNP1)),
     ]
-    return _simulate(levels, n_steps, dt, t0, seed, ["y", "x"], record_stride, stop)
+    names = ["y", "x"]
+    _check_start(levels, names)
+    return _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop)
 
 
 def simulate_gt(

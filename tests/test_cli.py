@@ -104,13 +104,32 @@ class TestCLI:
         [["campaign", "--name", "no-such-campaign"],
          ["campaign", "--name", "boundary-table", "--seed", "3"],
          ["classify", "--spec", "besq"],
-         ["entrance-law", "--family", "besq", "--n", "2", "--points", "1 2"]],
+         ["entrance-law", "--family", "besq", "--n", "2", "--points", "1 2"],
+         ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "-1", "--zmax", "1",
+          "--oracle", "gue", "--oracle-count", "10"],
+         ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "-1", "--zmax", "1",
+          "--oracle", "gue:3", "--oracle-count", "10"]],
     )
     def test_errors_are_one_line(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("interlace-lab: error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--seed", "5", "--out", "{tmp}", "campaign", "--name", "boundary-table"],
+         ["classify", "--threads", "7", "--config", "nothere.cfg"],
+         ["density", "--spec", "bm", "--t", "1", "--x", "0", "--y", "0", "--seed", "1"],
+         ["simulate", "--threads", "2", "--config", "nothere.cfg"],
+         ["simulate", "--out", "{tmp}"]],
+    )
+    def test_options_a_command_does_not_read_are_errors(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(tmp=tmp_path) for a in argv])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize(
         "body, named",

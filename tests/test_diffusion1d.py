@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -203,6 +204,22 @@ class TestKernels:
         k = kernel(make_spec(sid))
         assert k.total_mass(t, x) == pytest.approx(1.0, abs=5e-7)
 
+    @pytest.mark.parametrize("sid", CATALOG_IDS)
+    def test_window_misses_at_most_1e_12_of_the_mass(self, sid):
+        # P(X_t outside the window), from the CDF and the atoms, on a (t, x)
+        # grid that starts at the left end unless it is natural
+        k = kernel(make_spec(sid))
+        l, r = k.spec.interval
+        xs = [v for v in (-1.0, 0.2, 1.0, 3.0) if l < v < r]
+        if np.isfinite(l) and k.spec.behavior_l is not Boundary.NATURAL:
+            xs.insert(0, l)
+        for t in (0.05, 0.4, 1.0, 3.0):
+            for x in xs:
+                lo, hi = k.window(t, x)
+                below = float(k.cdf(t, x, lo) - k.atom_l(t, x))
+                above = float(1.0 - k.atom_r(t, x) - k.cdf(t, x, hi))
+                assert below + above <= 1e-12, (t, x, below, above)
+
     def test_killed_mass_below_one(self):
         k = kernel(make_spec("besq:-1"))
         lo, hi = k.window(1.0, 2.0)
@@ -222,25 +239,43 @@ class TestKernels:
             kernel(make_spec("jac:1,1")).density(1e-8, 0.4, 0.6)
 
     def test_interval_spectral_matches_images(self):
-        # two independent representations of the same kernel
+        # two independent representations of the same kernel: images, and the
+        # sine/cosine series (its CDF by quadrature, plus the image atom)
         from interlace_lab.kmgroup import spectral_km
 
-        k = kernel(make_spec("bm_interval:abs,abs"))
-        v_img = float(k.density(1.0, 1.0, 2.0))
-        v_ser = spectral_km(make_spec("bm_interval:abs,abs"), 1, 1.0,
-                            np.array([1.0]), np.array([2.0])).item()
-        assert abs(v_img - v_ser) < 1e-8
+        ys = np.linspace(0.05, math.pi - 0.05, 9)
+        z, w = np.polynomial.legendre.leggauss(200)
+        for ends, t, x in itertools.product(["refl,refl", "abs,abs", "refl,abs", "abs,refl"],
+                                            (0.3, 1.0), (0.4, 1.7, 2.9)):
+            spec = make_spec(f"bm_interval:{ends}")
+            k = kernel(spec)
+            series = np.vectorize(
+                lambda v: spectral_km(spec, 1, t, np.array([x]), np.array([v])).item())
+            assert np.max(np.abs(k.density(t, x, ys) - series(ys))) < 1e-10
+            cdf = [float(k.atom_l(t, x)) + 0.5 * y * np.dot(w, series(0.5 * y * (z + 1.0)))
+                   for y in ys]
+            assert np.max(np.abs(k.cdf(t, x, ys) - cdf)) < 1e-10
 
-    @pytest.mark.parametrize("sid", ["bm", "ou", "besq:2.5", "gbm:1", "bm_halfline:refl"])
+    @pytest.mark.parametrize(
+        "sid",
+        ["bm", "ou", "besq:2.5", "gbm:1", "bm_halfline:refl", "bm_halfline:abs",
+         "bm_interval:refl,refl", "bm_interval:abs,abs", "bm_interval:refl,abs",
+         "bm_interval:abs,refl"],
+    )
     def test_derivative_evaluators_match_fd(self, sid):
+        # order k against the finite difference of order k - 1 (0: the
+        # density); besq and gbm take orders above 1 by finite differences
         from interlace_lab.quadrature import fd_derivative
 
         k = kernel(make_spec(sid))
         t, x, y = 0.7, 1.1, 1.6
-        fd_y = fd_derivative(lambda v: k.density(t, x, v), np.asarray(y), order=1)
-        fd_x = fd_derivative(lambda u: k.density(t, u, y), np.asarray(x), order=1)
-        assert float(k.dy_derivative(1, t, x, y)) == pytest.approx(float(fd_y), rel=1e-6)
-        assert float(k.dx_derivative(1, t, x, y)) == pytest.approx(float(fd_x), rel=1e-6)
+        for order in (1,) if sid in ("besq:2.5", "gbm:1") else (1, 2, 3):
+            below_x = k.density if order == 1 else lambda t, u, v: k.dx_derivative(order - 1, t, u, v)
+            below_y = k.density if order == 1 else lambda t, u, v: k.dy_derivative(order - 1, t, u, v)
+            fd_y = fd_derivative(lambda v: below_y(t, x, v), np.asarray(y), order=1)
+            fd_x = fd_derivative(lambda u: below_x(t, u, y), np.asarray(x), order=1)
+            assert float(k.dy_derivative(order, t, x, y)) == pytest.approx(float(fd_y), rel=1e-6)
+            assert float(k.dx_derivative(order, t, x, y)) == pytest.approx(float(fd_x), rel=1e-6)
 
 
 class TestDuality:

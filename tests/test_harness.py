@@ -49,6 +49,14 @@ class TestOracles:
         with pytest.raises(ValueError):
             rmt_oracle("gue:2", 2_000_000, rng)
 
+    @pytest.mark.parametrize("oid", ["gue", "gue:", "gue:2,2", "gue:0", "gue:x", "wishart:2",
+                                     "jue:2,3", "goe:2"])
+    def test_malformed_id_raises(self, oid):
+        from interlace_lab.diffusion1d import CatalogError
+
+        with pytest.raises(CatalogError, match=f"'{oid}'.*gue:n, wishart:n,k or jue:n,p,q"):
+            rmt_oracle(oid, 10, np.random.default_rng(0))
+
     def test_eigenvalues_sorted(self):
         rng = np.random.default_rng(5)
         ev = gue_sample(rng, 3, 500)

@@ -322,6 +322,18 @@ class TestEntranceLaws:
         assert two_sample_ks(s[:, 1], ev[:, 1]) < 0.015
         assert two_sample_ks(s[:, 0], ev[:, 0]) < 0.015
 
+    def test_gue_sampler_keeps_n2_draws_and_gue_moment_at_n3(self):
+        import hashlib
+
+        # n = 2 uses the same proposal bound as before the exact constant
+        s = km.entrance_law("gue", 2).sample(np.random.default_rng(5), 1e-3, 5000)
+        assert hashlib.sha256(s.tobytes()).hexdigest() == (
+            "3db26da4b98868559b027da83fa1ba0d156668c2e689fadc4e16c93a424e8234")
+        # the gue law at n = 3 is the GUE spectrum: E sum y^2 = E tr H^2 = t n^2
+        t, n = 0.7, 3
+        q = np.sum(km.entrance_law("gue", n).sample(np.random.default_rng(11), t, 20000) ** 2, axis=1)
+        assert abs(q.mean() - t * n * n) < 4.0 * q.std() / math.sqrt(q.size)
+
     @pytest.mark.parametrize(
         "law", ["besq", "besq:x", "besq:2:abs", "besq:0", "besq:-1", "besq:inf",
                 "gue:3", "halfline_nn:2", "bm_drift:0.5", "halfline", "wishart"],

@@ -146,6 +146,21 @@ class TestTwoLevelSimulation:
                                   np.array([0.5, 1.5]), np.array([1.0]),
                                   T=0.1, dt=1e-3, n_paths=10, seed=0)
 
+    def test_every_path_is_checked_at_the_start(self):
+        bm = make_spec("bm")
+
+        def y0(n):
+            y = np.zeros((n, 1))
+            y[1] = 5.0  # neither the first nor the last path
+            return y
+
+        with pytest.raises(ValueError, match="initial x does not interlace with y"):
+            rs.simulate_two_level(bm, Shape.NNP1, np.array([-1.0, 1.0]), y0,
+                                  T=0.1, dt=1e-2, n_paths=4, seed=0, y_spec=bm)
+        with pytest.raises(ValueError, match="state interval"):
+            rs.simulate_two_level(make_spec("bm_halfline:abs"), Shape.NN, np.array([1.0]),
+                                  np.array([-0.5]), T=0.1, dt=1e-2, n_paths=4, seed=0)
+
     def test_y_collision_stops_paths(self):
         # two dual particles squeezed together must trigger tau
         bm = make_spec("bm")
