@@ -205,7 +205,11 @@ def cmd_simulate(args):
         x0 = [np.array(_floats(cfg[f"init{k+1}"])) for k in range(N)]
         pb = rs.simulate_gt(specs, x0, T, dt, paths, seed, record_stride=stride)
     else:
-        shape = tl.Shape(cfg.get("shape", "n,n+1"))
+        try:
+            shape = tl.Shape(cfg.get("shape", "n,n+1"))
+        except ValueError:
+            raise CampaignError(f"[simulate] shape {cfg['shape']!r} in {args.config}: expected one "
+                                f"of {', '.join(s.value for s in tl.Shape)}") from None
         spec = make_spec(family)
         x0 = np.array(_floats(cfg["init_x"]))
         y0 = np.array(_floats(cfg["init_y"]))
@@ -254,7 +258,10 @@ def cmd_edge_cdf(args):
     oracle_F = None
     if args.oracle:
         rng = np.random.default_rng(args.seed or 0)
-        samples = rmt_oracle(args.oracle, args.oracle_count, rng)
+        try:
+            samples = rmt_oracle(args.oracle, args.oracle_count, rng)
+        except ValueError as e:  # the matrix size and sample count caps
+            raise CatalogError(f"oracle {args.oracle!r}: {e}") from e
         if samples.shape[1] != args.n:
             raise CatalogError(f"oracle {args.oracle!r} samples {samples.shape[1]} eigenvalues, "
                                f"but --n is {args.n}")

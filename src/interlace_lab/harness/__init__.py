@@ -2,7 +2,13 @@
 from .campaign import CampaignConfig, CampaignError, run_campaign
 from .checks import ALL_CHECKS, CheckResult
 from .io import CSV_SCHEMA, read_config, write_csv
-from .oracles import complex_wishart_sample, gue_sample, jacobi_unitary_sample, rmt_oracle
+from .oracles import (
+    complex_wishart_sample,
+    gue_corners_sample,
+    gue_sample,
+    jacobi_unitary_sample,
+    rmt_oracle,
+)
 from .stats import (
     MCReport,
     cdf_from_density_grid,
@@ -21,6 +27,7 @@ __all__ = [
     "cdf_from_density_grid",
     "complex_wishart_sample",
     "empirical_cdf_on_grid",
+    "gue_corners_sample",
     "gue_sample",
     "jacobi_unitary_sample",
     "ks_compare",

@@ -230,7 +230,7 @@ def dyson_marginal_cdf(x0, t, idx, lo=-9.0, hi=9.5, grid_n=801, inner_n=120):
     return cdf_from_density_grid(ug, rho)
 
 
-def run_dyson_w12(paths=20000, dt=5e-4, seed=7, init_seed=99):
+def run_dyson_w12(paths=20000, dt=4e-3, seed=7, init_seed=99):
     bm = make_spec("bm")
 
     def y0(n):
@@ -244,7 +244,7 @@ def run_dyson_w12(paths=20000, dt=5e-4, seed=7, init_seed=99):
     return pb.terminal(1)
 
 
-def run_bes3_w11(paths=20000, dt=5e-4, seed=42, init_seed=123, T=1.0):
+def run_bes3_w11(paths=20000, dt=4e-3, seed=42, init_seed=123, T=1.0):
     spec = make_spec("bm_halfline:abs")
     ysp = make_spec("bm_halfline:refl")
 
@@ -259,7 +259,7 @@ def run_bes3_w11(paths=20000, dt=5e-4, seed=42, init_seed=123, T=1.0):
     return pb.terminal(1)[:, 0]
 
 
-def check_warren_dyson(paths=20000, dt=5e-4, ks_tol=0.02, seed=7) -> CheckResult:
+def check_warren_dyson(paths=20000, dt=4e-3, ks_tol=0.02, seed=7) -> CheckResult:
     t0 = time.perf_counter()
     rows = []
     passed = True
@@ -300,7 +300,7 @@ def run_gt2(family: str, paths, dt, seed, t_start=1e-3, T=1.0, init_seed=11):
     return rs.simulate_gt(specs, init, T=T, dt=dt, n_paths=paths, seed=seed, t0=t_start)
 
 
-def check_entrance_gt(paths=20000, dt=5e-4, ks_tol=0.02, seed=5, oracle_count=200000) -> CheckResult:
+def check_entrance_gt(paths=20000, dt=4e-3, ks_tol=0.02, seed=5, oracle_count=200000) -> CheckResult:
     t0 = time.perf_counter()
     rows = []
     passed = True

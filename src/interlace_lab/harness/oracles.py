@@ -10,9 +10,7 @@ import numpy as np
 from ..diffusion1d import CatalogError
 
 
-def gue_sample(rng: np.random.Generator, n: int, count: int, scale: float = 1.0) -> np.ndarray:
-    """Eigenvalues of Hermitian matrices with N(0, scale) diagonal and
-    complex off-diagonal entries of variance scale."""
+def _gue_matrix(rng: np.random.Generator, n: int, count: int, scale: float) -> np.ndarray:
     H = np.zeros((count, n, n), complex)
     for i in range(n):
         H[:, i, i] = rng.normal(0.0, np.sqrt(scale), size=count)
@@ -20,7 +18,22 @@ def gue_sample(rng: np.random.Generator, n: int, count: int, scale: float = 1.0)
             off = (rng.normal(size=count) + 1j * rng.normal(size=count)) * np.sqrt(scale / 2.0)
             H[:, i, j] = off
             H[:, j, i] = np.conj(off)
-    return np.linalg.eigvalsh(H)
+    return H
+
+
+def gue_sample(rng: np.random.Generator, n: int, count: int, scale: float = 1.0) -> np.ndarray:
+    """Eigenvalues of Hermitian matrices with N(0, scale) diagonal and
+    complex off-diagonal entries of variance scale."""
+    return np.linalg.eigvalsh(_gue_matrix(rng, n, count, scale))
+
+
+def gue_corners_sample(rng: np.random.Generator, n: int, count: int, scale: float = 1.0) -> list:
+    """Eigenvalues of the k x k top-left minors, k = 1..n, of one
+    gue_sample matrix per draw: one (count, k) array per level.  Nested
+    minors interlace, and the levels have the law at time `scale` of the
+    Brownian Gelfand-Tsetlin pattern started from the origin."""
+    H = _gue_matrix(rng, n, count, scale)
+    return [np.linalg.eigvalsh(H[:, :k, :k]) for k in range(1, n + 1)]
 
 
 def complex_wishart_sample(

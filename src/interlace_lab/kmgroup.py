@@ -181,7 +181,9 @@ def ground_state(spec: DiffusionSpec, n: int) -> Eigenfunction:
 
 def spectral_km(spec: DiffusionSpec, n: int, t: float, x, y, tol: float = 1e-12):
     """Karlin-McGregor density via the eigen-expansion over ordered index
-    tuples: sum_k e^{-|lambda_k| t} phi_k(x) phi_k(y) prod m(y_i)."""
+    tuples: sum_k e^{-|lambda_k| t} phi_k(x) phi_k(y) prod m(y_i).
+
+    x and y are (..., n) arrays; the result has their broadcast batch shape."""
     basis = spectral_basis(spec)
     K = basis.n_terms(t, tol)
     x = np.asarray(x, float)
@@ -191,8 +193,9 @@ def spectral_km(spec: DiffusionSpec, n: int, t: float, x, y, tol: float = 1e-12)
     acc = 0.0
     for tup in itertools.combinations(range(K), n):
         lam = sum(basis.eigenvalue(k) for k in tup)
-        px = np.linalg.det(np.stack([phis_x[k] for k in tup], axis=-2)[..., :, :]) if n > 1 else phis_x[tup[0]]
-        py = np.linalg.det(np.stack([phis_y[k] for k in tup], axis=-2)[..., :, :]) if n > 1 else phis_y[tup[0]]
+        # (..., n, n) matrices phi_k(x_i), so a batch of points gives one value each
+        px = np.linalg.det(np.stack([phis_x[k] for k in tup], axis=-2))
+        py = np.linalg.det(np.stack([phis_y[k] for k in tup], axis=-2))
         acc = acc + math.exp(-lam * t) * px * py
     return acc * np.prod(basis.m(y), axis=-1)
 

@@ -1,20 +1,11 @@
 """Discrete Skorokhod maps and Euler simulation of reflected systems.
 
-Scheme: per time step, autonomous levels advance first by a full-truncation
-Euler-Maruyama step (coefficients evaluated at the state clamped into the
-interval, the standard positivity-preserving treatment of square-root
-diffusions); constrained levels then advance and are projected onto the
-moving interval defined by the already-updated neighbouring level.  The
-per-step projection is the discrete two-sided Skorokhod solution, and the
-constraining increments are accumulated exactly like the finite-variation
-terms they approximate.
-
 Every simulator here steps one interlacing array.  A system is a list of
 levels, each an (n_paths, size) state moved in order.  Particle i of level
-k >= 1 is projected onto [prev[i-1+above], prev[i+above]], where prev is
-level k-1 already moved this step and above in {0, 1} is the level's
-offset; an index out of range stands for the level's static wall (a
-regular-reflecting endpoint, else none).  Level 0 sees only its walls.
+k >= 1 is bounded below by column i-1+above and above by column i+above
+of prev, level k-1 already moved this step, where above in {0, 1} is the
+level's offset; an index out of range stands for the level's static wall
+(a regular-reflecting endpoint, else none).  Level 0 sees only its walls.
 
   * two-level: levels (Y, X); NNP1 has above=0, NN and NP1N above=1;
   * GT: a level one larger than the previous has above=0 (triangular),
@@ -22,37 +13,53 @@ regular-reflecting endpoint, else none).  Level 0 sees only its walls.
   * edge: one single-particle level per particle, above=1 on the right
     edge (pushed up) and above=0 on the left edge (pushed down).
 
-Edge pushes are not projections: per-step projection misses the pushes
-inside a step and leaves an O(sqrt(dt)) deficit.  Edge particle k >= 1 is
-pushed instead by the exact maximum over the step of the gap to its
-leader k-1 (already moved), taken as a Brownian bridge from the
-start-of-step gap a <= 0 to the gap b after the Euler proposal, with
-variance rate v = 2 (a_{k-1}(x_{k-1}) + a_k(x_k)) frozen at the start of
-the step:
+Scheme: per time step each level in turn takes a full-truncation Euler
+step (coefficients evaluated at the state clamped into the interval, the
+standard positivity-preserving treatment of square-root diffusions) and
+is then pushed off its bounds.  Per-step projection onto the bounds would
+miss the pushes inside a step and leave an O(sqrt(dt)) deficit.  Each
+bound pushes instead by the exact maximum over the step of the gap to it,
+taken as a Brownian bridge from the start-of-step gap a <= 0 to the gap b
+after the Euler proposal, with variance rate v frozen at the start of the
+step:
 
     push = max(M, 0),  M = (a + b + sqrt((b - a)^2 + 2 v dt E)) / 2,
 
-E ~ Exp(1).  On the right edge the gap is leader minus particle and the
-push is added; on the left edge it is particle minus leader and the push
-is subtracted.  M >= b, so the ordering holds after every step.
+E ~ Exp(1).  For a bound set by a particle of the previous level,
+v = 2 (a_nbr(x_nbr) + a(x)), its start-of-step diffusivity plus the
+particle's own; for a static wall, v = 2 a(x).  The gap is bound minus
+particle on the lower side, where the push is added, and particle minus
+bound on the upper side, where it is subtracted.  M >= b, so a particle
+bounded on one side stays on its side.  A particle bounded on both sides
+is pushed from each with its own draw, both gaps measured from the same
+Euler proposal, and the result is clipped onto [lower, upper], lower
+bound first; the clip's move is added to the push of the side it moves
+away from, so each step moves a particle by its Euler increment plus its
+lower push minus its upper push.
 
-Driving noise comes from counter-based Philox streams keyed by
-(kind, level, particle): (0, 0, i) for Y and (1, 0, i) for X in two-level
-systems, (2, k, i) for GT level k, (3, 0, i) for edge particle i.  The
-bridge draws E of edge particle i >= 1 come from separate streams keyed
-(4, 0, i), so the normals are those of a system without bridge pushes.
-Bundles are bit-reproducible for a fixed seed and independent of
-scheduling.
+Noise comes from counter-based Philox streams keyed (kind, level,
+particle):
+
+    (0, 0, i), (1, 0, i)   normals of two-level Y, X particle i
+    (2, k, i)              normals of GT level k
+    (3, 0, i)              normals of edge particle i
+    (4, 0, i)              Exp(1) draws of edge particle i >= 1
+    (5, k, i), (6, k, i)   Exp(1) draws of particle i of two-level or GT
+                           level k (0 = Y, 1 = X), bounded below, above
+
+Only bounded particles draw E, each side from its own stream, so the
+normals are those of a system without pushes.  Bundles are
+bit-reproducible for a fixed seed and independent of scheduling.
 
 Stop rules: a two-level system tests Y's proposal before anything moves;
 coincident or crossed Y particles, or a Y particle at a killing endpoint,
 stop the path, which then stays frozen for the whole step.  A GT pattern
 tests its interior levels after the step; only a strict crossing stops it.
-Edge systems never stop.
+Edge systems never stop.  Stop times are tested on the grid only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -114,8 +121,8 @@ class PathBundle:
     k_upper hold the cumulative push-up/push-down amounts at the final
     time.  tau is +inf for paths never stopped.  contact_fraction is the
     fraction of constrained particle-steps, over all paths, in which a
-    push moved the particle off its raw Euler proposal: a projection onto
-    a barrier, or a nonzero bridge-sampled push on an edge.
+    push moved the particle off its raw Euler proposal: a nonzero
+    bridge-sampled push, or the clip of a particle bounded on both sides.
     """
 
     grid: np.ndarray
@@ -142,17 +149,17 @@ class _Level:
 
     x is the (n_paths, size) state, replaced by a new array each step;
     gens holds one Philox stream per particle; particle i is bounded by
-    columns i-1+above and i+above of the previous level.  bridge, set on
-    the constrained levels of an edge system, holds one stream of Exp(1)
-    draws per particle: the push off the previous level is then sampled
-    from the bridge maximum of the gap instead of projected.
+    columns i-1+above and i+above of the previous level.  bridge holds, for
+    the lower and the upper side, one stream of Exp(1) draws per particle
+    bounded on that side (particle index -> stream), from which its push
+    off that bound is sampled; _bridge_streams supplies them.
     """
 
     spec: DiffusionSpec
     x: np.ndarray
     gens: list
     above: int = 0
-    bridge: Optional[list] = None
+    bridge: tuple = field(default_factory=lambda: ({}, {}))
 
 
 @dataclass(frozen=True)
@@ -163,7 +170,7 @@ class _StopRule:
     on_proposal=True tests level 0's proposal before anything moves, so a
     stopped path freezes for the whole step, and coincident particles
     count as collided.  Otherwise `levels` are tested after the step and
-    only a strict crossing counts, since projected particles may touch.
+    only a strict crossing counts, since clipped particles may touch.
     """
 
     levels: tuple
@@ -184,18 +191,19 @@ class _StopRule:
         return stopped
 
 
-def _streams(seed: int, kind: int, level: int, particles) -> list:
-    """Counter-based Philox streams keyed by (kind, level, particle).
+def _stream(seed: int, key: tuple) -> np.random.Generator:
+    """Counter-based Philox stream keyed by (kind, level, particle).
 
     Streams are pairwise independent by seed-sequence spawning and the
     assignment depends only on the integer key, so it is stable under any
     reordering of the simulation set-up.
     """
-    return [
-        np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=(kind, level, i))))
-        for i in particles
-    ]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+
+
+def _streams(seed: int, kind: int, level: int, particles) -> list:
+    """One stream per particle i, keyed (kind, level, i)."""
+    return [_stream(seed, (kind, level, i)) for i in particles]
 
 
 def _euler_raw(spec: DiffusionSpec, x, dt, xi):
@@ -247,28 +255,76 @@ def _bound_pieces(size, m, shift, wall):
     return pieces
 
 
+def _pieces(levels, k):
+    """(side, particles, bound) pieces of level k, side 0 (lower) first.
+
+    A bound is a column slice of level k-1 or a static wall; particles
+    bounded by neither on a side have no piece for it.
+    """
+    lv = levels[k]
+    m = levels[k - 1].x.shape[1] if k else 0
+    walls = _static_barriers(lv.spec)
+    return [(side, p, src)
+            for side, shift in enumerate((lv.above - 1, lv.above))
+            for p, src in _bound_pieces(lv.x.shape[1], m, shift, walls[side])]
+
+
+def _two_sided(pieces):
+    """(particles, lower bound, upper bound) for the particles of one level
+    that are bounded on both sides, from the level's pieces."""
+    def restrict(src, p, r):
+        if not isinstance(src, slice):
+            return src
+        d = src.start - p.start
+        return slice(r.start + d, r.stop + d)
+
+    out = []
+    for _, p, lo in (pc for pc in pieces if pc[0] == 0):
+        for _, q, hi in (pc for pc in pieces if pc[0] == 1):
+            r = slice(max(p.start, q.start), min(p.stop, q.stop))
+            if r.stop > r.start:
+                out.append((r, restrict(lo, p, r), restrict(hi, q, r)))
+    return out
+
+
+def _bridge_streams(levels, seed, key):
+    """Give every level one Exp(1) stream per bounded side and particle:
+    particle i of level k bounded on side s (0 lower, 1 upper) draws from
+    the stream keyed key(s, k, i)."""
+    for k, lv in enumerate(levels):
+        lv.bridge = ({}, {})
+        for side, p, _ in _pieces(levels, k):
+            for i in range(p.start, p.stop):
+                lv.bridge[side][i] = _stream(seed, key(side, k, i))
+
+
+def _side_key(side, k, i):
+    """Bridge stream key of particle i of two-level or GT level k."""
+    return (5 + side, k, i)
+
+
 def _check_start(levels, names):
     """Raise unless every path starts interlaced: particle i of level k >= 1
     within columns i-1+above and i+above of level k-1, up to the 1e-12
-    slack simulate_two_level allows."""
+    slack simulate_two_level allows.  Walls are left to the caller."""
     for k in range(1, len(levels)):
         prev, x = levels[k - 1].x, levels[k].x
-        for lower, shift in ((True, levels[k].above - 1), (False, levels[k].above)):
-            for p, src in _bound_pieces(x.shape[1], prev.shape[1], shift, np.inf):
-                gap = prev[:, src] - x[:, p] if lower else x[:, p] - prev[:, src]
-                if not np.all(gap <= 1e-12):
-                    raise ValueError(
-                        f"initial {names[k]} does not interlace with {names[k - 1]}: it starts "
-                        f"{'below' if lower else 'above'} a particle that bounds it")
+        for side, p, src in _pieces(levels, k):
+            if not isinstance(src, slice):
+                continue
+            gap = prev[:, src] - x[:, p] if side == 0 else x[:, p] - prev[:, src]
+            if not np.all(gap <= 1e-12):
+                raise ValueError(
+                    f"initial {names[k]} does not interlace with {names[k - 1]}: it starts "
+                    f"{'below' if side == 0 else 'above'} a particle that bounds it")
 
 
 def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) -> PathBundle:
-    """Step an interlacing array: each level in turn takes an Euler step
-    and is projected onto the interval its bounds set, with the previous
-    level already moved; a level with bridge streams is pushed off the
-    previous one by the sampled bridge maximum instead.  Pushes, contacts
-    and stop times are recorded for the paths alive after each stop
-    test."""
+    """Step an interlacing array: each level in turn takes an Euler step and
+    is pushed off each of its bounds by the sampled bridge maximum of its
+    gap, with the previous level already moved; a particle bounded on both
+    sides is then clipped onto [lower, upper].  Pushes, contacts and stop
+    times are recorded for the paths alive after each stop test."""
     n_paths = levels[0].x.shape[0]
     tau = np.full(n_paths, np.inf)
     alive = np.ones(n_paths, bool)
@@ -277,19 +333,15 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
     klow = [np.zeros_like(lv.x) for lv in levels]
     kup = [np.zeros_like(lv.x) for lv in levels]
     noise = [np.empty(lv.x.shape[::-1]) for lv in levels]
-    expo = [None if lv.bridge is None else np.empty(lv.x.shape[::-1]) for lv in levels]
-    # per level: (is_lower, particles, bound source, push accumulator), lower
-    # side first so that the projection is min(max(raw, lower), upper)
-    pieces = []
-    for k, lv in enumerate(levels):
-        m = levels[k - 1].x.shape[1] if k else 0
-        size = lv.x.shape[1]
-        lo_wall, hi_wall = _static_barriers(lv.spec)
-        pieces.append(
-            [(True, p, src, klow[k][:, p])
-             for p, src in _bound_pieces(size, m, lv.above - 1, lo_wall)]
-            + [(False, p, src, kup[k][:, p])
-               for p, src in _bound_pieces(size, m, lv.above, hi_wall)])
+    pieces = [_pieces(levels, k) for k in range(len(levels))]
+    clips = [_two_sided(pc) for pc in pieces]
+    sides = [sorted({side for side, _, _ in pc}) for pc in pieces]
+    # per level and bounded side: the Exp(1) draws, of which only the rows of
+    # bounded particles are filled, and this step's pushes, zero where unbounded
+    expo = [[np.empty(lv.x.shape[::-1]) if s in sd else None for s in (0, 1)]
+            for lv, sd in zip(levels, sides)]
+    push = [[np.zeros_like(lv.x) if s in sd else None for s in (0, 1)]
+            for lv, sd in zip(levels, sides)]
     contacts = 0.0
     rec_idx = _record_indices(n_steps, record_stride)
     rec_t, rec = [t0], [[lv.x] for lv in levels]
@@ -300,33 +352,46 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
             for g, row in zip(lv.gens, noise[k]):
                 g.standard_normal(out=row)
             raw, diff = _euler_raw(lv.spec, lv.x, dt, noise[k].T)
-            if lv.bridge is not None:
-                for g, row in zip(lv.bridge, expo[k]):
-                    g.standard_exponential(out=row)
+            for side, streams in enumerate(lv.bridge):
+                for i, g in streams.items():
+                    g.standard_exponential(out=expo[k][side][i])
             proj = raw.copy()
-            pushes = []
-            for lower, p, src, acc in pieces[k]:
-                bound = levels[k - 1].x[:, src] if isinstance(src, slice) else src
-                gap = bound - raw[:, p] if lower else raw[:, p] - bound
-                if lv.bridge is None:
-                    push = np.maximum(gap, 0.0)
-                    (np.maximum if lower else np.minimum)(proj[:, p], bound, out=proj[:, p])
-                else:
-                    # edge levels have no walls, so src is the leader's column;
-                    # the gap and its variance start from the start-of-step state
-                    start = prev_x[:, src] - lv.x[:, p] if lower else lv.x[:, p] - prev_x[:, src]
+            for side, p, src in pieces[k]:
+                # the gap runs from the start-of-step state to the proposal;
+                # its variance rate is frozen at the start of the step
+                if isinstance(src, slice):
+                    start_bound, bound = prev_x[:, src], levels[k - 1].x[:, src]
                     var = 2.0 * (prev_diff[:, src] + diff[:, p]) * dt
-                    push = np.maximum(_bridge_max(start, gap, var, expo[k][p].T), 0.0)
-                    proj[:, p] += push if lower else -push
-                pushes.append((acc, push))
+                else:
+                    start_bound = bound = src
+                    var = 2.0 * diff[:, p] * dt
+                if side == 0:
+                    start, end = start_bound - lv.x[:, p], bound - raw[:, p]
+                else:
+                    start, end = lv.x[:, p] - start_bound, raw[:, p] - bound
+                out = push[k][side][:, p]
+                np.maximum(_bridge_max(start, end, var, expo[k][side][p].T), 0.0, out=out)
+                if side == 0:
+                    proj[:, p] += out
+                else:
+                    proj[:, p] -= out
+            for q, lo, hi in clips[k]:
+                x = proj[:, q]
+                before = x.copy()
+                for clip, src in ((np.maximum, lo), (np.minimum, hi)):
+                    clip(x, levels[k - 1].x[:, src] if isinstance(src, slice) else src, out=x)
+                moved = x - before
+                push[k][0][:, q] += np.maximum(moved, 0.0)
+                push[k][1][:, q] -= np.minimum(moved, 0.0)
             if k == 0 and stop is not None and stop.on_proposal:
                 stopped = stop.hits([proj])
                 tau[alive & stopped] = t
                 alive &= ~stopped
             prev_x, prev_diff = lv.x, diff
             lv.x = np.where(where, proj, lv.x)
-            for acc, push in pushes:
-                np.add(acc, push, out=acc, where=where)
+            for side in sides[k]:
+                acc = (klow, kup)[side][k]
+                np.add(acc, push[k][side], out=acc, where=where)
             if k:
                 # summed a particle at a time in stepping order, so the
                 # fraction does not depend on how levels are laid out
@@ -372,7 +437,8 @@ def simulate_two_level(
 
     Y advances first as independent y_spec-diffusions (default: the raw
     conjugate of spec, i.e. the two-level kernel dynamics).  X is then
-    projected per step onto the interval between its updated Y neighbours.
+    pushed off its updated Y neighbours, and walls, by the bridge-sampled
+    pushes of the module docstring.
     tau is set at the first Y collision or killing-boundary hit required
     by the shape; stopped paths are frozen.
     """
@@ -407,6 +473,7 @@ def simulate_two_level(
     ]
     names = ["y", "x"]
     _check_start(levels, names)
+    _bridge_streams(levels, seed, _side_key)
     return _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop)
 
 
@@ -420,8 +487,9 @@ def simulate_gt(
     t0: float = 0.0,
     record_stride: Optional[int] = None,
 ) -> PathBundle:
-    """Interlacing-array dynamics: each level is reflected per step off the
-    already-updated previous level; the first level is free.
+    """Interlacing-array dynamics: each level is pushed off the
+    already-updated previous level, and its walls, by the bridge-sampled
+    pushes of the module docstring; the first level sees only its walls.
 
     Level sizes come from the initial data and may grow by one per level
     (the triangular pattern) or stay equal (the alternating/symplectic
@@ -454,6 +522,7 @@ def simulate_gt(
     ]
     names = [f"level{k+1}" for k in range(N)]
     _check_start(levels, names)
+    _bridge_streams(levels, seed, _side_key)
     # only interior levels can collide; with none, no path ever stops
     stop = _StopRule(levels=tuple(range(1, N - 1)), on_proposal=False) if N > 2 else None
     return _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop)
@@ -505,10 +574,11 @@ def simulate_edge(
     n_steps, dt = _resolve_steps(T, dt, t0)
     x = np.broadcast_to(np.asarray(x0, float), (n_paths, n))
     above = int(side == "right")
-    levels = [_Level(sp, x[:, i:i + 1].copy(), _streams(seed, 3, 0, [i]), above,
-                     bridge=_streams(seed, 4, 0, [i]) if i else None)
+    levels = [_Level(sp, x[:, i:i + 1].copy(), _streams(seed, 3, 0, [i]), above)
               for i, sp in enumerate(specs)]
     _check_start(levels, [f"{side} edge particle {i + 1}" for i in range(n)])
+    # level k holds edge particle k, bounded on one side by its leader
+    _bridge_streams(levels, seed, lambda s, k, i: (4, 0, k))
     pb = _simulate(levels, n_steps, dt, t0, seed, ["edge"], record_stride)
     return replace(
         pb,

@@ -51,10 +51,10 @@ class TestAcceptance:
         _report("A4", checks.check_master_intertwinings(tol=1e-4), 300.0)
 
     def test_a5_reflected_systems_vs_exact_laws(self):
-        _report("A5", checks.check_warren_dyson(paths=20000, dt=5e-4, ks_tol=0.02), 600.0)
+        _report("A5", checks.check_warren_dyson(paths=20000, dt=4e-3, ks_tol=0.02), 600.0)
 
     def test_a6_entrance_law_patterns(self):
-        _report("A6", checks.check_entrance_gt(paths=20000, dt=5e-4, ks_tol=0.02), 900.0)
+        _report("A6", checks.check_entrance_gt(paths=20000, dt=4e-3, ks_tol=0.02), 900.0)
 
     def test_a7_edge_formulas(self):
         _report("A7", checks.check_edge_formulas(paths=20000, tol=0.02), 900.0)

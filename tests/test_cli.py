@@ -108,7 +108,9 @@ class TestCLI:
          ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "-1", "--zmax", "1",
           "--oracle", "gue", "--oracle-count", "10"],
          ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "-1", "--zmax", "1",
-          "--oracle", "gue:3", "--oracle-count", "10"]],
+          "--oracle", "gue:3", "--oracle-count", "10"],
+         ["edge-cdf", "--spec", "bm", "--n", "7", "--zmin", "0", "--zmax", "1",
+          "--oracle", "gue:7"]],
     )
     def test_errors_are_one_line(self, argv, capsys):
         assert main(argv) == 2
@@ -144,4 +146,13 @@ class TestCLI:
         assert main(["simulate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and named in err
+        assert not (tmp_path / "terminal.csv").exists()
+
+    def test_simulate_rejects_an_unknown_shape(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("[simulate]\nfamily = bm\nshape = n,m\ninit_x = -1 1\ninit_y = 0\n"
+                       f"t = 0.1\ndt = 0.05\npaths = 2\noutput = {tmp_path}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'n,m'" in err and "n,n+1" in err
         assert not (tmp_path / "terminal.csv").exists()

@@ -249,8 +249,7 @@ class TestKernels:
                                             (0.3, 1.0), (0.4, 1.7, 2.9)):
             spec = make_spec(f"bm_interval:{ends}")
             k = kernel(spec)
-            series = np.vectorize(
-                lambda v: spectral_km(spec, 1, t, np.array([x]), np.array([v])).item())
+            series = lambda v: spectral_km(spec, 1, t, np.full((v.size, 1), x), v[:, None])
             assert np.max(np.abs(k.density(t, x, ys) - series(ys))) < 1e-10
             cdf = [float(k.atom_l(t, x)) + 0.5 * y * np.dot(w, series(0.5 * y * (z + 1.0)))
                    for y in ys]

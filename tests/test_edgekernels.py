@@ -99,7 +99,8 @@ class TestEdgeDensity:
 
         x0 = np.array([0.0, 0.1])
         tbl = ek.build_edge_table(make_spec("bm"), 2, 1.0)
-        pb = rs.simulate_edge(make_spec("bm"), 2, "right", x0, T=1.0, dt=5e-4,
+        # edge pushes are bridge-sampled, so a coarse step leaves no push bias
+        pb = rs.simulate_edge(make_spec("bm"), 2, "right", x0, T=1.0, dt=4e-3,
                               n_paths=40000, seed=77)
         X = pb.terminal(0)
         h = 0.15

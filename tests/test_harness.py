@@ -11,6 +11,7 @@ from interlace_lab.harness import (
     CampaignError,
     MCReport,
     complex_wishart_sample,
+    gue_corners_sample,
     gue_sample,
     jacobi_unitary_sample,
     ks_compare,
@@ -56,6 +57,15 @@ class TestOracles:
 
         with pytest.raises(CatalogError, match=f"'{oid}'.*gue:n, wishart:n,k or jue:n,p,q"):
             rmt_oracle(oid, 10, np.random.default_rng(0))
+
+    def test_gue_corners_top_level_is_gue_and_levels_interlace(self):
+        levels = gue_corners_sample(np.random.default_rng(6), 3, 40000, scale=2.0)
+        assert [lv.shape for lv in levels] == [(40000, 1), (40000, 2), (40000, 3)]
+        ev = gue_sample(np.random.default_rng(7), 3, 100000, scale=2.0)
+        for i in range(3):
+            assert two_sample_ks(levels[-1][:, i], ev[:, i]) < 0.02
+        for lo, hi in zip(levels, levels[1:]):
+            assert np.all(hi[:, :-1] <= lo + 1e-12) and np.all(lo <= hi[:, 1:] + 1e-12)
 
     def test_eigenvalues_sorted(self):
         rng = np.random.default_rng(5)

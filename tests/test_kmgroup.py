@@ -190,6 +190,18 @@ class TestSpectralKM:
         ref = kernel(make_spec("bm_interval:abs,abs")).density(1.0, 1.0, 2.0)
         assert abs(v.item() - float(ref)) < 1e-8
 
+    @pytest.mark.parametrize("sid, n", [("bm_interval:abs,refl", 1), ("ou", 2)])
+    def test_batch_matches_points(self, sid, n):
+        spec = make_spec(sid)
+        rng = np.random.default_rng(8)
+        lo, hi = (0.2, 2.9) if sid.startswith("bm_interval") else (-1.5, 1.5)
+        x = np.sort(rng.uniform(lo, hi, (3, n)), axis=-1)
+        y = np.sort(rng.uniform(lo, hi, (3, n)), axis=-1)
+        batch = km.spectral_km(spec, n, 0.7, x, y)
+        assert batch.shape == (3,)
+        points = [km.spectral_km(spec, n, 0.7, xi, yi) for xi, yi in zip(x, y)]
+        np.testing.assert_allclose(batch, points, rtol=1e-12, atol=1e-15)
+
     def test_ou_two_particles_vs_closed_form(self):
         x = np.array([-0.5, 0.8])
         y = np.array([0.1, 1.1])
