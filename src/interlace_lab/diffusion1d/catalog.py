@@ -22,7 +22,11 @@ squared-Bessel/Laguerre forms.  Spectral series: the jac kernel; the
 sine/cosine bases of the interval, Hermite for ou and generalized Laguerre
 for lag are kept for spectral_km and ground states.  Duals of lag/jac are
 h-transforms of parameter-shifted members of the same family.  Every
-window(t, x) misses at most 1e-12 of the kernel's mass.
+window(t, x) misses at most 1e-12 of the kernel's mass.  CDFs and atoms
+without a closed form (killed besq, lag_dual, jac, jac_dual, absorbing
+interval ends) are core.density_integral quadratures of the density, by
+_quadrature_cdf and _harmonic_atom, and broadcast x against y like the
+closed forms.
 
 Ids are exact: parameters are written as the shortest decimal that reads
 back to the same float, so make_spec(spec.name) rebuilds spec.params bit for
@@ -48,7 +52,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special as sc
 
-from ..quadrature import fd_derivative, gl_nodes, ordered_nodes, stacked_box_nodes
+from ..quadrature import fd_derivative, ordered_nodes, stacked_box_nodes
 from .core import (
     Boundary,
     CatalogError,
@@ -57,7 +61,7 @@ from .core import (
     ScaleSpeed,
     TransitionKernel,
     TruncationError,
-    cdf_from_density,
+    density_integral,
     numeric_scale_speed,
     swapped_scale_speed,
 )
@@ -419,32 +423,28 @@ def _build_kernel(spec: DiffusionSpec) -> TransitionKernel:
     return rec.kernel(spec)
 
 
-def _harmonic_atom(density, h, lo, hi, n):
-    """Mass absorbed at an end, h(x) - int p_t(x, y) h(y) dy over [lo, hi],
-    with h the scale-harmonic hitting probability of that end (h = 1 at a
-    lone absorbing end: the mass deficit)."""
+def _harmonic_atom(density, window, n, h=None):
+    """Mass absorbed at an end, h(x) - int p_t(x, y) h(y) dy over
+    window(t, x) by an n-node density_integral, with h the scale-harmonic
+    hitting probability of that end (None, i.e. h = 1, at a lone absorbing
+    end: the mass deficit)."""
 
     def atom(t, x):
-        def one(xx):
-            xs, ws = gl_nodes(lo, hi, n)
-            return float(h(xx) - np.dot(ws, density(t, xx, xs) * h(xs)))
-
-        return np.vectorize(one, otypes=[float])(x)
+        lo, hi = window(t, x)
+        mass = density_integral(density, t, x, lo, hi, n, h)
+        return (1.0 if h is None else h(x)) - mass
 
     return atom
 
 
-def _quadrature_cdf(density, atom_l, lo, hi, n):
-    """atom_l + int_lo^y p_t(x, z) dz by Gauss-Legendre quadrature."""
+def _quadrature_cdf(spec, density, window, atom_l, n):
+    """atom_l + int_lo^y p_t(x, z) dz by an n-node density_integral, with
+    lo = max(window lo, l) and y clipped to [lo, r]; broadcasts x against y."""
 
     def cdf(t, x, y):
-        def one(yy):
-            if yy <= lo:
-                return float(atom_l(t, x))
-            xs, ws = gl_nodes(lo, min(yy, hi), n)
-            return float(atom_l(t, x) + np.dot(ws, density(t, x, xs)))
-
-        return np.vectorize(one, otypes=[float])(np.asarray(y, float))
+        lo = max(window(t, x)[0], spec.l)
+        hi = np.clip(np.asarray(y, float), lo, spec.r)
+        return atom_l(t, x) + density_integral(density, t, x, lo, hi, n)
 
     return cdf
 
@@ -552,11 +552,10 @@ def _walled_bm_kernel(spec):
                 return _zero_atom, _zero_atom
             return (lambda t, x: 2.0 * _Phi(-np.asarray(x, float) / math.sqrt(t))), _zero_atom
         # the hitting probability of each absorbing end: 1 when it is the only one
-        both = modes == ("abs", "abs")
-        hits = (lambda u: (L - np.asarray(u, float)) / L if both else 1.0,
-                lambda u: np.asarray(u, float) / L if both else 1.0)
-        return tuple(_harmonic_atom(density, h, 0.0, L, 200) if m == "abs" else _zero_atom
-                     for m, h in zip(modes, hits))
+        hits = ((lambda u: (L - np.asarray(u, float)) / L, lambda u: np.asarray(u, float) / L)
+                if modes == ("abs", "abs") else (None, None))
+        return tuple(_harmonic_atom(density, lambda t, x: (0.0, L), 200, h) if m == "abs"
+                     else _zero_atom for m, h in zip(modes, hits))
 
     return _image_kernel(spec, _brownian_gaussian(0.0), images, atoms)
 
@@ -611,14 +610,19 @@ def _besq_kernel(spec, d, killed):
         )
         return np.where(x > 1e-300, main, lim)
 
+    def window(t, x):
+        # sqrt(y) is a Bessel radius |sqrt(x) e + B_t| <= sqrt(x) + |B_t| with
+        # E|B_t| <= sqrt(dd t), dd = max(d, 2) >= d; |B_t| exceeds its mean by
+        # z sqrt(t) with probability <= exp(-z^2 / 2) (Gaussian concentration)
+        x = float(np.max(np.asarray(x, float)))
+        return 0.0, (math.sqrt(x) + math.sqrt(t) * (math.sqrt(max(d, 2.0)) + _WINDOW_SD)) ** 2
+
     if killed:
 
         def atom_l(t, x):
             return sc.gammaincc(-nu, np.asarray(x, float) / (2.0 * t))
 
-        def cdf(t, x, y):
-            kern_ref = kern_holder[0]
-            return cdf_from_density(kern_ref, t, x, y)
+        cdf = _quadrature_cdf(spec, density, window, atom_l, 220)
 
     else:
         atom_l = _zero_atom
@@ -667,15 +671,7 @@ def _besq_kernel(spec, d, killed):
         )
 
     dx, dy = _from_first_derivatives(dx1, dy1)
-
-    def window(t, x):
-        # sqrt(y) is a Bessel radius |sqrt(x) e + B_t| <= sqrt(x) + |B_t| with
-        # E|B_t| <= sqrt(dd t), dd = max(d, 2) >= d; |B_t| exceeds its mean by
-        # z sqrt(t) with probability <= exp(-z^2 / 2) (Gaussian concentration)
-        x = float(np.max(np.asarray(x, float)))
-        return 0.0, (math.sqrt(x) + math.sqrt(t) * (math.sqrt(max(d, 2.0)) + _WINDOW_SD)) ** 2
-
-    kern = TransitionKernel(
+    return TransitionKernel(
         spec=spec,
         density=density,
         cdf=cdf,
@@ -685,8 +681,6 @@ def _besq_kernel(spec, d, killed):
         dx_derivative=dx,
         dy_derivative=dy,
     )
-    kern_holder = [kern]
-    return kern
 
 
 def _laguerre_kernel(spec, alpha):
@@ -729,16 +723,23 @@ def _laguerre_kernel(spec, alpha):
 
 def _laguerre_dual_kernel(spec, alpha):
     """Dual of lag(alpha): h-transform of lag(alpha+2) by hh(x) = x^{a/2}e^{-x}
-    with rate -2, giving p(x,y) = e^{-2t} (hh(x)/hh(y)) p^{alpha+2}_t(x,y)."""
-    up = _kernel_by_name(_id("lag", (alpha + 2,)))
-
-    def hh_ratio(x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        return (np.maximum(x, 1e-300) / np.maximum(y, 1e-300)) ** (alpha / 2.0) * np.exp(y - x)
+    with rate -2, giving p(x,y) = e^{-2t} (hh(x)/hh(y)) p^{alpha+2}_t(x,y).
+    p^{alpha+2} is the time-changed BESQ(alpha+2) density of _laguerre_kernel;
+    evaluated in log space, e^{y-x} joins its Gaussian exponent, whose sum
+    stays <= 0, so no factor overflows however far the window reaches."""
+    nu = alpha / 2.0  # Bessel index of BESQ(alpha + 2)
 
     def density(t, x, y):
-        return math.exp(-2.0 * t) * hh_ratio(x, y) * up.density(t, x, y)
+        e2, tau = math.exp(2.0 * t), 0.5 * (math.exp(2.0 * t) - 1.0)
+        x = np.maximum(np.asarray(x, float), 1e-300)
+        y = np.asarray(y, float)
+        big = e2 * y
+        log_p = (
+            (nu / 2.0) * np.log(e2 * x / np.maximum(y, 1e-300))
+            + (y - x)
+            - 0.5 * (np.sqrt(x) - np.sqrt(big)) ** 2 / tau
+        )
+        return np.exp(log_p) / (2.0 * tau) * sc.ive(nu, np.sqrt(x * big) / tau)
 
     def window(t, x):
         x = float(np.max(np.asarray(x, float)))
@@ -746,28 +747,15 @@ def _laguerre_dual_kernel(spec, alpha):
         hi = 45.0 * max(e2 - 1.0, t) + 3.0 * e2 * (x + alpha + 2.0) + 10.0
         return 0.0, hi
 
-    def atom_l(t, x):
-        def one(xx):
-            lo, hi = window(t, xx)
-            xs, ws = gl_nodes(lo, hi, 360)
-            return 1.0 - float(np.dot(ws, density(t, xx, xs)))
-
-        return np.vectorize(one, otypes=[float])(x)
-
-    def cdf(t, x, y):
-        kern_ref = holder[0]
-        return cdf_from_density(kern_ref, t, x, y, n=360)
-
-    kern = TransitionKernel(
+    atom_l = _harmonic_atom(density, window, 360)
+    return TransitionKernel(
         spec=spec,
         density=density,
-        cdf=cdf,
+        cdf=_quadrature_cdf(spec, density, window, atom_l, 360),
         atom_l=atom_l,
         atom_r=_zero_atom,
         window=window,
     )
-    holder = [kern]
-    return kern
 
 
 def _jacobi_dual_kernel(spec, beta, gamma):
@@ -790,12 +778,12 @@ def _jacobi_dual_kernel(spec, beta, gamma):
     def h_l(x):
         return 1.0 - sc.betainc(beta, gamma, np.asarray(x, float))
 
-    atom_l = _harmonic_atom(density, h_l, 0.0, 1.0, 240)
-    atom_r = _harmonic_atom(density, lambda u: 1.0 - h_l(u), 0.0, 1.0, 240)
+    atom_l = _harmonic_atom(density, window, 240, h_l)
+    atom_r = _harmonic_atom(density, window, 240, lambda u: 1.0 - h_l(u))
     return TransitionKernel(
         spec=spec,
         density=density,
-        cdf=_quadrature_cdf(density, atom_l, 0.0, 1.0, 240),
+        cdf=_quadrature_cdf(spec, density, window, atom_l, 240),
         atom_l=atom_l,
         atom_r=atom_r,
         window=window,
@@ -944,14 +932,14 @@ def _series_evaluators(basis: SpectralBasis):
 def _spectral_only_kernel(spec):
     basis = spectral_basis(spec)
     density, dx, dy = _series_evaluators(basis)
-    lo, hi = spec.interval
+    window = lambda t, x: spec.interval
     return TransitionKernel(
         spec=spec,
         density=density,
-        cdf=_quadrature_cdf(density, _zero_atom, lo, hi, 200),
+        cdf=_quadrature_cdf(spec, density, window, _zero_atom, 200),
         atom_l=_zero_atom,
         atom_r=_zero_atom,
-        window=lambda t, x: (lo, hi),
+        window=window,
         dx_derivative=dx,
         dy_derivative=dy,
     )

@@ -373,7 +373,9 @@ class TransitionKernel:
     density is the interior (killed) density with respect to Lebesgue dy;
     atoms carry the mass absorbed at exit / regular-absorbing endpoints.
     cdf(t, x, y) = P_x(X_t <= y) includes the atom at l.  dx differentiates
-    the backward variable, dy the forward one.
+    the backward variable, dy the forward one.  Every evaluator broadcasts
+    x against y; where a CDF or atom has no closed form it is a
+    density_integral of the density.
     """
 
     spec: DiffusionSpec
@@ -403,33 +405,27 @@ class TransitionKernel:
             lambda v: self.density(t, x, spec.clip_interior(v, 1e-13)), y, order=order
         )
 
-    def total_mass(self, t, x, n=220) -> float:
+    def total_mass(self, t, x) -> float:
         # the CDF route uses closed forms where the family has them
         _, hi = self.window(t, x)
         return float(self.cdf(t, x, hi) + self.atom_r(t, x))
 
-    def survival(self, t, x) -> float:
-        return 1.0 - float(self.atom_l(t, x)) - float(self.atom_r(t, x))
 
+def density_integral(density, t, x, lo, hi, n, weight=None):
+    """int_lo^hi weight(z) p_t(x, z) dz by an n-node Gauss-Legendre rule.
 
-def integrate_window(f, lo, hi, n=220):
-    x, w = gl_nodes(lo, hi, n)
-    return float(np.dot(w, f(x)))
-
-
-def cdf_from_density(kern: TransitionKernel, t, x, y, n=220):
-    """Fallback CDF: atom_l + int_l^y density, by windowed quadrature."""
-    lo, _ = kern.window(t, x)
-    lo = max(lo, kern.spec.l if not np.isinf(kern.spec.l) else lo)
-
-    def one(yy):
-        if yy <= lo:
-            return float(kern.atom_l(t, x))
-        return float(kern.atom_l(t, x)) + integrate_window(
-            lambda z: kern.density(t, x, z), lo, yy, n
-        )
-
-    return np.vectorize(one, otypes=[float])(y)
+    x, lo and hi broadcast against each other; the nodes z run along a new
+    last axis, where weight(z) (default 1) is evaluated.  An empty interval
+    (hi <= lo) gives 0, without evaluating the density there.
+    """
+    x, lo, hi = np.broadcast_arrays(*(np.asarray(v, float) for v in (x, lo, hi)))
+    keep = hi > lo
+    z, w = gl_nodes(lo[..., None], np.where(keep, hi, lo)[..., None], n)
+    f = np.zeros(z.shape)
+    f[keep] = density(t, x[keep][:, None], z[keep])
+    if weight is not None:
+        f = f * weight(z)
+    return np.sum(w * f, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as sc
 
-from .diffusion1d import Boundary, DiffusionSpec, TransitionKernel, kernel
+from .diffusion1d import Boundary, DiffusionSpec, TransitionKernel, density_integral, kernel
 from .diffusion1d.catalog import gaussian_moments
-from .quadrature import fd_derivative, gl_nodes
+from .quadrature import fd_derivative
 from .reflectsde import edge_ladder_spec
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_S_NODES = 200  # Gauss-Legendre nodes of the S^{(k),j}, j >= 2, integrals
 
 
 def _gaussian_params(spec: DiffusionSpec, t: float, x: float):
@@ -45,8 +46,9 @@ def _gaussian_params(spec: DiffusionSpec, t: float, x: float):
 @dataclass(eq=False)
 class EdgeOperatorTable:
     """Evaluators S^{(k),j} for k <= n, j in [-(n-1), n-1], with constants
-    c_{k,n}; entries are closed-form for the Gaussian families and
-    quadrature/analytic-derivative based otherwise."""
+    c_{k,n}.  Entries are closed forms for the Gaussian families; otherwise
+    j <= 0 are the level kernel's density and y-derivatives, j = 1 its CDF,
+    and j >= 2 a 200-node density_integral against (x'-z)^{j-1}/(j-1)!."""
 
     base: DiffusionSpec
     n: int
@@ -54,7 +56,6 @@ class EdgeOperatorTable:
     specs: list = field(default_factory=list)
     kernels: list = field(default_factory=list)
     c: list = field(default_factory=list)
-    quad_nodes: int = 200
 
     def __post_init__(self):
         for sp in (self.base,):
@@ -88,7 +89,7 @@ class EdgeOperatorTable:
             return _gauss_iter_int(xp - mu, var, j)
         if j == 1:
             return self._kern(k).cdf(self.t, x, xp)
-        return self._quad_S(k, j, x, xp)
+        return self._quad_S(k, j, x, xp, lower=True)
 
     def S_bar(self, k: int, j: int, x: float, xp):
         xp = np.asarray(xp, float)
@@ -100,33 +101,18 @@ class EdgeOperatorTable:
             return _gauss_iter_int(nu, var, j) - _gauss_full_moment(nu, var, j - 1) / math.factorial(j - 1)
         if j == 1:
             return self._kern(k).cdf(self.t, x, xp) - 1.0  # conservative levels
-        return self._quad_S_bar(k, j, x, xp)
+        return self._quad_S(k, j, x, xp, lower=False)
 
-    def _quad_S(self, k, j, x, xp):
+    def _quad_S(self, k, j, x, xp, lower):
+        """S^{(k),j} (lower) or Sbar^{(k),j} for j >= 2: the integral of
+        +-(x'-z)^{j-1}/(j-1)! p^{(k)}(x, z) over z in [lo, x'] or [x', hi],
+        with (lo, hi) the level kernel's window and lo no lower than l."""
         kern = self._kern(k)
-        lo = max(kern.spec.l, kern.window(self.t, x)[0])
-
-        def one(u):
-            if u <= lo:
-                return 0.0
-            z, w = gl_nodes(lo, u, self.quad_nodes)
-            return float(
-                np.dot(w, (u - z) ** (j - 1) / math.factorial(j - 1) * kern.density(self.t, x, z))
-            )
-
-        return np.vectorize(one, otypes=[float])(xp)
-
-    def _quad_S_bar(self, k, j, x, xp):
-        kern = self._kern(k)
-        hi = kern.window(self.t, x)[1]
-
-        def one(u):
-            z, w = gl_nodes(u, max(hi, u + 1e-12), self.quad_nodes)
-            return -float(
-                np.dot(w, (u - z) ** (j - 1) / math.factorial(j - 1) * kern.density(self.t, x, z))
-            )
-
-        return np.vectorize(one, otypes=[float])(xp)
+        lo, hi = kern.window(self.t, x)
+        sign, fact = (1.0 if lower else -1.0), math.factorial(j - 1)
+        weight = lambda z: sign * (xp[..., None] - z) ** (j - 1) / fact
+        bounds = (max(kern.spec.l, lo), xp) if lower else (xp, hi)
+        return density_integral(kern.density, self.t, x, *bounds, _S_NODES, weight)
 
     def recurrence_residual(self, i: int, j: int, x: float, xp) -> float:
         """Relative residual of S^{(i-1),j} = -e^{-c_{i-1} t} d/dx S^{(i),j+1}."""
@@ -166,8 +152,8 @@ def _gauss_full_moment(nu, var, k):
     return m_cur
 
 
-def build_edge_table(spec: DiffusionSpec, n: int, t: float, **kw) -> EdgeOperatorTable:
-    return EdgeOperatorTable(base=spec, n=n, t=t, **kw)
+def build_edge_table(spec: DiffusionSpec, n: int, t: float) -> EdgeOperatorTable:
+    return EdgeOperatorTable(base=spec, n=n, t=t)
 
 
 def edge_density(table: EdgeOperatorTable, x, xp, side: str = "right"):
@@ -219,21 +205,18 @@ def staircase_start(x: float, n: int, eps: float, side: str = "right"):
     return x + steps if side == "right" else x - steps
 
 
-def edge_max_cdf_degenerate(
-    spec: DiffusionSpec, n: int, t: float, x: float, z, eps: float = 1e-4, **kw
-):
+def edge_max_cdf_degenerate(spec: DiffusionSpec, n: int, t: float, x: float, z, eps: float = 1e-4):
     """Extreme-particle CDF from a coincident start via a two-level
     Richardson extrapolation over eps-staircase starts (mimicking the
     entrance-law limit under which the formula extends)."""
-    f1 = edge_max_cdf(build_edge_table(spec, n, t, **kw), staircase_start(x, n, eps), z)
-    f2 = edge_max_cdf(build_edge_table(spec, n, t, **kw), staircase_start(x, n, eps / 2), z)
+    tbl = build_edge_table(spec, n, t)
+    f1 = edge_max_cdf(tbl, staircase_start(x, n, eps), z)
+    f2 = edge_max_cdf(tbl, staircase_start(x, n, eps / 2), z)
     return 2.0 * f2 - f1
 
 
-def edge_min_cdf_degenerate(
-    spec: DiffusionSpec, n: int, t: float, x: float, z, eps: float = 1e-4, **kw
-):
-    tbl = build_edge_table(spec, n, t, **kw)
+def edge_min_cdf_degenerate(spec: DiffusionSpec, n: int, t: float, x: float, z, eps: float = 1e-4):
+    tbl = build_edge_table(spec, n, t)
     f1 = edge_min_survival(tbl, staircase_start(x + (n - 1) * eps, n, eps, side="left"), z)
     f2 = edge_min_survival(tbl, staircase_start(x + (n - 1) * eps / 2, n, eps / 2, side="left"), z)
     return 1.0 - (2.0 * f2 - f1)

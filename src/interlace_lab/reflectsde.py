@@ -304,9 +304,14 @@ def _side_key(side, k, i):
 
 
 def _check_start(levels, names):
-    """Raise unless every path starts interlaced: particle i of level k >= 1
-    within columns i-1+above and i+above of level k-1, up to the 1e-12
-    slack simulate_two_level allows.  Walls are left to the caller."""
+    """Raise unless every path starts inside its walls and interlaced: each
+    level within its spec's interval, and particle i of level k >= 1 within
+    columns i-1+above and i+above of level k-1, both up to 1e-12 slack."""
+    for lv, name in zip(levels, names):
+        l, r = lv.spec.interval
+        if not np.all((lv.x >= l - 1e-12) & (lv.x <= r + 1e-12)):
+            raise ValueError(
+                f"initial {name} leaves the state interval [{l:g}, {r:g}] of {lv.spec.name}")
     for k in range(1, len(levels)):
         prev, x = levels[k - 1].x, levels[k].x
         for side, p, src in _pieces(levels, k):
@@ -459,8 +464,6 @@ def simulate_two_level(
         y = np.broadcast_to(np.asarray(y0, float), (n_paths, np.asarray(y0).shape[-1])).copy()
     n1 = y.shape[-1]
     l, r = spec.interval
-    if not np.all((y >= l - 1e-12) & (y <= r + 1e-12)):
-        raise ValueError(f"initial y leaves the state interval [{l:g}, {r:g}]")
 
     killing = (Boundary.EXIT, Boundary.REGULAR_ABSORBING)
     stop = _StopRule(levels=(0,), on_proposal=True, kill=(

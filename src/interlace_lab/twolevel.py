@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -135,24 +135,20 @@ class InterlacingConfig:
 
 @dataclass(eq=False)
 class TwoLevelSystem:
-    """Kernel bundle for one diffusion/shape pair."""
+    """Kernel bundle for one diffusion/shape pair: the kernel of spec, the
+    kernel of its conjugate, and m_hat = s' of spec, all derived from spec."""
 
     spec: DiffusionSpec
     shape: Shape
-    kern: TransitionKernel = None
-    dual_kern: TransitionKernel = None
-    m_hat: Callable = None
-    s_prime: Callable = None
+    kern: TransitionKernel = field(init=False)
+    dual_kern: TransitionKernel = field(init=False)
+    m_hat: Callable = field(init=False)
 
     def __post_init__(self):
         check_shape_assumptions(self.spec, self.shape)
-        if self.kern is None:
-            self.kern = kernel(self.spec)
-        if self.dual_kern is None:
-            self.dual_kern = kernel(conjugate(self.spec))
-        ss = scale_speed(self.spec)
-        self.m_hat = ss.s_prime
-        self.s_prime = ss.s_prime
+        self.kern = kernel(self.spec)
+        self.dual_kern = kernel(conjugate(self.spec))
+        self.m_hat = scale_speed(self.spec).s_prime
 
     def indicator(self, n1: int, n2: int) -> np.ndarray:
         i = np.arange(1, n2 + 1)[:, None]
@@ -188,7 +184,7 @@ def block_kernel(
     batch = np.broadcast_shapes(x.shape[:-1], y.shape[:-1], xp.shape[:-1], yp.shape[:-1])
     m = n1 + n2
     M = np.empty(batch + (m, m))
-    spy = np.asarray(sys.s_prime(y), float)
+    spy = np.asarray(sys.m_hat(y), float)
     mh = np.asarray(sys.m_hat(yp), float)
     for i in range(n2):
         for j in range(n2):
@@ -405,29 +401,25 @@ def master_intertwining_residual(
     np.add.at(hxp, outer, base)
     lhs_vals = []
     kmh = km_density(sys.kern, t, x, xp)
-    for f in fs:
+    fvals = [f(xf, yf) for f in fs]
+    for fv in fvals:
         num = np.zeros(xp.shape[0])
-        np.add.at(num, outer, base * f(xf, yf))
+        np.add.at(num, outer, base * fv)
         lam_f = num / np.maximum(hxp, 1e-300)
         lhs = math.exp(-lam * t) / hx * float(np.dot(wx, hxp * kmh * lam_f))
-        # note: h(x') kmh weight uses the same fiber quadrature for h(x')
         lhs_vals.append(lhs)
 
-    # right side: integrate q from each fiber point of x
+    # right side: integrate q from each fiber point of x over the same
+    # (x', y') nodes
     ylo, yhi = fiber_bounds(x[None, :], sys.shape)
     y0, w0, _ = fiber_quad(sys.spec, ylo, yhi, max(24, fiber_nodes))
     mh0 = np.prod(np.asarray(sys.m_hat(y0), float), axis=-1)
-    xq, wq = xp, wx
-    yq, wyq, oq = fiber_quad(sys.spec, *fiber_bounds(xq, sys.shape), fiber_nodes)
-    wz = wq[oq] * wyq
-    xz = xq[oq]
+    wz = wx[outer] * wf
     inner = np.zeros((len(fs), y0.shape[0]))
-    hq = h_hat(yq)
-    fvals = [f(xz, yq) for f in fs]
     for i in range(y0.shape[0]):
-        q = block_kernel(sys, t, (x, y0[i]), (xz, yq), perturb=perturb)
+        q = block_kernel(sys, t, (x, y0[i]), (xf, yf), perturb=perturb)
         for k in range(len(fs)):
-            inner[k, i] = np.dot(wz, q * hq * fvals[k])
+            inner[k, i] = np.dot(wz, q * hyf * fvals[k])
     rhs_vals = []
     for k in range(len(fs)):
         rhs = math.exp(-lam * t) / hx * float(np.dot(w0, mh0 * inner[k]))

@@ -16,6 +16,7 @@ from interlace_lab.diffusion1d import (
     classify_boundary,
     conjugate,
     conjugate_density_residual,
+    density_integral,
     duality_residual,
     kernel,
     make_spec,
@@ -219,6 +220,65 @@ class TestKernels:
                 below = float(k.cdf(t, x, lo) - k.atom_l(t, x))
                 above = float(1.0 - k.atom_r(t, x) - k.cdf(t, x, hi))
                 assert below + above <= 1e-12, (t, x, below, above)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_density_integral_broadcasts_and_skips_empty_intervals(self):
+        from scipy.special import ndtr
+
+        k = kernel(make_spec("bm"))
+        x = np.array([[-0.5], [0.4]])
+        hi = np.array([[-1.0, -0.5, 0.0, 2.0]])
+        got = density_integral(k.density, 1.0, x, -0.5, hi, 60)
+        want = np.where(hi > -0.5, ndtr(hi - x) - ndtr(-0.5 - x), 0.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        mean = density_integral(k.density, 1.0, 0.3, -12.0, 12.0, 80, weight=lambda z: z)
+        assert float(mean) == pytest.approx(0.3, abs=1e-13)
+        # an empty interval at a singular end is never evaluated
+        singular = lambda t, x, z: 1.0 / np.sqrt(z)
+        got = density_integral(singular, 1.0, 0.0, 0.0, np.array([0.0, 4.0]), 200)
+        assert got[0] == 0.0 and got[1] == pytest.approx(4.0, rel=1e-2)
+
+    @pytest.mark.parametrize("sid", CATALOG_IDS)
+    def test_cdf_and_atoms_broadcast_over_start_and_end(self, sid):
+        # x of shape (3, 1) against y of shape (1, 4), for the kernel and
+        # its dual, must match point-at-a-time calls; y includes the left
+        # end (or a far-left point), where the CDF is the atom there
+        t = 0.4
+        for spec in (make_spec(sid), conjugate(make_spec(sid))):
+            k = kernel(spec)
+            l, r = spec.interval
+            if np.isfinite(r):
+                xs = l + (r - l) * np.array([0.2, 0.45, 0.8])
+                ys = l + (r - l) * np.array([0.0, 0.3, 0.55, 0.9])
+            elif np.isfinite(l):
+                xs = l + np.array([0.3, 1.1, 2.4])
+                ys = l + np.array([0.0, 0.5, 1.4, 3.0])
+            else:
+                xs = np.array([-1.1, 0.2, 1.3])
+                ys = np.array([-6.0, -0.4, 0.6, 1.9])
+            F = k.cdf(t, xs[:, None], ys[None, :])
+            assert np.shape(F) == (3, 4)
+            pointwise = [[float(k.cdf(t, x, y)) for y in ys] for x in xs]
+            np.testing.assert_allclose(F, pointwise, rtol=0, atol=1e-12, err_msg=spec.name)
+            for atom in (k.atom_l, k.atom_r):
+                a = np.broadcast_to(atom(t, xs[:, None]), (3, 1))
+                np.testing.assert_allclose(a[:, 0], [float(atom(t, x)) for x in xs],
+                                           rtol=0, atol=1e-12, err_msg=spec.name)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sid", ["lag:2", "lag:3"])
+    @pytest.mark.parametrize("t", [2.0, 3.0])
+    def test_lag_dual_holds_at_long_times(self, sid, t):
+        # the dual's window reaches y ~ 45 e^{2t}, far past where e^{y - x}
+        # overflows; the density must stay finite there, and duality (whose
+        # right side holds the dual's atom at 0) must hold
+        spec = make_spec(sid)
+        dual = kernel(conjugate(spec))
+        _, hi = dual.window(t, 1.0)
+        assert hi > 1000.0
+        assert np.all(np.isfinite(dual.density(t, 1.0, np.linspace(0.0, hi, 50))))
+        for x, y in itertools.product((0.3, 1.0, 2.5), (0.5, 1.7, 4.0)):
+            assert duality_residual(spec, t, x, y) < 1e-10, (x, y)
 
     def test_killed_mass_below_one(self):
         k = kernel(make_spec("besq:-1"))

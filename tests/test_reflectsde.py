@@ -161,6 +161,13 @@ class TestTwoLevelSimulation:
             rs.simulate_two_level(make_spec("bm_halfline:abs"), Shape.NN, np.array([1.0]),
                                   np.array([-0.5]), T=0.1, dt=1e-2, n_paths=4, seed=0)
 
+    def test_x_outside_its_wall_is_rejected(self):
+        # X particle 0 starts below the reflecting wall at 0
+        with pytest.raises(ValueError, match="initial x leaves the state interval"):
+            rs.simulate_two_level(make_spec("bm_halfline:refl"), Shape.NNP1,
+                                  np.array([-0.5, 0.6]), np.array([0.3]),
+                                  T=0.1, dt=1e-2, n_paths=3, seed=0)
+
     def test_y_collision_stops_paths(self):
         # two dual particles squeezed together must trigger tau
         bm = make_spec("bm")
@@ -171,6 +178,15 @@ class TestTwoLevelSimulation:
 
 
 class TestGTSimulation:
+    def test_levels_outside_their_walls_are_rejected(self):
+        besq2, besq4 = make_spec("besq:2"), make_spec("besq:4")
+        with pytest.raises(ValueError, match="initial level1 leaves the state interval"):
+            rs.simulate_gt([besq2, besq4], [np.array([-0.5]), np.array([-1.0, 1.0])],
+                           T=0.1, dt=1e-2, n_paths=3, seed=0)
+        with pytest.raises(ValueError, match="initial level2 leaves the state interval"):
+            rs.simulate_gt([besq2, besq4], [np.array([0.5]), np.array([-1e-9, 1.0])],
+                           T=0.1, dt=1e-2, n_paths=3, seed=0)
+
     def test_no_interior_collisions_under_pattern_initialization(self):
         from interlace_lab import kmgroup as km
 

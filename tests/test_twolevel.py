@@ -25,6 +25,14 @@ class TestShapes:
             tl.TwoLevelSystem(make_spec("bm_halfline:abs"), tl.Shape.NNP1)
         tl.TwoLevelSystem(make_spec("besq:3"), tl.Shape.NNP1)  # entrance ok
 
+    def test_derived_fields_are_not_arguments(self):
+        # kern, dual_kern and m_hat = s' all follow from the spec
+        with pytest.raises(TypeError):
+            tl.TwoLevelSystem(make_spec("bm"), tl.Shape.NNP1, m_hat=lambda y: 2.0 * y)
+        sys_ = tl.TwoLevelSystem(make_spec("besq:3"), tl.Shape.NNP1)
+        y = np.array([0.5, 2.0])
+        np.testing.assert_array_equal(sys_.m_hat(y), y ** -1.5)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             tl.InterlacingConfig(tl.Shape.NNP1, np.array([0.0, 1.0]), np.array([2.0]))
@@ -230,6 +238,13 @@ class TestChapman:
         z = (np.array([-1.0, 1.0]), np.array([0.0]))
         z2 = (np.array([-0.8, 1.3]), np.array([0.4]))
         assert tl.chapman_residual(bm_sys, 0.5, 0.5, z, z2) < 1e-3
+
+    def test_killed_besq_semigroup_property(self):
+        # the B block needs the killed BESQ CDF, a quadrature, at every node
+        sys_ = tl.TwoLevelSystem(make_spec("besq:0.5:abs"), tl.Shape.NN)
+        z = (np.array([1.0]), np.array([0.5]))
+        z2 = (np.array([1.2]), np.array([0.7]))
+        assert tl.chapman_residual(sys_, 0.2, 0.3, z, z2, n_nodes=24) < 1e-4
 
     def test_delta_limit_leg_stays_controlled(self, bm_sys):
         # as the first leg shrinks toward the delta limit the identity must
