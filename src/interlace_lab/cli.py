@@ -35,17 +35,17 @@ from .harness import (
     run_campaign,
     write_csv,
 )
-from .harness.io import ensure_outdir
+from .harness.io import ensure_outdir, rows_block
 
 
 def _emit(args, name, fieldnames, rows):
     if args.out:
         ensure_outdir(args.out)
         path = os.path.join(args.out, f"{name}.csv")
-        write_csv(path, fieldnames, rows)
+        write_csv(path, fieldnames, [rows_block(fieldnames, rows)])
         print(path)
     else:
-        write_csv(sys.stdout, fieldnames, rows)
+        write_csv(sys.stdout, fieldnames, [rows_block(fieldnames, rows)])
 
 
 def _floats(s):
@@ -216,29 +216,42 @@ def cmd_simulate(args):
         y_spec = make_spec(cfg["y_family"]) if "y_family" in cfg else None
         pb = rs.simulate_two_level(spec, shape, x0, y0, T, dt, paths, seed,
                                    y_spec=y_spec, record_stride=stride)
-    rows = []
-    for lvl, name in enumerate(pb.level_names):
-        term = pb.terminal(lvl)
-        for pid in range(term.shape[0]):
-            for idx in range(term.shape[1]):
-                rows.append({"path_id": pid, "time": pb.grid[-1], "level": name,
-                             "index": idx, "value": term[pid, idx],
-                             "tau": pb.tau[pid] if np.isfinite(pb.tau[pid]) else ""})
     path = os.path.join(out, "terminal.csv")
-    write_csv(path, ["path_id", "time", "level", "index", "value", "tau"], rows)
+    write_csv(path, ["path_id", "time", "level", "index", "value", "tau"], _terminal_blocks(pb))
     print(path)
     if stride is not None:
-        rows = []
-        for lvl, name in enumerate(pb.level_names):
-            arr = pb.levels[lvl]
-            for ti, tval in enumerate(pb.grid):
-                for pid in range(arr.shape[1]):
-                    for idx in range(arr.shape[2]):
-                        rows.append({"path_id": pid, "time": tval, "level": name,
-                                     "index": idx, "value": arr[ti, pid, idx]})
         tpath = os.path.join(out, "trajectories.csv")
-        write_csv(tpath, ["path_id", "time", "level", "index", "value"], rows)
+        write_csv(tpath, ["path_id", "time", "level", "index", "value"], _trajectory_blocks(pb))
         print(tpath)
+
+
+def _per_path(texts, size):
+    """One column cell per particle of a path-major level block: each
+    path's text repeated over its `size` particles."""
+    return [v for v in texts for _ in range(size)]
+
+
+def _level_ids(n_paths, size):
+    """The path_id and index text of an (n_paths, size) level block."""
+    return _per_path(map(str, range(n_paths)), size), list(map(str, range(size))) * n_paths
+
+
+def _terminal_blocks(pb):
+    tau = [repr(v) if np.isfinite(v) else "" for v in pb.tau.tolist()]
+    for lvl, name in enumerate(pb.level_names):
+        term = pb.terminal(lvl)
+        pid, idx = _level_ids(*term.shape)
+        yield {"path_id": pid, "time": pb.grid[-1], "level": name, "index": idx,
+               "value": term.ravel(), "tau": _per_path(tau, term.shape[1])}
+
+
+def _trajectory_blocks(pb):
+    # one block per (level, recorded time); the id columns serve every time
+    for name, arr in zip(pb.level_names, pb.levels):
+        pid, idx = _level_ids(*arr.shape[1:])
+        for tval, state in zip(pb.grid, arr):
+            yield {"path_id": pid, "time": tval, "level": name, "index": idx,
+                   "value": state.ravel()}
 
 
 def cmd_edge_cdf(args):
@@ -291,7 +304,7 @@ def cmd_campaign(args):
     print(f"campaign {res.name}: {'PASS' if res.passed else 'FAIL'} "
           f"({res.summary}; {res.runtime:.1f}s)")
     if not args.out:
-        write_csv(sys.stdout, res.fieldnames, res.rows)
+        write_csv(sys.stdout, res.fieldnames, [rows_block(res.fieldnames, res.rows)])
     return 0 if res.passed else 1
 
 

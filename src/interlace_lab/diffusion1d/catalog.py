@@ -359,12 +359,12 @@ def _gbm_spec(alpha):
 
 
 def _numeric_cumulative(f, c):
-    from scipy.integrate import quad
-
     @functools.lru_cache(maxsize=4096)
     def one(x):
         if x == c:
             return 0.0
+        from scipy.integrate import quad  # imported on first use, not when a spec is built
+
         val, _ = quad(f, c, x, limit=200)
         return val
 
@@ -629,16 +629,11 @@ def _besq_kernel(spec, d, killed):
 
         def cdf(t, x, y):
             x = np.asarray(x, float)
-            y = np.asarray(y, float)
-            from scipy.stats import chi2, ncx2
-
-            small = x <= 1e-300
-            out = np.where(
-                small,
-                chi2.cdf(y / t, d),
-                ncx2.cdf(y / t, d, np.maximum(x, 1e-300) / t),
-            )
-            return out
+            # chi-square (x = 0) and noncentral chi-square laws of y / t;
+            # both are 0 below y = 0, where the special functions give nan
+            z = np.maximum(np.asarray(y, float), 0.0) / t
+            return np.where(x <= 1e-300, sc.chdtr(d, z),
+                            sc.chndtr(z, d, np.maximum(x, 1e-300) / t))
 
     def ratio_next(z):
         return sc.ive(order + 1.0, z) / np.maximum(sc.ive(order, z), 1e-300)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .checks import ALL_CHECKS, CheckResult
-from .io import ensure_outdir, read_config, write_csv
+from .io import ensure_outdir, read_config, rows_block, write_csv
 
 
 class CampaignError(RuntimeError):
@@ -130,12 +130,15 @@ def run_campaign(cfg: CampaignConfig) -> CheckResult:
                           time.perf_counter() - t0)
         if outdir:
             for r in results:
-                write_csv(os.path.join(outdir, f"{r.name}.csv"), r.fieldnames, r.rows)
-            write_csv(os.path.join(outdir, "summary.csv"), agg.fieldnames, agg.rows)
+                write_csv(os.path.join(outdir, f"{r.name}.csv"), r.fieldnames,
+                          [rows_block(r.fieldnames, r.rows)])
+            write_csv(os.path.join(outdir, "summary.csv"), agg.fieldnames,
+                      [rows_block(agg.fieldnames, agg.rows)])
         return agg
     res = _run_one(cfg.name, kwargs[cfg.name])
     if outdir:
-        write_csv(os.path.join(outdir, f"{res.name}.csv"), res.fieldnames, res.rows)
+        write_csv(os.path.join(outdir, f"{res.name}.csv"), res.fieldnames,
+                  [rows_block(res.fieldnames, res.rows)])
         _write_summary(os.path.join(outdir, "summary.csv"), res)
     return res
 

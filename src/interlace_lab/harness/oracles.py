@@ -57,13 +57,11 @@ def jacobi_unitary_sample(
     B = rng.normal(0, sa, (count, n, q)) + 1j * rng.normal(0, sa, (count, n, q))
     WA = A @ np.conj(np.transpose(A, (0, 2, 1)))
     WB = B @ np.conj(np.transpose(B, (0, 2, 1)))
-    vals = np.empty((count, n))
-    for i in range(count):
-        # generalized problem A v = lam (A + B) v
-        import scipy.linalg as sla
-
-        vals[i] = np.sort(sla.eigh(WA[i], WA[i] + WB[i], eigvals_only=True).real)
-    return vals
+    # the generalized problem WA v = lam (WA + WB) v: with WA + WB = L L*,
+    # lam are the eigenvalues of the Hermitian L^-1 WA L^-*
+    L = np.linalg.cholesky(WA + WB)
+    LiWA = np.linalg.solve(L, WA)
+    return np.linalg.eigvalsh(np.linalg.solve(L, np.conj(np.transpose(LiWA, (0, 2, 1)))))
 
 
 #: oracle kind -> (sampler, number of size parameters)

@@ -174,6 +174,19 @@ class TestClassify:
 
 
 class TestKernels:
+    @pytest.mark.parametrize("d", [1, 2, 2.5, 3, 4, 6])
+    def test_besq_cdf_is_the_chi_square_law(self, d):
+        # scipy.stats is the reference; the kernel reaches the same values
+        # through scipy.special alone
+        from scipy.stats import chi2, ncx2
+
+        rng = np.random.default_rng(int(2 * d))
+        t = 0.7
+        x = np.concatenate([[0.0, 0.0, 1e-300, 2.0], rng.exponential(2.0, 400)])
+        y = np.concatenate([[0.0, -1.0, 0.5, -0.5], rng.exponential(3.0, 400)])
+        want = np.where(x <= 1e-300, chi2.cdf(y / t, d), ncx2.cdf(y / t, d, np.maximum(x, 1e-300) / t))
+        assert np.array_equal(kernel(make_spec(f"besq:{d}")).cdf(t, x, y), want)
+
     def test_bm_heat_kernel_value(self):
         k = kernel(make_spec("bm"))
         assert float(k.density(1.0, 0.0, 0.0)) == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-7)

@@ -10,6 +10,7 @@ from interlace_lab.harness import (
     CampaignConfig,
     CampaignError,
     MCReport,
+    cdf_from_density_grid,
     complex_wishart_sample,
     gue_corners_sample,
     gue_sample,
@@ -40,6 +41,25 @@ class TestOracles:
         rng = np.random.default_rng(3)
         ev = jacobi_unitary_sample(rng, 2, 3, 4, 300)
         assert np.all(ev >= -1e-10) and np.all(ev <= 1.0 + 1e-10)
+
+    @pytest.mark.parametrize("n, p, q", [(1, 1, 1), (2, 2, 2), (2, 3, 4), (3, 3, 5), (4, 4, 4)])
+    def test_jacobi_matches_per_sample_generalized_eigh(self, n, p, q):
+        import scipy.linalg as sla
+
+        def reference(rng, count):
+            # the same draws, solved one generalized problem WA v = lam (WA + WB) v at a time
+            sa = np.sqrt(0.5)
+            A = rng.normal(0, sa, (count, n, p)) + 1j * rng.normal(0, sa, (count, n, p))
+            B = rng.normal(0, sa, (count, n, q)) + 1j * rng.normal(0, sa, (count, n, q))
+            WA = A @ np.conj(np.transpose(A, (0, 2, 1)))
+            WB = B @ np.conj(np.transpose(B, (0, 2, 1)))
+            return np.array([np.sort(sla.eigh(a, a + b, eigvals_only=True).real)
+                             for a, b in zip(WA, WB)])
+
+        got = jacobi_unitary_sample(np.random.default_rng(17), n, p, q, 500)
+        want = reference(np.random.default_rng(17), 500)
+        assert got.shape == (500, n)
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_string_addressing_and_caps(self):
         rng = np.random.default_rng(4)
@@ -130,6 +150,35 @@ class TestKSCompare:
         assert two_sample_ks(a, b + 3.0) > 0.85
 
 
+def test_ks_pvalue_is_the_kolmogorov_law():
+    from scipy.stats import kstwobign
+
+    from interlace_lab.harness.stats import ks_pvalue
+
+    for n in (1000, 20000):
+        for stat in np.linspace(0.0, 0.08, 201):
+            assert ks_pvalue(stat, n) == float(
+                kstwobign.sf(stat * (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n))))
+
+
+class TestDensityGridCdf:
+    @pytest.mark.parametrize("n", [2, 3, 9, 40])
+    def test_matches_scipy_pchip_bit_for_bit(self, n):
+        from scipy.interpolate import PchipInterpolator
+
+        rng = np.random.default_rng(n)
+        for grid in (np.linspace(-2.0, 3.0, n), np.cumsum(rng.uniform(0.1, 1.0, n))):
+            # flat stretches (zero density) make zero slopes, which PCHIP treats apart
+            density = rng.exponential(size=n) * (rng.random(n) < 0.7)
+            density[:2] = 1.0
+            cum = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1])
+                                                   * np.diff(grid))])
+            ref = PchipInterpolator(grid, np.clip(cum / cum[-1], 0.0, 1.0))
+            z = np.concatenate([rng.uniform(grid[0] - 1.0, grid[-1] + 1.0, 300), grid])
+            want = np.clip(ref(np.clip(z, grid[0], grid[-1])), 0.0, 1.0)
+            assert np.array_equal(cdf_from_density_grid(grid, density)(z), want)
+
+
 class TestIO:
     def test_csv_schema_line(self, tmp_path):
         p = tmp_path / "rows.csv"
@@ -206,3 +255,28 @@ class TestCampaigns:
         v1 = [row["rel_residual"] for row in r1.rows]
         v2 = [row["rel_residual"] for row in r2.rows]
         assert v1 == v2
+
+
+def test_kernels_and_ks_helpers_import_no_heavy_scipy_module():
+    # scipy.stats, .integrate and .interpolate each cost about 0.3-0.9 s to
+    # import; none is needed to build a jac spec, evaluate the BESQ CDF or
+    # run a KS comparison against a density-grid CDF
+    import subprocess
+    import sys
+
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from scipy.special import ndtr\n"
+            "import interlace_lab\n"
+            "from interlace_lab.diffusion1d import kernel, make_spec\n"
+            "from interlace_lab.harness import cdf_from_density_grid, ks_compare\n"
+            "make_spec('jac:1,1')\n"
+            "kernel(make_spec('besq:4')).cdf(0.3, np.array([0.0, 0.7]), 0.9)\n"
+            "ks_compare(np.random.default_rng(0).normal(size=1000), ndtr)\n"
+            "g = np.linspace(-5.0, 5.0, 41)\n"
+            "cdf_from_density_grid(g, np.exp(-g * g / 2))(np.array([0.0, 1.0]))\n"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', 'scipy.interpolate')\n"
+            "             if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
+    assert out.stdout.strip() == "[]"
