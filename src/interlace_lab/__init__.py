@@ -8,7 +8,10 @@ Subpackages/modules:
     twolevel     block-determinant two-level kernels and intertwining checks
     reflectsde   discrete Skorokhod maps and reflected-SDE simulation
     edgekernels  determinantal transition densities for edge particle systems
-    harness      random-matrix oracles, KS comparison, verification campaigns
+    quadrature   Gauss-Legendre rules for intervals, ordered chambers and boxes
+    cli          the interlace-lab command line
+    harness      random-matrix oracles, KS statistics, the verification checks
+                 (A1-A10) and the campaigns that run them
 """
 
 __version__ = "0.1.0"

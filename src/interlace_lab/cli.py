@@ -7,6 +7,7 @@ with a '#schema=1' comment line; --out writes files, otherwise stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -291,15 +292,13 @@ def cmd_edge_cdf(args):
 
 
 def cmd_campaign(args):
+    # flags given on the command line override the config file
+    flags = {key: getattr(args, key) for key in ("name", "seed", "out")
+             if getattr(args, key) is not None}
     if args.config:
-        cfg = CampaignConfig.from_file(args.config)
-        if args.out:
-            cfg.out = args.out
-        if args.threads:
-            cfg.threads = args.threads
+        cfg = dataclasses.replace(CampaignConfig.from_file(args.config), **flags)
     else:
-        cfg = CampaignConfig(name=args.name, out=args.out, seed=args.seed,
-                             threads=args.threads or 1)
+        cfg = CampaignConfig(**{"name": "all", **flags})
     res = run_campaign(cfg)
     print(f"campaign {res.name}: {'PASS' if res.passed else 'FAIL'} "
           f"({res.summary}; {res.runtime:.1f}s)")
@@ -386,9 +385,8 @@ def build_parser():
     s.set_defaults(func=cmd_edge_cdf)
 
     s = add("campaign", seed, help="run a verification campaign")
-    s.add_argument("--name", default="all")
-    s.add_argument("--config", default=None, help="campaign config file")
-    s.add_argument("--threads", type=int, default=None)
+    s.add_argument("--name", default=None, help="check name or 'all' (default: all)")
+    s.add_argument("--config", default=None, help="campaign config file; flags given override it")
     s.set_defaults(func=cmd_campaign)
     return p
 

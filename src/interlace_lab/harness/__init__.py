@@ -10,10 +10,9 @@ from .oracles import (
     rmt_oracle,
 )
 from .stats import (
-    MCReport,
     cdf_from_density_grid,
     empirical_cdf_on_grid,
-    ks_compare,
+    ks_statistic_cdf,
     two_sample_ks,
 )
 
@@ -23,14 +22,13 @@ __all__ = [
     "CampaignConfig",
     "CampaignError",
     "CheckResult",
-    "MCReport",
     "cdf_from_density_grid",
     "complex_wishart_sample",
     "empirical_cdf_on_grid",
     "gue_corners_sample",
     "gue_sample",
     "jacobi_unitary_sample",
-    "ks_compare",
+    "ks_statistic_cdf",
     "read_config",
     "rmt_oracle",
     "run_campaign",

@@ -4,7 +4,6 @@ from __future__ import annotations
 import inspect
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,24 +20,19 @@ MAX_PATHS = 1_000_000
 MAX_NODES = 128
 
 
-#: config fields passed to checks, each with the check parameters it may
-#: fill (the first one a check takes)
-CHECK_PARAMS = {
-    "paths": ("paths",),
-    "dt": ("dt",),
-    "nodes": ("n_nodes",),
-    "tolerance": ("tol", "ks_tol"),
-    "seed": ("seed",),
-    "perturb": ("perturb",),
-}
+#: the settings a campaign passes to its checks, each with the type its
+#: config-file text is read as; a check takes a setting as its parameter
+#: of the same name
+SETTINGS = {"paths": int, "dt": float, "nodes": int, "tolerance": float, "seed": int,
+            "perturb": str}
 
 
 @dataclass
 class CampaignConfig:
     """A campaign: a check name from ALL_CHECKS (or 'all') and settings.
 
-    Every setting in CHECK_PARAMS that is not None must be taken by the
-    check, or under 'all' by at least one check; run_campaign raises
+    Every setting in SETTINGS that is not None must be taken by the check,
+    or under 'all' by at least one check; run_campaign raises
     CampaignError otherwise.
     """
 
@@ -48,7 +42,6 @@ class CampaignConfig:
     nodes: Optional[int] = None
     tolerance: Optional[float] = None
     seed: Optional[int] = None
-    threads: int = 1
     out: Optional[str] = None
     perturb: Optional[str] = None
 
@@ -65,82 +58,58 @@ class CampaignConfig:
     @classmethod
     def from_file(cls, path: str) -> "CampaignConfig":
         raw = read_config(path, "campaign")
-        kw = {}
-        kw["name"] = raw.pop("name")
-        for key, cast in (("paths", int), ("dt", float), ("nodes", int),
-                          ("tolerance", float), ("seed", int), ("threads", int)):
-            if key in raw:
-                kw[key] = cast(raw.pop(key))
+        kw = {"name": raw.pop("name")}
         if "out" in raw:
             kw["out"] = raw.pop("out")
-        if "perturb" in raw:
-            kw["perturb"] = raw.pop("perturb")
+        for key, cast in SETTINGS.items():
+            if key in raw:
+                kw[key] = cast(raw.pop(key))
         if raw:
             raise CampaignError(f"unknown campaign config keys in {path}: {sorted(raw)}")
         return cls(**kw)
 
 
-def _check_kwargs(name: str, cfg: CampaignConfig):
-    """Keyword arguments for check `name` from cfg, read off the check's
-    signature, and the settings given in cfg that the check does not take."""
+def _check_kwargs(name: str, cfg: CampaignConfig) -> dict:
+    """The settings given in cfg that check `name` takes, read off its
+    signature."""
     params = inspect.signature(ALL_CHECKS[name]).parameters
-    kw, unused = {}, set()
-    for key, targets in CHECK_PARAMS.items():
-        value = getattr(cfg, key)
-        if value is None:
-            continue
-        target = next((t for t in targets if t in params), None)
-        if target is None:
-            unused.add(key)
-        else:
-            kw[target] = value
-    return kw, unused
+    return {key: getattr(cfg, key) for key in SETTINGS
+            if getattr(cfg, key) is not None and key in params}
 
 
 def run_campaign(cfg: CampaignConfig) -> CheckResult:
-    """Execute one named campaign (or 'all'), write CSV + summary, and
-    return the aggregate result; exit status is passed/failed."""
+    """Run the named check, or every check under 'all'; with cfg.out, write
+    each check's CSV and one summary.csv.  Returns the check's result, or
+    under 'all' one summary row per check; exit status is passed/failed."""
     t0 = time.perf_counter()
     if cfg.name != "all" and cfg.name not in ALL_CHECKS:
         raise CampaignError(f"unknown campaign {cfg.name!r}; known: {sorted(ALL_CHECKS)}")
     names = list(ALL_CHECKS) if cfg.name == "all" else [cfg.name]
     # under 'all' a setting goes to the checks that take it, and only a
     # setting that no check takes is an error
-    kwargs, untaken = {}, set(CHECK_PARAMS)
-    for n in names:
-        kwargs[n], unused = _check_kwargs(n, cfg)
-        untaken &= unused
+    kwargs = {n: _check_kwargs(n, cfg) for n in names}
+    given = {key for key in SETTINGS if getattr(cfg, key) is not None}
+    untaken = given.difference(*kwargs.values())
     if untaken:
         raise CampaignError(f"no check in campaign {cfg.name!r} takes {', '.join(sorted(untaken))}")
     outdir = ensure_outdir(cfg.out)
-    if cfg.name == "all":
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-                futs = {n: ex.submit(_run_one, n, kwargs[n]) for n in names}
-                results = [futs[n].result() for n in names]
-        else:
-            results = [_run_one(n, kwargs[n]) for n in names]
-        passed = all(r.passed for r in results)
-        rows = [
-            {"campaign": r.name, "passed": r.passed, "runtime": round(r.runtime, 3),
-             "summary": r.summary}
-            for r in results
-        ]
-        agg = CheckResult("all", rows, passed, f"{sum(r.passed for r in results)}/{len(results)} campaigns passed",
-                          time.perf_counter() - t0)
+    results = []
+    for n in names:
+        res = _run_one(n, kwargs[n])
+        results.append(res)
         if outdir:
-            for r in results:
-                write_csv(os.path.join(outdir, f"{r.name}.csv"), r.fieldnames,
-                          [rows_block(r.fieldnames, r.rows)])
-            write_csv(os.path.join(outdir, "summary.csv"), agg.fieldnames,
-                      [rows_block(agg.fieldnames, agg.rows)])
-        return agg
-    res = _run_one(cfg.name, kwargs[cfg.name])
+            _write_rows(os.path.join(outdir, f"{res.name}.csv"), res)
+    summary = CheckResult(
+        "all",
+        [{"campaign": r.name, "passed": r.passed, "runtime": round(r.runtime, 3),
+          "summary": r.summary} for r in results],
+        all(r.passed for r in results),
+        f"{sum(r.passed for r in results)}/{len(results)} campaigns passed",
+        time.perf_counter() - t0,
+    )
     if outdir:
-        write_csv(os.path.join(outdir, f"{res.name}.csv"), res.fieldnames,
-                  [rows_block(res.fieldnames, res.rows)])
-        _write_summary(os.path.join(outdir, "summary.csv"), res)
-    return res
+        _write_rows(os.path.join(outdir, "summary.csv"), summary)
+    return summary if cfg.name == "all" else results[0]
 
 
 def _run_one(name: str, kwargs: dict) -> CheckResult:
@@ -152,10 +121,5 @@ def _run_one(name: str, kwargs: dict) -> CheckResult:
         raise CampaignError(f"campaign {name!r} failed: {exc}") from exc
 
 
-def _write_summary(path: str, res: CheckResult) -> None:
-    write_csv(
-        path,
-        ["campaign", "passed", "runtime", "summary"],
-        [{"campaign": res.name, "passed": res.passed,
-          "runtime": round(res.runtime, 3), "summary": res.summary}],
-    )
+def _write_rows(path: str, res: CheckResult) -> None:
+    write_csv(path, res.fieldnames, [rows_block(res.fieldnames, res.rows)])

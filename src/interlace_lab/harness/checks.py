@@ -1,11 +1,15 @@
 """Verification checks behind the campaigns and the acceptance suite.
 
-Each check returns a CheckResult with CSV-able rows and a pass flag; the
-tolerances default to the acceptance values and the budgets (paths, dt,
-node counts) are arguments so campaigns can scale them.
+Each check builds only its rows (dicts, one per case, each with a "pass"
+entry) and is registered under its campaign name with `register`, which
+times it and returns a CheckResult whose verdict is that every row
+passed.  The tolerances default to the acceptance values; the budgets
+(paths, dt, node counts) are arguments, named as the campaign settings
+that fill them, so campaigns can scale them.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -47,9 +51,30 @@ class CheckResult:
         return list(self.rows[0].keys()) if self.rows else ["value"]
 
 
-def _result(name, rows, passed, summary, t0):
-    return CheckResult(name=name, rows=rows, passed=bool(passed), summary=summary,
-                       runtime=time.perf_counter() - t0)
+#: campaign name -> check, in definition order (A1 ... A10)
+ALL_CHECKS = {}
+
+
+def register(name: str, summary: str):
+    """Enter the decorated row builder in ALL_CHECKS under `name`.
+
+    The registered check takes the builder's arguments (its signature is
+    the builder's, through functools.wraps) and returns a CheckResult
+    with the builder's rows, passed when every row's "pass" holds, and
+    its perf_counter runtime.
+    """
+    def decorate(build):
+        @functools.wraps(build)
+        def run(*args, **kwargs) -> CheckResult:
+            t0 = time.perf_counter()
+            rows = build(*args, **kwargs)
+            return CheckResult(name, rows, all(row["pass"] for row in rows), summary,
+                               time.perf_counter() - t0)
+
+        ALL_CHECKS[name] = run
+        return run
+
+    return decorate
 
 
 # -- A1 ---------------------------------------------------------------------
@@ -70,10 +95,9 @@ DUALITY_TOL = {
 }
 
 
-def check_duality_catalog(times=(0.25, 0.6, 1.0)) -> CheckResult:
-    t0 = time.perf_counter()
+@register("duality-catalog", "max residuals per pair vs tolerances")
+def check_duality_catalog(times=(0.25, 0.6, 1.0)):
     rows = []
-    passed = True
     for sid, (xs, ys) in DUALITY_GRID.items():
         spec = make_spec(sid)
         tol = DUALITY_TOL[sid]
@@ -84,10 +108,8 @@ def check_duality_catalog(times=(0.25, 0.6, 1.0)) -> CheckResult:
                     r = duality_residual(spec, t, float(x), float(y))
                     worst = max(worst, r)
         ok = worst <= tol
-        passed &= ok
         rows.append({"spec": sid, "max_residual": worst, "tolerance": tol, "pass": ok})
-    return _result("duality-catalog", rows, passed,
-                   f"max residuals per pair vs tolerances", t0)
+    return rows
 
 
 # -- A2 ---------------------------------------------------------------------
@@ -104,10 +126,9 @@ BOUNDARY_TABLE = [
 ]
 
 
-def check_boundary_table() -> CheckResult:
-    t0 = time.perf_counter()
+@register("boundary-table", "Feller classes + dual mapping")
+def check_boundary_table():
     rows = []
-    passed = True
     for sid, exp_l, exp_r in BOUNDARY_TABLE:
         spec = make_spec(sid)
         got_l, got_r = classify_boundary(spec, "l"), classify_boundary(spec, "r")
@@ -115,12 +136,11 @@ def check_boundary_table() -> CheckResult:
         dual = conjugate(spec)
         dl, dr = classify_boundary(dual, "l"), classify_boundary(dual, "r")
         ok &= dl == DUAL_FELLER[got_l] and dr == DUAL_FELLER[got_r]
-        passed &= ok
         rows.append({
             "spec": sid, "class_l": got_l.value, "class_r": got_r.value,
             "dual_class_l": dl.value, "dual_class_r": dr.value, "pass": ok,
         })
-    return _result("boundary-table", rows, passed, "Feller classes + dual mapping", t0)
+    return rows
 
 
 # -- A3 ---------------------------------------------------------------------
@@ -134,19 +154,18 @@ CHAPMAN_PROBES = [
 ]
 
 
-def check_chapman(s=0.5, t=0.5, tol=1e-3, n_nodes=48) -> CheckResult:
-    t0 = time.perf_counter()
+@register("chapman-bm", "semigroup residuals at probe pairs")
+def check_chapman(s=0.5, t=0.5, tolerance=1e-3, nodes=48):
     sys = tl.TwoLevelSystem(make_spec("bm"), tl.Shape.NNP1)
     rows = []
-    passed = True
     for (z, z2) in CHAPMAN_PROBES:
         za = (np.array(z[0]), np.array(z[1]))
         zb = (np.array(z2[0]), np.array(z2[1]))
-        r = tl.chapman_residual(sys, s, t, za, zb, n_nodes=n_nodes)
-        ok = r <= tol
-        passed &= ok
-        rows.append({"z": str(z), "z2": str(z2), "rel_residual": r, "tolerance": tol, "pass": ok})
-    return _result("chapman-bm", rows, passed, "semigroup residuals at probe pairs", t0)
+        r = tl.chapman_residual(sys, s, t, za, zb, n_nodes=nodes)
+        ok = r <= tolerance
+        rows.append({"z": str(z), "z2": str(z2), "rel_residual": r, "tolerance": tolerance,
+                     "pass": ok})
+    return rows
 
 
 # -- A4 ---------------------------------------------------------------------
@@ -180,21 +199,19 @@ def master_cases():
     return [dyson, half, besq]
 
 
-def check_master_intertwinings(tol=1e-4, n_nodes=24, fiber_nodes=24, perturb=None) -> CheckResult:
-    t0 = time.perf_counter()
+@register("master-intertwinings", "intertwining residuals")
+def check_master_intertwinings(tolerance=1e-4, nodes=24, fiber_nodes=24, perturb=None):
     rows = []
-    passed = True
     for case in master_cases():
         res = tl.master_intertwining_residual(
             case["sys"], case["h_hat"], case["t"], case["fs"], case["x"],
-            n_nodes=n_nodes, fiber_nodes=fiber_nodes, perturb=perturb,
+            n_nodes=nodes, fiber_nodes=fiber_nodes, perturb=perturb,
         )
         for fi, r in enumerate(res):
-            ok = r <= tol
-            passed &= ok
+            ok = r <= tolerance
             rows.append({"case": case["label"], "test_function": fi,
-                         "residual": r, "tolerance": tol, "pass": ok})
-    return _result("master-intertwinings", rows, passed, "intertwining residuals", t0)
+                         "residual": r, "tolerance": tolerance, "pass": ok})
+    return rows
 
 
 # -- A5 ---------------------------------------------------------------------
@@ -259,27 +276,24 @@ def run_bes3_w11(paths=20000, dt=4e-3, seed=42, init_seed=123, T=1.0):
     return pb.terminal(1)[:, 0]
 
 
-def check_warren_dyson(paths=20000, dt=4e-3, ks_tol=0.02, seed=7) -> CheckResult:
-    t0 = time.perf_counter()
+@register("warren-dyson", "reflected systems vs exact laws")
+def check_warren_dyson(paths=20000, dt=4e-3, tolerance=0.02, seed=7):
     rows = []
-    passed = True
     X = run_dyson_w12(paths=paths, dt=dt, seed=seed)
     for idx in (0, 1):
         F = dyson_marginal_cdf([-1.0, 1.0], 1.0, idx)
         s = np.sort(X[:, idx])
         ks = ks_statistic_cdf(s, F(s))
-        ok = ks <= ks_tol
-        passed &= ok
-        rows.append({"case": f"dyson-W12-X{idx+1}", "ks": ks, "tolerance": ks_tol,
+        ok = ks <= tolerance
+        rows.append({"case": f"dyson-W12-X{idx+1}", "ks": ks, "tolerance": tolerance,
                      "paths": paths, "dt": dt, "pass": ok})
     xs = run_bes3_w11(paths=paths, dt=dt, seed=seed + 35)
     s = np.sort(xs)
     ks = ks_statistic_cdf(s, bes3_cdf(s))
-    ok = ks <= ks_tol
-    passed &= ok
-    rows.append({"case": "bes3-W11", "ks": ks, "tolerance": ks_tol,
+    ok = ks <= tolerance
+    rows.append({"case": "bes3-W11", "ks": ks, "tolerance": tolerance,
                  "paths": paths, "dt": dt, "pass": ok})
-    return _result("warren-dyson", rows, passed, "reflected systems vs exact laws", t0)
+    return rows
 
 
 # -- A6 ---------------------------------------------------------------------
@@ -300,37 +314,33 @@ def run_gt2(family: str, paths, dt, seed, t_start=1e-3, T=1.0, init_seed=11):
     return rs.simulate_gt(specs, init, T=T, dt=dt, n_paths=paths, seed=seed, t0=t_start)
 
 
-def check_entrance_gt(paths=20000, dt=4e-3, ks_tol=0.02, seed=5, oracle_count=200000) -> CheckResult:
-    t0 = time.perf_counter()
+@register("entrance-gt", "pattern levels vs matrix oracles")
+def check_entrance_gt(paths=20000, dt=4e-3, tolerance=0.02, seed=5, oracle_count=200000):
     rows = []
-    passed = True
     rng = np.random.default_rng(2024)
     pb = run_gt2("gue", paths, dt, seed)
     ev = gue_sample(rng, 2, oracle_count)
     for idx in (0, 1):
         ks = two_sample_ks(pb.terminal(1)[:, idx], ev[:, idx])
-        ok = ks <= ks_tol
-        passed &= ok
-        rows.append({"case": f"gt2-dyson-eig{idx}", "ks": ks, "tolerance": ks_tol,
+        ok = ks <= tolerance
+        rows.append({"case": f"gt2-dyson-eig{idx}", "ks": ks, "tolerance": tolerance,
                      "stopped": int(np.isfinite(pb.tau).sum()), "pass": ok})
     pb2 = run_gt2("besq:2", paths, dt, seed + 10, init_seed=21)
     evw = complex_wishart_sample(rng, 2, 2, oracle_count, entry_variance=2.0)
     for idx in (0, 1):
         ks = two_sample_ks(pb2.terminal(1)[:, idx], evw[:, idx])
-        ok = ks <= ks_tol
-        passed &= ok
-        rows.append({"case": f"gt2-besq-eig{idx}", "ks": ks, "tolerance": ks_tol,
+        ok = ks <= tolerance
+        rows.append({"case": f"gt2-besq-eig{idx}", "ks": ks, "tolerance": tolerance,
                      "stopped": int(np.isfinite(pb2.tau).sum()), "pass": ok})
-    return _result("entrance-gt", rows, passed, "pattern levels vs matrix oracles", t0)
+    return rows
 
 
 # -- A7 ---------------------------------------------------------------------
 
 
-def check_edge_formulas(paths=20000, oracle_count=200000, tol=0.02, seed=9) -> CheckResult:
-    t0 = time.perf_counter()
+@register("edge-formulas", "edge CDFs vs oracles and sims")
+def check_edge_formulas(paths=20000, oracle_count=200000, tolerance=0.02, seed=9):
     rows = []
-    passed = True
     rng = np.random.default_rng(5150)
     # edge pushes are sampled from the bridge maximum of each step, so the
     # O(sqrt(dt)) deficit of per-step projection is gone and a coarse grid
@@ -346,10 +356,9 @@ def check_edge_formulas(paths=20000, oracle_count=200000, tol=0.02, seed=9) -> C
                               n_paths=paths_n, seed=seed + n)
         mx = pb.terminal(0)[:, -1]
         d_sim = float(np.max(np.abs(F - empirical_cdf_on_grid(mx, zg))))
-        ok = d_oracle <= tol and d_sim <= tol
-        passed &= ok
+        ok = d_oracle <= tolerance and d_sim <= tolerance
         rows.append({"case": f"bm-max-n{n}", "sup_diff_oracle": d_oracle,
-                     "sup_diff_sim": d_sim, "tolerance": tol, "pass": ok})
+                     "sup_diff_sim": d_sim, "tolerance": tolerance, "pass": ok})
     evw = complex_wishart_sample(rng, 2, 2, oracle_count, entry_variance=2.0)
     zg = np.linspace(0.05, np.quantile(evw[:, 1], 1 - 5e-4) + 1.0, 61)
     Fmax = ek.edge_max_cdf_degenerate(make_spec("besq:2"), 2, 1.0, 0.0, zg)
@@ -357,20 +366,18 @@ def check_edge_formulas(paths=20000, oracle_count=200000, tol=0.02, seed=9) -> C
     zg2 = np.linspace(1e-3, np.quantile(evw[:, 0], 0.999) + 0.5, 61)
     Fmin = ek.edge_min_cdf_degenerate(make_spec("besq:2"), 2, 1.0, 0.0, zg2)
     d_min = float(np.max(np.abs(Fmin - empirical_cdf_on_grid(evw[:, 0], zg2))))
-    ok = d_max <= tol and d_min <= tol
-    passed &= ok
+    ok = d_max <= tolerance and d_min <= tolerance
     rows.append({"case": "besq-extremes-n2", "sup_diff_oracle": max(d_max, d_min),
-                 "sup_diff_sim": float("nan"), "tolerance": tol, "pass": ok})
-    return _result("edge-formulas", rows, passed, "edge CDFs vs oracles and sims", t0)
+                 "sup_diff_sim": float("nan"), "tolerance": tolerance, "pass": ok})
+    return rows
 
 
 # -- A8 ---------------------------------------------------------------------
 
 
-def check_eigen_structure(tol=1e-6, ratio_tol=1e-8) -> CheckResult:
-    t0 = time.perf_counter()
+@register("eigen-structure", "eigenfunction structure checks")
+def check_eigen_structure(tolerance=1e-6, ratio_tol=1e-8):
     rows = []
-    passed = True
     cases = [
         ("bm", 2, 0.5, [[0.0, 1.0], [-1.0, 0.5]]),
         ("ou", 2, 0.5, [[0.0, 1.0], [-0.8, 0.4]]),
@@ -381,9 +388,9 @@ def check_eigen_structure(tol=1e-6, ratio_tol=1e-8) -> CheckResult:
         spec = make_spec(sid)
         h = km.eigenfunction_catalog(spec, n)
         r = km.eigen_residual(kernel(spec), h, t, probes)
-        ok = r <= tol
-        passed &= ok
-        rows.append({"case": f"eigen-{sid}-n{n}", "value": r, "tolerance": tol, "pass": ok})
+        ok = r <= tolerance
+        rows.append({"case": f"eigen-{sid}-n{n}", "value": r, "tolerance": tolerance,
+                     "pass": ok})
 
     # ground-state rates equal minus the partial spectral sums
     for sid, n in [("bm_interval:abs,abs", 3), ("ou", 3), ("lag:3", 2), ("jac:1,1", 2)]:
@@ -394,7 +401,6 @@ def check_eigen_structure(tol=1e-6, ratio_tol=1e-8) -> CheckResult:
         basis = spectral_basis(spec)
         expected = -sum(basis.eigenvalue(k) for k in range(n))
         ok = abs(gs.rate - expected) == 0.0
-        passed &= ok
         rows.append({"case": f"ground-rate-{sid}-n{n}", "value": gs.rate,
                      "tolerance": 0.0, "pass": ok})
 
@@ -405,7 +411,6 @@ def check_eigen_structure(tol=1e-6, ratio_tol=1e-8) -> CheckResult:
     ratios = gs(probes) / v(probes)
     r = float(np.max(np.abs(ratios / ratios[0] - 1.0)))
     ok = r <= ratio_tol
-    passed &= ok
     rows.append({"case": "ou-ground-vandermonde-ratio", "value": r,
                  "tolerance": ratio_tol, "pass": ok})
 
@@ -427,41 +432,36 @@ def check_eigen_structure(tol=1e-6, ratio_tol=1e-8) -> CheckResult:
         ratios = built(xs) / closed(xs)
         r = float(np.max(np.abs(ratios / ratios[0] - 1.0)))
         ok = r <= ratio_tol
-        passed &= ok
         rows.append({"case": f"chain-{label}", "value": r, "tolerance": ratio_tol, "pass": ok})
 
     # unit-weight chain has Wronskian identically one
     wr = km.wronskian(km.bm_pattern_chain(2).components, 1.3)
     wr_tol = 1e-6
     ok = abs(wr - 1.0) <= wr_tol
-    passed &= ok
     rows.append({"case": "bm-chain-wronskian", "value": wr, "tolerance": wr_tol, "pass": ok})
-    return _result("eigen-structure", rows, passed, "eigenfunction structure checks", t0)
+    return rows
 
 
 # -- A9 ---------------------------------------------------------------------
 
 
-def check_entrance_lemma(tol=1e-8) -> CheckResult:
-    t0 = time.perf_counter()
+@register("entrance-lemma", "degenerate-start density identity")
+def check_entrance_lemma(tolerance=1e-8):
     bm = kernel(make_spec("bm"))
     dens = km.polynomial_ensemble_limit(bm, km.vandermonde(2), 0.0, 2, 1.0)
     elaw = km.entrance_law("gue", 2)
     ys = np.array([[-1.0, 0.5], [0.2, 1.3], [-2.0, 2.0], [0.0, 0.7], [-0.4, 3.0]])
     diff = float(np.max(np.abs(dens(ys) - elaw.density(1.0, ys))))
-    ok = diff <= tol
-    rows = [{"case": "bm-limit-vs-gue-law", "max_pointwise_diff": diff,
-             "tolerance": tol, "pass": ok}]
-    return _result("entrance-lemma", rows, ok, "degenerate-start density identity", t0)
+    return [{"case": "bm-limit-vs-gue-law", "max_pointwise_diff": diff,
+             "tolerance": tolerance, "pass": diff <= tolerance}]
 
 
 # -- A10 --------------------------------------------------------------------
 
 
-def check_skorokhod(paths=20000, dts=(4e-3, 2e-3, 1e-3), seed=3) -> CheckResult:
-    t0 = time.perf_counter()
+@register("skorokhod", "map properties and dt-refinement")
+def check_skorokhod(paths=20000, dts=(4e-3, 2e-3, 1e-3), seed=3):
     rows = []
-    passed = True
     # explicit one-sided formula on random walks: exact on the grid
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -471,7 +471,6 @@ def check_skorokhod(paths=20000, dts=(4e-3, 2e-3, 1e-3), seed=3) -> CheckResult:
         explicit = z + np.maximum.accumulate(np.maximum(-z, 0.0))
         worst = max(worst, float(np.max(np.abs(res.x - explicit))))
     ok = worst == 0.0
-    passed &= ok
     rows.append({"case": "explicit-formula", "value": worst, "tolerance": 0.0, "pass": ok})
 
     # Lipschitz constant of the two-sided solution map
@@ -485,7 +484,6 @@ def check_skorokhod(paths=20000, dts=(4e-3, 2e-3, 1e-3), seed=3) -> CheckResult:
         rb = rs.skorokhod_map(z, lower=-1.0, upper=1.0)
         cmax = max(cmax, float(np.max(np.abs(ra.x - rb.x))) / eps)
     ok = cmax <= 4.0
-    passed &= ok
     rows.append({"case": "lipschitz-bound", "value": cmax, "tolerance": 4.0, "pass": ok})
 
     # dt-refinement: KS of the reflected half-line system decreases within
@@ -497,22 +495,8 @@ def check_skorokhod(paths=20000, dts=(4e-3, 2e-3, 1e-3), seed=3) -> CheckResult:
         s = np.sort(xs)
         ks_vals.append(ks_statistic_cdf(s, bes3_cdf(s)))
     mono = all(ks_vals[i + 1] <= ks_vals[i] + noise for i in range(len(ks_vals) - 1))
-    passed &= mono
     for dt, ksv in zip(dts, ks_vals):
         rows.append({"case": f"refinement-dt-{dt:g}", "value": ksv,
                      "tolerance": noise, "pass": mono})
-    return _result("skorokhod", rows, passed, "map properties and dt-refinement", t0)
+    return rows
 
-
-ALL_CHECKS = {
-    "duality-catalog": check_duality_catalog,
-    "boundary-table": check_boundary_table,
-    "chapman-bm": check_chapman,
-    "master-intertwinings": check_master_intertwinings,
-    "warren-dyson": check_warren_dyson,
-    "entrance-gt": check_entrance_gt,
-    "edge-formulas": check_edge_formulas,
-    "eigen-structure": check_eigen_structure,
-    "entrance-lemma": check_entrance_lemma,
-    "skorokhod": check_skorokhod,
-}

@@ -7,7 +7,7 @@ node/weight arrays so integrands can be evaluated in one vectorised call.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -45,20 +45,6 @@ def ordered_nodes(ndim: int, lo: float, hi: float, n: int = 32):
         )
         wts = wnew.reshape(-1)
         prev = pts[:, -1]
-    return pts, wts
-
-
-def box_nodes(bounds: Sequence[tuple], n: int = 32):
-    """Tensor-product nodes/weights over a box given per-coordinate bounds."""
-    pts = np.zeros((1, 0))
-    wts = np.ones(1)
-    for a, b in bounds:
-        x, w = gl_nodes(float(a), float(b), n)
-        pts = np.concatenate(
-            [np.repeat(pts, n, axis=0), np.tile(x, pts.shape[0]).reshape(-1, 1)],
-            axis=1,
-        )
-        wts = (wts[:, None] * w[None, :]).reshape(-1)
     return pts, wts
 
 

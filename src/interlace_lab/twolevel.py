@@ -169,8 +169,12 @@ def block_kernel(
 
     z_from, z_to: (x, y) pairs; arrays may carry leading batch axes that
     broadcast against each other.  `perturb` deliberately miswires the
-    kernel for negative-control campaigns ('indicator' or 'c_sign').
+    kernel for negative-control campaigns: 'indicator' takes the fiber
+    indicator of the other shape, 'c_sign' flips the sign of the lower-left
+    block.
     """
+    if perturb not in (None, "indicator", "c_sign"):
+        raise ValueError(f"unknown perturb {perturb!r}: expected 'indicator' or 'c_sign'")
     x, y = (np.asarray(a, float) for a in z_from)
     xp, yp = (np.asarray(a, float) for a in z_to)
     n2, n1 = x.shape[-1], y.shape[-1]

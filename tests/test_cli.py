@@ -99,6 +99,26 @@ class TestCLI:
         assert main(["campaign", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "chapman-bm.csv").exists()
 
+    def test_campaign_flags_override_the_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[campaign]\nname = boundary-table\n")
+        out = tmp_path / "out"
+        assert main(["campaign", "--config", str(cfg), "--name", "chapman-bm",
+                     "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["chapman-bm.csv", "summary.csv"]
+        capsys.readouterr()
+        # boundary-table takes no seed, so a seed given on the command line is an error
+        assert main(["campaign", "--config", str(cfg), "--seed", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "takes seed" in err
+
+    def test_campaign_config_rejects_an_unknown_perturbation(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[campaign]\nname = master-intertwinings\nnodes = 6\nperturb = indicatr\n")
+        assert main(["campaign", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'indicatr'" in err and "'c_sign'" in err
+
     @pytest.mark.parametrize(
         "argv",
         [["campaign", "--name", "no-such-campaign"],

@@ -328,6 +328,40 @@ class TestKernels:
                    for y in ys]
             assert np.max(np.abs(k.cdf(t, x, ys) - cdf)) < 1e-10
 
+    def test_interval_atoms_match_the_mode_expansion(self):
+        # the absorbed mass from the eigenfunction expansion, independent of
+        # the images and of total_mass (which is 1 by construction here):
+        # P_x(alive at t) = sum_k e^{-lam_k t} phi_k(x) int_0^pi phi_k, with
+        # the normalised modes sqrt(2/pi) cos((k+1/2)y) for refl,abs,
+        # sqrt(2/pi) sin((k+1/2)y) for abs,refl and sqrt(2/pi) sin(ky) for
+        # abs,abs, whose integrals are (-1)^k/(k+1/2), 1/(k+1/2) and
+        # (1-(-1)^k)/k.  abs,abs splits the mass between its ends by the
+        # harmonic part: P_x(absorbed at pi by t) = x/pi - sum_k b_k e^{-k^2 t/2}
+        # sin(kx), b_k = 2(-1)^{k+1}/(pi k), and at 0 by symmetry.
+        k = np.arange(400.0)
+        h, j = k + 0.5, k + 1.0
+        sign = (-1.0) ** k
+        for t, x in itertools.product((0.05, 0.3, 1.0, 2.5), (0.4, 1.7, 2.9)):
+            eh = (2 / math.pi) * np.exp(-h * h * t / 2)
+            ej = (2 / math.pi) * np.exp(-j * j * t / 2)
+            alive = {
+                "refl,abs": np.sum(eh * np.cos(h * x) * sign / h),
+                "abs,refl": np.sum(eh * np.sin(h * x) / h),
+                "abs,abs": np.sum(ej * np.sin(j * x) * (1 - (-1.0) ** j) / j),
+            }
+            want = {
+                "refl,abs": (0.0, 1.0 - alive["refl,abs"]),
+                "abs,refl": (1.0 - alive["abs,refl"], 0.0),
+                "abs,abs": ((math.pi - x) / math.pi - np.sum(ej * np.sin(j * x) / j),
+                            x / math.pi - np.sum(ej * np.sin(j * x) * sign / j)),
+            }
+            for ends, (atom_l, atom_r) in want.items():
+                kern = kernel(make_spec(f"bm_interval:{ends}"))
+                got_l, got_r = float(kern.atom_l(t, x)), float(kern.atom_r(t, x))
+                assert got_l == pytest.approx(atom_l, abs=1e-12), (ends, t, x)
+                assert got_r == pytest.approx(atom_r, abs=1e-12), (ends, t, x)
+                assert got_l + got_r == pytest.approx(1.0 - alive[ends], abs=1e-12), (ends, t, x)
+
     @pytest.mark.parametrize(
         "sid",
         ["bm", "ou", "besq:2.5", "gbm:1", "bm_halfline:refl", "bm_halfline:abs",

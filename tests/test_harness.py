@@ -9,13 +9,12 @@ from scipy.special import ndtr
 from interlace_lab.harness import (
     CampaignConfig,
     CampaignError,
-    MCReport,
     cdf_from_density_grid,
     complex_wishart_sample,
     gue_corners_sample,
     gue_sample,
     jacobi_unitary_sample,
-    ks_compare,
+    ks_statistic_cdf,
     read_config,
     rmt_oracle,
     run_campaign,
@@ -24,12 +23,15 @@ from interlace_lab.harness import (
 )
 
 
+def ks_against_normal(samples):
+    s = np.sort(samples)
+    return ks_statistic_cdf(s, ndtr(s))
+
+
 class TestOracles:
     def test_gue_one_is_standard_gaussian(self):
         rng = np.random.default_rng(1)
-        ev = gue_sample(rng, 1, 20000)[:, 0]
-        rep = ks_compare(ev, ndtr)
-        assert rep.ks_statistic < 0.015
+        assert ks_against_normal(gue_sample(rng, 1, 20000)[:, 0]) < 0.015
 
     def test_wishart_row_mean_eigenvalue(self):
         rng = np.random.default_rng(2)
@@ -94,52 +96,14 @@ class TestOracles:
 
 
 class TestKSCompare:
-    def test_self_consistency_pvalues(self):
-        # inverse-transform samples from the target law: p-values spread
-        # over (0, 1) rather than piling up at 0
-        pvals = []
-        for seed in range(40):
-            rng = np.random.default_rng(seed)
-            s = rng.normal(size=2000)
-            pvals.append(ks_compare(s, ndtr).ks_pvalue)
-        pvals = np.array(pvals)
-        assert 0.3 < pvals.mean() < 0.7
-        assert pvals.min() > 1e-4
-
     def test_shift_is_rejected(self):
         rng = np.random.default_rng(7)
-        s = rng.normal(0.5, 1.0, size=10000)
-        rep = ks_compare(s, ndtr)
-        assert rep.ks_pvalue < 1e-3
-        assert rep.ks_statistic > 0.1
+        assert ks_against_normal(rng.normal(0.5, 1.0, size=10000)) > 0.1
 
     def test_disjoint_and_identical_supports(self):
         rng = np.random.default_rng(8)
-        far = rng.normal(10.0, 1.0, size=2000)
-        assert ks_compare(far, ndtr).ks_statistic > 0.999
-        near = rng.normal(0.0, 1.0, size=100000)
-        assert ks_compare(near, ndtr).ks_statistic < 0.005
-
-    def test_moment_errors_reported(self):
-        rng = np.random.default_rng(9)
-        rep = ks_compare(rng.normal(size=50000), ndtr)
-        assert len(rep.moment_errors) == 4
-        assert rep.moment_errors[0] < 0.02
-        assert rep.moment_errors[1] < 0.05
-
-    def test_non_monotone_cdf_rejected(self):
-        with pytest.raises(ValueError):
-            ks_compare(np.random.default_rng(0).normal(size=2000), lambda z: -ndtr(z))
-
-    def test_minimum_sample_size(self):
-        with pytest.raises(ValueError):
-            ks_compare(np.zeros(10), ndtr)
-
-    def test_report_round_trip(self):
-        rep = MCReport(sample_size=10, ks_statistic=0.1, ks_pvalue=0.5,
-                       moment_errors=[0.1, 0.2], runtime=1.0, seed=3, label="x")
-        back = MCReport.from_json(rep.to_json())
-        assert back == rep
+        assert ks_against_normal(rng.normal(10.0, 1.0, size=2000)) > 0.999
+        assert ks_against_normal(rng.normal(0.0, 1.0, size=100000)) < 0.005
 
     def test_two_sample_ks(self):
         rng = np.random.default_rng(10)
@@ -148,17 +112,6 @@ class TestKSCompare:
         assert two_sample_ks(a, b) < 0.04
         # 3-sigma shift: sup|Phi(z) - Phi(z-3)| = Phi(1.5) - Phi(-1.5) ~ 0.866
         assert two_sample_ks(a, b + 3.0) > 0.85
-
-
-def test_ks_pvalue_is_the_kolmogorov_law():
-    from scipy.stats import kstwobign
-
-    from interlace_lab.harness.stats import ks_pvalue
-
-    for n in (1000, 20000):
-        for stat in np.linspace(0.0, 0.08, 201):
-            assert ks_pvalue(stat, n) == float(
-                kstwobign.sf(stat * (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n))))
 
 
 class TestDensityGridCdf:
@@ -231,9 +184,9 @@ class TestCampaigns:
         from interlace_lab.harness.campaign import _check_kwargs
 
         cfg = CampaignConfig(name="all", dt=1e-3, tolerance=0.05)
-        assert _check_kwargs("warren-dyson", cfg) == ({"dt": 1e-3, "ks_tol": 0.05}, set())
-        assert _check_kwargs("chapman-bm", cfg) == ({"tol": 0.05}, {"dt"})
-        assert _check_kwargs("skorokhod", cfg) == ({}, {"dt", "tolerance"})
+        assert _check_kwargs("warren-dyson", cfg) == {"dt": 1e-3, "tolerance": 0.05}
+        assert _check_kwargs("chapman-bm", cfg) == {"tolerance": 0.05}
+        assert _check_kwargs("skorokhod", cfg) == {}
 
     def test_fast_campaign_writes_outputs(self, tmp_path):
         cfg = CampaignConfig(name="boundary-table", out=str(tmp_path))
@@ -249,12 +202,11 @@ class TestCampaigns:
         res = run_campaign(cfg)
         assert not res.passed
 
-    def test_reproducible_across_thread_counts(self):
-        r1 = run_campaign(CampaignConfig(name="chapman-bm", nodes=32))
-        r2 = run_campaign(CampaignConfig(name="chapman-bm", nodes=32, threads=4))
-        v1 = [row["rel_residual"] for row in r1.rows]
-        v2 = [row["rel_residual"] for row in r2.rows]
-        assert v1 == v2
+    def test_unknown_perturbation_is_rejected(self):
+        # a misspelled negative control must not run as the unperturbed kernel
+        cfg = CampaignConfig(name="master-intertwinings", perturb="indicatr", nodes=6)
+        with pytest.raises(CampaignError, match="'indicatr'.*'indicator' or 'c_sign'"):
+            run_campaign(cfg)
 
 
 def test_kernels_and_ks_helpers_import_no_heavy_scipy_module():
@@ -269,10 +221,11 @@ def test_kernels_and_ks_helpers_import_no_heavy_scipy_module():
             "from scipy.special import ndtr\n"
             "import interlace_lab\n"
             "from interlace_lab.diffusion1d import kernel, make_spec\n"
-            "from interlace_lab.harness import cdf_from_density_grid, ks_compare\n"
+            "from interlace_lab.harness import cdf_from_density_grid, ks_statistic_cdf\n"
             "make_spec('jac:1,1')\n"
             "kernel(make_spec('besq:4')).cdf(0.3, np.array([0.0, 0.7]), 0.9)\n"
-            "ks_compare(np.random.default_rng(0).normal(size=1000), ndtr)\n"
+            "s = np.sort(np.random.default_rng(0).normal(size=1000))\n"
+            "ks_statistic_cdf(s, ndtr(s))\n"
             "g = np.linspace(-5.0, 5.0, 41)\n"
             "cdf_from_density_grid(g, np.exp(-g * g / 2))(np.array([0.0, 1.0]))\n"
             "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', 'scipy.interpolate')\n"
@@ -280,3 +233,27 @@ def test_kernels_and_ks_helpers_import_no_heavy_scipy_module():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_perfbench_finds_every_name_it_traces():
+    # the benchmark reaches into the package by name (its set-ups, its
+    # tracer's wrapped entry points, its gate's row keys); a name it needs
+    # that is gone must fail here, not only in a traced benchmark run
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import gate, tracer, workloads\n"
+            "for setup, _, _ in workloads.WORKLOADS.values():\n"
+            "    setup()\n"
+            "t = tracer.Tracer('t')\n"
+            "tracer.install(t)\n"
+            "from interlace_lab.harness import CampaignConfig, run_campaign\n"
+            "rows = run_campaign(CampaignConfig(name='chapman-bm')).rows\n"
+            "assert all(op.ok for op in gate.judge('chapman-bm', rows)), rows\n"
+            "print(sorted({s.name for s in t.spans}))\n")
+    path = os.pathsep.join([os.path.join(root, "perfbench")] + sys.path)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert "harness.check.chapman-bm" in out.stdout
+    assert "twolevel.chapman_residual" in out.stdout

@@ -88,9 +88,9 @@ class TestHTransform:
         # grid-level crossing detection biases survival up by O(sqrt(dt))
         box = (surv[:, 0] > 1.0) & (surv[:, 0] < 2.0) & (surv[:, 1] > 2.5) & (surv[:, 1] < 4.0)
         mc = box.mean() * alive.mean()
-        from interlace_lab.quadrature import box_nodes
+        from interlace_lab.quadrature import stacked_box_nodes
 
-        pts, wts = box_nodes([(1.0, 2.0), (2.5, 4.0)], 48)
+        pts, wts, _ = stacked_box_nodes([[1.0, 2.5]], [[2.0, 4.0]], 48)
         exact = float(np.dot(wts, km.km_density(kern, t, x0, pts)))
         assert mc == pytest.approx(exact, rel=0.08)
 
