@@ -36,7 +36,7 @@ from .harness import (
     run_campaign,
     write_csv,
 )
-from .harness.io import ensure_outdir, rows_block
+from .harness.io import ConfigError, ensure_outdir, rows_block
 
 
 def _emit(args, name, fieldnames, rows):
@@ -189,8 +189,9 @@ def cmd_simulate(args):
     T = float(cfg.get("t", 1.0))
     dt = float(cfg.get("dt", 1e-3))
     paths = int(cfg.get("paths", 1000))
-    seed = int(cfg.get("seed", args.seed or 0))
-    out = cfg.get("output", args.out or ".")
+    # --seed and --out given on the command line override the config file
+    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    out = args.out if args.out is not None else cfg.get("output", ".")
     ensure_outdir(out)
     stride = int(cfg["record_stride"]) if "record_stride" in cfg else None
     if mode == "edge":
@@ -298,7 +299,7 @@ def cmd_campaign(args):
     if args.config:
         cfg = dataclasses.replace(CampaignConfig.from_file(args.config), **flags)
     else:
-        cfg = CampaignConfig(**{"name": "all", **flags})
+        cfg = CampaignConfig(**flags)
     res = run_campaign(cfg)
     print(f"campaign {res.name}: {'PASS' if res.passed else 'FAIL'} "
           f"({res.summary}; {res.runtime:.1f}s)")
@@ -385,7 +386,8 @@ def build_parser():
     s.set_defaults(func=cmd_edge_cdf)
 
     s = add("campaign", seed, help="run a verification campaign")
-    s.add_argument("--name", default=None, help="check name or 'all' (default: all)")
+    s.add_argument("--name", default=None,
+                   help="check name or 'all' (default: the config file's name, else all)")
     s.add_argument("--config", default=None, help="campaign config file; flags given override it")
     s.set_defaults(func=cmd_campaign)
     return p
@@ -396,7 +398,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         ret = args.func(args)
-    except (CampaignError, CatalogError) as e:
+    except (CampaignError, CatalogError, ConfigError) as e:
         # CatalogError is a KeyError, whose str() would quote the message
         print(f"{parser.prog}: error: {e.args[0] if e.args else e}", file=sys.stderr)
         return 2

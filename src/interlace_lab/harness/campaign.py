@@ -29,14 +29,15 @@ SETTINGS = {"paths": int, "dt": float, "nodes": int, "tolerance": float, "seed":
 
 @dataclass
 class CampaignConfig:
-    """A campaign: a check name from ALL_CHECKS (or 'all') and settings.
+    """A campaign: a check name from ALL_CHECKS (or 'all', the default) and
+    settings.
 
     Every setting in SETTINGS that is not None must be taken by the check,
     or under 'all' by at least one check; run_campaign raises
     CampaignError otherwise.
     """
 
-    name: str
+    name: str = "all"
     paths: Optional[int] = None
     dt: Optional[float] = None
     nodes: Optional[int] = None
@@ -58,9 +59,7 @@ class CampaignConfig:
     @classmethod
     def from_file(cls, path: str) -> "CampaignConfig":
         raw = read_config(path, "campaign")
-        kw = {"name": raw.pop("name")}
-        if "out" in raw:
-            kw["out"] = raw.pop("out")
+        kw = {key: raw.pop(key) for key in ("name", "out") if key in raw}
         for key, cast in SETTINGS.items():
             if key in raw:
                 kw[key] = cast(raw.pop(key))

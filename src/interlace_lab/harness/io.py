@@ -65,13 +65,24 @@ def rows_block(fieldnames, rows: Iterable[Mapping]) -> dict:
     return {f: [r.get(f, "") for r in rows] for f in fieldnames}
 
 
+class ConfigError(ValueError):
+    """A config file that cannot be read, or lacks the section asked for."""
+
+
 def read_config(path: str, section: str = "campaign") -> dict:
     """Flat key=value config with bracketed section headers."""
     cp = configparser.ConfigParser()
-    with open(path) as fh:
-        cp.read_string(fh.read())
+    try:
+        with open(path) as fh:
+            cp.read_string(fh.read())
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
+    except configparser.Error as e:
+        first = str(e).splitlines()[0]
+        raise ConfigError(f"config file {path} is not key = value lines under [{section}]: "
+                          f"{first}") from None
     if section not in cp:
-        raise KeyError(f"missing [{section}] section in {path}")
+        raise ConfigError(f"missing [{section}] section in {path}")
     return dict(cp[section])
 
 

@@ -445,9 +445,10 @@ def simulate_two_level(
     pushed off its updated Y neighbours, and walls, by the bridge-sampled
     pushes of the module docstring.
     tau is set at the first Y collision or killing-boundary hit required
-    by the shape; stopped paths are frozen.
+    by the shape; stopped paths are frozen.  The particle counts of x0 and
+    y0 must be the shape's, and every path must interlace.
     """
-    from .twolevel import check_shape_assumptions
+    from .twolevel import check_shape_assumptions, counts
 
     check_shape_assumptions(spec, shape)
     if y_spec is None:
@@ -463,6 +464,8 @@ def simulate_two_level(
     else:
         y = np.broadcast_to(np.asarray(y0, float), (n_paths, np.asarray(y0).shape[-1])).copy()
     n1 = y.shape[-1]
+    if n2 != counts(shape, n1):
+        raise ValueError(f"{n2} x and {n1} y particles do not match the shape {shape.value}")
     l, r = spec.interval
 
     killing = (Boundary.EXIT, Boundary.REGULAR_ABSORBING)

@@ -15,6 +15,16 @@ m_hat = s' (scale density of the forward diffusion).  The indicator is
 on W^{n+1,n} (the two-sided-killing variant; tested only through its mass
 and projection identities).
 
+Each block depends on two of the four arguments, and block_kernel
+evaluates it in one kernel call over the broadcast of only those two
+(x[..., :, None] against x'[..., None, :], and so on), then broadcasts
+each block into the matrix.  The image-space nodes carry that structure:
+x' is laid out as (N, 1, n2) and y' as (N, F, n1), the F fiber nodes over
+each of the N chamber nodes, with weights (N, F), so A and C are
+evaluated once per x' node rather than once per (x', y') node.  The
+intertwining residual builds the x rows [A | B] once and only the y rows
+[C | D] for each starting fiber point.
+
 The module also provides the interlacing integral operators (unnormalized
 and Markov-normalized), and quadrature residuals for the projection
 (Dynkin) identity, the intertwining with killed determinant semigroups,
@@ -84,8 +94,12 @@ def counts(shape: Shape, n1: int) -> int:
 
 
 def interlaces(x, y, shape: Shape, l=-np.inf, r=np.inf, tol=0.0) -> bool:
+    """Whether (x, y) is a configuration of the shape: the particle counts
+    match it and y lies in the fiber over x, within tol."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
+    if x.shape[-1] != counts(shape, y.shape[-1]):
+        return False
     lo, hi = fiber_bounds(x, shape, l, r)
     return bool(np.all(y >= lo - tol) and np.all(y <= hi + tol))
 
@@ -116,23 +130,6 @@ def x_fiber_bounds(y, shape: Shape, l=-np.inf, r=np.inf):
     return y[..., :-1], y[..., 1:]
 
 
-@dataclass(frozen=True)
-class InterlacingConfig:
-    shape: Shape
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, float)
-        y = np.asarray(self.y, float)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        if x.shape[-1] != counts(self.shape, y.shape[-1]):
-            raise ValueError("particle counts do not match the shape")
-        if not interlaces(x, y, self.shape, tol=1e-12):
-            raise ValueError("configuration violates the interlacing inequalities")
-
-
 @dataclass(eq=False)
 class TwoLevelSystem:
     """Kernel bundle for one diffusion/shape pair: the kernel of spec, the
@@ -158,6 +155,47 @@ class TwoLevelSystem:
         return (j > i).astype(float)
 
 
+def _x_rows(sys: TwoLevelSystem, t: float, x, xp, yp, perturb=None):
+    """The blocks A and B of the x rows [A | B], A evaluated over the batch
+    axes of x and x' only, B over those of x and y' only."""
+    n2, n1 = x.shape[-1], yp.shape[-1]
+    ind = sys.indicator(n1, n2)
+    if perturb == "indicator":
+        # the other shape's indicator: 1(j >= i) and 1(j > i) differ on j = i
+        ind = np.abs(ind - np.eye(n2, n1))
+    xi = x[..., :, None]
+    mh = np.asarray(sys.m_hat(yp), float)[..., None, :]
+    return (sys.kern.density(t, xi, xp[..., None, :]),
+            mh * (sys.kern.cdf(t, xi, yp[..., None, :]) - ind))
+
+
+def _y_rows(sys: TwoLevelSystem, t: float, y, xp, yp, perturb=None):
+    """The blocks C and D of the y rows [C | D], C evaluated over the batch
+    axes of y and x' only, D over those of y and y' only."""
+    c_sign = 1.0 if perturb == "c_sign" else -1.0
+    yi = y[..., :, None]
+    spy = np.asarray(sys.m_hat(y), float)[..., :, None]
+    return (c_sign * sys.kern.dx_derivative(1, t, yi, xp[..., None, :]) / spy,
+            sys.dual_kern.density(t, yi, yp[..., None, :]))
+
+
+def _det(a, b, c, d):
+    """det [[a, b], [c, d]], the blocks broadcast over their batch axes."""
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2], c.shape[:-2], d.shape[:-2])
+    n2 = a.shape[-1]
+    M = np.empty(batch + (n2 + d.shape[-1],) * 2)
+    M[..., :n2, :n2] = a
+    M[..., :n2, n2:] = b
+    M[..., n2:, :n2] = c
+    M[..., n2:, n2:] = d
+    return np.linalg.det(M)
+
+
+def _check_perturb(perturb):
+    if perturb not in (None, "indicator", "c_sign"):
+        raise ValueError(f"unknown perturb {perturb!r}: expected 'indicator' or 'c_sign'")
+
+
 def block_kernel(
     sys: TwoLevelSystem,
     t: float,
@@ -168,62 +206,45 @@ def block_kernel(
     """q_t(z, z') for batches of configurations.
 
     z_from, z_to: (x, y) pairs; arrays may carry leading batch axes that
-    broadcast against each other.  `perturb` deliberately miswires the
-    kernel for negative-control campaigns: 'indicator' takes the fiber
-    indicator of the other shape, 'c_sign' flips the sign of the lower-left
-    block.
+    broadcast against each other.  Each block is evaluated over the batch
+    axes of its own two arguments only, so a batch whose x' varies along
+    fewer axes than its y' (as _image_nodes lays them out) evaluates A and
+    C once per x' node.  `perturb` deliberately miswires the kernel for
+    negative-control campaigns: 'indicator' takes the fiber indicator of
+    the other shape, 'c_sign' flips the sign of the lower-left block.
     """
-    if perturb not in (None, "indicator", "c_sign"):
-        raise ValueError(f"unknown perturb {perturb!r}: expected 'indicator' or 'c_sign'")
+    _check_perturb(perturb)
     x, y = (np.asarray(a, float) for a in z_from)
     xp, yp = (np.asarray(a, float) for a in z_to)
-    n2, n1 = x.shape[-1], y.shape[-1]
-    ind = sys.indicator(n1, n2)
-    if perturb == "indicator":
-        ind = (np.arange(1, n1 + 1)[None, :] >= np.arange(1, n2 + 1)[:, None]).astype(float) \
-            if sys.shape is not Shape.NNP1 else \
-            (np.arange(1, n1 + 1)[None, :] > np.arange(1, n2 + 1)[:, None]).astype(float)
-    c_sign = 1.0 if perturb == "c_sign" else -1.0
+    return _det(*_x_rows(sys, t, x, xp, yp, perturb), *_y_rows(sys, t, y, xp, yp, perturb))
 
-    batch = np.broadcast_shapes(x.shape[:-1], y.shape[:-1], xp.shape[:-1], yp.shape[:-1])
-    m = n1 + n2
-    M = np.empty(batch + (m, m))
-    spy = np.asarray(sys.m_hat(y), float)
-    mh = np.asarray(sys.m_hat(yp), float)
-    for i in range(n2):
-        for j in range(n2):
-            M[..., i, j] = sys.kern.density(t, x[..., i], xp[..., j])
-        for j in range(n1):
-            M[..., i, n2 + j] = mh[..., j] * (
-                sys.kern.cdf(t, x[..., i], yp[..., j]) - ind[i, j]
-            )
-    for i in range(n1):
-        for j in range(n2):
-            M[..., n2 + i, j] = c_sign * sys.kern.dx_derivative(
-                1, t, y[..., i], xp[..., j]
-            ) / spy[..., i]
-        for j in range(n1):
-            M[..., n2 + i, n2 + j] = sys.dual_kern.density(t, y[..., i], yp[..., j])
-    return np.linalg.det(M)
+
+def _fiber_grid(spec: DiffusionSpec, flo, fhi, n: int):
+    """fiber_quad over the N boxes of (N, k) bounds, laid out per box:
+    points (N, F, k) and weights (N, F), with F = n**k nodes in every box."""
+    pts, w, _ = fiber_quad(spec, flo, fhi, n)
+    N = np.shape(flo)[0]
+    F = w.shape[0] // N
+    return pts.reshape(N, F, pts.shape[-1]), w.reshape(N, F)
 
 
 def _image_nodes(sys: TwoLevelSystem, t: float, z, n_nodes: int):
     """Quadrature nodes over the image space W^{n1,n2} within the kernel
-    window of the starting configuration: ordered x'-chamber, then the
-    y'-fiber boxes over each x' node."""
+    window of the starting configuration: the ordered x'-chamber, then the
+    y'-fiber box over each x' node.  Returns x' (N, 1, n2), y' (N, F, n1)
+    and weights (N, F), so that block_kernel evaluates the blocks that do
+    not depend on y' once per x' node."""
     x, y = z
     lo, hi = sys.kern.window(t, np.concatenate([np.atleast_1d(x), np.atleast_1d(y)]))
     xp, wx = chamber_quad(sys.spec, np.shape(x)[-1], lo, hi, n_nodes)
-    yp, wy, outer = fiber_quad(sys.spec, *fiber_bounds(xp, sys.shape, lo, hi), n_nodes)
-    w = wx[outer] * wy
-    return xp[outer], yp, w
+    yp, wy = _fiber_grid(sys.spec, *fiber_bounds(xp, sys.shape, lo, hi), n_nodes)
+    return xp[:, None, :], yp, wx[:, None] * wy
 
 
 def submarkov_mass(sys: TwoLevelSystem, t: float, z, n_nodes: int = 32) -> float:
     """Total mass int q_t(z, z') dz' over the interlacing image space."""
     xp, yp, w = _image_nodes(sys, t, z, n_nodes)
-    q = block_kernel(sys, t, z, (xp, yp))
-    return float(np.dot(w, q))
+    return float(np.sum(w * block_kernel(sys, t, z, (xp, yp))))
 
 
 def collapse_residual(sys: TwoLevelSystem, t: float, z, yp, n_nodes: int = 48) -> float:
@@ -236,7 +257,7 @@ def collapse_residual(sys: TwoLevelSystem, t: float, z, yp, n_nodes: int = 48) -
     yp = np.asarray(yp, float)
     lo, hi = sys.kern.window(t, np.concatenate([np.atleast_1d(x), np.atleast_1d(y)]))
     xp, wx, _ = fiber_quad(sys.spec, *x_fiber_bounds(yp, sys.shape, lo, hi), n_nodes)
-    q = block_kernel(sys, t, z, (xp, np.repeat(yp[None, :], xp.shape[0], axis=0)))
+    q = block_kernel(sys, t, z, (xp, yp[None, :]))
     lhs = float(np.dot(wx, q))
     return abs(lhs - float(km_density(sys.dual_kern, t, np.asarray(y, float), yp)))
 
@@ -359,7 +380,8 @@ def dynkin_residual(
     ypts, wy = chamber_quad(sys.spec, y.shape[-1], *sys.dual_kern.window(t, y), max(n_nodes, 48))
     lhs = float(np.dot(wy, km_density(sys.dual_kern, t, y, ypts) * f(ypts)))
     xp, yp, w = _image_nodes(sys, t, z, n_nodes)
-    rhs = float(np.dot(w, block_kernel(sys, t, z, (xp, yp)) * f(yp)))
+    fy = f(yp.reshape(-1, yp.shape[-1])).reshape(w.shape)
+    rhs = float(np.sum(w * block_kernel(sys, t, z, (xp, yp)) * fy))
     return abs(lhs - rhs)
 
 
@@ -369,7 +391,7 @@ def q_h_mass(sys: TwoLevelSystem, h_hat: Eigenfunction, t: float, z, n_nodes: in
     xp, yp, w = _image_nodes(sys, t, z, n_nodes)
     q = block_kernel(sys, t, z, (xp, yp))
     hy = float(h_hat(np.asarray(y, float)))
-    return float(np.dot(w, q * h_hat(yp))) * math.exp(-h_hat.rate * t) / hy
+    return float(np.sum(w * q * h_hat(yp))) * math.exp(-h_hat.rate * t) / hy
 
 
 def master_intertwining_residual(
@@ -389,46 +411,37 @@ def master_intertwining_residual(
     determinant density against the normalized fiber average of f; the
     right side integrates the block kernel from every fiber point of x.
     """
+    _check_perturb(perturb)
     x = np.asarray(x, float)
     n2 = x.shape[-1]
-    lam = h_hat.rate
+    decay = math.exp(-h_hat.rate * t)
     hx = lambda_mass(sys.spec, sys.shape, x, h_hat, n_nodes=max(48, fiber_nodes))
     xp, wx = chamber_quad(sys.spec, n2, *sys.kern.window(t, x), n_nodes)
 
     # normalized fiber integrals at each x' node, for every test function
-    yf, wf, outer = fiber_quad(sys.spec, *fiber_bounds(xp, sys.shape), fiber_nodes)
-    mh = np.prod(np.asarray(sys.m_hat(yf), float), axis=-1)
+    yf, wf = _fiber_grid(sys.spec, *fiber_bounds(xp, sys.shape), fiber_nodes)
     hyf = h_hat(yf)
-    xf = xp[outer]
-    base = wf * mh * hyf
-    hxp = np.zeros(xp.shape[0])
-    np.add.at(hxp, outer, base)
-    lhs_vals = []
-    kmh = km_density(sys.kern, t, x, xp)
-    fvals = [f(xf, yf) for f in fs]
-    for fv in fvals:
-        num = np.zeros(xp.shape[0])
-        np.add.at(num, outer, base * fv)
-        lam_f = num / np.maximum(hxp, 1e-300)
-        lhs = math.exp(-lam * t) / hx * float(np.dot(wx, hxp * kmh * lam_f))
-        lhs_vals.append(lhs)
+    base = wf * np.prod(np.asarray(sys.m_hat(yf), float), axis=-1) * hyf
+    hxp = np.sum(base, axis=-1)
+    xf = np.broadcast_to(xp[:, None, :], yf.shape[:-1] + (n2,)).reshape(-1, n2)
+    fvals = np.stack([f(xf, yf.reshape(-1, yf.shape[-1])).reshape(wf.shape) for f in fs])
+    lam_f = np.sum(base * fvals, axis=-1) / np.maximum(hxp, 1e-300)
+    lhs = decay / hx * (lam_f @ (wx * hxp * km_density(sys.kern, t, x, xp)))
 
     # right side: integrate q from each fiber point of x over the same
-    # (x', y') nodes
+    # (x', y') nodes; the x rows do not depend on that point
     ylo, yhi = fiber_bounds(x[None, :], sys.shape)
     y0, w0, _ = fiber_quad(sys.spec, ylo, yhi, max(24, fiber_nodes))
     mh0 = np.prod(np.asarray(sys.m_hat(y0), float), axis=-1)
-    wz = wx[outer] * wf
-    inner = np.zeros((len(fs), y0.shape[0]))
+    xp = xp[:, None, :]
+    ab = _x_rows(sys, t, x, xp, yf, perturb)
+    g = (wx[:, None] * wf * hyf * fvals).reshape(len(fs), -1)
+    inner = np.empty((len(fs), y0.shape[0]))
     for i in range(y0.shape[0]):
-        q = block_kernel(sys, t, (x, y0[i]), (xf, yf), perturb=perturb)
-        for k in range(len(fs)):
-            inner[k, i] = np.dot(wz, q * hyf * fvals[k])
-    rhs_vals = []
-    for k in range(len(fs)):
-        rhs = math.exp(-lam * t) / hx * float(np.dot(w0, mh0 * inner[k]))
-        rhs_vals.append(rhs)
-    return [abs(a - b) for a, b in zip(lhs_vals, rhs_vals)]
+        q = _det(*ab, *_y_rows(sys, t, y0[i], xp, yf, perturb))
+        inner[:, i] = g @ q.reshape(-1)
+    rhs = decay / hx * (inner @ (w0 * mh0))
+    return [float(r) for r in np.abs(lhs - rhs)]
 
 
 def chapman_residual(
@@ -439,7 +452,7 @@ def chapman_residual(
     xp, yp, w = _image_nodes(sys, s + t, z, n_nodes)
     qs = block_kernel(sys, s, z, (xp, yp))
     qt = block_kernel(sys, t, (xp, yp), z2)
-    rhs = float(np.dot(w, qs * qt))
+    rhs = float(np.sum(w * qs * qt))
     return abs(lhs - rhs) / max(abs(lhs), 1e-300)
 
 

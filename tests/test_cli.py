@@ -112,6 +112,44 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "takes seed" in err
 
+    def test_campaign_name_may_come_from_the_command_line(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[campaign]\nnodes = 40\n")
+        out = tmp_path / "out"
+        assert main(["campaign", "--config", str(cfg), "--name", "chapman-bm",
+                     "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["chapman-bm.csv", "summary.csv"]
+        assert "nodes" not in capsys.readouterr().err
+
+    def test_config_files_without_their_section_are_one_line_errors(self, tmp_path, capsys):
+        headless = tmp_path / "headless.cfg"
+        headless.write_text("name = chapman-bm\n")
+        other = tmp_path / "other.cfg"
+        other.write_text("[simulate]\nfamily = bm\n")
+        for argv, named in [
+            (["campaign", "--config", str(headless)], "section header"),
+            (["simulate", "--config", str(headless)], "section header"),
+            (["campaign", "--config", str(other)], "missing [campaign] section"),
+            (["campaign", "--config", str(tmp_path / "absent.cfg")], "cannot read"),
+        ]:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and named in err, argv
+
+    def test_simulate_flags_override_the_config_file(self, tmp_path):
+        body = ("[simulate]\nfamily = bm\ninit_x = -1 1\ninit_y = 0\n"
+                "t = 0.1\ndt = 0.05\npaths = 2\n")
+        ref = tmp_path / "ref.cfg"
+        ref.write_text(body + f"seed = 9\noutput = {tmp_path / 'ref'}\n")
+        assert main(["simulate", "--config", str(ref)]) == 0
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(body + f"seed = 1\noutput = {tmp_path / 'fileout'}\n")
+        flagout = tmp_path / "flagout"
+        assert main(["simulate", "--config", str(cfg), "--seed", "9", "--out", str(flagout)]) == 0
+        assert not (tmp_path / "fileout").exists()
+        assert (flagout / "terminal.csv").read_bytes() == \
+            (tmp_path / "ref" / "terminal.csv").read_bytes()
+
     def test_campaign_config_rejects_an_unknown_perturbation(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("[campaign]\nname = master-intertwinings\nnodes = 6\nperturb = indicatr\n")

@@ -21,6 +21,7 @@ from interlace_lab.harness import (
     two_sample_ks,
     write_csv,
 )
+from interlace_lab.harness.io import ConfigError
 
 
 def ks_against_normal(samples):
@@ -149,10 +150,15 @@ class TestIO:
         assert cfg.nodes == 40
         assert cfg.tolerance == pytest.approx(1e-3)
 
+    def test_config_without_a_name_runs_all(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("[campaign]\nseed = 3\n")
+        assert CampaignConfig.from_file(str(p)).name == "all"
+
     def test_missing_section_raises(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("[other]\nname = x\n")
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match=r"missing \[campaign\] section"):
             read_config(str(p), "campaign")
 
 

@@ -4,6 +4,8 @@ import pytest
 from interlace_lab import kmgroup as km
 from interlace_lab import twolevel as tl
 from interlace_lab.diffusion1d import conjugate, kernel, make_spec
+from interlace_lab.diffusion1d.catalog import chamber_quad, fiber_quad
+from interlace_lab.harness.checks import master_cases
 from interlace_lab.quadrature import gl_nodes
 
 
@@ -33,19 +35,82 @@ class TestShapes:
         y = np.array([0.5, 2.0])
         np.testing.assert_array_equal(sys_.m_hat(y), y ** -1.5)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            tl.InterlacingConfig(tl.Shape.NNP1, np.array([0.0, 1.0]), np.array([2.0]))
-        with pytest.raises(ValueError):
-            tl.InterlacingConfig(tl.Shape.NNP1, np.array([0.0, 1.0]), np.array([0.2, 0.4]))
-        cfg = tl.InterlacingConfig(tl.Shape.NNP1, np.array([0.0, 1.0]), np.array([0.5]))
-        assert cfg.x.shape == (2,)
+    def test_interlaces_checks_counts_and_order(self):
+        assert tl.interlaces(np.array([0.0, 1.0]), np.array([0.5]), tl.Shape.NNP1)
+        assert not tl.interlaces(np.array([0.0, 1.0]), np.array([2.0]), tl.Shape.NNP1)
+        # one y particle too many for W^{1,2}, each inside [x_1, x_2]
+        assert not tl.interlaces(np.array([0.0, 1.0]), np.array([0.2, 0.4]), tl.Shape.NNP1)
 
     def test_weak_interlacing_allowed(self):
-        tl.InterlacingConfig(tl.Shape.NN, np.array([0.5, 1.0]), np.array([0.5, 1.0]))
+        assert tl.interlaces(np.array([0.5, 1.0]), np.array([0.5, 1.0]), tl.Shape.NN)
+
+
+def _entrywise_block_kernel(sys_, t, z_from, z_to, perturb=None):
+    """block_kernel entry by entry over a flat batch: the reference the
+    vectorised blocks must reproduce."""
+    x, y = (np.asarray(a, float) for a in z_from)
+    xp, yp = (np.asarray(a, float) for a in z_to)
+    n2, n1 = x.shape[-1], y.shape[-1]
+    i, j = np.arange(n2)[:, None], np.arange(n1)[None, :]
+    strict = (sys_.shape is tl.Shape.NNP1) == (perturb == "indicator")
+    ind = (j > i) if strict else (j >= i)
+    c_sign = 1.0 if perturb == "c_sign" else -1.0
+    batch = np.broadcast_shapes(x.shape[:-1], y.shape[:-1], xp.shape[:-1], yp.shape[:-1])
+    M = np.empty(batch + (n1 + n2, n1 + n2))
+    for a in range(n2):
+        for b in range(n2):
+            M[..., a, b] = sys_.kern.density(t, x[..., a], xp[..., b])
+        for b in range(n1):
+            M[..., a, n2 + b] = sys_.m_hat(yp[..., b]) * (
+                sys_.kern.cdf(t, x[..., a], yp[..., b]) - ind[a, b])
+    for a in range(n1):
+        for b in range(n2):
+            M[..., n2 + a, b] = c_sign * sys_.kern.dx_derivative(
+                1, t, y[..., a], xp[..., b]) / sys_.m_hat(y[..., a])
+        for b in range(n1):
+            M[..., n2 + a, n2 + b] = sys_.dual_kern.density(t, y[..., a], yp[..., b])
+    return np.linalg.det(M)
+
+
+_STRUCTURED_CASES = [
+    ("bm", tl.Shape.NNP1, ([-1.0, 1.0], [0.0]), ([-0.8, 1.3], [0.4])),
+    ("bm_halfline:abs", tl.Shape.NN, ([1.2], [0.6]), ([1.0], [0.5])),
+    ("besq:3", tl.Shape.NNP1, ([1.0, 3.0], [2.0]), ([1.4, 2.6], [1.9])),
+]
 
 
 class TestBlockKernel:
+    @pytest.mark.parametrize("perturb", [None, "indicator", "c_sign"])
+    @pytest.mark.parametrize("sid,shape,z,z2", _STRUCTURED_CASES,
+                             ids=[c[0] for c in _STRUCTURED_CASES])
+    def test_structured_nodes_match_the_flat_batch(self, sid, shape, z, z2, perturb):
+        # image nodes keep x' as (N, 1, n2) and y' as (N, F, n1); the kernel
+        # on them must equal the kernel on the flat xp[outer] / yp batch the
+        # fiber builder returns, and both the entrywise reference
+        sys_ = tl.TwoLevelSystem(make_spec(sid), shape)
+        z = tuple(np.array(a) for a in z)
+        z2 = tuple(np.array(a) for a in z2)
+        t, n = 0.5, 6
+        xp, yp, w = tl._image_nodes(sys_, t, z, n)
+        lo, hi = sys_.kern.window(t, np.concatenate(z))
+        xc, wx = chamber_quad(sys_.spec, z[0].shape[-1], lo, hi, n)
+        yf, wy, outer = fiber_quad(sys_.spec, *tl.fiber_bounds(xc, shape, lo, hi), n)
+        N, F = w.shape
+        assert xp.shape == (N, 1, z[0].shape[-1]) and yp.shape == (N, F, z[1].shape[-1])
+        np.testing.assert_array_equal(yp.reshape(yf.shape), yf)
+        np.testing.assert_array_equal(w.reshape(-1), wx[outer] * wy)
+        for z_from, flat_from, z_to, flat_to in [
+            (z, z, (xp, yp), (xc[outer], yf)),       # from a point into the nodes
+            ((xp, yp), (xc[outer], yf), z2, z2),     # from the nodes to a point
+        ]:
+            q = tl.block_kernel(sys_, t, z_from, z_to, perturb=perturb)
+            assert q.shape == (N, F)
+            flat = tl.block_kernel(sys_, t, flat_from, flat_to, perturb=perturb)
+            ref = _entrywise_block_kernel(sys_, t, flat_from, flat_to, perturb=perturb)
+            scale = np.max(np.abs(ref))
+            np.testing.assert_allclose(q.reshape(-1), flat, rtol=1e-13, atol=1e-13 * scale)
+            np.testing.assert_allclose(flat, ref, rtol=1e-13, atol=1e-13 * scale)
+
     def test_no_y_level_reduces_to_kernel(self, bm_sys):
         q = tl.block_kernel(bm_sys, 0.7, (np.array([0.2]), np.zeros(0)), (np.array([0.9]), np.zeros(0)))
         assert float(q) == pytest.approx(float(kernel(make_spec("bm")).density(0.7, 0.2, 0.9)), rel=1e-12)
@@ -176,13 +241,12 @@ class TestIdentities:
             res = tl.master_intertwining_residual(sys_, h_hat, 0.5, fs, x)
             assert max(res) < 1e-4
 
-    def test_negative_controls_fail_loudly(self, bm_sys):
-        x = np.array([-1.0, 1.0])
-        fs = tl.test_function_basis(x, np.array([0.0]))
-        for perturb in ("indicator", "c_sign"):
-            res = tl.master_intertwining_residual(bm_sys, km.vandermonde(1), 0.5, fs, x,
-                                                  perturb=perturb)
-            assert max(res) > 1e-2
+    def test_negative_controls_fail_loudly(self):
+        for case in master_cases():
+            for perturb in ("indicator", "c_sign"):
+                res = tl.master_intertwining_residual(case["sys"], case["h_hat"], case["t"],
+                                                      case["fs"], case["x"], perturb=perturb)
+                assert max(res) > 1e-2, (case["label"], perturb)
 
     def test_appendix_intertwining_unnormalized(self):
         # killed semigroup composed with the weight integral equals the
