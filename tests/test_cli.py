@@ -168,7 +168,9 @@ class TestCLI:
          ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "-1", "--zmax", "1",
           "--oracle", "gue:3", "--oracle-count", "10"],
          ["edge-cdf", "--spec", "bm", "--n", "7", "--zmin", "0", "--zmax", "1",
-          "--oracle", "gue:7"]],
+          "--oracle", "gue:7"],
+         ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "-1", "--zmax", "1",
+          "--oracle", "gue:2", "--oracle-count", "0"]],
     )
     def test_errors_are_one_line(self, argv, capsys):
         assert main(argv) == 2

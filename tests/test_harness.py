@@ -72,6 +72,10 @@ class TestOracles:
             rmt_oracle("gue:7", 10, rng)
         with pytest.raises(ValueError):
             rmt_oracle("gue:2", 2_000_000, rng)
+        # every size is capped, and a count below 1 is refused before any draw
+        for oid, count in [("wishart:2,7", 10), ("jue:2,2,7", 10), ("gue:2", 0), ("gue:2", -3)]:
+            with pytest.raises(ValueError):
+                rmt_oracle(oid, count, rng)
 
     @pytest.mark.parametrize("oid", ["gue", "gue:", "gue:2,2", "gue:0", "gue:x", "wishart:2",
                                      "jue:2,3", "goe:2"])
@@ -94,6 +98,80 @@ class TestOracles:
         rng = np.random.default_rng(5)
         ev = gue_sample(rng, 3, 500)
         assert np.all(np.diff(ev, axis=1) >= 0)
+
+
+def _random_unitaries(rng, n, count):
+    Z = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R, axis1=1, axis2=2)
+    return Q * (d / np.abs(d))[:, None, :]
+
+
+class TestClosedFormEigenvalues:
+    """oracles._eigvalsh solves n <= 3 in closed form, in blocks of
+    oracles._BLOCK matrices; LAPACK is the reference."""
+
+    COUNT = 3 * (1 << 14) + 5  # three full blocks and a partial one
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_lapack_on_gue_and_wishart_stacks(self, n):
+        from interlace_lab.harness.oracles import _BLOCK, _eigvalsh, _gram, _gue_matrix
+
+        assert self.COUNT % _BLOCK == 5
+        rng = np.random.default_rng(40 + n)
+        A = rng.normal(size=(self.COUNT, n, n + 1)) + 1j * rng.normal(size=(self.COUNT, n, n + 1))
+        for H in (_gue_matrix(rng, n, self.COUNT, 2.0), _gram(A)):
+            got, want = _eigvalsh(H), np.linalg.eigvalsh(H)
+            assert got.shape == want.shape == (self.COUNT, n)
+            scale = np.max(np.abs(want), axis=1)
+            assert np.all(np.abs(got - want).max(axis=1) <= 1e-12 * scale)
+
+    @staticmethod
+    def _near_degenerate_cases(rng):
+        U = _random_unitaries(rng, 3, 200)
+        for n in (1, 2, 3):
+            yield np.zeros((4, n, n), complex), np.zeros((4, n)), 1.0
+            c = np.array([-2.5, 0.0, 1e-3, 7.0])
+            yield c[:, None, None] * np.eye(n), np.repeat(c[:, None], n, axis=1), 7.0
+        for spec in ([1.0, 1.0, 2.0], [1.0, 1.0 + 1e-9, 2.0]):
+            H = np.einsum("cij,j,ckj->cik", U, np.array(spec), np.conj(U))
+            yield H, np.broadcast_to(spec, (len(U), 3)), 2.0
+        for n in (2, 3):  # rank-one Wishart (k = 1): an (n - 1)-fold zero eigenvalue
+            a = rng.normal(size=(200, n, 1)) + 1j * rng.normal(size=(200, n, 1))
+            norm2 = np.sum(np.abs(a[:, :, 0]) ** 2, axis=1)
+            want = np.zeros((200, n))
+            want[:, -1] = norm2
+            yield a @ np.conj(np.transpose(a, (0, 2, 1))), want, norm2[:, None]
+
+    def test_double_and_near_double_eigenvalues(self):
+        from interlace_lab.harness.oracles import _eigvalsh
+
+        for H, want, scale in self._near_degenerate_cases(np.random.default_rng(12)):
+            got = _eigvalsh(H)
+            assert np.all(np.isfinite(got)) and np.all(np.diff(got, axis=1) >= 0)
+            assert np.all(np.abs(got - want) <= 1e-7 * scale)
+
+    def test_samplers_use_the_closed_forms(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvalsh called for n <= 3")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        rng = np.random.default_rng(13)
+        assert gue_sample(rng, 3, 10).shape == (10, 3)
+        assert [lv.shape for lv in gue_corners_sample(rng, 3, 10)] == [(10, 1), (10, 2), (10, 3)]
+        assert complex_wishart_sample(rng, 3, 2, 10).shape == (10, 3)
+        assert jacobi_unitary_sample(rng, 3, 3, 4, 10).shape == (10, 3)
+
+    def test_memory_of_a_large_draw_stays_bounded(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            gue_sample(np.random.default_rng(14), 3, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20  # the 28.8 MB matrix stack, plus bounded temporaries
 
 
 class TestKSCompare:
