@@ -91,9 +91,12 @@ def cmd_duality_check(args):
 def cmd_density(args):
     spec = make_spec(args.spec)
     kern = kernel(spec)
-    x = km.as_weyl(_floats(args.x), spec.interval)
-    y = km.as_weyl(_floats(args.y), spec.interval)
-    val = float(km.km_density(kern, args.t, x, y))
+    try:
+        x = km.as_weyl(_floats(args.x), spec.interval)
+        y = km.as_weyl(_floats(args.y), spec.interval)
+        val = float(km.km_density(kern, args.t, x, y))
+    except ValueError as e:  # unordered, exterior or unequal-length coordinates
+        raise CatalogError(f"density --x {args.x!r} --y {args.y!r}: {e}") from e
     rows = [{"spec": args.spec, "t": args.t, "x": args.x, "y": args.y,
              "kind": "killed-determinant", "value": val}]
     if args.h_transform:
@@ -106,7 +109,11 @@ def cmd_density(args):
 def cmd_eigen_check(args):
     spec = make_spec(args.spec)
     h = km.eigenfunction_catalog(spec, args.n)
-    probes = np.array([_floats(p) for p in args.probes]) if args.probes else _default_probes(spec, args.n)
+    probes = [_floats(p) for p in args.probes] if args.probes else _default_probes(spec, args.n)
+    bad = [p for p in probes if len(p) != args.n]
+    if bad:
+        raise CatalogError(f"eigen-check --probes: each probe needs --n = {args.n} coordinates, "
+                           f"got {len(bad[0])} in {' '.join(map(str, bad[0]))!r}")
     r = km.eigen_residual(kernel(spec), h, args.t, probes)
     rows = [{"spec": args.spec, "n": args.n, "t": args.t, "rate": h.rate, "residual": r}]
     _emit(args, "eigen", ["spec", "n", "t", "rate", "residual"], rows)

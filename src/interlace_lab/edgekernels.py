@@ -30,6 +30,7 @@ from scipy import special as sc
 
 from .diffusion1d import Boundary, DiffusionSpec, TransitionKernel, density_integral, kernel
 from .diffusion1d.catalog import gaussian_moments
+from .kmgroup import det
 from .quadrature import fd_derivative
 from .reflectsde import edge_ladder_spec
 
@@ -162,12 +163,9 @@ def edge_density(table: EdgeOperatorTable, x, xp, side: str = "right"):
     x = np.asarray(x, float)
     xp = np.atleast_2d(np.asarray(xp, float))
     n = table.n
-    M = np.empty(xp.shape[:-1] + (n, n))
     ev = table.S if side == "right" else table.S_bar
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            M[..., i - 1, j - 1] = ev(i, i - j, float(x[i - 1]), xp[..., j - 1])
-    out = np.linalg.det(M)
+    out = det([[ev(i, i - j, float(x[i - 1]), xp[..., j - 1]) for j in range(1, n + 1)]
+               for i in range(1, n + 1)])
     return out[0] if out.shape == (1,) else out
 
 
@@ -176,11 +174,8 @@ def edge_max_cdf(table: EdgeOperatorTable, x0, z):
     x0 = np.asarray(x0, float)
     z = np.asarray(z, float)
     n = table.n
-    M = np.empty(z.shape + (n, n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            M[..., i - 1, j - 1] = table.S(i, i - j + 1, float(x0[i - 1]), z)
-    return np.linalg.det(M)
+    return det([[table.S(i, i - j + 1, float(x0[i - 1]), z) for j in range(1, n + 1)]
+                for i in range(1, n + 1)])
 
 
 def edge_min_survival(table: EdgeOperatorTable, x0, z):
@@ -188,11 +183,8 @@ def edge_min_survival(table: EdgeOperatorTable, x0, z):
     x0 = np.asarray(x0, float)
     z = np.asarray(z, float)
     n = table.n
-    M = np.empty(z.shape + (n, n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            M[..., i - 1, j - 1] = -table.S_bar(i, i - j + 1, float(x0[i - 1]), z)
-    return np.linalg.det(M)
+    return det([[-table.S_bar(i, i - j + 1, float(x0[i - 1]), z) for j in range(1, n + 1)]
+                for i in range(1, n + 1)])
 
 
 def edge_min_cdf(table: EdgeOperatorTable, x0, z):

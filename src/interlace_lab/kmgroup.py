@@ -13,6 +13,10 @@ discrete-spectrum families, eigenfunctions built by iterating interlacing
 integral kernels, entrance laws from degenerate starting points, and the
 Taylor-expansion limit densities (biorthogonal/polynomial ensembles).
 
+Every determinant in the package goes through det: sizes 1, 2 and 3 are
+cofactor closed forms on entries that broadcast together, larger sizes are
+LAPACK's np.linalg.det.
+
 Each entrance law names the one-particle spec it enters and carries its own
 squared-Vandermonde factor.  Every state-space integral here (one-particle
 actions, entrance-law normalizations, degenerate-start limits) takes its
@@ -50,13 +54,55 @@ def as_weyl(x, interval=(-np.inf, np.inf)) -> np.ndarray:
     return x
 
 
-def det_of_components(components: Sequence[Callable], x: np.ndarray) -> np.ndarray:
-    """det(f_i(x_j)) batched over leading axes of x (..., n)."""
+def det(entries):
+    """Determinant of the n x n matrix whose (i, j) entry is entries[i][j].
+
+    The entries are arrays (or scalars) that broadcast together, so a batch
+    of matrices is n rows of n batch arrays, and the result has their
+    broadcast shape.  For n = 1, 2 and 3 it is the cofactor expansion along
+    the last column, in which each product broadcasts only its own factors:
+    entries that vary along fewer axes than the last column's (twolevel's
+    x' blocks against its y' column) form their 2 x 2 minors on the smaller
+    axes.  It agrees with np.linalg.det to 1e-14 times prod ||row||_2, the
+    Hadamard bound on |det|, at (near-)singular matrices too.  For n >= 4
+    the entries are stacked and np.linalg.det is called.
+    """
+    n = len(entries)
+    if n == 0 or any(len(row) != n for row in entries):
+        raise ValueError(f"det needs n >= 1 rows of n entries each, got row lengths "
+                         f"{[len(row) for row in entries]}")
+    m = [[np.asarray(e, float) for e in row] for row in entries]
+    if n == 1:
+        return np.array(m[0][0])[()]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, k) = m
+        return c * (d * h - e * g) - f * (a * h - b * g) + k * (a * e - b * d)
+    flat = np.broadcast_arrays(*(e for row in m for e in row))
+    return np.linalg.det(np.stack(flat, axis=-1).reshape(flat[0].shape + (n, n)))
+
+
+def _row_det(rows):
+    """det whose i-th row is rows[i], an array (..., n) along its last axis."""
+    return det([[r[..., j] for j in range(len(rows))] for r in rows])
+
+
+def _coordinates(n: int, x) -> np.ndarray:
+    """x as a float array whose last axis holds n coordinates, else ValueError."""
     x = np.asarray(x, float)
-    n = x.shape[-1]
-    rows = [np.asarray(components[i](x), float) for i in range(n)]
-    M = np.stack(rows, axis=-2)
-    return np.linalg.det(M)
+    if x.ndim == 0 or x.shape[-1] != n:
+        got = "a scalar" if x.ndim == 0 else f"{x.shape[-1]} (shape {x.shape})"
+        raise ValueError(f"a determinant of {n} components needs {n} coordinates, got {got}")
+    return x
+
+
+def det_of_components(components: Sequence[Callable], x: np.ndarray) -> np.ndarray:
+    """det(f_i(x_j)) batched over leading axes of x (..., n), where n is the
+    number of components."""
+    n = len(components)
+    x = _coordinates(n, x)
+    return _row_det([np.asarray(f(x), float) for f in components])
 
 
 @dataclass(eq=False)
@@ -78,13 +124,9 @@ def km_density(kern: TransitionKernel, t: float, x, y):
     y = np.asarray(y, float)
     n = x.shape[-1]
     if y.shape[-1] != n:
-        raise ValueError("dimension mismatch")
-    M = np.stack(
-        [np.stack([kern.density(t, x[..., i], y[..., j]) for j in range(n)], axis=-1)
-         for i in range(n)],
-        axis=-2,
-    )
-    return np.linalg.det(M)
+        raise ValueError(f"km_density needs as many y as x coordinates: x has shape {x.shape}, "
+                         f"y has shape {y.shape}")
+    return det([[kern.density(t, x[..., i], y[..., j]) for j in range(n)] for i in range(n)])
 
 
 def h_transform_density(kern: TransitionKernel, h: Eigenfunction, t: float, x, y):
@@ -99,8 +141,8 @@ def h_transform_density(kern: TransitionKernel, h: Eigenfunction, t: float, x, y
 def semigroup_entries(kern: TransitionKernel, h: Eigenfunction, t: float, x, n_quad=240):
     """Matrix g_ij = int p_t(x_i, y) h_j(y) dy of one-particle actions, over
     the kernel window widened for the polynomial tails of the components."""
-    x = np.asarray(x, float)
-    n = x.shape[-1]
+    n = h.n
+    x = _coordinates(n, x)
     ys, ws = chamber_quad(kern.spec, 1, *kern.window(t, x), n_quad, pad=(0.5, 0.9))
     ys = ys[:, 0]
     G = np.empty((n, n))
@@ -117,7 +159,7 @@ def eigen_residual(kern: TransitionKernel, h: Eigenfunction, t: float, probes, n
     probes = np.atleast_2d(np.asarray(probes, float))
     worst = 0.0
     for x in probes:
-        lhs = float(np.linalg.det(semigroup_entries(kern, h, t, x, n_quad)))
+        lhs = float(det(semigroup_entries(kern, h, t, x, n_quad)))
         hx = float(h(x))
         worst = max(worst, abs(lhs - math.exp(h.rate * t) * hx) / abs(hx))
     return worst
@@ -193,9 +235,9 @@ def spectral_km(spec: DiffusionSpec, n: int, t: float, x, y, tol: float = 1e-12)
     acc = 0.0
     for tup in itertools.combinations(range(K), n):
         lam = sum(basis.eigenvalue(k) for k in tup)
-        # (..., n, n) matrices phi_k(x_i), so a batch of points gives one value each
-        px = np.linalg.det(np.stack([phis_x[k] for k in tup], axis=-2))
-        py = np.linalg.det(np.stack([phis_y[k] for k in tup], axis=-2))
+        # rows phi_k(x_j) over the batch axes, so a batch of points gives one value each
+        px = _row_det([phis_x[k] for k in tup])
+        py = _row_det([phis_y[k] for k in tup])
         acc = acc + math.exp(-lam * t) * px * py
     return acc * np.prod(basis.m(y), axis=-1)
 
@@ -288,7 +330,7 @@ def wronskian(components: Sequence[Callable], x: float) -> float:
         M[0, j] = float(f(x))
         for i in range(1, n):
             M[i, j] = float(fd_derivative(f, x, order=i))
-    return float(np.linalg.det(M))
+    return float(det(M))
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +527,8 @@ def entrance_law(family: str, n: int, extra=None) -> EntranceLawSpec:
 
         def w(t, y):
             y = np.atleast_2d(np.asarray(y, float))
-            M = np.exp(-((y[..., :, None] - t * mus[None, :]) ** 2) / (2.0 * t))
-            return np.linalg.det(M) * _delta(y)
+            return det([[np.exp(-((y[..., i] - t * mu) ** 2) / (2.0 * t)) for mu in mus]
+                        for i in range(n)]) * _delta(y)
 
         # the density is not V(y) prod g_t(y_i), so it has no rejection sampler
         return EntranceLawSpec(family, n, make_spec("bm"), w, _gaussian_window(n))
@@ -548,15 +590,9 @@ def polynomial_ensemble_limit(
 
     def raw(y):
         y = np.atleast_2d(np.asarray(y, float))
-        H = np.stack([np.asarray(h.components[i](y), float) for i in range(n)], axis=-2)
-        rows = []
-        for i in range(n):
-            if i == 0:
-                rows.append(kern.density(t, x, y))
-            else:
-                rows.append(kern.dx_derivative(i, t, x, y))
-        D = np.stack(rows, axis=-2)
-        return np.linalg.det(H) * np.linalg.det(D)
+        H = [np.asarray(h.components[i](y), float) for i in range(n)]
+        D = [kern.density(t, x, y)] + [kern.dx_derivative(i, t, x, y) for i in range(1, n)]
+        return _row_det(H) * _row_det(D)
 
     pts, wts = chamber_quad(kern.spec, n, *kern.window(t, x), n_nodes, pad=(0.4, 0.9))
     Z = float(np.dot(wts, raw(pts)))

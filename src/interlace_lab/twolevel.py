@@ -17,8 +17,9 @@ and projection identities).
 
 Each block depends on two of the four arguments, and block_kernel
 evaluates it in one kernel call over the broadcast of only those two
-(x[..., :, None] against x'[..., None, :], and so on), then broadcasts
-each block into the matrix.  The image-space nodes carry that structure:
+(x[..., :, None] against x'[..., None, :], and so on), then hands views
+of the blocks' entries to kmgroup.det, whose cofactor products broadcast
+only the blocks they touch.  The image-space nodes carry that structure:
 x' is laid out as (N, 1, n2) and y' as (N, F, n1), the F fiber nodes over
 each of the N chamber nodes, with weights (N, F), so A and C are
 evaluated once per x' node rather than once per (x', y') node.  The
@@ -50,7 +51,7 @@ from .diffusion1d import (
     scale_speed,
 )
 from .diffusion1d.catalog import chamber_quad, fiber_quad
-from .kmgroup import Eigenfunction, km_density
+from .kmgroup import Eigenfunction, det, km_density
 
 
 class Shape(enum.Enum):
@@ -180,15 +181,22 @@ def _y_rows(sys: TwoLevelSystem, t: float, y, xp, yp, perturb=None):
 
 
 def _det(a, b, c, d):
-    """det [[a, b], [c, d]], the blocks broadcast over their batch axes."""
+    """det [[a, b], [c, d]] over the broadcast batch axes of the blocks.
+
+    kmgroup.det takes views of the blocks' entries, so no full matrix is
+    built and each product broadcasts only the batch axes of its own
+    blocks; the y' column of the 3 x 3 shapes is last, so its expansion
+    forms the minors of A and C on the x' axes alone.
+    """
     batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2], c.shape[:-2], d.shape[:-2])
-    n2 = a.shape[-1]
-    M = np.empty(batch + (n2 + d.shape[-1],) * 2)
-    M[..., :n2, :n2] = a
-    M[..., :n2, n2:] = b
-    M[..., n2:, :n2] = c
-    M[..., n2:, n2:] = d
-    return np.linalg.det(M)
+    n2, n1 = a.shape[-1], d.shape[-1]
+    rows = ([[a[..., i, j] for j in range(n2)] + [b[..., i, j] for j in range(n1)]
+             for i in range(n2)]
+            + [[c[..., i, j] for j in range(n2)] + [d[..., i, j] for j in range(n1)]
+               for i in range(n1)])
+    q = det(rows)
+    # an empty level contributes no entries, so its batch axes come back here
+    return q if np.shape(q) == batch else np.broadcast_to(q, batch).copy()
 
 
 def _check_perturb(perturb):

@@ -170,7 +170,11 @@ class TestCLI:
          ["edge-cdf", "--spec", "bm", "--n", "7", "--zmin", "0", "--zmax", "1",
           "--oracle", "gue:7"],
          ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "-1", "--zmax", "1",
-          "--oracle", "gue:2", "--oracle-count", "0"]],
+          "--oracle", "gue:2", "--oracle-count", "0"],
+         ["density", "--spec", "bm", "--t", "0.5", "--x", "0 1", "--y", "0 1 2"],
+         ["eigen-check", "--spec", "bm_interval:abs,abs", "--n", "3",
+          "--probes", "0.5 1.0 1.5 2.0"],
+         ["eigen-check", "--spec", "bm_interval:abs,abs", "--n", "3", "--probes", "0.5 1.5"]],
     )
     def test_errors_are_one_line(self, argv, capsys):
         assert main(argv) == 2

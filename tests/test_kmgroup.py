@@ -49,6 +49,78 @@ class TestKMDensity:
         direct = float(km.km_density(bm_kernel, 1.0, x, y))
         assert conv == pytest.approx(direct, rel=1e-3)
 
+    def test_mismatched_counts_name_both_shapes(self, bm_kernel):
+        with pytest.raises(ValueError, match=r"x has shape \(2,\), y has shape \(4, 3\)"):
+            km.km_density(bm_kernel, 0.5, np.array([0.0, 1.0]), np.zeros((4, 3)))
+
+
+def _hadamard(M):
+    """prod ||row||_2 over the last two axes: the Hadamard bound on |det M|."""
+    return np.prod(np.linalg.norm(M, axis=-1), axis=-1)
+
+
+def _entries(M):
+    """The (..., n, n) stack M as km.det's n rows of n batch arrays."""
+    return [[M[..., i, j] for j in range(M.shape[-1])] for i in range(M.shape[-2])]
+
+
+class TestDet:
+    """The closed forms for n <= 3 against LAPACK, to 1e-14 of the Hadamard
+    bound fixed in advance; n >= 4 is LAPACK itself."""
+
+    def assert_close(self, got, M):
+        ref = np.linalg.det(M)
+        assert np.shape(got) == np.shape(ref)
+        assert np.all(np.abs(got - ref) <= 1e-14 * _hadamard(M))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_normal_matrices(self, n):
+        M = np.random.default_rng(n).normal(size=(100_000, n, n))
+        self.assert_close(km.det(_entries(M)), M)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_entries_broadcast_by_their_own_batch_shapes(self, n):
+        rng = np.random.default_rng(10 + n)
+        shapes = [(5, 1), (1, 7), (), (7,), (5, 7)]
+        entries = [[rng.normal(size=shapes[(i * n + j) % len(shapes)]) for j in range(n)]
+                   for i in range(n)]
+        M = np.empty(np.broadcast_shapes(*(e.shape for row in entries for e in row)) + (n, n))
+        for i in range(n):
+            for j in range(n):
+                M[..., i, j] = entries[i][j]
+        self.assert_close(km.det(entries), M)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_near_singular_matrices(self, n):
+        # rank n - 1 plus 1e-9 noise
+        rng = np.random.default_rng(20 + n)
+        M = 1e-9 * rng.normal(size=(20_000, n, n))
+        if n > 1:
+            M += rng.normal(size=(20_000, n, n - 1)) @ rng.normal(size=(20_000, n - 1, n))
+        self.assert_close(km.det(_entries(M)), M)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_and_scaled_identity(self, n):
+        assert km.det(np.zeros((n, n))) == 0.0
+        for c in (3.0, -0.5):
+            self.assert_close(km.det(c * np.eye(n)), c * np.eye(n))
+        # np.linalg.det forms exp(log|det|), off by ~|log det| ulps (9e-14
+        # relative at 1e-300); the closed forms multiply the diagonal
+        for c in (3.0, -0.5, 1e-100, 1e100):
+            assert km.det(c * np.eye(n)) == pytest.approx(c**n, rel=1e-15)
+
+    def test_size_four_is_lapack_bit_for_bit(self):
+        M = np.random.default_rng(4).normal(size=(1000, 4, 4))
+        ref = np.linalg.det(M)
+        assert np.array_equal(km.det(_entries(M)), ref)
+        assert km.det(M[0]) == ref[0]
+
+    def test_ragged_or_empty_entries_raise(self):
+        with pytest.raises(ValueError, match="row lengths"):
+            km.det([[1.0, 2.0], [3.0]])
+        with pytest.raises(ValueError, match="row lengths"):
+            km.det([])
+
 
 class TestHTransform:
     def test_dyson_normalization(self, bm_kernel):
@@ -173,6 +245,16 @@ class TestGroundStates:
     def test_no_discrete_spectrum_raises(self):
         with pytest.raises(CatalogError):
             km.ground_state(make_spec("bm"), 2)
+
+    @pytest.mark.parametrize("x", [[0.5, 1.5], [0.5, 1.0, 1.5, 2.0], [[0.5, 1.5]] * 2])
+    def test_wrong_coordinate_count_raises(self, x):
+        spec = make_spec("bm_interval:abs,abs")
+        gs = km.ground_state(spec, 3)
+        got = np.shape(x)[-1]
+        with pytest.raises(ValueError, match=f"3 components needs 3 coordinates, got {got}"):
+            gs(x)
+        with pytest.raises(ValueError, match=f"needs 3 coordinates, got {got}"):
+            km.eigen_residual(kernel(spec), gs, 0.5, x)
 
 
 def _mid_probe(spec, n):
