@@ -132,9 +132,12 @@ def cmd_entrance_law(args):
     elaw = km.entrance_law(args.family, args.n)
     rows = []
     for p in args.points:
-        y = np.array(_floats(p))
-        rows.append({"family": args.family, "n": args.n, "t": args.t,
-                     "y": p, "density": elaw.density(args.t, y[None, :]).item()})
+        try:
+            y = km.as_weyl(_floats(p), elaw.spec.interval)
+            val = elaw.density(args.t, y[None, :]).item()
+        except ValueError as e:  # unordered, exterior or miscounted coordinates
+            raise CatalogError(f"entrance-law --points {p!r}: {e}") from e
+        rows.append({"family": args.family, "n": args.n, "t": args.t, "y": p, "density": val})
     _emit(args, "entrance", ["family", "n", "t", "y", "density"], rows)
 
 
@@ -267,6 +270,15 @@ def cmd_edge_cdf(args):
     spec = make_spec(args.spec)
     z = np.linspace(args.zmin, args.zmax, args.znum)
     x0 = np.array(_floats(args.start)) if args.start else None
+    if x0 is not None:
+        # the rising (right) edge starts weakly increasing, the falling edge decreasing
+        order, sign = ("increasing", 1.0) if args.side == "right" else ("decreasing", -1.0)
+        if len(x0) != args.n:
+            raise CatalogError(f"edge-cdf --start {args.start!r}: --n {args.n} needs "
+                               f"{args.n} coordinates, got {len(x0)}")
+        if np.any(sign * np.diff(x0) < 0):
+            raise CatalogError(f"edge-cdf --start {args.start!r}: the {args.side} edge "
+                               f"needs a weakly {order} start")
     if x0 is None or np.allclose(np.diff(x0), 0.0):
         base = float(x0[0]) if x0 is not None else 0.0
         if args.side == "right":

@@ -35,7 +35,10 @@ bit, and a malformed id raises CatalogError naming the expected form.
 FAMILIES holds one record per family, and every other module asks the
 record, never the family name: its id grammar, spec builder, dual, kernel,
 spectral basis, closed-form eigenfunction, edge ladder, Gaussian moments and
-quadrature coordinates.  Adding a family means adding one record.
+quadrature coordinates.  Adding a family means adding one record.  A spec
+builder states the coefficients a, b, a' and one scale formula, the closed
+form of log s'; core.ScaleSpeed derives log m, s' and m from it, the dual's
+scale is the swapped pair, and a spectral basis takes m and m' from the spec.
 
 The quadrature coordinates are used only here, by the two node builders for
 state-space integrals: chamber_quad (ordered chambers) and fiber_quad
@@ -62,8 +65,7 @@ from .core import (
     TransitionKernel,
     TruncationError,
     density_integral,
-    numeric_scale_speed,
-    swapped_scale_speed,
+    scale_speed,
 )
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -106,17 +108,6 @@ def _const(v):
     return lambda x: np.full_like(np.asarray(x, float), v)
 
 
-def _bm_like_scale(c):
-    return ScaleSpeed(
-        s_prime=_const(1.0),
-        m=_const(2.0),
-        s=lambda x: np.asarray(x, float) - c,
-        M=lambda x: 2.0 * (np.asarray(x, float) - c),
-        log_s_prime=_const(0.0),
-        log_m=_const(math.log(2.0)),
-    )
-
-
 @functools.lru_cache(maxsize=256)
 def make_spec(spec_id: str) -> DiffusionSpec:
     """Build a catalog spec from its string id (e.g. 'besq:3', 'jac:1,1')."""
@@ -131,8 +122,11 @@ def make_spec(spec_id: str) -> DiffusionSpec:
     return rec.build(*params)
 
 
-def _spec(fam, params, **fields) -> DiffusionSpec:
-    return DiffusionSpec(name=FAMILIES[fam].fmt(params), family=fam, params=params, **fields)
+def _spec(fam, params, log_s_prime, **fields) -> DiffusionSpec:
+    """A family's spec: its coefficients and its one scale formula, the closed
+    form of log s'(x) = -int_c^x b/a (ScaleSpeed derives the rest)."""
+    return DiffusionSpec(name=FAMILIES[fam].fmt(params), family=fam, params=params,
+                         scale=ScaleSpeed.from_log_s_prime(log_s_prime, fields["a"]), **fields)
 
 
 _MODE_BOUNDARY = {"refl": Boundary.REGULAR_REFLECTING, "abs": Boundary.REGULAR_ABSORBING}
@@ -150,14 +144,13 @@ def _brownian_spec(fam, params, interval, bl, br, c):
         behavior_l=bl,
         behavior_r=br,
         c=c,
-        scale=_bm_like_scale(c),
+        log_s_prime=_const(0.0),
     )
 
 
 def _bm_drift_spec(mu):
     if mu == 0.0:
         return make_spec("bm")
-    sp = lambda x: np.exp(-2.0 * mu * np.asarray(x, float))
     return _spec(
         "bm_drift",
         (mu,),
@@ -168,15 +161,7 @@ def _bm_drift_spec(mu):
         behavior_l=Boundary.NATURAL,
         behavior_r=Boundary.NATURAL,
         c=0.0,
-        scale=ScaleSpeed(
-            s_prime=sp,
-            m=lambda x: 2.0 * np.exp(2.0 * mu * np.asarray(x, float)),
-            s=lambda x: (1.0 - np.exp(-2.0 * mu * np.asarray(x, float)))
-            / (2.0 * mu),
-            M=lambda x: (np.exp(2.0 * mu * np.asarray(x, float)) - 1.0) / mu,
-            log_s_prime=lambda x: -2.0 * mu * np.asarray(x, float),
-            log_m=lambda x: math.log(2.0) + 2.0 * mu * np.asarray(x, float),
-        ),
+        log_s_prime=lambda x: -2.0 * mu * np.asarray(x, float),
     )
 
 
@@ -192,18 +177,7 @@ def _ou_spec(fam, sgn):
         behavior_l=Boundary.NATURAL,
         behavior_r=Boundary.NATURAL,
         c=0.0,
-        scale=ScaleSpeed(
-            s_prime=lambda x: np.exp(-sgn * np.asarray(x, float) ** 2),
-            m=lambda x: 2.0 * np.exp(sgn * np.asarray(x, float) ** 2),
-            s=(lambda x: (math.sqrt(math.pi) / 2.0) * sc.erfi(x))
-            if sgn < 0
-            else (lambda x: (math.sqrt(math.pi) / 2.0) * sc.erf(x)),
-            M=(lambda x: math.sqrt(math.pi) * sc.erf(x))
-            if sgn < 0
-            else (lambda x: math.sqrt(math.pi) * sc.erfi(x)),
-            log_s_prime=lambda x: -sgn * np.asarray(x, float) ** 2,
-            log_m=lambda x: math.log(2.0) + sgn * np.asarray(x, float) ** 2,
-        ),
+        log_s_prime=lambda x: -sgn * np.asarray(x, float) ** 2,
     )
 
 
@@ -218,19 +192,6 @@ def _besq_spec(d, killed):
         bl = Boundary.REGULAR_ABSORBING if killed else Boundary.REGULAR_REFLECTING
     else:
         bl = Boundary.EXIT
-
-    def s_fun(x):
-        x = np.asarray(x, float)
-        if d == 2.0:
-            return np.log(x)
-        return (x ** (1.0 - d / 2.0) - 1.0) / (1.0 - d / 2.0)
-
-    def M_fun(x):
-        x = np.asarray(x, float)
-        if d == 0.0:
-            return 0.5 * np.log(x)
-        return (x ** (d / 2.0) - 1.0) / d
-
     return _spec(
         "besq",
         (d, killed),
@@ -241,14 +202,7 @@ def _besq_spec(d, killed):
         behavior_l=bl,
         behavior_r=Boundary.NATURAL,
         c=1.0,
-        scale=ScaleSpeed(
-            s_prime=lambda x: np.asarray(x, float) ** (-d / 2.0),
-            m=lambda x: np.asarray(x, float) ** (d / 2.0 - 1.0) / 2.0,
-            s=s_fun,
-            M=M_fun,
-            log_s_prime=lambda x: (-d / 2.0) * np.log(x),
-            log_m=lambda x: (d / 2.0 - 1.0) * np.log(x) - math.log(2.0),
-        ),
+        log_s_prime=lambda x: (-d / 2.0) * np.log(x),
     )
 
 
@@ -263,7 +217,6 @@ def _laguerre_spec(fam, alpha, dual):
         bl = Boundary.EXIT if alpha >= 2.0 else Boundary.REGULAR_ABSORBING
         b_fun = lambda x: 2.0 - alpha + 2.0 * np.asarray(x, float)
         log_sp = lambda x: (alpha / 2.0) * np.log(x) - (np.asarray(x, float) - 1.0)
-    log_a = lambda x: math.log(2.0) + np.log(x)
     return _spec(
         fam,
         (alpha,),
@@ -274,14 +227,7 @@ def _laguerre_spec(fam, alpha, dual):
         behavior_l=bl,
         behavior_r=Boundary.NATURAL,
         c=1.0,
-        scale=ScaleSpeed(
-            s_prime=lambda x: np.exp(log_sp(x)),
-            m=lambda x: np.exp(-log_sp(x) - log_a(x)),
-            s=_numeric_cumulative(lambda x: np.exp(log_sp(x)), 1.0),
-            M=_numeric_cumulative(lambda x: np.exp(-log_sp(x) - log_a(x)), 1.0),
-            log_s_prime=log_sp,
-            log_m=lambda x: -log_sp(x) - log_a(x),
-        ),
+        log_s_prime=log_sp,
     )
 
 
@@ -291,7 +237,6 @@ def _jacobi_spec(fam, beta, gamma, dual):
     log_sp = lambda x: -bb * np.log(2.0 * np.asarray(x, float)) - gg * np.log(
         2.0 * (1.0 - np.asarray(x, float))
     )
-    log_a = lambda x: np.log(2.0 * np.asarray(x, float) * (1.0 - np.asarray(x, float)))
 
     def _end(par):
         if par >= 1.0:
@@ -313,30 +258,11 @@ def _jacobi_spec(fam, beta, gamma, dual):
         behavior_l=_end(beta),
         behavior_r=_end(gamma),
         c=0.5,
-        scale=ScaleSpeed(
-            s_prime=lambda x: np.exp(log_sp(x)),
-            m=lambda x: np.exp(-log_sp(x) - log_a(x)),
-            s=_numeric_cumulative(lambda x: np.exp(log_sp(x)), 0.5),
-            M=_numeric_cumulative(lambda x: np.exp(-log_sp(x) - log_a(x)), 0.5),
-            log_s_prime=log_sp,
-            log_m=lambda x: -log_sp(x) - log_a(x),
-        ),
+        log_s_prime=log_sp,
     )
 
 
 def _gbm_spec(alpha):
-    def s_fun(x):
-        x = np.asarray(x, float)
-        if alpha == 0.5:
-            return np.log(x)
-        return (x ** (1.0 - 2.0 * alpha) - 1.0) / (1.0 - 2.0 * alpha)
-
-    def M_fun(x):
-        x = np.asarray(x, float)
-        if alpha == 0.5:
-            return 2.0 * np.log(x)
-        return 2.0 * (x ** (2.0 * alpha - 1.0) - 1.0) / (2.0 * alpha - 1.0)
-
     return _spec(
         "gbm",
         (alpha,),
@@ -347,28 +273,8 @@ def _gbm_spec(alpha):
         behavior_l=Boundary.NATURAL,
         behavior_r=Boundary.NATURAL,
         c=1.0,
-        scale=ScaleSpeed(
-            s_prime=lambda x: np.asarray(x, float) ** (-2.0 * alpha),
-            m=lambda x: 2.0 * np.asarray(x, float) ** (2.0 * alpha - 2.0),
-            s=s_fun,
-            M=M_fun,
-            log_s_prime=lambda x: -2.0 * alpha * np.log(x),
-            log_m=lambda x: math.log(2.0) + (2.0 * alpha - 2.0) * np.log(x),
-        ),
+        log_s_prime=lambda x: -2.0 * alpha * np.log(x),
     )
-
-
-def _numeric_cumulative(f, c):
-    @functools.lru_cache(maxsize=4096)
-    def one(x):
-        if x == c:
-            return 0.0
-        from scipy.integrate import quad  # imported on first use, not when a spec is built
-
-        val, _ = quad(f, c, x, limit=200)
-        return val
-
-    return np.vectorize(lambda x: one(float(x)), otypes=[float])
 
 
 #: ids exercised by the CLI and the verification campaigns
@@ -398,7 +304,7 @@ def catalog_conjugate(spec: DiffusionSpec) -> Optional[DiffusionSpec]:
     if rec is None:
         return None
     dual = make_spec(rec.dual(spec.params))
-    return replace(dual, scale=swapped_scale_speed(spec.scale or numeric_scale_speed(spec)))
+    return replace(dual, scale=scale_speed(spec).swapped())
 
 
 # ---------------------------------------------------------------------------
@@ -842,14 +748,15 @@ def _gbm_kernel(spec, alpha):
 @dataclass(eq=False)
 class SpectralBasis:
     """Discrete spectrum data: L phi_k = -lambda_k phi_k, orthonormal in
-    L^2(m dx); the kernel is sum_k e^{-lambda_k t} phi_k(x) phi_k(y) m(y)."""
+    L^2(m dx); the kernel is sum_k e^{-lambda_k t} phi_k(x) phi_k(y) m(y).
+
+    m is the spec's speed density, and m' = m (b - a')/a, since
+    (log m)' = -(log s')' - a'/a = (b - a')/a."""
 
     spec: DiffusionSpec
     eigenvalue: Callable
     phi: Callable
     phi_prime: Callable
-    m: Callable
-    m_prime: Callable
     max_terms: int = 512
     grid: np.ndarray = None
 
@@ -860,6 +767,13 @@ class SpectralBasis:
             hi = r if np.isfinite(r) else self.spec.c + 8.0
             pad = 1e-9 * max(1.0, hi - lo)
             self.grid = np.linspace(lo + pad, hi - pad, 257)
+
+    def m(self, x):
+        return scale_speed(self.spec).m(x)
+
+    def m_prime(self, x):
+        spec = self.spec
+        return self.m(x) * (spec.b(x) - spec.a_prime(x)) / spec.a(x)
 
     @functools.lru_cache(maxsize=2048)
     def _phi_max(self, k: int) -> float:
@@ -969,15 +883,10 @@ def _interval_basis(spec):
         eigenvalue=lambda k: 0.5 * freq(k) ** 2,
         phi=phi,
         phi_prime=phi_prime,
-        m=_const(2.0),
-        m_prime=_const(0.0),
     )
 
 
 def _hermite_basis(spec):
-    m = lambda x: 2.0 * np.exp(-np.asarray(x, float) ** 2)
-    mp = lambda x: -2.0 * np.asarray(x, float) * m(x)
-
     @functools.lru_cache(maxsize=1024)
     def norm(k):
         return 1.0 / math.sqrt(2.0 * math.sqrt(math.pi) * 2.0**k * math.factorial(k))
@@ -995,8 +904,6 @@ def _hermite_basis(spec):
         eigenvalue=lambda k: float(k),
         phi=phi,
         phi_prime=phi_prime,
-        m=m,
-        m_prime=mp,
         max_terms=200,
     )
 
@@ -1004,7 +911,6 @@ def _hermite_basis(spec):
 def _laguerre_basis(spec):
     alpha = spec.params[0]
     nu = alpha / 2.0 - 1.0
-    ss = spec.scale
     nodes, weights = sc.roots_genlaguerre(320, nu)
 
     @functools.lru_cache(maxsize=1024)
@@ -1026,8 +932,6 @@ def _laguerre_basis(spec):
         eigenvalue=lambda k: 2.0 * float(k),
         phi=phi,
         phi_prime=phi_prime,
-        m=ss.m,
-        m_prime=lambda x: ss.m(x) * (nu / np.maximum(np.asarray(x, float), 1e-300) - 1.0),
         max_terms=300,
         grid=np.linspace(1e-6, 12.0 + 4.0 * alpha, 257),
     )
@@ -1036,7 +940,6 @@ def _laguerre_basis(spec):
 def _jacobi_basis(spec):
     beta, gamma = spec.params
     a_j, b_j = gamma - 1.0, beta - 1.0
-    ss = spec.scale
     nodes, weights = sc.roots_jacobi(160, a_j, b_j)
 
     @functools.lru_cache(maxsize=1024)
@@ -1055,17 +958,11 @@ def _jacobi_basis(spec):
         u = 2.0 * np.asarray(x, float) - 1.0
         return (k + a_j + b_j + 1.0) * sc.eval_jacobi(k - 1, a_j + 1.0, b_j + 1.0, u) * norm(k)
 
-    def m_prime(x):
-        x = np.asarray(x, float)
-        return ss.m(x) * ((beta - 1.0) / np.maximum(x, 1e-300) - (gamma - 1.0) / np.maximum(1.0 - x, 1e-300))
-
     return SpectralBasis(
         spec=spec,
         eigenvalue=lambda k: 2.0 * k * (k + beta + gamma - 1.0),
         phi=phi,
         phi_prime=phi_prime,
-        m=ss.m,
-        m_prime=m_prime,
         max_terms=150,
         grid=np.linspace(1e-6, 1.0 - 1e-6, 257),
     )

@@ -1,11 +1,12 @@
 """One-dimensional diffusion calculus.
 
 A diffusion is described by its generator coefficients a, b on an interval
-(l, r):  a(x) f'' + b(x) f'.  Scale density s'(x) = exp(-int_c^x b/a), speed
-density m = 1/(s' a), so that m * s' * a = 1 holds exactly.  The Siegmund
-dual (conjugate) has coefficients (a, a' - b); conjugation swaps scale and
-speed densities and maps boundary classes natural->natural, entrance<->exit,
-regular reflecting<->regular absorbing.
+(l, r):  a(x) f'' + b(x) f'.  The one scale datum of a family is
+log s'(x) = -int_c^x b/a; ScaleSpeed derives log m = -log s' - log a from it,
+so m * s' * a = 1, and s', m are their exponentials.  The Siegmund dual
+(conjugate) has coefficients (a, a' - b); conjugation swaps scale and speed
+densities exactly and maps boundary classes natural->natural,
+entrance<->exit, regular reflecting<->regular absorbing.
 """
 from __future__ import annotations
 
@@ -87,19 +88,30 @@ def feller_class_of(behavior: Boundary) -> FellerClass:
 
 @dataclass(frozen=True)
 class ScaleSpeed:
-    """Scale density s', speed density m, and their cumulatives from c.
+    """Log scale density log s' and log speed density log m.
 
-    Normalisation: s(c) = M(c) = 0 and s' is exactly exp(-int_c^x b/a), so
-    m * s' * a = 1 pointwise.  log_s_prime/log_m are overflow-safe variants
-    used by boundary classification.
+    from_log_s_prime derives log m = -log s' - log a, so m * s' * a = 1;
+    s' and m are the exponentials of the two fields, whose log forms keep
+    boundary classification free of overflow.  swapped() is the conjugate's
+    pair: the two fields exchanged exactly.
     """
 
-    s_prime: Callable
-    m: Callable
-    s: Callable
-    M: Callable
     log_s_prime: Callable
     log_m: Callable
+
+    @classmethod
+    def from_log_s_prime(cls, log_s_prime: Callable, a: Callable) -> "ScaleSpeed":
+        return cls(log_s_prime, lambda x: -log_s_prime(x) - np.log(np.asarray(a(x), float)))
+
+    def s_prime(self, x):
+        return np.exp(self.log_s_prime(x))
+
+    def m(self, x):
+        return np.exp(self.log_m(x))
+
+    def swapped(self) -> "ScaleSpeed":
+        """Scale/speed of the conjugate: \\hat s' = m, \\hat m = s'."""
+        return ScaleSpeed(log_s_prime=self.log_m, log_m=self.log_s_prime)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,13 +168,14 @@ def _probe_window(spec: DiffusionSpec):
 
 
 def scale_speed(spec: DiffusionSpec) -> ScaleSpeed:
-    """Scale/speed data for a spec; numeric quadrature unless overridden."""
+    """Scale/speed of a spec: the catalog's closed form, else numeric quadrature."""
     if spec.scale is not None:
         return spec.scale
     return numeric_scale_speed(spec)
 
 
 def numeric_scale_speed(spec: DiffusionSpec) -> ScaleSpeed:
+    """log s' = -int_c^x b/a by adaptive quadrature, one point at a time."""
     from scipy.integrate import quad
 
     c = spec.c
@@ -173,29 +186,6 @@ def numeric_scale_speed(spec: DiffusionSpec) -> ScaleSpeed:
             return 0.0
         val, _ = quad(ratio, c, x, limit=200)
         return -val
-
-    log_sp = np.vectorize(log_sp_scalar, otypes=[float])
-
-    def s_prime(x):
-        return np.exp(log_sp(x))
-
-    def m(x):
-        return np.exp(log_m(x))
-
-    def log_m(x):
-        return -log_sp(x) - np.log(np.asarray(spec.a(x), float))
-
-    def s_scalar(x):
-        if x == c:
-            return 0.0
-        val, _ = quad(lambda u: np.exp(log_sp_scalar(u)), c, x, limit=200)
-        return val
-
-    def M_scalar(x):
-        if x == c:
-            return 0.0
-        val, _ = quad(lambda u: np.exp(-log_sp_scalar(u)) / spec.a(u), c, x, limit=200)
-        return val
 
     # b/a must be integrable at c: declare failure when the ratio grows at
     # least like 1/(x-c) under a 100x step refinement toward c
@@ -209,26 +199,7 @@ def numeric_scale_speed(spec: DiffusionSpec) -> ScaleSpeed:
         if not (np.isfinite(r1) and np.isfinite(r2)) or (r1 > 1e3 and r2 > 50.0 * r1):
             raise CoefficientDomainError(f"{spec.name}: b/a not integrable near c")
 
-    return ScaleSpeed(
-        s_prime=s_prime,
-        m=m,
-        s=np.vectorize(s_scalar, otypes=[float]),
-        M=np.vectorize(M_scalar, otypes=[float]),
-        log_s_prime=log_sp,
-        log_m=log_m,
-    )
-
-
-def swapped_scale_speed(ss: ScaleSpeed) -> ScaleSpeed:
-    """Scale/speed of the conjugate: \\hat s' = m, \\hat m = s' exactly."""
-    return ScaleSpeed(
-        s_prime=ss.m,
-        m=ss.s_prime,
-        s=ss.M,
-        M=ss.s,
-        log_s_prime=ss.log_m,
-        log_m=ss.log_s_prime,
-    )
+    return ScaleSpeed.from_log_s_prime(np.vectorize(log_sp_scalar, otypes=[float]), spec.a)
 
 
 def conjugate(spec: DiffusionSpec) -> DiffusionSpec:
@@ -251,16 +222,16 @@ def conjugate(spec: DiffusionSpec) -> DiffusionSpec:
         behavior_l=DUAL_BOUNDARY[spec.behavior_l],
         behavior_r=DUAL_BOUNDARY[spec.behavior_r],
         family=f"conj({spec.family})" if spec.family else "",
-        scale=swapped_scale_speed(scale_speed(spec)),
+        scale=scale_speed(spec).swapped(),
     )
 
 
 # ---------------------------------------------------------------------------
 # Feller boundary classification
 #
-# At l (resp. r), with x0 interior:
+# At l (resp. r), with x0 interior and s, M antiderivatives of s', m:
 #   N     = int (s(x0)-s(y)) m(y) dy,   Sigma = int (M(x0)-M(y)) s'(y) dy,
-# integrated toward the endpoint.  entrance iff N<inf, Sigma=inf; exit iff
+# integrated toward the endpoint (s and M are accumulated shell by shell).  entrance iff N<inf, Sigma=inf; exit iff
 # N=inf, Sigma<inf; natural iff both infinite; regular iff both finite.
 # ---------------------------------------------------------------------------
 

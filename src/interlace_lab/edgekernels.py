@@ -59,12 +59,9 @@ class EdgeOperatorTable:
     c: list = field(default_factory=list)
 
     def __post_init__(self):
-        for sp in (self.base,):
-            if sp.behavior_l not in (Boundary.NATURAL, Boundary.ENTRANCE) or sp.behavior_r not in (
-                Boundary.NATURAL,
-                Boundary.ENTRANCE,
-            ):
-                raise ValueError("edge tables require natural/entrance boundaries")
+        ends = (Boundary.NATURAL, Boundary.ENTRANCE)
+        if self.base.behavior_l not in ends or self.base.behavior_r not in ends:
+            raise ValueError("edge tables require natural/entrance boundaries")
         self.specs = [edge_ladder_spec(self.base, self.n, k) for k in range(1, self.n + 1)]
         self.kernels = [kernel(sp) for sp in self.specs]
         # a is quadratic and b affine on every laddered family: read a2 and
@@ -157,10 +154,19 @@ def build_edge_table(spec: DiffusionSpec, n: int, t: float) -> EdgeOperatorTable
     return EdgeOperatorTable(base=spec, n=n, t=t)
 
 
+def _start(table: EdgeOperatorTable, x0) -> np.ndarray:
+    """x0 as a vector of table.n floats, else ValueError."""
+    x0 = np.asarray(x0, float)
+    if x0.shape != (table.n,):
+        raise ValueError(f"an edge table of {table.n} particles needs a start of "
+                         f"{table.n} coordinates, got shape {x0.shape}")
+    return x0
+
+
 def edge_density(table: EdgeOperatorTable, x, xp, side: str = "right"):
     """det(S^{(i),i-j}(x_i, x'_j)) for the rising edge (increasing order),
     or the Sbar variant for the falling edge (decreasing order)."""
-    x = np.asarray(x, float)
+    x = _start(table, x)
     xp = np.atleast_2d(np.asarray(xp, float))
     n = table.n
     ev = table.S if side == "right" else table.S_bar
@@ -171,7 +177,7 @@ def edge_density(table: EdgeOperatorTable, x, xp, side: str = "right"):
 
 def edge_max_cdf(table: EdgeOperatorTable, x0, z):
     """P(rightmost particle <= z) from the increasing start x0."""
-    x0 = np.asarray(x0, float)
+    x0 = _start(table, x0)
     z = np.asarray(z, float)
     n = table.n
     return det([[table.S(i, i - j + 1, float(x0[i - 1]), z) for j in range(1, n + 1)]
@@ -180,7 +186,7 @@ def edge_max_cdf(table: EdgeOperatorTable, x0, z):
 
 def edge_min_survival(table: EdgeOperatorTable, x0, z):
     """P(leftmost particle >= z) from the decreasing start x0."""
-    x0 = np.asarray(x0, float)
+    x0 = _start(table, x0)
     z = np.asarray(z, float)
     n = table.n
     return det([[-table.S_bar(i, i - j + 1, float(x0[i - 1]), z) for j in range(1, n + 1)]

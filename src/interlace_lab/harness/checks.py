@@ -27,6 +27,7 @@ from ..diffusion1d import (
     duality_residual,
     kernel,
     make_spec,
+    spectral_basis,
 )
 from ..quadrature import gl_nodes
 from .oracles import complex_wishart_sample, gue_sample
@@ -396,8 +397,6 @@ def check_eigen_structure(tolerance=1e-6, ratio_tol=1e-8):
     for sid, n in [("bm_interval:abs,abs", 3), ("ou", 3), ("lag:3", 2), ("jac:1,1", 2)]:
         spec = make_spec(sid)
         gs = km.ground_state(spec, n)
-        from ..diffusion1d import spectral_basis
-
         basis = spectral_basis(spec)
         expected = -sum(basis.eigenvalue(k) for k in range(n))
         ok = abs(gs.rate - expected) == 0.0

@@ -88,12 +88,14 @@ def _row_det(rows):
     return det([[r[..., j] for j in range(len(rows))] for r in rows])
 
 
-def _coordinates(n: int, x) -> np.ndarray:
-    """x as a float array whose last axis holds n coordinates, else ValueError."""
+def _coordinates(n: int, x, owner: str = "") -> np.ndarray:
+    """x as a float array whose last axis holds n coordinates, else a
+    ValueError naming owner (by default a determinant of n components)."""
     x = np.asarray(x, float)
     if x.ndim == 0 or x.shape[-1] != n:
         got = "a scalar" if x.ndim == 0 else f"{x.shape[-1]} (shape {x.shape})"
-        raise ValueError(f"a determinant of {n} components needs {n} coordinates, got {got}")
+        owner = owner or f"a determinant of {n} components"
+        raise ValueError(f"{owner} needs {n} coordinates, got {got}")
     return x
 
 
@@ -383,6 +385,8 @@ class EntranceLawSpec:
         return self._norms[key]
 
     def density(self, t: float, y):
+        """The law's density at y (..., n); other coordinate counts raise ValueError."""
+        y = _coordinates(self.n, y, f"the {self.family!r} entrance law of {self.n} particles")
         return self.unnormalized(t, y) * math.exp(-self.log_norm(t))
 
     def sample(self, rng: np.random.Generator, t: float, size: int) -> np.ndarray:

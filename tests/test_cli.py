@@ -174,7 +174,19 @@ class TestCLI:
          ["density", "--spec", "bm", "--t", "0.5", "--x", "0 1", "--y", "0 1 2"],
          ["eigen-check", "--spec", "bm_interval:abs,abs", "--n", "3",
           "--probes", "0.5 1.0 1.5 2.0"],
-         ["eigen-check", "--spec", "bm_interval:abs,abs", "--n", "3", "--probes", "0.5 1.5"]],
+         ["eigen-check", "--spec", "bm_interval:abs,abs", "--n", "3", "--probes", "0.5 1.5"],
+         ["entrance-law", "--family", "gue", "--n", "2", "--points", "1 2 3"],
+         ["entrance-law", "--family", "besq:2", "--n", "3", "--points", "1 2"],
+         ["entrance-law", "--family", "gue", "--n", "2", "--points", "2 1"],
+         ["entrance-law", "--family", "besq:2", "--n", "2", "--points", "0 1"],
+         ["edge-cdf", "--spec", "bm", "--n", "3", "--zmin", "-1", "--zmax", "1",
+          "--start", "0 1"],
+         ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "-1", "--zmax", "1",
+          "--start", "0 1 2"],
+         ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "-1", "--zmax", "1",
+          "--start", "1 0"],
+         ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "-1", "--zmax", "1",
+          "--side", "left", "--start", "0 1"]],
     )
     def test_errors_are_one_line(self, argv, capsys):
         assert main(argv) == 2

@@ -56,8 +56,6 @@ class TestScaleSpeed:
         for x in (0.4, 1.7, 3.2):
             log_sp, _ = quad(lambda y: spec.b(y) / spec.a(y), 1.0, x)
             assert ss.s_prime(x) == pytest.approx(math.exp(-log_sp), rel=1e-10)
-            s_num, _ = quad(lambda y: y ** -1.5, 1.0, x)
-            assert ss.s(x) == pytest.approx(s_num, rel=1e-10)
         assert np.allclose(ss.s_prime(2.0), 2.0**-1.5)
         assert np.allclose(ss.m(2.0), 2.0**0.5 / 2)
 
@@ -70,6 +68,26 @@ class TestScaleSpeed:
         hi = min(hi - 0.05 if np.isfinite(hi) else np.inf, spec.c + 2)
         x = np.linspace(lo, hi, 11)
         assert np.max(np.abs(ss.m(x) * ss.s_prime(x) * spec.a(x) - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["spec", "conjugate"])
+    @pytest.mark.parametrize("sid", CATALOG_IDS)
+    def test_log_scale_is_the_drift_integral(self, sid, dual):
+        # the one datum a family states, log s', against direct quadrature of
+        # -int b/a; log m and both exponentials are derived from it
+        from scipy.integrate import quad
+
+        spec = make_spec(sid)
+        if dual:
+            spec = conjugate(spec)
+        ss = scale_speed(spec)
+        x0 = spec.c
+        x = _probes(spec)
+        want = [-quad(lambda y: float(spec.b(y) / spec.a(y)), x0, xi,
+                      epsabs=0.0, epsrel=1e-13, limit=200)[0] for xi in x]
+        got = ss.log_s_prime(x) - ss.log_s_prime(x0)
+        # the floor covers rounding where a derived log m is constant (b = a')
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-13)
+        assert np.max(np.abs(ss.m(x) * ss.s_prime(x) * spec.a(x) - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("sid", ["bm", "ou", "besq:3", "lag:2", "jac:1,1", "gbm:1"])
     def test_validate_passes_catalog(self, sid):
@@ -97,7 +115,7 @@ class TestScaleSpeed:
         num = numeric_scale_speed(replace(spec, scale=None))
         for x in (0.4, 1.0, 2.7):
             assert num.s_prime(x) == pytest.approx(spec.scale.s_prime(x), rel=1e-9)
-            assert num.M(x) == pytest.approx(spec.scale.M(x), rel=1e-9)
+            assert num.m(x) == pytest.approx(spec.scale.m(x), rel=1e-9)
 
 
 class TestConjugate:
@@ -463,6 +481,19 @@ class TestSpectralBases:
             for k in range(j, 3):
                 val = float(np.dot(w, basis.phi(j, z) * basis.phi(k, z) * basis.m(z)))
                 assert val == pytest.approx(1.0 if j == k else 0.0, abs=5e-7)
+
+    @pytest.mark.parametrize(
+        "sid", ["bm_interval:abs,abs", "ou", "lag:3", "jac:1,1", "jac:2,1.5"]
+    )
+    def test_derived_m_prime_is_the_slope_of_m(self, sid):
+        # m' = m (b - a')/a against a central difference of m itself
+        spec = make_spec(sid)
+        basis = spectral_basis(spec)
+        x = _probes(spec)
+        h = 1e-5 * np.maximum(1.0, np.abs(x))
+        fd = (basis.m(x + h) - basis.m(x - h)) / (2.0 * h)
+        mp = basis.m_prime(x)
+        assert np.all(np.abs(mp - fd) <= 1e-8 * (np.abs(basis.m(x)) + np.abs(mp)))
 
 
 def _probes(spec):

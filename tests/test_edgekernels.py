@@ -115,6 +115,15 @@ class TestEdgeDensity:
 
 
 class TestExtremeCdfs:
+    @pytest.mark.parametrize("start", [[0.0], [0.0, 0.5, 1.0], [[0.0, 0.5]]])
+    def test_start_without_n_coordinates_raises(self, bm2, start):
+        z = np.array([0.0, 1.0])
+        for call in (lambda: ek.edge_max_cdf(bm2, start, z),
+                     lambda: ek.edge_min_survival(bm2, start, z),
+                     lambda: ek.edge_density(bm2, start, [0.0, 1.0])):
+            with pytest.raises(ValueError, match="2 particles needs a start of 2 coordinates"):
+                call()
+
     def test_single_particle_gaussian_cdf(self):
         tbl = ek.build_edge_table(make_spec("bm"), 1, 1.0)
         z = np.array([-0.5, 0.3, 1.7])

@@ -446,6 +446,13 @@ class TestEntranceLaws:
         with pytest.raises(CatalogError, match=f"'{law}'"):
             km.entrance_law(law, n, extra=extra)
 
+    @pytest.mark.parametrize("law, n, y", [("gue", 2, [[1.0, 2.0, 3.0]]),
+                                           ("besq:2", 3, [[1.0, 2.0]]), ("gue", 1, 0.5)])
+    def test_wrong_coordinate_count_raises(self, law, n, y):
+        got = np.shape(y)[-1] if np.ndim(y) else "a scalar"
+        with pytest.raises(ValueError, match=f"law of {n} particles needs {n} coordinates, got {got}"):
+            km.entrance_law(law, n).density(1.0, y)
+
     def test_vanishes_at_chamber_wall(self):
         elaw = km.entrance_law("gue", 2)
         assert elaw.density(1.0, np.array([[0.4, 0.4]])).item() == 0.0
