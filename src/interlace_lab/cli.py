@@ -185,7 +185,6 @@ SIMULATE_MODE_KEYS = {
 
 def cmd_simulate(args):
     cfg = read_config(args.config, "simulate")
-    family = cfg["family"]
     mode = cfg.get("mode", "two-level")
     if mode not in SIMULATE_MODE_KEYS:
         raise CampaignError(f"unknown simulate mode {mode!r} in {args.config}: "
@@ -196,38 +195,15 @@ def cmd_simulate(args):
     unread = sorted(set(cfg) - known)
     if unread:
         raise CampaignError(f"[simulate] keys not read in {mode} mode in {args.config}: {unread}")
-    T = float(cfg.get("t", 1.0))
-    dt = float(cfg.get("dt", 1e-3))
-    paths = int(cfg.get("paths", 1000))
     # --seed and --out given on the command line override the config file
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     out = args.out if args.out is not None else cfg.get("output", ".")
-    ensure_outdir(out)
     stride = int(cfg["record_stride"]) if "record_stride" in cfg else None
-    if mode == "edge":
-        n = int(cfg["n"])
-        side = cfg.get("side", "right")
-        x0 = np.array(_floats(cfg.get("init", " ".join(["0"] * n))))
-        pb = rs.simulate_edge(make_spec(family), n, side, x0, T, dt, paths, seed,
-                              record_stride=stride)
-    elif mode == "gt":
-        N = int(cfg["levels"])
-        fams = cfg.get("level_families", ",".join([family] * N)).split(",")
-        specs = [make_spec(f.strip()) for f in fams]
-        x0 = [np.array(_floats(cfg[f"init{k+1}"])) for k in range(N)]
-        pb = rs.simulate_gt(specs, x0, T, dt, paths, seed, record_stride=stride)
-    else:
-        try:
-            shape = tl.Shape(cfg.get("shape", "n,n+1"))
-        except ValueError:
-            raise CampaignError(f"[simulate] shape {cfg['shape']!r} in {args.config}: expected one "
-                                f"of {', '.join(s.value for s in tl.Shape)}") from None
-        spec = make_spec(family)
-        x0 = np.array(_floats(cfg["init_x"]))
-        y0 = np.array(_floats(cfg["init_y"]))
-        y_spec = make_spec(cfg["y_family"]) if "y_family" in cfg else None
-        pb = rs.simulate_two_level(spec, shape, x0, y0, T, dt, paths, seed,
-                                   y_spec=y_spec, record_stride=stride)
+    try:
+        pb = _simulate_bundle(cfg, mode, seed, stride, args.config)
+    except ValueError as e:  # a time, step or start the simulators refuse
+        raise CampaignError(f"[simulate] in {args.config}: {e}") from None
+    ensure_outdir(out)
     path = os.path.join(out, "terminal.csv")
     write_csv(path, ["path_id", "time", "level", "index", "value", "tau"], _terminal_blocks(pb))
     print(path)
@@ -235,6 +211,37 @@ def cmd_simulate(args):
         tpath = os.path.join(out, "trajectories.csv")
         write_csv(tpath, ["path_id", "time", "level", "index", "value"], _trajectory_blocks(pb))
         print(tpath)
+
+
+def _simulate_bundle(cfg, mode, seed, stride, config):
+    """Run the [simulate] section's simulator and return its PathBundle."""
+    family = cfg["family"]
+    T = float(cfg.get("t", 1.0))
+    dt = float(cfg.get("dt", 1e-3))
+    paths = int(cfg.get("paths", 1000))
+    if mode == "edge":
+        n = int(cfg["n"])
+        side = cfg.get("side", "right")
+        x0 = np.array(_floats(cfg.get("init", " ".join(["0"] * n))))
+        return rs.simulate_edge(make_spec(family), n, side, x0, T, dt, paths, seed,
+                                record_stride=stride)
+    if mode == "gt":
+        N = int(cfg["levels"])
+        fams = cfg.get("level_families", ",".join([family] * N)).split(",")
+        specs = [make_spec(f.strip()) for f in fams]
+        x0 = [np.array(_floats(cfg[f"init{k+1}"])) for k in range(N)]
+        return rs.simulate_gt(specs, x0, T, dt, paths, seed, record_stride=stride)
+    try:
+        shape = tl.Shape(cfg.get("shape", "n,n+1"))
+    except ValueError:
+        raise CampaignError(f"[simulate] shape {cfg['shape']!r} in {config}: expected one "
+                            f"of {', '.join(s.value for s in tl.Shape)}") from None
+    spec = make_spec(family)
+    x0 = np.array(_floats(cfg["init_x"]))
+    y0 = np.array(_floats(cfg["init_y"]))
+    y_spec = make_spec(cfg["y_family"]) if "y_family" in cfg else None
+    return rs.simulate_two_level(spec, shape, x0, y0, T, dt, paths, seed,
+                                 y_spec=y_spec, record_stride=stride)
 
 
 def _per_path(texts, size):
@@ -249,7 +256,8 @@ def _level_ids(n_paths, size):
 
 
 def _terminal_blocks(pb):
-    tau = [repr(v) if np.isfinite(v) else "" for v in pb.tau.tolist()]
+    # a path never stopped has an empty tau cell
+    tau = [repr(v) if f else "" for v, f in zip(pb.tau.tolist(), np.isfinite(pb.tau).tolist())]
     for lvl, name in enumerate(pb.level_names):
         term = pb.terminal(lvl)
         pid, idx = _level_ids(*term.shape)
@@ -279,6 +287,10 @@ def cmd_edge_cdf(args):
         if np.any(sign * np.diff(x0) < 0):
             raise CatalogError(f"edge-cdf --start {args.start!r}: the {args.side} edge "
                                f"needs a weakly {order} start")
+        l, r = spec.interval
+        if not np.all(np.isfinite(x0) & (x0 >= l) & (x0 <= r)):
+            raise CatalogError(f"edge-cdf --start {args.start!r}: needs finite coordinates in "
+                               f"the state interval [{l:g}, {r:g}] of {spec.name}")
     if x0 is None or np.allclose(np.diff(x0), 0.0):
         base = float(x0[0]) if x0 is not None else 0.0
         if args.side == "right":
@@ -327,6 +339,17 @@ def cmd_campaign(args):
     return 0 if res.passed else 1
 
 
+def _positive(text):
+    """argparse type of a time: a float above 0."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = float("nan")
+    if not v > 0:  # nan fails too
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return v
+
+
 def _option(*names, **kw):
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument(*names, **kw)
@@ -358,7 +381,7 @@ def build_parser():
 
     s = add("density", help="determinant transition density")
     s.add_argument("--spec", required=True)
-    s.add_argument("--t", type=float, required=True)
+    s.add_argument("--t", type=_positive, required=True)
     s.add_argument("--x", required=True, help="space-separated coordinates")
     s.add_argument("--y", required=True)
     s.add_argument("--h-transform", action="store_true")
@@ -367,14 +390,14 @@ def build_parser():
     s = add("eigen-check", help="eigenfunction residual")
     s.add_argument("--spec", required=True)
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--t", type=float, default=0.5)
+    s.add_argument("--t", type=_positive, default=0.5)
     s.add_argument("--probes", action="append")
     s.set_defaults(func=cmd_eigen_check)
 
     s = add("entrance-law", help="degenerate-start density values")
     s.add_argument("--family", required=True)
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--t", type=float, default=1.0)
+    s.add_argument("--t", type=_positive, default=1.0)
     s.add_argument("--points", action="append", required=True)
     s.set_defaults(func=cmd_entrance_law)
 
@@ -382,7 +405,7 @@ def build_parser():
     s.add_argument("--spec", required=True)
     s.add_argument("--shape", choices=["n,n+1", "n,n", "n+1,n"], default="n,n+1")
     s.add_argument("--n", type=int, default=1, help="particle count of the inner level")
-    s.add_argument("--t", type=float, default=0.5)
+    s.add_argument("--t", type=_positive, default=0.5)
     s.add_argument("--tolerance", type=float, default=1e-4)
     s.set_defaults(func=cmd_intertwine_check)
 
@@ -393,7 +416,7 @@ def build_parser():
     s = add("edge-cdf", seed, help="extreme-particle distribution")
     s.add_argument("--spec", required=True)
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--t", type=float, default=1.0)
+    s.add_argument("--t", type=_positive, default=1.0)
     s.add_argument("--side", choices=["left", "right"], default="right")
     s.add_argument("--start", default=None, help="space-separated start (default origin)")
     s.add_argument("--zmin", type=float, required=True)

@@ -2,31 +2,63 @@
 from __future__ import annotations
 
 import configparser
-import csv
 import os
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 CSV_SCHEMA = 1
+#: rows per write; bounds the text held beside one block's columns
+ROWS_PER_WRITE = 4096
+#: characters that make the csv module quote a cell (QUOTE_MINIMAL, CRLF rows)
+_SPECIAL = (",", '"', "\r", "\n")
 
 
 def _is_column(value) -> bool:
     return isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim > 0)
 
 
-def _column(value, n):
-    """One block column as a sequence the csv module writes as it would
-    write each of its cells: float64 arrays as the shortest round-trip
-    text, other arrays and lists cell by cell, a scalar once for all n rows."""
+def _text(v) -> str:
+    return "" if v is None else v if isinstance(v, str) else str(v)
+
+
+def _quote(t: str, lone: bool) -> str:
+    """t as the csv module writes it: quoted, with its quotes doubled, when
+    it holds a special character, or when it is the empty cell of a
+    one-field row."""
+    if any(c in t for c in _SPECIAL) or (lone and not t):
+        return '"' + t.replace('"', '""') + '"'
+    return t
+
+
+def _cells(values, lone: bool) -> list:
+    """A column's cell texts.  One join over the column finds both a cell
+    that is not text yet and any cell that needs quoting, so a text column
+    that needs none is passed through as it is."""
+    texts = values if isinstance(values, list) else list(values)
+    try:
+        joined = "".join(texts)
+    except TypeError:  # a cell that is not str: None, a number, a bool
+        texts = list(map(_text, texts))
+        joined = "".join(texts)
+    if any(c in joined for c in _SPECIAL) or (lone and "" in texts):
+        return [_quote(t, lone) for t in texts]
+    return texts
+
+
+def _column(value, n, lone: bool):
+    """One block column as cell texts: float64 arrays by their shortest
+    round-trip text, int and bool arrays by str, a scalar once for all n
+    rows, and any other column cell by cell."""
     if not _is_column(value):
-        return repeat("" if value is None else value if isinstance(value, str) else str(value), n)
+        return repeat(_quote(_text(value), lone), n)
     if isinstance(value, np.ndarray):
         if value.dtype == np.float64:
             return list(map(repr, value.tolist()))
-        return value.tolist() if value.dtype.kind in "iub" else list(value)
-    return value
+        if value.dtype.kind in "iub":
+            return list(map(str, value.tolist()))
+    return _cells(value, lone)
 
 
 def _block_len(block) -> int:
@@ -36,23 +68,33 @@ def _block_len(block) -> int:
     return lens.pop() if lens else 1
 
 
+def _write_block(fh, fieldnames, block) -> None:
+    """Write one block's rows in slices of ROWS_PER_WRITE; the block's cell
+    texts live only for this call."""
+    n = _block_len(block)
+    lone = len(fieldnames) == 1
+    rows = map(",".join, zip(*(_column(block.get(f, ""), n, lone) for f in fieldnames)))
+    while chunk := list(islice(rows, ROWS_PER_WRITE)):
+        fh.write("\r\n".join(chunk) + "\r\n")
+
+
 def write_csv(path_or_buf, fieldnames, blocks: Iterable[Mapping]) -> None:
     """CSV with a leading '#schema=N' comment line for downstream plotting.
 
-    Each block maps a field name to a 1-D array, a list, or a scalar
-    repeated over the block; a block of scalars alone is one row, and a
-    field the block lacks is written empty.  Blocks are written in turn,
-    so a generator of blocks streams the file.
+    The bytes are those of the csv module's writer (QUOTE_MINIMAL, CRLF row
+    ends).  Each block maps a field name to a 1-D array, a list, or a
+    scalar repeated over the block; a block of scalars alone is one row,
+    and a field the block lacks is written empty.  Blocks are written in
+    turn, each in bounded slices of rows, so a generator of blocks streams
+    the file.
     """
     own = isinstance(path_or_buf, (str, os.PathLike))
     fh = open(path_or_buf, "w", newline="") if own else path_or_buf
     try:
         fh.write(f"#schema={CSV_SCHEMA}\n")
-        w = csv.writer(fh)
-        w.writerow(fieldnames)
+        _write_block(fh, fieldnames, {f: f for f in fieldnames})
         for block in blocks:
-            n = _block_len(block)
-            w.writerows(zip(*(_column(block.get(f, ""), n) for f in fieldnames)))
+            _write_block(fh, fieldnames, block)
     finally:
         if own:
             fh.close()

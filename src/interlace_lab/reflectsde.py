@@ -230,6 +230,11 @@ def _static_barriers(spec: DiffusionSpec):
 
 
 def _resolve_steps(T, dt, t0=0.0):
+    """(step count, step) that reach T from t0 in steps of about dt."""
+    if not dt > 0:  # nan fails too
+        raise ValueError(f"dt must be positive, got {dt:g}")
+    if not T > t0:
+        raise ValueError(f"the end time t = {T:g} must be after the start time {t0:g}")
     n_steps = max(int(round((T - t0) / dt)), 1)
     return n_steps, (T - t0) / n_steps
 
@@ -453,8 +458,6 @@ def simulate_two_level(
     check_shape_assumptions(spec, shape)
     if y_spec is None:
         y_spec = conjugate(spec)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     n_steps, dt = _resolve_steps(T, dt, t0)
     x0 = np.asarray(x0, float)
     n2 = x0.shape[-1]
@@ -578,7 +581,11 @@ def simulate_edge(
                 f"edge systems require natural/entrance boundaries; {sp.name} violates this"
             )
     n_steps, dt = _resolve_steps(T, dt, t0)
-    x = np.broadcast_to(np.asarray(x0, float), (n_paths, n))
+    x0 = np.asarray(x0, float)
+    if x0.shape[-1:] != (n,):
+        raise ValueError(f"an edge of n = {n} particles needs {n} start coordinates, "
+                         f"got {x0.shape[-1] if x0.ndim else 1}")
+    x = np.broadcast_to(x0, (n_paths, n))
     above = int(side == "right")
     levels = [_Level(sp, x[:, i:i + 1].copy(), _streams(seed, 3, 0, [i]), above)
               for i, sp in enumerate(specs)]

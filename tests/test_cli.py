@@ -186,7 +186,13 @@ class TestCLI:
          ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "-1", "--zmax", "1",
           "--start", "1 0"],
          ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "-1", "--zmax", "1",
-          "--side", "left", "--start", "0 1"]],
+          "--side", "left", "--start", "0 1"],
+         ["edge-cdf", "--spec", "besq:2", "--n", "2", "--zmin", "0", "--zmax", "2",
+          "--start", "-1 0"],
+         ["edge-cdf", "--spec", "besq:2", "--n", "2", "--zmin", "0", "--zmax", "2",
+          "--side", "left", "--start", "0 -1"],
+         ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "0", "--zmax", "2",
+          "--start", "0 inf"]],
     )
     def test_errors_are_one_line(self, argv, capsys):
         assert main(argv) == 2
@@ -232,3 +238,50 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'n,m'" in err and "n,n+1" in err
         assert not (tmp_path / "terminal.csv").exists()
+
+    def test_edge_cdf_starts_on_the_closed_interval(self, capsys):
+        # besq's entrance boundary 0 is a valid coincident start
+        argv = ["edge-cdf", "--spec", "besq:2", "--n", "2", "--zmin", "0", "--zmax", "2",
+                "--znum", "3", "--start", "0 0"]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[:2] == ["#schema=1", "z,cdf"] and len(rows) == 5
+
+    @pytest.mark.parametrize("command", [
+        ["density", "--spec", "bm", "--x", "0", "--y", "0"],
+        ["eigen-check", "--spec", "bm", "--n", "2"],
+        ["entrance-law", "--family", "gue", "--n", "2", "--points", "0 1"],
+        ["intertwine-check", "--spec", "bm"],
+        ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "0", "--zmax", "1"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("t", ["0", "-1", "nan", "abc"])
+    def test_times_must_be_positive(self, capsys, command, t):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--t", t])
+        assert exc.value.code == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+        assert errors == [f"interlace-lab {command[0]}: error: argument --t: "
+                          f"expected a positive number, got {t!r}"]
+
+    @pytest.mark.parametrize("body, named", [
+        ("init_x = -1 1\ninit_y = 0\nt = -1\n", "end time t = -1"),
+        ("init_x = -1 1\ninit_y = 0\nt = 0\n", "end time t = 0"),
+        ("init_x = -1 1\ninit_y = 0\ndt = 0\n", "dt must be positive"),
+        ("init_x = -1 1\ninit_y = 5\n", "does not interlace"),
+        ("mode = gt\nlevels = 2\ninit1 = 0\ninit2 = -1 1\nt = -1\n", "end time t = -1"),
+        ("mode = gt\nlevels = 2\ninit1 = 0\ninit2 = -1 1\ndt = 0\n", "dt must be positive"),
+        ("mode = gt\nlevels = 2\ninit1 = 2\ninit2 = -1 1\n", "does not interlace"),
+        ("mode = edge\nn = 2\ninit = 0 1\nt = -1\n", "end time t = -1"),
+        ("mode = edge\nn = 2\ninit = 0 1\ndt = -0.1\n", "dt must be positive"),
+        ("mode = edge\nn = 2\ninit = 0 1 2\n", "needs 2 start coordinates, got 3"),
+    ], ids=["two-level-t", "two-level-t0", "two-level-dt", "two-level-start", "gt-t", "gt-dt",
+            "gt-start", "edge-t", "edge-dt", "edge-init"])
+    def test_simulate_rejects_a_bad_time_step_or_start(self, tmp_path, capsys, body, named):
+        cfg = tmp_path / "sim.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(f"[simulate]\nfamily = bm\n{body}paths = 2\noutput = {out}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("interlace-lab: error: [simulate] in ")
+        assert err.count("\n") == 1 and named in err, err
+        assert not out.exists()

@@ -12,7 +12,7 @@ import pytest
 from interlace_lab import cli
 from interlace_lab import reflectsde as rs
 from interlace_lab.harness import campaign, write_csv
-from interlace_lab.harness.io import rows_block
+from interlace_lab.harness.io import ROWS_PER_WRITE, rows_block
 
 
 def reference_csv(fieldnames, rows):
@@ -176,6 +176,29 @@ class TestWriteCsv:
         blocks = ({"f": np.array([float(k), k + 0.5]), "i": k} for k in range(3))
         rows = [{"f": float(k) + h, "i": k} for k in range(3) for h in (0.0, 0.5)]
         assert self.written(blocks) == reference_csv(self.FIELDS, rows)
+
+    def test_blocks_longer_than_a_write_slice(self):
+        # slice boundaries fall inside each block: at, one past and one short of them
+        rows, blocks = [], []
+        for n in (ROWS_PER_WRITE, ROWS_PER_WRITE + 1, 2 * ROWS_PER_WRITE + 7):
+            k = np.arange(n)
+            f = k / 7.0 - 3.0
+            s = [self.TEXT[j % len(self.TEXT)] for j in range(n)]
+            blocks.append({"f": f, "i": k, "b": k % 3 == 0, "s": s, "none": None})
+            rows += [{"f": f[j], "i": j, "b": j % 3 == 0, "s": s[j]} for j in range(n)]
+        assert self.written(blocks) == reference_csv(self.FIELDS, rows)
+
+    def test_header_fields_that_need_quoting(self):
+        fields = ["plain", "a,b", 'say "hi"', "line\nbreak", "cr\rhere", " pad "]
+        rows = [{f: f"{f}{j}" for f in fields} for j in range(3)]
+        assert self.written([rows_block(fields, rows)], fields) == reference_csv(fields, rows)
+
+    def test_one_field_empty_and_none_cells(self):
+        blocks = [{"s": ["", None, "v", "a,b", ""]}, {"s": None}, {"s": ""}, {},
+                  {"s": np.array([1, 0])}, {"s": ["x", "y"]}]
+        rows = [{"s": v} for v in ["", None, "v", "a,b", "", None, "", "", 1, 0, "x", "y"]]
+        assert self.written(blocks, ["s"]) == reference_csv(["s"], rows)
+        assert self.written([{"": None}], [""]) == reference_csv([""], [{"": None}])
 
     def test_columns_of_unequal_length_are_rejected(self):
         with pytest.raises(ValueError, match="differ in length"):

@@ -342,6 +342,11 @@ class TestEdgeSimulation:
             rs.simulate_edge(make_spec("bm_halfline:refl"), 2, "right",
                              np.array([0.5, 1.0]), T=0.1, dt=1e-3, n_paths=10, seed=0)
 
+    def test_start_without_n_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="needs 2 start coordinates, got 3"):
+            rs.simulate_edge(make_spec("bm"), 2, "right", np.zeros(3),
+                             T=0.1, dt=1e-2, n_paths=4, seed=0)
+
     def test_disordered_start_rejected(self):
         with pytest.raises(ValueError, match="particle 2"):
             rs.simulate_edge(make_spec("bm"), 2, "right", np.array([1.0, -1.0]),
@@ -372,6 +377,31 @@ class TestEdgeSimulation:
         three = rs.simulate_edge(bm, 3, "right", np.zeros(3), **kw)
         one = rs.simulate_edge(bm, 1, "right", np.zeros(1), **kw)
         assert np.array_equal(three.levels[0][..., 0], one.levels[0][..., 0])
+
+
+class TestStepResolution:
+    SIMULATORS = {
+        "two-level": lambda **kw: rs.simulate_two_level(
+            make_spec("bm"), Shape.NNP1, np.array([-1.0, 1.0]), np.array([0.0]),
+            n_paths=2, seed=0, **kw),
+        "gt": lambda **kw: rs.simulate_gt(
+            [make_spec("bm")] * 2, [np.array([0.0]), np.array([-1.0, 1.0])],
+            n_paths=2, seed=0, **kw),
+        "edge": lambda **kw: rs.simulate_edge(
+            make_spec("bm"), 2, "right", np.zeros(2), n_paths=2, seed=0, **kw),
+    }
+
+    @pytest.mark.parametrize("simulator", list(SIMULATORS))
+    @pytest.mark.parametrize("kw, match", [
+        (dict(T=-1.0, dt=0.01), "end time t = -1 must be after the start time 0"),
+        (dict(T=0.5, dt=0.01, t0=0.5), "end time t = 0.5 must be after the start time 0.5"),
+        (dict(T=1.0, dt=0.0), "dt must be positive, got 0"),
+        (dict(T=1.0, dt=-0.01), "dt must be positive"),
+        (dict(T=1.0, dt=float("nan")), "dt must be positive, got nan"),
+    ], ids=["negative-t", "t-at-start", "zero-dt", "negative-dt", "nan-dt"])
+    def test_bad_time_or_step_rejected(self, simulator, kw, match):
+        with pytest.raises(ValueError, match=match):
+            self.SIMULATORS[simulator](**kw)
 
 
 class TestBlockKernelMonteCarlo:
