@@ -198,7 +198,7 @@ def cmd_simulate(args):
     # --seed and --out given on the command line override the config file
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     out = args.out if args.out is not None else cfg.get("output", ".")
-    stride = int(cfg["record_stride"]) if "record_stride" in cfg else None
+    stride = _count(cfg, "record_stride", args.config) if "record_stride" in cfg else None
     try:
         pb = _simulate_bundle(cfg, mode, seed, stride, args.config)
     except ValueError as e:  # a time, step or start the simulators refuse
@@ -218,7 +218,7 @@ def _simulate_bundle(cfg, mode, seed, stride, config):
     family = cfg["family"]
     T = float(cfg.get("t", 1.0))
     dt = float(cfg.get("dt", 1e-3))
-    paths = int(cfg.get("paths", 1000))
+    paths = _count(cfg, "paths", config) if "paths" in cfg else 1000
     if mode == "edge":
         n = int(cfg["n"])
         side = cfg.get("side", "right")
@@ -242,6 +242,19 @@ def _simulate_bundle(cfg, mode, seed, stride, config):
     y_spec = make_spec(cfg["y_family"]) if "y_family" in cfg else None
     return rs.simulate_two_level(spec, shape, x0, y0, T, dt, paths, seed,
                                  y_spec=y_spec, record_stride=stride)
+
+
+def _count(cfg, key, config):
+    """[simulate] key read as a positive integer, else a one-line error
+    that names it."""
+    try:
+        value = int(cfg[key])
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise CampaignError(f"[simulate] {key} in {config} must be a positive integer, "
+                            f"got {cfg[key]!r}")
+    return value
 
 
 def _per_path(texts, size):

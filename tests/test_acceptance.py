@@ -51,7 +51,7 @@ class TestAcceptance:
         _report("A4", checks.check_master_intertwinings(tolerance=1e-4), 300.0)
 
     def test_a5_reflected_systems_vs_exact_laws(self):
-        _report("A5", checks.check_warren_dyson(paths=20000, dt=4e-3, tolerance=0.02), 600.0)
+        _report("A5", checks.check_warren_dyson(paths=20000, tolerance=0.02), 600.0)
 
     def test_a6_entrance_law_patterns(self):
         _report("A6", checks.check_entrance_gt(paths=20000, dt=4e-3, tolerance=0.02), 900.0)

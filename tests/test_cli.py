@@ -285,3 +285,19 @@ class TestCLI:
         assert err.startswith("interlace-lab: error: [simulate] in ")
         assert err.count("\n") == 1 and named in err, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("paths", "0"), ("paths", "-3"), ("paths", "many"), ("record_stride", "0"),
+    ])
+    def test_simulate_rejects_a_bad_count_by_name(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "sim.cfg"
+        out = tmp_path / "out"
+        counts = {"paths": "2", "record_stride": "1", key: value}
+        cfg.write_text("[simulate]\nfamily = bm\ninit_x = -1 1\ninit_y = 0\nt = 0.1\n"
+                       "dt = 0.05\n" + "".join(f"{k} = {v}\n" for k, v in counts.items())
+                       + f"output = {out}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"[simulate] {key} in {cfg} must be a positive integer, got '{value}'" in err
+        assert not out.exists()
