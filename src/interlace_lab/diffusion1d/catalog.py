@@ -34,19 +34,16 @@ bit, and a malformed id raises CatalogError naming the expected form.
 
 FAMILIES holds one record per family, and every other module asks the
 record, never the family name: its id grammar, spec builder, dual, kernel,
-spectral basis, closed-form eigenfunction, edge ladder, Gaussian moments,
-exact step (a sampler of the kernel: Gaussian, scaled noncentral chi^2 or
-lognormal) and quadrature coordinates.  Adding a family means adding one
-record.  A spec
+spectral basis, closed-form eigenfunction, edge ladder, Gaussian moments and
+quadrature coordinates.  Adding a family means adding one record.  A spec
 builder states the coefficients a, b, a' and one scale formula, the closed
 form of log s'; core.ScaleSpeed derives log m, s' and m from it, the dual's
 scale is the swapped pair, and a spectral basis takes m and m' from the spec.
 
-The quadrature coordinates serve the two node builders for state-space
-integrals: chamber_quad (ordered chambers) and fiber_quad (batched
-interlacing-fiber boxes).  Both clip to the spec's interval and return
-states with the Jacobian folded into the weights.  The reflected-system
-stepper pushes particles in the same coordinates (see quad_coords).
+The quadrature coordinates are used only here, by the two node builders for
+state-space integrals: chamber_quad (ordered chambers) and fiber_quad
+(batched interlacing-fiber boxes).  Both clip to the spec's interval and
+return states with the Jacobian folded into the weights.
 """
 from __future__ import annotations
 
@@ -1083,46 +1080,6 @@ def _ou_gaussian(sgn):
     )
 
 
-def _gaussian(moments):
-    """The record fields of a Gaussian family whose kernel has the moments
-    moments(params): those moments, and the exact step they give."""
-
-    def step(params, x, dt, gen):
-        mean, var, _ = moments(params)
-        return mean(dt, x) + math.sqrt(var(dt)) * gen.standard_normal(np.shape(x))
-
-    return dict(gaussian=moments, step=step)
-
-
-def _ncx2(gen, df, nonc):
-    """Noncentral chi^2_df(nonc) draws, one per entry of nonc.  For df = 2 they
-    are (Z1 + sqrt(nonc))^2 + Z2^2: two normals, where numpy's sampler spends a
-    shape-1/2 gamma that costs twice as much."""
-    if df != 2.0:
-        return gen.noncentral_chisquare(df, nonc)
-    z = gen.standard_normal((2,) + np.shape(nonc))
-    return (z[0] + np.sqrt(nonc)) ** 2 + z[1] ** 2
-
-
-def _besq_step(params, x, dt, gen):
-    """dt chi'^2_d(x / dt), the squared Bessel transition (Revuz and Yor, ch.
-    XI); for 0 < d < 2 it is the law reflected at 0."""
-    return dt * _ncx2(gen, params[0], np.asarray(x, float) / dt)
-
-
-def _lag_step(params, x, dt, gen):
-    """c chi'^2_alpha(x e^{-2 dt} / c) with c = (1 - e^{-2 dt}) / 2: the
-    Laguerre process is the CIR process of rate 2, mean alpha/2, volatility 2."""
-    c = -0.5 * math.expm1(-2.0 * dt)
-    return c * _ncx2(gen, params[0], np.asarray(x, float) * (math.exp(-2.0 * dt) / c))
-
-
-def _gbm_step(params, x, dt, gen):
-    """x exp((alpha - 1/2) dt + sqrt(dt) N), the lognormal transition."""
-    noise = math.sqrt(dt) * gen.standard_normal(np.shape(x))
-    return np.asarray(x, float) * np.exp((params[0] - 0.5) * dt + noise)
-
-
 _FLIP = {"refl": "abs", "abs": "refl"}
 
 
@@ -1145,7 +1102,6 @@ class _Family:
     eigen: Optional[Callable] = None  # (params, n) -> (components, rate, name)
     ladder: Optional[Callable] = None  # (params, m) -> id of the member with drift b + m a'
     gaussian: Optional[Callable] = None  # params -> (mean(t, x), var(t), dmean_dx(t))
-    step: Optional[Callable] = None  # (params, x, dt, gen) -> exact draw of X_dt given X_0 = x
     coords: str = "linear"  # quadrature coordinates: "linear", "sqrt" or "log"
 
 
@@ -1163,7 +1119,7 @@ FAMILIES: dict[str, _Family] = {
         kernel=_gaussian_kernel,
         eigen=lambda p, n: _vandermonde(n, 0.0),
         ladder=lambda p, m: "bm",
-        **_gaussian(lambda p: _brownian_gaussian(0.0)),
+        gaussian=lambda p: _brownian_gaussian(0.0),
     ),
     "bm_drift": _Family(
         **_ids("bm_drift", "mu"),
@@ -1172,7 +1128,7 @@ FAMILIES: dict[str, _Family] = {
         kernel=_gaussian_kernel,
         eigen=lambda p, n: _vandermonde(n, 0.0),
         ladder=lambda p, m: _id("bm_drift", p),
-        **_gaussian(lambda p: _brownian_gaussian(p[0])),
+        gaussian=lambda p: _brownian_gaussian(p[0]),
     ),
     "ou": _Family(
         **_ids("ou"),
@@ -1182,14 +1138,14 @@ FAMILIES: dict[str, _Family] = {
         basis=_hermite_basis,
         eigen=lambda p, n: _vandermonde(n, -0.5 * n * (n - 1)),
         ladder=lambda p, m: "ou",
-        **_gaussian(lambda p: _ou_gaussian(-1.0)),
+        gaussian=lambda p: _ou_gaussian(-1.0),
     ),
     "ou_out": _Family(
         **_ids("ou_out"),
         build=lambda: _ou_spec("ou_out", 1.0),
         dual=lambda p: "ou",
         kernel=_gaussian_kernel,
-        **_gaussian(lambda p: _ou_gaussian(1.0)),
+        gaussian=lambda p: _ou_gaussian(1.0),
     ),
     "besq": _Family(
         form="besq:d[:abs]",
@@ -1201,7 +1157,6 @@ FAMILIES: dict[str, _Family] = {
         kernel=lambda s: _besq_kernel(s, *s.params),
         eigen=_besq_eigen,
         ladder=lambda p, m: _id("besq", (p[0] + 2 * m, False)),
-        step=_besq_step,
         coords="sqrt",
     ),
     "lag": _Family(
@@ -1212,7 +1167,6 @@ FAMILIES: dict[str, _Family] = {
         basis=_laguerre_basis,
         eigen=lambda p, n: _vandermonde(n, -float(n * (n - 1))),
         ladder=lambda p, m: _id("lag", (p[0] + 2 * m,)),
-        step=_lag_step,
         coords="sqrt",
     ),
     "lag_dual": _Family(
@@ -1246,7 +1200,6 @@ FAMILIES: dict[str, _Family] = {
         kernel=lambda s: _gbm_kernel(s, *s.params),
         eigen=lambda p, n: _vandermonde(n, 0.5 * n * (n - 1) * ((n - 2) / 3.0 + p[0])),
         ladder=lambda p, m: _id("gbm", (p[0] + m,)),
-        step=_gbm_step,
         coords="log",
     ),
     "bm_halfline": _Family(
@@ -1282,23 +1235,9 @@ def gaussian_moments(spec: DiffusionSpec):
     return rec.gaussian(spec.params) if rec is not None and rec.gaussian else None
 
 
-def exact_step(spec: DiffusionSpec):
-    """step(x, dt, gen): an exact draw of X_dt given X_0 = x, for x in spec's
-    interval, from the Philox stream gen; None when spec's family has no
-    sampler of its kernel, or when spec is killed at an end, since the draw
-    has the law of the unkilled motion."""
-    rec = FAMILIES.get(spec.family)
-    killing = {Boundary.EXIT, Boundary.REGULAR_ABSORBING}
-    if rec is None or rec.step is None or killing & {spec.behavior_l, spec.behavior_r}:
-        return None
-    return functools.partial(rec.step, spec.params)
-
-
 def quad_coords(spec: DiffusionSpec) -> str:
     """Coordinates that make quadrature of spec's densities converge:
-    'sqrt' (u = sqrt(y)) and 'log' (u = log(y)) remove endpoint kinks.  They
-    are also the Lamperti coordinates of a = 2x and a = x^2/2, in which the
-    noise is unit; reflectsde pushes particles in them."""
+    'sqrt' (u = sqrt(y)) and 'log' (u = log(y)) remove endpoint kinks."""
     rec = FAMILIES.get(spec.family)
     return rec.coords if rec is not None else "linear"
 

@@ -315,10 +315,9 @@ def run_gt2(family: str, paths, dt, seed, t_start=1e-3, T=1.0, init_seed=11):
     return rs.simulate_gt(specs, init, T=T, dt=dt, n_paths=paths, seed=seed, t0=t_start)
 
 
-# dt stays 4e-3, not A5's and A7's 0.05: at 200k paths against 400k oracle
-# draws the gt2-besq rows do not read reliably below 0.005, a quarter of the
-# tolerance, at any dt, because the oracle sample's own eig0 distance from a
-# 2M-draw sample is 0.0034; so the refinement cannot certify the coarse grid
+# dt stays 4e-3, not A5's and A7's 0.05: the gt2-besq level takes Euler
+# steps of a square-root diffusion, and at 200k paths its eig0 row reads
+# 0.046 at dt = 0.05, 0.0255 at 0.025 and 0.0136 at 0.0125
 @register("entrance-gt", "pattern levels vs matrix oracles")
 def check_entrance_gt(paths=20000, dt=4e-3, tolerance=0.02, seed=5, oracle_count=200000):
     rows = []

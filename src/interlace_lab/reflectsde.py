@@ -1,4 +1,4 @@
-"""Discrete Skorokhod maps and simulation of reflected systems.
+"""Discrete Skorokhod maps and Euler simulation of reflected systems.
 
 Every simulator here steps one interlacing array.  A system is a list of
 levels, each an (n_paths, size) state moved in order.  Particle i of level
@@ -13,59 +13,45 @@ level's offset; an index out of range stands for the level's static wall
   * edge: one single-particle level per particle, above=1 on the right
     edge (pushed up) and above=0 on the left edge (pushed down).
 
-Scheme: per time step each level in turn takes a free step and is then
-pushed off its bounds.  The free step is an exact draw from the family's
-transition kernel where the catalog has one (catalog.exact_step: Gaussian
-for bm, bm_drift, ou and ou_out, dt chi'^2 for besq, a scaled chi'^2 for
-lag, lognormal for gbm); bm's draw is x + sqrt(dt) xi, bit for bit its
-Euler step.  The other families (jac, jac_dual, lag_dual and killed besq)
-take a full-truncation Euler step: coefficients evaluated at the state
-clamped into the interval, the standard positivity-preserving treatment of
-square-root diffusions.  An exact draw of a reflecting member has the
-reflected law already, so such a level has no static wall.
+Scheme: per time step each level in turn takes a full-truncation Euler
+step (coefficients evaluated at the state clamped into the interval, the
+standard positivity-preserving treatment of square-root diffusions) and
+is then pushed off its bounds.  Per-step projection onto the bounds would
+miss the pushes inside a step and leave an O(sqrt(dt)) deficit.  Each
+bound pushes instead by the exact maximum over the step of the gap to it,
+taken as a Brownian bridge from the start-of-step gap a <= 0 to the gap b
+after the Euler proposal, with variance rate v frozen at the start of the
+step:
 
-Per-step projection onto the bounds would miss the pushes inside a step
-and leave an O(sqrt(dt)) deficit.  Each bound pushes instead by the exact
-maximum over the step of the gap to it, taken as a Brownian bridge from
-the start-of-step gap a <= 0 to the gap b after the free step, of
-variance V over the step:
+    push = max(M, 0),  M = (a + b + sqrt((b - a)^2 + 2 v dt E)) / 2,
 
-    push = max(M, 0),  M = (a + b + sqrt((b - a)^2 + 2 V E)) / 2,
-
-E ~ Exp(1).  Gaps are measured in push coordinates, the levels' common
-quad_coords: u = sqrt(x) for a = 2x (besq, lag, lag_dual), u = log(x) for
-a = x^2/2 (gbm).  There every particle has unit noise, so V = 2 dt off a
-particle of the previous level and V = dt off a wall.  A system of
-'linear' levels (a = 1/2, or the Jacobi pair), or of levels whose
-coordinates differ, pushes in state units with the variance rate frozen
-at the start of the step: V = 2 (a_nbr(x_nbr) + a(x)) dt off a particle,
-its start-of-step diffusivity plus the particle's own, and V = 2 a(x) dt
-off a wall; for a = 1/2 these are again 2 dt and dt.  The gap is bound
-minus particle on the lower side, where the push is added, and particle
-minus bound on the upper side, where it is subtracted.  M >= b, so a
-particle bounded on one side stays on its side.  A particle bounded on
-both sides is pushed from each with its own draw, both gaps measured from
-the same free proposal, and the result is clipped onto [lower, upper],
-lower bound first; the clip's move is added to the push of the side it
-moves away from.  Pushes are recorded in state units, the lower one
-applied first, so each step moves a particle by its free increment plus
-its lower push minus its upper push.
+E ~ Exp(1).  For a bound set by a particle of the previous level,
+v = 2 (a_nbr(x_nbr) + a(x)), its start-of-step diffusivity plus the
+particle's own; for a static wall, v = 2 a(x).  The gap is bound minus
+particle on the lower side, where the push is added, and particle minus
+bound on the upper side, where it is subtracted.  M >= b, so a particle
+bounded on one side stays on its side.  A particle bounded on both sides
+is pushed from each with its own draw, both gaps measured from the same
+Euler proposal, and the result is clipped onto [lower, upper], lower
+bound first; the clip's move is added to the push of the side it moves
+away from, so each step moves a particle by its Euler increment plus its
+lower push minus its upper push.  For Brownian levels (a = 1/2) the Euler
+step is exact and v is the gap's true variance rate, so the push is exact,
+or nearly so, at any dt.
 
 Noise comes from counter-based Philox streams keyed (kind, level,
 particle):
 
-    (0, 0, i), (1, 0, i)   free-step draws of two-level Y, X particle i
-    (2, k, i)              free-step draws of GT level k
-    (3, 0, i)              free-step draws of edge particle i
+    (0, 0, i), (1, 0, i)   normals of two-level Y, X particle i
+    (2, k, i)              normals of GT level k
+    (3, 0, i)              normals of edge particle i
     (4, 0, i)              Exp(1) draws of edge particle i >= 1
     (5, k, i), (6, k, i)   Exp(1) draws of particle i of two-level or GT
                            level k (0 = Y, 1 = X), bounded below, above
 
-A free step draws normals (Euler, Gaussian and lognormal steps) or
-noncentral chi^2 variates.  Only bounded particles draw E, each side from
-its own stream, so the free steps are those of a system without pushes.
-Bundles are bit-reproducible for a fixed seed and independent of
-scheduling.
+Only bounded particles draw E, each side from its own stream, so the
+normals are those of a system without pushes.  Bundles are
+bit-reproducible for a fixed seed and independent of scheduling.
 
 Stop rules: a two-level system tests Y's proposal before anything moves;
 coincident or crossed Y particles, or a Y particle at a killing endpoint,
@@ -83,7 +69,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .diffusion1d import Boundary, DiffusionSpec, conjugate, make_spec
-from .diffusion1d.catalog import FAMILIES, exact_step, quad_coords
+from .diffusion1d.catalog import FAMILIES
 from .twolevel import Shape
 
 
@@ -136,10 +122,10 @@ class PathBundle:
     """Simulated trajectories with constraining increments and stop times.
 
     levels[i] has shape (n_recorded, n_paths, n_particles_i); k_lower and
-    k_upper hold the cumulative push-up/push-down amounts, in state units,
-    at the final time.  tau is +inf for paths never stopped.  contact_fraction is the
+    k_upper hold the cumulative push-up/push-down amounts at the final
+    time.  tau is +inf for paths never stopped.  contact_fraction is the
     fraction of constrained particle-steps, over all paths, in which a
-    push moved the particle off its free proposal: a nonzero
+    push moved the particle off its raw Euler proposal: a nonzero
     bridge-sampled push, or the clip of a particle bounded on both sides.
     """
 
@@ -233,24 +219,6 @@ def _check_counts(n_paths, record_stride):
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
-def _free_step(lv, step, noise, dt, state_diff):
-    """Level lv's free proposal for this step, and, when state_diff, the
-    diffusivity a at its start (None otherwise).
-
-    An exact step draws each particle from its own stream; else the
-    particles' normals fill the rows of noise and feed _euler_raw."""
-    if step is None:
-        for g, row in zip(lv.gens, noise):
-            g.standard_normal(out=row)
-        raw, diff = _euler_raw(lv.spec, lv.x, dt, noise.T)
-        return raw, diff if state_diff else None
-    xc = np.clip(lv.x, *lv.spec.interval)
-    raw = np.empty_like(xc)
-    for i, g in enumerate(lv.gens):
-        raw[:, i] = step(xc[:, i], dt, g)
-    return raw, np.maximum(np.asarray(lv.spec.a(xc), float), 0.0) if state_diff else None
-
-
 def _euler_raw(spec: DiffusionSpec, x, dt, xi):
     """Full-truncation Euler proposal, and the diffusivity a it used: the
     coefficients are evaluated at x clamped into the interval, a floored
@@ -267,29 +235,8 @@ def _bridge_max(a, b, var, e):
     return 0.5 * (a + b + np.sqrt((b - a) ** 2 + 2.0 * var * e))
 
 
-# u = fwd(x) and x = inv(u) of the push coordinates quad_coords names.  The
-# square root is signed, so that a truncated-Euler proposal below 0 maps too
-# and the map stays monotone
-_PUSH_MAPS = {
-    "sqrt": (lambda x: np.copysign(np.sqrt(np.abs(x)), x), lambda u: u * np.abs(u)),
-    "log": (np.log, np.exp),
-}
-
-
-def _push_map(levels):
-    """(fwd, inv) of the coordinates a system pushes in, or None for state
-    units: the levels' common quad_coords, in which each has unit noise.  A
-    system of 'linear' levels, or of levels that disagree, pushes in state
-    units with frozen variances."""
-    coords = {quad_coords(lv.spec) for lv in levels}
-    return _PUSH_MAPS.get(coords.pop()) if len(coords) == 1 else None
-
-
 def _static_barriers(spec: DiffusionSpec):
-    """(lower, upper) hard walls from regular-reflecting endpoints; none for
-    a spec with an exact step, whose draw has the reflected law already."""
-    if exact_step(spec) is not None:
-        return -np.inf, np.inf
+    """(lower, upper) hard walls from regular-reflecting endpoints."""
     lo = spec.l if spec.behavior_l is Boundary.REGULAR_REFLECTING else -np.inf
     hi = spec.r if spec.behavior_r is Boundary.REGULAR_REFLECTING else np.inf
     return lo, hi
@@ -376,20 +323,13 @@ def _side_key(side, k, i):
 
 def _check_start(levels, names):
     """Raise unless every path starts inside its walls and interlaced: each
-    level within its spec's interval but off a finite natural end (gbm's 0,
-    which a particle can neither reach nor leave, and where its log push
-    coordinate is -inf), and particle i of level k >= 1 within columns
-    i-1+above and i+above of level k-1, all up to 1e-12 slack."""
+    level within its spec's interval, and particle i of level k >= 1 within
+    columns i-1+above and i+above of level k-1, both up to 1e-12 slack."""
     for lv, name in zip(levels, names):
         l, r = lv.spec.interval
         if not np.all((lv.x >= l - 1e-12) & (lv.x <= r + 1e-12)):
             raise ValueError(
                 f"initial {name} leaves the state interval [{l:g}, {r:g}] of {lv.spec.name}")
-        for end, behavior in ((l, lv.spec.behavior_l), (r, lv.spec.behavior_r)):
-            if (behavior is Boundary.NATURAL and np.isfinite(end)
-                    and np.any(np.abs(lv.x - end) <= 1e-12)):
-                raise ValueError(f"initial {name} starts at the natural boundary {end:g} "
-                                 f"of {lv.spec.name}, which it cannot leave")
     for k in range(1, len(levels)):
         prev, x = levels[k - 1].x, levels[k].x
         for side, p, src in _pieces(levels, k):
@@ -403,7 +343,7 @@ def _check_start(levels, names):
 
 
 def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) -> PathBundle:
-    """Step an interlacing array: each level in turn takes a free step and
+    """Step an interlacing array: each level in turn takes an Euler step and
     is pushed off each of its bounds by the sampled bridge maximum of its
     gap, with the previous level already moved; a particle bounded on both
     sides is then clipped onto [lower, upper].  Pushes, contacts and stop
@@ -413,16 +353,10 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
     alive = np.ones(n_paths, bool)
     # a view of alive: the in-place stop updates below narrow it too
     where = alive[:, None] if stop is not None else True
-    fwd, inv = _push_map(levels) or (None, None)
-    # each level's state in push coordinates, the same array as lv.x without a map
-    u = [lv.x if fwd is None else fwd(lv.x) for lv in levels]
-    steps = [exact_step(lv.spec) for lv in levels]
     klow = [np.zeros_like(lv.x) for lv in levels]
     kup = [np.zeros_like(lv.x) for lv in levels]
-    noise = [np.empty(lv.x.shape[::-1]) if step is None else None
-             for lv, step in zip(levels, steps)]
-    pieces = [[(side, p, src if isinstance(src, slice) or fwd is None else float(fwd(src)))
-               for side, p, src in _pieces(levels, k)] for k in range(len(levels))]
+    noise = [np.empty(lv.x.shape[::-1]) for lv in levels]
+    pieces = [_pieces(levels, k) for k in range(len(levels))]
     clips = [_two_sided(pc) for pc in pieces]
     sides = [sorted({side for side, _, _ in pc}) for pc in pieces]
     # per level and bounded side: the Exp(1) draws, of which only the rows of
@@ -438,26 +372,26 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
     for j in range(1, n_steps + 1):
         t = t0 + j * dt
         for k, lv in enumerate(levels):
-            raw, diff = _free_step(lv, steps[k], noise[k], dt, fwd is None)
+            for g, row in zip(lv.gens, noise[k]):
+                g.standard_normal(out=row)
+            raw, diff = _euler_raw(lv.spec, lv.x, dt, noise[k].T)
             for side, streams in enumerate(lv.bridge):
                 for i, g in streams.items():
                     g.standard_exponential(out=expo[k][side][i])
-            u_raw = raw if fwd is None else fwd(raw)
-            proj = u_raw.copy()
+            proj = raw.copy()
             for side, p, src in pieces[k]:
                 # the gap runs from the start-of-step state to the proposal;
-                # in push coordinates each particle has unit noise, in state
-                # units its variance rate is frozen at the start of the step
+                # its variance rate is frozen at the start of the step
                 if isinstance(src, slice):
-                    start_bound, bound = prev_u[:, src], u[k - 1][:, src]
-                    var = 2.0 * dt if diff is None else 2.0 * (prev_diff[:, src] + diff[:, p]) * dt
+                    start_bound, bound = prev_x[:, src], levels[k - 1].x[:, src]
+                    var = 2.0 * (prev_diff[:, src] + diff[:, p]) * dt
                 else:
                     start_bound = bound = src
-                    var = dt if diff is None else 2.0 * diff[:, p] * dt
+                    var = 2.0 * diff[:, p] * dt
                 if side == 0:
-                    start, end = start_bound - u[k][:, p], bound - u_raw[:, p]
+                    start, end = start_bound - lv.x[:, p], bound - raw[:, p]
                 else:
-                    start, end = u[k][:, p] - start_bound, u_raw[:, p] - bound
+                    start, end = lv.x[:, p] - start_bound, raw[:, p] - bound
                 out = push[k][side][:, p]
                 np.maximum(_bridge_max(start, end, var, expo[k][side][p].T), 0.0, out=out)
                 if side == 0:
@@ -468,26 +402,23 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
                 x = proj[:, q]
                 before = x.copy()
                 for clip, src in ((np.maximum, lo), (np.minimum, hi)):
-                    clip(x, u[k - 1][:, src] if isinstance(src, slice) else src, out=x)
+                    clip(x, levels[k - 1].x[:, src] if isinstance(src, slice) else src, out=x)
                 moved = x - before
                 push[k][0][:, q] += np.maximum(moved, 0.0)
                 push[k][1][:, q] -= np.minimum(moved, 0.0)
-            new_x, moves = (proj, push[k]) if fwd is None else \
-                _state_pushes(raw, u_raw, proj, push[k], inv)
             if k == 0 and stop is not None and stop.on_proposal:
-                stopped = stop.hits([new_x])
+                stopped = stop.hits([proj])
                 tau[alive & stopped] = t
                 alive &= ~stopped
-            prev_u, prev_diff = u[k], diff
-            lv.x = np.where(where, new_x, lv.x)
-            u[k] = lv.x if fwd is None else np.where(where, proj, u[k])
+            prev_x, prev_diff = lv.x, diff
+            lv.x = np.where(where, proj, lv.x)
             for side in sides[k]:
                 acc = (klow, kup)[side][k]
-                np.add(acc, moves[side], out=acc, where=where)
+                np.add(acc, push[k][side], out=acc, where=where)
             if k:
                 # summed a particle at a time in stepping order, so the
                 # fraction does not depend on how levels are laid out
-                for c in np.count_nonzero((proj != u_raw) & where, axis=0).tolist():
+                for c in np.count_nonzero((proj != raw) & where, axis=0).tolist():
                     contacts += c / n_paths
         if stop is not None and not stop.on_proposal:
             stopped = stop.hits([levels[k].x for k in stop.levels])
@@ -510,19 +441,6 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
         level_names=names,
         contact_fraction=contacts / max(n_steps * n_constrained, 1),
     )
-
-
-def _state_pushes(raw, u_raw, proj, push, inv):
-    """(state, [lower push, upper push]) in state units of a level pushed in
-    push coordinates: the state is inv(proj), or raw where nothing pushed;
-    the lower push is applied first, so a step moves each particle by its
-    free increment plus its lower push minus its upper push."""
-    if push[0] is None and push[1] is None:
-        return raw, push
-    new_x = np.where(proj != u_raw, inv(proj), raw)
-    x_lo = raw if push[0] is None else np.where(push[0] != 0.0, inv(u_raw + push[0]), raw)
-    return new_x, [None if push[0] is None else x_lo - raw,
-                   None if push[1] is None else x_lo - new_x]
 
 
 def simulate_two_level(

@@ -379,39 +379,7 @@ class TestEdgeSimulation:
         assert np.array_equal(three.levels[0][..., 0], one.levels[0][..., 0])
 
 
-class TestExactSteps:
-    @pytest.mark.parametrize("sid, x0", [
-        ("bm_drift:0.5", 0.3), ("ou", 0.5), ("ou_out", 0.5), ("besq:3", 1.0),
-        ("besq:2", 0.5), ("besq:1", 0.2), ("lag:3", 1.0), ("gbm:1", 1.0),
-    ])
-    def test_one_step_has_the_kernel_law(self, sid, x0):
-        # one step of dt = 0.5 is a draw from the family's transition kernel.
-        # besq:1 is reflected at 0 and its draw has the reflected law already,
-        # so a wall push on top of it would count the reflection twice
-        from interlace_lab.diffusion1d import kernel
-        from interlace_lab.harness.stats import ks_statistic_cdf
-
-        spec = make_spec(sid)
-        pb = rs.simulate_gt([spec], [np.array([x0])], T=0.5, dt=0.5, n_paths=20000, seed=71)
-        x = np.sort(pb.terminal(0)[:, 0])
-        assert ks_statistic_cdf(x, kernel(spec).cdf(0.5, x0, x)) <= 0.02
-
-    def test_start_at_a_finite_natural_end_rejected(self):
-        # gbm never leaves 0, and its log push coordinate is -inf there
-        with pytest.raises(ValueError, match="edge particle 1 starts at the natural boundary 0 "
-                                             "of gbm:2"):
-            rs.simulate_edge(make_spec("gbm:1"), 2, "right", np.zeros(2), T=0.1, dt=0.05,
-                             n_paths=2, seed=0)
-
-    def test_which_members_step_exactly(self):
-        from interlace_lab.diffusion1d.catalog import exact_step
-
-        for sid in ("besq:1:abs", "besq:-1", "lag_dual:3", "jac:1,1", "jac_dual:1,1",
-                    "bm_halfline:refl"):
-            assert exact_step(make_spec(sid)) is None, sid
-        for sid in ("bm", "bm_drift:0.5", "ou", "ou_out", "besq:1", "lag:3", "gbm:1"):
-            assert exact_step(make_spec(sid)) is not None, sid
-
+class TestCoarseGridControl:
     def test_projection_control_fails_the_coarse_checks(self, monkeypatch):
         # with the bridge maximum replaced by projection onto the bounds (the
         # push of a zero Exp(1) draw), every simulated row of A5, A6 and A7
@@ -540,19 +508,16 @@ def _digest(pb, first_constrained):
 
 # sha256 of levels, tau, grid and the constrained levels' pushes, and the
 # exact contact fraction, for pinned seeds.  A change to the stepper that
-# keeps the RNG layout and the scheme must leave these unchanged.  The besq
-# cases take exact chi'^2 steps and push in sqrt coordinates; the others
-# are bm and bm_halfline systems, whose steps and pushes are those of the
-# Euler scheme bit for bit.
+# keeps the RNG layout and the scheme must leave these unchanged.
 GOLDEN = {
     "two-level-nnp1": ("cc526ce7daa3aefca4f958daa7f6af2958528f655a1d4bcec7ff9b9cb1e90064", 0.07578333333333341),
     "two-level-nn": ("af537c0e8cfff9b103f22966dd18eefbb6603c8604a5203bc6fccc17eb1e910e", 0.04170000000000003),
     "two-level-np1n": ("686344fd1c26b7252cacb56f8e9baa04d00cb97683816fb2ea85f92597ad80ef", 0.11584999999999991),
     "gt2-gue": ("fbc15ee8574f2909112cfd48c4762eb9580df755cb399c13b3f6f52622f2225a", 0.08551874999999998),
-    "gt2-besq": ("86b7a0790cdecd89b1f8c19a79482c8a8a1b586ec60da9362f7a3c7ab5f1e128", 0.11492499999999999),
+    "gt2-besq": ("9bba560e17244ffa2b22216efae712ee9edbb564ad1d38903abbae1f99036197", 0.11509374999999988),
     "gt-equal-size": ("dad2c1f06d76b4da6a34ef881a5d4e80b59fc66e0f437412282dcdf91df9085e", 0.14822499999999994),
     "edge-right-bm": ("2636ba76ab5e20e8f447a06a48ea9072f11f78c8c68029e71d1faf3aa7216893", 0.13141666666666663),
-    "edge-left-besq": ("c0fc67e57062ea3382845ced6606b093de4eead245f2ea254449fa64cc27cc5d", 0.08813333333333324),
+    "edge-left-besq": ("d0b874d29fb1ddddc28ee8162058c6cff8d42f80b0031da2303837ba26fa396b", 0.0812833333333333),
 }
 
 
