@@ -34,16 +34,21 @@ bit, and a malformed id raises CatalogError naming the expected form.
 
 FAMILIES holds one record per family, and every other module asks the
 record, never the family name: its id grammar, spec builder, dual, kernel,
-spectral basis, closed-form eigenfunction, edge ladder, Gaussian moments and
-quadrature coordinates.  Adding a family means adding one record.  A spec
-builder states the coefficients a, b, a' and one scale formula, the closed
-form of log s'; core.ScaleSpeed derives log m, s' and m from it, the dual's
-scale is the swapped pair, and a spectral basis takes m and m' from the spec.
+spectral basis, closed-form eigenfunction, edge ladder, Gaussian moments,
+exact step and quadrature coordinates.  Adding a family means adding one
+record.  A spec builder states the coefficients a, b, a' and one scale
+formula, the closed form of log s'; core.ScaleSpeed derives log m, s' and m
+from it, the dual's scale is the swapped pair, and a spectral basis takes m
+and m' from the spec.
 
-The quadrature coordinates are used only here, by the two node builders for
-state-space integrals: chamber_quad (ordered chambers) and fiber_quad
-(batched interlacing-fiber boxes).  Both clip to the spec's interval and
-return states with the Jacobian folded into the weights.
+The quadrature coordinates serve the two node builders for state-space
+integrals: chamber_quad (ordered chambers) and fiber_quad (batched
+interlacing-fiber boxes).  Both clip to the spec's interval and return
+states with the Jacobian folded into the weights.  The reflected-system
+stepper pushes exactly stepped 'sqrt' members in the same coordinates.
+
+Only besq has an exact step, dt chi'^2_d(x / dt); reflectsde steps every
+other family, and killed besq, by full-truncation Euler.
 """
 from __future__ import annotations
 
@@ -1080,6 +1085,18 @@ def _ou_gaussian(sgn):
     )
 
 
+def _besq_step(params, x, dt, gen):
+    """dt chi'^2_d(x / dt), the squared Bessel transition (Revuz and Yor, ch.
+    XI); for 0 < d < 2 it is the law reflected at 0.  For d = 2 the draw is
+    (Z1 + sqrt(x / dt))^2 + Z2^2: two normals cost less than numpy's
+    noncentral sampler, which spends a shape-1/2 gamma there."""
+    nonc = np.asarray(x, float) / dt
+    if params[0] != 2.0:
+        return dt * gen.noncentral_chisquare(params[0], nonc)
+    z = gen.standard_normal((2,) + nonc.shape)
+    return dt * ((z[0] + np.sqrt(nonc)) ** 2 + z[1] ** 2)
+
+
 _FLIP = {"refl": "abs", "abs": "refl"}
 
 
@@ -1102,6 +1119,7 @@ class _Family:
     eigen: Optional[Callable] = None  # (params, n) -> (components, rate, name)
     ladder: Optional[Callable] = None  # (params, m) -> id of the member with drift b + m a'
     gaussian: Optional[Callable] = None  # params -> (mean(t, x), var(t), dmean_dx(t))
+    step: Optional[Callable] = None  # (params, x, dt, gen) -> exact draw of X_dt given X_0 = x
     coords: str = "linear"  # quadrature coordinates: "linear", "sqrt" or "log"
 
 
@@ -1157,6 +1175,7 @@ FAMILIES: dict[str, _Family] = {
         kernel=lambda s: _besq_kernel(s, *s.params),
         eigen=_besq_eigen,
         ladder=lambda p, m: _id("besq", (p[0] + 2 * m, False)),
+        step=_besq_step,
         coords="sqrt",
     ),
     "lag": _Family(
@@ -1235,9 +1254,21 @@ def gaussian_moments(spec: DiffusionSpec):
     return rec.gaussian(spec.params) if rec is not None and rec.gaussian else None
 
 
+def exact_step(spec: DiffusionSpec):
+    """step(x, dt, gen): an exact draw of X_dt given X_0 = x from the stream
+    gen, or None when spec's family has no sampler of its kernel or spec is
+    killed at an end, since the draw has the law of the unkilled motion."""
+    rec = FAMILIES.get(spec.family)
+    killing = {Boundary.EXIT, Boundary.REGULAR_ABSORBING}
+    if rec is None or rec.step is None or killing & {spec.behavior_l, spec.behavior_r}:
+        return None
+    return functools.partial(rec.step, spec.params)
+
+
 def quad_coords(spec: DiffusionSpec) -> str:
     """Coordinates that make quadrature of spec's densities converge:
-    'sqrt' (u = sqrt(y)) and 'log' (u = log(y)) remove endpoint kinks."""
+    'sqrt' (u = sqrt(y)) and 'log' (u = log(y)) remove endpoint kinks.  'sqrt'
+    is also the Lamperti coordinate of a = 2x, in which the noise is unit."""
     rec = FAMILIES.get(spec.family)
     return rec.coords if rec is not None else "linear"
 

@@ -1,4 +1,4 @@
-"""Discrete Skorokhod maps and Euler simulation of reflected systems.
+"""Discrete Skorokhod maps and simulation of reflected systems.
 
 Every simulator here steps one interlacing array.  A system is a list of
 levels, each an (n_paths, size) state moved in order.  Particle i of level
@@ -13,45 +13,57 @@ level's offset; an index out of range stands for the level's static wall
   * edge: one single-particle level per particle, above=1 on the right
     edge (pushed up) and above=0 on the left edge (pushed down).
 
-Scheme: per time step each level in turn takes a full-truncation Euler
-step (coefficients evaluated at the state clamped into the interval, the
-standard positivity-preserving treatment of square-root diffusions) and
-is then pushed off its bounds.  Per-step projection onto the bounds would
-miss the pushes inside a step and leave an O(sqrt(dt)) deficit.  Each
-bound pushes instead by the exact maximum over the step of the gap to it,
-taken as a Brownian bridge from the start-of-step gap a <= 0 to the gap b
-after the Euler proposal, with variance rate v frozen at the start of the
-step:
+Scheme: per time step each level in turn takes a free step and is then
+pushed off its bounds.  A non-killed besq level steps exactly, each
+particle drawn as x' = dt chi'^2_d(x / dt) (catalog.exact_step); that draw
+has the law reflected at 0 already, so such a level has no static wall.
+Every other level takes a full-truncation Euler step (coefficients
+evaluated at the state clamped into the interval, the standard
+positivity-preserving treatment of square-root diffusions).
 
-    push = max(M, 0),  M = (a + b + sqrt((b - a)^2 + 2 v dt E)) / 2,
+Per-step projection onto the bounds would miss the pushes inside a step
+and leave an O(sqrt(dt)) deficit.  Each bound pushes instead by the exact
+maximum over the step of the gap to it, taken as a Brownian bridge from
+the start-of-step gap a <= 0 to the gap b after the free step, of
+variance V over the step:
 
-E ~ Exp(1).  For a bound set by a particle of the previous level,
-v = 2 (a_nbr(x_nbr) + a(x)), its start-of-step diffusivity plus the
-particle's own; for a static wall, v = 2 a(x).  The gap is bound minus
-particle on the lower side, where the push is added, and particle minus
-bound on the upper side, where it is subtracted.  M >= b, so a particle
-bounded on one side stays on its side.  A particle bounded on both sides
-is pushed from each with its own draw, both gaps measured from the same
-Euler proposal, and the result is clipped onto [lower, upper], lower
-bound first; the clip's move is added to the push of the side it moves
-away from, so each step moves a particle by its Euler increment plus its
-lower push minus its upper push.  For Brownian levels (a = 1/2) the Euler
-step is exact and v is the gap's true variance rate, so the push is exact,
-or nearly so, at any dt.
+    push = max(M, 0),  M = (a + b + sqrt((b - a)^2 + 2 V E)) / 2,
+
+E ~ Exp(1).  A level that steps exactly, and whose bounding level also has
+a = 2x, pushes in u = sqrt(x), where every particle has unit noise: V is
+2 dt off a particle of the previous level.  There the pushed u is floored
+at 0 and mapped back by x = u^2, so the state never leaves [0, inf).
+Every other level pushes in state units with the variance rate frozen at
+the start of the step: V = 2 (a_nbr(x_nbr) + a(x)) dt off a particle, its
+start-of-step diffusivity plus the particle's own, and V = 2 a(x) dt off a
+static wall.  The gap is bound minus particle on the lower side, where the
+push is added, and particle minus bound on the upper side, where it is
+subtracted.  M >= b, so a particle bounded on one side stays on its side.
+A particle bounded on both sides is pushed from each with its own draw,
+both gaps measured from the same free proposal, and the result is clipped
+onto [lower, upper], lower bound first; the clip's move is added to the
+push of the side it moves away from.  Pushes are recorded in state units,
+so each step moves a particle by its free increment plus its lower push
+minus its upper push.  For Brownian levels (a = 1/2) the Euler step is
+exact and V is the gap's true variance, so the push is exact, or nearly
+so, at any dt; the same holds for besq levels in u = sqrt(x), up to the
+drift of u inside the step.
 
 Noise comes from counter-based Philox streams keyed (kind, level,
 particle):
 
-    (0, 0, i), (1, 0, i)   normals of two-level Y, X particle i
-    (2, k, i)              normals of GT level k
-    (3, 0, i)              normals of edge particle i
+    (0, 0, i), (1, 0, i)   free-step draws of two-level Y, X particle i
+    (2, k, i)              free-step draws of GT level k
+    (3, 0, i)              free-step draws of edge particle i
     (4, 0, i)              Exp(1) draws of edge particle i >= 1
     (5, k, i), (6, k, i)   Exp(1) draws of particle i of two-level or GT
                            level k (0 = Y, 1 = X), bounded below, above
 
-Only bounded particles draw E, each side from its own stream, so the
-normals are those of a system without pushes.  Bundles are
-bit-reproducible for a fixed seed and independent of scheduling.
+A free step draws normals (Euler, and the exact step of besq:2) or
+noncentral chi^2 variates.  Only bounded particles draw E, each side from
+its own stream, so the free steps are those of a system without pushes.
+Bundles are bit-reproducible for a fixed seed and independent of
+scheduling.
 
 Stop rules: a two-level system tests Y's proposal before anything moves;
 coincident or crossed Y particles, or a Y particle at a killing endpoint,
@@ -69,7 +81,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .diffusion1d import Boundary, DiffusionSpec, conjugate, make_spec
-from .diffusion1d.catalog import FAMILIES
+from .diffusion1d.catalog import FAMILIES, exact_step, quad_coords
 from .twolevel import Shape
 
 
@@ -123,9 +135,9 @@ class PathBundle:
 
     levels[i] has shape (n_recorded, n_paths, n_particles_i); k_lower and
     k_upper hold the cumulative push-up/push-down amounts at the final
-    time.  tau is +inf for paths never stopped.  contact_fraction is the
-    fraction of constrained particle-steps, over all paths, in which a
-    push moved the particle off its raw Euler proposal: a nonzero
+    time, in state units.  tau is +inf for paths never stopped.
+    contact_fraction is the fraction of constrained particle-steps, over all
+    paths, in which a push moved the particle off its free proposal: a nonzero
     bridge-sampled push, or the clip of a particle bounded on both sides.
     """
 
@@ -219,13 +231,36 @@ def _check_counts(n_paths, record_stride):
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
-def _euler_raw(spec: DiffusionSpec, x, dt, xi):
-    """Full-truncation Euler proposal, and the diffusivity a it used: the
-    coefficients are evaluated at x clamped into the interval, a floored
-    at 0."""
-    xc = np.clip(x, *spec.interval)
-    a = np.maximum(np.asarray(spec.a(xc), float), 0.0)
-    return x + np.asarray(spec.b(xc), float) * dt + np.sqrt(2.0 * a * dt) * xi, a
+def _free_step(lv, step, noise, dt):
+    """Level lv's free proposal over one step, and the diffusivity a at the
+    start of the step, evaluated at x clamped into the interval and floored
+    at 0.
+
+    An exact step draws each particle's column from its own stream.  Any
+    other level fills noise's rows with its particles' normals and takes a
+    full-truncation Euler step, its coefficients taken at the clamped x."""
+    xc = np.clip(lv.x, *lv.spec.interval)
+    diff = np.maximum(np.asarray(lv.spec.a(xc), float), 0.0)
+    if step is not None:
+        return np.column_stack([step(xc[:, i], dt, g) for i, g in enumerate(lv.gens)]), diff
+    for g, row in zip(lv.gens, noise):
+        g.standard_normal(out=row)
+    return lv.x + np.asarray(lv.spec.b(xc), float) * dt + np.sqrt(2.0 * diff * dt) * noise.T, diff
+
+
+def _root(x):
+    """u = sqrt(x), signed, so that an Euler proposal of a bounding level
+    below 0 maps too and the map stays monotone."""
+    return np.copysign(np.sqrt(np.abs(x)), x)
+
+
+def _pushes_in_root(levels, k, step, pieces):
+    """True when level k pushes in u = sqrt(x): it steps exactly, and it and
+    any level whose particles bound it have a = 2x, so unit noise in u."""
+    coords = {quad_coords(levels[k].spec)}
+    if any(isinstance(src, slice) for _, _, src in pieces):
+        coords.add(quad_coords(levels[k - 1].spec))
+    return step is not None and coords == {"sqrt"}
 
 
 def _bridge_max(a, b, var, e):
@@ -236,7 +271,10 @@ def _bridge_max(a, b, var, e):
 
 
 def _static_barriers(spec: DiffusionSpec):
-    """(lower, upper) hard walls from regular-reflecting endpoints."""
+    """(lower, upper) hard walls from regular-reflecting endpoints; none for
+    a spec with an exact step, whose draw has the reflected law already."""
+    if exact_step(spec) is not None:
+        return -np.inf, np.inf
     lo = spec.l if spec.behavior_l is Boundary.REGULAR_REFLECTING else -np.inf
     hi = spec.r if spec.behavior_r is Boundary.REGULAR_REFLECTING else np.inf
     return lo, hi
@@ -343,22 +381,29 @@ def _check_start(levels, names):
 
 
 def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) -> PathBundle:
-    """Step an interlacing array: each level in turn takes an Euler step and
+    """Step an interlacing array: each level in turn takes a free step and
     is pushed off each of its bounds by the sampled bridge maximum of its
     gap, with the previous level already moved; a particle bounded on both
     sides is then clipped onto [lower, upper].  Pushes, contacts and stop
     times are recorded for the paths alive after each stop test."""
-    n_paths = levels[0].x.shape[0]
+    n_levels, n_paths = len(levels), levels[0].x.shape[0]
     tau = np.full(n_paths, np.inf)
     alive = np.ones(n_paths, bool)
     # a view of alive: the in-place stop updates below narrow it too
     where = alive[:, None] if stop is not None else True
     klow = [np.zeros_like(lv.x) for lv in levels]
     kup = [np.zeros_like(lv.x) for lv in levels]
-    noise = [np.empty(lv.x.shape[::-1]) for lv in levels]
-    pieces = [_pieces(levels, k) for k in range(len(levels))]
+    steps = [exact_step(lv.spec) for lv in levels]
+    noise = [np.empty(lv.x.shape[::-1]) if step is None else None
+             for lv, step in zip(levels, steps)]
+    pieces = [_pieces(levels, k) for k in range(n_levels)]
     clips = [_two_sided(pc) for pc in pieces]
     sides = [sorted({side for side, _, _ in pc}) for pc in pieces]
+    # which levels push in u = sqrt(x); u holds the state in u of each level
+    # that does and of each level that bounds one, None elsewhere
+    root = [_pushes_in_root(levels, k, steps[k], pieces[k]) for k in range(n_levels)]
+    u = [_root(lv.x) if r or r_next else None
+         for lv, r, r_next in zip(levels, root, root[1:] + [False])]
     # per level and bounded side: the Exp(1) draws, of which only the rows of
     # bounded particles are filled, and this step's pushes, zero where unbounded
     expo = [[np.empty(lv.x.shape[::-1]) if s in sd else None for s in (0, 1)]
@@ -372,53 +417,64 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
     for j in range(1, n_steps + 1):
         t = t0 + j * dt
         for k, lv in enumerate(levels):
-            for g, row in zip(lv.gens, noise[k]):
-                g.standard_normal(out=row)
-            raw, diff = _euler_raw(lv.spec, lv.x, dt, noise[k].T)
+            raw, diff = _free_step(lv, steps[k], noise[k], dt)
             for side, streams in enumerate(lv.bridge):
                 for i, g in streams.items():
                     g.standard_exponential(out=expo[k][side][i])
-            proj = raw.copy()
+            # the pushes act on the level's push coordinates
+            start_x, raw_u = (u[k], _root(raw)) if root[k] else (lv.x, raw)
+            proj = raw_u.copy()
             for side, p, src in pieces[k]:
                 # the gap runs from the start-of-step state to the proposal;
-                # its variance rate is frozen at the start of the step
-                if isinstance(src, slice):
-                    start_bound, bound = prev_x[:, src], levels[k - 1].x[:, src]
-                    var = 2.0 * (prev_diff[:, src] + diff[:, p]) * dt
-                else:
+                # a frozen variance rate is taken at the start of the step
+                if not isinstance(src, slice):
                     start_bound = bound = src
                     var = 2.0 * diff[:, p] * dt
-                if side == 0:
-                    start, end = start_bound - lv.x[:, p], bound - raw[:, p]
+                elif root[k]:
+                    start_bound, bound = prev_u[:, src], u[k - 1][:, src]
+                    var = 2.0 * dt
                 else:
-                    start, end = lv.x[:, p] - start_bound, raw[:, p] - bound
+                    start_bound, bound = prev_x[:, src], levels[k - 1].x[:, src]
+                    var = 2.0 * (prev_diff[:, src] + diff[:, p]) * dt
+                if side == 0:
+                    start, end = start_bound - start_x[:, p], bound - raw_u[:, p]
+                else:
+                    start, end = start_x[:, p] - start_bound, raw_u[:, p] - bound
                 out = push[k][side][:, p]
                 np.maximum(_bridge_max(start, end, var, expo[k][side][p].T), 0.0, out=out)
                 if side == 0:
                     proj[:, p] += out
                 else:
                     proj[:, p] -= out
+            bounds = (u[k - 1] if root[k] else levels[k - 1].x) if k else None
             for q, lo, hi in clips[k]:
                 x = proj[:, q]
                 before = x.copy()
                 for clip, src in ((np.maximum, lo), (np.minimum, hi)):
-                    clip(x, levels[k - 1].x[:, src] if isinstance(src, slice) else src, out=x)
+                    clip(x, bounds[:, src] if isinstance(src, slice) else src, out=x)
                 moved = x - before
                 push[k][0][:, q] += np.maximum(moved, 0.0)
                 push[k][1][:, q] -= np.minimum(moved, 0.0)
+            if root[k]:
+                np.maximum(proj, 0.0, out=proj)
+                new_x, moves = _state_pushes(raw, raw_u, proj, push[k])
+            else:
+                new_x, moves = proj, push[k]
             if k == 0 and stop is not None and stop.on_proposal:
-                stopped = stop.hits([proj])
+                stopped = stop.hits([new_x])
                 tau[alive & stopped] = t
                 alive &= ~stopped
-            prev_x, prev_diff = lv.x, diff
-            lv.x = np.where(where, proj, lv.x)
+            prev_x, prev_u, prev_diff = lv.x, u[k], diff
+            lv.x = np.where(where, new_x, lv.x)
+            if u[k] is not None:
+                u[k] = _root(lv.x)
             for side in sides[k]:
                 acc = (klow, kup)[side][k]
-                np.add(acc, push[k][side], out=acc, where=where)
+                np.add(acc, moves[side], out=acc, where=where)
             if k:
                 # summed a particle at a time in stepping order, so the
                 # fraction does not depend on how levels are laid out
-                for c in np.count_nonzero((proj != raw) & where, axis=0).tolist():
+                for c in np.count_nonzero((proj != raw_u) & where, axis=0).tolist():
                     contacts += c / n_paths
         if stop is not None and not stop.on_proposal:
             stopped = stop.hits([levels[k].x for k in stop.levels])
@@ -441,6 +497,17 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
         level_names=names,
         contact_fraction=contacts / max(n_steps * n_constrained, 1),
     )
+
+
+def _state_pushes(raw, raw_u, proj, push):
+    """(state, [lower push, upper push]) in state units of a level pushed in
+    u = sqrt(x) to proj >= 0: the state is proj^2, or raw where nothing
+    pushed; the lower push is applied first, so a step moves each particle
+    by its free increment plus its lower push minus its upper push."""
+    lo, up = push
+    new_x = np.where(proj != raw_u, np.square(proj), raw)
+    x_lo = raw if lo is None else np.where(lo != 0.0, np.square(raw_u + lo), raw)
+    return new_x, [None if lo is None else x_lo - raw, None if up is None else x_lo - new_x]
 
 
 def simulate_two_level(

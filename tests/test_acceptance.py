@@ -54,7 +54,7 @@ class TestAcceptance:
         _report("A5", checks.check_warren_dyson(paths=20000, tolerance=0.02), 600.0)
 
     def test_a6_entrance_law_patterns(self):
-        _report("A6", checks.check_entrance_gt(paths=20000, dt=4e-3, tolerance=0.02), 900.0)
+        _report("A6", checks.check_entrance_gt(paths=20000, tolerance=0.02), 900.0)
 
     def test_a7_edge_formulas(self):
         _report("A7", checks.check_edge_formulas(paths=20000, tolerance=0.02), 900.0)

@@ -141,23 +141,30 @@ class TestHTransform:
             km.h_transform_density(bm_kernel, h, 1.0, np.array([1.0, 1.0]), np.array([0.0, 1.0]))
 
     def test_besq_conditioned_matches_mc_rejection(self):
-        # coarse Monte Carlo of two squared Bessels conditioned not to meet
+        # Monte Carlo of two squared Bessels conditioned not to meet, by the
+        # library's exact step.  In u = sqrt(x) each particle has unit noise,
+        # so the gap g = u2 - u1 is about a Brownian bridge of variance 2 dt
+        # over a step, and a path that is apart at both ends of a step met
+        # inside it with probability exp(-g0 g1 / dt)
+        from interlace_lab.diffusion1d.catalog import exact_step
+
         spec = make_spec("besq:3")
         kern = kernel(spec)
-        h = km.eigenfunction_catalog(spec, 2)
+        step = exact_step(spec)
         rng = np.random.default_rng(8)
         x0 = np.array([1.0, 3.0])
-        t, n_steps, n_paths = 0.5, 1600, 120000
+        t, n_steps, n_paths = 0.5, 20, 120000
         dt = t / n_steps
         x = np.repeat(x0[None, :], n_paths, axis=0)
         alive = np.ones(n_paths, bool)
         for _ in range(n_steps):
-            xi = rng.normal(size=(n_paths, 2))
-            x = x + 3.0 * dt + np.sqrt(4.0 * np.maximum(x, 0.0) * dt) * xi
-            alive &= x[:, 1] > x[:, 0]
+            g0 = np.sqrt(x[:, 1]) - np.sqrt(x[:, 0])
+            x = step(x, dt, rng)
+            g1 = np.sqrt(x[:, 1]) - np.sqrt(x[:, 0])
+            # a gap at or below 0 at the end kills with probability 1
+            alive &= rng.random(n_paths) >= np.exp(-np.maximum(g0 * g1, 0.0) / dt)
         surv = x[alive]
-        # compare survivors' histogram mass in a box against the density;
-        # grid-level crossing detection biases survival up by O(sqrt(dt))
+        # compare survivors' histogram mass in a box against the density
         box = (surv[:, 0] > 1.0) & (surv[:, 0] < 2.0) & (surv[:, 1] > 2.5) & (surv[:, 1] < 4.0)
         mc = box.mean() * alive.mean()
         from interlace_lab.quadrature import stacked_box_nodes

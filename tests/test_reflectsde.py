@@ -379,20 +379,102 @@ class TestEdgeSimulation:
         assert np.array_equal(three.levels[0][..., 0], one.levels[0][..., 0])
 
 
+class TestExactBesqSteps:
+    # two starts per member, one of them 0; a member below d = 2 is reflected there
+    STARTS = {"besq:0.5": (0.0, 0.7), "besq:2": (0.0, 1.0), "besq:4": (0.0, 1.5)}
+
+    @staticmethod
+    def _one_step_ks(sid, x0, dt=0.5):
+        # KS of 20k one-step draws of a lone GT particle against the kernel
+        from interlace_lab.diffusion1d import kernel
+        from interlace_lab.harness.stats import ks_statistic_cdf
+
+        spec = make_spec(sid)
+        pb = rs.simulate_gt([spec], [np.array([x0])], T=dt, dt=dt, n_paths=20000, seed=71)
+        x = np.sort(pb.terminal(0)[:, 0])
+        return ks_statistic_cdf(x, kernel(spec).cdf(dt, x0, x))
+
+    @pytest.mark.parametrize("sid, x0", [(sid, x0) for sid, starts in STARTS.items()
+                                         for x0 in starts])
+    def test_one_step_has_the_kernel_law(self, sid, x0):
+        assert self._one_step_ks(sid, x0) <= 0.02
+
+    @pytest.mark.parametrize("sid, x0, wrong", [
+        *[(sid, x0, "d+1") for sid, starts in STARTS.items() for x0 in starts],
+        *[(sid, starts[1], "nonc*dt") for sid, starts in STARTS.items()],
+    ])
+    def test_a_wrong_step_fails_the_kernel_law(self, monkeypatch, sid, x0, wrong):
+        # the dimension off by one, or the noncentrality x instead of x / dt
+        # (the same law from 0, so only the other start checks it)
+        from dataclasses import replace
+        from interlace_lab.diffusion1d import catalog
+
+        rec = catalog.FAMILIES["besq"]
+        steps = {
+            "d+1": lambda p, x, dt, g: rec.step((p[0] + 1.0,) + p[1:], x, dt, g),
+            "nonc*dt": lambda p, x, dt, g: dt * g.noncentral_chisquare(p[0], x),
+        }
+        monkeypatch.setitem(catalog.FAMILIES, "besq", replace(rec, step=steps[wrong]))
+        assert self._one_step_ks(sid, x0) > 0.02
+
+    def test_only_unkilled_besq_steps_exactly(self):
+        from interlace_lab.diffusion1d.catalog import FAMILIES, exact_step
+
+        assert [f for f, rec in FAMILIES.items() if rec.step is not None] == ["besq"]
+        for sid in ("besq:1:abs", "besq:-1", "besq:0"):
+            assert exact_step(make_spec(sid)) is None, sid
+        for sid in ("besq:0.5", "besq:1", "besq:2", "besq:3"):
+            assert exact_step(make_spec(sid)) is not None, sid
+
+    @pytest.mark.parametrize("sid, shape, x0, y0, order", [
+        # order: the columns of (x, y) from low to high when interlaced
+        ("besq:3", Shape.NNP1, [0.5, 2.0], [1.0], [0, 2, 1]),  # exact X, killed Euler Y
+        ("besq:1:abs", Shape.NN, [1.0], [0.5], [1, 0]),        # killed Euler X, exact Y
+    ])
+    def test_mixed_two_level_systems_stay_ordered(self, sid, shape, x0, y0, order):
+        # one level steps exactly and the other by Euler: the exact X pushes
+        # in sqrt(x) off a Y proposal that may cross 0, the Euler X by frozen
+        # variances that need the exact Y's diffusivity
+        with np.errstate(all="raise"):
+            pb = rs.simulate_two_level(make_spec(sid), shape, np.array(x0), np.array(y0),
+                                       T=0.5, dt=0.05, n_paths=2000, seed=3, record_stride=1)
+        y, x = (lv[:, pb.alive] for lv in pb.levels)
+        cols = np.concatenate([x, y], axis=-1)[..., order]
+        assert pb.alive.any() and cols.min() >= 0.0
+        assert np.all(np.diff(cols, axis=-1) >= 0.0)
+
+    def test_no_recorded_state_below_zero(self):
+        # a push taken in state units once carried these runs below 0: 108
+        # terminal level-2 values of the GT run, 77,695 recorded edge values.
+        # In u = sqrt(x), floored at 0, no value can leave [0, inf); without
+        # the floor, x = u^2 of a u pushed below 0 would break the order
+        from interlace_lab.harness.checks import run_gt2
+
+        gt = run_gt2("besq:2", 20000, 4e-3, 15, init_seed=21)
+        edge = rs.simulate_edge(make_spec("besq:2"), 2, "left", np.array([2e-4, 1e-4]), T=0.3,
+                                dt=2e-3, n_paths=20000, seed=15, record_stride=1)
+        for levels in (gt.levels, edge.levels):
+            assert min(float(lv.min()) for lv in levels) >= 0.0
+        (l1, l2), (e,) = gt.levels, edge.levels
+        assert np.all(l2[..., :1] <= l1 + 1e-12) and np.all(l1 <= l2[..., 1:] + 1e-12)
+        assert np.all(np.diff(e, axis=-1) <= 1e-12)
+
+
 class TestCoarseGridControl:
     def test_projection_control_fails_the_coarse_checks(self, monkeypatch):
         # with the bridge maximum replaced by projection onto the bounds (the
         # push of a zero Exp(1) draw), every simulated row of A5, A6 and A7
-        # fails at dt = 0.05: there the bridge-sampled push is what meets the
-        # tolerance.  A6 runs at 4e-3 by default, so it is asked for 0.05 here
+        # fails at its check's default dt, 0.05 for A5 and A7 and 0.025 for
+        # A6: there the bridge-sampled push is what meets the tolerance
         from interlace_lab.harness import checks
 
         monkeypatch.setattr(rs, "_bridge_max", lambda a, b, var, e: np.maximum(a, b))
-        rows = [*checks.check_warren_dyson(paths=20000, dt=0.05).rows,
-                *checks.check_entrance_gt(paths=20000, dt=0.05).rows]
-        assert len(rows) == 7
-        for row in rows:
-            assert row["dt"] == 0.05 and row["ks"] > row["tolerance"], row
+        a5 = checks.check_warren_dyson(paths=20000, dt=0.05).rows
+        a6 = checks.check_entrance_gt(paths=20000).rows
+        assert len(a5) == 3 and len(a6) == 4
+        for rows, dt in ((a5, 0.05), (a6, 0.025)):
+            for row in rows:
+                assert row["dt"] == dt and row["ks"] > row["tolerance"], row
         sims = [r for r in checks.check_edge_formulas(paths=20000).rows if r["paths"]]
         assert len(sims) == 2
         for row in sims:
@@ -508,16 +590,19 @@ def _digest(pb, first_constrained):
 
 # sha256 of levels, tau, grid and the constrained levels' pushes, and the
 # exact contact fraction, for pinned seeds.  A change to the stepper that
-# keeps the RNG layout and the scheme must leave these unchanged.
+# keeps the RNG layout and the scheme must leave these unchanged.  The besq
+# cases step exactly (dt chi'^2 draws from the normal streams) and push in
+# u = sqrt(x); the others are bm and bm_halfline systems, whose Euler steps
+# and pushes are those of the state-unit scheme bit for bit.
 GOLDEN = {
     "two-level-nnp1": ("cc526ce7daa3aefca4f958daa7f6af2958528f655a1d4bcec7ff9b9cb1e90064", 0.07578333333333341),
     "two-level-nn": ("af537c0e8cfff9b103f22966dd18eefbb6603c8604a5203bc6fccc17eb1e910e", 0.04170000000000003),
     "two-level-np1n": ("686344fd1c26b7252cacb56f8e9baa04d00cb97683816fb2ea85f92597ad80ef", 0.11584999999999991),
     "gt2-gue": ("fbc15ee8574f2909112cfd48c4762eb9580df755cb399c13b3f6f52622f2225a", 0.08551874999999998),
-    "gt2-besq": ("9bba560e17244ffa2b22216efae712ee9edbb564ad1d38903abbae1f99036197", 0.11509374999999988),
+    "gt2-besq": ("4560d49b99e304cc876fd1cac7af3b1ccaeeaea5ac002d161663db40a54818d9", 0.11493124999999997),
     "gt-equal-size": ("dad2c1f06d76b4da6a34ef881a5d4e80b59fc66e0f437412282dcdf91df9085e", 0.14822499999999994),
     "edge-right-bm": ("2636ba76ab5e20e8f447a06a48ea9072f11f78c8c68029e71d1faf3aa7216893", 0.13141666666666663),
-    "edge-left-besq": ("d0b874d29fb1ddddc28ee8162058c6cff8d42f80b0031da2303837ba26fa396b", 0.0812833333333333),
+    "edge-left-besq": ("71adb49cae140ad58daf3dea67c8abcf6ea9a75183a307544ee3a4454afa3818", 0.08818333333333324),
 }
 
 
