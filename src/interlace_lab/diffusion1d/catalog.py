@@ -35,11 +35,11 @@ bit, and a malformed id raises CatalogError naming the expected form.
 FAMILIES holds one record per family, and every other module asks the
 record, never the family name: its id grammar, spec builder, dual, kernel,
 spectral basis, closed-form eigenfunction, edge ladder, Gaussian moments,
-exact step and quadrature coordinates.  Adding a family means adding one
-record.  A spec builder states the coefficients a, b, a' and one scale
-formula, the closed form of log s'; core.ScaleSpeed derives log m, s' and m
-from it, the dual's scale is the swapped pair, and a spectral basis takes m
-and m' from the spec.
+exact step and its draws, and quadrature coordinates.  Adding a family
+means adding one record.  A spec builder states the coefficients a, b, a'
+and one scale formula, the closed form of log s'; core.ScaleSpeed derives
+log m, s' and m from it, the dual's scale is the swapped pair, and a
+spectral basis takes m and m' from the spec.
 
 The quadrature coordinates serve the two node builders for state-space
 integrals: chamber_quad (ordered chambers) and fiber_quad (batched
@@ -48,7 +48,10 @@ states with the Jacobian folded into the weights.  The reflected-system
 stepper pushes exactly stepped 'sqrt' members in the same coordinates.
 
 Only besq has an exact step, dt chi'^2_d(x / dt); reflectsde steps every
-other family, and killed besq, by full-truncation Euler.
+other family, and killed besq, by an Euler step.  Constant coefficients are
+built by _Const, whose value constant_coefficients reads: the Brownian
+families have a = 1/2 and a constant b, so their Euler step is
+x + b dt + sqrt(dt) xi with no coefficient evaluated per step.
 """
 from __future__ import annotations
 
@@ -109,8 +112,14 @@ def _hermite_e(n: int, z):
 # ---------------------------------------------------------------------------
 
 
-def _const(v):
-    return lambda x: np.full_like(np.asarray(x, float), v)
+class _Const:
+    """The coefficient x -> v everywhere; constant_coefficients reads v."""
+
+    def __init__(self, v):
+        self.value = v
+
+    def __call__(self, x):
+        return np.full_like(np.asarray(x, float), self.value)
 
 
 @functools.lru_cache(maxsize=256)
@@ -142,14 +151,14 @@ def _brownian_spec(fam, params, interval, bl, br, c):
     return _spec(
         fam,
         params,
-        a=_const(0.5),
-        b=_const(0.0),
-        a_prime=_const(0.0),
+        a=_Const(0.5),
+        b=_Const(0.0),
+        a_prime=_Const(0.0),
         interval=interval,
         behavior_l=bl,
         behavior_r=br,
         c=c,
-        log_s_prime=_const(0.0),
+        log_s_prime=_Const(0.0),
     )
 
 
@@ -159,9 +168,9 @@ def _bm_drift_spec(mu):
     return _spec(
         "bm_drift",
         (mu,),
-        a=_const(0.5),
-        b=_const(mu),
-        a_prime=_const(0.0),
+        a=_Const(0.5),
+        b=_Const(mu),
+        a_prime=_Const(0.0),
         interval=(-np.inf, np.inf),
         behavior_l=Boundary.NATURAL,
         behavior_r=Boundary.NATURAL,
@@ -175,9 +184,9 @@ def _ou_spec(fam, sgn):
     return _spec(
         fam,
         (),
-        a=_const(0.5),
+        a=_Const(0.5),
         b=lambda x: sgn * np.asarray(x, float),
-        a_prime=_const(0.0),
+        a_prime=_Const(0.0),
         interval=(-np.inf, np.inf),
         behavior_l=Boundary.NATURAL,
         behavior_r=Boundary.NATURAL,
@@ -201,8 +210,8 @@ def _besq_spec(d, killed):
         "besq",
         (d, killed),
         a=lambda x: 2.0 * np.asarray(x, float),
-        b=_const(d),
-        a_prime=_const(2.0),
+        b=_Const(d),
+        a_prime=_Const(2.0),
         interval=(0.0, np.inf),
         behavior_l=bl,
         behavior_r=Boundary.NATURAL,
@@ -227,7 +236,7 @@ def _laguerre_spec(fam, alpha, dual):
         (alpha,),
         a=lambda x: 2.0 * np.asarray(x, float),
         b=b_fun,
-        a_prime=_const(2.0),
+        a_prime=_Const(2.0),
         interval=(0.0, np.inf),
         behavior_l=bl,
         behavior_r=Boundary.NATURAL,
@@ -1085,16 +1094,23 @@ def _ou_gaussian(sgn):
     )
 
 
-def _besq_step(params, x, dt, gen):
-    """dt chi'^2_d(x / dt), the squared Bessel transition (Revuz and Yor, ch.
+def _besq_step(params):
+    """(step(x, dt, gen), variates it draws per value by kind): step draws
+    dt chi'^2_d(x / dt), the squared Bessel transition (Revuz and Yor, ch.
     XI); for 0 < d < 2 it is the law reflected at 0.  For d = 2 the draw is
     (Z1 + sqrt(x / dt))^2 + Z2^2: two normals cost less than numpy's
     noncentral sampler, which spends a shape-1/2 gamma there."""
-    nonc = np.asarray(x, float) / dt
-    if params[0] != 2.0:
-        return dt * gen.noncentral_chisquare(params[0], nonc)
-    z = gen.standard_normal((2,) + nonc.shape)
-    return dt * ((z[0] + np.sqrt(nonc)) ** 2 + z[1] ** 2)
+    d = params[0]
+    if d != 2.0:
+        def step(x, dt, gen):
+            return dt * gen.noncentral_chisquare(d, np.asarray(x, float) / dt)
+        return step, {"noncentral_chisquare": 1}
+
+    def step(x, dt, gen):
+        nonc = np.asarray(x, float) / dt
+        z = gen.standard_normal((2,) + nonc.shape)
+        return dt * ((z[0] + np.sqrt(nonc)) ** 2 + z[1] ** 2)
+    return step, {"normal": 2}
 
 
 _FLIP = {"refl": "abs", "abs": "refl"}
@@ -1119,7 +1135,9 @@ class _Family:
     eigen: Optional[Callable] = None  # (params, n) -> (components, rate, name)
     ladder: Optional[Callable] = None  # (params, m) -> id of the member with drift b + m a'
     gaussian: Optional[Callable] = None  # params -> (mean(t, x), var(t), dmean_dx(t))
-    step: Optional[Callable] = None  # (params, x, dt, gen) -> exact draw of X_dt given X_0 = x
+    # params -> (step, {kind: variates per value}); step(x, dt, gen) is an
+    # exact draw of X_dt given X_0 = x
+    step: Optional[Callable] = None
     coords: str = "linear"  # quadrature coordinates: "linear", "sqrt" or "log"
 
 
@@ -1254,15 +1272,37 @@ def gaussian_moments(spec: DiffusionSpec):
     return rec.gaussian(spec.params) if rec is not None and rec.gaussian else None
 
 
-def exact_step(spec: DiffusionSpec):
-    """step(x, dt, gen): an exact draw of X_dt given X_0 = x from the stream
-    gen, or None when spec's family has no sampler of its kernel or spec is
-    killed at an end, since the draw has the law of the unkilled motion."""
+def _exact(spec: DiffusionSpec):
+    """The family record's (step, draws) for spec, or None when spec's
+    family has no sampler of its kernel or spec is killed at an end, since
+    the draw has the law of the unkilled motion."""
     rec = FAMILIES.get(spec.family)
     killing = {Boundary.EXIT, Boundary.REGULAR_ABSORBING}
     if rec is None or rec.step is None or killing & {spec.behavior_l, spec.behavior_r}:
         return None
-    return functools.partial(rec.step, spec.params)
+    return rec.step(spec.params)
+
+
+def exact_step(spec: DiffusionSpec):
+    """step(x, dt, gen): an exact draw of X_dt given X_0 = x from the stream
+    gen, or None when spec has no exact step (see _exact)."""
+    exact = _exact(spec)
+    return None if exact is None else exact[0]
+
+
+def free_step_draws(spec: DiffusionSpec) -> dict:
+    """Variates one particle of spec draws per free step, by kind: those of
+    its exact step, else the one normal of an Euler step."""
+    exact = _exact(spec)
+    return {"normal": 1} if exact is None else exact[1]
+
+
+def constant_coefficients(spec: DiffusionSpec):
+    """(a, b) as floats when both of spec's coefficients are constant (the
+    Brownian families bm, bm_drift, bm_halfline and bm_interval), else None."""
+    if isinstance(spec.a, _Const) and isinstance(spec.b, _Const):
+        return spec.a.value, spec.b.value
+    return None
 
 
 def quad_coords(spec: DiffusionSpec) -> str:

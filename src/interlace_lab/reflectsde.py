@@ -17,9 +17,14 @@ Scheme: per time step each level in turn takes a free step and is then
 pushed off its bounds.  A non-killed besq level steps exactly, each
 particle drawn as x' = dt chi'^2_d(x / dt) (catalog.exact_step); that draw
 has the law reflected at 0 already, so such a level has no static wall.
-Every other level takes a full-truncation Euler step (coefficients
-evaluated at the state clamped into the interval, the standard
-positivity-preserving treatment of square-root diffusions).
+A level with constant coefficients (catalog.constant_coefficients: the
+Brownian families, a = 1/2) steps x' = x + b dt + sqrt(dt) xi and
+evaluates nothing per step; its bridge variances below are floats.  Every
+other level takes a full-truncation Euler step (coefficients evaluated at
+the state clamped into the interval, the standard positivity-preserving
+treatment of square-root diffusions).  Each level's step is chosen once,
+before the time loop; the constant step gives the bits of the evaluated
+one, and the bridge arithmetic runs in place in the same order.
 
 Per-step projection onto the bounds would miss the pushes inside a step
 and leave an O(sqrt(dt)) deficit.  Each bound pushes instead by the exact
@@ -67,21 +72,29 @@ scheduling.
 
 Stop rules: a two-level system tests Y's proposal before anything moves;
 coincident or crossed Y particles, or a Y particle at a killing endpoint,
-stop the path, which then stays frozen for the whole step.  A GT pattern
-tests its interior levels after the step; only a strict crossing stops it.
-Edge systems never stop.  Stop times are tested on the grid only, so a
-crossing inside a step goes unseen: a coarse dt is safe only for a system
-that does not stop.
+stop the path, which then stays frozen for the whole step.  A single Y
+particle with no killing end can do neither, so that system has no stop
+rule.  A GT pattern tests its interior levels after the step; only a
+strict crossing stops it, so a pattern of at most two levels has none.
+Edge systems never stop.  Without a stop rule no state, push or contact
+is masked.  Stop times are tested on the grid only, so a crossing inside a
+step goes unseen: a coarse dt is safe only for a system that does not stop.
+
+Every bundle counts its draws by kind (PathBundle.draws), from the
+system's structure: per step, each particle's free-step variates
+(catalog.free_step_draws) and one Exp(1) per bounded side.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .diffusion1d import Boundary, DiffusionSpec, conjugate, make_spec
-from .diffusion1d.catalog import FAMILIES, exact_step, quad_coords
+from .diffusion1d.catalog import (FAMILIES, constant_coefficients, exact_step,
+                                 free_step_draws, quad_coords)
 from .twolevel import Shape
 
 
@@ -139,6 +152,10 @@ class PathBundle:
     contact_fraction is the fraction of constrained particle-steps, over all
     paths, in which a push moved the particle off its free proposal: a nonzero
     bridge-sampled push, or the clip of a particle bounded on both sides.
+    draws counts the variates the run drew, by kind ('normal',
+    'noncentral_chisquare', 'exponential'), derived from the system's
+    structure: stopped paths draw too, so each count is a product of the
+    step count, the path count and the system's draws per step.
     """
 
     grid: np.ndarray
@@ -150,6 +167,7 @@ class PathBundle:
     dt: float
     level_names: list
     contact_fraction: float = 0.0
+    draws: dict = field(default_factory=dict)
 
     def terminal(self, level: int) -> np.ndarray:
         return self.levels[level][-1]
@@ -227,25 +245,60 @@ def _check_counts(n_paths, record_stride):
     integers."""
     stride = 1 if record_stride is None else record_stride
     for name, v in (("n_paths", n_paths), ("record_stride", stride)):
-        if not isinstance(v, (int, np.integer)) or v < 1:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
-def _free_step(lv, step, noise, dt):
-    """Level lv's free proposal over one step, and the diffusivity a at the
-    start of the step, evaluated at x clamped into the interval and floored
-    at 0.
+def _free_step(lv, dt):
+    """Level lv's free step, chosen once before the time loop: a function of
+    the start-of-step state x that returns the free proposal and the
+    diffusivity a at the start of the step, floored at 0.
 
     An exact step draws each particle's column from its own stream.  Any
-    other level fills noise's rows with its particles' normals and takes a
-    full-truncation Euler step, its coefficients taken at the clamped x."""
-    xc = np.clip(lv.x, *lv.spec.interval)
-    diff = np.maximum(np.asarray(lv.spec.a(xc), float), 0.0)
+    other level fills one buffer with its particles' normals xi.  A level
+    with constant coefficients steps x + b dt + sqrt(2 a dt) xi and returns
+    its a as a float; any other takes a full-truncation Euler step, its a
+    and b evaluated at x clamped into the interval."""
+    spec, gens = lv.spec, lv.gens
+    step = exact_step(spec)
     if step is not None:
-        return np.column_stack([step(xc[:, i], dt, g) for i, g in enumerate(lv.gens)]), diff
-    for g, row in zip(lv.gens, noise):
-        g.standard_normal(out=row)
-    return lv.x + np.asarray(lv.spec.b(xc), float) * dt + np.sqrt(2.0 * diff * dt) * noise.T, diff
+        def free(x):
+            xc = np.clip(x, *spec.interval)
+            diff = np.maximum(np.asarray(spec.a(xc), float), 0.0)
+            return np.column_stack([step(xc[:, i], dt, g) for i, g in enumerate(gens)]), diff
+        return free
+
+    noise = np.empty(lv.x.shape[::-1])
+
+    def normals():
+        for g, row in zip(gens, noise):
+            g.standard_normal(out=row)
+        return noise.T
+
+    const = constant_coefficients(spec)
+    if const is None:
+        def free(x):
+            xc = np.clip(x, *spec.interval)
+            diff = np.maximum(np.asarray(spec.a(xc), float), 0.0)
+            b = np.asarray(spec.b(xc), float)
+            return x + b * dt + np.sqrt(2.0 * diff * dt) * normals(), diff
+        return free
+
+    diff = max(const[0], 0.0)
+    scale, drift = math.sqrt(2.0 * diff * dt), const[1] * dt
+
+    def free(x):
+        xi = normals()
+        np.multiply(xi, scale, out=xi)
+        raw = x + drift
+        raw += xi
+        return raw, diff
+    return free
+
+
+def _cols(v, cols):
+    """Columns cols of a per-particle array; a float stands for every column."""
+    return v[:, cols] if isinstance(v, np.ndarray) else v
 
 
 def _root(x):
@@ -254,20 +307,29 @@ def _root(x):
     return np.copysign(np.sqrt(np.abs(x)), x)
 
 
-def _pushes_in_root(levels, k, step, pieces):
+def _pushes_in_root(levels, k, pieces):
     """True when level k pushes in u = sqrt(x): it steps exactly, and it and
     any level whose particles bound it have a = 2x, so unit noise in u."""
     coords = {quad_coords(levels[k].spec)}
     if any(isinstance(src, slice) for _, _, src in pieces):
         coords.add(quad_coords(levels[k - 1].spec))
-    return step is not None and coords == {"sqrt"}
+    return exact_step(levels[k].spec) is not None and coords == {"sqrt"}
 
 
 def _bridge_max(a, b, var, e):
     """Maximum over a step of a Brownian bridge from a to b with variance
     var over the step, by inversion of P(max > m) = exp(-2 (m-a)(m-b) / var)
-    at the Exp(1) draw e."""
-    return 0.5 * (a + b + np.sqrt((b - a) ** 2 + 2.0 * var * e))
+    at the Exp(1) draw e: 0.5 (a + b + sqrt((b - a)^2 + 2 var e)), in that
+    order of operations.  a and e are scratch: the maximum is written over a
+    and returned."""
+    r = np.subtract(b, a)
+    np.square(r, out=r)
+    r += np.multiply(e, 2.0 * var, out=e)
+    np.sqrt(r, out=r)
+    np.add(a, b, out=a)
+    a += r
+    a *= 0.5
+    return a
 
 
 def _static_barriers(spec: DiffusionSpec):
@@ -385,7 +447,8 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
     is pushed off each of its bounds by the sampled bridge maximum of its
     gap, with the previous level already moved; a particle bounded on both
     sides is then clipped onto [lower, upper].  Pushes, contacts and stop
-    times are recorded for the paths alive after each stop test."""
+    times are recorded for the paths alive after each stop test; with no
+    stop rule nothing is masked."""
     n_levels, n_paths = len(levels), levels[0].x.shape[0]
     tau = np.full(n_paths, np.inf)
     alive = np.ones(n_paths, bool)
@@ -393,15 +456,16 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
     where = alive[:, None] if stop is not None else True
     klow = [np.zeros_like(lv.x) for lv in levels]
     kup = [np.zeros_like(lv.x) for lv in levels]
-    steps = [exact_step(lv.spec) for lv in levels]
-    noise = [np.empty(lv.x.shape[::-1]) if step is None else None
-             for lv, step in zip(levels, steps)]
+    free = [_free_step(lv, dt) for lv in levels]
     pieces = [_pieces(levels, k) for k in range(n_levels)]
     clips = [_two_sided(pc) for pc in pieces]
     sides = [sorted({side for side, _, _ in pc}) for pc in pieces]
+    # start- and end-of-step gaps of each piece, written over every step
+    gaps = [[(np.empty((n_paths, p.stop - p.start)), np.empty((n_paths, p.stop - p.start)))
+             for _, p, _ in pc] for pc in pieces]
     # which levels push in u = sqrt(x); u holds the state in u of each level
     # that does and of each level that bounds one, None elsewhere
-    root = [_pushes_in_root(levels, k, steps[k], pieces[k]) for k in range(n_levels)]
+    root = [_pushes_in_root(levels, k, pieces[k]) for k in range(n_levels)]
     u = [_root(lv.x) if r or r_next else None
          for lv, r, r_next in zip(levels, root, root[1:] + [False])]
     # per level and bounded side: the Exp(1) draws, of which only the rows of
@@ -417,31 +481,33 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
     for j in range(1, n_steps + 1):
         t = t0 + j * dt
         for k, lv in enumerate(levels):
-            raw, diff = _free_step(lv, steps[k], noise[k], dt)
+            raw, diff = free[k](lv.x)
             for side, streams in enumerate(lv.bridge):
                 for i, g in streams.items():
                     g.standard_exponential(out=expo[k][side][i])
             # the pushes act on the level's push coordinates
             start_x, raw_u = (u[k], _root(raw)) if root[k] else (lv.x, raw)
             proj = raw_u.copy()
-            for side, p, src in pieces[k]:
+            for (side, p, src), (g0, g1) in zip(pieces[k], gaps[k]):
                 # the gap runs from the start-of-step state to the proposal;
                 # a frozen variance rate is taken at the start of the step
                 if not isinstance(src, slice):
                     start_bound = bound = src
-                    var = 2.0 * diff[:, p] * dt
+                    var = 2.0 * _cols(diff, p) * dt
                 elif root[k]:
                     start_bound, bound = prev_u[:, src], u[k - 1][:, src]
                     var = 2.0 * dt
                 else:
                     start_bound, bound = prev_x[:, src], levels[k - 1].x[:, src]
-                    var = 2.0 * (prev_diff[:, src] + diff[:, p]) * dt
+                    var = 2.0 * (_cols(prev_diff, src) + _cols(diff, p)) * dt
                 if side == 0:
-                    start, end = start_bound - start_x[:, p], bound - raw_u[:, p]
+                    np.subtract(start_bound, start_x[:, p], out=g0)
+                    np.subtract(bound, raw_u[:, p], out=g1)
                 else:
-                    start, end = start_x[:, p] - start_bound, raw_u[:, p] - bound
+                    np.subtract(start_x[:, p], start_bound, out=g0)
+                    np.subtract(raw_u[:, p], bound, out=g1)
                 out = push[k][side][:, p]
-                np.maximum(_bridge_max(start, end, var, expo[k][side][p].T), 0.0, out=out)
+                np.maximum(_bridge_max(g0, g1, var, expo[k][side][p].T), 0.0, out=out)
                 if side == 0:
                     proj[:, p] += out
                 else:
@@ -465,17 +531,23 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
                 tau[alive & stopped] = t
                 alive &= ~stopped
             prev_x, prev_u, prev_diff = lv.x, u[k], diff
-            lv.x = np.where(where, new_x, lv.x)
+            # new_x is a fresh array each step, so recorded states never change
+            lv.x = new_x if stop is None else np.where(where, new_x, lv.x)
             if u[k] is not None:
                 u[k] = _root(lv.x)
             for side in sides[k]:
                 acc = (klow, kup)[side][k]
                 np.add(acc, moves[side], out=acc, where=where)
             if k:
+                contact = proj != raw_u
+                if stop is not None:
+                    contact &= where
                 # summed a particle at a time in stepping order, so the
-                # fraction does not depend on how levels are laid out
-                for c in np.count_nonzero((proj != raw_u) & where, axis=0).tolist():
-                    contacts += c / n_paths
+                # fraction does not depend on how levels are laid out; a
+                # column at a time, since numpy's count along axis 0 of a
+                # (paths, 2) array costs ten times as much
+                for i in range(contact.shape[1]):
+                    contacts += int(np.count_nonzero(contact[:, i])) / n_paths
         if stop is not None and not stop.on_proposal:
             stopped = stop.hits([levels[k].x for k in stop.levels])
             tau[alive & stopped] = t
@@ -496,7 +568,21 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
         dt=dt,
         level_names=names,
         contact_fraction=contacts / max(n_steps * n_constrained, 1),
+        draws=_draws(levels, n_steps),
     )
+
+
+def _draws(levels, n_steps) -> dict:
+    """Variates a run of n_steps draws, by kind: each particle's free-step
+    draws and one Exp(1) per bounded side, every step and on every path,
+    stopped or not."""
+    n_paths = levels[0].x.shape[0]
+    per_step = dict.fromkeys(("normal", "noncentral_chisquare", "exponential"), 0)
+    for lv in levels:
+        for kind, n in free_step_draws(lv.spec).items():
+            per_step[kind] += n * lv.x.shape[1]
+        per_step["exponential"] += sum(len(streams) for streams in lv.bridge)
+    return {kind: n * n_steps * n_paths for kind, n in per_step.items()}
 
 
 def _state_pushes(raw, raw_u, proj, push):
@@ -553,10 +639,12 @@ def simulate_two_level(
     l, r = spec.interval
 
     killing = (Boundary.EXIT, Boundary.REGULAR_ABSORBING)
-    stop = _StopRule(levels=(0,), on_proposal=True, kill=(
-        l if y_spec.behavior_l in killing else -np.inf,
-        r if y_spec.behavior_r in killing else np.inf,
-    ))
+    kill = (l if y_spec.behavior_l in killing else -np.inf,
+            r if y_spec.behavior_r in killing else np.inf)
+    # a single Y particle can neither collide nor, with no killing end, be
+    # killed: such a system has no stop rule
+    stop = (_StopRule(levels=(0,), on_proposal=True, kill=kill)
+            if n1 > 1 or np.isfinite(kill).any() else None)
     levels = [
         _Level(y_spec, y, _streams(seed, 0, 0, range(n1))),
         _Level(spec, x, _streams(seed, 1, 0, range(n2)), above=int(shape is not Shape.NNP1)),

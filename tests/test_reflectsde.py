@@ -184,6 +184,32 @@ class TestTwoLevelSimulation:
                                    n_paths=500, seed=2, y_spec=bm)
         assert np.isfinite(pb.tau).mean() > 0.9
 
+    def test_single_killed_y_still_stops_paths(self):
+        # one Y particle cannot collide, but the default Y of bm_halfline:refl
+        # is its conjugate bm_halfline:abs, killed at 0.  From 0.3 it survives
+        # to T = 1 with probability 2 Phi(0.3) - 1 = 0.236; a stop tested on
+        # the grid misses crossings inside a step, so a few more survive
+        pb = rs.simulate_two_level(make_spec("bm_halfline:refl"), Shape.NNP1,
+                                   np.array([0.05, 0.6]), np.array([0.3]), T=1.0, dt=1e-3,
+                                   n_paths=4000, seed=6)
+        stopped = np.isfinite(pb.tau)
+        assert stopped.mean() == pytest.approx(1.0 - 0.2358, abs=0.04)
+        assert np.all((pb.tau[stopped] > 0.0) & (pb.tau[stopped] <= 1.0))
+
+    @pytest.mark.parametrize("sid, x0, y_id, y0, tested", [
+        ("bm", [-1.0, 1.0], "bm", [0.0], False),                 # one free Y
+        ("bm_halfline:refl", [0.05, 0.6], "bm_halfline:abs", [0.3], True),  # killed at 0
+        ("bm", [-0.5, 0.0, 0.5], "bm", [-0.3, 0.3], True),       # Y particles may collide
+    ], ids=["one-free-y", "one-killed-y", "two-y"])
+    def test_stop_rule_only_where_it_can_fire(self, monkeypatch, sid, x0, y_id, y0, tested):
+        hits, calls = rs._StopRule.hits, []
+        monkeypatch.setattr(rs._StopRule, "hits",
+                            lambda self, states: calls.append(1) or hits(self, states))
+        pb = rs.simulate_two_level(make_spec(sid), Shape.NNP1, np.array(x0), np.array(y0),
+                                   T=0.1, dt=0.01, n_paths=50, seed=1, y_spec=make_spec(y_id))
+        assert len(calls) == (10 if tested else 0)
+        assert tested or not np.isfinite(pb.tau).any()
+
 
 class TestGTSimulation:
     def test_levels_outside_their_walls_are_rejected(self):
@@ -411,8 +437,9 @@ class TestExactBesqSteps:
 
         rec = catalog.FAMILIES["besq"]
         steps = {
-            "d+1": lambda p, x, dt, g: rec.step((p[0] + 1.0,) + p[1:], x, dt, g),
-            "nonc*dt": lambda p, x, dt, g: dt * g.noncentral_chisquare(p[0], x),
+            "d+1": lambda p: rec.step((p[0] + 1.0,) + p[1:]),
+            "nonc*dt": lambda p: (lambda x, dt, g: dt * g.noncentral_chisquare(p[0], x),
+                                  {"noncentral_chisquare": 1}),
         }
         monkeypatch.setitem(catalog.FAMILIES, "besq", replace(rec, step=steps[wrong]))
         assert self._one_step_ks(sid, x0) > 0.02
@@ -498,8 +525,11 @@ class TestStepResolution:
         (dict(n_paths=0), "n_paths must be a positive integer, got 0"),
         (dict(n_paths=-3), "n_paths must be a positive integer, got -3"),
         (dict(n_paths=2.0), "n_paths must be a positive integer, got 2.0"),
+        (dict(n_paths=True), "n_paths must be a positive integer, got True"),
         (dict(record_stride=0), "record_stride must be a positive integer, got 0"),
-    ], ids=["zero-paths", "negative-paths", "float-paths", "zero-stride"])
+        (dict(record_stride=True), "record_stride must be a positive integer, got True"),
+    ], ids=["zero-paths", "negative-paths", "float-paths", "bool-paths", "zero-stride",
+            "bool-stride"])
     def test_bad_counts_rejected_by_name(self, simulator, kw, match):
         with pytest.raises(ValueError, match=match):
             self.SIMULATORS[simulator](T=0.1, dt=0.05, **kw)
@@ -515,6 +545,87 @@ class TestStepResolution:
     def test_bad_time_or_step_rejected(self, simulator, kw, match):
         with pytest.raises(ValueError, match=match):
             self.SIMULATORS[simulator](**kw)
+
+
+class _CountingStream:
+    """A Philox stream that counts the variates drawn from it, by kind."""
+
+    def __init__(self, gen, counts):
+        self.gen, self.counts = gen, counts
+
+    def _drawn(self, kind, a):
+        self.counts[kind] += np.size(a)
+        return a
+
+    def standard_normal(self, size=None, out=None):
+        return self._drawn("normal", self.gen.standard_normal(size, out=out))
+
+    def standard_exponential(self, size=None, out=None):
+        return self._drawn("exponential", self.gen.standard_exponential(size, out=out))
+
+    def noncentral_chisquare(self, df, nonc, size=None):
+        return self._drawn("noncentral_chisquare", self.gen.noncentral_chisquare(df, nonc, size))
+
+
+class TestDrawCounts:
+    # 10 steps of 7 paths; per step: (normals, noncentral chi^2, Exp(1)) draws
+    CASES = {
+        # three bm particles; X bounded above and below by the one Y
+        "bm-nnp1": (lambda: rs.simulate_two_level(
+            make_spec("bm"), Shape.NNP1, np.array([-1.0, 1.0]), np.array([0.0]),
+            T=0.1, dt=0.01, n_paths=7, seed=2, y_spec=make_spec("bm")), (3, 0, 2)),
+        # Y bounded below by its reflecting wall, X by Y
+        "bes3-w11": (lambda: rs.simulate_two_level(
+            make_spec("bm_halfline:abs"), Shape.NN, np.array([1.0]), np.array([0.5]),
+            T=0.1, dt=0.01, n_paths=7, seed=2, y_spec=make_spec("bm_halfline:refl")), (2, 0, 2)),
+        # sizes 2, 3, 3, where crossings of the free first level stop paths,
+        # which draw on
+        "bm-gt-equal-size": (lambda: rs.simulate_gt(
+            [make_spec("bm")] * 3, [np.array([-0.02, 0.02]), np.array([-0.5, 0.0, 0.5]),
+                                    np.array([-0.2, 0.3, 0.8])],
+            T=0.1, dt=0.01, n_paths=7, seed=2), (8, 0, 9)),
+        # besq:4 leads and draws one chi'^2, besq:2 follows and draws two normals
+        "besq-edge": (lambda: rs.simulate_edge(
+            make_spec("besq:2"), 2, "left", np.array([2e-4, 1e-4]), T=0.1, dt=0.01,
+            n_paths=7, seed=2), (2, 1, 1)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_counts_are_steps_times_paths_times_draws_per_step(self, monkeypatch, case):
+        run, per_step = self.CASES[case]
+        counts = dict.fromkeys(("normal", "noncentral_chisquare", "exponential"), 0)
+        stream = rs._stream
+        monkeypatch.setattr(rs, "_stream", lambda seed, key: _CountingStream(stream(seed, key),
+                                                                             counts))
+        pb = run()
+        kinds = ("normal", "noncentral_chisquare", "exponential")
+        assert pb.draws == {kind: 10 * 7 * n for kind, n in zip(kinds, per_step)}
+        assert pb.draws == counts
+        if case == "bm-gt-equal-size":
+            assert np.isfinite(pb.tau).any()
+
+
+class TestConstantCoefficientSteps:
+    def test_which_members_have_constant_coefficients(self):
+        from interlace_lab.diffusion1d import CATALOG_IDS
+        from interlace_lab.diffusion1d.catalog import constant_coefficients
+
+        brownian = {"bm": 0.0, "bm_drift:0.5": 0.5, "bm_halfline:refl": 0.0,
+                    "bm_halfline:abs": 0.0, "bm_interval:refl,refl": 0.0,
+                    "bm_interval:abs,abs": 0.0, "bm_interval:abs,refl": 0.0}
+        for sid in {*CATALOG_IDS, *brownian}:
+            expected = (0.5, brownian[sid]) if sid in brownian else None
+            assert constant_coefficients(make_spec(sid)) == expected, sid
+
+    def test_drifted_level_steps_by_the_euler_formula(self):
+        # a lone bm_drift particle replayed from its stream, bit for bit
+        mu, n_paths = 0.5, 64
+        pb = rs.simulate_gt([make_spec(f"bm_drift:{mu}")], [np.array([0.3])], T=0.5, dt=0.05,
+                            n_paths=n_paths, seed=12)
+        g, x = rs._stream(12, (2, 0, 0)), np.full(n_paths, 0.3)
+        for _ in range(10):
+            x = x + mu * pb.dt + math.sqrt(pb.dt) * g.standard_normal(n_paths)
+        assert np.array_equal(pb.terminal(0)[:, 0], x)
 
 
 class TestBlockKernelMonteCarlo:
@@ -572,6 +683,10 @@ def _golden_cases():
             T=0.3, dt=2e-3, n_paths=400, seed=8, record_stride=50), 1),
         "edge-right-bm": (lambda: rs.simulate_edge(
             bm, 3, "right", np.zeros(3), T=0.3, dt=2e-3, n_paths=400, seed=9), 0),
+        # the benchmarked CLI system: one Y, no stop rule, levels recorded
+        "two-level-cli-csv": (lambda: rs.simulate_two_level(
+            bm, Shape.NNP1, np.array([-1.0, 1.0]), np.array([0.0]), T=1.0, dt=0.01,
+            n_paths=400, seed=7, y_spec=bm, record_stride=10), 1),
         "edge-left-besq": (lambda: rs.simulate_edge(
             make_spec("besq:2"), 2, "left", np.array([2e-4, 1e-4]), T=0.3, dt=2e-3,
             n_paths=400, seed=15, record_stride=40), 0),
@@ -593,10 +708,14 @@ def _digest(pb, first_constrained):
 # keeps the RNG layout and the scheme must leave these unchanged.  The besq
 # cases step exactly (dt chi'^2 draws from the normal streams) and push in
 # u = sqrt(x); the others are bm and bm_halfline systems, whose Euler steps
-# and pushes are those of the state-unit scheme bit for bit.
+# and pushes are those of the state-unit scheme bit for bit.  Their
+# constant-coefficient step x + b dt + sqrt(dt) xi and scalar bridge
+# variances give the bits of the step with a and b evaluated per particle;
+# two-level-cli-csv was pinned with the evaluated step.
 GOLDEN = {
     "two-level-nnp1": ("cc526ce7daa3aefca4f958daa7f6af2958528f655a1d4bcec7ff9b9cb1e90064", 0.07578333333333341),
     "two-level-nn": ("af537c0e8cfff9b103f22966dd18eefbb6603c8604a5203bc6fccc17eb1e910e", 0.04170000000000003),
+    "two-level-cli-csv": ("5b7876ddc12aea19deaf55498bc2e77de59a007db816aaa535e127978702a7d1", 0.047499999999999966),
     "two-level-np1n": ("686344fd1c26b7252cacb56f8e9baa04d00cb97683816fb2ea85f92597ad80ef", 0.11584999999999991),
     "gt2-gue": ("fbc15ee8574f2909112cfd48c4762eb9580df755cb399c13b3f6f52622f2225a", 0.08551874999999998),
     "gt2-besq": ("4560d49b99e304cc876fd1cac7af3b1ccaeeaea5ac002d161663db40a54818d9", 0.11493124999999997),
