@@ -18,15 +18,17 @@ Families and string ids (parameters after the colon):
 Closed forms: signed sums of Gaussian images of the start (_image_kernel:
 one image for bm, bm_drift, ou and ou_out; mirror and 2 pi shifts for the
 half line and all four interval kernels), lognormal, ncx2-type
-squared-Bessel/Laguerre forms.  Spectral series: the jac kernel; the
-sine/cosine bases of the interval, Hermite for ou and generalized Laguerre
-for lag are kept for spectral_km and ground states.  Duals of lag/jac are
-h-transforms of parameter-shifted members of the same family.  Every
-window(t, x) misses at most 1e-12 of the kernel's mass.  CDFs and atoms
-without a closed form (killed besq, lag_dual, jac, jac_dual, absorbing
-interval ends) are core.density_integral quadratures of the density, by
-_quadrature_cdf and _harmonic_atom, and broadcast x against y like the
-closed forms.
+squared-Bessel/Laguerre forms, whose Bessel factor e^{-z} I_nu(z) is
+elementary at orders 1/2 and 3/2 and scipy's ive (two Hankel terms beyond
+its range) at every other order, one evaluator per kernel (_ive_of_order).
+Spectral series: the jac kernel; the sine/cosine bases of the interval,
+Hermite for ou and generalized Laguerre for lag are kept for spectral_km
+and ground states.  Duals of lag/jac are h-transforms of parameter-shifted
+members of the same family.  Every window(t, x) misses at most 1e-12 of
+the kernel's mass.  CDFs and atoms without a closed form (killed besq,
+lag_dual, jac, jac_dual, absorbing interval ends) are core.density_integral
+quadratures of the density, by _quadrature_cdf and _harmonic_atom, and
+broadcast x against y like the closed forms.
 
 Ids are exact: parameters are written as the shortest decimal that reads
 back to the same float, so make_spec(spec.name) rebuilds spec.params bit for
@@ -497,8 +499,67 @@ def _from_first_derivatives(dx1, dy1):
     return dx, dy
 
 
-def _besq_core_density(t, x, y, nu, order):
-    """(1/2t)(y/x)^(nu/2) exp(-(sqrt x - sqrt y)^2 / 2t) ive(order, sqrt(xy)/t)."""
+# e^{-z} I_nu(z) for z >= 0, one evaluator per order, picked by _ive_of_order
+# when a kernel is built.  Orders 1/2 and 3/2, which A1's and A4's besq:3
+# and besq:-1 kernels evaluate, are elementary (DLMF 10.49.8); every other
+# order is AMOS's ive up to its |z| limit (about 1.07e9, where it returns
+# nan) and the first two terms of the Hankel expansion beyond it (DLMF
+# 10.40.1; the next term is (4nu^2 - 1)(4nu^2 - 9) / (128 z^2) relative).
+# Against scipy.special.ive the closed forms agree to 1e-13 relative for z
+# in [1e-300, 1e9], and that difference is ive's own error: against
+# 40-digit values they are within a few ulp.  At z = 0 each returns what
+# ive returns.
+
+# below _IVE_Z0 the 3/2 closed form's two terms cancel, losing about
+# 3 eps / z^2, so ive evaluates it there
+_IVE_Z0 = 1.0
+
+
+def _ive_half(z):
+    """e^{-z} I_{1/2}(z) = (1 - e^{-2z}) / sqrt(2 pi z)."""
+    z = np.asarray(z, float)
+    return np.divide(-np.expm1(-2.0 * z), np.sqrt(2.0 * math.pi * z),
+                     out=np.zeros_like(z), where=z != 0.0)
+
+
+def _ive_three_halves(z):
+    """e^{-z} I_{3/2}(z) = ((1 + e^{-2z}) + expm1(-2z) / z) / sqrt(2 pi z),
+    and ive below _IVE_Z0."""
+    z = np.asarray(z, float)
+    zc = np.maximum(z, _IVE_Z0)
+    e = np.expm1(-2.0 * zc)
+    out = np.asarray((2.0 + e + e / zc) / np.sqrt(2.0 * math.pi * zc))
+    small = z < _IVE_Z0
+    if small.any():
+        out[small] = sc.ive(1.5, z[small])
+    return out
+
+
+def _ive_amos(nu):
+    """ive(nu, .), with two Hankel terms where AMOS returns nan for large z."""
+    c = (4.0 * nu * nu - 1.0) / 8.0
+
+    def ive(z):
+        out = sc.ive(nu, z)
+        far = np.isnan(out) & (np.asarray(z) > 1.0)
+        if far.any():
+            zf = np.maximum(z, 1.0)
+            out = np.where(far, (1.0 - c / zf) / np.sqrt(2.0 * math.pi * zf), out)
+        return out
+
+    return ive
+
+
+_IVE_CLOSED = {0.5: _ive_half, 1.5: _ive_three_halves}
+
+
+def _ive_of_order(nu):
+    """The evaluator of z -> e^{-z} I_nu(z) for the order nu."""
+    return _IVE_CLOSED.get(float(nu)) or _ive_amos(nu)
+
+
+def _besq_core_density(t, x, y, nu, ive):
+    """(1/2t)(y/x)^(nu/2) exp(-(sqrt x - sqrt y)^2 / 2t) ive(sqrt(xy)/t)."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     xs = np.maximum(x, 1e-300)
@@ -507,7 +568,7 @@ def _besq_core_density(t, x, y, nu, order):
         (1.0 / (2.0 * t))
         * (y / xs) ** (nu / 2.0)
         * np.exp(-0.5 * (np.sqrt(xs) - np.sqrt(y)) ** 2 / t)
-        * sc.ive(order, z)
+        * ive(z)
     )
     return val
 
@@ -515,11 +576,12 @@ def _besq_core_density(t, x, y, nu, order):
 def _besq_kernel(spec, d, killed):
     nu = d / 2.0 - 1.0
     order = nu if not killed else -nu
+    ive, ive_next = _ive_of_order(order), _ive_of_order(order + 1.0)
 
     def density(t, x, y):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
-        main = _besq_core_density(t, x, y, nu, order)
+        main = _besq_core_density(t, x, y, nu, ive)
         if killed:
             return np.where(x > 1e-300, main, 0.0)
         # entrance limit from 0: gamma(d/2, scale 2t)
@@ -556,7 +618,7 @@ def _besq_kernel(spec, d, killed):
                             sc.chndtr(z, d, np.maximum(x, 1e-300) / t))
 
     def ratio_next(z):
-        return sc.ive(order + 1.0, z) / np.maximum(sc.ive(order, z), 1e-300)
+        return ive_next(z) / np.maximum(ive(z), 1e-300)
 
     # d log p = (mu -+ nu)/(2 x-or-y) - 1/(2t) + (dz) I_{mu+1}/I_mu with
     # mu = nu (conservative) or -nu (killed); the prefactor is (y/x)^{nu/2}
@@ -643,6 +705,7 @@ def _laguerre_dual_kernel(spec, alpha):
     evaluated in log space, e^{y-x} joins its Gaussian exponent, whose sum
     stays <= 0, so no factor overflows however far the window reaches."""
     nu = alpha / 2.0  # Bessel index of BESQ(alpha + 2)
+    ive = _ive_of_order(nu)
 
     def density(t, x, y):
         e2, tau = math.exp(2.0 * t), 0.5 * (math.exp(2.0 * t) - 1.0)
@@ -654,7 +717,7 @@ def _laguerre_dual_kernel(spec, alpha):
             + (y - x)
             - 0.5 * (np.sqrt(x) - np.sqrt(big)) ** 2 / tau
         )
-        return np.exp(log_p) / (2.0 * tau) * sc.ive(nu, np.sqrt(x * big) / tau)
+        return np.exp(log_p) / (2.0 * tau) * ive(np.sqrt(x * big) / tau)
 
     def window(t, x):
         x = float(np.max(np.asarray(x, float)))

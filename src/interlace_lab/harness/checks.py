@@ -29,10 +29,8 @@ from ..diffusion1d import (
     make_spec,
     spectral_basis,
 )
-from ..quadrature import gl_nodes
 from .oracles import complex_wishart_sample, gue_sample
 from .stats import (
-    cdf_from_density_grid,
     empirical_cdf_on_grid,
     ks_statistic_cdf,
     two_sample_ks,
@@ -230,22 +228,31 @@ def bes3_cdf(z, x=1.0, t=1.0):
     )
 
 
-def dyson_marginal_cdf(x0, t, idx, lo=-9.0, hi=9.5, grid_n=801, inner_n=120):
-    """Marginal CDF of coordinate idx of the two-particle nonintersecting
-    law (h-transformed determinant density) started at x0."""
-    kern = kernel(make_spec("bm"))
-    h2 = km.vandermonde(2)
-    ug = np.linspace(lo, hi, grid_n)
-    rho = np.empty_like(ug)
-    for i, u in enumerate(ug):
+def dyson_marginal_cdf(x0, t, idx):
+    """Marginal CDF of coordinate idx of two Brownian motions started at
+    x0 = (x1, x2), x1 < x2, and conditioned never to meet (the Vandermonde
+    h-transform of their determinant density).  That density is symmetric
+    under y1 <-> y2, so P(Y1 > u) and P(Y2 <= u) are the chances that both
+    coordinates of the free pair, weighted by (y2 - y1) / (x2 - x1), lie
+    above (below) u: products of one-dimensional Gaussian integrals,
+    P(Y1 > u) = A1 A2 + sqrt(t) (A1 phi2 - A2 phi1) / (x2 - x1) with
+    A_i = P(x_i + B_t > u) and phi_i the normal density at (u - x_i)/sqrt(t),
+    and P(Y2 <= u) likewise with P(x_i + B_t <= u) and the sign flipped."""
+    x1, x2 = (float(v) for v in x0)
+    s = math.sqrt(t)
+
+    def cdf(u):
+        u = np.asarray(u, float)
+        z1, z2 = (u - x1) / s, (u - x2) / s
+        phi1 = np.exp(-0.5 * z1 * z1) / math.sqrt(2.0 * math.pi)
+        phi2 = np.exp(-0.5 * z2 * z2) / math.sqrt(2.0 * math.pi)
         if idx == 0:
-            ys, ws = gl_nodes(u, hi, inner_n)
-            pts = np.column_stack([np.full_like(ys, u), ys])
-        else:
-            ys, ws = gl_nodes(lo, u, inner_n)
-            pts = np.column_stack([ys, np.full_like(ys, u)])
-        rho[i] = np.dot(ws, km.h_transform_density(kern, h2, t, np.asarray(x0, float), pts))
-    return cdf_from_density_grid(ug, rho)
+            a1, a2 = ndtr(-z1), ndtr(-z2)
+            return 1.0 - (a1 * a2 + s * (a1 * phi2 - a2 * phi1) / (x2 - x1))
+        b1, b2 = ndtr(z1), ndtr(z2)
+        return b1 * b2 - s * (b1 * phi2 - b2 * phi1) / (x2 - x1)
+
+    return cdf
 
 
 def run_dyson_w12(paths=20000, dt=4e-3, seed=7, init_seed=99):

@@ -596,6 +596,16 @@ def _state_pushes(raw, raw_u, proj, push):
     return new_x, [None if lo is None else x_lo - raw, None if up is None else x_lo - new_x]
 
 
+def _sampled_start(sample, n_paths, what) -> np.ndarray:
+    """A start sampler's output as a new float array of one row per path,
+    or a ValueError naming `what`, the shape it has and the shape wanted."""
+    a = np.array(sample, float)
+    if a.ndim != 2 or a.shape[0] != n_paths:
+        want = f"({n_paths}, {a.shape[1] if a.ndim == 2 else 'k'})"
+        raise ValueError(f"{what} has shape {a.shape}; expected {want}, one row per path")
+    return a
+
+
 def simulate_two_level(
     spec: DiffusionSpec,
     shape: Shape,
@@ -630,7 +640,7 @@ def simulate_two_level(
     n2 = x0.shape[-1]
     x = np.broadcast_to(x0, (n_paths, n2)).copy()
     if callable(y0):
-        y = np.array(y0(n_paths), float)
+        y = _sampled_start(y0(n_paths), n_paths, "y0(n_paths)")
     else:
         y = np.broadcast_to(np.asarray(y0, float), (n_paths, np.asarray(y0).shape[-1])).copy()
     n1 = y.shape[-1]
@@ -681,7 +691,8 @@ def simulate_gt(
     n_steps, dt = _resolve_steps(T, dt, t0)
     _check_counts(n_paths, record_stride)
     if callable(x0):
-        states = [np.atleast_2d(np.asarray(a, float)).copy() for a in x0(n_paths)]
+        states = [_sampled_start(np.atleast_2d(a), n_paths, f"x0(n_paths) level {k + 1}")
+                  for k, a in enumerate(x0(n_paths))]
     else:
         states = [
             np.broadcast_to(np.asarray(a, float), (n_paths, np.asarray(a).shape[-1])).copy()

@@ -211,6 +211,38 @@ class TestDensityGridCdf:
             assert np.array_equal(cdf_from_density_grid(grid, density)(z), want)
 
 
+class TestDysonMarginalCdf:
+    @pytest.mark.parametrize("x0,t", [((-1.0, 1.0), 1.0), ((-0.3, 0.5), 0.4), ((0.0, 3.0), 2.0)])
+    def test_matches_the_integrated_h_transform_density(self, x0, t):
+        # A5's reference CDFs against the ordered two-particle density,
+        # integrated over {u < y1 < y2} (P(Y1 > u)) or {y1 < y2 <= u}
+        # (P(Y2 <= u)) by nested Gauss-Legendre rules
+        from interlace_lab import kmgroup as km
+        from interlace_lab.diffusion1d import kernel, make_spec
+        from interlace_lab.harness.checks import dyson_marginal_cdf
+        from interlace_lab.quadrature import gl_nodes
+
+        kern, h2 = kernel(make_spec("bm")), km.vandermonde(2)
+        lo, hi = min(x0) - 12.0 * math.sqrt(t), max(x0) + 12.0 * math.sqrt(t)
+        r, v = gl_nodes(0.0, 1.0, 80)
+        us = np.linspace(min(x0) - 3.0 * math.sqrt(t), max(x0) + 3.0 * math.sqrt(t), 13)
+        F1, F2 = dyson_marginal_cdf(x0, t, 0), dyson_marginal_cdf(x0, t, 1)
+        for u in us:
+            # outer coordinate a over its interval, inner b between a and the far end
+            a = u + (hi - u) * r
+            b = a[:, None] + (hi - a[:, None]) * r[None, :]
+            w = ((hi - u) * v)[:, None] * (hi - a[:, None]) * v[None, :]
+            pts = np.stack(np.broadcast_arrays(a[:, None], b), axis=-1).reshape(-1, 2)
+            above = float(np.sum(w.ravel() * km.h_transform_density(kern, h2, t, x0, pts)))
+            a = u - (u - lo) * r
+            b = a[:, None] - (a[:, None] - lo) * r[None, :]
+            w = ((u - lo) * v)[:, None] * (a[:, None] - lo) * v[None, :]
+            pts = np.stack(np.broadcast_arrays(b, a[:, None]), axis=-1).reshape(-1, 2)
+            below = float(np.sum(w.ravel() * km.h_transform_density(kern, h2, t, x0, pts)))
+            assert abs(float(F1(u)) - (1.0 - above)) < 1e-12, (u, F1(u), 1.0 - above)
+            assert abs(float(F2(u)) - below) < 1e-12, (u, F2(u), below)
+
+
 class TestIO:
     def test_csv_schema_line(self, tmp_path):
         p = tmp_path / "rows.csv"

@@ -169,6 +169,15 @@ class TestTwoLevelSimulation:
             rs.simulate_two_level(bm, Shape.NNP1, np.array([0.0, 1.0, 2.0]), np.array([0.5]),
                                   T=0.1, dt=1e-2, n_paths=2, seed=0, y_spec=bm)
 
+    @pytest.mark.parametrize("rows", [7, 1])
+    def test_sampled_y0_with_the_wrong_row_count_is_rejected_by_name(self, rows):
+        bm = make_spec("bm")
+        with pytest.raises(ValueError, match=rf"y0\(n_paths\) has shape \({rows}, 1\); "
+                                             r"expected \(4, 1\), one row per path"):
+            rs.simulate_two_level(bm, Shape.NNP1, np.array([-1.0, 1.0]),
+                                  lambda n: np.zeros((rows, 1)), T=0.1, dt=0.05, n_paths=4,
+                                  y_spec=bm)
+
     def test_x_outside_its_wall_is_rejected(self):
         # X particle 0 starts below the reflecting wall at 0
         with pytest.raises(ValueError, match="initial x leaves the state interval"):
@@ -220,6 +229,16 @@ class TestGTSimulation:
         with pytest.raises(ValueError, match="initial level2 leaves the state interval"):
             rs.simulate_gt([besq2, besq4], [np.array([0.5]), np.array([-1e-9, 1.0])],
                            T=0.1, dt=1e-2, n_paths=3, seed=0)
+
+    def test_sampled_level_with_the_wrong_row_count_is_rejected_by_name(self):
+        besq2, besq4 = make_spec("besq:2"), make_spec("besq:4")
+
+        def x0(n):
+            return [np.full((n, 1), 0.5), np.tile([0.1, 1.0], (n + 2, 1))]
+
+        with pytest.raises(ValueError, match=r"x0\(n_paths\) level 2 has shape \(6, 2\); "
+                                             r"expected \(4, 2\), one row per path"):
+            rs.simulate_gt([besq2, besq4], x0, T=0.1, dt=0.05, n_paths=4, seed=0)
 
     def test_no_interior_collisions_under_pattern_initialization(self):
         from interlace_lab import kmgroup as km
