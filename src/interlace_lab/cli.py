@@ -27,6 +27,7 @@ from .diffusion1d import (
     kernel,
     make_spec,
 )
+from .diffusion1d.catalog import edge_ladder
 from .harness import (
     CampaignConfig,
     CampaignError,
@@ -191,7 +192,7 @@ def cmd_simulate(args):
                             f"expected one of {', '.join(SIMULATE_MODE_KEYS)}")
     known = set(SIMULATE_KEYS + SIMULATE_MODE_KEYS[mode])
     if mode == "gt":
-        known.update(f"init{k + 1}" for k in range(int(cfg["levels"])))
+        known.update(f"init{k + 1}" for k in range(_count(cfg, "levels", args.config)))
     unread = sorted(set(cfg) - known)
     if unread:
         raise CampaignError(f"[simulate] keys not read in {mode} mode in {args.config}: {unread}")
@@ -215,21 +216,21 @@ def cmd_simulate(args):
 
 def _simulate_bundle(cfg, mode, seed, stride, config):
     """Run the [simulate] section's simulator and return its PathBundle."""
-    family = cfg["family"]
+    family = _required(cfg, "family", config)
     T = float(cfg.get("t", 1.0))
     dt = float(cfg.get("dt", 1e-3))
     paths = _count(cfg, "paths", config) if "paths" in cfg else 1000
     if mode == "edge":
-        n = int(cfg["n"])
+        n = _count(cfg, "n", config)
         side = cfg.get("side", "right")
         x0 = np.array(_floats(cfg.get("init", " ".join(["0"] * n))))
         return rs.simulate_edge(make_spec(family), n, side, x0, T, dt, paths, seed,
                                 record_stride=stride)
     if mode == "gt":
-        N = int(cfg["levels"])
+        N = _count(cfg, "levels", config)
         fams = cfg.get("level_families", ",".join([family] * N)).split(",")
         specs = [make_spec(f.strip()) for f in fams]
-        x0 = [np.array(_floats(cfg[f"init{k+1}"])) for k in range(N)]
+        x0 = [np.array(_floats(_required(cfg, f"init{k+1}", config))) for k in range(N)]
         return rs.simulate_gt(specs, x0, T, dt, paths, seed, record_stride=stride)
     try:
         shape = tl.Shape(cfg.get("shape", "n,n+1"))
@@ -237,18 +238,25 @@ def _simulate_bundle(cfg, mode, seed, stride, config):
         raise CampaignError(f"[simulate] shape {cfg['shape']!r} in {config}: expected one "
                             f"of {', '.join(s.value for s in tl.Shape)}") from None
     spec = make_spec(family)
-    x0 = np.array(_floats(cfg["init_x"]))
-    y0 = np.array(_floats(cfg["init_y"]))
+    x0 = np.array(_floats(_required(cfg, "init_x", config)))
+    y0 = np.array(_floats(_required(cfg, "init_y", config)))
     y_spec = make_spec(cfg["y_family"]) if "y_family" in cfg else None
     return rs.simulate_two_level(spec, shape, x0, y0, T, dt, paths, seed,
                                  y_spec=y_spec, record_stride=stride)
+
+
+def _required(cfg, key, config):
+    """[simulate] key's text, else a one-line error that names it."""
+    if key not in cfg:
+        raise CampaignError(f"[simulate] {key} missing from {config}")
+    return cfg[key]
 
 
 def _count(cfg, key, config):
     """[simulate] key read as a positive integer, else a one-line error
     that names it."""
     try:
-        value = int(cfg[key])
+        value = int(_required(cfg, key, config))
     except ValueError:
         value = 0
     if value < 1:
@@ -289,6 +297,10 @@ def _trajectory_blocks(pb):
 
 def cmd_edge_cdf(args):
     spec = make_spec(args.spec)
+    try:
+        edge_ladder(spec, args.n)  # a family with no ladder, or a wrong end
+    except ValueError as e:
+        raise CatalogError(f"edge-cdf --spec {args.spec!r}: {e}") from None
     z = np.linspace(args.zmin, args.zmax, args.znum)
     x0 = np.array(_floats(args.start)) if args.start else None
     if x0 is not None:

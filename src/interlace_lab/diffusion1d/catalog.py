@@ -41,13 +41,16 @@ exact step and its draws, and quadrature coordinates.  Adding a family
 means adding one record.  A spec builder states the coefficients a, b, a'
 and one scale formula, the closed form of log s'; core.ScaleSpeed derives
 log m, s' and m from it, the dual's scale is the swapped pair, and a
-spectral basis takes m and m' from the spec.
+spectral basis takes m and m' from the spec.  Only edge_ladder reads the
+ladder; it also rejects an edge system whose ends are not natural or
+entrance.
 
 The quadrature coordinates serve the two node builders for state-space
 integrals: chamber_quad (ordered chambers) and fiber_quad (batched
-interlacing-fiber boxes).  Both clip to the spec's interval and return
-states with the Jacobian folded into the weights.  The reflected-system
-stepper pushes exactly stepped 'sqrt' members in the same coordinates.
+interlacing-fiber boxes, one row of nodes per box).  Both clip to the
+spec's interval and return states with the Jacobian folded into the
+weights.  The reflected-system stepper pushes exactly stepped 'sqrt'
+members in the same coordinates.
 
 Only besq has an exact step, dt chi'^2_d(x / dt); reflectsde steps every
 other family, and killed besq, by an Euler step.  Constant coefficients are
@@ -582,6 +585,12 @@ def _besq_kernel(spec, d, killed):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         main = _besq_core_density(t, x, y, nu, ive)
+        if (killed or nu < 0.0) and (y == 0.0).any():
+            # the core is inf * 0 or inf * nan at y = 0; the limit there is
+            # e^{-x/2t} (x/2t)^order / (2t Gamma(order + 1)) if killed, else inf
+            u = x / (2.0 * t)
+            lim = np.exp(-u) * u**order / (2.0 * t * sc.gamma(order + 1.0)) if killed else np.inf
+            main = np.where(y == 0.0, lim, main)
         if killed:
             return np.where(x > 1e-300, main, 0.0)
         # entrance limit from 0: gamma(d/2, scale 2t)
@@ -1058,11 +1067,6 @@ def spectral_basis(spec: DiffusionSpec) -> SpectralBasis:
     return _spectral_basis_by_name(spec.name)
 
 
-def has_spectral_basis(spec: DiffusionSpec) -> bool:
-    rec = FAMILIES.get(spec.family)
-    return rec is not None and rec.basis is not None
-
-
 # ---------------------------------------------------------------------------
 # the family registry
 # ---------------------------------------------------------------------------
@@ -1329,6 +1333,25 @@ FAMILIES: dict[str, _Family] = {
 }
 
 
+def edge_ladder(base: DiffusionSpec, n: int) -> list:
+    """Specs of the n particles of an edge system over base: particle k has
+    drift b + (n-k) a', the family record's ladder member (particle n is
+    base itself).  Raise ValueError unless every particle's ends are natural
+    or entrance, base's first, and, for n > 1, base's family has a ladder."""
+    def accept(sp):
+        if not {sp.behavior_l, sp.behavior_r} <= {Boundary.NATURAL, Boundary.ENTRANCE}:
+            raise ValueError(
+                f"edge systems require natural/entrance boundaries; {sp.name} violates this")
+        return sp
+
+    accept(base)
+    ladder = getattr(FAMILIES.get(base.family), "ladder", None)
+    if n > 1 and ladder is None:
+        raise ValueError(f"edge ladder undefined for family {base.family!r}")
+    return [accept(make_spec(ladder(base.params, n - k))) if k < n else base
+            for k in range(1, n + 1)]
+
+
 def gaussian_moments(spec: DiffusionSpec):
     """(mean(t, x), var(t), dmean_dx(t)) of a Gaussian family's kernel, else None."""
     rec = FAMILIES.get(spec.family)
@@ -1384,7 +1407,7 @@ _COORD_MAPS = {
 
 
 def _in_coords(spec: DiffusionSpec, nodes: Callable, lo, hi):
-    """nodes(lo, hi) -> (points, weights, ...) run on [lo, hi] clipped to
+    """nodes(lo, hi) -> (points, weights) run on [lo, hi] clipped to
     spec.interval, in spec's quadrature coordinates; the returned points are
     states y and the weights carry the Jacobian dy/du."""
     l, r = spec.interval
@@ -1393,9 +1416,9 @@ def _in_coords(spec: DiffusionSpec, nodes: Callable, lo, hi):
     if coords == "linear":
         return nodes(lo, hi)
     fwd, inv, jac = _COORD_MAPS[coords]
-    u, w, *rest = nodes(fwd(lo), fwd(hi))
+    u, w = nodes(fwd(lo), fwd(hi))
     y = inv(u)
-    return (y, w * np.prod(jac(u, y), axis=-1), *rest)
+    return y, w * np.prod(jac(u, y), axis=-1)
 
 
 def chamber_quad(spec: DiffusionSpec, ndim: int, lo: float, hi: float, n: int, pad=None):
@@ -1418,7 +1441,10 @@ def chamber_quad(spec: DiffusionSpec, ndim: int, lo: float, hi: float, n: int, p
 
 
 def fiber_quad(spec: DiffusionSpec, flo, fhi, n: int):
-    """Batched tensor nodes over the boxes prod_j [flo_j, fhi_j] (rows of
-    (N, k) arrays) of spec's state space: (points, weights, outer index), as
-    quadrature.stacked_box_nodes but in spec's coordinates (see _in_coords)."""
-    return _in_coords(spec, lambda a, b: stacked_box_nodes(a, b, n), flo, fhi)
+    """Tensor nodes over the N boxes prod_j [flo_j, fhi_j] (rows of (N, k)
+    arrays) of spec's state space, one row per box: points (N, F, k) and
+    weights (N, F), F = n**k, as quadrature.stacked_box_nodes but in spec's
+    coordinates (see _in_coords)."""
+    pts, w = _in_coords(spec, lambda a, b: stacked_box_nodes(a, b, n), flo, fhi)
+    N = np.shape(flo)[0]
+    return pts.reshape(N, -1, pts.shape[-1]), w.reshape(N, -1)

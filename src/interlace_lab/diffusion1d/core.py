@@ -80,12 +80,6 @@ DUAL_FELLER = {
 }
 
 
-def feller_class_of(behavior: Boundary) -> FellerClass:
-    if behavior in (Boundary.REGULAR_REFLECTING, Boundary.REGULAR_ABSORBING):
-        return FellerClass.REGULAR
-    return FellerClass(behavior.value)
-
-
 @dataclass(frozen=True)
 class ScaleSpeed:
     """Log scale density log s' and log speed density log m.

@@ -1,7 +1,8 @@
 """Determinantal transition densities for edge particle systems.
 
 The k-th particle of the one-sided-collision ladder runs the generator with
-drift b^{(k)} = b + (n-k) a', which requires a quadratic in x and b affine.
+drift b^{(k)} = b + (n-k) a', which requires a quadratic in x and b affine
+(catalog.edge_ladder, which also rejects an end not natural or entrance).
 Writing p^{(k)} for its transition density, define
 
     S^{(k),j}(x, x') = int_l^{x'} (x'-z)^{j-1}/(j-1)!  p^{(k)}(x, z) dz   (j >= 1)
@@ -28,11 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as sc
 
-from .diffusion1d import Boundary, DiffusionSpec, TransitionKernel, density_integral, kernel
-from .diffusion1d.catalog import gaussian_moments
+from .diffusion1d import DiffusionSpec, TransitionKernel, density_integral, kernel
+from .diffusion1d.catalog import edge_ladder, gaussian_moments
 from .kmgroup import det
 from .quadrature import fd_derivative
-from .reflectsde import edge_ladder_spec
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _S_NODES = 200  # Gauss-Legendre nodes of the S^{(k),j}, j >= 2, integrals
@@ -59,10 +59,7 @@ class EdgeOperatorTable:
     c: list = field(default_factory=list)
 
     def __post_init__(self):
-        ends = (Boundary.NATURAL, Boundary.ENTRANCE)
-        if self.base.behavior_l not in ends or self.base.behavior_r not in ends:
-            raise ValueError("edge tables require natural/entrance boundaries")
-        self.specs = [edge_ladder_spec(self.base, self.n, k) for k in range(1, self.n + 1)]
+        self.specs = edge_ladder(self.base, self.n)
         self.kernels = [kernel(sp) for sp in self.specs]
         # a is quadratic and b affine on every laddered family: read a2 and
         # b1 off a' = a1 + 2 a2 x and b = b0 + b1 x

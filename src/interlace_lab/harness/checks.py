@@ -29,6 +29,7 @@ from ..diffusion1d import (
     make_spec,
     spectral_basis,
 )
+from ..diffusion1d.catalog import edge_ladder
 from .oracles import complex_wishart_sample, gue_sample
 from .stats import (
     empirical_cdf_on_grid,
@@ -310,7 +311,7 @@ def check_warren_dyson(paths=20000, dt=0.05, tolerance=0.02, seed=7):
 def run_gt2(family: str, paths, dt, seed, t_start=1e-3, T=1.0, init_seed=11):
     """GT(2) from the origin via the entrance law at t_start."""
     elaw = km.entrance_law(family, 2)
-    specs = [rs.edge_ladder_spec(elaw.spec, 2, k) for k in (1, 2)]
+    specs = edge_ladder(elaw.spec, 2)
 
     def init(n):
         rng = np.random.default_rng(init_seed)

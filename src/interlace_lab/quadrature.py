@@ -52,7 +52,7 @@ def stacked_box_nodes(los: np.ndarray, his: np.ndarray, n: int = 32):
     """Tensor-product nodes for a batch of boxes.
 
     los, his: arrays of shape (N, k) with per-box coordinate bounds.
-    Returns (points (N*n**k, k), weights (N*n**k,), outer_index (N*n**k,)).
+    Returns points (N*n**k, k) and weights (N*n**k,), box by box.
     Degenerate coordinates (hi <= lo) get zero weight.
     """
     los = np.atleast_2d(np.asarray(los, float))
@@ -76,8 +76,7 @@ def stacked_box_nodes(los: np.ndarray, his: np.ndarray, n: int = 32):
         )
         wts = (wts[:, :, None] * wnew[:, None, :]).reshape(N, m * n)
     M = pts.shape[1]
-    outer = np.repeat(np.arange(N), M)
-    return pts.reshape(N * M, k), wts.reshape(N * M), outer
+    return pts.reshape(N * M, k), wts.reshape(N * M)
 
 
 def chebyshev_antiderivative(

@@ -6,12 +6,13 @@ k >= 1 is bounded below by column i-1+above and above by column i+above
 of prev, level k-1 already moved this step, where above in {0, 1} is the
 level's offset; an index out of range stands for the level's static wall
 (a regular-reflecting endpoint, else none).  Level 0 sees only its walls.
+The rule is twolevel's (interlace_slices, interlace_bounds).
 
-  * two-level: levels (Y, X); NNP1 has above=0, NN and NP1N above=1;
+  * two-level: levels (Y, X); X's above is the shape's (Shape.above);
   * GT: a level one larger than the previous has above=0 (triangular),
     an equal-size level above=1 (it sits above the previous one);
-  * edge: one single-particle level per particle, above=1 on the right
-    edge (pushed up) and above=0 on the left edge (pushed down).
+  * edge: one single-particle level per particle (catalog.edge_ladder),
+    above=1 on the right edge (pushed up) and above=0 on the left edge.
 
 Scheme: per time step each level in turn takes a free step and is then
 pushed off its bounds.  A non-killed besq level steps exactly, each
@@ -92,10 +93,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .diffusion1d import Boundary, DiffusionSpec, conjugate, make_spec
-from .diffusion1d.catalog import (FAMILIES, constant_coefficients, exact_step,
+from .diffusion1d import Boundary, DiffusionSpec, conjugate
+from .diffusion1d.catalog import (constant_coefficients, edge_ladder, exact_step,
                                  free_step_draws, quad_coords)
-from .twolevel import Shape
+from .twolevel import (Shape, check_shape_assumptions, counts, interlace_bounds,
+                       interlace_slices)
 
 
 @dataclass
@@ -358,33 +360,24 @@ def _record_indices(n_steps, stride):
     return set(range(0, n_steps + 1, stride)) | {n_steps}
 
 
-def _bound_pieces(size, m, shift, wall):
-    """(particles, bound) pieces of one side of a level.
-
-    Particle i is bounded by column i+shift of the previous level (m
-    columns) when it exists, else by the static wall; an infinite wall
-    bounds nothing and is left out.
-    """
-    lo = min(max(-shift, 0), size)
-    hi = max(min(m - shift, size), lo)
-    pieces = [(slice(lo, hi), slice(lo + shift, hi + shift))] if hi > lo else []
-    if np.isfinite(wall):
-        pieces += [(p, wall) for p in (slice(0, lo), slice(hi, size)) if p.stop > p.start]
-    return pieces
-
-
 def _pieces(levels, k):
     """(side, particles, bound) pieces of level k, side 0 (lower) first.
 
-    A bound is a column slice of level k-1 or a static wall; particles
-    bounded by neither on a side have no piece for it.
+    On each side the particles with a bounding column of level k-1
+    (twolevel.interlace_slices) come first, bounded by that column slice;
+    the rest are bounded by the static wall, and an infinite wall bounds
+    nothing and is left out.
     """
     lv = levels[k]
-    m = levels[k - 1].x.shape[1] if k else 0
-    walls = _static_barriers(lv.spec)
-    return [(side, p, src)
-            for side, shift in enumerate((lv.above - 1, lv.above))
-            for p, src in _bound_pieces(lv.x.shape[1], m, shift, walls[side])]
+    size, m = lv.x.shape[1], levels[k - 1].x.shape[1] if k else 0
+    out = []
+    for side, (shift, wall) in enumerate(zip((lv.above - 1, lv.above), _static_barriers(lv.spec))):
+        p, cols = interlace_slices(size, m, shift)
+        pieces = [(p, cols)]
+        if np.isfinite(wall):
+            pieces += [(slice(0, p.start), wall), (slice(p.stop, size), wall)]
+        out += [(side, q, src) for q, src in pieces if q.stop > q.start]
+    return out
 
 
 def _two_sided(pieces):
@@ -424,22 +417,21 @@ def _side_key(side, k, i):
 def _check_start(levels, names):
     """Raise unless every path starts inside its walls and interlaced: each
     level within its spec's interval, and particle i of level k >= 1 within
-    columns i-1+above and i+above of level k-1, both up to 1e-12 slack."""
+    columns i-1+above and i+above of level k-1 (twolevel.interlace_bounds),
+    both up to 1e-12 slack."""
     for lv, name in zip(levels, names):
         l, r = lv.spec.interval
         if not np.all((lv.x >= l - 1e-12) & (lv.x <= r + 1e-12)):
             raise ValueError(
                 f"initial {name} leaves the state interval [{l:g}, {r:g}] of {lv.spec.name}")
     for k in range(1, len(levels)):
-        prev, x = levels[k - 1].x, levels[k].x
-        for side, p, src in _pieces(levels, k):
-            if not isinstance(src, slice):
-                continue
-            gap = prev[:, src] - x[:, p] if side == 0 else x[:, p] - prev[:, src]
-            if not np.all(gap <= 1e-12):
+        x = levels[k].x
+        lo, hi = interlace_bounds(levels[k - 1].x, x.shape[1], levels[k].above)
+        for side, inside in enumerate((x >= lo - 1e-12, x <= hi + 1e-12)):
+            if not np.all(inside):
                 raise ValueError(
                     f"initial {names[k]} does not interlace with {names[k - 1]}: it starts "
-                    f"{'below' if side == 0 else 'above'} a particle that bounds it")
+                    f"{('below', 'above')[side]} a particle that bounds it")
 
 
 def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) -> PathBundle:
@@ -629,8 +621,6 @@ def simulate_two_level(
     by the shape; stopped paths are frozen.  The particle counts of x0 and
     y0 must be the shape's, and every path must interlace.
     """
-    from .twolevel import check_shape_assumptions, counts
-
     check_shape_assumptions(spec, shape)
     _check_counts(n_paths, record_stride)
     if y_spec is None:
@@ -657,7 +647,7 @@ def simulate_two_level(
             if n1 > 1 or np.isfinite(kill).any() else None)
     levels = [
         _Level(y_spec, y, _streams(seed, 0, 0, range(n1))),
-        _Level(spec, x, _streams(seed, 1, 0, range(n2)), above=int(shape is not Shape.NNP1)),
+        _Level(spec, x, _streams(seed, 1, 0, range(n2)), above=shape.above),
     ]
     names = ["y", "x"]
     _check_start(levels, names)
@@ -718,18 +708,6 @@ def simulate_gt(
     return _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop)
 
 
-def edge_ladder_spec(base: DiffusionSpec, n: int, k: int) -> DiffusionSpec:
-    """Level-k spec of the edge system: drift b + (n-k) a' stays in-family
-    for the quadratic-a / affine-b catalog."""
-    m = n - k
-    if m == 0:
-        return base
-    rec = FAMILIES.get(base.family)
-    if rec is None or rec.ladder is None:
-        raise ValueError(f"edge ladder undefined for family {base.family!r}")
-    return make_spec(rec.ladder(base.params, m))
-
-
 def simulate_edge(
     base: DiffusionSpec,
     n: int,
@@ -753,15 +731,7 @@ def simulate_edge(
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     _check_counts(n_paths, record_stride)
-    specs = [edge_ladder_spec(base, n, k) for k in range(1, n + 1)]
-    for sp in specs:
-        if sp.behavior_l not in (Boundary.NATURAL, Boundary.ENTRANCE) or sp.behavior_r not in (
-            Boundary.NATURAL,
-            Boundary.ENTRANCE,
-        ):
-            raise ValueError(
-                f"edge systems require natural/entrance boundaries; {sp.name} violates this"
-            )
+    specs = edge_ladder(base, n)
     n_steps, dt = _resolve_steps(T, dt, t0)
     x0 = np.asarray(x0, float)
     if x0.shape[-1:] != (n,):

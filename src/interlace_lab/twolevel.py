@@ -15,6 +15,11 @@ m_hat = s' (scale density of the forward diffusion).  The indicator is
 on W^{n+1,n} (the two-sided-killing variant; tested only through its mass
 and projection identities).
 
+The interlacing rule lives here alone: x_i lies between y_{i-1+above} and
+y_{i+above} (Shape.above), or a wall.  interlace_slices gives the stepper's
+bounding columns, and interlace_bounds the bounds of both fibers, the
+indicator 1(j >= i + above) and reflectsde's start check.
+
 Each block depends on two of the four arguments, and block_kernel
 evaluates it in one kernel call over the broadcast of only those two
 (x[..., :, None] against x'[..., None, :], and so on), then hands views
@@ -31,7 +36,7 @@ and Markov-normalized), and quadrature residuals for the projection
 (Dynkin) identity, the intertwining with killed determinant semigroups,
 and the semigroup property.  Chamber and fiber nodes come from
 diffusion1d.catalog.chamber_quad and fiber_quad (clipped to the spec's
-interval, in the family's coordinates).
+interval, in the family's coordinates, one row of fiber nodes per box).
 """
 from __future__ import annotations
 
@@ -58,6 +63,11 @@ class Shape(enum.Enum):
     NNP1 = "n,n+1"  # x has one more particle than y
     NN = "n,n"      # equal counts, y below x
     NP1N = "n+1,n"  # y has one more particle than x
+
+    @property
+    def above(self) -> int:
+        """x's offset over y: x_i lies between y_{i-1+above} and y_{i+above}."""
+        return int(self is not Shape.NNP1)
 
 
 class BoundaryAssumptionError(ValueError):
@@ -89,46 +99,40 @@ def check_shape_assumptions(spec: DiffusionSpec, shape: Shape) -> None:
         )
 
 
+_EXTRA = {Shape.NNP1: 1, Shape.NN: 0, Shape.NP1N: -1}  # x particles less y particles
+
+
 def counts(shape: Shape, n1: int) -> int:
     """Number of x particles given n1 = len(y)."""
-    return {Shape.NNP1: n1 + 1, Shape.NN: n1, Shape.NP1N: n1 - 1}[shape]
+    return n1 + _EXTRA[shape]
 
 
-def interlaces(x, y, shape: Shape, l=-np.inf, r=np.inf, tol=0.0) -> bool:
-    """Whether (x, y) is a configuration of the shape: the particle counts
-    match it and y lies in the fiber over x, within tol."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    if x.shape[-1] != counts(shape, y.shape[-1]):
-        return False
-    lo, hi = fiber_bounds(x, shape, l, r)
-    return bool(np.all(y >= lo - tol) and np.all(y <= hi + tol))
+def interlace_slices(size: int, m: int, shift: int):
+    """(particles, columns): the particles i of a level of `size` whose
+    bounding column i + shift of the previous level (m columns) exists, and
+    those columns, as slices; every other particle is bounded by a wall."""
+    lo = min(max(-shift, 0), size)
+    hi = max(min(m - shift, size), lo)
+    return slice(lo, hi), slice(lo + shift, hi + shift)
+
+
+def interlace_bounds(prev, size: int, above: int, l=-np.inf, r=np.inf):
+    """(lower, upper) bounds of a level of `size` particles that interlaces
+    with prev (..., m): particle i lies between columns i-1+above and
+    i+above of prev, or the wall l or r where that column does not exist."""
+    prev = np.asarray(prev, float)
+    bounds = tuple(np.full(prev.shape[:-1] + (size,), wall, float) for wall in (l, r))
+    for bound, shift in zip(bounds, (above - 1, above)):
+        p, cols = interlace_slices(size, prev.shape[-1], shift)
+        bound[..., p] = prev[..., cols]
+    return bounds
 
 
 def fiber_bounds(x, shape: Shape, l=-np.inf, r=np.inf):
-    """Per-coordinate bounds of the y-fiber over a fixed x level."""
+    """Per-coordinate bounds of the y-fiber over a fixed x level: x sits
+    `above` over y, so y sits 1 - above over x."""
     x = np.asarray(x, float)
-    if shape is Shape.NNP1:
-        return x[..., :-1], x[..., 1:]
-    if shape is Shape.NN:
-        lo = np.concatenate([np.full(x.shape[:-1] + (1,), l), x[..., :-1]], axis=-1)
-        return lo, x
-    lo = np.concatenate([np.full(x.shape[:-1] + (1,), l), x], axis=-1)
-    hi = np.concatenate([x, np.full(x.shape[:-1] + (1,), r)], axis=-1)
-    return lo, hi
-
-
-def x_fiber_bounds(y, shape: Shape, l=-np.inf, r=np.inf):
-    """Per-coordinate bounds of the x-fiber over a fixed y level."""
-    y = np.asarray(y, float)
-    if shape is Shape.NNP1:
-        lo = np.concatenate([np.full(y.shape[:-1] + (1,), l), y], axis=-1)
-        hi = np.concatenate([y, np.full(y.shape[:-1] + (1,), r)], axis=-1)
-        return lo, hi
-    if shape is Shape.NN:
-        hi = np.concatenate([y[..., 1:], np.full(y.shape[:-1] + (1,), r)], axis=-1)
-        return y, hi
-    return y[..., :-1], y[..., 1:]
+    return interlace_bounds(x, x.shape[-1] - _EXTRA[shape], 1 - shape.above, l, r)
 
 
 @dataclass(eq=False)
@@ -149,11 +153,10 @@ class TwoLevelSystem:
         self.m_hat = scale_speed(self.spec).s_prime
 
     def indicator(self, n1: int, n2: int) -> np.ndarray:
-        i = np.arange(1, n2 + 1)[:, None]
-        j = np.arange(1, n1 + 1)[None, :]
-        if self.shape is Shape.NNP1:
-            return (j >= i).astype(float)
-        return (j > i).astype(float)
+        """1(j >= i + above): y_j at or above x_i's upper bounding column."""
+        j = np.arange(n1, dtype=float)
+        _, upper = interlace_bounds(j, n2, self.shape.above)
+        return (j[None, :] >= upper[:, None]).astype(float)
 
 
 def _x_rows(sys: TwoLevelSystem, t: float, x, xp, yp, perturb=None):
@@ -227,15 +230,6 @@ def block_kernel(
     return _det(*_x_rows(sys, t, x, xp, yp, perturb), *_y_rows(sys, t, y, xp, yp, perturb))
 
 
-def _fiber_grid(spec: DiffusionSpec, flo, fhi, n: int):
-    """fiber_quad over the N boxes of (N, k) bounds, laid out per box:
-    points (N, F, k) and weights (N, F), with F = n**k nodes in every box."""
-    pts, w, _ = fiber_quad(spec, flo, fhi, n)
-    N = np.shape(flo)[0]
-    F = w.shape[0] // N
-    return pts.reshape(N, F, pts.shape[-1]), w.reshape(N, F)
-
-
 def _image_nodes(sys: TwoLevelSystem, t: float, z, n_nodes: int):
     """Quadrature nodes over the image space W^{n1,n2} within the kernel
     window of the starting configuration: the ordered x'-chamber, then the
@@ -245,7 +239,7 @@ def _image_nodes(sys: TwoLevelSystem, t: float, z, n_nodes: int):
     x, y = z
     lo, hi = sys.kern.window(t, np.concatenate([np.atleast_1d(x), np.atleast_1d(y)]))
     xp, wx = chamber_quad(sys.spec, np.shape(x)[-1], lo, hi, n_nodes)
-    yp, wy = _fiber_grid(sys.spec, *fiber_bounds(xp, sys.shape, lo, hi), n_nodes)
+    yp, wy = fiber_quad(sys.spec, *fiber_bounds(xp, sys.shape, lo, hi), n_nodes)
     return xp[:, None, :], yp, wx[:, None] * wy
 
 
@@ -264,7 +258,8 @@ def collapse_residual(sys: TwoLevelSystem, t: float, z, yp, n_nodes: int = 48) -
     x, y = z
     yp = np.asarray(yp, float)
     lo, hi = sys.kern.window(t, np.concatenate([np.atleast_1d(x), np.atleast_1d(y)]))
-    xp, wx, _ = fiber_quad(sys.spec, *x_fiber_bounds(yp, sys.shape, lo, hi), n_nodes)
+    xb = interlace_bounds(yp[None, :], np.shape(x)[-1], sys.shape.above, lo, hi)
+    (xp,), (wx,) = fiber_quad(sys.spec, *xb, n_nodes)
     q = block_kernel(sys, t, z, (xp, yp[None, :]))
     lhs = float(np.dot(wx, q))
     return abs(lhs - float(km_density(sys.dual_kern, t, np.asarray(y, float), yp)))
@@ -290,13 +285,12 @@ def lambda_apply(
     (infinite fiber with non-integrable weight) raises ArithmeticError.
     """
     x = np.asarray(x, float)
-    l, r = spec.interval
     mh_fun = scale_speed(spec).s_prime
     lo_w, hi_w = kernel(spec).window(1.0, x)
 
     def on_window(pad):
         lo, hi = fiber_bounds(x[None, :], shape, lo_w - pad, hi_w + pad)
-        yp, wy, _ = fiber_quad(spec, lo, hi, n_nodes)
+        (yp,), (wy,) = fiber_quad(spec, lo, hi, n_nodes)
         weights = np.prod(np.asarray(mh_fun(yp), float), axis=-1)
         xrep = np.repeat(x[None, :], yp.shape[0], axis=0)
         if h_hat is None:
@@ -307,11 +301,8 @@ def lambda_apply(
             float(np.dot(wy, weights * hy)),
         )
 
-    unbounded = (shape is not Shape.NNP1 and np.isinf(l)) or (
-        shape is Shape.NP1N and np.isinf(r)
-    )
     num, den = on_window(10.0)
-    if unbounded:
+    if not np.all(np.isfinite(fiber_bounds(x, shape, *spec.interval))):
         num2, den2 = on_window(25.0)
         scale = max(abs(num), abs(den), 1.0)
         if abs(num2 - num) + abs(den2 - den) > 1e-6 * scale:
@@ -358,7 +349,7 @@ def sample_interlacing_fiber(
             w = w * np.maximum(h_hat(y), 0.0)
         return w
 
-    probe, _, _ = fiber_quad(spec, lo[None, :], hi[None, :], 24)
+    (probe,), _ = fiber_quad(spec, lo[None, :], hi[None, :], 24)
     bound = 1.6 * float(np.max(weight(probe))) + 1e-300
     out = np.empty((size, n1))
     got = 0
@@ -427,7 +418,7 @@ def master_intertwining_residual(
     xp, wx = chamber_quad(sys.spec, n2, *sys.kern.window(t, x), n_nodes)
 
     # normalized fiber integrals at each x' node, for every test function
-    yf, wf = _fiber_grid(sys.spec, *fiber_bounds(xp, sys.shape), fiber_nodes)
+    yf, wf = fiber_quad(sys.spec, *fiber_bounds(xp, sys.shape), fiber_nodes)
     hyf = h_hat(yf)
     base = wf * np.prod(np.asarray(sys.m_hat(yf), float), axis=-1) * hyf
     hxp = np.sum(base, axis=-1)
@@ -439,7 +430,7 @@ def master_intertwining_residual(
     # right side: integrate q from each fiber point of x over the same
     # (x', y') nodes; the x rows do not depend on that point
     ylo, yhi = fiber_bounds(x[None, :], sys.shape)
-    y0, w0, _ = fiber_quad(sys.spec, ylo, yhi, max(24, fiber_nodes))
+    (y0,), (w0,) = fiber_quad(sys.spec, ylo, yhi, max(24, fiber_nodes))
     mh0 = np.prod(np.asarray(sys.m_hat(y0), float), axis=-1)
     xp = xp[:, None, :]
     ab = _x_rows(sys, t, x, xp, yf, perturb)

@@ -192,7 +192,10 @@ class TestCLI:
          ["edge-cdf", "--spec", "besq:2", "--n", "2", "--zmin", "0", "--zmax", "2",
           "--side", "left", "--start", "0 -1"],
          ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "0", "--zmax", "2",
-          "--start", "0 inf"]],
+          "--start", "0 inf"],
+         ["edge-cdf", "--spec", "bm_halfline:refl", "--n", "2", "--zmin", "0", "--zmax", "1"],
+         ["edge-cdf", "--spec", "ou_out", "--n", "2", "--zmin", "0", "--zmax", "1"],
+         ["edge-cdf", "--spec", "besq:1", "--n", "2", "--zmin", "0", "--zmax", "1"]],
     )
     def test_errors_are_one_line(self, argv, capsys):
         assert main(argv) == 2
@@ -300,4 +303,26 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"[simulate] {key} in {cfg} must be a positive integer, got '{value}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, named", [
+        ("init_x = -1 1\ninit_y = 0\n", "family missing from"),
+        ("family = bm\ninit_y = 0\n", "init_x missing from"),
+        ("family = bm\ninit_x = -1 1\n", "init_y missing from"),
+        ("family = bm\nmode = edge\ninit = 0 1\n", "n missing from"),
+        ("family = bm\nmode = gt\ninit1 = 0\n", "levels missing from"),
+        ("family = bm\nmode = gt\nlevels = 2\ninit1 = 0\n", "init2 missing from"),
+        ("family = bm\nmode = gt\nlevels = two\n",
+         "levels in {cfg} must be a positive integer, got 'two'"),
+        ("family = bm\nmode = gt\nlevels = 0\n",
+         "levels in {cfg} must be a positive integer, got '0'"),
+    ], ids=["family", "init_x", "init_y", "n", "levels", "init2", "levels-two", "levels-0"])
+    def test_simulate_names_a_missing_or_bad_key(self, tmp_path, capsys, body, named):
+        cfg = tmp_path / "sim.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(f"[simulate]\n{body}t = 0.1\ndt = 0.05\npaths = 2\noutput = {out}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("interlace-lab: error: [simulate] ") and err.count("\n") == 1
+        assert named.format(cfg=cfg) in err and str(cfg) in err, err
         assert not out.exists()

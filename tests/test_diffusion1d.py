@@ -30,10 +30,10 @@ from interlace_lab.diffusion1d import catalog
 from interlace_lab.diffusion1d.catalog import (
     catalog_conjugate,
     chamber_quad,
+    edge_ladder,
     fiber_quad,
     gaussian_moments,
 )
-from interlace_lab.reflectsde import edge_ladder_spec
 
 
 class TestScaleSpeed:
@@ -464,10 +464,8 @@ class TestBesselFactors:
             p = k.density(t, x, y)
             assert not np.isnan(p).any(), (t, np.argwhere(np.isnan(p)))
 
-    # y = 0 is left out of the grid above: there the killed densities are
-    # (y/x)^{nu/2} ive(|nu|, 0) = inf * 0 = nan, a known defect that the
-    # next test pins to its finite limit
-    @pytest.mark.xfail(strict=True, reason="killed besq density is inf * 0 = nan at y = 0")
+    # y = 0 has its own test: there the core formula is inf * 0 (killed) or
+    # inf * nan (conservative, d < 2), and the kernel returns its limit
     @pytest.mark.parametrize("sid,mu", [("besq:-1", 1.5), ("besq:1:abs", 0.5), ("besq:0.5:abs", 0.75)])
     def test_killed_density_at_zero_is_its_limit(self, sid, mu):
         # p(t, x, 0+) = e^{-x/2t} (x/2t)^mu / (2t Gamma(mu + 1)), mu = -nu
@@ -476,6 +474,14 @@ class TestBesselFactors:
         with np.errstate(divide="ignore", invalid="ignore"):
             got = float(kernel(make_spec(sid)).density(t, x, 0.0))
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("sid", ["besq:1", "besq:0.5"])
+    def test_reflected_density_at_zero_is_infinite(self, sid):
+        # reflected at 0 with d < 2, p(t, x, y) ~ y^{d/2 - 1} as y -> 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = kernel(make_spec(sid)).density(0.5, np.array([[0.0], [0.7]]),
+                                               np.array([0.0, 1e-12]))
+        assert np.all(p[:, 0] == np.inf) and np.all(np.isfinite(p[:, 1]))
 
 
 class TestDuality:
@@ -599,13 +605,14 @@ class TestFamilyRegistry:
         base = make_spec(sid)
         x = _probes(base)
         for n in (2, 3, 4):
-            for k in range(1, n + 1):
-                try:
-                    level = edge_ladder_spec(base, n, k)
-                except ValueError:
-                    # only families with an end the edge tables reject lack a ladder
-                    assert {base.behavior_l, base.behavior_r} - {Boundary.NATURAL, Boundary.ENTRANCE}
-                    continue
+            try:
+                ladder = edge_ladder(base, n)
+            except ValueError:
+                # only families with an end the edge tables reject lack a ladder
+                assert {base.behavior_l, base.behavior_r} - {Boundary.NATURAL, Boundary.ENTRANCE}
+                continue
+            assert len(ladder) == n and ladder[-1] is base
+            for k, level in enumerate(ladder, 1):
                 np.testing.assert_allclose(level.a(x), base.a(x), rtol=1e-14)
                 np.testing.assert_allclose(
                     level.b(x), base.b(x) + (n - k) * base.a_prime(x), rtol=1e-12, atol=1e-12
@@ -685,9 +692,10 @@ class TestQuadratureCoordinates:
     )
     def test_weights_measure_the_clipped_region(self, sid, lo, hi, volume):
         spec = make_spec(sid)
-        ys, ws, outer = fiber_quad(spec, lo, hi, 24)
+        ys, ws = fiber_quad(spec, lo, hi, 24)
         l, r = spec.interval
-        assert np.all((ys >= l) & (ys <= r)) and np.all(outer == 0)
+        assert ys.shape == (1, 24**2, 2) and ws.shape == (1, 24**2)
+        assert np.all((ys >= l) & (ys <= r))
         assert float(np.sum(ws)) == pytest.approx(volume, rel=1e-12)
         a, b = max(lo[0][0], l), min(hi[0][1], r)
         pts, wts = chamber_quad(spec, 3, lo[0][0], hi[0][1], 24)

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import ndtr
 
 from interlace_lab import edgekernels as ek
+from interlace_lab import reflectsde as rs
 from interlace_lab.diffusion1d import kernel, make_spec
 from interlace_lab.quadrature import gl_nodes, ordered_nodes
 
@@ -60,9 +61,19 @@ class TestOperatorTable:
         direct = -float(np.dot(w, kernel(make_spec("bm")).density(1.0, x, z)))
         assert bm2.S_bar(1, 1, x, np.array([xp])).item() == pytest.approx(direct, rel=1e-10)
 
-    def test_requires_quadratic_affine_coefficients(self):
-        with pytest.raises(ValueError):
-            ek.build_edge_table(make_spec("bm_halfline:refl"), 2, 1.0)
+    @pytest.mark.parametrize("sid, named", [
+        ("bm_halfline:refl", "bm_halfline:refl violates"),  # a reflecting end
+        ("ou_out", "undefined for family 'ou_out'"),         # no ladder
+        ("besq:1", "besq:1 violates"),                       # a reflecting end
+    ], ids=["bm_halfline:refl", "ou_out", "besq:1"])
+    def test_simulator_and_table_reject_an_edge_alike(self, sid, named):
+        # catalog.edge_ladder owns the rule, so both entry points say the same
+        spec = make_spec(sid)
+        with pytest.raises(ValueError, match=named) as sim:
+            rs.simulate_edge(spec, 2, "right", np.array([0.5, 1.0]), T=0.1, dt=0.05, n_paths=2)
+        with pytest.raises(ValueError) as table:
+            ek.build_edge_table(spec, 2, 1.0)
+        assert str(table.value) == str(sim.value)
 
 
 class TestEdgeDensity:

@@ -325,6 +325,20 @@ class TestCampaigns:
             run_campaign(cfg)
 
 
+def test_edge_kernels_import_no_simulator():
+    # the edge ladder and its boundary rule live in the catalog, so the
+    # edge formulas need nothing from the reflected-SDE stepper
+    import subprocess
+    import sys
+
+    code = ("import sys\n"
+            "import interlace_lab.edgekernels\n"
+            "print('interlace_lab.reflectsde' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_kernels_and_ks_helpers_import_no_heavy_scipy_module():
     # scipy.stats, .integrate and .interpolate each cost about 0.3-0.9 s to
     # import; none is needed to build a jac spec, evaluate the BESQ CDF or

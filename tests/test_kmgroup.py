@@ -169,7 +169,7 @@ class TestHTransform:
         mc = box.mean() * alive.mean()
         from interlace_lab.quadrature import stacked_box_nodes
 
-        pts, wts, _ = stacked_box_nodes([[1.0, 2.5]], [[2.0, 4.0]], 48)
+        pts, wts = stacked_box_nodes([[1.0, 2.5]], [[2.0, 4.0]], 48)
         exact = float(np.dot(wts, km.km_density(kern, t, x0, pts)))
         assert mc == pytest.approx(exact, rel=0.08)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from interlace_lab import reflectsde as rs
 from interlace_lab.diffusion1d import make_spec
+from interlace_lab.diffusion1d.catalog import edge_ladder
 from interlace_lab.twolevel import Shape
 
 
@@ -160,6 +161,13 @@ class TestTwoLevelSimulation:
         with pytest.raises(ValueError, match="state interval"):
             rs.simulate_two_level(make_spec("bm_halfline:abs"), Shape.NN, np.array([1.0]),
                                   np.array([-0.5]), T=0.1, dt=1e-2, n_paths=4, seed=0)
+
+    def test_coincident_nn_start_is_interlaced(self):
+        # weak interlacing: on W^{n,n} each x may start on the y below it
+        bm = make_spec("bm")
+        pb = rs.simulate_two_level(bm, Shape.NN, np.array([0.5, 1.0]), np.array([0.5, 1.0]),
+                                   T=0.1, dt=0.05, n_paths=3, seed=0, y_spec=bm)
+        assert pb.levels[1].shape == (2, 3, 2)
 
     def test_particle_counts_must_match_the_shape(self):
         # three x particles over one y particle is no W^{n,n+1} configuration,
@@ -363,12 +371,14 @@ class TestEdgeSimulation:
         assert xs.var() == pytest.approx(1.0, abs=0.03)
 
     def test_ladder_specs(self):
-        assert rs.edge_ladder_spec(make_spec("besq:2"), 2, 1).name == "besq:4"
-        assert rs.edge_ladder_spec(make_spec("besq:2"), 2, 2).name == "besq:2"
-        assert rs.edge_ladder_spec(make_spec("lag:2"), 3, 1).name == "lag:6"
-        assert rs.edge_ladder_spec(make_spec("jac:1,1"), 2, 1).name == "jac:2,2"
-        assert rs.edge_ladder_spec(make_spec("gbm:1"), 2, 1).name == "gbm:2"
-        assert rs.edge_ladder_spec(make_spec("bm"), 4, 2).name == "bm"
+        def names(sid, n):
+            return [sp.name for sp in edge_ladder(make_spec(sid), n)]
+
+        assert names("besq:2", 2) == ["besq:4", "besq:2"]
+        assert names("lag:2", 3) == ["lag:6", "lag:4", "lag:2"]
+        assert names("jac:1,1", 2) == ["jac:2,2", "jac:1,1"]
+        assert names("gbm:1", 2) == ["gbm:2", "gbm:1"]
+        assert names("bm", 4) == ["bm"] * 4
 
     def test_right_edge_ordering_maintained(self):
         pb = rs.simulate_edge(make_spec("bm"), 3, "right", np.zeros(3), T=0.5,

@@ -38,14 +38,26 @@ class TestShapes:
         # s' = exp(log s') is the closed form y^-3/2 to within 2 ulps
         np.testing.assert_array_max_ulp(sys_.m_hat(y), y ** -1.5, maxulp=2)
 
-    def test_interlaces_checks_counts_and_order(self):
-        assert tl.interlaces(np.array([0.0, 1.0]), np.array([0.5]), tl.Shape.NNP1)
-        assert not tl.interlaces(np.array([0.0, 1.0]), np.array([2.0]), tl.Shape.NNP1)
-        # one y particle too many for W^{1,2}, each inside [x_1, x_2]
-        assert not tl.interlaces(np.array([0.0, 1.0]), np.array([0.2, 0.4]), tl.Shape.NNP1)
-
-    def test_weak_interlacing_allowed(self):
-        assert tl.interlaces(np.array([0.5, 1.0]), np.array([0.5, 1.0]), tl.Shape.NN)
+    @pytest.mark.parametrize("shape, x, y_lo, y_hi, x_lo, x_hi", [
+        (tl.Shape.NNP1, [1, 2, 3], [1, 2], [2, 3], [-9, 10, 20], [10, 20, 9]),
+        (tl.Shape.NN, [1, 2, 3], [-9, 1, 2], [1, 2, 3], [10, 20, 30], [20, 30, 9]),
+        (tl.Shape.NP1N, [1], [-9, 1], [1, 9], [10], [20]),
+    ], ids=["n,n+1", "n,n", "n+1,n"])
+    def test_interlace_bounds_give_both_fibers_and_the_indicator(
+            self, shape, x, y_lo, y_hi, x_lo, x_hi):
+        # the y-fiber over x, and the x-fiber over y = (10, 20, ...); the
+        # walls l = -9 and r = 9 stand where a bounding particle is missing
+        n1, n2 = len(y_lo), len(x)
+        lo, hi = tl.fiber_bounds(np.array([x, x], float), shape, -9.0, 9.0)
+        np.testing.assert_array_equal(lo, [y_lo, y_lo])
+        np.testing.assert_array_equal(hi, [y_hi, y_hi])
+        y = 10.0 * np.arange(1, n1 + 1)
+        lo, hi = tl.interlace_bounds(y, tl.counts(shape, n1), shape.above, -9.0, 9.0)
+        np.testing.assert_array_equal(lo, x_lo)
+        np.testing.assert_array_equal(hi, x_hi)
+        ind = tl.TwoLevelSystem(make_spec("bm"), shape).indicator(n1, n2)
+        i, j = np.arange(n2)[:, None], np.arange(n1)[None, :]
+        np.testing.assert_array_equal(ind, (j >= i + shape.above).astype(float))
 
 
 def _entrywise_block_kernel(sys_, t, z_from, z_to, perturb=None):
@@ -87,9 +99,9 @@ class TestBlockKernel:
     @pytest.mark.parametrize("sid,shape,z,z2", _STRUCTURED_CASES,
                              ids=[c[0] for c in _STRUCTURED_CASES])
     def test_structured_nodes_match_the_flat_batch(self, sid, shape, z, z2, perturb):
-        # image nodes keep x' as (N, 1, n2) and y' as (N, F, n1); the kernel
-        # on them must equal the kernel on the flat xp[outer] / yp batch the
-        # fiber builder returns, and both the entrywise reference
+        # image nodes keep x' as (N, 1, n2) and y' as (N, F, n1), as
+        # fiber_quad lays them out; the kernel on them must equal the kernel
+        # on the flat batch of (x', y') pairs, and both the entrywise reference
         sys_ = tl.TwoLevelSystem(make_spec(sid), shape)
         z = tuple(np.array(a) for a in z)
         z2 = tuple(np.array(a) for a in z2)
@@ -97,14 +109,15 @@ class TestBlockKernel:
         xp, yp, w = tl._image_nodes(sys_, t, z, n)
         lo, hi = sys_.kern.window(t, np.concatenate(z))
         xc, wx = chamber_quad(sys_.spec, z[0].shape[-1], lo, hi, n)
-        yf, wy, outer = fiber_quad(sys_.spec, *tl.fiber_bounds(xc, shape, lo, hi), n)
+        yf, wy = fiber_quad(sys_.spec, *tl.fiber_bounds(xc, shape, lo, hi), n)
         N, F = w.shape
         assert xp.shape == (N, 1, z[0].shape[-1]) and yp.shape == (N, F, z[1].shape[-1])
-        np.testing.assert_array_equal(yp.reshape(yf.shape), yf)
-        np.testing.assert_array_equal(w.reshape(-1), wx[outer] * wy)
+        np.testing.assert_array_equal(yp, yf)
+        np.testing.assert_array_equal(w, wx[:, None] * wy)
+        flat = (np.repeat(xc, F, axis=0), yf.reshape(N * F, -1))
         for z_from, flat_from, z_to, flat_to in [
-            (z, z, (xp, yp), (xc[outer], yf)),       # from a point into the nodes
-            ((xp, yp), (xc[outer], yf), z2, z2),     # from the nodes to a point
+            (z, z, (xp, yp), flat),       # from a point into the nodes
+            ((xp, yp), flat, z2, z2),     # from the nodes to a point
         ]:
             q = tl.block_kernel(sys_, t, z_from, z_to, perturb=perturb)
             assert q.shape == (N, F)
@@ -285,7 +298,8 @@ class TestEntranceTransport:
         zp = (np.array([-0.6, 0.9]), np.array([0.2]))
         xb, wx = ordered_nodes(2, -6.5, 6.5, 56)
         flo, fhi = tl.fiber_bounds(xb, tl.Shape.NNP1)
-        yb, wy, outer = stacked_box_nodes(flo, fhi, 24)
+        yb, wy = stacked_box_nodes(flo, fhi, 24)
+        outer = np.repeat(np.arange(len(xb)), 24)  # the box of each node
         gap = (xb[:, 1] - xb[:, 0])[outer]
         nu_s = elaw.density(s, xb)[outer] / np.maximum(gap, 1e-300)
         q = tl.block_kernel(bm_sys, t, (xb[outer], yb), zp)
