@@ -54,6 +54,12 @@ def _floats(s):
     return [float(v) for v in s.replace(",", " ").split()]
 
 
+def _check_n(args):
+    """Raise a one-line error unless the particle count --n is positive."""
+    if args.n < 1:
+        raise CatalogError(f"{args.command} --n must be a positive integer, got {args.n}")
+
+
 def cmd_classify(args):
     rows = []
     for sid in args.spec or CATALOG_IDS:
@@ -108,6 +114,7 @@ def cmd_density(args):
 
 
 def cmd_eigen_check(args):
+    _check_n(args)
     spec = make_spec(args.spec)
     h = km.eigenfunction_catalog(spec, args.n)
     probes = [_floats(p) for p in args.probes] if args.probes else _default_probes(spec, args.n)
@@ -143,6 +150,7 @@ def cmd_entrance_law(args):
 
 
 def cmd_intertwine_check(args):
+    _check_n(args)
     spec = make_spec(args.spec)
     shape = tl.Shape(args.shape)
     sys_ = tl.TwoLevelSystem(spec, shape)
@@ -192,7 +200,12 @@ def cmd_simulate(args):
                             f"expected one of {', '.join(SIMULATE_MODE_KEYS)}")
     known = set(SIMULATE_KEYS + SIMULATE_MODE_KEYS[mode])
     if mode == "gt":
-        known.update(f"init{k + 1}" for k in range(_count(cfg, "levels", args.config)))
+        # the first missing init<k> stops the loop, so no list is ever
+        # longer than the config file
+        levels = _count(cfg, "levels", args.config)
+        for k in range(1, levels + 1):
+            known.add(f"init{k}")
+            _required(cfg, f"init{k}", args.config)
     unread = sorted(set(cfg) - known)
     if unread:
         raise CampaignError(f"[simulate] keys not read in {mode} mode in {args.config}: {unread}")
@@ -296,6 +309,7 @@ def _trajectory_blocks(pb):
 
 
 def cmd_edge_cdf(args):
+    _check_n(args)
     spec = make_spec(args.spec)
     try:
         edge_ladder(spec, args.n)  # a family with no ladder, or a wrong end

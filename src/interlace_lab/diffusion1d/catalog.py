@@ -584,13 +584,19 @@ def _besq_kernel(spec, d, killed):
     def density(t, x, y):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
-        main = _besq_core_density(t, x, y, nu, ive)
         if (killed or nu < 0.0) and (y == 0.0).any():
-            # the core is inf * 0 or inf * nan at y = 0; the limit there is
-            # e^{-x/2t} (x/2t)^order / (2t Gamma(order + 1)) if killed, else inf
-            u = x / (2.0 * t)
-            lim = np.exp(-u) * u**order / (2.0 * t * sc.gamma(order + 1.0)) if killed else np.inf
-            main = np.where(y == 0.0, lim, main)
+            # the core is inf * 0 or inf * nan at y = 0, so it is evaluated
+            # only off 0; the limit there is e^{-x/2t} (x/2t)^order /
+            # (2t Gamma(order + 1)) if killed, else inf
+            x, y = np.broadcast_arrays(x, y)
+            at0 = y == 0.0
+            out = np.full(x.shape, np.inf)
+            if killed:
+                u = x[at0] / (2.0 * t)
+                out[at0] = np.exp(-u) * u**order / (2.0 * t * sc.gamma(order + 1.0))
+            out[~at0] = density(t, x[~at0], y[~at0])
+            return out
+        main = _besq_core_density(t, x, y, nu, ive)
         if killed:
             return np.where(x > 1e-300, main, 0.0)
         # entrance limit from 0: gamma(d/2, scale 2t)
@@ -865,14 +871,15 @@ class SpectralBasis:
     def _phi_max(self, k: int) -> float:
         return float(np.max(np.abs(self.phi(k, self.grid))))
 
-    def n_terms(self, t: float, tol: float = 1e-12) -> int:
+    def n_terms(self, t: float) -> int:
+        """Terms until the next one's bound falls below 1e-12 (at least 2)."""
         m_max = float(np.max(np.abs(self.m(self.grid))))
         for k in range(self.max_terms):
             bound = math.exp(-self.eigenvalue(k) * t) * self._phi_max(k) ** 2 * m_max
-            if bound < tol and k >= 2:
+            if bound < 1e-12 and k >= 2:
                 return k
         raise TruncationError(
-            f"{self.spec.name}: series tail above {tol:g} after {self.max_terms} terms (t={t:g})"
+            f"{self.spec.name}: series tail above 1e-12 after {self.max_terms} terms (t={t:g})"
         )
 
 

@@ -138,10 +138,10 @@ class DiffusionSpec:
         return np.clip(x, lo, hi)
 
 
-def validate_spec(spec: DiffusionSpec, probes: int = 25) -> None:
-    """Check a > 0 and C1-smoothness of a on interior probe points."""
+def validate_spec(spec: DiffusionSpec) -> None:
+    """Check a > 0 and C1-smoothness of a on 25 interior probe points."""
     lo, hi = _probe_window(spec)
-    xs = np.linspace(lo, hi, probes)
+    xs = np.linspace(lo, hi, 25)
     a = np.asarray(spec.a(xs), float)
     if not np.all(np.isfinite(a)) or np.any(a <= 0):
         raise CoefficientDomainError(f"{spec.name}: a(x) must be finite positive")
@@ -369,11 +369,6 @@ class TransitionKernel:
         return fd_derivative(
             lambda v: self.density(t, x, spec.clip_interior(v, 1e-13)), y, order=order
         )
-
-    def total_mass(self, t, x) -> float:
-        # the CDF route uses closed forms where the family has them
-        _, hi = self.window(t, x)
-        return float(self.cdf(t, x, hi) + self.atom_r(t, x))
 
 
 def density_integral(density, t, x, lo, hi, n, weight=None):

@@ -200,18 +200,19 @@ def staircase_start(x: float, n: int, eps: float, side: str = "right"):
     return x + steps if side == "right" else x - steps
 
 
-def edge_max_cdf_degenerate(spec: DiffusionSpec, n: int, t: float, x: float, z, eps: float = 1e-4):
+def edge_max_cdf_degenerate(spec: DiffusionSpec, n: int, t: float, x: float, z):
     """Extreme-particle CDF from a coincident start via a two-level
-    Richardson extrapolation over eps-staircase starts (mimicking the
-    entrance-law limit under which the formula extends)."""
-    tbl = build_edge_table(spec, n, t)
+    Richardson extrapolation over staircase starts of steps 1e-4 and 5e-5
+    (mimicking the entrance-law limit under which the formula extends)."""
+    tbl, eps = build_edge_table(spec, n, t), 1e-4
     f1 = edge_max_cdf(tbl, staircase_start(x, n, eps), z)
     f2 = edge_max_cdf(tbl, staircase_start(x, n, eps / 2), z)
     return 2.0 * f2 - f1
 
 
-def edge_min_cdf_degenerate(spec: DiffusionSpec, n: int, t: float, x: float, z, eps: float = 1e-4):
-    tbl = build_edge_table(spec, n, t)
+def edge_min_cdf_degenerate(spec: DiffusionSpec, n: int, t: float, x: float, z):
+    """P(min <= z) from a coincident start, extrapolated as edge_max_cdf_degenerate."""
+    tbl, eps = build_edge_table(spec, n, t), 1e-4
     f1 = edge_min_survival(tbl, staircase_start(x + (n - 1) * eps, n, eps, side="left"), z)
     f2 = edge_min_survival(tbl, staircase_start(x + (n - 1) * eps / 2, n, eps / 2, side="left"), z)
     return 1.0 - (2.0 * f2 - f1)

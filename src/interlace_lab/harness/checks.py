@@ -256,11 +256,11 @@ def dyson_marginal_cdf(x0, t, idx):
     return cdf
 
 
-def run_dyson_w12(paths=20000, dt=4e-3, seed=7, init_seed=99):
+def run_dyson_w12(paths=20000, dt=4e-3, seed=7):
     bm = make_spec("bm")
 
     def y0(n):
-        rng = np.random.default_rng(init_seed)
+        rng = np.random.default_rng(99)
         return rng.uniform(-1.0, 1.0, size=(n, 1))
 
     pb = rs.simulate_two_level(
@@ -270,16 +270,16 @@ def run_dyson_w12(paths=20000, dt=4e-3, seed=7, init_seed=99):
     return pb.terminal(1)
 
 
-def run_bes3_w11(paths=20000, dt=4e-3, seed=42, init_seed=123, T=1.0):
+def run_bes3_w11(paths=20000, dt=4e-3, seed=42):
     spec = make_spec("bm_halfline:abs")
     ysp = make_spec("bm_halfline:refl")
 
     def y0(n):
-        rng = np.random.default_rng(init_seed)
+        rng = np.random.default_rng(123)
         return rng.uniform(0.0, 1.0, size=(n, 1))
 
     pb = rs.simulate_two_level(
-        spec, tl.Shape.NN, np.array([1.0]), y0, T=T, dt=dt,
+        spec, tl.Shape.NN, np.array([1.0]), y0, T=1.0, dt=dt,
         n_paths=paths, seed=seed, y_spec=ysp,
     )
     return pb.terminal(1)[:, 0]
@@ -308,19 +308,19 @@ def check_warren_dyson(paths=20000, dt=0.05, tolerance=0.02, seed=7):
 # -- A6 ---------------------------------------------------------------------
 
 
-def run_gt2(family: str, paths, dt, seed, t_start=1e-3, T=1.0, init_seed=11):
-    """GT(2) from the origin via the entrance law at t_start."""
+def run_gt2(family: str, paths, dt, seed, init_seed=11):
+    """GT(2) from the origin via the entrance law at t0 = 1e-3, run to T = 1."""
     elaw = km.entrance_law(family, 2)
     specs = edge_ladder(elaw.spec, 2)
 
     def init(n):
         rng = np.random.default_rng(init_seed)
-        x2 = elaw.sample(rng, t_start, n)
+        x2 = elaw.sample(rng, 1e-3, n)
         u = rng.random(n)
         x1 = x2[:, 0] + u * (x2[:, 1] - x2[:, 0])
         return [x1[:, None], x2]
 
-    return rs.simulate_gt(specs, init, T=T, dt=dt, n_paths=paths, seed=seed, t0=t_start)
+    return rs.simulate_gt(specs, init, T=1.0, dt=dt, n_paths=paths, seed=seed, t0=1e-3)
 
 
 # the gt2-besq levels step exactly and push in sqrt(x), so a coarse grid

@@ -39,7 +39,7 @@ from .diffusion1d import (
     TransitionKernel,
     spectral_basis,
 )
-from .diffusion1d.catalog import FAMILIES, _power, chamber_quad, gaussian_moments, make_spec
+from .diffusion1d.catalog import FAMILIES, _power, chamber_quad, make_spec
 from .quadrature import chebyshev_antiderivative, fd_derivative
 
 
@@ -140,12 +140,12 @@ def h_transform_density(kern: TransitionKernel, h: Eigenfunction, t: float, x, y
     return math.exp(-h.rate * t) * h(y) / hx * km_density(kern, t, x, y)
 
 
-def semigroup_entries(kern: TransitionKernel, h: Eigenfunction, t: float, x, n_quad=240):
+def semigroup_entries(kern: TransitionKernel, h: Eigenfunction, t: float, x):
     """Matrix g_ij = int p_t(x_i, y) h_j(y) dy of one-particle actions, over
     the kernel window widened for the polynomial tails of the components."""
     n = h.n
     x = _coordinates(n, x)
-    ys, ws = chamber_quad(kern.spec, 1, *kern.window(t, x), n_quad, pad=(0.5, 0.9))
+    ys, ws = chamber_quad(kern.spec, 1, *kern.window(t, x), 240, pad=(0.5, 0.9))
     ys = ys[:, 0]
     G = np.empty((n, n))
     hy = [np.asarray(h.components[j](ys), float) for j in range(n)]
@@ -156,12 +156,12 @@ def semigroup_entries(kern: TransitionKernel, h: Eigenfunction, t: float, x, n_q
     return G
 
 
-def eigen_residual(kern: TransitionKernel, h: Eigenfunction, t: float, probes, n_quad=240):
+def eigen_residual(kern: TransitionKernel, h: Eigenfunction, t: float, probes):
     """max over probes of |(P_t^n h)(x) - e^{rate t} h(x)| / |h(x)|."""
     probes = np.atleast_2d(np.asarray(probes, float))
     worst = 0.0
     for x in probes:
-        lhs = float(det(semigroup_entries(kern, h, t, x, n_quad)))
+        lhs = float(det(semigroup_entries(kern, h, t, x)))
         hx = float(h(x))
         worst = max(worst, abs(lhs - math.exp(h.rate * t) * hx) / abs(hx))
     return worst
@@ -172,8 +172,8 @@ def eigen_residual(kern: TransitionKernel, h: Eigenfunction, t: float, probes, n
 # ---------------------------------------------------------------------------
 
 
-def vandermonde(n: int, rate: float = 0.0, name="vandermonde") -> Eigenfunction:
-    return Eigenfunction(n=n, components=[_power(j) for j in range(n)], rate=rate, name=name)
+def vandermonde(n: int) -> Eigenfunction:
+    return Eigenfunction(n, [_power(j) for j in range(n)], 0.0, "vandermonde")
 
 
 def eigenfunction_catalog(spec: DiffusionSpec, n: int) -> Eigenfunction:
@@ -187,20 +187,6 @@ def eigenfunction_catalog(spec: DiffusionSpec, n: int) -> Eigenfunction:
         raise CatalogError(f"no eigenfunction catalog entry for family {spec.family!r}")
     comps, rate, name = rec.eigen(spec.params, n)
     return Eigenfunction(n=n, components=comps, rate=rate, name=name)
-
-
-def drifted_exponential_eigenfunction(spec: DiffusionSpec, drifts) -> Eigenfunction:
-    """det(e^{mu_i x_j}) for Brownian motions with drift; rate from moment
-    generating functions of the one-particle motion."""
-    # Brownian families: Gaussian kernels whose mean is x + mu0 t
-    gauss = gaussian_moments(spec)
-    if gauss is None or gauss[2](1.0) != 1.0:
-        raise CatalogError("exponential eigenfunctions are for Brownian families")
-    mu0 = float(gauss[0](1.0, 0.0))
-    drifts = np.asarray(drifts, float)
-    comps = [lambda x, m=m: np.exp(m * np.asarray(x, float)) for m in drifts]
-    rate = float(np.sum(drifts * mu0 + 0.5 * drifts**2))
-    return Eigenfunction(n=len(drifts), components=comps, rate=rate, name="exp-det")
 
 
 def ground_state(spec: DiffusionSpec, n: int) -> Eigenfunction:
@@ -223,13 +209,13 @@ def ground_state(spec: DiffusionSpec, n: int) -> Eigenfunction:
     return h
 
 
-def spectral_km(spec: DiffusionSpec, n: int, t: float, x, y, tol: float = 1e-12):
+def spectral_km(spec: DiffusionSpec, n: int, t: float, x, y):
     """Karlin-McGregor density via the eigen-expansion over ordered index
     tuples: sum_k e^{-|lambda_k| t} phi_k(x) phi_k(y) prod m(y_i).
 
     x and y are (..., n) arrays; the result has their broadcast batch shape."""
     basis = spectral_basis(spec)
-    K = basis.n_terms(t, tol)
+    K = basis.n_terms(t)
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     phis_x = [basis.phi(k, x) for k in range(K)]
@@ -249,79 +235,48 @@ def spectral_km(spec: DiffusionSpec, n: int, t: float, x, y, tol: float = 1e-12)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    """One interlacing step: integrate current components against `weight`
-    from `base`, growing the particle count by one when `grow` (a leading
-    constant column is prepended); `mult` is an optional per-coordinate
-    factor (the level's one-dimensional h-transform)."""
-
-    weight: Callable
-    grow: bool = True
-    base: float = 0.0
-    mult: Optional[Callable] = None
-    hi: float = 30.0
-    sqrt_map: bool = False
+def _ones(x):
+    return np.ones_like(np.asarray(x, float))
 
 
-def build_eigenfunction_recursive(steps: Sequence[ChainStep], rate: float = 0.0,
-                                  name: str = "chain") -> Eigenfunction:
+def _chain(steps, hi: float, name: str, sqrt_map: bool = False) -> Eigenfunction:
     """Iterate interlacing integral kernels over determinant components.
 
-    Starting from the single component 1, each step maps components g_i to
-    G_i(x) = int_base^x weight(z) g_i(z) dz (numerically, by Chebyshev
-    antiderivatives); growing steps prepend the constant component.
+    Starting from the single component 1, each (weight, grow) step maps
+    components g_i to G_i(x) = int_0^x weight(z) g_i(z) dz, a Chebyshev
+    antiderivative on [0, hi]; growing steps prepend the constant component.
     """
-    comps: list = [lambda x: np.ones_like(np.asarray(x, float))]
-    for st in steps:
-        new = []
-        for g in comps:
-            integrand = lambda z, gg=g: np.asarray(st.weight(z), float) * np.asarray(gg(z), float)
-            G = chebyshev_antiderivative(
-                integrand, st.base, st.hi, deg=160, sqrt_map=st.sqrt_map
+    comps: list = [_ones]
+    for weight, grow in steps:
+        comps = [
+            chebyshev_antiderivative(
+                lambda z, g=g: np.asarray(weight(z), float) * np.asarray(g(z), float),
+                hi, sqrt_map=sqrt_map,
             )
-            new.append(G)
-        if st.grow:
-            new = [lambda x: np.ones_like(np.asarray(x, float))] + new
-        if st.mult is not None:
-            new = [lambda x, f=f: np.asarray(st.mult(x), float) * np.asarray(f(x), float) for f in new]
-        comps = new
-    return Eigenfunction(n=len(comps), components=comps, rate=rate, name=name)
+            for g in comps
+        ]
+        if grow:
+            comps = [_ones] + comps
+    return Eigenfunction(n=len(comps), components=comps, rate=0.0, name=name)
 
 
-def bm_pattern_chain(n: int, hi: float = 30.0) -> Eigenfunction:
+def bm_pattern_chain(n: int) -> Eigenfunction:
     """Brownian chain: unit weights; reproduces span{1, x, ..., x^{n-1}}."""
-    one = lambda x: np.ones_like(np.asarray(x, float))
-    steps = [ChainStep(weight=one, grow=True, base=0.0, hi=hi) for _ in range(n - 1)]
-    return build_eigenfunction_recursive(steps, rate=0.0, name="bm-chain")
+    return _chain([(_ones, True)] * (n - 1), 30.0, "bm-chain")
 
 
-def halfline_pattern_chain(n_steps: int, hi: float = 30.0) -> Eigenfunction:
+def halfline_pattern_chain(n_steps: int) -> Eigenfunction:
     """Half-line chain alternating flat/grow steps with unit weights,
     starting from one reflected particle."""
-    one = lambda x: np.ones_like(np.asarray(x, float))
-    steps = [
-        ChainStep(weight=one, grow=(k % 2 == 1), base=0.0, hi=hi)
-        for k in range(n_steps)
-    ]
-    return build_eigenfunction_recursive(steps, rate=0.0, name="halfline-chain")
+    return _chain([(_ones, k % 2 == 1) for k in range(n_steps)], 30.0, "halfline-chain")
 
 
-def besq_pattern_chain(d: float, n_steps: int, hi: float = 40.0) -> Eigenfunction:
+def besq_pattern_chain(d: float, n_steps: int) -> Eigenfunction:
     """Squared-Bessel chain with weights alternating x^nu (flat steps, the
     scale density of the conjugate) and x^(-nu-1) (growing steps)."""
     nu = d / 2.0 - 1.0
-    steps = []
-    for k in range(n_steps):
-        if k % 2 == 0:
-            steps.append(
-                ChainStep(weight=_power(nu), grow=False, base=0.0, hi=hi, sqrt_map=True)
-            )
-        else:
-            steps.append(
-                ChainStep(weight=_power(-nu - 1.0), grow=True, base=0.0, hi=hi, sqrt_map=True)
-            )
-    return build_eigenfunction_recursive(steps, rate=0.0, name="besq-chain")
+    steps = [(_power(-nu - 1.0), True) if k % 2 else (_power(nu), False) for k in range(n_steps)]
+    return _chain(steps, 40.0, "besq-chain", sqrt_map=True)
 
 
 def wronskian(components: Sequence[Callable], x: float) -> float:
@@ -377,10 +332,10 @@ class EntranceLawSpec:
         """Quadrature nodes and weights over the law's chamber at time t."""
         return chamber_quad(self.spec, self.n, *self.window(t), n_nodes)
 
-    def log_norm(self, t: float, n_nodes: int = 80) -> float:
-        key = (round(float(t), 12), n_nodes)
+    def log_norm(self, t: float) -> float:
+        key = round(float(t), 12)
         if key not in self._norms:
-            pts, wts = self.chamber(t, n_nodes)
+            pts, wts = self.chamber(t)
             self._norms[key] = math.log(float(np.dot(wts, self.unnormalized(t, pts))))
         return self._norms[key]
 
@@ -586,9 +541,7 @@ def entrance_consistency_residual(
 # ---------------------------------------------------------------------------
 
 
-def polynomial_ensemble_limit(
-    kern: TransitionKernel, h: Eigenfunction, x: float, n: int, t: float, n_nodes: int = 96
-):
+def polynomial_ensemble_limit(kern: TransitionKernel, h: Eigenfunction, x: float, n: int, t: float):
     """Degenerate-start density det(h_i(y_j)) det(d^{i-1}/dx^{i-1} p_t(x,y_j)),
     normalized by chamber quadrature; returns a density callable on W^n."""
 
@@ -598,7 +551,7 @@ def polynomial_ensemble_limit(
         D = [kern.density(t, x, y)] + [kern.dx_derivative(i, t, x, y) for i in range(1, n)]
         return _row_det(H) * _row_det(D)
 
-    pts, wts = chamber_quad(kern.spec, n, *kern.window(t, x), n_nodes, pad=(0.4, 0.9))
+    pts, wts = chamber_quad(kern.spec, n, *kern.window(t, x), 96, pad=(0.4, 0.9))
     Z = float(np.dot(wts, raw(pts)))
     if not Z > 0:
         raise ArithmeticError("degenerate-start density failed to normalize")

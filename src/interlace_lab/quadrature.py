@@ -79,37 +79,20 @@ def stacked_box_nodes(los: np.ndarray, his: np.ndarray, n: int = 32):
     return pts.reshape(N * M, k), wts.reshape(N * M)
 
 
-def chebyshev_antiderivative(
-    f: Callable,
-    lo: float,
-    hi: float,
-    deg: int = 96,
-    lbnd: float | None = None,
-    sqrt_map: bool = False,
-) -> Callable:
-    """Antiderivative x -> int_lbnd^x f via a Chebyshev interpolant of f.
+def chebyshev_antiderivative(f: Callable, hi: float, sqrt_map: bool = False) -> Callable:
+    """Antiderivative x -> int_0^x f via a degree-160 Chebyshev interpolant
+    of f on [0, hi].
 
-    sqrt_map=True integrates in u = sqrt(x - lo) coordinates, which removes
-    integrable power singularities of f at lo (half-line speed densities).
+    sqrt_map=True integrates in u = sqrt(x) coordinates, which removes
+    integrable power singularities of f at 0 (half-line speed densities).
     """
     from numpy.polynomial.chebyshev import Chebyshev
 
     if sqrt_map:
-        span = np.sqrt(hi - lo)
-
-        def g(u):
-            return f(lo + u * u) * 2.0 * u
-
-        ch = Chebyshev.interpolate(g, deg, domain=[0.0, span])
+        ch = Chebyshev.interpolate(lambda u: f(u * u) * 2.0 * u, 160, domain=[0.0, np.sqrt(hi)])
         F = ch.integ(lbnd=0.0)
-
-        def anti(x):
-            u = np.sqrt(np.maximum(np.asarray(x, float) - lo, 0.0))
-            return F(u)
-
-        return anti
-    ch = Chebyshev.interpolate(f, deg, domain=[lo, hi])
-    return ch.integ(lbnd=lo if lbnd is None else lbnd)
+        return lambda x: F(np.sqrt(np.maximum(np.asarray(x, float), 0.0)))
+    return Chebyshev.interpolate(f, 160, domain=[0.0, hi]).integ(lbnd=0.0)
 
 
 _CENTRAL = {
@@ -130,17 +113,15 @@ def _central(f, x, order, h):
     return acc / h**order
 
 
-def fd_derivative(f: Callable, x, order: int = 1, h=None):
+def fd_derivative(f: Callable, x, order: int = 1):
     """Central finite difference of given order with one Richardson step.
 
-    Default step h = max(h0, h0*|x|) with h0 pinned per order; order 1 uses
+    The step is h = max(h0, h0*|x|) with h0 pinned per order; order 1 uses
     h0 = 1e-5, balancing truncation against cancellation in double precision.
     """
     x = np.asarray(x, float)
-    if h is None:
-        h0 = _FD_BASE_H[order]
-        h = np.maximum(h0, h0 * np.abs(x))
-    h = np.asarray(h, float)
+    h0 = _FD_BASE_H[order]
+    h = np.asarray(np.maximum(h0, h0 * np.abs(x)), float)
     d1 = _central(f, x, order, h)
     d2 = _central(f, x, order, h / 2.0)
     return (4.0 * d2 - d1) / 3.0

@@ -320,51 +320,6 @@ def lambda_mass(spec, shape, x, h_hat, n_nodes: int = 48) -> float:
     )
 
 
-def sample_interlacing_fiber(
-    rng: np.random.Generator,
-    spec: DiffusionSpec,
-    shape: Shape,
-    x,
-    h_hat: Optional[Eigenfunction] = None,
-    size: int = 1,
-    oversample: int = 8,
-) -> np.ndarray:
-    """Draw y from the normalized fiber density prop. to prod m_hat(y) h(y).
-
-    Rejection from the uniform law on the fiber box, with 1.6 times the
-    weight's largest value on the fiber's quadrature nodes as the envelope
-    (the fiber is compact and the weight bounded for the starts used here).
-    """
-    x = np.asarray(x, float)
-    l, r = spec.interval
-    lo, hi = fiber_bounds(x, shape, l, r)
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError("fiber is unbounded; supply an explicit sampler")
-    n1 = lo.shape[-1]
-    mh_fun = scale_speed(spec).s_prime
-
-    def weight(y):
-        w = np.prod(np.asarray(mh_fun(y), float), axis=-1)
-        if h_hat is not None:
-            w = w * np.maximum(h_hat(y), 0.0)
-        return w
-
-    (probe,), _ = fiber_quad(spec, lo[None, :], hi[None, :], 24)
-    bound = 1.6 * float(np.max(weight(probe))) + 1e-300
-    out = np.empty((size, n1))
-    got = 0
-    while got < size:
-        m = max(oversample * (size - got), 128)
-        y = rng.uniform(lo, hi, size=(m, n1))
-        y.sort(axis=1)
-        keep = rng.random(m) * bound < weight(y)
-        acc = y[keep]
-        take = min(size - got, acc.shape[0])
-        out[got : got + take] = acc[:take]
-        got += take
-    return out
-
-
 # ---------------------------------------------------------------------------
 # identity residuals
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,7 +196,11 @@ class TestCLI:
           "--start", "0 inf"],
          ["edge-cdf", "--spec", "bm_halfline:refl", "--n", "2", "--zmin", "0", "--zmax", "1"],
          ["edge-cdf", "--spec", "ou_out", "--n", "2", "--zmin", "0", "--zmax", "1"],
-         ["edge-cdf", "--spec", "besq:1", "--n", "2", "--zmin", "0", "--zmax", "1"]],
+         ["edge-cdf", "--spec", "besq:1", "--n", "2", "--zmin", "0", "--zmax", "1"],
+         ["edge-cdf", "--spec", "bm", "--n", "0", "--zmin", "0", "--zmax", "1"],
+         ["edge-cdf", "--spec", "bm", "--n", "-2", "--zmin", "0", "--zmax", "1"],
+         ["eigen-check", "--spec", "bm", "--n", "0"],
+         ["intertwine-check", "--spec", "bm", "--n", "0"]],
     )
     def test_errors_are_one_line(self, argv, capsys):
         assert main(argv) == 2
@@ -326,3 +331,19 @@ class TestCLI:
         assert err.startswith("interlace-lab: error: [simulate] ") and err.count("\n") == 1
         assert named.format(cfg=cfg) in err and str(cfg) in err, err
         assert not out.exists()
+
+    def test_simulate_names_a_missing_level_before_building_per_level_lists(self, tmp_path,
+                                                                            capsys):
+        # a million levels with only init1: the error costs no memory per level
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("[simulate]\nfamily = bm\nmode = gt\nlevels = 1000000\ninit1 = 0\n"
+                       f"t = 0.1\ndt = 0.05\npaths = 2\noutput = {tmp_path / 'out'}\n")
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(cfg)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "init2 missing from" in err
+        assert peak < 2**20

@@ -82,6 +82,18 @@ class TestEdgeDensity:
         v = ek.edge_density(tbl, np.array([0.2]), np.array([[0.9]]))
         assert float(v) == pytest.approx(float(kernel(make_spec("bm")).density(1.0, 0.2, 0.9)), rel=1e-12)
 
+    @pytest.mark.parametrize("x, xp", [
+        ([0.5, -0.3], [[0.9, 0.1], [0.2, -0.6]]),
+        ([1.0, 0.2, -0.4], [[1.1, 0.5, -0.2], [0.4, 0.0, -1.0]]),
+    ])
+    def test_falling_edge_is_the_mirrored_rising_edge(self, x, xp):
+        # Brownian motion is symmetric, so the falling edge from the
+        # decreasing (x, x') is the rising edge from (-x, -x')
+        tbl = ek.build_edge_table(make_spec("bm"), len(x), 0.7)
+        left = ek.edge_density(tbl, x, xp, side="left")
+        right = ek.edge_density(tbl, -np.array(x), -np.array(xp))
+        np.testing.assert_allclose(left, right, rtol=1e-12, atol=0.0)
+
     def test_conservative_normalization(self, bm2):
         x = np.array([0.0, 0.4])
         pts, wts = ordered_nodes(2, -8.0, 8.5, 80)

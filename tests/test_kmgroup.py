@@ -202,11 +202,6 @@ class TestEigenfunctions:
         h1 = km.eigenfunction_catalog(make_spec("bm_interval:abs,abs"), 1)
         assert h1.rate == pytest.approx(-0.5)
 
-    def test_drifted_exponential(self):
-        spec = make_spec("bm_drift:0.3")
-        h = km.drifted_exponential_eigenfunction(spec, [0.1, 0.6])
-        assert km.eigen_residual(kernel(spec), h, 0.5, [[0.0, 1.0]]) < 1e-9
-
     def test_unknown_family_raises(self):
         import dataclasses
 

@@ -216,15 +216,6 @@ class TestLambda:
             tl.lambda_apply(make_spec("bm"), tl.Shape.NN,
                             lambda xr, yr: np.ones(yr.shape[0]), np.array([0.0]))
 
-    def test_fiber_sampler_matches_density(self):
-        rng = np.random.default_rng(11)
-        x = np.array([0.0, 2.0])
-        s = tl.sample_interlacing_fiber(rng, make_spec("bm"), tl.Shape.NNP1, x, size=20000)
-        assert s.shape == (20000, 1)
-        assert np.all((s >= 0.0) & (s <= 2.0))
-        # uniform on [0, 2]
-        assert np.mean(s) == pytest.approx(1.0, abs=0.02)
-        assert np.mean(s**2) == pytest.approx(4.0 / 3.0, abs=0.04)
 
 
 class TestIdentities:
