@@ -52,11 +52,13 @@ spec's interval and return states with the Jacobian folded into the
 weights.  The reflected-system stepper pushes exactly stepped 'sqrt'
 members in the same coordinates.
 
-Only besq has an exact step, dt chi'^2_d(x / dt); reflectsde steps every
-other family, and killed besq, by an Euler step.  Constant coefficients are
-built by _Const, whose value constant_coefficients reads: the Brownian
-families have a = 1/2 and a constant b, so their Euler step is
-x + b dt + sqrt(dt) xi with no coefficient evaluated per step.
+Only besq and lag have exact steps: besq draws dt chi'^2_d(x / dt), and lag
+the time-changed, rescaled besq draw of its kernel.  reflectsde steps
+every other family, lag_dual and killed besq included, by an Euler step.
+Constant coefficients are built by _Const, whose value
+constant_coefficients reads: the Brownian families have a = 1/2 and a
+constant b, so their Euler step is x + b dt + sqrt(dt) xi with no
+coefficient evaluated per step.
 """
 from __future__ import annotations
 
@@ -1002,15 +1004,16 @@ def _hermite_basis(spec):
 
 
 def _laguerre_basis(spec):
+    """phi_k = L_k^(nu)(x) / sqrt(h_k e / 2), nu = alpha/2 - 1, with the
+    closed-form norm h_k = int L_k^2 x^nu e^-x = Gamma(k + nu + 1) / k!
+    (DLMF 18.3.1), in log-gamma so that no k below max_terms overflows."""
     alpha = spec.params[0]
     nu = alpha / 2.0 - 1.0
-    nodes, weights = sc.roots_genlaguerre(320, nu)
 
     @functools.lru_cache(maxsize=1024)
     def norm(k):
-        vals = sc.eval_genlaguerre(k, nu, nodes)
-        raw = float(np.dot(weights, vals * vals))  # int L_k^2 x^nu e^-x
-        return 1.0 / math.sqrt(raw * (math.e / 2.0))
+        log_h = sc.gammaln(k + nu + 1.0) - sc.gammaln(k + 1.0)
+        return math.exp(-0.5 * (log_h + 1.0 - math.log(2.0)))
 
     def phi(k, x):
         return sc.eval_genlaguerre(k, nu, np.asarray(x, float)) * norm(k)
@@ -1031,15 +1034,28 @@ def _laguerre_basis(spec):
 
 
 def _jacobi_basis(spec):
+    """phi_k(x) = P_k^(a,b)(2x - 1) / sqrt(h_k), a = gamma - 1, b = beta - 1,
+    with the closed-form norm (DLMF 18.3.1)
+
+        h_k = int P_k^2 (1-u)^a (1+u)^b du
+            = 2^(a+b+1) G(k+a+1) G(k+b+1) / ((2k+a+b+1) G(k+a+b+1) k!)
+
+    in log-gamma.  At k = 0 the product (a+b+1) G(a+b+1) is G(a+b+2), which
+    stays finite at a + b = -1 (beta + gamma = 1), where the factors are
+    0 and infinity."""
     beta, gamma = spec.params
     a_j, b_j = gamma - 1.0, beta - 1.0
-    nodes, weights = sc.roots_jacobi(160, a_j, b_j)
 
     @functools.lru_cache(maxsize=1024)
     def norm(k):
-        vals = sc.eval_jacobi(k, a_j, b_j, nodes)
-        raw = float(np.dot(weights, vals * vals))
-        return 1.0 / math.sqrt(raw)
+        ab = a_j + b_j
+        log_h = ((ab + 1.0) * math.log(2.0) + sc.gammaln(k + a_j + 1.0)
+                 + sc.gammaln(k + b_j + 1.0) - sc.gammaln(k + 1.0))
+        if k == 0:
+            log_h -= sc.gammaln(ab + 2.0)
+        else:
+            log_h -= math.log(2.0 * k + ab + 1.0) + sc.gammaln(k + ab + 1.0)
+        return math.exp(-0.5 * log_h)
 
     def phi(k, x):
         u = 2.0 * np.asarray(x, float) - 1.0
@@ -1187,6 +1203,18 @@ def _besq_step(params):
     return step, {"normal": 2}
 
 
+def _lag_step(params):
+    """The Laguerre transition as _laguerre_kernel reads it: e^{2 dt} X_dt is
+    BESQ(alpha) at tau = (e^{2 dt} - 1) / 2, so X_dt = e^{-2 dt} Y_tau with
+    Y_tau the exact BESQ(alpha) step from x; it draws what that step draws."""
+    besq_step, draws = _besq_step((params[0], False))
+
+    def step(x, dt, gen):
+        e2 = math.exp(2.0 * dt)
+        return besq_step(x, 0.5 * (e2 - 1.0), gen) / e2
+    return step, draws
+
+
 _FLIP = {"refl": "abs", "abs": "refl"}
 
 
@@ -1278,6 +1306,7 @@ FAMILIES: dict[str, _Family] = {
         basis=_laguerre_basis,
         eigen=lambda p, n: _vandermonde(n, -float(n * (n - 1))),
         ladder=lambda p, m: _id("lag", (p[0] + 2 * m,)),
+        step=_lag_step,
         coords="sqrt",
     ),
     "lag_dual": _Family(

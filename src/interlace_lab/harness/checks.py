@@ -155,7 +155,7 @@ CHAPMAN_PROBES = [
 
 
 @register("chapman-bm", "semigroup residuals at probe pairs")
-def check_chapman(s=0.5, t=0.5, tolerance=1e-3, nodes=48):
+def check_chapman(s=0.5, t=0.5, tolerance=1e-3, nodes=31):
     sys = tl.TwoLevelSystem(make_spec("bm"), tl.Shape.NNP1)
     rows = []
     for (z, z2) in CHAPMAN_PROBES:

@@ -16,7 +16,8 @@ The rule is twolevel's (interlace_slices, interlace_bounds).
 
 Scheme: per time step each level in turn takes a free step and is then
 pushed off its bounds.  A non-killed besq level steps exactly, each
-particle drawn as x' = dt chi'^2_d(x / dt) (catalog.exact_step); that draw
+particle drawn as x' = dt chi'^2_d(x / dt) (catalog.exact_step), and so
+does a lag level, by the time-changed besq draw of its kernel; that draw
 has the law reflected at 0 already, so such a level has no static wall.
 A level with constant coefficients (catalog.constant_coefficients: the
 Brownian families, a = 1/2) steps x' = x + b dt + sqrt(dt) xi and
@@ -52,8 +53,8 @@ push of the side it moves away from.  Pushes are recorded in state units,
 so each step moves a particle by its free increment plus its lower push
 minus its upper push.  For Brownian levels (a = 1/2) the Euler step is
 exact and V is the gap's true variance, so the push is exact, or nearly
-so, at any dt; the same holds for besq levels in u = sqrt(x), up to the
-drift of u inside the step.
+so, at any dt; the same holds for besq and lag levels in u = sqrt(x), up
+to the drift of u inside the step.
 
 Noise comes from counter-based Philox streams keyed (kind, level,
 particle):
@@ -65,10 +66,10 @@ particle):
     (5, k, i), (6, k, i)   Exp(1) draws of particle i of two-level or GT
                            level k (0 = Y, 1 = X), bounded below, above
 
-A free step draws normals (Euler, and the exact step of besq:2) or
-noncentral chi^2 variates.  Only bounded particles draw E, each side from
-its own stream, so the free steps are those of a system without pushes.
-Bundles are bit-reproducible for a fixed seed and independent of
+A free step draws normals (Euler, and the exact steps of besq:2 and
+lag:2) or noncentral chi^2 variates.  Only bounded particles draw E, each
+side from its own stream, so the free steps are those of a system without
+pushes.  Bundles are bit-reproducible for a fixed seed and independent of
 scheduling.
 
 Stop rules: a two-level system tests Y's proposal before anything moves;

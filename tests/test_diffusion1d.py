@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -574,6 +575,44 @@ class TestSpectralBases:
         fd = (basis.m(x + h) - basis.m(x - h)) / (2.0 * h)
         mp = basis.m_prime(x)
         assert np.all(np.abs(mp - fd) <= 1e-8 * (np.abs(basis.m(x)) + np.abs(mp)))
+
+    @pytest.mark.parametrize("sid", ["lag:2", "lag:3", "lag:5"])
+    def test_laguerre_basis_is_finite_for_every_term(self, sid):
+        # a 320-node quadrature norm overflowed from k = 107 on, leaving 193
+        # of the 300 terms nan; the closed form h_k = Gamma(k + nu + 1) / k!
+        # agrees with it wherever that quadrature is finite
+        basis = spectral_basis(make_spec(sid))
+        nu = make_spec(sid).params[0] / 2.0 - 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(basis.max_terms):
+                assert np.all(np.isfinite(basis.phi(k, basis.grid))), k
+                assert np.all(np.isfinite(basis.phi_prime(k, basis.grid))), k
+        nodes, weights = sc.roots_genlaguerre(320, nu)
+        x = np.array([0.3, 1.0, 2.5])
+        for k in range(101):
+            vals = sc.eval_genlaguerre(k, nu, nodes)
+            norm = 1.0 / math.sqrt(float(np.dot(weights, vals * vals)) * math.e / 2.0)
+            quad = sc.eval_genlaguerre(k, nu, x) * norm
+            assert np.allclose(basis.phi(k, x), quad, rtol=1e-12, atol=0.0), k
+
+    def test_jacobi_ground_state_at_beta_plus_gamma_one(self):
+        # a + b = -1: the textbook h_0 is 0 * infinity; h_0 = pi here
+        basis = spectral_basis(make_spec("jac:0.5,0.5"))
+        assert float(basis.phi(0, 0.3)) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
+        assert np.all(np.isfinite([basis.phi(k, 0.3) for k in range(basis.max_terms)]))
+
+    def test_jacobi_closed_form_norm_matches_the_quadrature_norm(self):
+        # jac:1,1 is P_k^(0,0), Legendre, normalised against a 160-node
+        # Gauss-Jacobi norm: the closed form changes no value by 1e-12
+        basis = spectral_basis(make_spec("jac:1,1"))
+        nodes, weights = sc.roots_jacobi(160, 0.0, 0.0)
+        x = np.array([0.05, 0.3, 0.61, 0.97])
+        for k in range(121):
+            vals = sc.eval_jacobi(k, 0.0, 0.0, nodes)
+            norm = 1.0 / math.sqrt(float(np.dot(weights, vals * vals)))
+            quad = sc.eval_jacobi(k, 0.0, 0.0, 2.0 * x - 1.0) * norm
+            assert np.allclose(basis.phi(k, x), quad, rtol=1e-12, atol=0.0), k
 
 
 def _probes(spec):

@@ -365,6 +365,21 @@ def test_kernels_and_ks_helpers_import_no_heavy_scipy_module():
     assert out.stdout.strip() == "[]"
 
 
+def test_eigen_structure_imports_no_scipy_linalg():
+    # the Laguerre and Jacobi norms are closed forms: no Golub-Welsch node
+    # rule (scipy.special.roots_*), and so no scipy.linalg import, in A8
+    import subprocess
+    import sys
+
+    code = ("import sys\n"
+            "from interlace_lab.harness.checks import check_eigen_structure\n"
+            "assert check_eigen_structure().passed\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_perfbench_finds_every_name_it_traces():
     # the benchmark reaches into the package by name (its set-ups, its
     # tracer's wrapped entry points, its gate's row keys); a name it needs

@@ -473,14 +473,30 @@ class TestExactBesqSteps:
         monkeypatch.setitem(catalog.FAMILIES, "besq", replace(rec, step=steps[wrong]))
         assert self._one_step_ks(sid, x0) > 0.02
 
-    def test_only_unkilled_besq_steps_exactly(self):
+    def test_only_unkilled_besq_and_lag_step_exactly(self):
         from interlace_lab.diffusion1d.catalog import FAMILIES, exact_step
 
-        assert [f for f, rec in FAMILIES.items() if rec.step is not None] == ["besq"]
-        for sid in ("besq:1:abs", "besq:-1", "besq:0"):
+        assert [f for f, rec in FAMILIES.items() if rec.step is not None] == ["besq", "lag"]
+        for sid in ("besq:1:abs", "besq:-1", "besq:0", "lag_dual:3"):
             assert exact_step(make_spec(sid)) is None, sid
-        for sid in ("besq:0.5", "besq:1", "besq:2", "besq:3"):
+        for sid in ("besq:0.5", "besq:1", "besq:2", "besq:3", "lag:1", "lag:2", "lag:3"):
             assert exact_step(make_spec(sid)) is not None, sid
+
+    @pytest.mark.parametrize("x0", [0.0, 1.2])
+    def test_lag_step_has_the_kernel_law(self, x0):
+        # 200k draws of one step: e^{-2 dt} times the BESQ(3) step over
+        # tau = (e^{2 dt} - 1) / 2; the BESQ step over dt alone fails
+        from interlace_lab.diffusion1d import kernel
+        from interlace_lab.diffusion1d.catalog import exact_step
+        from interlace_lab.harness.stats import ks_statistic_cdf
+
+        spec, dt = make_spec("lag:3"), 0.5
+        cdf = lambda x: kernel(spec).cdf(dt, x0, x)
+        x = np.sort(exact_step(spec)(np.full(200000, x0), dt, np.random.default_rng(29)))
+        assert ks_statistic_cdf(x, cdf(x)) <= 0.005
+        wrong = np.sort(exact_step(make_spec("besq:3"))(np.full(200000, x0), dt,
+                                                        np.random.default_rng(29)))
+        assert ks_statistic_cdf(wrong, cdf(wrong)) > 0.05
 
     @pytest.mark.parametrize("sid, shape, x0, y0, order", [
         # order: the columns of (x, y) from low to high when interlaced
@@ -501,19 +517,22 @@ class TestExactBesqSteps:
 
     def test_no_recorded_state_below_zero(self):
         # a push taken in state units once carried these runs below 0: 108
-        # terminal level-2 values of the GT run, 77,695 recorded edge values.
+        # terminal level-2 values of the GT run, 77,695 recorded besq:2 edge
+        # values, and, under Euler steps, 84,767 lag:2 and 25,828 lag:3 ones.
         # In u = sqrt(x), floored at 0, no value can leave [0, inf); without
         # the floor, x = u^2 of a u pushed below 0 would break the order
         from interlace_lab.harness.checks import run_gt2
 
         gt = run_gt2("besq:2", 20000, 4e-3, 15, init_seed=21)
-        edge = rs.simulate_edge(make_spec("besq:2"), 2, "left", np.array([2e-4, 1e-4]), T=0.3,
-                                dt=2e-3, n_paths=20000, seed=15, record_stride=1)
-        for levels in (gt.levels, edge.levels):
+        edges = [rs.simulate_edge(make_spec(sid), 2, "left", np.array([2e-4, 1e-4]), T=0.3,
+                                  dt=2e-3, n_paths=20000, seed=15, record_stride=1)
+                 for sid in ("besq:2", "lag:2", "lag:3")]
+        for levels in [gt.levels] + [edge.levels for edge in edges]:
             assert min(float(lv.min()) for lv in levels) >= 0.0
-        (l1, l2), (e,) = gt.levels, edge.levels
+        l1, l2 = gt.levels
         assert np.all(l2[..., :1] <= l1 + 1e-12) and np.all(l1 <= l2[..., 1:] + 1e-12)
-        assert np.all(np.diff(e, axis=-1) <= 1e-12)
+        for (e,) in (edge.levels for edge in edges):
+            assert np.all(np.diff(e, axis=-1) <= 1e-12)
 
 
 class TestCoarseGridControl:

@@ -106,7 +106,7 @@ class TestBlockKernel:
         z = tuple(np.array(a) for a in z)
         z2 = tuple(np.array(a) for a in z2)
         t, n = 0.5, 6
-        xp, yp, w = tl._image_nodes(sys_, t, z, n)
+        xp, yp, w = tl._image_nodes(sys_, z, tl._window(sys_, t, z), n)
         lo, hi = sys_.kern.window(t, np.concatenate(z))
         xc, wx = chamber_quad(sys_.spec, z[0].shape[-1], lo, hi, n)
         yf, wy = fiber_quad(sys_.spec, *tl.fiber_bounds(xc, shape, lo, hi), n)
@@ -325,3 +325,23 @@ class TestChapman:
         z2 = (np.array([-0.9, 1.2]), np.array([0.3]))
         assert tl.chapman_residual(bm_sys, 0.15, 0.85, z, z2, n_nodes=56) < 2e-3
         assert tl.chapman_residual(bm_sys, 0.08, 0.92, z, z2, n_nodes=64) < 2e-3
+
+    def test_a3_default_nodes_converged(self, bm_sys):
+        # at its default node count on the intersected window, every A3 row is
+        # within tol / 10 = 1e-4, and so is its integral against a 64-node
+        # rule on the full time-(s + t) window around z (itself within 1e-7)
+        from interlace_lab.harness.checks import CHAPMAN_PROBES, check_chapman
+
+        rows = check_chapman().rows
+        assert len(rows) == len(CHAPMAN_PROBES)
+        for row, (z, z2) in zip(rows, CHAPMAN_PROBES):
+            z = tuple(np.array(a) for a in z)
+            z2 = tuple(np.array(a) for a in z2)
+            lhs = float(tl.block_kernel(bm_sys, 1.0, z, z2))
+            xp, yp, w = tl._image_nodes(bm_sys, z, tl._window(bm_sys, 1.0, z), 64)
+            ref = float(np.sum(w * tl.block_kernel(bm_sys, 0.5, z, (xp, yp))
+                               * tl.block_kernel(bm_sys, 0.5, (xp, yp), z2)))
+            ref_residual = abs(lhs - ref) / abs(lhs)
+            assert ref_residual <= 1e-7
+            assert row["rel_residual"] <= 1e-4, row
+            assert abs(row["rel_residual"] - ref_residual) <= 1e-4, row
