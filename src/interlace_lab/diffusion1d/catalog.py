@@ -982,9 +982,13 @@ def _interval_basis(spec):
 
 
 def _hermite_basis(spec):
+    """phi_k = H_k(x) / sqrt(2 sqrt(pi) 2^k k!), with the norm in log-gamma
+    so that no k below max_terms underflows or overflows."""
+
     @functools.lru_cache(maxsize=1024)
     def norm(k):
-        return 1.0 / math.sqrt(2.0 * math.sqrt(math.pi) * 2.0**k * math.factorial(k))
+        log_h = math.log(2.0 * math.sqrt(math.pi)) + k * math.log(2.0) + math.lgamma(k + 1.0)
+        return math.exp(-0.5 * log_h)
 
     def phi(k, x):
         return sc.eval_hermite(k, np.asarray(x, float)) * norm(k)

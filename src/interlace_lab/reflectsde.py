@@ -56,8 +56,7 @@ exact and V is the gap's true variance, so the push is exact, or nearly
 so, at any dt; the same holds for besq and lag levels in u = sqrt(x), up
 to the drift of u inside the step.
 
-Noise comes from counter-based Philox streams keyed (kind, level,
-particle):
+Noise comes from SFC64 streams, one per key (kind, level, particle):
 
     (0, 0, i), (1, 0, i)   free-step draws of two-level Y, X particle i
     (2, k, i)              free-step draws of GT level k
@@ -185,7 +184,7 @@ class _Level:
     """One level of an interlacing array.
 
     x is the (n_paths, size) state, replaced by a new array each step;
-    gens holds one Philox stream per particle; particle i is bounded by
+    gens holds one SFC64 stream per particle; particle i is bounded by
     columns i-1+above and i+above of the previous level.  bridge holds, for
     the lower and the upper side, one stream of Exp(1) draws per particle
     bounded on that side (particle index -> stream), from which its push
@@ -229,13 +228,15 @@ class _StopRule:
 
 
 def _stream(seed: int, key: tuple) -> np.random.Generator:
-    """Counter-based Philox stream keyed by (kind, level, particle).
+    """SFC64 stream keyed by (kind, level, particle).
 
     Streams are pairwise independent by seed-sequence spawning and the
     assignment depends only on the integer key, so it is stable under any
-    reordering of the simulation set-up.
+    reordering of the simulation set-up.  No stream is advanced, jumped or
+    shared, so the generator need not be counter-based; SFC64 draws the
+    same ziggurat variates as Philox at about 70 % of its cost per normal.
     """
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def _streams(seed: int, kind: int, level: int, particles) -> list:

@@ -596,6 +596,21 @@ class TestSpectralBases:
             quad = sc.eval_genlaguerre(k, nu, x) * norm
             assert np.allclose(basis.phi(k, x), quad, rtol=1e-12, atol=0.0), k
 
+    def test_hermite_basis_is_finite_for_every_term(self):
+        # a float norm 1/sqrt(2 sqrt(pi) 2^k k!) was 0 for 150 <= k <= 170 and
+        # overflowed from k = 171, so n_terms stopped at the first zero term:
+        # 150 at t = 0.5, where the series needs 175, and at t = 0.2, where
+        # 200 terms do not reach the 1e-12 tail
+        basis = spectral_basis(make_spec("ou"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(basis.max_terms):
+                assert np.all(np.isfinite(basis.phi(k, basis.grid))), k
+                assert np.all(np.isfinite(basis.phi_prime(k, basis.grid))), k
+            assert basis.n_terms(0.5) > 150
+            with pytest.raises(TruncationError):
+                basis.n_terms(0.2)
+
     def test_jacobi_ground_state_at_beta_plus_gamma_one(self):
         # a + b = -1: the textbook h_0 is 0 * infinity; h_0 = pi here
         basis = spectral_basis(make_spec("jac:0.5,0.5"))

@@ -596,7 +596,7 @@ class TestStepResolution:
 
 
 class _CountingStream:
-    """A Philox stream that counts the variates drawn from it, by kind."""
+    """A simulator stream that counts the variates drawn from it, by kind."""
 
     def __init__(self, gen, counts):
         self.gen, self.counts = gen, counts
@@ -613,6 +613,50 @@ class _CountingStream:
 
     def noncentral_chisquare(self, df, nonc, size=None):
         return self._drawn("noncentral_chisquare", self.gen.noncentral_chisquare(df, nonc, size))
+
+
+class TestStreams:
+    # 200k variates per stream.  The KS bar is the 1 % critical value for all
+    # 16 one-sample tests together (Bonferroni): P(sqrt(n) D > 2.01) is about
+    # 2 exp(-2 * 2.01^2) = 0.01 / 16.  At the per-test 1 % value, 1.63, one
+    # of 16 independent tests of exact laws fails about 15 % of the time;
+    # here (1, (1, 0, 0))'s Exp(1) draws read 1.84 (p = 0.002), while over
+    # 300 keyed streams the KS p-values were uniform.  Correlations between
+    # streams are bounded at 5 sigma.
+    N = 200_000
+    KEYS = [(0, 0, 0), (1, 0, 0), (5, 1, 0), (3, 0, 2)]
+    SEEDS = [0, 1]
+
+    @staticmethod
+    def _ks(sample, cdf):
+        u = cdf(np.sort(sample))
+        i = np.arange(1, u.size + 1)
+        return max(np.max(i / u.size - u), np.max(u - (i - 1) / u.size))
+
+    def _draws(self, method):
+        return {(seed, key): getattr(rs._stream(seed, key), method)(self.N)
+                for seed in self.SEEDS for key in self.KEYS}
+
+    def test_normals_and_exponentials_follow_their_laws(self):
+        from scipy.special import ndtr
+
+        bar = 2.01 / math.sqrt(self.N)
+        for draws, cdf in [(self._draws("standard_normal"), ndtr),
+                           (self._draws("standard_exponential"), lambda e: -np.expm1(-e))]:
+            for stream, sample in draws.items():
+                assert self._ks(sample, cdf) <= bar, stream
+
+    def test_streams_of_distinct_keys_or_seeds_are_uncorrelated(self):
+        draws = list(self._draws("standard_normal").values())
+        bar = 5.0 / math.sqrt(self.N)
+        for i in range(len(draws)):
+            for j in range(i):
+                assert abs(np.corrcoef(draws[i], draws[j])[0, 1]) <= bar, (i, j)
+
+    def test_distinct_keys_give_distinct_first_draws(self):
+        first = [rs._stream(seed, key).standard_normal() for seed in self.SEEDS
+                 for key in self.KEYS]
+        assert len(set(first)) == len(first)
 
 
 class TestDrawCounts:
@@ -752,15 +796,33 @@ def _digest(pb, first_constrained):
 
 
 # sha256 of levels, tau, grid and the constrained levels' pushes, and the
-# exact contact fraction, for pinned seeds.  A change to the stepper that
-# keeps the RNG layout and the scheme must leave these unchanged.  The besq
-# cases step exactly (dt chi'^2 draws from the normal streams) and push in
-# u = sqrt(x); the others are bm and bm_halfline systems, whose Euler steps
-# and pushes are those of the state-unit scheme bit for bit.  Their
-# constant-coefficient step x + b dt + sqrt(dt) xi and scalar bridge
-# variances give the bits of the step with a and b evaluated per particle;
-# two-level-cli-csv was pinned with the evaluated step.
+# exact contact fraction, for pinned seeds, drawn from the SFC64 streams of
+# rs._stream.  A change to the stepper that keeps the RNG layout and the
+# scheme must leave these unchanged.  The besq cases step exactly (dt chi'^2
+# draws from the normal streams) and push in u = sqrt(x); the others are bm
+# and bm_halfline systems, whose Euler steps and pushes are those of the
+# state-unit scheme bit for bit.  Their constant-coefficient step
+# x + b dt + sqrt(dt) xi and scalar bridge variances give the bits of the
+# step with a and b evaluated per particle.
 GOLDEN = {
+    "two-level-nnp1": ("a96efdf05d3408e7aa1557676822d9ae8689061412bc1e6d0ed0b620ae9f2a87", 0.07730000000000002),
+    "two-level-nn": ("10d36747f65744bc3b708a0ae5473eb2e726502b77155a7c0c0cb037f80b18ed", 0.04655000000000002),
+    "two-level-cli-csv": ("a310b6263c2cc68c6f28f1ee941e5952d2896b2809d74b6dc7f659fab7f688f1", 0.045250000000000005),
+    "two-level-np1n": ("89de169b1f03005e3600200ce85cbaea0c8800d9c531dcc320b573369ca8f617", 0.12165000000000004),
+    "gt2-gue": ("47c0fa055ffbbe35340242af8ca1de4442651f8e34140720b511e6553fa42371", 0.08498749999999992),
+    "gt2-besq": ("21f2db7627ab0e0faa8cdf2199589ce6ea89f26d38b8d9c3f8e93c97091f21b1", 0.11235000000000006),
+    "gt-equal-size": ("11df30c16ac1d62d6b382528102f08fd2b7c9eaad8b2b90960a5196233827d1f", 0.14933888888888905),
+    "edge-right-bm": ("e8b3d33ce73d3ff4d265d4144c4571cc31e75d6d927741194034bf022987b705", 0.13456666666666664),
+    "edge-left-besq": ("8df83ed8415a7bab57548ce0792e189de34cce138a33ad4a6f5dc297ec328e6f", 0.08549999999999999),
+}
+
+# The same cases with every stream a Philox generator under the same
+# seed-sequence keys: the pins from when the stepper drew from Philox.
+# Reproducing them under a patched rs._stream shows that the move to SFC64
+# changed the bit generator only, not the stepping arithmetic, the keys or
+# the draw order.  two-level-cli-csv was first pinned with the step that
+# evaluates a and b per particle.
+GOLDEN_PHILOX = {
     "two-level-nnp1": ("cc526ce7daa3aefca4f958daa7f6af2958528f655a1d4bcec7ff9b9cb1e90064", 0.07578333333333341),
     "two-level-nn": ("af537c0e8cfff9b103f22966dd18eefbb6603c8604a5203bc6fccc17eb1e910e", 0.04170000000000003),
     "two-level-cli-csv": ("5b7876ddc12aea19deaf55498bc2e77de59a007db816aaa535e127978702a7d1", 0.047499999999999966),
@@ -773,11 +835,21 @@ GOLDEN = {
 }
 
 
+def _assert_pinned(case, pins):
+    run, first_constrained = _golden_cases()[case]
+    pb = run()
+    digest, contact_fraction = pins[case]
+    assert _digest(pb, first_constrained) == digest
+    assert pb.contact_fraction == contact_fraction
+
+
 class TestGoldenDigests:
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_pinned_seed_outputs_are_unchanged(self, case):
-        run, first_constrained = _golden_cases()[case]
-        pb = run()
-        digest, contact_fraction = GOLDEN[case]
-        assert _digest(pb, first_constrained) == digest
-        assert pb.contact_fraction == contact_fraction
+        _assert_pinned(case, GOLDEN)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_PHILOX))
+    def test_philox_streams_reproduce_the_philox_pins(self, monkeypatch, case):
+        monkeypatch.setattr(rs, "_stream", lambda seed, key: np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key))))
+        _assert_pinned(case, GOLDEN_PHILOX)
