@@ -153,9 +153,15 @@ def cmd_intertwine_check(args):
     _check_n(args)
     spec = make_spec(args.spec)
     shape = tl.Shape(args.shape)
-    sys_ = tl.TwoLevelSystem(spec, shape)
     n1 = args.n
     n2 = tl.counts(shape, n1)
+    if n2 < 1:
+        raise CatalogError(f"intertwine-check --shape {args.shape} needs --n >= 2 "
+                           f"(x has n - 1 particles), got {n1}")
+    try:
+        sys_ = tl.TwoLevelSystem(spec, shape)
+    except tl.BoundaryAssumptionError as e:
+        raise CatalogError(f"intertwine-check: {e}") from e
     l, r = spec.interval
     lo = l if np.isfinite(l) else -1.5
     hi = r if np.isfinite(r) else 1.5
@@ -173,7 +179,10 @@ def cmd_intertwine_check(args):
                      "pass": r_d <= args.tolerance})
     if shape is not tl.Shape.NP1N:
         h_hat = km.eigenfunction_catalog(conjugate(spec), n1)
-        res = tl.master_intertwining_residual(sys_, h_hat, args.t, fs, x)
+        try:
+            res = tl.master_intertwining_residual(sys_, h_hat, args.t, fs, x)
+        except ArithmeticError as e:  # the fiber integral diverges at an infinite end
+            raise CatalogError(f"intertwine-check --spec {args.spec} --shape {args.shape}: {e}") from e
         for fi, rv in enumerate(res):
             rows.append({"spec": args.spec, "shape": args.shape, "identity": "master",
                          "test_function": fi, "residual": rv,

@@ -9,7 +9,7 @@ Families and string ids (parameters after the colon):
     besq:d[:abs]             squared Bessel, a = 2x, b = d; ':abs' kills at 0
     lag:alpha                Laguerre a = 2x, b = alpha - 2x
     lag_dual:alpha           dual of lag (exit at 0)
-    jac:beta,gamma           Jacobi a = 2x(1-x), b = 2(beta-(beta+gamma)x)
+    jac:beta,gamma           Jacobi a = 2x(1-x), b = 2(beta-(beta+gamma)x), beta, gamma > 0
     jac_dual:beta,gamma      dual of jac (exit at both ends)
     gbm:alpha                geometric BM a = x^2/2, b = alpha x
     bm_halfline:refl|abs     BM on [0, inf) reflected/absorbed at 0
@@ -32,18 +32,22 @@ broadcast x against y like the closed forms.
 
 Ids are exact: parameters are written as the shortest decimal that reads
 back to the same float, so make_spec(spec.name) rebuilds spec.params bit for
-bit, and a malformed id raises CatalogError naming the expected form.
+bit, and a malformed id (a non-finite parameter included) raises
+CatalogError naming the expected form.
 
 FAMILIES holds one record per family, and every other module asks the
 record, never the family name: its id grammar, spec builder, dual, kernel,
 spectral basis, closed-form eigenfunction, edge ladder, Gaussian moments,
 exact step and its draws, and quadrature coordinates.  Adding a family
-means adding one record.  A spec builder states the coefficients a, b, a'
+means adding one record.  make_spec is the only source of a spec, and
+_record(spec) the one lookup of its record, which raises CatalogError
+naming a spec make_spec did not build.  A spec builder states a, b, a'
 and one scale formula, the closed form of log s'; core.ScaleSpeed derives
-log m, s' and m from it, the dual's scale is the swapped pair, and a
-spectral basis takes m and m' from the spec.  Only edge_ladder reads the
-ladder; it also rejects an edge system whose ends are not natural or
-entrance.
+log m, s' and m from it, conjugate(spec) is the record's dual member with
+the swapped pair, and a spectral basis takes m and m' from the spec.  The
+duality, conjugate-density and symmetry residuals sit beside kernel().
+Only edge_ladder reads the ladder; it also rejects an edge system whose
+ends are not natural or entrance.
 
 The quadrature coordinates serve the two node builders for state-space
 integrals: chamber_quad (ordered chambers) and fiber_quad (batched
@@ -74,13 +78,13 @@ from ..quadrature import fd_derivative, ordered_nodes, stacked_box_nodes
 from .core import (
     Boundary,
     CatalogError,
+    DegenerateInputError,
     DiffusionSpec,
     DUAL_BOUNDARY,
     ScaleSpeed,
     TransitionKernel,
     TruncationError,
     density_integral,
-    scale_speed,
 )
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -253,6 +257,9 @@ def _laguerre_spec(fam, alpha, dual):
 
 
 def _jacobi_spec(fam, beta, gamma, dual):
+    if beta <= 0 or gamma <= 0:
+        # the jac spectral kernel and the jac_dual h-transform need both
+        raise CatalogError(f"{fam} requires beta > 0 and gamma > 0, got {beta:g},{gamma:g}")
     bb, gg = (1.0 - beta, 1.0 - gamma) if dual else (beta, gamma)
     b_fun = lambda x: 2.0 * (bb - (bb + gg) * np.asarray(x, float))
     log_sp = lambda x: -bb * np.log(2.0 * np.asarray(x, float)) - gg * np.log(
@@ -260,12 +267,7 @@ def _jacobi_spec(fam, beta, gamma, dual):
     )
 
     def _end(par):
-        if par >= 1.0:
-            end = Boundary.ENTRANCE
-        elif par > 0.0:
-            end = Boundary.REGULAR_REFLECTING
-        else:
-            end = Boundary.EXIT
+        end = Boundary.ENTRANCE if par >= 1.0 else Boundary.REGULAR_REFLECTING
         # the dual has the dual endpoints of the primal classes
         return DUAL_BOUNDARY[end] if dual else end
 
@@ -319,13 +321,21 @@ CATALOG_IDS = [
 ]
 
 
-def catalog_conjugate(spec: DiffusionSpec) -> Optional[DiffusionSpec]:
-    """Closed-form dual for catalog members, with swapped scale/speed."""
+def _record(spec: DiffusionSpec) -> "_Family":
+    """The FAMILIES record of spec's family; CatalogError for a spec that
+    make_spec did not build."""
     rec = FAMILIES.get(spec.family)
     if rec is None:
-        return None
-    dual = make_spec(rec.dual(spec.params))
-    return replace(dual, scale=scale_speed(spec).swapped())
+        raise CatalogError(f"spec {spec.name!r} is not in the catalog "
+                           f"(family {spec.family!r}): build specs with make_spec")
+    return rec
+
+
+def conjugate(spec: DiffusionSpec) -> DiffusionSpec:
+    """Siegmund dual: the record's closed-form dual member, coefficients
+    (a, a' - b) and dual ends, with spec's scale and speed swapped exactly."""
+    dual = make_spec(_record(spec).dual(spec.params))
+    return replace(dual, scale=spec.scale.swapped())
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +345,8 @@ def catalog_conjugate(spec: DiffusionSpec) -> Optional[DiffusionSpec]:
 
 @functools.lru_cache(maxsize=256)
 def _kernel_by_name(name: str) -> TransitionKernel:
-    return _build_kernel(make_spec(name))
+    spec = make_spec(name)
+    return _record(spec).kernel(spec)
 
 
 def kernel(spec: DiffusionSpec) -> TransitionKernel:
@@ -343,11 +354,39 @@ def kernel(spec: DiffusionSpec) -> TransitionKernel:
     return _kernel_by_name(spec.name)
 
 
-def _build_kernel(spec: DiffusionSpec) -> TransitionKernel:
-    rec = FAMILIES.get(spec.family)
-    if rec is None:
-        raise CatalogError(f"no kernel for family {spec.family!r}")
-    return rec.kernel(spec)
+def duality_residual(spec: DiffusionSpec, t, x, y) -> float:
+    """|P_t 1_[l,y](x) - \\hat P_t 1_[x,r](y)| for strictly interior x, y."""
+    if not (spec.l < x < spec.r and spec.l < y < spec.r):
+        raise DegenerateInputError("duality residual requires interior x, y")
+    kern = kernel(spec)
+    dual = kernel(conjugate(spec))
+    lhs = float(kern.cdf(t, x, y))
+    # \hat P_t 1_[x,r](y) = 1 - \hat F(t, y, x) ; interior x carries no atom
+    rhs = 1.0 - float(dual.cdf(t, y, x))
+    return abs(lhs - rhs)
+
+
+def conjugate_density_residual(spec: DiffusionSpec, t, x, y) -> float:
+    """Residual of \\hat p_t(x,y) = -d/dy P_t 1_[l,x](y).
+
+    The derivative is taken by central differences with one Richardson step;
+    step underflow against the boundary raises DegenerateInputError.
+    """
+    kern = kernel(spec)
+    dual = kernel(conjugate(spec))
+    h0 = max(1e-5, 1e-5 * abs(y))
+    if min(y - spec.l, spec.r - y) < 4 * h0:
+        raise DegenerateInputError("y too close to the boundary for the stencil")
+    lhs = float(dual.density(t, x, y))
+    rhs = -fd_derivative(lambda v: kern.cdf(t, v, x), np.asarray(y, float), order=1)
+    return abs(lhs - float(rhs))
+
+
+def symmetry_residual(spec: DiffusionSpec, t, x, y) -> float:
+    """Residual of the speed-measure reversibility m(y) p_t(y,x) = m(x) p_t(x,y)."""
+    m = spec.scale.m
+    kern = kernel(spec)
+    return float(abs(m(y) * kern.density(t, y, x) - m(x) * kern.density(t, x, y)))
 
 
 def _harmonic_atom(density, window, n, h=None):
@@ -863,7 +902,7 @@ class SpectralBasis:
             self.grid = np.linspace(lo + pad, hi - pad, 257)
 
     def m(self, x):
-        return scale_speed(self.spec).m(x)
+        return self.spec.scale.m(x)
 
     def m_prime(self, x):
         spec = self.spec
@@ -1111,10 +1150,18 @@ def _mode(v: str) -> str:
     return v
 
 
-def _ids(fam, names="", conv=float):
+def _finite(v: str) -> float:
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(v)
+    return x
+
+
+def _ids(fam, names="", conv=_finite):
     """Id grammar 'fam' or 'fam:v1,...,vk' with k = len(names.split(',')):
     the form quoted in errors, the parser of the ':'-fields after the family
-    name (ValueError when malformed) and the canonical formatter."""
+    name (ValueError when malformed or, by default, not a finite float) and
+    the canonical formatter."""
     k = len(names.split(",")) if names else 0
 
     def parse(fields):
@@ -1385,7 +1432,7 @@ def edge_ladder(base: DiffusionSpec, n: int) -> list:
         return sp
 
     accept(base)
-    ladder = getattr(FAMILIES.get(base.family), "ladder", None)
+    ladder = _record(base).ladder
     if n > 1 and ladder is None:
         raise ValueError(f"edge ladder undefined for family {base.family!r}")
     return [accept(make_spec(ladder(base.params, n - k))) if k < n else base
@@ -1394,17 +1441,17 @@ def edge_ladder(base: DiffusionSpec, n: int) -> list:
 
 def gaussian_moments(spec: DiffusionSpec):
     """(mean(t, x), var(t), dmean_dx(t)) of a Gaussian family's kernel, else None."""
-    rec = FAMILIES.get(spec.family)
-    return rec.gaussian(spec.params) if rec is not None and rec.gaussian else None
+    rec = _record(spec)
+    return rec.gaussian(spec.params) if rec.gaussian else None
 
 
 def _exact(spec: DiffusionSpec):
     """The family record's (step, draws) for spec, or None when spec's
     family has no sampler of its kernel or spec is killed at an end, since
     the draw has the law of the unkilled motion."""
-    rec = FAMILIES.get(spec.family)
+    rec = _record(spec)
     killing = {Boundary.EXIT, Boundary.REGULAR_ABSORBING}
-    if rec is None or rec.step is None or killing & {spec.behavior_l, spec.behavior_r}:
+    if rec.step is None or killing & {spec.behavior_l, spec.behavior_r}:
         return None
     return rec.step(spec.params)
 
@@ -1435,8 +1482,7 @@ def quad_coords(spec: DiffusionSpec) -> str:
     """Coordinates that make quadrature of spec's densities converge:
     'sqrt' (u = sqrt(y)) and 'log' (u = log(y)) remove endpoint kinks.  'sqrt'
     is also the Lamperti coordinate of a = 2x, in which the noise is unit."""
-    rec = FAMILIES.get(spec.family)
-    return rec.coords if rec is not None else "linear"
+    return _record(spec).coords
 
 
 # u = fwd(y), y = inv(u) and dy/du of the non-linear quadrature coordinates

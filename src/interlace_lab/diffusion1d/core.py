@@ -4,24 +4,22 @@ A diffusion is described by its generator coefficients a, b on an interval
 (l, r):  a(x) f'' + b(x) f'.  The one scale datum of a family is
 log s'(x) = -int_c^x b/a; ScaleSpeed derives log m = -log s' - log a from it,
 so m * s' * a = 1, and s', m are their exponentials.  The Siegmund dual
-(conjugate) has coefficients (a, a' - b); conjugation swaps scale and speed
-densities exactly and maps boundary classes natural->natural,
-entrance<->exit, regular reflecting<->regular absorbing.
+(catalog.conjugate) has coefficients (a, a' - b); conjugation swaps scale and
+speed densities exactly and maps boundary classes natural->natural,
+entrance<->exit, regular reflecting<->regular absorbing.  This module
+imports nothing from the catalog, the only source of a DiffusionSpec, which
+also holds conjugation, the kernels and the duality residuals.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..quadrature import fd_derivative, gl_nodes, logsumexp_weighted
-
-
-class CoefficientDomainError(ValueError):
-    """Raised when generator coefficients violate their domain contract."""
 
 
 class CatalogError(KeyError):
@@ -120,9 +118,9 @@ class DiffusionSpec:
     behavior_l: Boundary
     behavior_r: Boundary
     c: float
-    family: str = ""
-    params: tuple = ()
-    scale: Optional[ScaleSpeed] = None
+    family: str
+    params: tuple
+    scale: ScaleSpeed
 
     @property
     def l(self):
@@ -136,88 +134,6 @@ class DiffusionSpec:
         lo = self.l if np.isinf(self.l) else self.l + pad
         hi = self.r if np.isinf(self.r) else self.r - pad
         return np.clip(x, lo, hi)
-
-
-def validate_spec(spec: DiffusionSpec) -> None:
-    """Check a > 0 and C1-smoothness of a on 25 interior probe points."""
-    lo, hi = _probe_window(spec)
-    xs = np.linspace(lo, hi, 25)
-    a = np.asarray(spec.a(xs), float)
-    if not np.all(np.isfinite(a)) or np.any(a <= 0):
-        raise CoefficientDomainError(f"{spec.name}: a(x) must be finite positive")
-    ap = np.asarray(spec.a_prime(xs), float)
-    ap_fd = fd_derivative(spec.a, xs, order=1)
-    scale = np.maximum(1.0, np.abs(ap))
-    if np.max(np.abs(ap - ap_fd) / scale) > 1e-4:
-        raise CoefficientDomainError(
-            f"{spec.name}: a' inconsistent with finite-difference probe"
-        )
-
-
-def _probe_window(spec: DiffusionSpec):
-    l, r = spec.interval
-    lo = spec.c - 2.0 if np.isinf(l) else l + 0.05 * (min(r, spec.c + 4) - l)
-    hi = spec.c + 2.0 if np.isinf(r) else r - 0.05 * (r - max(l, spec.c - 4))
-    return lo, hi
-
-
-def scale_speed(spec: DiffusionSpec) -> ScaleSpeed:
-    """Scale/speed of a spec: the catalog's closed form, else numeric quadrature."""
-    if spec.scale is not None:
-        return spec.scale
-    return numeric_scale_speed(spec)
-
-
-def numeric_scale_speed(spec: DiffusionSpec) -> ScaleSpeed:
-    """log s' = -int_c^x b/a by adaptive quadrature, one point at a time."""
-    from scipy.integrate import quad
-
-    c = spec.c
-    ratio = lambda y: np.asarray(spec.b(y), float) / np.asarray(spec.a(y), float)
-
-    def log_sp_scalar(x):
-        if x == c:
-            return 0.0
-        val, _ = quad(ratio, c, x, limit=200)
-        return -val
-
-    # b/a must be integrable at c: declare failure when the ratio grows at
-    # least like 1/(x-c) under a 100x step refinement toward c
-    for side in (+1.0, -1.0):
-        if side < 0 and not spec.l < c - 1e-5:
-            continue
-        if side > 0 and not spec.r > c + 1e-5:
-            continue
-        r1 = abs(float(ratio(c + side * 1e-5)))
-        r2 = abs(float(ratio(c + side * 1e-7)))
-        if not (np.isfinite(r1) and np.isfinite(r2)) or (r1 > 1e3 and r2 > 50.0 * r1):
-            raise CoefficientDomainError(f"{spec.name}: b/a not integrable near c")
-
-    return ScaleSpeed.from_log_s_prime(np.vectorize(log_sp_scalar, otypes=[float]), spec.a)
-
-
-def conjugate(spec: DiffusionSpec) -> DiffusionSpec:
-    """Siegmund dual: coefficients (a, a'-b), swapped scale/speed, dual ends.
-
-    The catalog overrides this with closed-form dual families; this generic
-    version keeps the same evaluators and is exactly involutive on drifts.
-    """
-    from .catalog import catalog_conjugate
-
-    special = catalog_conjugate(spec)
-    if special is not None:
-        return special
-
-    b_hat = lambda x: np.asarray(spec.a_prime(x), float) - np.asarray(spec.b(x), float)
-    return replace(
-        spec,
-        name=f"conj({spec.name})",
-        b=b_hat,
-        behavior_l=DUAL_BOUNDARY[spec.behavior_l],
-        behavior_r=DUAL_BOUNDARY[spec.behavior_r],
-        family=f"conj({spec.family})" if spec.family else "",
-        scale=scale_speed(spec).swapped(),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +213,7 @@ def _boundary_integral(log_outer, log_inner, endpoint, interior, max_shells):
 
 def boundary_integrals(spec: DiffusionSpec, endpoint: str):
     """Return (N, Sigma) estimates and divergence flags at an endpoint."""
-    ss = scale_speed(spec)
+    ss = spec.scale
     e = spec.l if endpoint == "l" else spec.r
     interior = spec.c
     max_shells = _MAX_SHELLS_INFINITE if np.isinf(e) else _MAX_SHELLS_FINITE
@@ -386,51 +302,3 @@ def density_integral(density, t, x, lo, hi, n, weight=None):
     if weight is not None:
         f = f * weight(z)
     return np.sum(w * f, axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# Duality and density-relation residuals
-# ---------------------------------------------------------------------------
-
-
-def duality_residual(spec: DiffusionSpec, t, x, y) -> float:
-    """|P_t 1_[l,y](x) - \\hat P_t 1_[x,r](y)| for strictly interior x, y."""
-    from .catalog import kernel
-
-    if not (spec.l < x < spec.r and spec.l < y < spec.r):
-        raise DegenerateInputError("duality residual requires interior x, y")
-    kern = kernel(spec)
-    dual = kernel(conjugate(spec))
-    lhs = float(kern.cdf(t, x, y))
-    # \hat P_t 1_[x,r](y) = 1 - \hat F(t, y, x) ; interior x carries no atom
-    rhs = 1.0 - float(dual.cdf(t, y, x))
-    return abs(lhs - rhs)
-
-
-def conjugate_density_residual(spec: DiffusionSpec, t, x, y) -> float:
-    """Residual of \\hat p_t(x,y) = -d/dy P_t 1_[l,x](y).
-
-    The derivative is taken by central differences with one Richardson step;
-    step underflow against the boundary raises DegenerateInputError.
-    """
-    from .catalog import kernel
-
-    kern = kernel(spec)
-    dual = kernel(conjugate(spec))
-    h0 = max(1e-5, 1e-5 * abs(y))
-    if min(y - spec.l, spec.r - y) < 4 * h0:
-        raise DegenerateInputError("y too close to the boundary for the stencil")
-    lhs = float(dual.density(t, x, y))
-    rhs = -fd_derivative(lambda v: kern.cdf(t, v, x), np.asarray(y, float), order=1)
-    return abs(lhs - float(rhs))
-
-
-def symmetry_residual(spec: DiffusionSpec, t, x, y) -> float:
-    """Residual of the speed-measure reversibility m(y) p_t(y,x) = m(x) p_t(x,y)."""
-    from .catalog import kernel
-
-    ss = scale_speed(spec)
-    kern = kernel(spec)
-    return float(
-        abs(ss.m(y) * kern.density(t, y, x) - ss.m(x) * kern.density(t, x, y))
-    )

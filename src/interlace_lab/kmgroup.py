@@ -39,7 +39,7 @@ from .diffusion1d import (
     TransitionKernel,
     spectral_basis,
 )
-from .diffusion1d.catalog import FAMILIES, _power, chamber_quad, make_spec
+from .diffusion1d.catalog import _power, _record, chamber_quad, make_spec
 from .quadrature import chebyshev_antiderivative, fd_derivative
 
 
@@ -182,8 +182,8 @@ def eigenfunction_catalog(spec: DiffusionSpec, n: int) -> Eigenfunction:
     Rates are stored (never inferred at runtime) and validated against the
     semigroup by eigen_residual in the test-suite.
     """
-    rec = FAMILIES.get(spec.family)
-    if rec is None or rec.eigen is None:
+    rec = _record(spec)
+    if rec.eigen is None:
         raise CatalogError(f"no eigenfunction catalog entry for family {spec.family!r}")
     comps, rate, name = rec.eigen(spec.params, n)
     return Eigenfunction(n=n, components=comps, rate=rate, name=name)

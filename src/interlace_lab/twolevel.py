@@ -53,7 +53,6 @@ from .diffusion1d import (
     TransitionKernel,
     conjugate,
     kernel,
-    scale_speed,
 )
 from .diffusion1d.catalog import chamber_quad, fiber_quad
 from .kmgroup import Eigenfunction, det, km_density
@@ -150,7 +149,7 @@ class TwoLevelSystem:
         check_shape_assumptions(self.spec, self.shape)
         self.kern = kernel(self.spec)
         self.dual_kern = kernel(conjugate(self.spec))
-        self.m_hat = scale_speed(self.spec).s_prime
+        self.m_hat = self.spec.scale.s_prime
 
     def indicator(self, n1: int, n2: int) -> np.ndarray:
         """1(j >= i + above): y_j at or above x_i's upper bounding column."""
@@ -289,7 +288,7 @@ def lambda_apply(
     (infinite fiber with non-integrable weight) raises ArithmeticError.
     """
     x = np.asarray(x, float)
-    mh_fun = scale_speed(spec).s_prime
+    mh_fun = spec.scale.s_prime
     lo_w, hi_w = kernel(spec).window(1.0, x)
 
     def on_window(pad):

@@ -200,7 +200,13 @@ class TestCLI:
          ["edge-cdf", "--spec", "bm", "--n", "0", "--zmin", "0", "--zmax", "1"],
          ["edge-cdf", "--spec", "bm", "--n", "-2", "--zmin", "0", "--zmax", "1"],
          ["eigen-check", "--spec", "bm", "--n", "0"],
-         ["intertwine-check", "--spec", "bm", "--n", "0"]],
+         ["intertwine-check", "--spec", "bm", "--n", "0"],
+         ["intertwine-check", "--spec", "besq:3", "--shape", "n,n"],
+         ["intertwine-check", "--spec", "bm", "--shape", "n,n"],
+         ["intertwine-check", "--spec", "bm", "--shape", "n+1,n"],
+         ["classify", "--spec", "gbm:nan"],
+         ["density", "--spec", "besq:nan", "--t", "1", "--x", "1", "--y", "1"],
+         ["density", "--spec", "jac:0,1", "--t", "0.5", "--x", "0.3", "--y", "0.45"]],
     )
     def test_errors_are_one_line(self, argv, capsys):
         assert main(argv) == 2

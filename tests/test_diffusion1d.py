@@ -22,14 +22,11 @@ from interlace_lab.diffusion1d import (
     duality_residual,
     kernel,
     make_spec,
-    scale_speed,
     spectral_basis,
     symmetry_residual,
-    validate_spec,
 )
 from interlace_lab.diffusion1d import catalog
 from interlace_lab.diffusion1d.catalog import (
-    catalog_conjugate,
     chamber_quad,
     edge_ladder,
     fiber_quad,
@@ -39,13 +36,13 @@ from interlace_lab.diffusion1d.catalog import (
 
 class TestScaleSpeed:
     def test_bm_constant_scale(self):
-        ss = scale_speed(make_spec("bm"))
+        ss = make_spec("bm").scale
         x = np.linspace(-3, 3, 7)
         assert np.allclose(ss.s_prime(x), 1.0)
         assert np.allclose(ss.m(x), 2.0)
 
     def test_ou_direct_integration(self):
-        ss = scale_speed(make_spec("ou"))
+        ss = make_spec("ou").scale
         x = np.linspace(-2, 2, 9)
         assert np.allclose(ss.s_prime(x), np.exp(x**2), rtol=1e-12)
         assert np.allclose(ss.m(x), 2 * np.exp(-(x**2)), rtol=1e-12)
@@ -55,7 +52,7 @@ class TestScaleSpeed:
         from scipy.integrate import quad
 
         spec = make_spec("besq:3")
-        ss = scale_speed(spec)
+        ss = spec.scale
         for x in (0.4, 1.7, 3.2):
             log_sp, _ = quad(lambda y: spec.b(y) / spec.a(y), 1.0, x)
             assert ss.s_prime(x) == pytest.approx(math.exp(-log_sp), rel=1e-10)
@@ -65,7 +62,7 @@ class TestScaleSpeed:
     @pytest.mark.parametrize("sid", ["bm", "ou", "besq:2.5", "lag:3", "jac:1,1", "gbm:1"])
     def test_m_sp_a_identity(self, sid):
         spec = make_spec(sid)
-        ss = scale_speed(spec)
+        ss = spec.scale
         lo, hi = spec.interval
         lo = max(lo + 0.05, spec.c - 2)
         hi = min(hi - 0.05 if np.isfinite(hi) else np.inf, spec.c + 2)
@@ -82,7 +79,7 @@ class TestScaleSpeed:
         spec = make_spec(sid)
         if dual:
             spec = conjugate(spec)
-        ss = scale_speed(spec)
+        ss = spec.scale
         x0 = spec.c
         x = _probes(spec)
         want = [-quad(lambda y: float(spec.b(y) / spec.a(y)), x0, xi,
@@ -92,33 +89,15 @@ class TestScaleSpeed:
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-13)
         assert np.max(np.abs(ss.m(x) * ss.s_prime(x) * spec.a(x) - 1.0)) <= 1e-12
 
-    @pytest.mark.parametrize("sid", ["bm", "ou", "besq:3", "lag:2", "jac:1,1", "gbm:1"])
+    @pytest.mark.parametrize("sid", CATALOG_IDS + ["ou_out", "lag_dual:3", "jac_dual:1,1", "besq:-1"])
     def test_validate_passes_catalog(self, sid):
-        validate_spec(make_spec(sid))
-
-    def test_nonintegrable_drift_ratio_rejected(self):
-        from dataclasses import replace
-
-        from interlace_lab.diffusion1d import CoefficientDomainError
-        from interlace_lab.diffusion1d.core import numeric_scale_speed
-
-        bad = replace(
-            make_spec("bm"), name="bad", family="", scale=None,
-            b=lambda x: 1.0 / np.maximum(np.abs(np.asarray(x, float)), 1e-300),
-        )
-        with pytest.raises(CoefficientDomainError):
-            numeric_scale_speed(bad)
-
-    def test_numeric_scale_speed_matches_closed_forms(self):
-        from dataclasses import replace
-
-        from interlace_lab.diffusion1d.core import numeric_scale_speed
-
-        spec = make_spec("besq:3")
-        num = numeric_scale_speed(replace(spec, scale=None))
-        for x in (0.4, 1.0, 2.7):
-            assert num.s_prime(x) == pytest.approx(spec.scale.s_prime(x), rel=1e-9)
-            assert num.m(x) == pytest.approx(spec.scale.m(x), rel=1e-9)
+        # a > 0, and a' is the derivative of a (a is at most quadratic, so a
+        # central difference is exact up to rounding)
+        spec = make_spec(sid)
+        x, h = _probes(spec), 1e-4
+        assert np.all(spec.a(x) > 0)
+        fd = (spec.a(x + h) - spec.a(x - h)) / (2.0 * h)
+        np.testing.assert_allclose(spec.a_prime(x), fd, rtol=1e-9, atol=1e-9)
 
 
 class TestConjugate:
@@ -146,21 +125,12 @@ class TestConjugate:
     @pytest.mark.parametrize("sid", ["bm", "ou", "besq:3", "besq:1", "gbm:1", "lag:2"])
     def test_scale_speed_swap(self, sid):
         spec = make_spec(sid)
-        ss = scale_speed(spec)
-        css = scale_speed(conjugate(spec))
+        ss = spec.scale
+        css = conjugate(spec).scale
         lo = max(spec.interval[0] + 0.1, spec.c - 2)
         x = np.linspace(lo, spec.c + 2, 9)
         assert np.max(np.abs(css.s_prime(x) / ss.m(x) - 1.0)) < 1e-10
         assert np.max(np.abs(css.m(x) / ss.s_prime(x) - 1.0)) < 1e-10
-
-    def test_generic_conjugate_drift(self):
-        # non-catalog spec goes through the generic a' - b rule
-        from dataclasses import replace
-
-        spec = replace(make_spec("besq:3"), family="", name="custom", scale=None)
-        dual = conjugate(spec)
-        x = np.linspace(0.3, 3.0, 7)
-        assert np.allclose(dual.b(x), 2.0 - spec.b(x))
 
 
 class TestClassify:
@@ -644,12 +614,12 @@ class TestFamilyRegistry:
     @pytest.mark.parametrize("sid", CATALOG_IDS)
     def test_conjugate_is_an_involution_on_names(self, sid):
         spec = make_spec(sid)
-        assert catalog_conjugate(catalog_conjugate(spec)).name == spec.name
+        assert conjugate(conjugate(spec)).name == spec.name
 
     @pytest.mark.parametrize("sid", CATALOG_IDS)
     def test_name_rebuilds_params_exactly(self, sid):
         spec = make_spec(sid)
-        for s in (spec, catalog_conjugate(spec)):
+        for s in (spec, conjugate(spec)):
             assert make_spec(s.name).params == s.params
 
     @pytest.mark.parametrize("sid", CATALOG_IDS)
@@ -703,16 +673,61 @@ class TestFamilyRegistry:
     def test_ids_are_exact(self, sid):
         spec = make_spec(sid)
         assert kernel(spec).spec.params == spec.params
-        assert catalog_conjugate(catalog_conjugate(spec)).params == spec.params
+        assert conjugate(conjugate(spec)).params == spec.params
 
     @pytest.mark.parametrize(
         "sid",
         ["bm:3", "ou:5", "lag:2:9", "besq:1:foo", "besq", "gbm", "jac:1",
-         "bm_interval:refl", "bm_drift:x"],
+         "bm_interval:refl", "bm_drift:x",
+         # a non-finite parameter is malformed too
+         "besq:nan", "besq:-inf", "bm_drift:inf", "lag:inf", "gbm:nan", "jac:nan,1"],
     )
     def test_malformed_id_raises(self, sid):
         with pytest.raises(CatalogError, match=f"'{sid}'.*expected"):
             make_spec(sid)
+
+    @pytest.mark.parametrize("sid", ["jac:0,1", "jac:-1,2", "jac:1,0", "jac_dual:0,1", "jac_dual:1,-0.5"])
+    def test_jacobi_requires_positive_parameters(self, sid):
+        # the spectral jac kernel loses mass there: at jac:0,1 it carries
+        # 0.233 of it at t = 0.5, x = 0.3, with no atom
+        with pytest.raises(CatalogError, match="beta > 0 and gamma > 0"):
+            make_spec(sid)
+
+    @pytest.mark.parametrize("entry", ["conjugate", "simulate_two_level", "simulate_gt", "edge_ladder"])
+    def test_hand_built_spec_raises_naming_it(self, entry):
+        from dataclasses import replace
+
+        from interlace_lab import reflectsde as rs
+        from interlace_lab.twolevel import Shape
+
+        spec = replace(make_spec("bm"), family="mystery", name="mystery")
+        call = {
+            "conjugate": lambda: conjugate(spec),
+            "simulate_two_level": lambda: rs.simulate_two_level(
+                spec, Shape.NNP1, [-1.0, 1.0], [0.0], T=0.1, dt=0.05, n_paths=2),
+            "simulate_gt": lambda: rs.simulate_gt(
+                [spec, spec], [[0.0], [-1.0, 1.0]], T=0.1, dt=0.05, n_paths=2),
+            "edge_ladder": lambda: edge_ladder(spec, 2),
+        }[entry]
+        with pytest.raises(CatalogError, match="'mystery' is not in the catalog"):
+            call()
+
+    def test_core_imports_nothing_from_catalog(self):
+        # the dependency runs one way: catalog imports core
+        import ast
+
+        from interlace_lab.diffusion1d import core
+
+        with open(core.__file__) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            assert not any(n.split(".")[-1] == "catalog" for n in names), ast.dump(node)
 
 
 class TestQuadratureCoordinates:

@@ -3,7 +3,7 @@ import pytest
 
 from interlace_lab import kmgroup as km
 from interlace_lab import twolevel as tl
-from interlace_lab.diffusion1d import conjugate, kernel, make_spec, scale_speed
+from interlace_lab.diffusion1d import conjugate, kernel, make_spec
 from interlace_lab.diffusion1d.catalog import chamber_quad, fiber_quad
 from interlace_lab.harness.checks import master_cases
 from interlace_lab.quadrature import gl_nodes
@@ -34,7 +34,7 @@ class TestShapes:
         spec = make_spec("besq:3")
         sys_ = tl.TwoLevelSystem(spec, tl.Shape.NNP1)
         y = np.array([0.5, 2.0])
-        np.testing.assert_array_equal(sys_.m_hat(y), scale_speed(spec).s_prime(y))
+        np.testing.assert_array_equal(sys_.m_hat(y), spec.scale.s_prime(y))
         # s' = exp(log s') is the closed form y^-3/2 to within 2 ulps
         np.testing.assert_array_max_ulp(sys_.m_hat(y), y ** -1.5, maxulp=2)
 
