@@ -23,12 +23,13 @@ elementary at orders 1/2 and 3/2 and scipy's ive (two Hankel terms beyond
 its range) at every other order, one evaluator per kernel (_ive_of_order).
 Spectral series: the jac kernel; the sine/cosine bases of the interval,
 Hermite for ou and generalized Laguerre for lag are kept for spectral_km
-and ground states.  Duals of lag/jac are h-transforms of parameter-shifted
-members of the same family.  Every window(t, x) misses at most 1e-12 of
-the kernel's mass.  CDFs and atoms without a closed form (killed besq,
-lag_dual, jac, jac_dual, absorbing interval ends) are core.density_integral
-quadratures of the density, by _quadrature_cdf and _harmonic_atom, and
-broadcast x against y like the closed forms.
+and ground states.  lag and lag_dual are time-changed squared Bessel
+kernels (BESQ(alpha), and BESQ(2 - alpha) killed at 0); the dual of jac
+is an h-transform of jac(beta+1, gamma+1).  Every window(t, x) misses at
+most 1e-12 of the kernel's mass.  CDFs and atoms without a closed form
+(killed besq and so lag_dual's CDF, jac, jac_dual, absorbing interval
+ends) are density_integral quadratures of the density, by _quadrature_cdf
+and _harmonic_atom, and broadcast x against y like the closed forms.
 
 Ids are exact: parameters are written as the shortest decimal that reads
 back to the same float, so make_spec(spec.name) rebuilds spec.params bit for
@@ -49,12 +50,13 @@ duality, conjugate-density and symmetry residuals sit beside kernel().
 Only edge_ladder reads the ladder; it also rejects an edge system whose
 ends are not natural or entrance.
 
-The quadrature coordinates serve the two node builders for state-space
-integrals: chamber_quad (ordered chambers) and fiber_quad (batched
-interlacing-fiber boxes, one row of nodes per box).  Both clip to the
-spec's interval and return states with the Jacobian folded into the
-weights.  The reflected-system stepper pushes exactly stepped 'sqrt'
-members in the same coordinates.
+The quadrature coordinates serve every state-space integral, through
+_in_coords: density_integral (one-dimensional integrals of a kernel's
+density, at one node count, _DENSITY_NODES), chamber_quad (ordered
+chambers) and fiber_quad (batched interlacing-fiber boxes, one row of
+nodes per box).  All clip to the spec's interval and return states with
+the Jacobian folded into the weights.  The reflected-system stepper
+pushes exactly stepped 'sqrt' members in the same coordinates.
 
 Only besq and lag have exact steps: besq draws dt chi'^2_d(x / dt), and lag
 the time-changed, rescaled besq draw of its kernel.  reflectsde steps
@@ -74,7 +76,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special as sc
 
-from ..quadrature import fd_derivative, ordered_nodes, stacked_box_nodes
+from ..quadrature import fd_derivative, gl_nodes, ordered_nodes, stacked_box_nodes
 from .core import (
     Boundary,
     CatalogError,
@@ -84,7 +86,6 @@ from .core import (
     ScaleSpeed,
     TransitionKernel,
     TruncationError,
-    density_integral,
 )
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -389,39 +390,37 @@ def symmetry_residual(spec: DiffusionSpec, t, x, y) -> float:
     return float(abs(m(y) * kern.density(t, y, x) - m(x) * kern.density(t, x, y)))
 
 
-def _harmonic_atom(density, window, n, h=None):
+def _harmonic_atom(spec, density, window, h=None):
     """Mass absorbed at an end, h(x) - int p_t(x, y) h(y) dy over
-    window(t, x) by an n-node density_integral, with h the scale-harmonic
-    hitting probability of that end (None, i.e. h = 1, at a lone absorbing
-    end: the mass deficit)."""
+    window(t, x) (two floats, or each start's bounds broadcast over x) by
+    density_integral, with h the scale-harmonic hitting probability of that
+    end (None, i.e. h = 1, at a lone absorbing end: the mass deficit)."""
 
     def atom(t, x):
-        lo, hi = window(t, x)
-        mass = density_integral(density, t, x, lo, hi, n, h)
+        mass = density_integral(spec, density, t, x, *window(t, x), h)
         return (1.0 if h is None else h(x)) - mass
 
     return atom
 
 
-def _quadrature_cdf(spec, density, window, atom_l, n):
-    """atom_l + int_lo^y p_t(x, z) dz by an n-node density_integral, with
-    lo = max(window lo, l) and y clipped to [lo, r]; broadcasts x against y."""
+def _quadrature_cdf(spec, density, window, atom_l):
+    """atom_l + int_lo^y p_t(x, z) dz by density_integral, lo the window's
+    left end; broadcasts x against y."""
 
     def cdf(t, x, y):
-        lo = max(window(t, x)[0], spec.l)
-        hi = np.clip(np.asarray(y, float), lo, spec.r)
-        return atom_l(t, x) + density_integral(density, t, x, lo, hi, n)
+        return atom_l(t, x) + density_integral(spec, density, t, x, window(t, x)[0], y)
 
     return cdf
 
 
-def _image_kernel(spec, moments, images, atoms=lambda density: (_zero_atom, _zero_atom)):
+def _image_kernel(spec, moments, images, atoms=lambda density, bounds: (_zero_atom, _zero_atom)):
     """Kernel sum_k w_k g_t(y - c_k) of Gaussian images of the start.
 
     moments = (mean(t, x), var(t), dmean_dx(t)) of the free motion, whose
     density is g_t(y - mean); images(t) lists (sign, offset, weight), the
     image with centre c = sign * mean + offset entering with weight w.
-    atoms(density) -> (atom_l, atom_r).  The CDF is measured from the
+    atoms(density, bounds) -> (atom_l, atom_r), bounds(t, x) the window
+    of each start, broadcast over x.  The CDF is measured from the
     interval's left end and adds atom_l; derivatives of every order are
     Hermite closed forms; the window is the free motion's _WINDOW_SD window
     clipped to the interval.  A single unit image (1, 0, 1) is evaluated
@@ -468,12 +467,17 @@ def _image_kernel(spec, moments, images, atoms=lambda density: (_zero_atom, _zer
         s, dm = math.sqrt(var(t)), dmean_dx(t)
         return image_sum(t, x, y, lambda z, sg: (-sg * dm) ** order * hermite(order, s, z), s)
 
-    def window(t, x):
+    def bounds(t, x):
+        # each start's window, broadcast over x
         m = mean(t, x)
         pad = _WINDOW_SD * math.sqrt(var(t))
-        return max(l, float(np.min(m) - pad)), min(r, float(np.max(m) + pad))
+        return np.maximum(l, m - pad), np.minimum(r, m + pad)
 
-    atom_l, atom_r = atoms(density)
+    def window(t, x):
+        lo, hi = bounds(t, x)
+        return float(np.min(lo)), float(np.max(hi))
+
+    atom_l, atom_r = atoms(density, bounds)
     return TransitionKernel(
         spec=spec,
         density=density,
@@ -500,7 +504,7 @@ def _walled_bm_kernel(spec):
     the mirror x -> -x carries s0, and on [0, pi] the shift x -> x + 2 pi j
     (j reflections off each wall) carries (s0 s1)^|j|.  The atoms are the
     closed-form absorbed mass on the half line, and on the interval the
-    scale-harmonic split of the mass missing from [0, pi]."""
+    scale-harmonic split of the mass missing from each start's window."""
     modes = spec.params
     s0, q = _WALL_SIGN[modes[0]], _WALL_SIGN[modes[0]] * _WALL_SIGN[modes[-1]]
     L = spec.r
@@ -512,7 +516,7 @@ def _walled_bm_kernel(spec):
         return [(sg, 2.0 * L * j if j else 0.0, q ** abs(j) * (1.0 if sg > 0 else s0))
                 for j in range(-J, J + 1) for sg in (1.0, -1.0)]
 
-    def atoms(density):
+    def atoms(density, bounds):
         if len(modes) == 1:
             if s0 > 0:
                 return _zero_atom, _zero_atom
@@ -520,7 +524,7 @@ def _walled_bm_kernel(spec):
         # the hitting probability of each absorbing end: 1 when it is the only one
         hits = ((lambda u: (L - np.asarray(u, float)) / L, lambda u: np.asarray(u, float) / L)
                 if modes == ("abs", "abs") else (None, None))
-        return tuple(_harmonic_atom(density, lambda t, x: (0.0, L), 200, h) if m == "abs"
+        return tuple(_harmonic_atom(spec, density, bounds, h) if m == "abs"
                      else _zero_atom for m, h in zip(modes, hits))
 
     return _image_kernel(spec, _brownian_gaussian(0.0), images, atoms)
@@ -660,7 +664,7 @@ def _besq_kernel(spec, d, killed):
         def atom_l(t, x):
             return sc.gammaincc(-nu, np.asarray(x, float) / (2.0 * t))
 
-        cdf = _quadrature_cdf(spec, density, window, atom_l, 220)
+        cdf = _quadrature_cdf(spec, density, window, atom_l)
 
     else:
         atom_l = _zero_atom
@@ -716,29 +720,43 @@ def _besq_kernel(spec, d, killed):
     )
 
 
-def _laguerre_kernel(spec, alpha):
-    """Laguerre via squared-Bessel time change: e^{2t} X_t is BESQ(alpha) at
-    tau = (e^{2t}-1)/2, so p_t(x,y) = e^{2t} q_tau(x, e^{2t} y)."""
-    besq = _kernel_by_name(_id("besq", (alpha, False)))
+def _lag_clock(t, sgn=1.0):
+    """(e2, tau) = (e^{2 sgn t}, sgn (e^{2 sgn t} - 1) / 2): e2 X_t is a
+    squared Bessel process at time tau, for X a Laguerre process (sgn = 1)
+    or its dual (sgn = -1)."""
+    e2 = math.exp(2.0 * sgn * t)
+    return e2, 0.5 * sgn * (e2 - 1.0)
+
+
+def _laguerre_kernel(spec, alpha, sgn):
+    """Laguerre kernels by a squared-Bessel time change (_lag_clock): e^{2t} X_t
+    of lag(alpha) is BESQ(alpha) at tau = (e^{2t} - 1)/2, and e^{-2t} X_t of
+    its dual (drift 2 - alpha + 2x) is BESQ(2 - alpha), killed at 0, at
+    tau = (1 - e^{-2t})/2.  So p_t(x, y) = e2 q_tau(x, e2 y), and the CDF,
+    the atom at 0 and the window are the BESQ ones at tau, rescaled."""
+    besq = _kernel_by_name(_id("besq", (alpha, False) if sgn > 0 else (2.0 - alpha, True)))
 
     def density(t, x, y):
-        e2, tau = math.exp(2.0 * t), 0.5 * (math.exp(2.0 * t) - 1.0)
+        e2, tau = _lag_clock(t, sgn)
         return e2 * besq.density(tau, x, e2 * np.asarray(y, float))
 
     def cdf(t, x, y):
-        e2, tau = math.exp(2.0 * t), 0.5 * (math.exp(2.0 * t) - 1.0)
+        e2, tau = _lag_clock(t, sgn)
         return besq.cdf(tau, x, e2 * np.asarray(y, float))
 
+    def atom_l(t, x):
+        return besq.atom_l(_lag_clock(t, sgn)[1], x)
+
     def dx(o, t, x, y):
-        e2, tau = math.exp(2.0 * t), 0.5 * (math.exp(2.0 * t) - 1.0)
+        e2, tau = _lag_clock(t, sgn)
         return e2 * besq.dx_derivative(o, tau, x, e2 * np.asarray(y, float))
 
     def dy(o, t, x, y):
-        e2, tau = math.exp(2.0 * t), 0.5 * (math.exp(2.0 * t) - 1.0)
+        e2, tau = _lag_clock(t, sgn)
         return e2 ** (o + 1) * besq.dy_derivative(o, tau, x, e2 * np.asarray(y, float))
 
     def window(t, x):
-        e2, tau = math.exp(2.0 * t), 0.5 * (math.exp(2.0 * t) - 1.0)
+        e2, tau = _lag_clock(t, sgn)
         lo, hi = besq.window(tau, x)
         return lo / e2, hi / e2
 
@@ -746,49 +764,11 @@ def _laguerre_kernel(spec, alpha):
         spec=spec,
         density=density,
         cdf=cdf,
-        atom_l=_zero_atom,
+        atom_l=atom_l,
         atom_r=_zero_atom,
         window=window,
         dx_derivative=dx,
         dy_derivative=dy,
-    )
-
-
-def _laguerre_dual_kernel(spec, alpha):
-    """Dual of lag(alpha): h-transform of lag(alpha+2) by hh(x) = x^{a/2}e^{-x}
-    with rate -2, giving p(x,y) = e^{-2t} (hh(x)/hh(y)) p^{alpha+2}_t(x,y).
-    p^{alpha+2} is the time-changed BESQ(alpha+2) density of _laguerre_kernel;
-    evaluated in log space, e^{y-x} joins its Gaussian exponent, whose sum
-    stays <= 0, so no factor overflows however far the window reaches."""
-    nu = alpha / 2.0  # Bessel index of BESQ(alpha + 2)
-    ive = _ive_of_order(nu)
-
-    def density(t, x, y):
-        e2, tau = math.exp(2.0 * t), 0.5 * (math.exp(2.0 * t) - 1.0)
-        x = np.maximum(np.asarray(x, float), 1e-300)
-        y = np.asarray(y, float)
-        big = e2 * y
-        log_p = (
-            (nu / 2.0) * np.log(e2 * x / np.maximum(y, 1e-300))
-            + (y - x)
-            - 0.5 * (np.sqrt(x) - np.sqrt(big)) ** 2 / tau
-        )
-        return np.exp(log_p) / (2.0 * tau) * ive(np.sqrt(x * big) / tau)
-
-    def window(t, x):
-        x = float(np.max(np.asarray(x, float)))
-        e2 = math.exp(2.0 * t)
-        hi = 45.0 * max(e2 - 1.0, t) + 3.0 * e2 * (x + alpha + 2.0) + 10.0
-        return 0.0, hi
-
-    atom_l = _harmonic_atom(density, window, 360)
-    return TransitionKernel(
-        spec=spec,
-        density=density,
-        cdf=_quadrature_cdf(spec, density, window, atom_l, 360),
-        atom_l=atom_l,
-        atom_r=_zero_atom,
-        window=window,
     )
 
 
@@ -812,12 +792,12 @@ def _jacobi_dual_kernel(spec, beta, gamma):
     def h_l(x):
         return 1.0 - sc.betainc(beta, gamma, np.asarray(x, float))
 
-    atom_l = _harmonic_atom(density, window, 240, h_l)
-    atom_r = _harmonic_atom(density, window, 240, lambda u: 1.0 - h_l(u))
+    atom_l = _harmonic_atom(spec, density, window, h_l)
+    atom_r = _harmonic_atom(spec, density, window, lambda u: 1.0 - h_l(u))
     return TransitionKernel(
         spec=spec,
         density=density,
-        cdf=_quadrature_cdf(spec, density, window, atom_l, 240),
+        cdf=_quadrature_cdf(spec, density, window, atom_l),
         atom_l=atom_l,
         atom_r=atom_r,
         window=window,
@@ -979,7 +959,7 @@ def _spectral_only_kernel(spec):
     return TransitionKernel(
         spec=spec,
         density=density,
-        cdf=_quadrature_cdf(spec, density, window, _zero_atom, 200),
+        cdf=_quadrature_cdf(spec, density, window, _zero_atom),
         atom_l=_zero_atom,
         atom_r=_zero_atom,
         window=window,
@@ -1261,8 +1241,8 @@ def _lag_step(params):
     besq_step, draws = _besq_step((params[0], False))
 
     def step(x, dt, gen):
-        e2 = math.exp(2.0 * dt)
-        return besq_step(x, 0.5 * (e2 - 1.0), gen) / e2
+        e2, tau = _lag_clock(dt)
+        return besq_step(x, tau, gen) / e2
     return step, draws
 
 
@@ -1291,7 +1271,7 @@ class _Family:
     # params -> (step, {kind: variates per value}); step(x, dt, gen) is an
     # exact draw of X_dt given X_0 = x
     step: Optional[Callable] = None
-    coords: str = "linear"  # quadrature coordinates: "linear", "sqrt" or "log"
+    coords: str = "linear"  # quadrature coordinates: "linear", "sqrt", "log" or "arcsine"
 
 
 def _id(fam: str, params: tuple) -> str:
@@ -1353,7 +1333,7 @@ FAMILIES: dict[str, _Family] = {
         **_ids("lag", "alpha"),
         build=lambda alpha: _laguerre_spec("lag", alpha, dual=False),
         dual=lambda p: _id("lag_dual", p),
-        kernel=lambda s: _laguerre_kernel(s, *s.params),
+        kernel=lambda s: _laguerre_kernel(s, *s.params, 1.0),
         basis=_laguerre_basis,
         eigen=lambda p, n: _vandermonde(n, -float(n * (n - 1))),
         ladder=lambda p, m: _id("lag", (p[0] + 2 * m,)),
@@ -1364,7 +1344,7 @@ FAMILIES: dict[str, _Family] = {
         **_ids("lag_dual", "alpha"),
         build=lambda alpha: _laguerre_spec("lag_dual", alpha, dual=True),
         dual=lambda p: _id("lag", p),
-        kernel=lambda s: _laguerre_dual_kernel(s, *s.params),
+        kernel=lambda s: _laguerre_kernel(s, *s.params, -1.0),
         coords="sqrt",
     ),
     "jac": _Family(
@@ -1377,12 +1357,14 @@ FAMILIES: dict[str, _Family] = {
             n, -sum(2.0 * k * (k + p[0] + p[1] - 1.0) for k in range(n))
         ),
         ladder=lambda p, m: _id("jac", (p[0] + m, p[1] + m)),
+        coords="arcsine",
     ),
     "jac_dual": _Family(
         **_ids("jac_dual", "beta,gamma"),
         build=lambda beta, gamma: _jacobi_spec("jac_dual", beta, gamma, dual=True),
         dual=lambda p: _id("jac", p),
         kernel=lambda s: _jacobi_dual_kernel(s, *s.params),
+        coords="arcsine",
     ),
     "gbm": _Family(
         **_ids("gbm", "alpha"),
@@ -1480,8 +1462,10 @@ def constant_coefficients(spec: DiffusionSpec):
 
 def quad_coords(spec: DiffusionSpec) -> str:
     """Coordinates that make quadrature of spec's densities converge:
-    'sqrt' (u = sqrt(y)) and 'log' (u = log(y)) remove endpoint kinks.  'sqrt'
-    is also the Lamperti coordinate of a = 2x, in which the noise is unit."""
+    'sqrt' (u = sqrt(y)), 'log' (u = log(y)) and 'arcsine'
+    (u = arcsin(sqrt(y)), opening both ends of (0, 1)) remove endpoint
+    kinks.  'sqrt' and 'arcsine' are also the Lamperti coordinates of
+    a = 2x and a = 2x(1 - x), in which the noise is unit."""
     return _record(spec).coords
 
 
@@ -1489,6 +1473,7 @@ def quad_coords(spec: DiffusionSpec) -> str:
 _COORD_MAPS = {
     "sqrt": (np.sqrt, np.square, lambda u, y: 2.0 * u),
     "log": (np.log, np.exp, lambda u, y: y),
+    "arcsine": (lambda y: np.arcsin(np.sqrt(y)), lambda u: np.sin(u) ** 2, lambda u, y: np.sin(2.0 * u)),
 }
 
 
@@ -1505,6 +1490,38 @@ def _in_coords(spec: DiffusionSpec, nodes: Callable, lo, hi):
     u, w = nodes(fwd(lo), fwd(hi))
     y = inv(u)
     return y, w * np.prod(jac(u, y), axis=-1)
+
+
+#: Gauss-Legendre nodes of every density_integral (README gives the
+#: convergence table behind the count)
+_DENSITY_NODES = 128
+
+
+def density_integral(spec: DiffusionSpec, density: Callable, t, x, lo, hi, weight=None):
+    """int_lo^hi weight(z) p_t(x, z) dz over [lo, hi] clipped to spec's
+    interval, by a _DENSITY_NODES-node Gauss-Legendre rule in spec's
+    quadrature coordinates (see _in_coords).
+
+    x, lo and hi broadcast against each other; the nodes z run along a new
+    last axis, where weight(z) (default 1) is evaluated.  An empty interval
+    (hi <= lo once clipped) gives 0, without evaluating the density there.
+    """
+    l, r = spec.interval
+    x, lo, hi = np.broadcast_arrays(*(np.asarray(v, float) for v in (x, lo, hi)))
+    lo, hi = np.maximum(lo, l), np.minimum(hi, r)
+    keep = hi > lo
+
+    def nodes(a, b):
+        z, w = gl_nodes(a[..., None], b[..., None], _DENSITY_NODES)
+        return z[..., None], w
+
+    z, w = _in_coords(spec, nodes, lo, np.where(keep, hi, lo))
+    z = z[..., 0]
+    f = np.zeros(z.shape)
+    f[keep] = density(t, x[keep][:, None], z[keep])
+    if weight is not None:
+        f = f * weight(z)
+    return np.sum(w * f, axis=-1)
 
 
 def chamber_quad(spec: DiffusionSpec, ndim: int, lo: float, hi: float, n: int, pad=None):

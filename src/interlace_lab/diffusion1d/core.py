@@ -256,7 +256,8 @@ class TransitionKernel:
     cdf(t, x, y) = P_x(X_t <= y) includes the atom at l.  dx differentiates
     the backward variable, dy the forward one.  Every evaluator broadcasts
     x against y; where a CDF or atom has no closed form it is a
-    density_integral of the density.
+    catalog.density_integral of the density, in the family's quadrature
+    coordinates.
     """
 
     spec: DiffusionSpec
@@ -286,19 +287,3 @@ class TransitionKernel:
             lambda v: self.density(t, x, spec.clip_interior(v, 1e-13)), y, order=order
         )
 
-
-def density_integral(density, t, x, lo, hi, n, weight=None):
-    """int_lo^hi weight(z) p_t(x, z) dz by an n-node Gauss-Legendre rule.
-
-    x, lo and hi broadcast against each other; the nodes z run along a new
-    last axis, where weight(z) (default 1) is evaluated.  An empty interval
-    (hi <= lo) gives 0, without evaluating the density there.
-    """
-    x, lo, hi = np.broadcast_arrays(*(np.asarray(v, float) for v in (x, lo, hi)))
-    keep = hi > lo
-    z, w = gl_nodes(lo[..., None], np.where(keep, hi, lo)[..., None], n)
-    f = np.zeros(z.shape)
-    f[keep] = density(t, x[keep][:, None], z[keep])
-    if weight is not None:
-        f = f * weight(z)
-    return np.sum(w * f, axis=-1)

@@ -35,7 +35,6 @@ from .kmgroup import det
 from .quadrature import fd_derivative
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-_S_NODES = 200  # Gauss-Legendre nodes of the S^{(k),j}, j >= 2, integrals
 
 
 def _gaussian_params(spec: DiffusionSpec, t: float, x: float):
@@ -49,7 +48,8 @@ class EdgeOperatorTable:
     """Evaluators S^{(k),j} for k <= n, j in [-(n-1), n-1], with constants
     c_{k,n}.  Entries are closed forms for the Gaussian families; otherwise
     j <= 0 are the level kernel's density and y-derivatives, j = 1 its CDF,
-    and j >= 2 a 200-node density_integral against (x'-z)^{j-1}/(j-1)!."""
+    and j >= 2 a density_integral against (x'-z)^{j-1}/(j-1)!, in the
+    level family's quadrature coordinates."""
 
     base: DiffusionSpec
     n: int
@@ -101,13 +101,13 @@ class EdgeOperatorTable:
     def _quad_S(self, k, j, x, xp, lower):
         """S^{(k),j} (lower) or Sbar^{(k),j} for j >= 2: the integral of
         +-(x'-z)^{j-1}/(j-1)! p^{(k)}(x, z) over z in [lo, x'] or [x', hi],
-        with (lo, hi) the level kernel's window and lo no lower than l."""
+        with (lo, hi) the level kernel's window clipped to its interval."""
         kern = self._kern(k)
         lo, hi = kern.window(self.t, x)
         sign, fact = (1.0 if lower else -1.0), math.factorial(j - 1)
         weight = lambda z: sign * (xp[..., None] - z) ** (j - 1) / fact
-        bounds = (max(kern.spec.l, lo), xp) if lower else (xp, hi)
-        return density_integral(kern.density, self.t, x, *bounds, _S_NODES, weight)
+        bounds = (lo, xp) if lower else (xp, hi)
+        return density_integral(kern.spec, kern.density, self.t, x, *bounds, weight)
 
     def recurrence_residual(self, i: int, j: int, x: float, xp) -> float:
         """Relative residual of S^{(i-1),j} = -e^{-c_{i-1} t} d/dx S^{(i),j+1}."""

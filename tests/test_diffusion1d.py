@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import special as sc
 
+from interlace_lab import edgekernels as ek
 from interlace_lab.diffusion1d import (
     CATALOG_IDS,
     Boundary,
@@ -210,7 +211,19 @@ class TestKernels:
         _, hi = k.window(t, x)
         assert float(k.cdf(t, x, hi) + k.atom_r(t, x)) == pytest.approx(1.0, abs=5e-7)
 
-    @pytest.mark.parametrize("sid", CATALOG_IDS)
+    @pytest.mark.parametrize("alpha", [1.0, 3.0])
+    def test_lag_dual_is_the_h_transform_of_lag_alpha_plus_2(self, alpha):
+        # p_t(x, y) = e^{-2t} (hh(x) / hh(y)) p_t(x, y) of lag(alpha + 2),
+        # hh(x) = x^{alpha/2} e^{-x}, against the time-changed killed BESQ
+        dual = kernel(make_spec(f"lag_dual:{alpha:g}"))
+        up = kernel(make_spec(f"lag:{alpha + 2:g}"))
+        hh = lambda v: v ** (alpha / 2.0) * np.exp(-v)
+        x, y = np.array([[0.3], [1.0], [2.5]]), np.array([0.2, 0.9, 2.0, 4.0])
+        for t in (0.05, 0.5, 2.0):
+            want = math.exp(-2.0 * t) * hh(x) / hh(y) * up.density(t, x, y)
+            np.testing.assert_allclose(dual.density(t, x, y), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("sid", CATALOG_IDS + ["lag_dual:1", "lag_dual:3"])
     def test_window_misses_at_most_1e_12_of_the_mass(self, sid):
         # P(X_t outside the window), from the CDF and the atoms, on a (t, x)
         # grid that starts at the left end unless it is natural
@@ -233,15 +246,16 @@ class TestKernels:
         k = kernel(make_spec("bm"))
         x = np.array([[-0.5], [0.4]])
         hi = np.array([[-1.0, -0.5, 0.0, 2.0]])
-        got = density_integral(k.density, 1.0, x, -0.5, hi, 60)
+        got = density_integral(k.spec, k.density, 1.0, x, -0.5, hi)
         want = np.where(hi > -0.5, ndtr(hi - x) - ndtr(-0.5 - x), 0.0)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-        mean = density_integral(k.density, 1.0, 0.3, -12.0, 12.0, 80, weight=lambda z: z)
+        mean = density_integral(k.spec, k.density, 1.0, 0.3, -12.0, 12.0, weight=lambda z: z)
         assert float(mean) == pytest.approx(0.3, abs=1e-13)
-        # an empty interval at a singular end is never evaluated
+        # an empty interval at a singular end is never evaluated; in the
+        # sqrt coordinate of besq, 1/sqrt(z) dz = 2 du is integrated exactly
         singular = lambda t, x, z: 1.0 / np.sqrt(z)
-        got = density_integral(singular, 1.0, 0.0, 0.0, np.array([0.0, 4.0]), 200)
-        assert got[0] == 0.0 and got[1] == pytest.approx(4.0, rel=1e-2)
+        got = density_integral(make_spec("besq:2"), singular, 1.0, 0.0, 0.0, np.array([0.0, 4.0]))
+        assert got[0] == 0.0 and got[1] == pytest.approx(4.0, rel=1e-14)
 
     @pytest.mark.parametrize("sid", CATALOG_IDS)
     def test_cdf_and_atoms_broadcast_over_start_and_end(self, sid):
@@ -465,6 +479,8 @@ class TestDuality:
             ("lag:3", 0.4, 1.0, 2.0, 1e-6),
             ("gbm:1", 0.5, 1.0, 1.5, 1e-6),
             ("jac:1,1", 0.4, 0.4, 0.7, 1e-6),
+            ("jac:0.5,0.5", 0.5, 0.3, 0.45, 1e-6),
+            ("jac:0.5,0.5", 0.1, 0.8, 0.15, 1e-6),
             ("bm_interval:refl,refl", 0.5, 1.0, 2.0, 1e-6),
         ],
     )
@@ -730,14 +746,59 @@ class TestFamilyRegistry:
             assert not any(n.split(".")[-1] == "catalog" for n in names), ast.dump(node)
 
 
+# starts x and ends y of the kernels whose CDF or atoms are density
+# integrals, evaluated at every t of _INTEGRAL_TIMES
+_HALF_LINE = ((0.3, 2.5, 8.0), (0.2, 0.9, 2.0, 4.0, 9.0))
+_UNIT = ((0.2, 0.5, 0.8), (0.15, 0.45, 0.85))
+_INTERVAL = ((0.4, 1.5, 2.7), (0.5, 1.6, 2.9))
+_INTEGRAL_KERNELS = {
+    "besq:1:abs": _HALF_LINE, "besq:0.5:abs": _HALF_LINE, "besq:-0.5": _HALF_LINE,
+    "besq:-1": _HALF_LINE, "lag_dual:1": _HALF_LINE, "lag_dual:3": _HALF_LINE,
+    "jac:1,1": _UNIT, "jac:0.5,0.5": _UNIT, "jac_dual:1,1": _UNIT, "jac_dual:0.5,0.5": _UNIT,
+    "bm_interval:abs,abs": _INTERVAL, "bm_interval:abs,refl": _INTERVAL,
+    "bm_interval:refl,abs": _INTERVAL,
+}
+_INTEGRAL_TIMES = (0.002, 0.1, 1.0, 3.0)
+# (base, n, t, coincident start): edge tables whose S^{(k),j}, j >= 2, are
+# density integrals
+_INTEGRAL_EDGES = {"besq:2 n=2": ("besq:2", 2, 1.0, 0.0), "besq:3 n=3": ("besq:3", 3, 0.5, 0.5),
+                   "lag:2 n=2": ("lag:2", 2, 1.0, 0.2), "lag:3 n=3": ("lag:3", 3, 0.5, 0.5)}
+
+
+def _integral_values(target):
+    """CDF on the (t, x, y) grid and both atoms on the (t, x) grid of a
+    kernel, or the extreme-particle CDFs of an edge table on a z grid."""
+    if target in _INTEGRAL_EDGES:
+        sid, n, t, x = _INTEGRAL_EDGES[target]
+        z = np.linspace(0.1, 8.0, 9)
+        return np.concatenate([ek.edge_max_cdf_degenerate(make_spec(sid), n, t, x, z),
+                               ek.edge_min_cdf_degenerate(make_spec(sid), n, t, x, z)])
+    xs, ys = _INTEGRAL_KERNELS[target]
+    k = kernel(make_spec(target))
+    x = np.array(xs)[:, None]
+    return np.concatenate([np.ravel(v) for t in _INTEGRAL_TIMES
+                           for v in (k.cdf(t, x, np.array(ys)), k.atom_l(t, x), k.atom_r(t, x))])
+
+
 class TestQuadratureCoordinates:
-    """chamber_quad and fiber_quad: clipped to the state space, in the
-    family's coordinates (linear, sqrt or log), Jacobian in the weights."""
+    """density_integral, chamber_quad and fiber_quad: clipped to the state
+    space, in the family's coordinates (linear, sqrt, log or arcsine),
+    Jacobian in the weights."""
+
+    @pytest.mark.parametrize("target", list(_INTEGRAL_KERNELS) + list(_INTEGRAL_EDGES))
+    def test_density_integrals_match_a_600_node_rule(self, target, monkeypatch):
+        # every CDF, atom and edge entry that is a density integral sits at
+        # the rounding floor of a 600-node rule in the same coordinates
+        got = _integral_values(target)
+        monkeypatch.setattr(catalog, "_DENSITY_NODES", 600)
+        ref = _integral_values(target)
+        assert np.all(np.isfinite(got))
+        assert float(np.max(np.abs(got - ref))) <= 1e-12
 
     @pytest.mark.parametrize(
         "sid, x, t",
         [("bm_halfline:refl", 0.3, 0.5), ("besq:3", 0.2, 0.7), ("lag:3", 1.0, 0.4),
-         ("gbm:1", 1.5, 0.3), ("ou", -0.4, 0.6)],
+         ("gbm:1", 1.5, 0.3), ("ou", -0.4, 0.6), ("jac:0.5,0.5", 0.3, 0.5)],
     )
     def test_one_particle_kernel_has_unit_mass(self, sid, x, t):
         kern = kernel(make_spec(sid))
@@ -755,7 +816,8 @@ class TestQuadratureCoordinates:
         [("bm", [[-1.0, 0.5]], [[0.5, 2.0]], 2.25),
          ("bm_interval:abs,abs", [[-1.0, 3.0]], [[0.5, 5.0]], 0.5 * (math.pi - 3.0)),
          ("besq:3", [[-1.0, 1.0]], [[0.5, 4.0]], 1.5),
-         ("gbm:1", [[0.01, 1.0]], [[0.5, 3.0]], 0.49 * 2.0)],
+         ("gbm:1", [[0.01, 1.0]], [[0.5, 3.0]], 0.49 * 2.0),
+         ("jac:1,1", [[-1.0, 0.2]], [[0.5, 2.0]], 0.5 * 0.8)],
     )
     def test_weights_measure_the_clipped_region(self, sid, lo, hi, volume):
         spec = make_spec(sid)
