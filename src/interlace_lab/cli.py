@@ -346,7 +346,7 @@ def cmd_edge_cdf(args):
         else:
             F = ek.edge_min_cdf_degenerate(spec, args.n, args.t, base, z)
     else:
-        tbl = ek.build_edge_table(spec, args.n, args.t)
+        tbl = ek.EdgeOperatorTable(spec, args.n, args.t)
         F = ek.edge_max_cdf(tbl, x0, z) if args.side == "right" else ek.edge_min_cdf(tbl, x0, z)
     rows = []
     oracle_F = None
@@ -387,15 +387,21 @@ def cmd_campaign(args):
     return 0 if res.passed else 1
 
 
-def _positive(text):
-    """argparse type of a time: a float above 0."""
-    try:
-        v = float(text)
-    except ValueError:
-        v = float("nan")
-    if not v > 0:  # nan fails too
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return v
+def _above_zero(cast, what):
+    """argparse type of a time (cast float) or a count (cast int): a value
+    above 0, nan excluded."""
+    def parse(text):
+        try:
+            v = cast(text)
+        except ValueError:
+            v = float("nan")
+        if not v > 0:
+            raise argparse.ArgumentTypeError(f"expected a positive {what}, got {text!r}")
+        return v
+    return parse
+
+
+_positive, _positive_int = _above_zero(float, "number"), _above_zero(int, "integer")
 
 
 def _option(*names, **kw):
@@ -423,8 +429,8 @@ def build_parser():
 
     s = add("duality-check", help="CDF duality residual grid")
     s.add_argument("--spec", action="append", required=True)
-    s.add_argument("--times", type=float, nargs="+", default=[0.25, 1.0])
-    s.add_argument("--grid", type=int, default=5)
+    s.add_argument("--times", type=_positive, nargs="+", default=[0.25, 1.0])
+    s.add_argument("--grid", type=_positive_int, default=5)
     s.set_defaults(func=cmd_duality_check)
 
     s = add("density", help="determinant transition density")
@@ -469,7 +475,7 @@ def build_parser():
     s.add_argument("--start", default=None, help="space-separated start (default origin)")
     s.add_argument("--zmin", type=float, required=True)
     s.add_argument("--zmax", type=float, required=True)
-    s.add_argument("--znum", type=int, default=41)
+    s.add_argument("--znum", type=_positive_int, default=41)
     s.add_argument("--oracle", default=None,
                    help="gue:n, wishart:n,k or jue:n,p,q, with n = --n")
     s.add_argument("--oracle-count", type=int, default=100000)

@@ -22,14 +22,20 @@ squared-Bessel/Laguerre forms, whose Bessel factor e^{-z} I_nu(z) is
 elementary at orders 1/2 and 3/2 and scipy's ive (two Hankel terms beyond
 its range) at every other order, one evaluator per kernel (_ive_of_order).
 Spectral series: the jac kernel; the sine/cosine bases of the interval,
-Hermite for ou and generalized Laguerre for lag are kept for spectral_km
-and ground states.  lag and lag_dual are time-changed squared Bessel
-kernels (BESQ(alpha), and BESQ(2 - alpha) killed at 0); the dual of jac
-is an h-transform of jac(beta+1, gamma+1).  Every window(t, x) misses at
-most 1e-12 of the kernel's mass.  CDFs and atoms without a closed form
-(killed besq and so lag_dual's CDF, jac, jac_dual, absorbing interval
-ends) are density_integral quadratures of the density, by _quadrature_cdf
-and _harmonic_atom, and broadcast x against y like the closed forms.
+Hermite for ou and generalized Laguerre for lag serve kmgroup's ground
+states and its spectral_km series, which tests hold the closed forms
+against.  lag and lag_dual are time-changed squared Bessel kernels
+(BESQ(alpha), and BESQ(2 - alpha) killed at 0); the dual of jac is an
+h-transform of jac(beta+1, gamma+1).  Every window(t, x) misses at most
+1e-12 of the kernel's mass.  CDFs and atoms without a closed form (killed
+besq and so lag_dual's CDF, jac, jac_dual, absorbing interval ends) are
+density_integral quadratures of the density, by _quadrature_cdf and
+_harmonic_atom, and broadcast x against y like the closed forms.
+
+Derivatives: the Gaussian-image kernels have Hermite closed forms of
+every order, and lag and lag_dual take besq's through the time change.
+besq, gbm, jac and jac_dual state closed first derivatives, from which
+_from_first_derivatives, the one finite-difference rule, makes the rest.
 
 Ids are exact: parameters are written as the shortest decimal that reads
 back to the same float, so make_spec(spec.name) rebuilds spec.params bit for
@@ -530,19 +536,22 @@ def _walled_bm_kernel(spec):
     return _image_kernel(spec, _brownian_gaussian(0.0), images, atoms)
 
 
-def _from_first_derivatives(dx1, dy1):
-    """dx/dy evaluators from closed first derivatives; higher orders are
-    finite differences of the first, kept off the origin."""
+def _from_first_derivatives(spec, dx1, dy1):
+    """The derivative rule: dx/dy evaluators of every order from closed
+    first derivatives.  Order 1 is dx1 / dy1; order o > 1 is the order-(o - 1)
+    finite difference of the first derivative, at points clipped by
+    spec.clip_interior.  Every kernel without all-order closed forms takes
+    its higher orders here, and nowhere else."""
 
     def dx(o, t, x, y):
         if o == 1:
             return dx1(t, x, y)
-        return fd_derivative(lambda u: dx1(t, np.maximum(u, 1e-12), y), np.asarray(x, float), order=o - 1)
+        return fd_derivative(lambda u: dx1(t, spec.clip_interior(u), y), np.asarray(x, float), order=o - 1)
 
     def dy(o, t, x, y):
         if o == 1:
             return dy1(t, x, y)
-        return fd_derivative(lambda v: dy1(t, x, np.maximum(v, 1e-12)), np.asarray(y, float), order=o - 1)
+        return fd_derivative(lambda v: dy1(t, x, spec.clip_interior(v)), np.asarray(y, float), order=o - 1)
 
     return dx, dy
 
@@ -707,7 +716,7 @@ def _besq_kernel(spec, d, killed):
             + np.sqrt(np.maximum(x, 0.0) / ys) / (2.0 * t) * ratio_next(z)
         )
 
-    dx, dy = _from_first_derivatives(dx1, dy1)
+    dx, dy = _from_first_derivatives(spec, dx1, dy1)
     return TransitionKernel(
         spec=spec,
         density=density,
@@ -785,6 +794,21 @@ def _jacobi_dual_kernel(spec, beta, gamma):
     def density(t, x, y):
         return math.exp(-rate * t) * (hh(x) / hh(y)) * up.density(t, x, y)
 
+    def dlog_hh(u):
+        u = np.asarray(u, float)
+        return beta / u - gamma / (1.0 - u)
+
+    # the product rule on the h-transform
+    def dx1(t, x, y):
+        return math.exp(-rate * t) * (hh(x) / hh(y)) * (
+            up.dx_derivative(1, t, x, y) + up.density(t, x, y) * dlog_hh(x))
+
+    def dy1(t, x, y):
+        return math.exp(-rate * t) * (hh(x) / hh(y)) * (
+            up.dy_derivative(1, t, x, y) - up.density(t, x, y) * dlog_hh(y))
+
+    dx, dy = _from_first_derivatives(spec, dx1, dy1)
+
     def window(t, x):
         return 0.0, 1.0
 
@@ -801,6 +825,8 @@ def _jacobi_dual_kernel(spec, beta, gamma):
         atom_l=atom_l,
         atom_r=atom_r,
         window=window,
+        dx_derivative=dx,
+        dy_derivative=dy,
     )
 
 
@@ -832,7 +858,7 @@ def _gbm_kernel(spec, alpha):
         z = (np.log(np.asarray(y, float) / x) - drift * t) / s
         return density(t, x, y) * z / (s * x)
 
-    dx, dy = _from_first_derivatives(dx1, dy1)
+    dx, dy = _from_first_derivatives(spec, dx1, dy1)
 
     def window(t, x):
         x = np.asarray(x, float)
@@ -905,56 +931,31 @@ class SpectralBasis:
 
 
 def _series_evaluators(basis: SpectralBasis):
+    """(density, dx1, dy1) of the series kernel sum_k e^{-lambda_k t}
+    phi_k(x) phi_k(y) m(y), summed term by term to basis.n_terms(t): dx1
+    differentiates phi_k(x), dy1 the product phi_k(y) m(y).  The higher
+    orders are the catalog's derivative rule (_from_first_derivatives)."""
+    phi, dphi, m = basis.phi, basis.phi_prime, basis.m
+
+    def series(t, term):
+        return sum(term(k, math.exp(-basis.eigenvalue(k) * t)) for k in range(basis.n_terms(t)))
+
     def density(t, x, y):
-        K = basis.n_terms(t)
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        acc = 0.0
-        for k in range(K):
-            acc = acc + math.exp(-basis.eigenvalue(k) * t) * basis.phi(k, x) * basis.phi(k, y)
-        return acc * basis.m(y)
+        return series(t, lambda k, e: e * phi(k, x) * phi(k, y)) * m(y)
 
-    def dy(order, t, x, y):
-        if order > 2:
-            return fd_derivative(lambda v: density(t, x, v), np.asarray(y, float), order=order)
-        K = basis.n_terms(t)
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        acc = 0.0
-        for k in range(K):
-            w = math.exp(-basis.eigenvalue(k) * t) * basis.phi(k, x)
-            if order == 1:
-                acc = acc + w * (basis.phi_prime(k, y) * basis.m(y) + basis.phi(k, y) * basis.m_prime(y))
-            else:
-                term = fd_derivative(
-                    lambda v, kk=k: basis.phi_prime(kk, v) * basis.m(v) + basis.phi(kk, v) * basis.m_prime(v),
-                    y,
-                    order=1,
-                )
-                acc = acc + w * term
-        return acc
+    def dx1(t, x, y):
+        return series(t, lambda k, e: e * phi(k, y) * m(y) * dphi(k, x))
 
-    def dx(order, t, x, y):
-        if order > 2:
-            return fd_derivative(lambda u: density(t, u, y), np.asarray(x, float), order=order)
-        K = basis.n_terms(t)
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        acc = 0.0
-        for k in range(K):
-            w = math.exp(-basis.eigenvalue(k) * t) * basis.phi(k, y) * basis.m(y)
-            if order == 1:
-                acc = acc + w * basis.phi_prime(k, x)
-            else:
-                acc = acc + w * fd_derivative(lambda u, kk=k: basis.phi_prime(kk, u), x, order=1)
-        return acc
+    def dy1(t, x, y):
+        return series(t, lambda k, e: e * phi(k, x) * (dphi(k, y) * m(y) + phi(k, y) * basis.m_prime(y)))
 
-    return density, dx, dy
+    return density, dx1, dy1
 
 
 def _spectral_only_kernel(spec):
     basis = spectral_basis(spec)
-    density, dx, dy = _series_evaluators(basis)
+    density, dx1, dy1 = _series_evaluators(basis)
+    dx, dy = _from_first_derivatives(spec, dx1, dy1)
     window = lambda t, x: spec.interval
     return TransitionKernel(
         spec=spec,

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..quadrature import fd_derivative, gl_nodes, logsumexp_weighted
+from ..quadrature import gl_nodes, logsumexp_weighted
 
 
 class CatalogError(KeyError):
@@ -106,6 +106,10 @@ class ScaleSpeed:
         return ScaleSpeed(log_s_prime=self.log_m, log_m=self.log_s_prime)
 
 
+#: how far inside each finite end DiffusionSpec.clip_interior keeps a point
+_INTERIOR_PAD = 1e-12
+
+
 @dataclass(frozen=True, eq=False)
 class DiffusionSpec:
     """Coefficients, state interval, and boundary behaviours of a diffusion."""
@@ -130,9 +134,10 @@ class DiffusionSpec:
     def r(self):
         return self.interval[1]
 
-    def clip_interior(self, x, pad=1e-12):
-        lo = self.l if np.isinf(self.l) else self.l + pad
-        hi = self.r if np.isinf(self.r) else self.r - pad
+    def clip_interior(self, x):
+        """x clipped to the interval, _INTERIOR_PAD inside each finite end."""
+        lo = self.l if np.isinf(self.l) else self.l + _INTERIOR_PAD
+        hi = self.r if np.isinf(self.r) else self.r - _INTERIOR_PAD
         return np.clip(x, lo, hi)
 
 
@@ -253,9 +258,12 @@ class TransitionKernel:
 
     density is the interior (killed) density with respect to Lebesgue dy;
     atoms carry the mass absorbed at exit / regular-absorbing endpoints.
-    cdf(t, x, y) = P_x(X_t <= y) includes the atom at l.  dx differentiates
-    the backward variable, dy the forward one.  Every evaluator broadcasts
-    x against y; where a CDF or atom has no closed form it is a
+    cdf(t, x, y) = P_x(X_t <= y) includes the atom at l.  dx_derivative(o,
+    t, x, y) is the o-th derivative in the backward variable x and
+    dy_derivative in the forward one y; both are required, and the catalog
+    makes the orders no closed form covers by one rule
+    (catalog._from_first_derivatives).  Every evaluator broadcasts x
+    against y; where a CDF or atom has no closed form it is a
     catalog.density_integral of the density, in the family's quadrature
     coordinates.
     """
@@ -266,24 +274,5 @@ class TransitionKernel:
     atom_l: Callable
     atom_r: Callable
     window: Callable
-    dx_derivative: Callable = None
-    dy_derivative: Callable = None
-
-    def __post_init__(self):
-        if self.dx_derivative is None:
-            self.dx_derivative = self._fd_dx
-        if self.dy_derivative is None:
-            self.dy_derivative = self._fd_dy
-
-    def _fd_dx(self, order, t, x, y):
-        spec = self.spec
-        return fd_derivative(
-            lambda u: self.density(t, spec.clip_interior(u, 1e-13), y), x, order=order
-        )
-
-    def _fd_dy(self, order, t, x, y):
-        spec = self.spec
-        return fd_derivative(
-            lambda v: self.density(t, x, spec.clip_interior(v, 1e-13)), y, order=order
-        )
-
+    dx_derivative: Callable
+    dy_derivative: Callable

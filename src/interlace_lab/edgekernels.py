@@ -147,10 +147,6 @@ def _gauss_full_moment(nu, var, k):
     return m_cur
 
 
-def build_edge_table(spec: DiffusionSpec, n: int, t: float) -> EdgeOperatorTable:
-    return EdgeOperatorTable(base=spec, n=n, t=t)
-
-
 def _start(table: EdgeOperatorTable, x0) -> np.ndarray:
     """x0 as a vector of table.n floats, else ValueError."""
     x0 = np.asarray(x0, float)
@@ -204,7 +200,7 @@ def edge_max_cdf_degenerate(spec: DiffusionSpec, n: int, t: float, x: float, z):
     """Extreme-particle CDF from a coincident start via a two-level
     Richardson extrapolation over staircase starts of steps 1e-4 and 5e-5
     (mimicking the entrance-law limit under which the formula extends)."""
-    tbl, eps = build_edge_table(spec, n, t), 1e-4
+    tbl, eps = EdgeOperatorTable(spec, n, t), 1e-4
     f1 = edge_max_cdf(tbl, staircase_start(x, n, eps), z)
     f2 = edge_max_cdf(tbl, staircase_start(x, n, eps / 2), z)
     return 2.0 * f2 - f1
@@ -212,7 +208,7 @@ def edge_max_cdf_degenerate(spec: DiffusionSpec, n: int, t: float, x: float, z):
 
 def edge_min_cdf_degenerate(spec: DiffusionSpec, n: int, t: float, x: float, z):
     """P(min <= z) from a coincident start, extrapolated as edge_max_cdf_degenerate."""
-    tbl, eps = build_edge_table(spec, n, t), 1e-4
+    tbl, eps = EdgeOperatorTable(spec, n, t), 1e-4
     f1 = edge_min_survival(tbl, staircase_start(x + (n - 1) * eps, n, eps, side="left"), z)
     f2 = edge_min_survival(tbl, staircase_start(x + (n - 1) * eps / 2, n, eps / 2, side="left"), z)
     return 1.0 - (2.0 * f2 - f1)

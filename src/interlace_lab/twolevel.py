@@ -247,12 +247,6 @@ def _image_nodes(sys: TwoLevelSystem, z, window, n_nodes: int):
     return xp[:, None, :], yp, wx[:, None] * wy
 
 
-def submarkov_mass(sys: TwoLevelSystem, t: float, z, n_nodes: int = 32) -> float:
-    """Total mass int q_t(z, z') dz' over the interlacing image space."""
-    xp, yp, w = _image_nodes(sys, z, _window(sys, t, z), n_nodes)
-    return float(np.sum(w * block_kernel(sys, t, z, (xp, yp))))
-
-
 def collapse_residual(sys: TwoLevelSystem, t: float, z, yp, n_nodes: int = 48) -> float:
     """|int_fiber q_t(z, (x', y')) dx' - det(p_hat_t(y_i, y'_j))|.
 
@@ -331,7 +325,10 @@ def lambda_mass(spec, shape, x, h_hat, n_nodes: int = 48) -> float:
 def dynkin_residual(
     sys: TwoLevelSystem, t: float, f: Callable, z, n_nodes: int = 32
 ) -> float:
-    """|(P_hat^{n1} f)(y) - int q_t(z, dz') f(y')| for f on the y level."""
+    """|(P_hat^{n1} f)(y) - int q_t(z, dz') f(y')| for f on the y level.
+
+    f = 1 gives the mass q_t misses; f = h_hat, a dual eigenfunction of
+    rate 0, gives h_hat(y) times the mass the h-transformed kernel misses."""
     x, y = z
     y = np.asarray(y, float)
     ypts, wy = chamber_quad(sys.spec, y.shape[-1], *sys.dual_kern.window(t, y), max(n_nodes, 48))
@@ -340,15 +337,6 @@ def dynkin_residual(
     fy = f(yp.reshape(-1, yp.shape[-1])).reshape(w.shape)
     rhs = float(np.sum(w * block_kernel(sys, t, z, (xp, yp)) * fy))
     return abs(lhs - rhs)
-
-
-def q_h_mass(sys: TwoLevelSystem, h_hat: Eigenfunction, t: float, z, n_nodes: int = 32) -> float:
-    """Total mass of the h-transformed two-level kernel (should be 1)."""
-    x, y = z
-    xp, yp, w = _image_nodes(sys, z, _window(sys, t, z), n_nodes)
-    q = block_kernel(sys, t, z, (xp, yp))
-    hy = float(h_hat(np.asarray(y, float)))
-    return float(np.sum(w * q * h_hat(yp))) * math.exp(-h_hat.rate * t) / hy
 
 
 def master_intertwining_residual(

@@ -11,7 +11,8 @@ def read_rows(path):
     import csv
     import io
 
-    raw = open(path).read().splitlines()
+    with open(path) as fh:
+        raw = fh.read().splitlines()
     assert raw[0] == "#schema=1"
     return list(csv.DictReader(io.StringIO("\n".join(raw[1:]))))
 
@@ -261,21 +262,36 @@ class TestCLI:
         rows = capsys.readouterr().out.splitlines()
         assert rows[:2] == ["#schema=1", "z,cdf"] and len(rows) == 5
 
+    # each command ends with the option that takes the time
     @pytest.mark.parametrize("command", [
-        ["density", "--spec", "bm", "--x", "0", "--y", "0"],
-        ["eigen-check", "--spec", "bm", "--n", "2"],
-        ["entrance-law", "--family", "gue", "--n", "2", "--points", "0 1"],
-        ["intertwine-check", "--spec", "bm"],
-        ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "0", "--zmax", "1"],
+        ["density", "--spec", "bm", "--x", "0", "--y", "0", "--t"],
+        ["eigen-check", "--spec", "bm", "--n", "2", "--t"],
+        ["entrance-law", "--family", "gue", "--n", "2", "--points", "0 1", "--t"],
+        ["intertwine-check", "--spec", "bm", "--t"],
+        ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "0", "--zmax", "1", "--t"],
+        ["duality-check", "--spec", "bm", "--times"],
     ], ids=lambda argv: argv[0])
     @pytest.mark.parametrize("t", ["0", "-1", "nan", "abc"])
     def test_times_must_be_positive(self, capsys, command, t):
         with pytest.raises(SystemExit) as exc:
-            main(command + ["--t", t])
+            main(command + [t])
         assert exc.value.code == 2
         errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
-        assert errors == [f"interlace-lab {command[0]}: error: argument --t: "
+        assert errors == [f"interlace-lab {command[0]}: error: argument {command[-1]}: "
                           f"expected a positive number, got {t!r}"]
+
+    @pytest.mark.parametrize("command", [
+        ["duality-check", "--spec", "bm", "--grid"],
+        ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "0", "--zmax", "1", "--znum"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("count", ["0", "-2", "1.5", "abc"])
+    def test_counts_must_be_positive(self, capsys, command, count):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [count])
+        assert exc.value.code == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+        assert errors == [f"interlace-lab {command[0]}: error: argument {command[-1]}: "
+                          f"expected a positive integer, got {count!r}"]
 
     @pytest.mark.parametrize("body, named", [
         ("init_x = -1 1\ninit_y = 0\nt = -1\n", "end time t = -1"),

@@ -15,6 +15,7 @@ from interlace_lab.diffusion1d import (
     DUAL_FELLER,
     FellerClass,
     InconclusiveBoundaryError,
+    TransitionKernel,
     TruncationError,
     classify_boundary,
     conjugate,
@@ -372,22 +373,50 @@ class TestKernels:
         "sid",
         ["bm", "ou", "besq:2.5", "gbm:1", "bm_halfline:refl", "bm_halfline:abs",
          "bm_interval:refl,refl", "bm_interval:abs,abs", "bm_interval:refl,abs",
-         "bm_interval:abs,refl"],
+         "bm_interval:abs,refl", "jac:1,1", "jac:0.7,2", "jac_dual:1,1", "jac_dual:2,3",
+         "lag:3", "besq:1:abs"],
     )
     def test_derivative_evaluators_match_fd(self, sid):
         # order k against the finite difference of order k - 1 (0: the
-        # density); besq and gbm take orders above 1 by finite differences
+        # density); only the Gaussian-image kernels have closed forms above
+        # order 1, the rest take them from the derivative rule
         from interlace_lab.quadrature import fd_derivative
 
         k = kernel(make_spec(sid))
-        t, x, y = 0.7, 1.1, 1.6
-        for order in (1,) if sid in ("besq:2.5", "gbm:1") else (1, 2, 3):
+        t, x, y = (0.7, 0.3, 0.45) if sid.startswith("jac") else (0.7, 1.1, 1.6)
+        for order in (1, 2, 3) if sid.startswith("bm") or sid == "ou" else (1,):
             below_x = k.density if order == 1 else lambda t, u, v: k.dx_derivative(order - 1, t, u, v)
             below_y = k.density if order == 1 else lambda t, u, v: k.dy_derivative(order - 1, t, u, v)
             fd_y = fd_derivative(lambda v: below_y(t, x, v), np.asarray(y), order=1)
             fd_x = fd_derivative(lambda u: below_x(t, u, y), np.asarray(x), order=1)
             assert float(k.dy_derivative(order, t, x, y)) == pytest.approx(float(fd_y), rel=1e-6)
             assert float(k.dx_derivative(order, t, x, y)) == pytest.approx(float(fd_x), rel=1e-6)
+
+    def test_a_kernel_must_state_its_derivatives(self):
+        k = kernel(make_spec("bm"))
+        with pytest.raises(TypeError):
+            TransitionKernel(k.spec, k.density, k.cdf, k.atom_l, k.atom_r, k.window)
+
+    @pytest.mark.parametrize("sid", ["jac:1,1", "jac:0.7,2"])
+    def test_jacobi_second_derivative_matches_the_series(self, sid):
+        # the derivative rule's order 2 (a finite difference of the closed
+        # first derivative) against the series differentiated term by term:
+        # d/du P_k^(a,b) = (k + a + b + 1)/2 P_{k-1}^(a+1,b+1), applied twice,
+        # with the norms of DLMF 18.3.1
+        beta, gamma = make_spec(sid).params
+        a, b = gamma - 1.0, beta - 1.0
+        k = kernel(make_spec(sid))
+        m = make_spec(sid).scale.m
+        for t, x, y in [(0.3, 0.2, 0.45), (0.7, 0.6, 0.3), (0.1, 0.5, 0.52), (1.0, 0.8, 0.15)]:
+            exact = 0.0
+            for j in range(2, 80):
+                log_h = ((a + b + 1.0) * math.log(2.0) + sc.gammaln(j + a + 1.0) + sc.gammaln(j + b + 1.0)
+                         - sc.gammaln(j + 1.0) - math.log(2.0 * j + a + b + 1.0) - sc.gammaln(j + a + b + 1.0))
+                d2 = (j + a + b + 1.0) * (j + a + b + 2.0) * sc.eval_jacobi(j - 2, a + 2.0, b + 2.0, 2.0 * x - 1.0)
+                exact += (math.exp(-2.0 * j * (j + beta + gamma - 1.0) * t - log_h)
+                          * d2 * sc.eval_jacobi(j, a, b, 2.0 * y - 1.0))
+            exact *= float(m(y))
+            assert float(k.dx_derivative(2, t, x, y)) == pytest.approx(exact, rel=1e-8), (t, x, y)
 
 
 BESQ_IDS = [s for s in CATALOG_IDS if s.startswith("besq:")] + ["besq:-1", "besq:1:abs", "lag:3"]

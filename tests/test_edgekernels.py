@@ -12,7 +12,7 @@ from interlace_lab.quadrature import gl_nodes, ordered_nodes
 
 @pytest.fixture(scope="module")
 def bm2():
-    return ek.build_edge_table(make_spec("bm"), 2, 1.0)
+    return ek.EdgeOperatorTable(make_spec("bm"), 2, 1.0)
 
 
 class TestOperatorTable:
@@ -24,12 +24,12 @@ class TestOperatorTable:
         assert v.item() == pytest.approx(float(kernel(make_spec("bm")).density(1.0, 0.3, 1.1)), rel=1e-14)
 
     def test_besq_constants_vanish(self):
-        tbl = ek.build_edge_table(make_spec("besq:2"), 3, 0.7)
+        tbl = ek.EdgeOperatorTable(make_spec("besq:2"), 3, 0.7)
         assert tbl.c == [0.0, 0.0, 0.0]
 
     def test_family_constants(self):
-        assert ek.build_edge_table(make_spec("ou"), 2, 0.5).c == [-1.0, -1.0]
-        assert ek.build_edge_table(make_spec("lag:2"), 2, 0.5).c == [-2.0, -2.0]
+        assert ek.EdgeOperatorTable(make_spec("ou"), 2, 0.5).c == [-1.0, -1.0]
+        assert ek.EdgeOperatorTable(make_spec("lag:2"), 2, 0.5).c == [-2.0, -2.0]
 
     @pytest.mark.parametrize(
         "sid,x,xp",
@@ -41,7 +41,7 @@ class TestOperatorTable:
         ],
     )
     def test_derivative_recurrence(self, sid, x, xp):
-        tbl = ek.build_edge_table(make_spec(sid), 2, 0.8)
+        tbl = ek.EdgeOperatorTable(make_spec(sid), 2, 0.8)
         assert tbl.recurrence_residual(2, 0, x, xp) < 1e-5
         assert tbl.recurrence_residual(2, -1, x, xp) < 1e-5
 
@@ -72,13 +72,13 @@ class TestOperatorTable:
         with pytest.raises(ValueError, match=named) as sim:
             rs.simulate_edge(spec, 2, "right", np.array([0.5, 1.0]), T=0.1, dt=0.05, n_paths=2)
         with pytest.raises(ValueError) as table:
-            ek.build_edge_table(spec, 2, 1.0)
+            ek.EdgeOperatorTable(spec, 2, 1.0)
         assert str(table.value) == str(sim.value)
 
 
 class TestEdgeDensity:
     def test_single_particle_is_kernel(self):
-        tbl = ek.build_edge_table(make_spec("bm"), 1, 1.0)
+        tbl = ek.EdgeOperatorTable(make_spec("bm"), 1, 1.0)
         v = ek.edge_density(tbl, np.array([0.2]), np.array([[0.9]]))
         assert float(v) == pytest.approx(float(kernel(make_spec("bm")).density(1.0, 0.2, 0.9)), rel=1e-12)
 
@@ -89,7 +89,7 @@ class TestEdgeDensity:
     def test_falling_edge_is_the_mirrored_rising_edge(self, x, xp):
         # Brownian motion is symmetric, so the falling edge from the
         # decreasing (x, x') is the rising edge from (-x, -x')
-        tbl = ek.build_edge_table(make_spec("bm"), len(x), 0.7)
+        tbl = ek.EdgeOperatorTable(make_spec("bm"), len(x), 0.7)
         left = ek.edge_density(tbl, x, xp, side="left")
         right = ek.edge_density(tbl, -np.array(x), -np.array(xp))
         np.testing.assert_allclose(left, right, rtol=1e-12, atol=0.0)
@@ -103,7 +103,7 @@ class TestEdgeDensity:
     def test_delta_initial_condition(self, bm2):
         # t -> 0: integral against a bump away from the diagonal returns
         # the bump at the start
-        tbl = ek.build_edge_table(make_spec("bm"), 2, 1e-3)
+        tbl = ek.EdgeOperatorTable(make_spec("bm"), 2, 1e-3)
         x = np.array([0.0, 1.5])
         f = lambda p: np.exp(-2.0 * ((p[:, 0] - x[0]) ** 2 + (p[:, 1] - x[1]) ** 2))
         pts, wts = ordered_nodes(2, -1.0, 2.5, 140)
@@ -114,14 +114,14 @@ class TestEdgeDensity:
         assert ek.neumann_residual(bm2, np.array([0.3, 0.3]), np.array([0.1, 0.8]), 1) < 1e-4
 
     def test_neumann_condition_besq(self):
-        tbl = ek.build_edge_table(make_spec("besq:2"), 2, 0.8)
+        tbl = ek.EdgeOperatorTable(make_spec("besq:2"), 2, 0.8)
         assert ek.neumann_residual(tbl, np.array([1.1, 1.1]), np.array([0.6, 2.2]), 1) < 1e-4
 
     def test_matches_simulation_smoothed(self):
         from interlace_lab import reflectsde as rs
 
         x0 = np.array([0.0, 0.1])
-        tbl = ek.build_edge_table(make_spec("bm"), 2, 1.0)
+        tbl = ek.EdgeOperatorTable(make_spec("bm"), 2, 1.0)
         # edge pushes are bridge-sampled, so a coarse step leaves no push bias
         pb = rs.simulate_edge(make_spec("bm"), 2, "right", x0, T=1.0, dt=4e-3,
                               n_paths=40000, seed=77)
@@ -148,7 +148,7 @@ class TestExtremeCdfs:
                 call()
 
     def test_single_particle_gaussian_cdf(self):
-        tbl = ek.build_edge_table(make_spec("bm"), 1, 1.0)
+        tbl = ek.EdgeOperatorTable(make_spec("bm"), 1, 1.0)
         z = np.array([-0.5, 0.3, 1.7])
         assert np.allclose(ek.edge_max_cdf(tbl, np.array([0.0]), z), ndtr(z), rtol=1e-12)
 
@@ -176,13 +176,13 @@ class TestExtremeCdfs:
         # direct evaluation at the coincident start agrees with the
         # staircase extrapolation
         z = np.linspace(-0.5, 2.5, 7)
-        direct = ek.edge_max_cdf(ek.build_edge_table(make_spec("bm"), 2, 1.0),
+        direct = ek.edge_max_cdf(ek.EdgeOperatorTable(make_spec("bm"), 2, 1.0),
                                  np.array([0.0, 0.0]), z)
         extrap = ek.edge_max_cdf_degenerate(make_spec("bm"), 2, 1.0, 0.0, z)
         assert np.max(np.abs(direct - extrap)) < 1e-7
 
     def test_min_survival_single_particle(self):
-        tbl = ek.build_edge_table(make_spec("bm"), 1, 1.0)
+        tbl = ek.EdgeOperatorTable(make_spec("bm"), 1, 1.0)
         z = np.array([-0.4, 0.6])
         got = ek.edge_min_survival(tbl, np.array([0.0]), z)
         assert np.allclose(got, 1.0 - ndtr(z), rtol=1e-12)
@@ -195,7 +195,7 @@ class TestExtremeCdfs:
         rng = np.random.default_rng(123)
         ev = jacobi_unitary_sample(rng, 2, 2, 2, 4000)
         zg = np.linspace(0.1, 0.999, 31)
-        tbl = ek.build_edge_table(make_spec("jac:1,1"), 2, 5.0)
+        tbl = ek.EdgeOperatorTable(make_spec("jac:1,1"), 2, 5.0)
         F = ek.edge_max_cdf(tbl, np.array([0.2, 0.4]), zg)
         assert np.max(np.abs(F - empirical_cdf_on_grid(ev[:, 1], zg))) < 0.05
 

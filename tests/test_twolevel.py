@@ -167,25 +167,30 @@ class TestBlockKernel:
         assert tl.collapse_residual(half_sys, 0.5, z, np.array([0.8])) < 1e-9
 
 
+def _mass(sys_, t, z, n_nodes=32):
+    """int q_t(z, z') dz' on the image nodes dynkin_residual integrates over."""
+    xp, yp, w = tl._image_nodes(sys_, z, tl._window(sys_, t, z), n_nodes)
+    return float(np.sum(w * tl.block_kernel(sys_, t, z, (xp, yp))))
+
+
 class TestMass:
     def test_submarkov_mass_in_unit_interval(self, bm_sys):
         z = (np.array([-1.0, 1.0]), np.array([0.0]))
-        m = tl.submarkov_mass(bm_sys, 0.5, z)
+        m = _mass(bm_sys, 0.5, z)
         assert 0.0 < m <= 1.0 + 1e-6
 
     def test_single_y_on_full_line_is_conservative(self, bm_sys):
-        # a single dual particle on the full line cannot be killed
+        # a single dual particle on the full line cannot be killed, and the
+        # mass q_t misses is dynkin_residual with f = 1
         z = (np.array([-1.0, 1.0]), np.array([0.0]))
-        assert tl.submarkov_mass(bm_sys, 0.5, z) == pytest.approx(1.0, abs=1e-5)
+        m = _mass(bm_sys, 0.5, z)
+        assert m == pytest.approx(1.0, abs=1e-5)
+        r = tl.dynkin_residual(bm_sys, 0.5, lambda yp: np.ones(yp.shape[0]), z)
+        assert r == pytest.approx(abs(1.0 - m), abs=1e-12)
 
     def test_small_time_mass_one(self, bm_sys):
         z = (np.array([-1.0, 1.0]), np.array([0.0]))
-        assert tl.submarkov_mass(bm_sys, 0.01, z) == pytest.approx(1.0, abs=1e-3)
-
-    def test_q_h_transform_total_mass_one(self, bm_sys):
-        z = (np.array([-1.0, 1.0]), np.array([0.0]))
-        m = tl.q_h_mass(bm_sys, km.vandermonde(1), 0.5, z)
-        assert m == pytest.approx(1.0, abs=1e-5)
+        assert _mass(bm_sys, 0.01, z) == pytest.approx(1.0, abs=1e-3)
 
 
 class TestLambda:
@@ -220,8 +225,24 @@ class TestLambda:
 
 class TestIdentities:
     def test_projection_identity_constant_function(self, bm_sys):
+        # f = 1: the mass the two-level kernel misses; a single dual
+        # particle on the full line cannot be killed
         z = (np.array([-1.0, 1.0]), np.array([0.0]))
-        assert tl.dynkin_residual(bm_sys, 0.5, lambda yp: np.ones(yp.shape[0]), z) < 1e-5
+        for t, bound in ((0.5, 1e-5), (0.01, 1e-3)):
+            assert tl.dynkin_residual(bm_sys, t, lambda yp: np.ones(yp.shape[0]), z) < bound
+
+    def test_projection_identity_dual_eigenfunction(self, bm_sys):
+        # f = h_hat: h_hat(y) times the mass the h-transformed kernel misses
+        cases = [
+            (bm_sys, km.vandermonde(1), (np.array([-1.0, 1.0]), np.array([0.0])), 1e-5),
+            # x^1.5, the eigenfunction of besq:-1, the dual of besq:3
+            (tl.TwoLevelSystem(make_spec("besq:3"), tl.Shape.NNP1),
+             km.eigenfunction_catalog(make_spec("besq:-1"), 1),
+             (np.array([1.0, 3.0]), np.array([2.0])), 1e-10),
+        ]
+        for sys_, h_hat, z, bound in cases:
+            r = tl.dynkin_residual(sys_, 0.5, h_hat, z)
+            assert r / float(h_hat(z[1])) < bound
 
     def test_projection_identity_coordinate(self, bm_sys):
         z = (np.array([-1.0, 1.0]), np.array([0.0]))
