@@ -37,6 +37,7 @@ from .harness import (
     run_campaign,
     write_csv,
 )
+from .harness.checks import MASTER_TOL
 from .harness.io import ConfigError, ensure_outdir, rows_block
 
 
@@ -52,12 +53,6 @@ def _emit(args, name, fieldnames, rows):
 
 def _floats(s):
     return [float(v) for v in s.replace(",", " ").split()]
-
-
-def _check_n(args):
-    """Raise a one-line error unless the particle count --n is positive."""
-    if args.n < 1:
-        raise CatalogError(f"{args.command} --n must be a positive integer, got {args.n}")
 
 
 def cmd_classify(args):
@@ -114,7 +109,6 @@ def cmd_density(args):
 
 
 def cmd_eigen_check(args):
-    _check_n(args)
     spec = make_spec(args.spec)
     h = km.eigenfunction_catalog(spec, args.n)
     probes = [_floats(p) for p in args.probes] if args.probes else _default_probes(spec, args.n)
@@ -150,7 +144,6 @@ def cmd_entrance_law(args):
 
 
 def cmd_intertwine_check(args):
-    _check_n(args)
     spec = make_spec(args.spec)
     shape = tl.Shape(args.shape)
     n1 = args.n
@@ -176,7 +169,7 @@ def cmd_intertwine_check(args):
         r_d = tl.dynkin_residual(sys_, args.t, fy, (x, y))
         rows.append({"spec": args.spec, "shape": args.shape, "identity": "projection",
                      "test_function": fi, "residual": r_d,
-                     "pass": r_d <= args.tolerance})
+                     "pass": r_d <= MASTER_TOL})
     if shape is not tl.Shape.NP1N:
         h_hat = km.eigenfunction_catalog(conjugate(spec), n1)
         try:
@@ -186,7 +179,7 @@ def cmd_intertwine_check(args):
         for fi, rv in enumerate(res):
             rows.append({"spec": args.spec, "shape": args.shape, "identity": "master",
                          "test_function": fi, "residual": rv,
-                         "pass": rv <= args.tolerance})
+                         "pass": rv <= MASTER_TOL})
     _emit(args, "intertwine",
           ["spec", "shape", "identity", "test_function", "residual", "pass"], rows)
 
@@ -219,7 +212,8 @@ def cmd_simulate(args):
     if unread:
         raise CampaignError(f"[simulate] keys not read in {mode} mode in {args.config}: {unread}")
     # --seed and --out given on the command line override the config file
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else \
+        (_count(cfg, "seed", args.config, least=0) if "seed" in cfg else 0)
     out = args.out if args.out is not None else cfg.get("output", ".")
     stride = _count(cfg, "record_stride", args.config) if "record_stride" in cfg else None
     try:
@@ -274,15 +268,16 @@ def _required(cfg, key, config):
     return cfg[key]
 
 
-def _count(cfg, key, config):
-    """[simulate] key read as a positive integer, else a one-line error
-    that names it."""
+def _count(cfg, key, config, least=1):
+    """[simulate] key read as an integer of at least `least` (1, or 0 for
+    the seed), else a one-line error that names it."""
     try:
         value = int(_required(cfg, key, config))
     except ValueError:
-        value = 0
-    if value < 1:
-        raise CampaignError(f"[simulate] {key} in {config} must be a positive integer, "
+        value = least - 1
+    if value < least:
+        what = "positive" if least else "non-negative"
+        raise CampaignError(f"[simulate] {key} in {config} must be a {what} integer, "
                             f"got {cfg[key]!r}")
     return value
 
@@ -318,7 +313,6 @@ def _trajectory_blocks(pb):
 
 
 def cmd_edge_cdf(args):
-    _check_n(args)
     spec = make_spec(args.spec)
     try:
         edge_ladder(spec, args.n)  # a family with no ladder, or a wrong end
@@ -387,21 +381,24 @@ def cmd_campaign(args):
     return 0 if res.passed else 1
 
 
-def _above_zero(cast, what):
-    """argparse type of a time (cast float) or a count (cast int): a value
-    above 0, nan excluded."""
+def _number(cast, what, ok):
+    """argparse type: the text read by cast (float or int), kept when ok
+    holds for it; text cast cannot read fails like nan."""
     def parse(text):
         try:
             v = cast(text)
         except ValueError:
             v = float("nan")
-        if not v > 0:
-            raise argparse.ArgumentTypeError(f"expected a positive {what}, got {text!r}")
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return v
     return parse
 
 
-_positive, _positive_int = _above_zero(float, "number"), _above_zero(int, "integer")
+_positive = _number(float, "a positive number", lambda v: v > 0)
+_positive_int = _number(int, "a positive integer", lambda v: v > 0)
+_seed = _number(int, "a non-negative integer", lambda v: v >= 0)
+_finite = _number(float, "a finite number", np.isfinite)
 
 
 def _option(*names, **kw):
@@ -413,7 +410,7 @@ def _option(*names, **kw):
 def build_parser():
     """One subparser per command, each with only the options its command reads."""
     out = _option("--out", default=None, help="output directory (default: stdout)")
-    seed = _option("--seed", type=int, default=None)
+    seed = _option("--seed", type=_seed, default=None)
 
     p = argparse.ArgumentParser(prog="interlace-lab",
                                 description="interlacing-diffusion numerics")
@@ -443,14 +440,14 @@ def build_parser():
 
     s = add("eigen-check", help="eigenfunction residual")
     s.add_argument("--spec", required=True)
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_positive_int, required=True)
     s.add_argument("--t", type=_positive, default=0.5)
     s.add_argument("--probes", action="append")
     s.set_defaults(func=cmd_eigen_check)
 
     s = add("entrance-law", help="degenerate-start density values")
     s.add_argument("--family", required=True)
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_positive_int, required=True)
     s.add_argument("--t", type=_positive, default=1.0)
     s.add_argument("--points", action="append", required=True)
     s.set_defaults(func=cmd_entrance_law)
@@ -458,9 +455,8 @@ def build_parser():
     s = add("intertwine-check", help="projection/master residuals")
     s.add_argument("--spec", required=True)
     s.add_argument("--shape", choices=["n,n+1", "n,n", "n+1,n"], default="n,n+1")
-    s.add_argument("--n", type=int, default=1, help="particle count of the inner level")
+    s.add_argument("--n", type=_positive_int, default=1, help="particle count of the inner level")
     s.add_argument("--t", type=_positive, default=0.5)
-    s.add_argument("--tolerance", type=float, default=1e-4)
     s.set_defaults(func=cmd_intertwine_check)
 
     s = add("simulate", seed, help="reflected-SDE simulation from a config file")
@@ -469,12 +465,12 @@ def build_parser():
 
     s = add("edge-cdf", seed, help="extreme-particle distribution")
     s.add_argument("--spec", required=True)
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_positive_int, required=True)
     s.add_argument("--t", type=_positive, default=1.0)
     s.add_argument("--side", choices=["left", "right"], default="right")
     s.add_argument("--start", default=None, help="space-separated start (default origin)")
-    s.add_argument("--zmin", type=float, required=True)
-    s.add_argument("--zmax", type=float, required=True)
+    s.add_argument("--zmin", type=_finite, required=True)
+    s.add_argument("--zmax", type=_finite, required=True)
     s.add_argument("--znum", type=_positive_int, default=41)
     s.add_argument("--oracle", default=None,
                    help="gue:n, wishart:n,k or jue:n,p,q, with n = --n")

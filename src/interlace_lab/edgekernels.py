@@ -54,9 +54,9 @@ class EdgeOperatorTable:
     base: DiffusionSpec
     n: int
     t: float
-    specs: list = field(default_factory=list)
-    kernels: list = field(default_factory=list)
-    c: list = field(default_factory=list)
+    specs: list = field(init=False)
+    kernels: list = field(init=False)
+    c: list = field(init=False)
 
     def __post_init__(self):
         self.specs = edge_ladder(self.base, self.n)

@@ -15,16 +15,15 @@ class CampaignError(RuntimeError):
     pass
 
 
-#: hard budget caps
+#: hard budget cap
 MAX_PATHS = 1_000_000
-MAX_NODES = 128
 
 
 #: the settings a campaign passes to its checks, each with the type its
 #: config-file text is read as; a check takes a setting as its parameter
-#: of the same name
-SETTINGS = {"paths": int, "dt": float, "nodes": int, "tolerance": float, "seed": int,
-            "perturb": str}
+#: of the same name.  A check's tolerance, step size and node counts are
+#: constants beside it, so no campaign can move them
+SETTINGS = {"paths": int, "seed": int, "perturb": str}
 
 
 @dataclass
@@ -39,9 +38,6 @@ class CampaignConfig:
 
     name: str = "all"
     paths: Optional[int] = None
-    dt: Optional[float] = None
-    nodes: Optional[int] = None
-    tolerance: Optional[float] = None
     seed: Optional[int] = None
     out: Optional[str] = None
     perturb: Optional[str] = None
@@ -49,12 +45,8 @@ class CampaignConfig:
     def __post_init__(self):
         if self.paths is not None and not (0 < self.paths <= MAX_PATHS):
             raise CampaignError(f"paths budget out of range: {self.paths}")
-        if self.nodes is not None and not (0 < self.nodes <= MAX_NODES):
-            raise CampaignError(f"node budget out of range: {self.nodes}")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise CampaignError("tolerance must be strictly positive")
-        if self.dt is not None and self.dt <= 0:
-            raise CampaignError("dt must be strictly positive")
+        if self.seed is not None and self.seed < 0:
+            raise CampaignError(f"seed must be a non-negative integer, got {self.seed}")
 
     @classmethod
     def from_file(cls, path: str) -> "CampaignConfig":
@@ -62,7 +54,10 @@ class CampaignConfig:
         kw = {key: raw.pop(key) for key in ("name", "out") if key in raw}
         for key, cast in SETTINGS.items():
             if key in raw:
-                kw[key] = cast(raw.pop(key))
+                try:
+                    kw[key] = cast(raw.pop(key))
+                except ValueError as e:  # only the int settings can fail
+                    raise CampaignError(f"campaign {key} in {path}: {e}") from None
         if raw:
             raise CampaignError(f"unknown campaign config keys in {path}: {sorted(raw)}")
         return cls(**kw)

@@ -326,7 +326,7 @@ class EntranceLawSpec:
     window: Callable  # t -> (lo, hi) holding the law's mass
     vandermonde2: Optional[Callable] = None  # z -> V(z)
     propose: Optional[Callable] = None  # (rng, t, m) -> (z, log E(z), log P(z))
-    _norms: dict = field(default_factory=dict)
+    _norms: dict = field(default_factory=dict, init=False)
 
     def chamber(self, t: float, n_nodes: int = 80):
         """Quadrature nodes and weights over the law's chamber at time t."""

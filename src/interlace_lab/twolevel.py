@@ -345,8 +345,6 @@ def master_intertwining_residual(
     t: float,
     fs: Sequence[Callable],
     x,
-    n_nodes: int = 24,
-    fiber_nodes: int = 24,
     perturb: Optional[str] = None,
 ) -> list:
     """Residuals |(P^{n2,h} Lambda^h f)(x) - (Lambda^h Q^h f)(x)| for each f.
@@ -357,14 +355,15 @@ def master_intertwining_residual(
     right side integrates the block kernel from every fiber point of x.
     """
     _check_perturb(perturb)
+    nodes = 24  # chamber nodes, and fiber nodes per dimension
     x = np.asarray(x, float)
     n2 = x.shape[-1]
     decay = math.exp(-h_hat.rate * t)
-    hx = lambda_mass(sys.spec, sys.shape, x, h_hat, n_nodes=max(48, fiber_nodes))
-    xp, wx = chamber_quad(sys.spec, n2, *sys.kern.window(t, x), n_nodes)
+    hx = lambda_mass(sys.spec, sys.shape, x, h_hat)
+    xp, wx = chamber_quad(sys.spec, n2, *sys.kern.window(t, x), nodes)
 
     # normalized fiber integrals at each x' node, for every test function
-    yf, wf = fiber_quad(sys.spec, *fiber_bounds(xp, sys.shape), fiber_nodes)
+    yf, wf = fiber_quad(sys.spec, *fiber_bounds(xp, sys.shape), nodes)
     hyf = h_hat(yf)
     base = wf * np.prod(np.asarray(sys.m_hat(yf), float), axis=-1) * hyf
     hxp = np.sum(base, axis=-1)
@@ -376,7 +375,7 @@ def master_intertwining_residual(
     # right side: integrate q from each fiber point of x over the same
     # (x', y') nodes; the x rows do not depend on that point
     ylo, yhi = fiber_bounds(x[None, :], sys.shape)
-    (y0,), (w0,) = fiber_quad(sys.spec, ylo, yhi, max(24, fiber_nodes))
+    (y0,), (w0,) = fiber_quad(sys.spec, ylo, yhi, nodes)
     mh0 = np.prod(np.asarray(sys.m_hat(y0), float), axis=-1)
     xp = xp[:, None, :]
     ab = _x_rows(sys, t, x, xp, yf, perturb)
@@ -390,7 +389,7 @@ def master_intertwining_residual(
 
 
 def chapman_residual(
-    sys: TwoLevelSystem, s: float, t: float, z, z2, n_nodes: int = 48
+    sys: TwoLevelSystem, s: float, t: float, z, z2, n_nodes: int = 31
 ) -> float:
     """Relative residual of q_{s+t}(z, z2) = int q_s(z, w) q_t(w, z2) dw.
 
@@ -401,8 +400,8 @@ def chapman_residual(
     for the m-symmetric kernels (bm) this check is run on; outside that
     intersection one factor is below the window bound.  At s = t it is
     about 2/3 of the time-(s+t) window around z, so fewer nodes reach the
-    same error: on A3's probes the worst residual is 8.1e-5 at 31 nodes
-    here, and was 7.9e-3 at 32 and 2.1e-5 at 48 on the full window.
+    same error: on A3's probes the worst residual is 8.1e-5 at the default
+    31 nodes, and was 7.9e-3 at 32 and 2.1e-5 at 48 on the full window.
     """
     lhs = float(block_kernel(sys, s + t, z, z2))
     lo_s, hi_s = _window(sys, s, z)

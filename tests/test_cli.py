@@ -97,9 +97,18 @@ class TestCLI:
 
     def test_campaign_config_file(self, tmp_path):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("[campaign]\nname = chapman-bm\nnodes = 48\n")
+        cfg.write_text("[campaign]\nname = chapman-bm\n")
         assert main(["campaign", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "chapman-bm.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("tolerance", "1"), ("dt", "0.1"), ("nodes", "8")])
+    def test_campaign_config_cannot_set_a_check_constant(self, tmp_path, capsys, key, value):
+        # a check's bar, step size and node counts are fixed beside it
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[campaign]\nname = chapman-bm\n{key} = {value}\n")
+        assert main(["campaign", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"unknown campaign config keys in {cfg}: ['{key}']" in err
 
     def test_campaign_flags_override_the_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -116,12 +125,12 @@ class TestCLI:
 
     def test_campaign_name_may_come_from_the_command_line(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("[campaign]\nnodes = 40\n")
+        cfg.write_text("[campaign]\npaths = 2000\n")
         out = tmp_path / "out"
-        assert main(["campaign", "--config", str(cfg), "--name", "chapman-bm",
+        assert main(["campaign", "--config", str(cfg), "--name", "skorokhod",
                      "--out", str(out)]) == 0
-        assert sorted(os.listdir(out)) == ["chapman-bm.csv", "summary.csv"]
-        assert "nodes" not in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["skorokhod.csv", "summary.csv"]
+        assert "paths" not in capsys.readouterr().err
 
     def test_config_files_without_their_section_are_one_line_errors(self, tmp_path, capsys):
         headless = tmp_path / "headless.cfg"
@@ -154,7 +163,7 @@ class TestCLI:
 
     def test_campaign_config_rejects_an_unknown_perturbation(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("[campaign]\nname = master-intertwinings\nnodes = 6\nperturb = indicatr\n")
+        cfg.write_text("[campaign]\nname = master-intertwinings\nperturb = indicatr\n")
         assert main(["campaign", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'indicatr'" in err and "'c_sign'" in err
@@ -198,10 +207,11 @@ class TestCLI:
          ["edge-cdf", "--spec", "bm_halfline:refl", "--n", "2", "--zmin", "0", "--zmax", "1"],
          ["edge-cdf", "--spec", "ou_out", "--n", "2", "--zmin", "0", "--zmax", "1"],
          ["edge-cdf", "--spec", "besq:1", "--n", "2", "--zmin", "0", "--zmax", "1"],
-         ["edge-cdf", "--spec", "bm", "--n", "0", "--zmin", "0", "--zmax", "1"],
-         ["edge-cdf", "--spec", "bm", "--n", "-2", "--zmin", "0", "--zmax", "1"],
-         ["eigen-check", "--spec", "bm", "--n", "0"],
-         ["intertwine-check", "--spec", "bm", "--n", "0"],
+         ["edge-cdf", "--spec", "nosuch", "--n", "2", "--zmin", "0", "--zmax", "1"],
+         ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "0", "--zmax", "1",
+          "--oracle", "foo:2"],
+         ["eigen-check", "--spec", "nosuch", "--n", "2"],
+         ["intertwine-check", "--spec", "bm", "--n", "1", "--shape", "n+1,n"],
          ["intertwine-check", "--spec", "besq:3", "--shape", "n,n"],
          ["intertwine-check", "--spec", "bm", "--shape", "n,n"],
          ["intertwine-check", "--spec", "bm", "--shape", "n+1,n"],
@@ -283,7 +293,11 @@ class TestCLI:
     @pytest.mark.parametrize("command", [
         ["duality-check", "--spec", "bm", "--grid"],
         ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "0", "--zmax", "1", "--znum"],
-    ], ids=lambda argv: argv[0])
+        ["eigen-check", "--spec", "bm", "--n"],
+        ["entrance-law", "--family", "gue", "--points", "0 1", "--n"],
+        ["intertwine-check", "--spec", "bm", "--n"],
+        ["edge-cdf", "--spec", "bm", "--zmin", "0", "--zmax", "1", "--n"],
+    ], ids=lambda argv: f"{argv[0]}-n" if argv[-1] == "--n" else argv[0])
     @pytest.mark.parametrize("count", ["0", "-2", "1.5", "abc"])
     def test_counts_must_be_positive(self, capsys, command, count):
         with pytest.raises(SystemExit) as exc:
@@ -292,6 +306,44 @@ class TestCLI:
         errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
         assert errors == [f"interlace-lab {command[0]}: error: argument {command[-1]}: "
                           f"expected a positive integer, got {count!r}"]
+
+    @pytest.mark.parametrize("command", [
+        ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "0", "--zmax", "1",
+         "--oracle", "gue:2", "--seed"],
+        ["campaign", "--name", "warren-dyson", "--seed"],
+        ["simulate", "--config", "nothere.cfg", "--seed"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_must_be_non_negative(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["-1"])
+        assert exc.value.code == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+        assert errors == [f"interlace-lab {command[0]}: error: argument --seed: "
+                          "expected a non-negative integer, got '-1'"]
+
+    @pytest.mark.parametrize("option, value", [("--zmin", "nan"), ("--zmin", "inf"),
+                                               ("--zmax", "inf")])
+    def test_edge_cdf_grid_ends_must_be_finite(self, capsys, option, value):
+        ends = {"--zmin": "0", "--zmax": "1", option: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["edge-cdf", "--spec", "bm", "--n", "2"]
+                 + [text for item in ends.items() for text in item])
+        assert exc.value.code == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+        assert errors == [f"interlace-lab edge-cdf: error: argument {option}: "
+                          f"expected a finite number, got {value!r}"]
+
+    @pytest.mark.parametrize("value", ["-3", "x"])
+    def test_simulate_rejects_a_bad_seed_by_name(self, tmp_path, capsys, value):
+        cfg = tmp_path / "sim.cfg"
+        out = tmp_path / "out"
+        cfg.write_text("[simulate]\nfamily = bm\ninit_x = -1 1\ninit_y = 0\nt = 0.1\n"
+                       f"dt = 0.05\npaths = 2\nseed = {value}\noutput = {out}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"[simulate] seed in {cfg} must be a non-negative integer, got '{value}'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("body, named", [
         ("init_x = -1 1\ninit_y = 0\nt = -1\n", "end time t = -1"),

@@ -27,6 +27,12 @@ class TestOperatorTable:
         tbl = ek.EdgeOperatorTable(make_spec("besq:2"), 3, 0.7)
         assert tbl.c == [0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("derived", ["specs", "kernels", "c"])
+    def test_derived_fields_are_not_arguments(self, derived):
+        # the ladder, its kernels and the constants come from base and n alone
+        with pytest.raises(TypeError, match=derived):
+            ek.EdgeOperatorTable(make_spec("bm"), 2, 1.0, **{derived: [0, 0]})
+
     def test_family_constants(self):
         assert ek.EdgeOperatorTable(make_spec("ou"), 2, 0.5).c == [-1.0, -1.0]
         assert ek.EdgeOperatorTable(make_spec("lag:2"), 2, 0.5).c == [-2.0, -2.0]

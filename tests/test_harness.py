@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import io
 import math
 import os
@@ -7,6 +9,7 @@ import pytest
 from scipy.special import ndtr
 
 from interlace_lab.harness import (
+    ALL_CHECKS,
     CampaignConfig,
     CampaignError,
     cdf_from_density_grid,
@@ -254,11 +257,11 @@ class TestIO:
 
     def test_config_round_trip(self, tmp_path):
         p = tmp_path / "c.cfg"
-        p.write_text("[campaign]\nname = chapman-bm\nnodes = 40\ntolerance = 1e-3\n")
+        p.write_text("[campaign]\nname = warren-dyson\npaths = 4000\nseed = 11\n")
         cfg = CampaignConfig.from_file(str(p))
-        assert cfg.name == "chapman-bm"
-        assert cfg.nodes == 40
-        assert cfg.tolerance == pytest.approx(1e-3)
+        assert cfg.name == "warren-dyson"
+        assert cfg.paths == 4000
+        assert cfg.seed == 11
 
     def test_config_without_a_name_runs_all(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -277,18 +280,45 @@ class TestCampaigns:
         with pytest.raises(CampaignError):
             CampaignConfig(name="warren-dyson", paths=2_000_000)
         with pytest.raises(CampaignError):
-            CampaignConfig(name="chapman-bm", tolerance=-1.0)
-        with pytest.raises(CampaignError):
-            CampaignConfig(name="chapman-bm", nodes=4000)
+            CampaignConfig(name="warren-dyson", paths=0)
+
+    def test_negative_seed_is_rejected_by_name(self):
+        with pytest.raises(CampaignError, match="seed must be a non-negative integer, got -1"):
+            CampaignConfig(name="warren-dyson", seed=-1)
+
+    @pytest.mark.parametrize("text, named", [
+        ("seed = -3", "seed must be a non-negative integer, got -3"),
+        ("seed = x", "seed in .*: invalid literal for int.*'x'"),
+        ("paths = many", "paths in .*: invalid literal for int.*'many'"),
+    ], ids=["seed-negative", "seed-text", "paths-text"])
+    def test_config_file_names_a_bad_setting(self, tmp_path, text, named):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"[campaign]\nname = warren-dyson\n{text}\n")
+        with pytest.raises(CampaignError, match=named):
+            CampaignConfig.from_file(str(p))
+
+    def test_every_setting_is_a_check_parameter_and_back(self):
+        # a check takes only campaign settings, and every setting is taken
+        # by some check: its tolerance, step size and node counts are fixed
+        from interlace_lab.harness.campaign import SETTINGS
+
+        taken = set()
+        for name, check in ALL_CHECKS.items():
+            params = set(inspect.signature(check).parameters)
+            assert params <= set(SETTINGS), (name, params - set(SETTINGS))
+            taken |= params
+        assert taken == set(SETTINGS) == {"paths", "seed", "perturb"}
+        assert [f.name for f in dataclasses.fields(CampaignConfig)] == \
+            ["name", "paths", "seed", "out", "perturb"]
 
     def test_unknown_campaign(self):
         with pytest.raises(CampaignError):
             run_campaign(CampaignConfig(name="no-such-campaign"))
 
     def test_setting_the_check_does_not_take_is_rejected(self):
-        # edge-formulas picks its own step size: a dt would do nothing
-        with pytest.raises(CampaignError, match="dt"):
-            run_campaign(CampaignConfig(name="edge-formulas", dt=1e-3))
+        # chapman-bm draws nothing at random: a seed would do nothing
+        with pytest.raises(CampaignError, match="takes seed"):
+            run_campaign(CampaignConfig(name="chapman-bm", seed=3))
 
     def test_unknown_config_file_key_is_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -299,10 +329,10 @@ class TestCampaigns:
     def test_all_passes_each_setting_to_the_checks_that_take_it(self):
         from interlace_lab.harness.campaign import _check_kwargs
 
-        cfg = CampaignConfig(name="all", dt=1e-3, tolerance=0.05)
-        assert _check_kwargs("warren-dyson", cfg) == {"dt": 1e-3, "tolerance": 0.05}
-        assert _check_kwargs("chapman-bm", cfg) == {"tolerance": 0.05}
-        assert _check_kwargs("skorokhod", cfg) == {}
+        cfg = CampaignConfig(name="all", paths=5000, perturb="indicator")
+        assert _check_kwargs("warren-dyson", cfg) == {"paths": 5000}
+        assert _check_kwargs("master-intertwinings", cfg) == {"perturb": "indicator"}
+        assert _check_kwargs("chapman-bm", cfg) == {}
 
     def test_fast_campaign_writes_outputs(self, tmp_path):
         cfg = CampaignConfig(name="boundary-table", out=str(tmp_path))
@@ -314,13 +344,13 @@ class TestCampaigns:
         assert head == "#schema=1"
 
     def test_negative_control_fails_loudly(self):
-        cfg = CampaignConfig(name="master-intertwinings", perturb="indicator", nodes=16)
+        cfg = CampaignConfig(name="master-intertwinings", perturb="indicator")
         res = run_campaign(cfg)
         assert not res.passed
 
     def test_unknown_perturbation_is_rejected(self):
         # a misspelled negative control must not run as the unperturbed kernel
-        cfg = CampaignConfig(name="master-intertwinings", perturb="indicatr", nodes=6)
+        cfg = CampaignConfig(name="master-intertwinings", perturb="indicatr")
         with pytest.raises(CampaignError, match="'indicatr'.*'indicator' or 'c_sign'"):
             run_campaign(cfg)
 

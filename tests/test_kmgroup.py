@@ -334,6 +334,12 @@ class TestRecursiveChains:
 
 
 class TestEntranceLaws:
+    def test_norm_cache_is_not_an_argument(self):
+        elaw = km.entrance_law("gue", 2)
+        with pytest.raises(TypeError, match="_norms"):
+            km.EntranceLawSpec(elaw.family, elaw.n, elaw.spec, elaw.unnormalized,
+                               elaw.window, _norms={1.0: 0.0})
+
     def test_gue_density_shape(self):
         elaw = km.entrance_law("gue", 2)
         y = np.array([[-1.0, 0.5], [0.3, 1.8]])

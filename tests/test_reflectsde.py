@@ -544,7 +544,7 @@ class TestCoarseGridControl:
         from interlace_lab.harness import checks
 
         monkeypatch.setattr(rs, "_bridge_max", lambda a, b, var, e: np.maximum(a, b))
-        a5 = checks.check_warren_dyson(paths=20000, dt=0.05).rows
+        a5 = checks.check_warren_dyson(paths=20000).rows
         a6 = checks.check_entrance_gt(paths=20000).rows
         assert len(a5) == 3 and len(a6) == 4
         for rows, dt in ((a5, 0.05), (a6, 0.025)):
