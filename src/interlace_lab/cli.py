@@ -27,7 +27,6 @@ from .diffusion1d import (
     kernel,
     make_spec,
 )
-from .diffusion1d.catalog import edge_ladder
 from .harness import (
     CampaignConfig,
     CampaignError,
@@ -315,33 +314,16 @@ def _trajectory_blocks(pb):
 def cmd_edge_cdf(args):
     spec = make_spec(args.spec)
     try:
-        edge_ladder(spec, args.n)  # a family with no ladder, or a wrong end
-    except ValueError as e:
+        tbl = ek.EdgeOperatorTable(spec, args.n, args.t)
+    except ValueError as e:  # a family with no ladder, or a wrong end
         raise CatalogError(f"edge-cdf --spec {args.spec!r}: {e}") from None
     z = np.linspace(args.zmin, args.zmax, args.znum)
-    x0 = np.array(_floats(args.start)) if args.start else None
-    if x0 is not None:
-        # the rising (right) edge starts weakly increasing, the falling edge decreasing
-        order, sign = ("increasing", 1.0) if args.side == "right" else ("decreasing", -1.0)
-        if len(x0) != args.n:
-            raise CatalogError(f"edge-cdf --start {args.start!r}: --n {args.n} needs "
-                               f"{args.n} coordinates, got {len(x0)}")
-        if np.any(sign * np.diff(x0) < 0):
-            raise CatalogError(f"edge-cdf --start {args.start!r}: the {args.side} edge "
-                               f"needs a weakly {order} start")
-        l, r = spec.interval
-        if not np.all(np.isfinite(x0) & (x0 >= l) & (x0 <= r)):
-            raise CatalogError(f"edge-cdf --start {args.start!r}: needs finite coordinates in "
-                               f"the state interval [{l:g}, {r:g}] of {spec.name}")
-    if x0 is None or np.allclose(np.diff(x0), 0.0):
-        base = float(x0[0]) if x0 is not None else 0.0
-        if args.side == "right":
-            F = ek.edge_max_cdf_degenerate(spec, args.n, args.t, base, z)
-        else:
-            F = ek.edge_min_cdf_degenerate(spec, args.n, args.t, base, z)
-    else:
-        tbl = ek.EdgeOperatorTable(spec, args.n, args.t)
+    start = args.start or " ".join(["0"] * args.n)
+    try:
+        x0 = _floats(start)
         F = ek.edge_max_cdf(tbl, x0, z) if args.side == "right" else ek.edge_min_cdf(tbl, x0, z)
+    except ValueError as e:  # a start that is not numbers, or of the wrong length, order or range
+        raise CatalogError(f"edge-cdf --start {start!r}: {e}") from None
     rows = []
     oracle_F = None
     if args.oracle:
@@ -395,7 +377,7 @@ def _number(cast, what, ok):
     return parse
 
 
-_positive = _number(float, "a positive number", lambda v: v > 0)
+_positive = _number(float, "a positive number", lambda v: 0 < v < np.inf)
 _positive_int = _number(int, "a positive integer", lambda v: v > 0)
 _seed = _number(int, "a non-negative integer", lambda v: v >= 0)
 _finite = _number(float, "a finite number", np.isfinite)

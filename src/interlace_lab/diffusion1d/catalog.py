@@ -617,17 +617,9 @@ def _ive_of_order(nu):
 
 def _besq_core_density(t, x, y, nu, ive):
     """(1/2t)(y/x)^(nu/2) exp(-(sqrt x - sqrt y)^2 / 2t) ive(sqrt(xy)/t)."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    xs = np.maximum(x, 1e-300)
-    z = np.sqrt(xs * y) / t
-    val = (
-        (1.0 / (2.0 * t))
-        * (y / xs) ** (nu / 2.0)
-        * np.exp(-0.5 * (np.sqrt(xs) - np.sqrt(y)) ** 2 / t)
-        * ive(z)
-    )
-    return val
+    z = np.sqrt(x * y) / t
+    return ((1.0 / (2.0 * t)) * (y / x) ** (nu / 2.0)
+            * np.exp(-0.5 * (np.sqrt(x) - np.sqrt(y)) ** 2 / t) * ive(z))
 
 
 def _besq_kernel(spec, d, killed):
@@ -650,16 +642,20 @@ def _besq_kernel(spec, d, killed):
                 out[at0] = np.exp(-u) * u**order / (2.0 * t * sc.gamma(order + 1.0))
             out[~at0] = density(t, x[~at0], y[~at0])
             return out
-        main = _besq_core_density(t, x, y, nu, ive)
-        if killed:
-            return np.where(x > 1e-300, main, 0.0)
-        # entrance limit from 0: gamma(d/2, scale 2t)
-        lim = (
-            y ** (d / 2.0 - 1.0)
-            * np.exp(-y / (2.0 * t))
-            / ((2.0 * t) ** (d / 2.0) * sc.gamma(d / 2.0))
-        )
-        return np.where(x > 1e-300, main, lim)
+        if not (x > 1e-300).all():
+            # the core is (y/0)^(nu/2) at x = 0, so it is evaluated only off
+            # 0; the limit there is 0 if killed, else the entrance law
+            # gamma(d/2, scale 2t)
+            x, y = np.broadcast_arrays(x, y)
+            at0 = ~(x > 1e-300)
+            out = np.zeros(x.shape)
+            if not killed:
+                y0 = y[at0]
+                out[at0] = (y0 ** (d / 2.0 - 1.0) * np.exp(-y0 / (2.0 * t))
+                            / ((2.0 * t) ** (d / 2.0) * sc.gamma(d / 2.0)))
+            out[~at0] = density(t, x[~at0], y[~at0])
+            return out
+        return _besq_core_density(t, x, y, nu, ive)
 
     def window(t, x):
         # sqrt(y) is a Bessel radius |sqrt(x) e + B_t| <= sqrt(x) + |B_t| with

@@ -217,7 +217,9 @@ class TestCLI:
          ["intertwine-check", "--spec", "bm", "--shape", "n+1,n"],
          ["classify", "--spec", "gbm:nan"],
          ["density", "--spec", "besq:nan", "--t", "1", "--x", "1", "--y", "1"],
-         ["density", "--spec", "jac:0,1", "--t", "0.5", "--x", "0.3", "--y", "0.45"]],
+         ["density", "--spec", "jac:0,1", "--t", "0.5", "--x", "0.3", "--y", "0.45"],
+         ["edge-cdf", "--spec", "gbm:1", "--n", "2", "--zmin", "0.5", "--zmax", "1"],
+         ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "0", "--zmax", "1", "--start", "0 x"]],
     )
     def test_errors_are_one_line(self, argv, capsys):
         assert main(argv) == 2
@@ -281,7 +283,7 @@ class TestCLI:
         ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "0", "--zmax", "1", "--t"],
         ["duality-check", "--spec", "bm", "--times"],
     ], ids=lambda argv: argv[0])
-    @pytest.mark.parametrize("t", ["0", "-1", "nan", "abc"])
+    @pytest.mark.parametrize("t", ["0", "-1", "nan", "inf", "abc"])
     def test_times_must_be_positive(self, capsys, command, t):
         with pytest.raises(SystemExit) as exc:
             main(command + [t])

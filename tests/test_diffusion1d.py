@@ -180,6 +180,18 @@ class TestKernels:
         want = np.where(x <= 1e-300, chi2.cdf(y / t, d), ncx2.cdf(y / t, d, np.maximum(x, 1e-300) / t))
         assert np.array_equal(kernel(make_spec(f"besq:{d}")).cdf(t, x, y), want)
 
+    @pytest.mark.parametrize("sid", ["besq:7", "besq:8", "lag:7"])
+    def test_density_from_the_entrance_end_is_quiet(self, sid):
+        # from x = 0 the density is the entrance law; the Bessel core, whose
+        # (y/x)^(nu/2) overflows there, is evaluated only off 0
+        k = kernel(make_spec(sid))
+        y = np.array([0.0, 0.3, 1.0, 2.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at0 = k.density(0.5, 0.0, y)
+        assert np.all(np.isfinite(at0))
+        np.testing.assert_allclose(at0, k.density(0.5, 1e-10, y), rtol=1e-6, atol=0.0)
+
     def test_bm_heat_kernel_value(self):
         k = kernel(make_spec("bm"))
         assert float(k.density(1.0, 0.0, 0.0)) == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-7)

@@ -52,14 +52,31 @@ class TestOperatorTable:
         assert tbl.recurrence_residual(2, -1, x, xp) < 1e-5
 
     def test_gaussian_iterated_integrals_vs_quadrature(self, bm2):
-        # closed-form recurrence against direct quadrature
-        x, t = 0.2, 1.0
+        # the density integral against the truncated Gaussian moments
+        # I_j = (nu I_{j-1} + t I_{j-2}) / (j-1), I_0 = phi, I_1 = Phi
+        x, t, xp = 0.2, 1.0, np.array([-1.3, 0.4, 1.4, 3.0])
+        nu = xp - x
+        i_prev, i_cur = np.exp(-0.5 * nu * nu / t) / math.sqrt(2 * math.pi * t), ndtr(nu)
         for j in (2, 3):
-            xp = 1.4
-            z, w = gl_nodes(-9.0, xp, 400)
-            direct = float(np.dot(w, (xp - z) ** (j - 1) / math.factorial(j - 1)
-                                  * kernel(make_spec("bm")).density(t, x, z)))
-            assert bm2.S(1, j, x, np.array([xp])).item() == pytest.approx(direct, rel=1e-10)
+            i_prev, i_cur = i_cur, (nu * i_cur + t * i_prev) / (j - 1)
+            np.testing.assert_allclose(bm2.S(1, j, x, xp), i_cur, rtol=1e-12, atol=2e-14)
+
+    @pytest.mark.parametrize("sid, x, lower", [
+        ("bm", 0.3, True), ("bm", 0.3, False), ("besq:2", 0.5, True), ("lag:2", 0.5, True),
+    ], ids=["bm-S", "bm-Sbar", "besq:2-S", "lag:2-S"])
+    def test_far_argument_matches_a_fine_rule(self, sid, x, lower):
+        # x' lies 1000 windows out, where the entry is the integral over the
+        # level kernel's window, here by an 800-node rule in y
+        tbl = ek.EdgeOperatorTable(make_spec(sid), 2, 1.0)
+        kern = tbl.kernels[0]
+        lo, hi = kern.window(1.0, x)
+        xp = 1000.0 * (hi if lower else lo)
+        z, w = gl_nodes(lo, hi, 800)
+        wd = (1.0 if lower else -1.0) * w * kern.density(1.0, x, z)
+        for j in (2, 3):
+            got = (tbl.S if lower else tbl.S_bar)(1, j, x, np.array([xp])).item()
+            ref = float(np.dot(wd, (xp - z) ** (j - 1))) / math.factorial(j - 1)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_downward_variant_vs_quadrature(self, bm2):
         x, xp = 0.2, -0.3
@@ -153,6 +170,24 @@ class TestExtremeCdfs:
             with pytest.raises(ValueError, match="2 particles needs a start of 2 coordinates"):
                 call()
 
+    @pytest.mark.parametrize("side, start", [("right", [1.0, 0.0]), ("left", [0.0, 1.0])])
+    def test_misordered_start_raises(self, bm2, side, start):
+        # the rising edge starts weakly increasing, the falling one decreasing
+        cdf = ek.edge_max_cdf if side == "right" else ek.edge_min_survival
+        with pytest.raises(ValueError, match=f"the {side} edge needs a weakly"):
+            cdf(bm2, start, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("sid, start", [
+        ("besq:2", [-1.0, 0.0]), ("gbm:1", [0.0, 1.0]),
+        ("bm", [0.0, np.inf]), ("bm", [0.0, np.nan]),
+    ], ids=["outside", "natural-end", "infinite", "nan"])
+    def test_start_off_the_state_space_raises(self, sid, start):
+        # an end is a start only if it is an entrance, as besq's 0
+        tbl = ek.EdgeOperatorTable(make_spec(sid), 2, 1.0)
+        for cdf, x0 in ((ek.edge_max_cdf, start), (ek.edge_min_survival, start[::-1])):
+            with pytest.raises(ValueError, match="inside the state interval"):
+                cdf(tbl, x0, np.array([0.5, 1.0]))
+
     def test_single_particle_gaussian_cdf(self):
         tbl = ek.EdgeOperatorTable(make_spec("bm"), 1, 1.0)
         z = np.array([-0.5, 0.3, 1.7])
@@ -178,14 +213,16 @@ class TestExtremeCdfs:
         vals = [ek.edge_max_cdf(bm2, np.array([0.0, s]), z).item() for s in (0.0, 0.3, 0.6)]
         assert vals[0] >= vals[1] >= vals[2]
 
-    def test_degenerate_start_extrapolation_consistent(self):
-        # direct evaluation at the coincident start agrees with the
-        # staircase extrapolation
-        z = np.linspace(-0.5, 2.5, 7)
-        direct = ek.edge_max_cdf(ek.EdgeOperatorTable(make_spec("bm"), 2, 1.0),
-                                 np.array([0.0, 0.0]), z)
-        extrap = ek.edge_max_cdf_degenerate(make_spec("bm"), 2, 1.0, 0.0, z)
-        assert np.max(np.abs(direct - extrap)) < 1e-7
+    def test_coincident_start_is_the_gue_law(self):
+        # from the origin the pair's maximum has the law of GUE(2)'s largest
+        # eigenvalue, Phi (Phi - z phi) - phi^2, and its minimum the mirror law
+        z = np.linspace(-3.0, 5.0, 161)
+        phi = np.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+        exact = ndtr(z) * (ndtr(z) - z * phi) - phi**2
+        fmax = ek.edge_max_cdf_degenerate(make_spec("bm"), 2, 1.0, 0.0, z)
+        fmin = ek.edge_min_cdf_degenerate(make_spec("bm"), 2, 1.0, 0.0, -z)
+        assert np.max(np.abs(fmax - exact)) < 1e-14
+        assert np.max(np.abs(1.0 - fmin - exact)) < 1e-14
 
     def test_min_survival_single_particle(self):
         tbl = ek.EdgeOperatorTable(make_spec("bm"), 1, 1.0)
