@@ -154,11 +154,15 @@ def make_spec(spec_id: str) -> DiffusionSpec:
     return rec.build(*params)
 
 
-def _spec(fam, params, log_s_prime, **fields) -> DiffusionSpec:
-    """A family's spec: its coefficients and its one scale formula, the closed
-    form of log s'(x) = -int_c^x b/a (ScaleSpeed derives the rest)."""
+def _spec(fam, params, log_s_prime, log_m=None, **fields) -> DiffusionSpec:
+    """A family's spec: its coefficients and its scale formula, the closed
+    form of log s'(x) = -int_c^x b/a.  ScaleSpeed derives log m from it,
+    unless the family states log m too, as jac does: at a finite end where
+    s' and a are 0 or infinite, -log s' - log a is nan, and m has a limit."""
+    scale = (ScaleSpeed.from_log_s_prime(log_s_prime, fields["a"]) if log_m is None
+             else ScaleSpeed(log_s_prime, log_m))
     return DiffusionSpec(name=FAMILIES[fam].fmt(params), family=fam, params=params,
-                         scale=ScaleSpeed.from_log_s_prime(log_s_prime, fields["a"]), **fields)
+                         scale=scale, **fields)
 
 
 _MODE_BOUNDARY = {"refl": Boundary.REGULAR_REFLECTING, "abs": Boundary.REGULAR_ABSORBING}
@@ -272,6 +276,9 @@ def _jacobi_spec(fam, beta, gamma, dual):
     log_sp = lambda x: -bb * np.log(2.0 * np.asarray(x, float)) - gg * np.log(
         2.0 * (1.0 - np.asarray(x, float))
     )
+    # m = 1/(s' a) = 2^(bb+gg-1) x^(bb-1) (1-x)^(gg-1), its limit at each end
+    log_m = lambda x: (sc.xlogy(bb - 1.0, np.asarray(x, float))
+                       + sc.xlogy(gg - 1.0, 1.0 - np.asarray(x, float)) + (bb + gg - 1.0) * math.log(2.0))
 
     def _end(par):
         end = Boundary.ENTRANCE if par >= 1.0 else Boundary.REGULAR_REFLECTING
@@ -289,6 +296,7 @@ def _jacobi_spec(fam, beta, gamma, dual):
         behavior_r=_end(gamma),
         c=0.5,
         log_s_prime=log_sp,
+        log_m=log_m,
     )
 
 

@@ -64,6 +64,13 @@ class TestCLI:
         rows = read_rows(tmp_path / "edge_cdf.csv")
         assert all(float(r["diff"]) < 0.02 for r in rows)
 
+    @pytest.mark.parametrize("spec", ["jac:1,1", "jac:2,3"])
+    def test_edge_cdf_at_the_ends_of_a_jacobi_interval(self, tmp_path, spec):
+        assert main(["edge-cdf", "--spec", spec, "--n", "2", "--zmin", "0", "--zmax", "1",
+                     "--znum", "3", "--out", str(tmp_path)]) == 0
+        cdf = [float(r["cdf"]) for r in read_rows(tmp_path / "edge_cdf.csv")]
+        assert cdf[0] == 0.0 and abs(cdf[2] - 1.0) <= 1e-9
+
     def test_simulate_two_level(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
         out = tmp_path / "simout"

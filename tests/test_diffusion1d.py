@@ -192,6 +192,18 @@ class TestKernels:
         assert np.all(np.isfinite(at0))
         np.testing.assert_allclose(at0, k.density(0.5, 1e-10, y), rtol=1e-6, atol=0.0)
 
+    @pytest.mark.parametrize("sid", ["jac:1,1", "jac:2,3"])
+    def test_jacobi_density_at_its_ends_is_its_limit(self, sid):
+        # log m is stated in closed form, so m is not -log s' - log a,
+        # which reads inf - inf at an end
+        k = kernel(make_spec(sid))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_ends = k.density(0.5, 0.3, [0.0, 1.0])
+            inside = k.density(0.5, 0.3, [1e-12, 1.0 - 1e-12])
+        assert np.all(np.isfinite(at_ends))
+        np.testing.assert_allclose(at_ends, inside, rtol=0.0, atol=1e-9)
+
     def test_bm_heat_kernel_value(self):
         k = kernel(make_spec("bm"))
         assert float(k.density(1.0, 0.0, 0.0)) == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-7)

@@ -174,7 +174,53 @@ class TestClosedFormEigenvalues:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * 2**20  # the 28.8 MB matrix stack, plus bounded temporaries
+        # measured 14.2 MiB: the (count, 3) diagonals and output, the
+        # (count, 2) off-diagonals and one block's temporaries; bound at 2x
+        assert peak <= 29 * 2**20
+
+
+class TestMatrixModels:
+    """gue_sample and complex_wishart_sample draw the beta = 2 tridiagonal
+    and bidiagonal models; each must have the dense construction's law.
+    200k draws a side and one two-sample KS per eigenvalue, 22 in all,
+    under the 1 % bar for all of them together (Bonferroni):
+    P(sqrt(N/2) D > c) is about 2 exp(-2 c^2) = 0.01 / 22 at c = 2.05.
+    The n - k zeros of a Wishart with n > k are compared by size, not by
+    KS: the model's are exact, the dense ones rounding noise."""
+
+    N = 200_000
+    GUE = [1, 2, 3, 4]
+    WISHART = [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (2, 5)]
+    TESTS = sum(GUE) + sum(min(n, k) for n, k in WISHART)
+    BAR = math.sqrt(math.log(2 * TESTS / 0.01) / 2) / math.sqrt(N / 2)
+
+    def _same_law(self, model, dense, zeros=0):
+        assert model.shape == dense.shape == (self.N, dense.shape[1])
+        assert np.all(np.diff(model, axis=1) >= 0)
+        scale = np.max(np.abs(dense), axis=1, keepdims=True)
+        assert np.all(model[:, :zeros] == 0.0)
+        assert np.all(np.abs(dense[:, :zeros]) <= 1e-12 * scale)
+        for i in range(zeros, dense.shape[1]):
+            assert two_sample_ks(model[:, i], dense[:, i]) <= self.BAR, i
+
+    @pytest.mark.parametrize("n", GUE)
+    def test_gue_tridiagonal_model(self, n):
+        from interlace_lab.harness.oracles import _eigvalsh, _gue_matrix
+
+        model = gue_sample(np.random.default_rng((1, n)), n, self.N, scale=1.5)
+        dense = _eigvalsh(_gue_matrix(np.random.default_rng((2, n)), n, self.N, 1.5))
+        self._same_law(model, dense)
+
+    @pytest.mark.parametrize("n, k", WISHART)
+    def test_wishart_bidiagonal_model(self, n, k):
+        from interlace_lab.harness.oracles import _eigvalsh, _gram
+
+        v = 2.0
+        model = complex_wishart_sample(np.random.default_rng((3, n, k)), n, k, self.N,
+                                       entry_variance=v)
+        rng, s = np.random.default_rng((4, n, k)), math.sqrt(v / 2.0)
+        A = rng.normal(0.0, s, (self.N, n, k)) + 1j * rng.normal(0.0, s, (self.N, n, k))
+        self._same_law(model, _eigvalsh(_gram(A)), zeros=max(n - k, 0))
 
 
 class TestKSCompare:
