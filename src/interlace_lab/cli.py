@@ -232,8 +232,8 @@ def cmd_simulate(args):
 def _simulate_bundle(cfg, mode, seed, stride, config):
     """Run the [simulate] section's simulator and return its PathBundle."""
     family = _required(cfg, "family", config)
-    T = float(cfg.get("t", 1.0))
-    dt = float(cfg.get("dt", 1e-3))
+    T = _float(cfg, "t", config, 1.0)
+    dt = _float(cfg, "dt", config, 1e-3)
     paths = _count(cfg, "paths", config) if "paths" in cfg else 1000
     if mode == "edge":
         n = _count(cfg, "n", config)
@@ -265,6 +265,16 @@ def _required(cfg, key, config):
     if key not in cfg:
         raise CampaignError(f"[simulate] {key} missing from {config}")
     return cfg[key]
+
+
+def _float(cfg, key, config, default):
+    """[simulate] key read as a number (default when absent), else a
+    one-line error that names it."""
+    try:
+        return float(cfg.get(key, default))
+    except ValueError:
+        raise CampaignError(f"[simulate] {key} in {config} must be a number, "
+                            f"got {cfg[key]!r}") from None
 
 
 def _count(cfg, key, config, least=1):

@@ -18,10 +18,17 @@ cofactor closed forms on entries that broadcast together, larger sizes are
 LAPACK's np.linalg.det.
 
 Each entrance law names the one-particle spec it enters and carries its own
-squared-Vandermonde factor.  Every state-space integral here (one-particle
-actions, entrance-law normalizations, degenerate-start limits) takes its
-nodes from diffusion1d.catalog.chamber_quad, which clips to the spec's
-interval and integrates in the family's coordinates.
+squared-Vandermonde factor.  The sampled laws are the beta = 2 GUE and
+Laguerre eigenvalue laws, drawn from the tridiagonal and bidiagonal matrix
+models of Dumitriu & Edelman, "Matrix models for beta ensembles",
+J. Math. Phys. 43 (2002).  The models and their eigenvalue solver live here;
+harness.oracles draws its GUE and complex Wishart oracles from them, and
+nothing here imports the harness.
+
+Every state-space integral here (one-particle actions, entrance-law
+normalizations, degenerate-start limits) takes its nodes from
+diffusion1d.catalog.chamber_quad, which clips to the spec's interval and
+integrates in the family's coordinates.
 """
 from __future__ import annotations
 
@@ -31,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .diffusion1d import (
     CatalogError,
@@ -291,6 +297,98 @@ def wronskian(components: Sequence[Callable], x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# beta = 2 matrix models
+# ---------------------------------------------------------------------------
+
+#: matrices per block of the closed-form solve: bounds its temporaries
+_BLOCK = 1 << 14
+
+
+def _closed_form(diag: list, off2: list, triple=0.0) -> np.ndarray:
+    """Ascending eigenvalues of Hermitian matrices of size n = len(diag) <= 3,
+    given the real diagonals, the squared moduli of the upper triangle
+    ([|H01|^2] for n = 2, [|H01|^2, |H02|^2, |H12|^2] for n = 3) and, for
+    n = 3, Re(H01 H12 conj(H02))."""
+    n = len(diag)
+    if n == 1:
+        return diag[0][:, None]
+    if n == 2:
+        m = 0.5 * (diag[0] + diag[1])
+        h = np.sqrt(0.25 * (diag[0] - diag[1]) ** 2 + off2[0])
+        return np.stack([m - h, m + h], axis=-1)
+    # O. K. Smith, Comm. ACM 4(4):168 (1961): with q = tr/3 and
+    # p^2 = tr((H - q)^2)/6, the eigenvalues are q + 2p cos(phi + 2 pi k/3)
+    # where cos(3 phi) = det(H - q)/(2 p^3)
+    bb, cc, ee = off2
+    q = (diag[0] + diag[1] + diag[2]) / 3.0
+    a, d, f = diag[0] - q, diag[1] - q, diag[2] - q
+    p = np.sqrt((a * a + d * d + f * f + 2.0 * (bb + cc + ee)) / 6.0)
+    det = a * d * f + 2.0 * triple - a * ee - d * cc - f * bb
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(p > 0.0, det / (2.0 * p ** 3), 0.0)
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    k = np.array([0.0, 2.0, 4.0]) * (np.pi / 3.0)
+    lam = q[:, None] + (2.0 * p)[:, None] * np.cos(phi[:, None] + k)
+    return np.sort(lam, axis=-1)
+
+
+def _tridiagonal_eigvalsh(d: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of real symmetric tridiagonal matrices with
+    diagonals d (count, n) and squared off-diagonals e2 (count, n - 1):
+    closed forms for n <= 3, LAPACK beyond, in blocks of _BLOCK matrices."""
+    count, n = d.shape
+    out = np.empty((count, n))
+    for s in range(0, count, _BLOCK):
+        db, eb = d[s:s + _BLOCK], e2[s:s + _BLOCK]
+        if n > 3:
+            T = np.zeros((len(db), n, n))
+            i = np.arange(n)
+            T[:, i, i] = db
+            T[:, i[1:], i[:-1]] = np.sqrt(eb)  # eigvalsh reads the lower triangle
+            out[s:s + _BLOCK] = np.linalg.eigvalsh(T)
+        else:
+            off2 = [eb[:, 0], 0.0, eb[:, 1]] if n == 3 else [eb[:, 0]] if n == 2 else []
+            out[s:s + _BLOCK] = _closed_form([db[:, i] for i in range(n)], off2)
+    return out
+
+
+def _squared_entries(rng: np.random.Generator, shapes, count: int, scale: float) -> np.ndarray:
+    """(count, len(shapes)) draws scale * Gamma(k), one column per shape k:
+    the squared moduli of the models' chi entries, chi_{2k}^2 / 2 ~ Gamma(k)."""
+    return scale * rng.standard_gamma(shapes, size=(count, len(shapes)))
+
+
+def _gue_draw(rng: np.random.Generator, n: int, count: int, scale: float) -> np.ndarray:
+    """(count, n) ascending eigenvalues of the n x n GUE with N(0, scale)
+    diagonal and complex off-diagonal entries of variance scale, density
+    proportional to Delta(y)^2 prod e^{-y_i^2 / 2 scale}: the tridiagonal
+    model (Dumitriu-Edelman, beta = 2) with N(0, scale) diagonal and squared
+    off-diagonal k = scale * Gamma(n - 1 - k), the squared norm of the dense
+    matrix's column k below row k + 1."""
+    d = rng.normal(0.0, np.sqrt(scale), size=(count, n))
+    return _tridiagonal_eigvalsh(d, _squared_entries(rng, np.arange(n - 1, 0, -1.0), count, scale))
+
+
+def _laguerre_draw(rng: np.random.Generator, n: int, shape: float, count: int,
+                   scale: float) -> np.ndarray:
+    """(count, n) ascending eigenvalues of the beta = 2 Laguerre ensemble,
+    density proportional to Delta(a)^2 prod a_i^(shape - n) e^{-a_i / scale}
+    on a > 0, for real shape > n - 1: those of B B^T for B lower bidiagonal
+    (Dumitriu-Edelman), with squared diagonal a_i^2 = scale * Gamma(shape - i)
+    and squared subdiagonal c_i^2 = scale * Gamma(n - 1 - i).  B B^T is
+    tridiagonal: diagonal a_i^2 + c_{i-1}^2, squared off-diagonal a_i^2 c_i^2.
+    An eigenvalue within the closed forms' rounding error of 0 can come out
+    negative, so the result is clipped to a >= 0."""
+    g = _squared_entries(rng, np.concatenate([shape - np.arange(n), n - 1.0 - np.arange(n - 1)]),
+                         count, scale)
+    a2, c2 = g[:, :n], g[:, n:]
+    d = a2.copy()
+    d[:, 1:] += c2
+    lam = _tridiagonal_eigvalsh(d, a2[:, :-1] * c2)
+    return np.maximum(lam, 0.0, out=lam)
+
+
+# ---------------------------------------------------------------------------
 # entrance laws
 # ---------------------------------------------------------------------------
 
@@ -305,18 +403,25 @@ def _delta(z) -> np.ndarray:
     return V
 
 
+def _time(t) -> float:
+    """t as a float, else a ValueError naming it unless positive and finite."""
+    t = float(t)
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"the entrance-law time t must be positive and finite, got {t!r}")
+    return t
+
+
 @dataclass(eq=False)
 class EntranceLawSpec:
     """Entrance law of n particles of `spec` from the origin: a density over
-    W^n at time t.
+    W^n at time t, and for every law but bm_drift a sampler.
 
     The normalizing constant is computed by quadrature over the law's
     chamber (its window at t, in spec's state space and coordinates) and
-    cached per t.  Laws of the form V(a) prod g_t(a_i) in a = y (a = y^2 on
-    the half line), with V the squared-Vandermonde factor, are sampled by
-    rejection: `propose` draws sorted z from a Gaussian or gamma law q_t,
-    accepted with probability (V / P)(z) E(z), where the polynomial P bounds
-    V and E = P g_t / (q_t sup(P g_t / q_t)) <= 1.
+    cached per t.  `draw(rng, t, size)` returns size ascending draws from the
+    beta = 2 matrix models above, exact in law: gue is the GUE spectrum at
+    scale t, besq:d the Laguerre ensemble of shape n + d/2 - 1 at scale 2t,
+    and the half-line laws the square roots of the BESQ(3) and BESQ(1) laws.
     """
 
     family: str  # the law's id
@@ -324,8 +429,7 @@ class EntranceLawSpec:
     spec: DiffusionSpec  # the one-particle motion the law enters
     unnormalized: Callable  # (t, y[..., n]) -> weight
     window: Callable  # t -> (lo, hi) holding the law's mass
-    vandermonde2: Optional[Callable] = None  # z -> V(z)
-    propose: Optional[Callable] = None  # (rng, t, m) -> (z, log E(z), log P(z))
+    draw: Optional[Callable] = None  # (rng, t, size) -> (size, n) ascending draws
     _norms: dict = field(default_factory=dict, init=False)
 
     def chamber(self, t: float, n_nodes: int = 80):
@@ -340,84 +444,22 @@ class EntranceLawSpec:
         return self._norms[key]
 
     def density(self, t: float, y):
-        """The law's density at y (..., n); other coordinate counts raise ValueError."""
+        """The law's density at y (..., n); a time t that is not positive
+        and finite, or another coordinate count, raises ValueError."""
+        t = _time(t)
         y = _coordinates(self.n, y, f"the {self.family!r} entrance law of {self.n} particles")
         return self.unnormalized(t, y) * math.exp(-self.log_norm(t))
 
     def sample(self, rng: np.random.Generator, t: float, size: int) -> np.ndarray:
-        if self.propose is None:
+        """(size, n) draws of the law at time t, ascending along each row; a
+        time t that is not positive and finite, or a size that is not a
+        non-negative integer, raises ValueError."""
+        t = _time(t)
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
+            raise ValueError(f"the sample size must be a non-negative integer, got {size!r}")
+        if self.draw is None:
             raise CatalogError(f"entrance law {self.family!r} has no sampler")
-        out = np.empty((size, self.n))
-        got = 0
-        while got < size:
-            m = max(4 * (size - got), 256)
-            z, log_e, log_p = self.propose(rng, t, m)
-            u = rng.random(m)
-            log_v = np.log(np.maximum(self.vandermonde2(z), 1e-300))
-            keep = np.log(np.maximum(u, 1e-300)) < log_e + (log_v - log_p)
-            acc = z[keep]
-            take = min(size - got, acc.shape[0])
-            out[got : got + take] = acc[:take]
-            got += take
-        return out
-
-
-def _log_peak(p: float, delta: float) -> float:
-    """log max_s s^p e^{-delta s} = p log(p / delta) - p (0 when p = 0)."""
-    return p * math.log(p / delta) - p if p > 0 else 0.0
-
-
-def _gaussian_proposal(n: int, p: float) -> Callable:
-    """Sorted N(0, 1.6 t) draws, for g_t(y) = e^{-y^2 / 2t} and V = Delta(y)^2
-    <= c (2 s)^p, s = sum y^2, p = n(n - 1) / 2.
-
-    2^p c, the largest value of Delta(y)^2 on the unit sphere, is attained at
-    the zeros of the Hermite polynomial H_n scaled to unit norm (Stieltjes);
-    c = 1 for n = 2.
-    """
-    log_c = 0.0
-    if n > 2:
-        x = special.roots_hermite(n)[0]
-        log_c = math.log(_delta(x / np.linalg.norm(x)) ** 2) - p * math.log(2.0)
-
-    def propose(rng, t, m):
-        scale = 1.6 * t
-        z = rng.normal(0.0, math.sqrt(scale), size=(m, n))
-        z.sort(axis=1)
-        ssq = np.sum(z * z, axis=1)
-        delta = 0.5 / t - 0.5 / scale
-        log_p = p * np.log(np.maximum(2.0 * ssq, 1e-300))
-        # (2 s)^p e^{-delta s} peaks where r = 2 s maximizes r^p e^{-delta r / 2}
-        return z, log_p - delta * ssq - _log_peak(p, delta / 2.0), log_p + log_c
-
-    return propose
-
-
-def _gamma_proposal(n: int, shape: float, root: bool) -> Callable:
-    """Sorted a ~ Gamma(shape, 3.2 t), for g_t(a) = a^(shape - 1) e^{-a / 2t}
-    and V = Delta(a)^2 <= c s^p, s = sum a, p = n(n - 1); the draws are
-    y = sqrt(a) when `root` (for shape 1/2, the folded Gaussian |N(0, 1.6 t)|).
-
-    c, the largest value of Delta(a)^2 on the simplex a >= 0, sum a = 1, is
-    attained at a_1 = 0 and a_2..a_n proportional to the zeros of the
-    Laguerre polynomial L_{n-1}^{(1)} (Stieltjes); c = 1 for n = 2.
-    """
-    p = float(n * (n - 1))
-    log_c = 0.0
-    if n > 2:
-        x = special.roots_genlaguerre(n - 1, 1.0)[0]
-        log_c = math.log(_delta(np.concatenate([[0.0], x / x.sum()])) ** 2)
-
-    def propose(rng, t, m):
-        scale = 3.2 * t
-        a = rng.gamma(shape, scale, size=(m, n))
-        a.sort(axis=1)
-        s = np.sum(a, axis=1)
-        delta = 0.5 / t - 1.0 / scale
-        log_p = p * np.log(np.maximum(s, 1e-300))
-        return (np.sqrt(a) if root else a), log_p - delta * s - _log_peak(p, delta), log_p + log_c
-
-    return propose
+        return self.draw(rng, t, int(size))
 
 
 def _gaussian_window(n: int) -> Callable:
@@ -469,14 +511,12 @@ def entrance_law(family: str, n: int, extra=None) -> EntranceLawSpec:
     if name != "bm_drift" and extra is not None:
         raise CatalogError(f"entrance law {family!r} takes no drift vector")
     if name == "gue":
-        v2 = lambda y: _delta(y) ** 2
-
         def w(t, y):
             y = np.asarray(y, float)
-            return v2(y) * np.exp(-np.sum(y * y, axis=-1) / (2.0 * t))
+            return _delta(y) ** 2 * np.exp(-np.sum(y * y, axis=-1) / (2.0 * t))
 
-        return EntranceLawSpec(family, n, make_spec("bm"), w, _gaussian_window(n), v2,
-                               _gaussian_proposal(n, 0.5 * n * (n - 1)))
+        return EntranceLawSpec(family, n, make_spec("bm"), w, _gaussian_window(n),
+                               lambda rng, t, size: _gue_draw(rng, n, size, t))
     if name == "bm_drift":
         mus = np.asarray(extra if extra is not None else [], float)
         if mus.shape != (n,) or not (np.all(np.isfinite(mus)) and np.all(np.diff(mus) > 0)):
@@ -489,27 +529,30 @@ def entrance_law(family: str, n: int, extra=None) -> EntranceLawSpec:
             return det([[np.exp(-((y[..., i] - t * mu) ** 2) / (2.0 * t)) for mu in mus]
                         for i in range(n)]) * _delta(y)
 
-        # the density is not V(y) prod g_t(y_i), so it has no rejection sampler
+        # the density is not V(y) prod g_t(y_i), so no matrix model draws it
         return EntranceLawSpec(family, n, make_spec("bm"), w, _gaussian_window(n))
-    # V(a) prod a^nu e^{-a / 2t} in a = y (besq) or a = y^2 (half line)
+    # V(a) prod a^nu e^{-a / 2t} in a = y (besq) or a = y^2 (half line): the
+    # Laguerre ensemble of shape n + nu at scale 2t
     root = name in _HALFLINE_LAWS
     d, spec_id = _HALFLINE_LAWS[name] if root else (params[0], family)
     nu = d / 2.0 - 1.0
     power = 2.0 * nu + 1.0 if root else nu  # da = 2 y dy
     to_a = (lambda y: y * y) if root else (lambda y: y)
-    v2 = lambda y: _delta(to_a(y)) ** 2
 
     def w(t, y):
         y = np.asarray(y, float)
         return (
-            v2(y)
+            _delta(to_a(y)) ** 2
             * np.prod(np.maximum(y, 1e-300) ** power, axis=-1)
             * np.exp(-np.sum(to_a(y), axis=-1) / (2.0 * t))
         )
 
+    def draw(rng, t, size):
+        a = _laguerre_draw(rng, n, n + nu, size, 2.0 * t)
+        return np.sqrt(a, out=a) if root else a
+
     window = _gaussian_window(n) if root else (lambda t: (0.0, 40.0 * t * (1.0 + n)))
-    return EntranceLawSpec(family, n, make_spec(spec_id), w, window, v2,
-                           _gamma_proposal(n, nu + 1.0, root))
+    return EntranceLawSpec(family, n, make_spec(spec_id), w, window, draw)
 
 
 def entrance_consistency_residual(

@@ -350,6 +350,9 @@ def _resolve_steps(T, dt, t0=0.0):
     """(step count, step) that reach T from t0 in steps of about dt."""
     if not dt > 0:  # nan fails too
         raise ValueError(f"dt must be positive, got {dt:g}")
+    for name, v in (("end time t", T), ("start time t0", t0)):
+        if not math.isfinite(v):
+            raise ValueError(f"the {name} must be finite, got {v:g}")
     if not T > t0:
         raise ValueError(f"the end time t = {T:g} must be after the start time {t0:g}")
     n_steps = max(int(round((T - t0) / dt)), 1)

@@ -357,16 +357,21 @@ class TestCLI:
     @pytest.mark.parametrize("body, named", [
         ("init_x = -1 1\ninit_y = 0\nt = -1\n", "end time t = -1"),
         ("init_x = -1 1\ninit_y = 0\nt = 0\n", "end time t = 0"),
+        ("init_x = -1 1\ninit_y = 0\nt = inf\n", "end time t must be finite, got inf"),
         ("init_x = -1 1\ninit_y = 0\ndt = 0\n", "dt must be positive"),
         ("init_x = -1 1\ninit_y = 5\n", "does not interlace"),
         ("mode = gt\nlevels = 2\ninit1 = 0\ninit2 = -1 1\nt = -1\n", "end time t = -1"),
         ("mode = gt\nlevels = 2\ninit1 = 0\ninit2 = -1 1\ndt = 0\n", "dt must be positive"),
+        ("mode = gt\nlevels = 2\ninit1 = 0\ninit2 = -1 1\nt = inf\n",
+         "end time t must be finite, got inf"),
         ("mode = gt\nlevels = 2\ninit1 = 2\ninit2 = -1 1\n", "does not interlace"),
         ("mode = edge\nn = 2\ninit = 0 1\nt = -1\n", "end time t = -1"),
+        ("mode = edge\nn = 2\ninit = 0 1\nt = inf\n", "end time t must be finite, got inf"),
         ("mode = edge\nn = 2\ninit = 0 1\ndt = -0.1\n", "dt must be positive"),
         ("mode = edge\nn = 2\ninit = 0 1 2\n", "needs 2 start coordinates, got 3"),
-    ], ids=["two-level-t", "two-level-t0", "two-level-dt", "two-level-start", "gt-t", "gt-dt",
-            "gt-start", "edge-t", "edge-dt", "edge-init"])
+    ], ids=["two-level-t", "two-level-t0", "two-level-t-inf", "two-level-dt", "two-level-start",
+            "gt-t", "gt-dt", "gt-t-inf", "gt-start", "edge-t", "edge-t-inf", "edge-dt",
+            "edge-init"])
     def test_simulate_rejects_a_bad_time_step_or_start(self, tmp_path, capsys, body, named):
         cfg = tmp_path / "sim.cfg"
         out = tmp_path / "out"
@@ -375,6 +380,24 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("interlace-lab: error: [simulate] in ")
         assert err.count("\n") == 1 and named in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, key", [("two-level", "t"), ("two-level", "dt"),
+                                           ("edge", "t"), ("gt", "dt")])
+    def test_simulate_rejects_a_time_or_step_that_is_not_a_number_by_name(self, tmp_path,
+                                                                          capsys, mode, key):
+        cfg = tmp_path / "sim.cfg"
+        out = tmp_path / "out"
+        starts = {"two-level": "init_x = -1 1\ninit_y = 0\n", "edge": "n = 2\ninit = 0 1\n",
+                  "gt": "levels = 2\ninit1 = 0\ninit2 = -1 1\n"}[mode]
+        times = {"t": "0.1", "dt": "0.05", key: "abc"}
+        cfg.write_text(f"[simulate]\nfamily = bm\nmode = {mode}\n{starts}"
+                       + "".join(f"{k} = {v}\n" for k, v in times.items())
+                       + f"paths = 2\noutput = {out}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"[simulate] {key} in {cfg} must be a number, got 'abc'" in err, err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [

@@ -223,6 +223,37 @@ class TestMatrixModels:
         self._same_law(model, _eigvalsh(_gram(A)), zeros=max(n - k, 0))
 
 
+class TestLayering:
+    def test_only_the_harness_and_the_cli_import_the_harness(self):
+        # the dependency runs one way: the harness draws its oracles from
+        # kmgroup's matrix models, so no library module imports the harness
+        import ast
+        import pathlib
+
+        import interlace_lab
+
+        root = pathlib.Path(interlace_lab.__file__).parent
+        checked = set()
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root)
+            if rel.parts[0] == "harness" or rel.as_posix() == "cli.py":
+                continue
+            package = ["interlace_lab", *rel.parts[:-1]]
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    base = package[:len(package) + 1 - node.level] if node.level else []
+                    module = ".".join(base + ([node.module] if node.module else []))
+                    names = [module] + [f"{module}.{a.name}" for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                assert not any(n == "interlace_lab.harness" or n.startswith("interlace_lab.harness.")
+                               for n in names), (rel.as_posix(), ast.dump(node))
+            checked.add(rel.as_posix())
+        assert {"kmgroup.py", "diffusion1d/core.py", "__init__.py"} <= checked
+
+
 class TestKSCompare:
     def test_shift_is_rejected(self):
         rng = np.random.default_rng(7)

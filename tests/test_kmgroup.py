@@ -412,29 +412,49 @@ class TestEntranceLaws:
         q = np.sum(s * s, axis=1)
         assert abs(q.mean() - m2) < 4.0 * q.std() / math.sqrt(q.size)
 
-    def test_sampler_matches_density(self):
-        elaw = km.entrance_law("gue", 2)
-        rng = np.random.default_rng(7)
-        s = elaw.sample(rng, 1.0, 30000)
-        assert np.all(s[:, 0] <= s[:, 1])
-        # spacing-squared law has known first moments: compare top coordinate
-        from interlace_lab.harness import gue_sample, two_sample_ks
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "law", ["gue", "besq:2", "besq:3", "besq:0.5", "halfline_nn", "halfline_n1n"]
+    )
+    def test_sampler_moments_match_its_density(self, law, n):
+        # the moments of sum y and sum y^2 under the law's own density, by
+        # chamber quadrature: independent of the matrix models that draw it
+        t = 0.8
+        elaw = km.entrance_law(law, n)
+        pts, wts = elaw.chamber(t)
+        mass = wts * elaw.density(t, pts)
+        s = elaw.sample(np.random.default_rng(60 + n), t, 20000)
+        assert s.shape == (20000, n) and np.all(np.diff(s, axis=1) >= 0.0)
+        for k in (1, 2):
+            q = np.sum(s**k, axis=1)
+            want = float(np.dot(mass, np.sum(pts**k, axis=1)))
+            assert abs(q.mean() - want) < 4.0 * q.std() / math.sqrt(q.size), k
 
-        ev = gue_sample(np.random.default_rng(17), 2, 100000)
-        assert two_sample_ks(s[:, 1], ev[:, 1]) < 0.015
-        assert two_sample_ks(s[:, 0], ev[:, 0]) < 0.015
-
-    def test_gue_sampler_keeps_n2_draws_and_gue_moment_at_n3(self):
-        import hashlib
-
-        # n = 2 uses the same proposal bound as before the exact constant
-        s = km.entrance_law("gue", 2).sample(np.random.default_rng(5), 1e-3, 5000)
-        assert hashlib.sha256(s.tobytes()).hexdigest() == (
-            "3db26da4b98868559b027da83fa1ba0d156668c2e689fadc4e16c93a424e8234")
+    def test_gue_law_at_n3_has_the_gue_moment(self):
         # the gue law at n = 3 is the GUE spectrum: E sum y^2 = E tr H^2 = t n^2
         t, n = 0.7, 3
         q = np.sum(km.entrance_law("gue", n).sample(np.random.default_rng(11), t, 20000) ** 2, axis=1)
         assert abs(q.mean() - t * n * n) < 4.0 * q.std() / math.sqrt(q.size)
+
+    @pytest.mark.parametrize("t", [np.nan, 0.0, -1.0, np.inf])
+    def test_sample_time_must_be_positive_and_finite(self, t):
+        with pytest.raises(ValueError, match=r"time t must be positive and finite, got"):
+            km.entrance_law("gue", 2).sample(np.random.default_rng(0), t, 5)
+
+    @pytest.mark.parametrize("t", [0.0, np.nan, np.inf])
+    def test_density_time_must_be_positive_and_finite(self, t):
+        with pytest.raises(ValueError, match=r"time t must be positive and finite, got"):
+            km.entrance_law("besq:3", 2).density(t, [[0.5, 1.0]])
+
+    @pytest.mark.parametrize("size", [-3, 2.5, True])
+    def test_sample_size_must_be_a_non_negative_integer(self, size):
+        with pytest.raises(ValueError, match=f"sample size must be a non-negative integer, got {size}"):
+            km.entrance_law("halfline_nn", 2).sample(np.random.default_rng(0), 1.0, size)
+
+    def test_empty_sample_and_drifted_law_without_sampler(self):
+        assert km.entrance_law("besq:2", 3).sample(np.random.default_rng(0), 1.0, 0).shape == (0, 3)
+        with pytest.raises(CatalogError, match="'bm_drift' has no sampler"):
+            km.entrance_law("bm_drift", 2, extra=[0.0, 1.0]).sample(np.random.default_rng(0), 1.0, 5)
 
     @pytest.mark.parametrize(
         "law", ["besq", "besq:x", "besq:2:abs", "besq:0", "besq:-1", "besq:inf",
