@@ -142,6 +142,14 @@ def cmd_entrance_law(args):
     _emit(args, "entrance", ["family", "n", "t", "y", "density"], rows)
 
 
+#: the most particles, x and y together, that intertwine-check was measured
+#: to run with: n,n at --n 2 took 104 s and peaked at 322 MiB on a 2-CPU
+#: Xeon container.  Five particles lay 32^5 = 33.5M image-space nodes, and
+#: n,n+1 at --n 2 and n+1,n at --n 3 ran out of a 1.5 GiB address space
+#: while allocating the first 768 MiB array of them
+INTERTWINE_MAX_PARTICLES = 4
+
+
 def cmd_intertwine_check(args):
     spec = make_spec(args.spec)
     shape = tl.Shape(args.shape)
@@ -150,6 +158,9 @@ def cmd_intertwine_check(args):
     if n2 < 1:
         raise CatalogError(f"intertwine-check --shape {args.shape} needs --n >= 2 "
                            f"(x has n - 1 particles), got {n1}")
+    if n1 + n2 > INTERTWINE_MAX_PARTICLES:
+        raise CatalogError(f"intertwine-check --shape {args.shape} --n {n1} has {n1 + n2} particles, "
+                           f"more than the {INTERTWINE_MAX_PARTICLES} it was measured to run with")
     try:
         sys_ = tl.TwoLevelSystem(spec, shape)
     except tl.BoundaryAssumptionError as e:
@@ -173,8 +184,8 @@ def cmd_intertwine_check(args):
         h_hat = km.eigenfunction_catalog(conjugate(spec), n1)
         try:
             res = tl.master_intertwining_residual(sys_, h_hat, args.t, fs, x)
-        except ArithmeticError as e:  # the fiber integral diverges at an infinite end
-            raise CatalogError(f"intertwine-check --spec {args.spec} --shape {args.shape}: {e}") from e
+        except ArithmeticError as e:  # h(x) is not finite over a fiber with an infinite end
+            raise CatalogError(f"intertwine-check: {e}") from e
         for fi, rv in enumerate(res):
             rows.append({"spec": args.spec, "shape": args.shape, "identity": "master",
                          "test_function": fi, "residual": rv,

@@ -893,8 +893,9 @@ class SpectralBasis:
     """Discrete spectrum data: L phi_k = -lambda_k phi_k, orthonormal in
     L^2(m dx); the kernel is sum_k e^{-lambda_k t} phi_k(x) phi_k(y) m(y).
 
-    m is the spec's speed density, and m' = m (b - a')/a, since
-    (log m)' = -(log s')' - a'/a = (b - a')/a."""
+    m is the spec's speed density.  m_prime defaults to m (b - a')/a, since
+    (log m)' = -(log s')' - a'/a = (b - a')/a; that is 0/0 or 0 * inf at an
+    end where a = 0, so a basis evaluated there (jac) gives its own."""
 
     spec: DiffusionSpec
     eigenvalue: Callable
@@ -902,6 +903,7 @@ class SpectralBasis:
     phi_prime: Callable
     max_terms: int = 512
     grid: np.ndarray = None
+    m_prime: Optional[Callable] = None
 
     def __post_init__(self):
         if self.grid is None:
@@ -910,13 +912,12 @@ class SpectralBasis:
             hi = r if np.isfinite(r) else self.spec.c + 8.0
             pad = 1e-9 * max(1.0, hi - lo)
             self.grid = np.linspace(lo + pad, hi - pad, 257)
+        if self.m_prime is None:
+            spec = self.spec
+            self.m_prime = lambda x: self.m(x) * (spec.b(x) - spec.a_prime(x)) / spec.a(x)
 
     def m(self, x):
         return self.spec.scale.m(x)
-
-    def m_prime(self, x):
-        spec = self.spec
-        return self.m(x) * (spec.b(x) - spec.a_prime(x)) / spec.a(x)
 
     @functools.lru_cache(maxsize=2048)
     def _phi_max(self, k: int) -> float:
@@ -951,7 +952,7 @@ def _series_evaluators(basis: SpectralBasis):
         return series(t, lambda k, e: e * phi(k, y) * m(y) * dphi(k, x))
 
     def dy1(t, x, y):
-        return series(t, lambda k, e: e * phi(k, x) * (dphi(k, y) * m(y) + phi(k, y) * basis.m_prime(y)))
+        return series(t, lambda k, e: e * phi(k, x) * (phi(k, y) * basis.m_prime(y) + dphi(k, y) * m(y)))
 
     return density, dx1, dy1
 
@@ -1095,6 +1096,23 @@ def _jacobi_basis(spec):
         u = 2.0 * np.asarray(x, float) - 1.0
         return (k + a_j + b_j + 1.0) * sc.eval_jacobi(k - 1, a_j + 1.0, b_j + 1.0, u) * norm(k)
 
+    # m = 2^(beta+gamma-1) x^(beta-1) (1-x)^(gamma-1), so m' / 2^(beta+gamma-1)
+    # is (beta-1) x^(beta-2) (1-x)^(gamma-1) - (gamma-1) x^(beta-1) (1-x)^(gamma-2);
+    # a term with a zero factor is dropped, so m' is its limit at an end
+    # whose exponent is 1 or at least 2, and infinite at any other
+    terms = [(c, p, q) for c, p, q in ((beta - 1.0, beta - 2.0, gamma - 1.0),
+                                       (1.0 - gamma, beta - 1.0, gamma - 2.0)) if c != 0.0]
+
+    def m_prime(x):
+        x = np.asarray(x, float)
+        for end, par in ((0.0, beta), (1.0, gamma)):
+            if (par < 2.0 and par != 1.0) and np.any(x == end):
+                raise DegenerateInputError(
+                    f"{spec.name}: m' is infinite at the end y = {end:g}, where the speed "
+                    f"density goes as the power {par - 1.0:g} of the distance to it")
+        return 2.0 ** (beta + gamma - 1.0) * sum(
+            (c * x**p * (1.0 - x) ** q for c, p, q in terms), np.zeros_like(x))
+
     return SpectralBasis(
         spec=spec,
         eigenvalue=lambda k: 2.0 * k * (k + beta + gamma - 1.0),
@@ -1102,6 +1120,7 @@ def _jacobi_basis(spec):
         phi_prime=phi_prime,
         max_terms=150,
         grid=np.linspace(1e-6, 1.0 - 1e-6, 257),
+        m_prime=m_prime,
     )
 
 

@@ -25,8 +25,10 @@ J. Math. Phys. 43 (2002).  The models and their eigenvalue solver live here;
 harness.oracles draws its GUE and complex Wishart oracles from them, and
 nothing here imports the harness.
 
-Every state-space integral here (one-particle actions, entrance-law
-normalizations, degenerate-start limits) takes its nodes from
+Each entrance law's normalizing constant is a closed form (Mehta's and
+Selberg's integrals, in math.lgamma), not a quadrature.  Every state-space
+integral here (one-particle actions, degenerate-start limits, the
+entrance-law consistency residual) takes its nodes from
 diffusion1d.catalog.chamber_quad, which clips to the spec's interval and
 integrates in the family's coordinates.
 """
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -416,32 +418,21 @@ class EntranceLawSpec:
     """Entrance law of n particles of `spec` from the origin: a density over
     W^n at time t, and for every law but bm_drift a sampler.
 
-    The normalizing constant is computed by quadrature over the law's
-    chamber (its window at t, in spec's state space and coordinates) and
-    cached per t.  `draw(rng, t, size)` returns size ascending draws from the
-    beta = 2 matrix models above, exact in law: gue is the GUE spectrum at
-    scale t, besq:d the Laguerre ensemble of shape n + d/2 - 1 at scale 2t,
-    and the half-line laws the square roots of the BESQ(3) and BESQ(1) laws.
+    `log_norm(t)` is the log of the unnormalized weight's integral over W^n,
+    in closed form (Mehta's and Selberg's integrals, see entrance_law).
+    `draw(rng, t, size)` returns size ascending draws from the beta = 2
+    matrix models above, exact in law: gue is the GUE spectrum at scale t,
+    besq:d the Laguerre ensemble of shape n + d/2 - 1 at scale 2t, and the
+    half-line laws the square roots of the BESQ(3) and BESQ(1) laws.
     """
 
     family: str  # the law's id
     n: int
     spec: DiffusionSpec  # the one-particle motion the law enters
     unnormalized: Callable  # (t, y[..., n]) -> weight
+    log_norm: Callable  # t -> log of unnormalized's integral over W^n
     window: Callable  # t -> (lo, hi) holding the law's mass
     draw: Optional[Callable] = None  # (rng, t, size) -> (size, n) ascending draws
-    _norms: dict = field(default_factory=dict, init=False)
-
-    def chamber(self, t: float, n_nodes: int = 80):
-        """Quadrature nodes and weights over the law's chamber at time t."""
-        return chamber_quad(self.spec, self.n, *self.window(t), n_nodes)
-
-    def log_norm(self, t: float) -> float:
-        key = round(float(t), 12)
-        if key not in self._norms:
-            pts, wts = self.chamber(t)
-            self._norms[key] = math.log(float(np.dot(wts, self.unnormalized(t, pts))))
-        return self._norms[key]
 
     def density(self, t: float, y):
         """The law's density at y (..., n); a time t that is not positive
@@ -460,6 +451,12 @@ class EntranceLawSpec:
         if self.draw is None:
             raise CatalogError(f"entrance law {self.family!r} has no sampler")
         return self.draw(rng, t, int(size))
+
+
+def _gaussian_log_norm(n: int, log_const: float) -> Callable:
+    """t -> (n/2) log 2 pi + (n^2/2) log t + log_const, the log W^n mass of a
+    Gaussian law's weight: Mehta's integral for gue, Andreief's for bm_drift."""
+    return lambda t: 0.5 * n * math.log(2.0 * math.pi) + 0.5 * n * n * math.log(t) + log_const
 
 
 def _gaussian_window(n: int) -> Callable:
@@ -510,12 +507,17 @@ def entrance_law(family: str, n: int, extra=None) -> EntranceLawSpec:
         raise CatalogError(f"entrance law {family!r}: n must be a positive integer, got {n!r}")
     if name != "bm_drift" and extra is not None:
         raise CatalogError(f"entrance law {family!r} takes no drift vector")
+    # log(prod_{j=1..n} j! / n!): Mehta's and Selberg's integrals over R^n
+    # carry prod j!, and W^n holds 1/n! of their symmetric integrands
+    log_j_factorials = sum(math.lgamma(j + 2.0) for j in range(n)) - math.lgamma(n + 1.0)
     if name == "gue":
         def w(t, y):
             y = np.asarray(y, float)
             return _delta(y) ** 2 * np.exp(-np.sum(y * y, axis=-1) / (2.0 * t))
 
-        return EntranceLawSpec(family, n, make_spec("bm"), w, _gaussian_window(n),
+        # Mehta: (2 pi)^(n/2) t^(n^2/2) prod_{j=1..n} j! over R^n
+        return EntranceLawSpec(family, n, make_spec("bm"), w,
+                               _gaussian_log_norm(n, log_j_factorials), _gaussian_window(n),
                                lambda rng, t, size: _gue_draw(rng, n, size, t))
     if name == "bm_drift":
         mus = np.asarray(extra if extra is not None else [], float)
@@ -529,8 +531,13 @@ def entrance_law(family: str, n: int, extra=None) -> EntranceLawSpec:
             return det([[np.exp(-((y[..., i] - t * mu) ** 2) / (2.0 * t)) for mu in mus]
                         for i in range(n)]) * _delta(y)
 
-        # the density is not V(y) prod g_t(y_i), so no matrix model draws it
-        return EntranceLawSpec(family, n, make_spec("bm"), w, _gaussian_window(n))
+        # Andreief: the W^n integral is det(int y^k g_t(y - t mu_j) dy), whose
+        # rows are monic polynomials in t mu_j times sqrt(2 pi t), so it is
+        # (2 pi t)^(n/2) Delta(t mu) = (2 pi)^(n/2) t^(n^2/2) Delta(mu).
+        # The density is not V(y) prod g_t(y_i), so no matrix model draws it
+        return EntranceLawSpec(family, n, make_spec("bm"), w,
+                               _gaussian_log_norm(n, math.log(float(_delta(mus)))),
+                               _gaussian_window(n))
     # V(a) prod a^nu e^{-a / 2t} in a = y (besq) or a = y^2 (half line): the
     # Laguerre ensemble of shape n + nu at scale 2t
     root = name in _HALFLINE_LAWS
@@ -547,12 +554,18 @@ def entrance_law(family: str, n: int, extra=None) -> EntranceLawSpec:
             * np.exp(-np.sum(to_a(y), axis=-1) / (2.0 * t))
         )
 
+    # Selberg: (2t)^(n(n + nu)) prod_{j<n} (j+1)! G(j + nu + 1) over R_+^n in a,
+    # and dy = da / 2 sqrt(a) per particle on the half line
+    log_const = (log_j_factorials + sum(math.lgamma(j + nu + 1.0) for j in range(n))
+                 - (n * math.log(2.0) if root else 0.0))
+    log_norm = lambda t: n * (n + nu) * math.log(2.0 * t) + log_const
+
     def draw(rng, t, size):
         a = _laguerre_draw(rng, n, n + nu, size, 2.0 * t)
         return np.sqrt(a, out=a) if root else a
 
     window = _gaussian_window(n) if root else (lambda t: (0.0, 40.0 * t * (1.0 + n)))
-    return EntranceLawSpec(family, n, make_spec(spec_id), w, window, draw)
+    return EntranceLawSpec(family, n, make_spec(spec_id), w, log_norm, window, draw)
 
 
 def entrance_consistency_residual(
@@ -566,7 +579,7 @@ def entrance_consistency_residual(
 ) -> float:
     """max over probes of |mu_s P_t^h (y) - mu_{s+t}(y)| (both normalized)."""
     probes = np.atleast_2d(np.asarray(probes, float))
-    pts, wts = elaw.chamber(s, n_nodes)
+    pts, wts = chamber_quad(elaw.spec, elaw.n, *elaw.window(s), n_nodes)
     mu_s = wts * elaw.density(s, pts)
     worst = 0.0
     for y in probes:

@@ -31,10 +31,11 @@ evaluated once per x' node rather than once per (x', y') node.  The
 intertwining residual builds the x rows [A | B] once and only the y rows
 [C | D] for each starting fiber point.
 
-The module also provides the interlacing integral operators (unnormalized
-and Markov-normalized), and quadrature residuals for the projection
+The module also provides quadrature residuals for the projection
 (Dynkin) identity, the intertwining with killed determinant semigroups,
-and the semigroup property.  Chamber and fiber nodes come from
+and the semigroup property.  The intertwining's normaliser h = Lambda h_hat
+is a sum over the fiber nodes of x that its right side already lays, not
+a quadrature of its own.  Chamber and fiber nodes come from
 diffusion1d.catalog.chamber_quad and fiber_quad (clipped to the spec's
 interval, in the family's coordinates, one row of fiber nodes per box).
 """
@@ -263,61 +264,6 @@ def collapse_residual(sys: TwoLevelSystem, t: float, z, yp, n_nodes: int = 48) -
 
 
 # ---------------------------------------------------------------------------
-# interlacing integral operators
-# ---------------------------------------------------------------------------
-
-
-def lambda_apply(
-    spec: DiffusionSpec,
-    shape: Shape,
-    f: Callable,
-    x,
-    h_hat: Optional[Eigenfunction] = None,
-    n_nodes: int = 48,
-):
-    """(Lambda f)(x) = int_fiber prod m_hat(y_i) f(x, y) dy, or the Markov
-    normalized version when a positive dual eigenfunction is supplied.
-
-    f maps (x (N, n2), y (N, n1)) -> (N,).  A divergent fiber integral
-    (infinite fiber with non-integrable weight) raises ArithmeticError.
-    """
-    x = np.asarray(x, float)
-    mh_fun = spec.scale.s_prime
-    lo_w, hi_w = kernel(spec).window(1.0, x)
-
-    def on_window(pad):
-        lo, hi = fiber_bounds(x[None, :], shape, lo_w - pad, hi_w + pad)
-        (yp,), (wy,) = fiber_quad(spec, lo, hi, n_nodes)
-        weights = np.prod(np.asarray(mh_fun(yp), float), axis=-1)
-        xrep = np.repeat(x[None, :], yp.shape[0], axis=0)
-        if h_hat is None:
-            return float(np.dot(wy, weights * f(xrep, yp))), 1.0
-        hy = h_hat(yp)
-        return (
-            float(np.dot(wy, weights * hy * f(xrep, yp))),
-            float(np.dot(wy, weights * hy)),
-        )
-
-    num, den = on_window(10.0)
-    if not np.all(np.isfinite(fiber_bounds(x, shape, *spec.interval))):
-        num2, den2 = on_window(25.0)
-        scale = max(abs(num), abs(den), 1.0)
-        if abs(num2 - num) + abs(den2 - den) > 1e-6 * scale:
-            raise ArithmeticError("fiber integral diverged (infinite endpoint)")
-        num, den = num2, den2
-    if not (np.isfinite(num) and np.isfinite(den)) or (h_hat is not None and den <= 0):
-        raise ArithmeticError("fiber integral diverged")
-    return num / den if h_hat is not None else num
-
-
-def lambda_mass(spec, shape, x, h_hat, n_nodes: int = 48) -> float:
-    """h_{n2}(x): unnormalized Lambda applied to the dual eigenfunction."""
-    return lambda_apply(
-        spec, shape, lambda xr, yr: h_hat(yr), x, h_hat=None, n_nodes=n_nodes
-    )
-
-
-# ---------------------------------------------------------------------------
 # identity residuals
 # ---------------------------------------------------------------------------
 
@@ -349,17 +295,30 @@ def master_intertwining_residual(
 ) -> list:
     """Residuals |(P^{n2,h} Lambda^h f)(x) - (Lambda^h Q^h f)(x)| for each f.
 
-    h(x) = (Lambda Pi h_hat)(x) shares the dual eigenfunction's rate.  The
-    left side is an ordered-chamber integral of the h-transformed killed
-    determinant density against the normalized fiber average of f; the
-    right side integrates the block kernel from every fiber point of x.
+    h(x) = (Lambda Pi h_hat)(x) = int_fiber prod m_hat(y_i) h_hat(y) dy
+    shares the dual eigenfunction's rate, and is summed over the fiber
+    nodes of x that the right side starts from.  The left side is an
+    ordered-chamber integral of the h-transformed killed determinant
+    density against the normalized fiber average of f; the right side
+    integrates the block kernel from every fiber point of x.  A fiber
+    with an infinite end (or an end outside the family's coordinates)
+    gives no finite h(x), and raises ArithmeticError naming the spec and
+    the shape before any image-space node is laid.
     """
     _check_perturb(perturb)
     nodes = 24  # chamber nodes, and fiber nodes per dimension
     x = np.asarray(x, float)
     n2 = x.shape[-1]
+    ylo, yhi = fiber_bounds(x[None, :], sys.shape)
+    # an infinite end lays non-finite nodes; the check below reports it
+    with np.errstate(all="ignore"):
+        (y0,), (w0,) = fiber_quad(sys.spec, ylo, yhi, nodes)
+        mh0 = np.prod(np.asarray(sys.m_hat(y0), float), axis=-1)
+        hx = float(np.sum(w0 * mh0 * h_hat(y0)))
+    if not (math.isfinite(hx) and hx > 0.0):
+        raise ArithmeticError(f"{sys.spec.name} on {sys.shape.value}: h(x) = {hx!r} over the "
+                              f"fiber of x = {x.tolist()} is not finite and positive")
     decay = math.exp(-h_hat.rate * t)
-    hx = lambda_mass(sys.spec, sys.shape, x, h_hat)
     xp, wx = chamber_quad(sys.spec, n2, *sys.kern.window(t, x), nodes)
 
     # normalized fiber integrals at each x' node, for every test function
@@ -374,9 +333,6 @@ def master_intertwining_residual(
 
     # right side: integrate q from each fiber point of x over the same
     # (x', y') nodes; the x rows do not depend on that point
-    ylo, yhi = fiber_bounds(x[None, :], sys.shape)
-    (y0,), (w0,) = fiber_quad(sys.spec, ylo, yhi, nodes)
-    mh0 = np.prod(np.asarray(sys.m_hat(y0), float), axis=-1)
     xp = xp[:, None, :]
     ab = _x_rows(sys, t, x, xp, yf, perturb)
     g = (wx[:, None] * wf * hyf * fvals).reshape(len(fs), -1)

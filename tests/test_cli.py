@@ -66,10 +66,13 @@ class TestCLI:
 
     @pytest.mark.parametrize("spec", ["jac:1,1", "jac:2,3"])
     def test_edge_cdf_at_the_ends_of_a_jacobi_interval(self, tmp_path, spec):
-        assert main(["edge-cdf", "--spec", spec, "--n", "2", "--zmin", "0", "--zmax", "1",
-                     "--znum", "3", "--out", str(tmp_path)]) == 0
-        cdf = [float(r["cdf"]) for r in read_rows(tmp_path / "edge_cdf.csv")]
-        assert cdf[0] == 0.0 and abs(cdf[2] - 1.0) <= 1e-9
+        # n = 3 evaluates the level kernels' y-derivatives at the ends
+        for n in ("2", "3"):
+            out = tmp_path / n
+            assert main(["edge-cdf", "--spec", spec, "--n", n, "--zmin", "0", "--zmax", "1",
+                         "--znum", "3", "--out", str(out)]) == 0
+            cdf = [float(r["cdf"]) for r in read_rows(out / "edge_cdf.csv")]
+            assert cdf[0] == 0.0 and abs(cdf[2] - 1.0) <= 1e-9, n
 
     def test_simulate_two_level(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
@@ -226,7 +229,10 @@ class TestCLI:
          ["density", "--spec", "besq:nan", "--t", "1", "--x", "1", "--y", "1"],
          ["density", "--spec", "jac:0,1", "--t", "0.5", "--x", "0.3", "--y", "0.45"],
          ["edge-cdf", "--spec", "gbm:1", "--n", "2", "--zmin", "0.5", "--zmax", "1"],
-         ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "0", "--zmax", "1", "--start", "0 x"]],
+         ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "0", "--zmax", "1", "--start", "0 x"],
+         ["intertwine-check", "--spec", "ou_out", "--shape", "n,n"],
+         ["intertwine-check", "--spec", "bm", "--shape", "n,n+1", "--n", "2"],
+         ["intertwine-check", "--spec", "bm", "--shape", "n+1,n", "--n", "3"]],
     )
     def test_errors_are_one_line(self, argv, capsys):
         assert main(argv) == 2

@@ -204,6 +204,30 @@ class TestKernels:
         assert np.all(np.isfinite(at_ends))
         np.testing.assert_allclose(at_ends, inside, rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("sid", ["jac:1,1", "jac:2,3"])
+    def test_jacobi_y_derivative_at_its_ends_is_its_limit(self, sid):
+        # m' is stated in closed form: m (b - a')/a reads 0/0 at an end, and
+        # for jac:1,1, b - a' and so m' vanish everywhere
+        k = kernel(make_spec(sid))
+        if sid == "jac:1,1":
+            basis = spectral_basis(make_spec(sid))
+            assert np.all(basis.m_prime(np.array([0.0, 0.3, 1.0])) == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_ends = k.dy_derivative(1, 0.5, 0.3, np.array([0.0, 1.0]))
+            inside = k.dy_derivative(1, 0.5, 0.3, np.array([1e-12, 1.0 - 1e-12]))
+        assert np.all(np.isfinite(at_ends))
+        np.testing.assert_allclose(at_ends, inside, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("sid, end", [("jac:1.5,1", 0.0), ("jac:1,1.5", 1.0),
+                                          ("jac:0.5,2", 0.0)])
+    def test_jacobi_y_derivative_is_infinite_at_a_fractional_end(self, sid, end):
+        # m goes as y^(beta - 1) at 0, whose slope is infinite unless
+        # beta - 1 is 0 or at least 1
+        k = kernel(make_spec(sid))
+        with pytest.raises(DegenerateInputError, match=f"{sid}: m' is infinite at the end y = {end:g}"):
+            k.dy_derivative(1, 0.5, 0.3, np.array([0.5, end]))
+
     def test_bm_heat_kernel_value(self):
         k = kernel(make_spec("bm"))
         assert float(k.density(1.0, 0.0, 0.0)) == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-7)

@@ -334,12 +334,6 @@ class TestRecursiveChains:
 
 
 class TestEntranceLaws:
-    def test_norm_cache_is_not_an_argument(self):
-        elaw = km.entrance_law("gue", 2)
-        with pytest.raises(TypeError, match="_norms"):
-            km.EntranceLawSpec(elaw.family, elaw.n, elaw.spec, elaw.unnormalized,
-                               elaw.window, _norms={1.0: 0.0})
-
     def test_gue_density_shape(self):
         elaw = km.entrance_law("gue", 2)
         y = np.array([[-1.0, 0.5], [0.3, 1.8]])
@@ -354,10 +348,15 @@ class TestEntranceLaws:
         assert float(np.dot(wts, elaw.density(1.0, pts))) == pytest.approx(1.0, abs=1e-7)
 
     def test_besq_single_particle_is_kernel_from_origin(self):
-        elaw = km.entrance_law("besq:3", 1)
-        k = kernel(make_spec("besq:3"))
-        y = np.array([[0.5], [2.0], [4.0]])
-        assert np.allclose(elaw.density(1.0, y), k.density(1.0, 0.0, y[:, 0]), rtol=1e-6)
+        # the BESQ(d) kernel from 0 is the gamma law of shape d/2 at scale 2t,
+        # below d = 1 too, where y^(d/2 - 1) is singular at 0
+        y = np.array([[0.05], [0.5], [2.0], [4.0]])
+        for d in (0.25, 0.5, 0.9, 3.0):
+            elaw = km.entrance_law(f"besq:{d:g}", 1)
+            k = kernel(make_spec(f"besq:{d:g}"))
+            for t in (0.3, 1.0):
+                np.testing.assert_allclose(elaw.density(t, y), k.density(t, 0.0, y[:, 0]),
+                                           rtol=1e-12, err_msg=f"d = {d}, t = {t}")
 
     def test_drifted_reduces_to_gue_as_drifts_vanish(self):
         el0 = km.entrance_law("gue", 2)
@@ -394,6 +393,20 @@ class TestEntranceLaws:
         pts, wts = chamber_quad(elaw.spec, n, lo, hi, 56)
         assert float(np.dot(wts, elaw.density(0.8, pts))) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "law", ["gue", "besq:1", "besq:2", "besq:3", "halfline_nn", "halfline_n1n", "bm_drift"]
+    )
+    def test_log_norm_is_the_chamber_integral(self, law):
+        # the closed forms against an independent chamber: the law's window
+        # widened by a quarter, at 96 nodes
+        for n in (1, 2, 3):
+            extra = np.linspace(-0.3, 0.5, n) if law == "bm_drift" else None
+            elaw = km.entrance_law(law, n, extra=extra)
+            for t in (0.3, 0.8, 1.0):
+                pts, wts = chamber_quad(elaw.spec, n, *(1.25 * np.array(elaw.window(t))), 96)
+                mass = float(np.dot(wts, elaw.unnormalized(t, pts)))
+                assert elaw.log_norm(t) == pytest.approx(math.log(mass), abs=1e-12), (n, t)
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("law", ["halfline_nn", "halfline_n1n"])
     def test_halfline_laws_live_on_the_positive_chamber(self, law, n):
@@ -414,20 +427,27 @@ class TestEntranceLaws:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize(
-        "law", ["gue", "besq:2", "besq:3", "besq:0.5", "halfline_nn", "halfline_n1n"]
+        "law", ["gue", "besq:2", "besq:3", "besq:0.5", "besq:0.25", "halfline_nn", "halfline_n1n"]
     )
     def test_sampler_moments_match_its_density(self, law, n):
-        # the moments of sum y and sum y^2 under the law's own density, by
-        # chamber quadrature: independent of the matrix models that draw it
+        # the moments of sum y and sum y^2, independent of the matrix models
+        # that draw the law: for besq:d the Laguerre closed forms
+        # E sum a = n m s and E sum a^2 = n m (n + m) s^2, m = n + d/2 - 1,
+        # s = 2t (a chamber in u = sqrt(y) does not resolve y^(d/2 - 1) at 0
+        # for d < 1); for the others, the law's own density on its chamber
         t = 0.8
         elaw = km.entrance_law(law, n)
-        pts, wts = elaw.chamber(t)
-        mass = wts * elaw.density(t, pts)
+        if law.startswith("besq"):
+            m, scale = n + float(law.split(":")[1]) / 2.0 - 1.0, 2.0 * t
+            wants = (n * m * scale, n * m * (n + m) * scale**2)
+        else:
+            pts, wts = chamber_quad(elaw.spec, n, *elaw.window(t), 80)
+            mass = wts * elaw.density(t, pts)
+            wants = tuple(float(np.dot(mass, np.sum(pts**k, axis=1))) for k in (1, 2))
         s = elaw.sample(np.random.default_rng(60 + n), t, 20000)
         assert s.shape == (20000, n) and np.all(np.diff(s, axis=1) >= 0.0)
-        for k in (1, 2):
+        for k, want in zip((1, 2), wants):
             q = np.sum(s**k, axis=1)
-            want = float(np.dot(mass, np.sum(pts**k, axis=1)))
             assert abs(q.mean() - want) < 4.0 * q.std() / math.sqrt(q.size), k
 
     def test_gue_law_at_n3_has_the_gue_moment(self):

@@ -194,33 +194,14 @@ class TestMass:
 
 
 class TestLambda:
-    def test_bm_unit_integral_is_gap(self):
-        x = np.array([-1.0, 1.0])
-        val = tl.lambda_apply(make_spec("bm"), tl.Shape.NNP1,
-                              lambda xr, yr: np.ones(yr.shape[0]), x)
-        assert val == pytest.approx(x[1] - x[0], rel=1e-12)
-
-    def test_normalized_kernel_has_mass_one(self):
-        x = np.array([-1.0, 1.0])
-        val = tl.lambda_apply(make_spec("bm"), tl.Shape.NNP1,
-                              lambda xr, yr: np.ones(yr.shape[0]), x,
-                              h_hat=km.vandermonde(1))
-        assert val == pytest.approx(1.0, rel=1e-12)
-
-    def test_halfline_fiber_is_uniform(self):
-        # the normalized fiber law of the half-line pair is uniform on [0, x]
-        x = np.array([1.5])
-        mean = tl.lambda_apply(make_spec("bm_halfline:abs"), tl.Shape.NN,
-                               lambda xr, yr: yr[:, 0], x, h_hat=km.vandermonde(1))
-        assert mean == pytest.approx(0.75, rel=1e-10)
-
     def test_divergent_fiber_reported(self):
-        # equal-count shape over the full line: the fiber weight integral
-        # has no finite normalization
-        with pytest.raises(ArithmeticError):
-            tl.lambda_apply(make_spec("bm"), tl.Shape.NN,
-                            lambda xr, yr: np.ones(yr.shape[0]), np.array([0.0]))
-
+        # equal-count shape over the full line: the fiber of x has an
+        # infinite end, so h = Lambda h_hat has no finite value there
+        sys_ = tl.TwoLevelSystem(make_spec("bm"), tl.Shape.NN)
+        x = np.array([0.0])
+        with pytest.raises(ArithmeticError, match=r"bm on n,n: h\(x\) = .* not finite and positive"):
+            tl.master_intertwining_residual(sys_, km.vandermonde(1), 0.5,
+                                            tl.test_function_basis(x, x - 0.5), x)
 
 
 class TestIdentities:
