@@ -143,11 +143,11 @@ def cmd_entrance_law(args):
 
 
 #: the most particles, x and y together, that intertwine-check was measured
-#: to run with: n,n at --n 2 took 104 s and peaked at 322 MiB on a 2-CPU
-#: Xeon container.  Five particles lay 32^5 = 33.5M image-space nodes, and
-#: n,n+1 at --n 2 and n+1,n at --n 3 ran out of a 1.5 GiB address space
-#: while allocating the first 768 MiB array of them
-INTERTWINE_MAX_PARTICLES = 4
+#: to run with: every 2- or 3-particle call on bm, bm_halfline:abs and besq:3
+#: took under 0.6 s of wall time on a 2-CPU Xeon container.  The one
+#: 4-particle shape, n,n at --n 2, took 3.8 s for bm and 100 s for
+#: bm_halfline:abs (peak RSS 328 MiB)
+INTERTWINE_MAX_PARTICLES = 3
 
 
 def cmd_intertwine_check(args):
@@ -324,12 +324,17 @@ def _terminal_blocks(pb):
 
 
 def _trajectory_blocks(pb):
-    # one block per (level, recorded time); the id columns serve every time
+    # one block per (level, recorded time); the id columns serve every time.
+    # A state equal bit for bit on every path, as the start always is, has
+    # its texts made once: bits, not ==, since 0.0 and -0.0 print apart
     for name, arr in zip(pb.level_names, pb.levels):
         pid, idx = _level_ids(*arr.shape[1:])
         for tval, state in zip(pb.grid, arr):
+            bits = state.view(np.uint64)
+            value = list(map(repr, state[0].tolist())) * len(state) \
+                if (bits == bits[:1]).all() else state.ravel()
             yield {"path_id": pid, "time": tval, "level": name, "index": idx,
-                   "value": state.ravel()}
+                   "value": value}
 
 
 def cmd_edge_cdf(args):

@@ -71,6 +71,10 @@ Constant coefficients are built by _Const, whose value
 constant_coefficients reads: the Brownian families have a = 1/2 and a
 constant b, so their Euler step is x + b dt + sqrt(dt) xi with no
 coefficient evaluated per step.
+
+Every special function is read from sc, a _LazySpecial whose attribute
+reads import scipy.special on first use: importing the catalog, or
+stepping a system that evaluates no special function, loads no scipy.
 """
 from __future__ import annotations
 
@@ -80,7 +84,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special as sc
 
 from ..quadrature import fd_derivative, gl_nodes, ordered_nodes, stacked_box_nodes
 from .core import (
@@ -93,6 +96,23 @@ from .core import (
     TransitionKernel,
     TruncationError,
 )
+
+
+class _LazySpecial:
+    """scipy.special, imported on the first attribute read (about 0.16 s),
+    so a program that evaluates no special function never imports scipy.
+    Each function read is kept as an attribute, so later reads are plain
+    attribute lookups."""
+
+    def __getattr__(self, name):
+        from scipy import special
+
+        value = getattr(special, name)
+        setattr(self, name, value)
+        return value
+
+
+sc = _LazySpecial()
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _WINDOW_SD = 8.0  # quadrature truncation, in standard deviations

@@ -15,7 +15,6 @@ import math
 import time
 from dataclasses import dataclass
 import numpy as np
-from scipy.special import ndtr
 
 from .. import kmgroup as km
 from .. import twolevel as tl
@@ -227,6 +226,8 @@ WARREN_DT = 0.05
 
 
 def bes3_cdf(z, x=1.0, t=1.0):
+    from scipy.special import ndtr
+
     s = math.sqrt(t)
     z = np.maximum(np.asarray(z, float), 0.0)
     gauss = np.exp(-((z + x) ** 2) / (2 * t)) - np.exp(-((z - x) ** 2) / (2 * t))
@@ -248,6 +249,8 @@ def dyson_marginal_cdf(x0, t, idx):
     P(Y1 > u) = A1 A2 + sqrt(t) (A1 phi2 - A2 phi1) / (x2 - x1) with
     A_i = P(x_i + B_t > u) and phi_i the normal density at (u - x_i)/sqrt(t),
     and P(Y2 <= u) likewise with P(x_i + B_t <= u) and the sign flipped."""
+    from scipy.special import ndtr
+
     x1, x2 = (float(v) for v in x0)
     s = math.sqrt(t)
 

@@ -232,7 +232,8 @@ class TestCLI:
          ["edge-cdf", "--spec", "bm", "--n", "2", "--zmin", "0", "--zmax", "1", "--start", "0 x"],
          ["intertwine-check", "--spec", "ou_out", "--shape", "n,n"],
          ["intertwine-check", "--spec", "bm", "--shape", "n,n+1", "--n", "2"],
-         ["intertwine-check", "--spec", "bm", "--shape", "n+1,n", "--n", "3"]],
+         ["intertwine-check", "--spec", "bm", "--shape", "n+1,n", "--n", "3"],
+         ["intertwine-check", "--spec", "bm_halfline:abs", "--shape", "n,n", "--n", "2"]],
     )
     def test_errors_are_one_line(self, argv, capsys):
         assert main(argv) == 2
@@ -459,3 +460,32 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "init2 missing from" in err
         assert peak < 2**20
+
+
+def test_simulate_imports_no_scipy_module(tmp_path):
+    # scipy.special costs about 0.16 s to import, and a bm simulation in any
+    # mode evaluates no special function, so no scipy module is loaded
+    import subprocess
+    import sys
+
+    bodies = {"two-level": "shape = n,n+1\ninit_x = -1 1\ninit_y = 0\ny_family = bm\n",
+              "edge": "n = 2\nside = right\ninit = -1 1\n",
+              "gt": "levels = 2\ninit1 = 0\ninit2 = -1 1\n"}
+    configs = []
+    for mode, body in bodies.items():
+        configs.append(str(tmp_path / f"{mode}.cfg"))
+        with open(configs[-1], "w") as fh:
+            fh.write(f"[simulate]\nfamily = bm\nmode = {mode}\n{body}t = 0.1\ndt = 0.05\npaths = 4\n"
+                     f"record_stride = 1\noutput = {tmp_path / mode}\n")
+    code = ("import contextlib, io, sys\n"
+            "from interlace_lab import cli\n"
+            "cli.build_parser()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    for cfg in {configs!r}:\n"
+            "        assert cli.main(['simulate', '--config', cfg]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
+    assert out.stdout.strip() == "[]"
+    for mode in bodies:
+        assert (tmp_path / mode / "trajectories.csv").exists()

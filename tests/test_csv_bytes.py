@@ -100,6 +100,21 @@ class TestSimulateBytes:
             assert len(pb.grid) > 2
             assert read_bytes(out / "trajectories.csv") == reference_trajectories(pb)
 
+    def test_states_equal_on_every_path_match_dict_rows(self, tmp_path):
+        # equal states are written from one path's texts: only bit-equal
+        # ones, since 0.0 and -0.0 compare equal but print apart
+        arr = np.array([
+            [[-1.0, 0.5]] * 3,
+            [[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]],
+            [[np.nan, np.inf]] * 3,
+            [[0.1, 0.2], [0.3, 0.4], [0.1, 0.2]],
+        ])
+        pb = rs.PathBundle(grid=np.array([0.0, 0.1, 0.2, 0.3]), levels=[arr], k_lower=[], k_upper=[],
+                           tau=np.full(3, np.inf), seed=0, dt=0.1, level_names=["x"])
+        path = tmp_path / "trajectories.csv"
+        write_csv(path, ["path_id", "time", "level", "index", "value"], cli._trajectory_blocks(pb))
+        assert read_bytes(path) == reference_trajectories(pb)
+
 
 class TestDictRowBytes:
     @pytest.mark.parametrize("argv, name", [

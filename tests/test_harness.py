@@ -472,6 +472,32 @@ def test_kernels_and_ks_helpers_import_no_heavy_scipy_module():
     assert out.stdout.strip() == "[]"
 
 
+def test_special_functions_loaded_on_first_use_give_the_eager_bits():
+    # catalog and checks import scipy.special on their first special-function
+    # call; the values are those of a process that imported it up front
+    import subprocess
+    import sys
+
+    calls = ("import numpy as np\n"
+             "from interlace_lab.diffusion1d import kernel, make_spec\n"
+             "from interlace_lab.harness import checks\n"
+             "z = np.linspace(0.0, 3.0, 13)\n"
+             "assert ('scipy.special' in sys.modules) == EAGER\n"
+             "vals = [kernel(make_spec('besq:3')).cdf(0.7, 1.2, z),\n"
+             "        kernel(make_spec('bm')).cdf(0.7, 0.3, z - 1.5),\n"
+             "        checks.bes3_cdf(z, 1.0, 0.8),\n"
+             "        checks.dyson_marginal_cdf((-1.0, 1.0), 0.5, 0)(z - 1.5)]\n"
+             "assert 'scipy.special' in sys.modules\n"
+             "print(np.concatenate(vals).tobytes().hex())\n")
+    out = {}
+    for eager in (False, True):
+        code = "import sys\n" + ("import scipy.special\n" if eager else "") + f"EAGER = {eager}\n" + calls
+        out[eager] = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                                    check=True).stdout
+    assert out[False] and out[False] == out[True]
+
+
 def test_eigen_structure_imports_no_scipy_linalg():
     # the Laguerre and Jacobi norms are closed forms: no Golub-Welsch node
     # rule (scipy.special.roots_*), and so no scipy.linalg import, in A8
