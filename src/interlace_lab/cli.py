@@ -102,8 +102,12 @@ def cmd_density(args):
              "kind": "killed-determinant", "value": val}]
     if args.h_transform:
         h = km.eigenfunction_catalog(spec, len(x))
+        try:
+            val = float(km.h_transform_density(kern, h, args.t, x, y))
+        except ValueError as e:  # h vanishes at a coincident start
+            raise CatalogError(f"density --h-transform --x {args.x!r}: {e}") from e
         rows.append({"spec": args.spec, "t": args.t, "x": args.x, "y": args.y,
-                     "kind": "h-transform", "value": float(km.h_transform_density(kern, h, args.t, x, y))})
+                     "kind": "h-transform", "value": val})
     _emit(args, "density", ["spec", "t", "x", "y", "kind", "value"], rows)
 
 

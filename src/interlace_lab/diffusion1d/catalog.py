@@ -21,11 +21,12 @@ half line and all four interval kernels), lognormal, ncx2-type
 squared-Bessel/Laguerre forms, whose Bessel factor e^{-z} I_nu(z) is
 elementary at orders 1/2 and 3/2 and scipy's ive (two Hankel terms beyond
 its range) at every other order, one evaluator per kernel (_ive_of_order).
-Spectral series: the jac kernel; the sine/cosine bases of the interval,
-Hermite for ou and generalized Laguerre for lag serve kmgroup's ground
-states and its spectral_km series, which tests hold the closed forms
-against.  lag and lag_dual are time-changed squared Bessel kernels
-(BESQ(alpha), and BESQ(2 - alpha) killed at 0); the dual of jac is an
+Spectral series: the jac kernel (_jacobi_kernel, which alone states
+phi_k' and m'); the sine/cosine bases of the interval, Hermite for ou and
+generalized Laguerre for lag serve kmgroup's spectral_km series, which
+tests hold the closed forms against, and A8's spectra.  lag and lag_dual
+are time-changed squared Bessel kernels (BESQ(alpha), and BESQ(2 - alpha)
+killed at 0); the dual of jac is an
 h-transform of jac(beta+1, gamma+1).  Every window(t, x) misses at most
 1e-12 of the kernel's mass.  CDFs and atoms without a closed form (killed
 besq and so lag_dual's CDF, jac, jac_dual, absorbing interval ends) are
@@ -51,7 +52,7 @@ _record(spec) the one lookup of its record, which raises CatalogError
 naming a spec make_spec did not build.  A spec builder states a, b, a'
 and one scale formula, the closed form of log s'; core.ScaleSpeed derives
 log m, s' and m from it, conjugate(spec) is the record's dual member with
-the swapped pair, and a spectral basis takes m and m' from the spec.  The
+the swapped pair, and a spectral basis takes m from the spec.  The
 duality, conjugate-density and symmetry residuals sit beside kernel().
 Only edge_ladder reads the ladder; it also rejects an edge system whose
 ends are not natural or entrance.
@@ -912,18 +913,13 @@ def _gbm_kernel(spec, alpha):
 class SpectralBasis:
     """Discrete spectrum data: L phi_k = -lambda_k phi_k, orthonormal in
     L^2(m dx); the kernel is sum_k e^{-lambda_k t} phi_k(x) phi_k(y) m(y).
-
-    m is the spec's speed density.  m_prime defaults to m (b - a')/a, since
-    (log m)' = -(log s')' - a'/a = (b - a')/a; that is 0/0 or 0 * inf at an
-    end where a = 0, so a basis evaluated there (jac) gives its own."""
+    m is the spec's speed density."""
 
     spec: DiffusionSpec
     eigenvalue: Callable
     phi: Callable
-    phi_prime: Callable
     max_terms: int = 512
     grid: np.ndarray = None
-    m_prime: Optional[Callable] = None
 
     def __post_init__(self):
         if self.grid is None:
@@ -932,9 +928,6 @@ class SpectralBasis:
             hi = r if np.isfinite(r) else self.spec.c + 8.0
             pad = 1e-9 * max(1.0, hi - lo)
             self.grid = np.linspace(lo + pad, hi - pad, 257)
-        if self.m_prime is None:
-            spec = self.spec
-            self.m_prime = lambda x: self.m(x) * (spec.b(x) - spec.a_prime(x)) / spec.a(x)
 
     def m(self, x):
         return self.spec.scale.m(x)
@@ -955,57 +948,18 @@ class SpectralBasis:
         )
 
 
-def _series_evaluators(basis: SpectralBasis):
-    """(density, dx1, dy1) of the series kernel sum_k e^{-lambda_k t}
-    phi_k(x) phi_k(y) m(y), summed term by term to basis.n_terms(t): dx1
-    differentiates phi_k(x), dy1 the product phi_k(y) m(y).  The higher
-    orders are the catalog's derivative rule (_from_first_derivatives)."""
-    phi, dphi, m = basis.phi, basis.phi_prime, basis.m
-
-    def series(t, term):
-        return sum(term(k, math.exp(-basis.eigenvalue(k) * t)) for k in range(basis.n_terms(t)))
-
-    def density(t, x, y):
-        return series(t, lambda k, e: e * phi(k, x) * phi(k, y)) * m(y)
-
-    def dx1(t, x, y):
-        return series(t, lambda k, e: e * phi(k, y) * m(y) * dphi(k, x))
-
-    def dy1(t, x, y):
-        return series(t, lambda k, e: e * phi(k, x) * (phi(k, y) * basis.m_prime(y) + dphi(k, y) * m(y)))
-
-    return density, dx1, dy1
-
-
-def _spectral_only_kernel(spec):
-    basis = spectral_basis(spec)
-    density, dx1, dy1 = _series_evaluators(basis)
-    dx, dy = _from_first_derivatives(spec, dx1, dy1)
-    window = lambda t, x: spec.interval
-    return TransitionKernel(
-        spec=spec,
-        density=density,
-        cdf=_quadrature_cdf(spec, density, window, _zero_atom),
-        atom_l=_zero_atom,
-        atom_r=_zero_atom,
-        window=window,
-        dx_derivative=dx,
-        dy_derivative=dy,
-    )
-
-
-#: bm_interval end modes -> (f, f', frequency shift, eigenfunction name): the
+#: bm_interval end modes -> (f, frequency shift, eigenfunction name): the
 #: k-th mode is f((k + shift) x), k >= 0, with eigenvalue (k + shift)^2 / 2
 _INTERVAL_MODES = {
-    ("abs", "abs"): (np.sin, np.cos, 1.0, "sine-det"),
-    ("refl", "refl"): (np.cos, lambda z: -np.sin(z), 0.0, "cosine-det"),
-    ("refl", "abs"): (np.cos, lambda z: -np.sin(z), 0.5, "half-cosine-det"),
-    ("abs", "refl"): (np.sin, np.cos, 0.5, "half-sine-det"),
+    ("abs", "abs"): (np.sin, 1.0, "sine-det"),
+    ("refl", "refl"): (np.cos, 0.0, "cosine-det"),
+    ("refl", "abs"): (np.cos, 0.5, "half-cosine-det"),
+    ("abs", "refl"): (np.sin, 0.5, "half-sine-det"),
 }
 
 
 def _interval_basis(spec):
-    f, fp, shift, _ = _INTERVAL_MODES[spec.params]
+    f, shift, _ = _INTERVAL_MODES[spec.params]
     rt_pi = math.sqrt(math.pi)
     freq = lambda k: k + shift
 
@@ -1015,15 +969,7 @@ def _interval_basis(spec):
             return np.full_like(x, 1.0 / math.sqrt(2.0 * math.pi))
         return f(freq(k) * x) / rt_pi
 
-    def phi_prime(k, x):
-        return freq(k) * fp(freq(k) * np.asarray(x, float)) / rt_pi
-
-    return SpectralBasis(
-        spec=spec,
-        eigenvalue=lambda k: 0.5 * freq(k) ** 2,
-        phi=phi,
-        phi_prime=phi_prime,
-    )
+    return SpectralBasis(spec=spec, eigenvalue=lambda k: 0.5 * freq(k) ** 2, phi=phi)
 
 
 def _hermite_basis(spec):
@@ -1038,18 +984,7 @@ def _hermite_basis(spec):
     def phi(k, x):
         return sc.eval_hermite(k, np.asarray(x, float)) * norm(k)
 
-    def phi_prime(k, x):
-        if k == 0:
-            return np.zeros_like(np.asarray(x, float))
-        return 2.0 * k * sc.eval_hermite(k - 1, np.asarray(x, float)) * norm(k)
-
-    return SpectralBasis(
-        spec=spec,
-        eigenvalue=lambda k: float(k),
-        phi=phi,
-        phi_prime=phi_prime,
-        max_terms=200,
-    )
+    return SpectralBasis(spec=spec, eigenvalue=lambda k: float(k), phi=phi, max_terms=200)
 
 
 def _laguerre_basis(spec):
@@ -1067,59 +1002,76 @@ def _laguerre_basis(spec):
     def phi(k, x):
         return sc.eval_genlaguerre(k, nu, np.asarray(x, float)) * norm(k)
 
-    def phi_prime(k, x):
-        if k == 0:
-            return np.zeros_like(np.asarray(x, float))
-        return -sc.eval_genlaguerre(k - 1, nu + 1.0, np.asarray(x, float)) * norm(k)
-
     return SpectralBasis(
         spec=spec,
         eigenvalue=lambda k: 2.0 * float(k),
         phi=phi,
-        phi_prime=phi_prime,
         max_terms=300,
         grid=np.linspace(1e-6, 12.0 + 4.0 * alpha, 257),
     )
 
 
-def _jacobi_basis(spec):
-    """phi_k(x) = P_k^(a,b)(2x - 1) / sqrt(h_k), a = gamma - 1, b = beta - 1,
-    with the closed-form norm (DLMF 18.3.1)
+@functools.lru_cache(maxsize=4096)
+def _jacobi_norm(a: float, b: float, k: int) -> float:
+    """1 / sqrt(h_k) for the Jacobi polynomial P_k^(a,b), with the closed
+    form (DLMF 18.3.1)
 
         h_k = int P_k^2 (1-u)^a (1+u)^b du
             = 2^(a+b+1) G(k+a+1) G(k+b+1) / ((2k+a+b+1) G(k+a+b+1) k!)
 
     in log-gamma.  At k = 0 the product (a+b+1) G(a+b+1) is G(a+b+2), which
-    stays finite at a + b = -1 (beta + gamma = 1), where the factors are
-    0 and infinity."""
+    stays finite at a + b = -1, where the factors are 0 and infinity."""
+    ab = a + b
+    log_h = ((ab + 1.0) * math.log(2.0) + sc.gammaln(k + a + 1.0)
+             + sc.gammaln(k + b + 1.0) - sc.gammaln(k + 1.0))
+    if k == 0:
+        log_h -= sc.gammaln(ab + 2.0)
+    else:
+        log_h -= math.log(2.0 * k + ab + 1.0) + sc.gammaln(k + ab + 1.0)
+    return math.exp(-0.5 * log_h)
+
+
+def _jacobi_basis(spec):
+    """phi_k(x) = P_k^(a,b)(2x - 1) _jacobi_norm(a, b, k), a = gamma - 1,
+    b = beta - 1: orthonormal at beta + gamma = 1 too."""
     beta, gamma = spec.params
     a_j, b_j = gamma - 1.0, beta - 1.0
 
-    @functools.lru_cache(maxsize=1024)
-    def norm(k):
-        ab = a_j + b_j
-        log_h = ((ab + 1.0) * math.log(2.0) + sc.gammaln(k + a_j + 1.0)
-                 + sc.gammaln(k + b_j + 1.0) - sc.gammaln(k + 1.0))
-        if k == 0:
-            log_h -= sc.gammaln(ab + 2.0)
-        else:
-            log_h -= math.log(2.0 * k + ab + 1.0) + sc.gammaln(k + ab + 1.0)
-        return math.exp(-0.5 * log_h)
-
     def phi(k, x):
         u = 2.0 * np.asarray(x, float) - 1.0
-        return sc.eval_jacobi(k, a_j, b_j, u) * norm(k)
+        return sc.eval_jacobi(k, a_j, b_j, u) * _jacobi_norm(a_j, b_j, k)
 
-    def phi_prime(k, x):
+    return SpectralBasis(
+        spec=spec,
+        eigenvalue=lambda k: 2.0 * k * (k + beta + gamma - 1.0),
+        phi=phi,
+        max_terms=150,
+        grid=np.linspace(1e-6, 1.0 - 1e-6, 257),
+    )
+
+
+def _jacobi_kernel(spec):
+    """The jac kernel, the series sum_k e^{-lambda_k t} phi_k(x) phi_k(y) m(y)
+    over its spectral basis, summed term by term to basis.n_terms(t): dx1
+    differentiates phi_k(x), dy1 the product phi_k(y) m(y).  The higher
+    orders are the catalog's derivative rule (_from_first_derivatives)."""
+    basis = spectral_basis(spec)
+    phi, m = basis.phi, basis.m
+    beta, gamma = spec.params
+    a_j, b_j = gamma - 1.0, beta - 1.0
+
+    def dphi(k, x):
         if k == 0:
             return np.zeros_like(np.asarray(x, float))
         u = 2.0 * np.asarray(x, float) - 1.0
-        return (k + a_j + b_j + 1.0) * sc.eval_jacobi(k - 1, a_j + 1.0, b_j + 1.0, u) * norm(k)
+        return ((k + a_j + b_j + 1.0) * sc.eval_jacobi(k - 1, a_j + 1.0, b_j + 1.0, u)
+                * _jacobi_norm(a_j, b_j, k))
 
     # m = 2^(beta+gamma-1) x^(beta-1) (1-x)^(gamma-1), so m' / 2^(beta+gamma-1)
     # is (beta-1) x^(beta-2) (1-x)^(gamma-1) - (gamma-1) x^(beta-1) (1-x)^(gamma-2);
     # a term with a zero factor is dropped, so m' is its limit at an end
-    # whose exponent is 1 or at least 2, and infinite at any other
+    # whose exponent is 1 or at least 2, and infinite at any other.  The
+    # generic m (b - a')/a reads 0/0 at an end, where a = 0
     terms = [(c, p, q) for c, p, q in ((beta - 1.0, beta - 2.0, gamma - 1.0),
                                        (1.0 - gamma, beta - 1.0, gamma - 2.0)) if c != 0.0]
 
@@ -1133,14 +1085,31 @@ def _jacobi_basis(spec):
         return 2.0 ** (beta + gamma - 1.0) * sum(
             (c * x**p * (1.0 - x) ** q for c, p, q in terms), np.zeros_like(x))
 
-    return SpectralBasis(
+    def series(t, term):
+        return sum(term(k, math.exp(-basis.eigenvalue(k) * t)) for k in range(basis.n_terms(t)))
+
+    def density(t, x, y):
+        return series(t, lambda k, e: e * phi(k, x) * phi(k, y)) * m(y)
+
+    def dx1(t, x, y):
+        my = m(y)
+        return series(t, lambda k, e: e * phi(k, y) * my * dphi(k, x))
+
+    def dy1(t, x, y):
+        my, mpy = m(y), m_prime(y)
+        return series(t, lambda k, e: e * phi(k, x) * (phi(k, y) * mpy + dphi(k, y) * my))
+
+    dx, dy = _from_first_derivatives(spec, dx1, dy1)
+    window = lambda t, x: spec.interval
+    return TransitionKernel(
         spec=spec,
-        eigenvalue=lambda k: 2.0 * k * (k + beta + gamma - 1.0),
-        phi=phi,
-        phi_prime=phi_prime,
-        max_terms=150,
-        grid=np.linspace(1e-6, 1.0 - 1e-6, 257),
-        m_prime=m_prime,
+        density=density,
+        cdf=_quadrature_cdf(spec, density, window, _zero_atom),
+        atom_l=_zero_atom,
+        atom_r=_zero_atom,
+        window=window,
+        dx_derivative=dx,
+        dy_derivative=dy,
     )
 
 
@@ -1240,8 +1209,14 @@ def _halfline_eigen(params, n):
 
 
 def _interval_eigen(params, n):
-    f, _, shift, name = _INTERVAL_MODES[params]
-    freqs = [j + shift for j in range(n)]
+    """det(f((j + shift) x_i)), highest frequency first.  f((j + shift) x) is
+    sin x, 1, cos(x/2) or sin(x/2), each positive on (0, pi), times a
+    polynomial of degree j in cos x with a positive leading coefficient.  So
+    the determinant is the product of those factors at each x_i times a
+    positive multiple of prod_{i<j} (cos x_i - cos x_j), which is positive
+    on the chamber because cos falls on (0, pi)."""
+    f, shift, name = _INTERVAL_MODES[params]
+    freqs = [j + shift for j in reversed(range(n))]
     comps = [lambda x, w=w: f(w * np.asarray(x, float)) for w in freqs]
     return comps, -0.5 * sum(w**2 for w in freqs), name
 
@@ -1395,7 +1370,7 @@ FAMILIES: dict[str, _Family] = {
         **_ids("jac", "beta,gamma"),
         build=lambda beta, gamma: _jacobi_spec("jac", beta, gamma, dual=False),
         dual=lambda p: _id("jac_dual", p),
-        kernel=_spectral_only_kernel,
+        kernel=_jacobi_kernel,
         basis=_jacobi_basis,
         eigen=lambda p, n: _vandermonde(
             n, -sum(2.0 * k * (k + p[0] + p[1] - 1.0) for k in range(n))

@@ -48,7 +48,8 @@ class CheckResult:
 
     @property
     def fieldnames(self):
-        return list(self.rows[0].keys()) if self.rows else ["value"]
+        """Every row's keys, in the order first met: a row may add some."""
+        return list(dict.fromkeys(k for r in self.rows for k in r)) if self.rows else ["value"]
 
 
 #: campaign name -> check, in definition order (A1 ... A10)
@@ -428,42 +429,45 @@ def check_eigen_structure():
         rows.append({"case": f"eigen-{sid}-n{n}", "value": r, "tolerance": EIGEN_TOL,
                      "pass": ok})
 
-    # ground-state rates equal minus the partial spectral sums
-    for sid, n in [("bm_interval:abs,abs", 3), ("ou", 3), ("lag:3", 2), ("jac:1,1", 2)]:
+    # a catalog rate is the ground state's: minus the partial spectral sum,
+    # and the semigroup's own rate at one probe
+    ground_cases = [
+        ("bm_interval:abs,abs", 3, [0.8, 1.6, 2.4]),
+        ("ou", 3, [-0.9, 0.1, 1.2]),
+        ("lag:3", 2, [0.6, 2.0]),
+        ("jac:1,1", 2, [0.3, 0.7]),
+    ]
+    for sid, n, probe in ground_cases:
         spec = make_spec(sid)
-        gs = km.ground_state(spec, n)
+        h = km.eigenfunction_catalog(spec, n)
         basis = spectral_basis(spec)
-        expected = -sum(basis.eigenvalue(k) for k in range(n))
-        ok = abs(gs.rate - expected) == 0.0
-        rows.append({"case": f"ground-rate-{sid}-n{n}", "value": gs.rate,
-                     "tolerance": 0.0, "pass": ok})
+        spectrum = -sum(basis.eigenvalue(k) for k in range(n))
+        r = km.eigen_residual(kernel(spec), h, 0.4, [probe])
+        ok = h.rate == spectrum and r <= EIGEN_TOL
+        rows.append({"case": f"ground-rate-{sid}-n{n}", "value": h.rate, "spectrum": spectrum,
+                     "residual": r, "tolerance": 0.0, "pass": ok})
 
-    # OU ground state reduces to the Vandermonde: constant ratio over probes
-    gs = km.ground_state(make_spec("ou"), 3)
-    v = km.vandermonde(3)
+    # the OU ground state, the Hermite determinant, is a multiple of the
+    # catalog's Vandermonde: constant ratio over probes
+    hermite = spectral_basis(make_spec("ou"))
     probes = np.array([[-1.0, 0.2, 1.1], [-0.5, 0.1, 0.9], [0.0, 1.0, 2.0]])
-    ratios = gs(probes) / v(probes)
+    ground = km.det_of_components([lambda x, k=k: hermite.phi(k, x) for k in range(3)], probes)
+    ratios = ground / km.eigenfunction_catalog(make_spec("ou"), 3)(probes)
     r = float(np.max(np.abs(ratios / ratios[0] - 1.0)))
     ok = r <= RATIO_TOL
     rows.append({"case": "ou-ground-vandermonde-ratio", "value": r,
                  "tolerance": RATIO_TOL, "pass": ok})
 
-    # chain recursion reproduces the closed forms up to constants
+    # chain recursion reproduces the catalog's closed forms up to constants
     xs = np.array([[0.3, 1.7], [0.5, 2.5], [1.0, 4.0]])
     chain_cases = [
-        ("bm-chain", km.bm_pattern_chain(2), km.vandermonde(2)),
-        ("halfline-h12", km.halfline_pattern_chain(2),
-         km.Eigenfunction(2, [lambda x: np.ones_like(np.asarray(x, float)),
-                              lambda x: 0.5 * np.asarray(x, float) ** 2], 0.0)),
-        ("halfline-h22", km.halfline_pattern_chain(3),
-         km.Eigenfunction(2, [lambda x: np.asarray(x, float),
-                              lambda x: np.asarray(x, float) ** 3], 0.0)),
-        ("besq3-powers", km.besq_pattern_chain(3.0, 3),
-         km.Eigenfunction(2, [lambda x: np.asarray(x, float) ** 1.5,
-                              lambda x: np.asarray(x, float) ** 2.5], 0.0)),
+        ("bm-chain", km.bm_pattern_chain(2), "bm"),
+        ("halfline-h12", km.halfline_pattern_chain(2), "bm_halfline:refl"),
+        ("halfline-h22", km.halfline_pattern_chain(3), "bm_halfline:abs"),
+        ("besq3-powers", km.besq_pattern_chain(3.0, 3), "besq:-1"),
     ]
-    for label, built, closed in chain_cases:
-        ratios = built(xs) / closed(xs)
+    for label, built, sid in chain_cases:
+        ratios = built(xs) / km.eigenfunction_catalog(make_spec(sid), built.n)(xs)
         r = float(np.max(np.abs(ratios / ratios[0] - 1.0)))
         ok = r <= RATIO_TOL
         rows.append({"case": f"chain-{label}", "value": r, "tolerance": RATIO_TOL, "pass": ok})

@@ -8,9 +8,8 @@ identity the semigroup action reduces to one-dimensional integrals,
     (P_t^n h)(x) = det( int p_t(x_i, y) h_j(y) dy )_{i,j}.
 
 This module provides the density, Doob h-transforms, the catalog of
-closed-form eigenfunctions, spectral expansions and ground states for
-discrete-spectrum families, eigenfunctions built by iterating interlacing
-integral kernels, entrance laws from degenerate starting points, and the
+closed-form eigenfunctions, spectral expansions for discrete-spectrum
+families, eigenfunctions built by iterating interlacing integral kernels, entrance laws from degenerate starting points, and the
 Taylor-expansion limit densities (biorthogonal/polynomial ensembles).
 
 Every determinant in the package goes through det: sizes 1, 2 and 3 are
@@ -187,34 +186,16 @@ def vandermonde(n: int) -> Eigenfunction:
 def eigenfunction_catalog(spec: DiffusionSpec, n: int) -> Eigenfunction:
     """Closed-form positive eigenfunction of the n-particle semigroup of spec.
 
-    Rates are stored (never inferred at runtime) and validated against the
-    semigroup by eigen_residual in the test-suite.
+    For a family with a spectral basis it is a positive multiple of the
+    ground state det(phi_k(x_j)), k < n, with rate -(lambda_0 + ... +
+    lambda_{n-1}).  Rates are stored (never inferred at runtime); A8 holds
+    them against the spectra and, by eigen_residual, the semigroup.
     """
     rec = _record(spec)
     if rec.eigen is None:
         raise CatalogError(f"no eigenfunction catalog entry for family {spec.family!r}")
     comps, rate, name = rec.eigen(spec.params, n)
     return Eigenfunction(n=n, components=comps, rate=rate, name=name)
-
-
-def ground_state(spec: DiffusionSpec, n: int) -> Eigenfunction:
-    """det(phi_i(x_j)) over the n lowest eigenfunctions, sign-fixed positive.
-
-    Rate is -(lambda_1 + ... + lambda_n) with the one-particle spectrum in
-    ascending order.
-    """
-    basis = spectral_basis(spec)  # raises CatalogError without discrete spectrum
-    rate = -sum(basis.eigenvalue(k) for k in range(n))
-    comps = [lambda x, k=k: basis.phi(k, np.asarray(x, float)) for k in range(n)]
-    h = Eigenfunction(n=n, components=comps, rate=rate, name="ground-state")
-    l, r = spec.interval
-    lo = l if np.isfinite(l) else spec.c - 2.0
-    hi = r if np.isfinite(r) else spec.c + 2.0
-    probe = lo + (hi - lo) * (np.arange(1, n + 1) / (n + 1.0))
-    if float(h(probe)) < 0.0:
-        first = comps[0]
-        comps[0] = lambda x, f=first: -np.asarray(f(x), float)
-    return h
 
 
 def spectral_km(spec: DiffusionSpec, n: int, t: float, x, y):

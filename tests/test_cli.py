@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from interlace_lab.cli import main
+from interlace_lab.harness import checks
 
 
 def read_rows(path):
@@ -36,6 +37,15 @@ class TestCLI:
                      "--y", "0 1", "--out", str(tmp_path)]) == 0
         rows = read_rows(tmp_path / "density.csv")
         assert float(rows[0]["value"]) == pytest.approx(0.10060511, abs=1e-6)
+
+    def test_density_h_transform_on_the_killed_interval(self, tmp_path):
+        # h = 2 sin x1 sin x2 (cos x1 - cos x2), rate -(1 + 4)/2
+        assert main(["density", "--spec", "bm_interval:abs,abs", "--t", "0.5", "--x", "0.5 1",
+                     "--y", "0.3 1.5", "--h-transform", "--out", str(tmp_path)]) == 0
+        killed, htr = (float(r["value"]) for r in read_rows(tmp_path / "density.csv"))
+        h = lambda a, b: np.sin(a) * np.sin(b) * (np.cos(a) - np.cos(b))
+        assert killed > 0.0
+        assert htr == pytest.approx(np.exp(1.25) * h(0.3, 1.5) / h(0.5, 1.0) * killed, rel=1e-12)
 
     def test_eigen_check(self, tmp_path):
         assert main(["eigen-check", "--spec", "lag:3", "--n", "2",
@@ -104,6 +114,17 @@ class TestCLI:
 
     def test_campaign_exit_status(self, tmp_path):
         assert main(["campaign", "--name", "boundary-table", "--out", str(tmp_path)]) == 0
+
+    def test_campaign_without_out_prints_its_csv(self, capsys):
+        assert main(["campaign", "--name", "boundary-table"]) == 0
+        import csv
+
+        status, schema, *table = capsys.readouterr().out.splitlines()
+        assert status.startswith("campaign boundary-table: PASS")
+        assert schema == "#schema=1"
+        rows = list(csv.DictReader(table))
+        assert [r["spec"] for r in rows] == [sid for sid, *_ in checks.BOUNDARY_TABLE]
+        assert all(r["pass"] == "True" for r in rows)
 
     def test_campaign_config_file(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -233,7 +254,9 @@ class TestCLI:
          ["intertwine-check", "--spec", "ou_out", "--shape", "n,n"],
          ["intertwine-check", "--spec", "bm", "--shape", "n,n+1", "--n", "2"],
          ["intertwine-check", "--spec", "bm", "--shape", "n+1,n", "--n", "3"],
-         ["intertwine-check", "--spec", "bm_halfline:abs", "--shape", "n,n", "--n", "2"]],
+         ["intertwine-check", "--spec", "bm_halfline:abs", "--shape", "n,n", "--n", "2"],
+         ["density", "--spec", "bm", "--t", "0.5", "--x", "0.5 0.5", "--y", "0.3 1.5",
+          "--h-transform"]],
     )
     def test_errors_are_one_line(self, argv, capsys):
         assert main(argv) == 2

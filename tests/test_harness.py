@@ -432,6 +432,25 @@ class TestCampaigns:
             run_campaign(cfg)
 
 
+def test_eigen_structure_rate_rows_fail_at_a_shifted_catalog_rate(monkeypatch):
+    # each ground-rate row holds the catalog rate against the spectrum and
+    # the semigroup, so a rate 0.1 off fails both ways
+    from interlace_lab import kmgroup as km
+    from interlace_lab.harness.checks import EIGEN_TOL, check_eigen_structure
+
+    result = check_eigen_structure()
+    assert result.passed and {"spectrum", "residual"} <= set(result.fieldnames)
+    catalog = km.eigenfunction_catalog
+    monkeypatch.setattr(km, "eigenfunction_catalog",
+                        lambda spec, n: dataclasses.replace(catalog(spec, n),
+                                                            rate=catalog(spec, n).rate + 0.1))
+    shifted = [r for r in check_eigen_structure().rows if r["case"].startswith("ground-rate-")]
+    assert len(shifted) == 4
+    for r in shifted:
+        assert not r["pass"], r
+        assert r["value"] != r["spectrum"] and r["residual"] > EIGEN_TOL, r
+
+
 def test_edge_kernels_import_no_simulator():
     # the edge ladder and its boundary rule live in the catalog, so the
     # edge formulas need nothing from the reflected-SDE stepper

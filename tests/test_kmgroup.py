@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from interlace_lab import kmgroup as km
-from interlace_lab.diffusion1d import CatalogError, kernel, make_spec
+from interlace_lab.diffusion1d import CATALOG_IDS, CatalogError, kernel, make_spec, spectral_basis
 from interlace_lab.diffusion1d.catalog import chamber_quad
 from interlace_lab.quadrature import gl_nodes, ordered_nodes
 
@@ -210,53 +210,67 @@ class TestEigenfunctions:
             km.eigenfunction_catalog(fake, 2)
 
     def test_positivity_on_chamber_sample(self):
+        # every eigen record, each interval mode and killed besq included
         rng = np.random.default_rng(5)
-        h = km.eigenfunction_catalog(make_spec("bm"), 3)
-        x = np.sort(rng.normal(size=(200, 3)), axis=1)
-        x += np.arange(3) * 1e-6  # break ties
-        assert np.all(h(x) >= 0.0)
+        for sid in CATALOG_IDS + ["bm_interval:refl,abs", "bm_interval:abs,refl",
+                                  "besq:0.5:abs", "besq:1:abs", "besq:-1"]:
+            spec = make_spec(sid)
+            l, r = spec.interval
+            for n in (1, 2, 3):
+                if np.isfinite(r):
+                    x = rng.uniform(l, r, size=(200, n))
+                elif np.isfinite(l):
+                    x = l + rng.exponential(2.0, size=(200, n))
+                else:
+                    x = rng.normal(size=(200, n))
+                x = np.sort(x, axis=1)
+                x = x[np.all(np.diff(x, axis=1) > 1e-6, axis=1) & (x[:, 0] > l)]
+                assert len(x) > 150, (sid, n)
+                h = km.eigenfunction_catalog(spec, n)
+                assert np.all(h(x) > 0.0), (sid, n)
 
 
 class TestGroundStates:
+    """For a family with a spectral basis, the catalog eigenfunction is the
+    ground state det(phi_k(x_j)), k < n, up to a positive constant."""
+
     @pytest.mark.parametrize("sid,n", [("bm_interval:abs,abs", 2), ("ou", 3), ("lag:3", 2), ("jac:1,1", 2)])
     def test_rate_is_partial_spectral_sum(self, sid, n):
-        from interlace_lab.diffusion1d import spectral_basis
-
         spec = make_spec(sid)
-        gs = km.ground_state(spec, n)
+        h = km.eigenfunction_catalog(spec, n)
         basis = spectral_basis(spec)
-        assert gs.rate == -sum(basis.eigenvalue(k) for k in range(n))
-        assert km.eigen_residual(kernel(spec), gs, 0.4, [_mid_probe(spec, n)]) < 1e-7
+        assert h.rate == -sum(basis.eigenvalue(k) for k in range(n))
+        assert km.eigen_residual(kernel(spec), h, 0.4, [_mid_probe(spec, n)]) < 1e-7
 
     def test_interval_ground_states_are_trig_dets(self):
-        x = np.array([[0.7, 1.9], [1.0, 2.3]])
-        for sid in ("bm_interval:abs,abs", "bm_interval:refl,refl"):
-            gs = km.ground_state(make_spec(sid), 2)
-            ref = km.eigenfunction_catalog(make_spec(sid), 2)
-            ratio = gs(x) / ref(x)
+        x = np.array([[0.7, 1.9], [1.0, 2.3], [0.2, 3.0]])
+        for sid in ("bm_interval:abs,abs", "bm_interval:refl,refl", "bm_interval:refl,abs",
+                    "bm_interval:abs,refl"):
+            basis = spectral_basis(make_spec(sid))
+            gs = km.det_of_components([lambda z, k=k: basis.phi(k, z) for k in range(2)], x)
+            ratio = km.eigenfunction_catalog(make_spec(sid), 2)(x) / gs
             assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-12
-            assert gs.rate == ref.rate
 
     def test_ou_reduces_to_vandermonde(self):
-        gs = km.ground_state(make_spec("ou"), 3)
-        v = km.vandermonde(3)
+        basis = spectral_basis(make_spec("ou"))
         x = np.array([[-1.0, 0.2, 1.1], [0.0, 1.0, 2.0]])
-        ratio = gs(x) / v(x)
+        gs = km.det_of_components([lambda z, k=k: basis.phi(k, z) for k in range(3)], x)
+        ratio = gs / km.eigenfunction_catalog(make_spec("ou"), 3)(x)
         assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-10
 
     def test_no_discrete_spectrum_raises(self):
         with pytest.raises(CatalogError):
-            km.ground_state(make_spec("bm"), 2)
+            spectral_basis(make_spec("bm"))
 
     @pytest.mark.parametrize("x", [[0.5, 1.5], [0.5, 1.0, 1.5, 2.0], [[0.5, 1.5]] * 2])
     def test_wrong_coordinate_count_raises(self, x):
         spec = make_spec("bm_interval:abs,abs")
-        gs = km.ground_state(spec, 3)
+        h = km.eigenfunction_catalog(spec, 3)
         got = np.shape(x)[-1]
         with pytest.raises(ValueError, match=f"3 components needs 3 coordinates, got {got}"):
-            gs(x)
+            h(x)
         with pytest.raises(ValueError, match=f"needs 3 coordinates, got {got}"):
-            km.eigen_residual(kernel(spec), gs, 0.5, x)
+            km.eigen_residual(kernel(spec), h, 0.5, x)
 
 
 def _mid_probe(spec, n):
@@ -294,8 +308,6 @@ class TestSpectralKM:
         assert abs(float(v) - float(ref)) < 1e-7
 
     def test_large_time_leading_term_dominates(self):
-        from interlace_lab.diffusion1d import spectral_basis
-
         spec = make_spec("bm_interval:abs,abs")
         basis = spectral_basis(spec)
         x = np.array([1.0, 2.0])
