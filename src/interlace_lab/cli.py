@@ -502,10 +502,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         ret = args.func(args)
+        sys.stdout.flush()  # so a closed reader shows here, not at exit
     except (CampaignError, CatalogError, ConfigError) as e:
         # CatalogError is a KeyError, whose str() would quote the message
         print(f"{parser.prog}: error: {e.args[0] if e.args else e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): stop without a
+        # traceback, and let the flush at exit write what is left to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return int(ret) if ret else 0
 
 

@@ -704,12 +704,16 @@ def _besq_kernel(spec, d, killed):
         atom_l = _zero_atom
 
         def cdf(t, x, y):
-            x = np.asarray(x, float)
-            # chi-square (x = 0) and noncentral chi-square laws of y / t;
-            # both are 0 below y = 0, where the special functions give nan
-            z = np.maximum(np.asarray(y, float), 0.0) / t
-            return np.where(x <= 1e-300, sc.chdtr(d, z),
-                            sc.chndtr(z, d, np.maximum(x, 1e-300) / t))
+            # chi-square (x = 0) and noncentral chi-square laws of y / t,
+            # each evaluated only where it applies; both are 0 below y = 0,
+            # where the special functions give nan
+            x, z = np.broadcast_arrays(np.asarray(x, float),
+                                       np.maximum(np.asarray(y, float), 0.0) / t)
+            at0 = x <= 1e-300
+            out = np.empty(x.shape)
+            out[at0] = sc.chdtr(d, z[at0])
+            out[~at0] = sc.chndtr(z[~at0], d, x[~at0] / t)
+            return out
 
     def ratio_next(z):
         return ive_next(z) / np.maximum(ive(z), 1e-300)

@@ -378,8 +378,11 @@ def check_edge_formulas(paths=20000, seed=9):
     # three-particle run keeps twice the paths
     sim_budget = {2: (0.05, paths), 3: (0.05, 2 * paths)}
     for n in (2, 3):
-        ev = gue_sample(rng, n, ORACLE_COUNT)[:, -1]
-        zg = np.linspace(np.quantile(ev, 5e-4) - 0.3, np.quantile(ev, 1 - 5e-4) + 0.3, 61)
+        # each oracle column is sorted once: its quantiles and its empirical
+        # CDF both read the sorted copy
+        ev = np.sort(gue_sample(rng, n, ORACLE_COUNT)[:, -1])
+        lo, hi = np.quantile(ev, [5e-4, 1 - 5e-4])
+        zg = np.linspace(lo - 0.3, hi + 0.3, 61)
         F = ek.edge_max_cdf_degenerate(make_spec("bm"), n, 1.0, 0.0, zg)
         d_oracle = float(np.max(np.abs(F - empirical_cdf_on_grid(ev, zg))))
         dt_n, paths_n = sim_budget[n]
@@ -392,6 +395,7 @@ def check_edge_formulas(paths=20000, seed=9):
                      "sup_diff_sim": d_sim, "tolerance": LAW_TOL, "paths": paths_n,
                      "dt": dt_n, "pass": ok})
     evw = complex_wishart_sample(rng, 2, 2, ORACLE_COUNT, entry_variance=2.0)
+    evw.sort(axis=0)
     zg = np.linspace(0.05, np.quantile(evw[:, 1], 1 - 5e-4) + 1.0, 61)
     Fmax = ek.edge_max_cdf_degenerate(make_spec("besq:2"), 2, 1.0, 0.0, zg)
     d_max = float(np.max(np.abs(Fmax - empirical_cdf_on_grid(evw[:, 1], zg))))

@@ -5,7 +5,10 @@ Dumitriu & Edelman, "Matrix models for beta ensembles", J. Math. Phys. 43
 (2002): a real symmetric tridiagonal matrix with the same spectrum as the
 dense ensemble, drawn from O(n) normal and gamma variates.  The models and
 their solver live in kmgroup (_gue_draw, _laguerre_draw), whose entrance
-laws draw from them too.  GUE corners and the Jacobi ensemble sample the
+laws draw from them too.  The draws stream in blocks of _BLOCK matrices:
+each block's variates are drawn, in the order of one whole-array draw, and
+solved into the output, so a draw of any count holds its output and one
+block's temporaries.  GUE corners and the Jacobi ensemble sample the
 dense matrices.  Every oracle is a matrix model, independent of every
 kernel formula in this package, so these are true cross-checks.  Matrices
 of size n <= 3 are solved in closed form (kmgroup._closed_form: the
@@ -83,7 +86,7 @@ def complex_wishart_sample(
     and for n > k the n - k further eigenvalues, which are exact zeros."""
     r = min(n, k)
     out = np.zeros((count, n))
-    out[:, n - r:] = _laguerre_draw(rng, r, max(n, k), count, entry_variance)
+    _laguerre_draw(rng, r, max(n, k), count, entry_variance, out=out[:, n - r:])
     return out
 
 

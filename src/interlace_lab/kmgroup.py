@@ -283,7 +283,8 @@ def wronskian(components: Sequence[Callable], x: float) -> float:
 # beta = 2 matrix models
 # ---------------------------------------------------------------------------
 
-#: matrices per block of the closed-form solve: bounds its temporaries
+#: matrices per block of the draws and the closed-form solve: bounds their
+#: temporaries
 _BLOCK = 1 << 14
 
 
@@ -307,38 +308,56 @@ def _closed_form(diag: list, off2: list, triple=0.0) -> np.ndarray:
     a, d, f = diag[0] - q, diag[1] - q, diag[2] - q
     p = np.sqrt((a * a + d * d + f * f + 2.0 * (bb + cc + ee)) / 6.0)
     det = a * d * f + 2.0 * triple - a * ee - d * cc - f * bb
+    del a, d, f  # each temporary is freed once spent: a block's peak stays small
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(p > 0.0, det / (2.0 * p ** 3), 0.0)
-    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-    k = np.array([0.0, 2.0, 4.0]) * (np.pi / 3.0)
-    lam = q[:, None] + (2.0 * p)[:, None] * np.cos(phi[:, None] + k)
-    return np.sort(lam, axis=-1)
+        phi = np.where(p > 0.0, det / (2.0 * p ** 3), 0.0)
+    del det
+    np.arccos(np.clip(phi, -1.0, 1.0, out=phi), out=phi)
+    phi /= 3.0
+    lam = phi[:, None] + np.array([0.0, 2.0, 4.0]) * (np.pi / 3.0)
+    del phi
+    np.cos(lam, out=lam)
+    lam *= (2.0 * p)[:, None]
+    lam += q[:, None]
+    # a min/max network orders the three roots in place: the values np.sort
+    # would give
+    l0, l1, l2 = lam.T
+    lo, hi = np.minimum(l0, l1), np.maximum(l0, l1)
+    np.minimum(lo, l2, out=l0)
+    np.maximum(lo, np.minimum(hi, l2, out=l1), out=l1)
+    np.maximum(hi, l2, out=l2)
+    return lam
 
 
-def _tridiagonal_eigvalsh(d: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of real symmetric tridiagonal matrices with
-    diagonals d (count, n) and squared off-diagonals e2 (count, n - 1):
-    closed forms for n <= 3, LAPACK beyond, in blocks of _BLOCK matrices."""
-    count, n = d.shape
-    out = np.empty((count, n))
+def _tridiagonal_eigvalsh(blocks: Callable, out: np.ndarray) -> np.ndarray:
+    """Fill out (count, n) with the ascending eigenvalues of real symmetric
+    tridiagonal matrices, _BLOCK at a time, and return it: blocks(s, e)
+    gives the diagonals (e - s, n) and squared off-diagonals (e - s, n - 1)
+    of matrices s..e-1, and is called for consecutive blocks in order.  A
+    block's diagonals may be out[s:e] itself.  Closed forms for n <= 3,
+    LAPACK beyond."""
+    count, n = out.shape
     for s in range(0, count, _BLOCK):
-        db, eb = d[s:s + _BLOCK], e2[s:s + _BLOCK]
+        e = min(s + _BLOCK, count)
+        db, eb = blocks(s, e)
         if n > 3:
-            T = np.zeros((len(db), n, n))
+            T = np.zeros((e - s, n, n))
             i = np.arange(n)
             T[:, i, i] = db
             T[:, i[1:], i[:-1]] = np.sqrt(eb)  # eigvalsh reads the lower triangle
-            out[s:s + _BLOCK] = np.linalg.eigvalsh(T)
+            out[s:e] = np.linalg.eigvalsh(T)
         else:
             off2 = [eb[:, 0], 0.0, eb[:, 1]] if n == 3 else [eb[:, 0]] if n == 2 else []
-            out[s:s + _BLOCK] = _closed_form([db[:, i] for i in range(n)], off2)
+            out[s:e] = _closed_form([db[:, i] for i in range(n)], off2)
     return out
 
 
 def _squared_entries(rng: np.random.Generator, shapes, count: int, scale: float) -> np.ndarray:
     """(count, len(shapes)) draws scale * Gamma(k), one column per shape k:
     the squared moduli of the models' chi entries, chi_{2k}^2 / 2 ~ Gamma(k)."""
-    return scale * rng.standard_gamma(shapes, size=(count, len(shapes)))
+    g = rng.standard_gamma(shapes, size=(count, len(shapes)))
+    g *= scale
+    return g
 
 
 def _gue_draw(rng: np.random.Generator, n: int, count: int, scale: float) -> np.ndarray:
@@ -348,12 +367,16 @@ def _gue_draw(rng: np.random.Generator, n: int, count: int, scale: float) -> np.
     model (Dumitriu-Edelman, beta = 2) with N(0, scale) diagonal and squared
     off-diagonal k = scale * Gamma(n - 1 - k), the squared norm of the dense
     matrix's column k below row k + 1."""
+    # every normal first, then the gammas block by block; each block's
+    # eigenvalues overwrite its spent diagonal
     d = rng.normal(0.0, np.sqrt(scale), size=(count, n))
-    return _tridiagonal_eigvalsh(d, _squared_entries(rng, np.arange(n - 1, 0, -1.0), count, scale))
+    shapes = np.arange(n - 1, 0, -1.0)
+    return _tridiagonal_eigvalsh(
+        lambda s, e: (d[s:e], _squared_entries(rng, shapes, e - s, scale)), d)
 
 
 def _laguerre_draw(rng: np.random.Generator, n: int, shape: float, count: int,
-                   scale: float) -> np.ndarray:
+                   scale: float, out: Optional[np.ndarray] = None) -> np.ndarray:
     """(count, n) ascending eigenvalues of the beta = 2 Laguerre ensemble,
     density proportional to Delta(a)^2 prod a_i^(shape - n) e^{-a_i / scale}
     on a > 0, for real shape > n - 1: those of B B^T for B lower bidiagonal
@@ -361,13 +384,18 @@ def _laguerre_draw(rng: np.random.Generator, n: int, shape: float, count: int,
     and squared subdiagonal c_i^2 = scale * Gamma(n - 1 - i).  B B^T is
     tridiagonal: diagonal a_i^2 + c_{i-1}^2, squared off-diagonal a_i^2 c_i^2.
     An eigenvalue within the closed forms' rounding error of 0 can come out
-    negative, so the result is clipped to a >= 0."""
-    g = _squared_entries(rng, np.concatenate([shape - np.arange(n), n - 1.0 - np.arange(n - 1)]),
-                         count, scale)
-    a2, c2 = g[:, :n], g[:, n:]
-    d = a2.copy()
-    d[:, 1:] += c2
-    lam = _tridiagonal_eigvalsh(d, a2[:, :-1] * c2)
+    negative, so the result is clipped to a >= 0.  It is written into out,
+    a (count, n) array or view, when one is given."""
+    shapes = np.concatenate([shape - np.arange(n), n - 1.0 - np.arange(n - 1)])
+
+    def block(s, e):
+        g = _squared_entries(rng, shapes, e - s, scale)
+        a2, c2 = g[:, :n], g[:, n:]
+        off2 = a2[:, :-1] * c2
+        a2[:, 1:] += c2  # now the diagonal, in place once off2 has read a_i^2
+        return a2, off2
+
+    lam = _tridiagonal_eigvalsh(block, np.empty((count, n)) if out is None else out)
     return np.maximum(lam, 0.0, out=lam)
 
 

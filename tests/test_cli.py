@@ -512,3 +512,21 @@ def test_simulate_imports_no_scipy_module(tmp_path):
     assert out.stdout.strip() == "[]"
     for mode in bodies:
         assert (tmp_path / mode / "trajectories.csv").exists()
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # a reader that stops early (`| head -c 1`) closes the pipe; here it is
+    # closed before the command writes, so every write meets it
+    import subprocess
+    import sys
+
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        out = subprocess.run([sys.executable, "-m", "interlace_lab.cli", "campaign",
+                              "--name", "boundary-table"], stdout=w, stderr=subprocess.PIPE,
+                             text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    finally:
+        os.close(w)
+    assert out.returncode == 1
+    assert out.stderr == ""

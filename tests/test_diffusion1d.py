@@ -180,6 +180,34 @@ class TestKernels:
         want = np.where(x <= 1e-300, chi2.cdf(y / t, d), ncx2.cdf(y / t, d, np.maximum(x, 1e-300) / t))
         assert np.array_equal(kernel(make_spec(f"besq:{d}")).cdf(t, x, y), want)
 
+    @pytest.mark.parametrize("d", [0.5, 2, 3])
+    def test_besq_cdf_evaluates_each_law_on_its_own_points(self, d, monkeypatch):
+        # chdtr only at x = 0 and chndtr only at x > 0, with the values of
+        # the form that evaluates both everywhere and picks by np.where
+        calls = {"chdtr": 0, "chndtr": 0}
+
+        class Counting:
+            def __getattr__(self, name):
+                def f(*args):
+                    calls[name] += np.size(args[1 if name == "chdtr" else 0])
+                    return getattr(sc, name)(*args)
+                return f
+
+        rng = np.random.default_rng(int(4 * d))
+        t = 0.9
+        x = np.where(rng.random((30, 1)) < 0.4, 0.0, rng.exponential(2.0, (30, 1)))
+        y = np.concatenate([[-0.5, 0.0], rng.exponential(3.0, 48)])
+        z = np.maximum(y, 0.0) / t
+        want = np.where(x <= 1e-300, sc.chdtr(d, z), sc.chndtr(z, d, np.maximum(x, 1e-300) / t))
+        cdf = kernel(make_spec(f"besq:{d}")).cdf
+        monkeypatch.setattr(catalog, "sc", Counting())
+        got = cdf(t, x, y)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        at0 = int(np.sum(x == 0.0)) * len(y)
+        assert calls == {"chdtr": at0, "chndtr": x.size * len(y) - at0}
+        assert cdf(t, 0.0, 1.0) == sc.chdtr(d, 1.0 / t)
+        assert cdf(t, 2.0, 1.0) == sc.chndtr(1.0 / t, d, 2.0 / t)
+
     @pytest.mark.parametrize("sid", ["besq:7", "besq:8", "lag:7"])
     def test_density_from_the_entrance_end_is_quiet(self, sid):
         # from x = 0 the density is the entrance law; the Bessel core, whose

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from interlace_lab.harness import (
@@ -25,6 +27,10 @@ from interlace_lab.harness import (
     write_csv,
 )
 from interlace_lab.harness.io import ConfigError
+
+
+_KS_VALUES = st.one_of(st.integers(-4, 4).map(float),
+                       st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
 
 
 def ks_against_normal(samples):
@@ -166,17 +172,116 @@ class TestClosedFormEigenvalues:
         assert jacobi_unitary_sample(rng, 3, 3, 4, 10).shape == (10, 3)
 
     def test_memory_of_a_large_draw_stays_bounded(self):
+        # the draws stream in blocks of _BLOCK matrices, and a GUE block's
+        # eigenvalues overwrite its spent diagonal, so the peak is the
+        # output and one block's temporaries (measured 1.3 MiB above it)
         import tracemalloc
 
-        tracemalloc.start()
-        try:
-            gue_sample(np.random.default_rng(14), 3, 200_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # measured 14.2 MiB: the (count, 3) diagonals and output, the
-        # (count, 2) off-diagonals and one block's temporaries; bound at 2x
-        assert peak <= 29 * 2**20
+        for draw, n in ((lambda rng: gue_sample(rng, 3, 200_000), 3),
+                        (lambda rng: complex_wishart_sample(rng, 2, 2, 200_000), 2)):
+            rng = np.random.default_rng(14)
+            tracemalloc.start()
+            try:
+                draw(rng)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 200_000 * n * 8 + 2 * 2**20, n
+
+    @staticmethod
+    def _smith_roots(diag, off2, triple):
+        """The three roots of Smith's solution, unsorted, from the formula
+        as first written: the reference for _closed_form's in-place form."""
+        bb, cc, ee = off2
+        q = (diag[0] + diag[1] + diag[2]) / 3.0
+        a, d, f = diag[0] - q, diag[1] - q, diag[2] - q
+        p = np.sqrt((a * a + d * d + f * f + 2.0 * (bb + cc + ee)) / 6.0)
+        det = a * d * f + 2.0 * triple - a * ee - d * cc - f * bb
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(p > 0.0, det / (2.0 * p ** 3), 0.0)
+        phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+        k = np.array([0.0, 2.0, 4.0]) * (np.pi / 3.0)
+        return q[:, None] + (2.0 * p)[:, None] * np.cos(phi[:, None] + k)
+
+    def test_min_max_network_orders_the_roots_as_np_sort(self):
+        from interlace_lab.harness.oracles import _abs2, _gram, _gue_matrix
+        from interlace_lab.kmgroup import _closed_form
+
+        rng = np.random.default_rng(15)
+        A = rng.normal(size=(5000, 3, 2)) + 1j * rng.normal(size=(5000, 3, 2))
+        stacks = [_gue_matrix(rng, 3, 5000, 1.0), _gram(A)]
+        stacks += [H for H, _, _ in self._near_degenerate_cases(rng) if H.shape[-1] == 3]
+        for H in stacks:
+            diag = [H[:, i, i].real for i in range(3)]
+            off2 = [_abs2(H[:, 0, 1]), _abs2(H[:, 0, 2]), _abs2(H[:, 1, 2])]
+            triple = (H[:, 0, 1] * H[:, 1, 2] * np.conj(H[:, 0, 2])).real
+            want = np.sort(self._smith_roots(diag, off2, triple), axis=-1)
+            assert _closed_form(diag, off2, triple).tobytes() == want.tobytes()
+
+
+def _unblocked_eigvalsh(d, e2):
+    """The tridiagonal solve on whole arrays, in one call: the reference
+    for the blocked draws."""
+    from interlace_lab.kmgroup import _closed_form
+
+    count, n = d.shape
+    if n > 3:
+        T = np.zeros((count, n, n))
+        i = np.arange(n)
+        T[:, i, i] = d
+        T[:, i[1:], i[:-1]] = np.sqrt(e2)
+        return np.linalg.eigvalsh(T)
+    off2 = [e2[:, 0], 0.0, e2[:, 1]] if n == 3 else [e2[:, 0]] if n == 2 else []
+    return _closed_form([d[:, i] for i in range(n)], off2)
+
+
+def _unblocked_laguerre(rng, n, shape, count, scale):
+    """All gammas, then one solve, as the bidiagonal model reads."""
+    shapes = np.concatenate([shape - np.arange(n), n - 1.0 - np.arange(n - 1)])
+    g = scale * rng.standard_gamma(shapes, size=(count, len(shapes)))
+    a2, c2 = g[:, :n], g[:, n:]
+    d = a2.copy()
+    d[:, 1:] += c2
+    return np.maximum(_unblocked_eigvalsh(d, a2[:, :-1] * c2), 0.0)
+
+
+class TestBlockedDraws:
+    """The models draw and solve in blocks of _BLOCK matrices, in the order
+    of one whole-array draw: every value equals the unblocked reference's
+    bit for bit, over two full blocks and a partial one."""
+
+    @staticmethod
+    def _count():
+        from interlace_lab.kmgroup import _BLOCK
+
+        return 2 * _BLOCK + 7
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_gue_draw_equals_all_normals_then_all_gammas(self, n):
+        count, scale = self._count(), 1.7
+        rng = np.random.default_rng((50, n))
+        d = rng.normal(0.0, np.sqrt(scale), size=(count, n))
+        e2 = scale * rng.standard_gamma(np.arange(n - 1, 0, -1.0), size=(count, n - 1))
+        want = _unblocked_eigvalsh(d, e2)
+        assert gue_sample(np.random.default_rng((50, n)), n, count, scale).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (1, 3), (2, 2), (2, 5), (3, 1), (3, 2), (3, 3),
+                                      (4, 4), (5, 2), (5, 6)])
+    def test_wishart_draw_equals_the_unblocked_model(self, n, k):
+        count, v, r = self._count(), 0.6, min(n, k)
+        want = np.zeros((count, n))
+        want[:, n - r:] = _unblocked_laguerre(np.random.default_rng((51, n, k)), r, max(n, k), count, v)
+        got = complex_wishart_sample(np.random.default_rng((51, n, k)), n, k, count, v)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, shape", [(1, 0.25), (2, 1.25), (3, 2.5), (4, 3.75)])
+    def test_laguerre_draw_of_a_real_shape_equals_the_unblocked_model(self, n, shape):
+        from interlace_lab.kmgroup import _laguerre_draw
+
+        count = self._count()
+        want = _unblocked_laguerre(np.random.default_rng((52, n)), n, shape, count, 2.2)
+        got = _laguerre_draw(np.random.default_rng((52, n)), n, shape, count, 2.2)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMatrixModels:
@@ -271,6 +376,47 @@ class TestKSCompare:
         assert two_sample_ks(a, b) < 0.04
         # 3-sigma shift: sup|Phi(z) - Phi(z-3)| = Phi(1.5) - Phi(-1.5) ~ 0.866
         assert two_sample_ks(a, b + 3.0) > 0.85
+
+    @staticmethod
+    def _merged_search_ks(a, b):
+        """Both empirical CDFs searched at every point of both samples."""
+        a, b = np.sort(np.asarray(a, float)), np.sort(np.asarray(b, float))
+        allv = np.concatenate([a, b])
+        Fa = np.searchsorted(a, allv, side="right") / len(a)
+        Fb = np.searchsorted(b, allv, side="right") / len(b)
+        return float(np.max(np.abs(Fa - Fb)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_KS_VALUES, min_size=1, max_size=80),
+           st.lists(_KS_VALUES, min_size=1, max_size=80))
+    def test_two_sample_ks_is_the_merged_search(self, a, b):
+        # small integers make ties within and across the samples
+        assert two_sample_ks(a, b) == self._merged_search_ks(a, b)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_two_sample_ks_of_an_oracle_sized_sample(self, ties):
+        rng = np.random.default_rng(11)
+        a, b = rng.normal(size=5000), rng.normal(0.01, 1.0, size=200_000)
+        if ties:
+            a, b = np.round(a, 2), np.round(b, 2)
+        assert two_sample_ks(a, b) == self._merged_search_ks(a, b)
+        assert two_sample_ks(b, a) == self._merged_search_ks(b, a)
+
+    @pytest.mark.parametrize("a, b", [([], [1.0]), ([1.0], []), ([np.nan, 1.0], [1.0]),
+                                      ([1.0], [2.0, np.nan])])
+    def test_two_sample_ks_refuses_empty_and_nan_samples(self, a, b):
+        with pytest.raises(ValueError, match="non-empty samples without NaN"):
+            two_sample_ks(a, b)
+
+    def test_empirical_cdf_of_a_sorted_sample(self):
+        from interlace_lab.harness import empirical_cdf_on_grid
+
+        rng = np.random.default_rng(12)
+        x = np.round(rng.normal(size=3001), 1)
+        grid = np.linspace(-4.0, 4.0, 81)
+        want = np.searchsorted(np.sort(x), grid, side="right") / len(x)
+        assert np.array_equal(empirical_cdf_on_grid(x, grid), want)
+        assert np.array_equal(empirical_cdf_on_grid(np.sort(x), grid), want)
 
 
 class TestDensityGridCdf:
