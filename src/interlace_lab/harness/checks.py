@@ -29,7 +29,7 @@ from ..diffusion1d import (
     make_spec,
     spectral_basis,
 )
-from ..diffusion1d.catalog import edge_ladder
+from ..diffusion1d.catalog import edge_ladder, sc
 from .oracles import complex_wishart_sample, gue_sample
 from .stats import (
     empirical_cdf_on_grid,
@@ -227,13 +227,11 @@ WARREN_DT = 0.05
 
 
 def bes3_cdf(z, x=1.0, t=1.0):
-    from scipy.special import ndtr
-
     s = math.sqrt(t)
     z = np.maximum(np.asarray(z, float), 0.0)
     gauss = np.exp(-((z + x) ** 2) / (2 * t)) - np.exp(-((z - x) ** 2) / (2 * t))
     return np.clip(
-        ndtr((z - x) / s) + ndtr((z + x) / s) - 1.0
+        sc.ndtr((z - x) / s) + sc.ndtr((z + x) / s) - 1.0
         + (t / x) * gauss / math.sqrt(2 * math.pi * t),
         0.0,
         1.0,
@@ -250,8 +248,6 @@ def dyson_marginal_cdf(x0, t, idx):
     P(Y1 > u) = A1 A2 + sqrt(t) (A1 phi2 - A2 phi1) / (x2 - x1) with
     A_i = P(x_i + B_t > u) and phi_i the normal density at (u - x_i)/sqrt(t),
     and P(Y2 <= u) likewise with P(x_i + B_t <= u) and the sign flipped."""
-    from scipy.special import ndtr
-
     x1, x2 = (float(v) for v in x0)
     s = math.sqrt(t)
 
@@ -261,9 +257,9 @@ def dyson_marginal_cdf(x0, t, idx):
         phi1 = np.exp(-0.5 * z1 * z1) / math.sqrt(2.0 * math.pi)
         phi2 = np.exp(-0.5 * z2 * z2) / math.sqrt(2.0 * math.pi)
         if idx == 0:
-            a1, a2 = ndtr(-z1), ndtr(-z2)
+            a1, a2 = sc.ndtr(-z1), sc.ndtr(-z2)
             return 1.0 - (a1 * a2 + s * (a1 * phi2 - a2 * phi1) / (x2 - x1))
-        b1, b2 = ndtr(z1), ndtr(z2)
+        b1, b2 = sc.ndtr(z1), sc.ndtr(z2)
         return b1 * b2 - s * (b1 * phi2 - b2 * phi1) / (x2 - x1)
 
     return cdf

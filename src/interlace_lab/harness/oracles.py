@@ -8,14 +8,16 @@ their solver live in kmgroup (_gue_draw, _laguerre_draw), whose entrance
 laws draw from them too.  The draws stream in blocks of _BLOCK matrices:
 each block's variates are drawn, in the order of one whole-array draw, and
 solved into the output, so a draw of any count holds its output and one
-block's temporaries.  GUE corners and the Jacobi ensemble sample the
-dense matrices.  Every oracle is a matrix model, independent of every
-kernel formula in this package, so these are true cross-checks.  Matrices
-of size n <= 3 are solved in closed form (kmgroup._closed_form: the
-quadratic for 2 x 2, Smith's trigonometric solution of the characteristic
-cubic for 3 x 3) and larger ones by LAPACK.  The closed forms agree with
-LAPACK to 1e-12 of the largest |eigenvalue| in general, and to 1e-7 of it
-at a double or near-double eigenvalue, where arccos is ill-conditioned.
+block's temporaries.  The Jacobi ensemble draws its dense matrices and
+solves them in the same blocks, so a draw of at most _BLOCK matrices takes
+the variates of one whole-array draw; GUE corners draws one dense stack.
+Every oracle is a matrix model, independent of every kernel formula in
+this package, so these are true cross-checks.  Matrices of size n <= 3
+are solved in closed form (kmgroup._closed_form: the quadratic for 2 x 2,
+Smith's trigonometric solution of the characteristic cubic for 3 x 3) and
+larger ones by LAPACK.  The closed forms agree with LAPACK to 1e-12 of
+the largest |eigenvalue| in general, and to 1e-7 of it at a double or
+near-double eigenvalue, where arccos is ill-conditioned.
 """
 from __future__ import annotations
 
@@ -94,16 +96,21 @@ def jacobi_unitary_sample(
     rng: np.random.Generator, n: int, p: int, q: int, count: int
 ) -> np.ndarray:
     """Eigenvalues of the matrix beta-2 Jacobi ensemble: A(A + B)^{-1} with
-    A ~ Wishart(n, p), B ~ Wishart(n, q); spectrum in [0, 1]."""
+    A ~ Wishart(n, p), B ~ Wishart(n, q); spectrum in [0, 1].  A and B are
+    drawn, and solved, a block of _BLOCK matrices at a time."""
     sa = np.sqrt(0.5)
-    A = rng.normal(0, sa, (count, n, p)) + 1j * rng.normal(0, sa, (count, n, p))
-    B = rng.normal(0, sa, (count, n, q)) + 1j * rng.normal(0, sa, (count, n, q))
-    WA, WB = _gram(A), _gram(B)
-    # the generalized problem WA v = lam (WA + WB) v: with WA + WB = L L*,
-    # lam are the eigenvalues of the Hermitian L^-1 WA L^-*
-    L = np.linalg.cholesky(WA + WB)
-    LiWA = np.linalg.solve(L, WA)
-    return _eigvalsh(np.linalg.solve(L, np.conj(np.transpose(LiWA, (0, 2, 1)))))
+    out = np.empty((count, n))
+    for s in range(0, count, _BLOCK):
+        c = min(_BLOCK, count - s)
+        A = rng.normal(0, sa, (c, n, p)) + 1j * rng.normal(0, sa, (c, n, p))
+        B = rng.normal(0, sa, (c, n, q)) + 1j * rng.normal(0, sa, (c, n, q))
+        WA, WB = _gram(A), _gram(B)
+        # the generalized problem WA v = lam (WA + WB) v: with WA + WB = L L*,
+        # lam are the eigenvalues of the Hermitian L^-1 WA L^-*
+        L = np.linalg.cholesky(WA + WB)
+        LiWA = np.linalg.solve(L, WA)
+        out[s:s + c] = _eigvalsh(np.linalg.solve(L, np.conj(np.transpose(LiWA, (0, 2, 1)))))
+    return out
 
 
 #: oracle kind -> (sampler, number of size parameters)

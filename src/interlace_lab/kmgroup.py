@@ -180,7 +180,8 @@ def eigen_residual(kern: TransitionKernel, h: Eigenfunction, t: float, probes):
 
 
 def vandermonde(n: int) -> Eigenfunction:
-    return Eigenfunction(n, [_power(j) for j in range(n)], 0.0, "vandermonde")
+    """The Vandermonde det(x_j^k), k < n, at rate 0: the bm catalog entry."""
+    return eigenfunction_catalog(make_spec("bm"), n)
 
 
 def eigenfunction_catalog(spec: DiffusionSpec, n: int) -> Eigenfunction:

@@ -48,13 +48,10 @@ push is added, and particle minus bound on the upper side, where it is
 subtracted.  M >= b, so a particle bounded on one side stays on its side.
 A particle bounded on both sides is pushed from each with its own draw,
 both gaps measured from the same free proposal, and the result is clipped
-onto [lower, upper], lower bound first; the clip's move is added to the
-push of the side it moves away from.  Pushes are recorded in state units,
-so each step moves a particle by its free increment plus its lower push
-minus its upper push.  For Brownian levels (a = 1/2) the Euler step is
-exact and V is the gap's true variance, so the push is exact, or nearly
-so, at any dt; the same holds for besq and lag levels in u = sqrt(x), up
-to the drift of u inside the step.
+onto [lower, upper], lower bound first.  For Brownian levels (a = 1/2) the
+Euler step is exact and V is the gap's true variance, so the push is
+exact, or nearly so, at any dt; the same holds for besq and lag levels in
+u = sqrt(x), up to the drift of u inside the step.
 
 Noise comes from SFC64 streams, one per key (kind, level, particle):
 
@@ -77,8 +74,8 @@ stop the path, which then stays frozen for the whole step.  A single Y
 particle with no killing end can do neither, so that system has no stop
 rule.  A GT pattern tests its interior levels after the step; only a
 strict crossing stops it, so a pattern of at most two levels has none.
-Edge systems never stop.  Without a stop rule no state, push or contact
-is masked.  Stop times are tested on the grid only, so a crossing inside a
+Edge systems never stop.  Without a stop rule no state or contact is
+masked.  Stop times are tested on the grid only, so a crossing inside a
 step goes unseen: a coarse dt is safe only for a system that does not stop.
 
 Every bundle counts its draws by kind (PathBundle.draws), from the
@@ -146,11 +143,10 @@ def skorokhod_map(z, lower=None, upper=None) -> SkorokhodResult:
 
 @dataclass
 class PathBundle:
-    """Simulated trajectories with constraining increments and stop times.
+    """Simulated trajectories with stop times.
 
-    levels[i] has shape (n_recorded, n_paths, n_particles_i); k_lower and
-    k_upper hold the cumulative push-up/push-down amounts at the final
-    time, in state units.  tau is +inf for paths never stopped.
+    levels[i] has shape (n_recorded, n_paths, n_particles_i).  tau is +inf
+    for paths never stopped.
     contact_fraction is the fraction of constrained particle-steps, over all
     paths, in which a push moved the particle off its free proposal: a nonzero
     bridge-sampled push, or the clip of a particle bounded on both sides.
@@ -162,8 +158,6 @@ class PathBundle:
 
     grid: np.ndarray
     levels: list
-    k_lower: list
-    k_upper: list
     tau: np.ndarray
     seed: int
     dt: float
@@ -244,11 +238,11 @@ def _streams(seed: int, kind: int, level: int, particles) -> list:
     return [_stream(seed, (kind, level, i)) for i in particles]
 
 
-def _check_counts(n_paths, record_stride):
-    """Raise unless n_paths, and record_stride when given, are positive
-    integers."""
+def _check_counts(n_paths, record_stride, **counts):
+    """Raise unless n_paths, record_stride when given, and each count passed
+    by its parameter's name are positive integers."""
     stride = 1 if record_stride is None else record_stride
-    for name, v in (("n_paths", n_paths), ("record_stride", stride)):
+    for name, v in (("n_paths", n_paths), ("record_stride", stride), *counts.items()):
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
@@ -443,21 +437,19 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
     """Step an interlacing array: each level in turn takes a free step and
     is pushed off each of its bounds by the sampled bridge maximum of its
     gap, with the previous level already moved; a particle bounded on both
-    sides is then clipped onto [lower, upper].  Pushes, contacts and stop
-    times are recorded for the paths alive after each stop test; with no
-    stop rule nothing is masked."""
+    sides is then clipped onto [lower, upper].  Contacts and stop times are
+    recorded for the paths alive after each stop test; with no stop rule
+    nothing is masked."""
     n_levels, n_paths = len(levels), levels[0].x.shape[0]
     tau = np.full(n_paths, np.inf)
     alive = np.ones(n_paths, bool)
     # a view of alive: the in-place stop updates below narrow it too
-    where = alive[:, None] if stop is not None else True
-    klow = [np.zeros_like(lv.x) for lv in levels]
-    kup = [np.zeros_like(lv.x) for lv in levels]
+    where = alive[:, None]
     free = [_free_step(lv, dt) for lv in levels]
     pieces = [_pieces(levels, k) for k in range(n_levels)]
     clips = [_two_sided(pc) for pc in pieces]
-    sides = [sorted({side for side, _, _ in pc}) for pc in pieces]
-    # start- and end-of-step gaps of each piece, written over every step
+    # start- and end-of-step gaps of each piece, written over every step;
+    # the push is written over the start gap
     gaps = [[(np.empty((n_paths, p.stop - p.start)), np.empty((n_paths, p.stop - p.start)))
              for _, p, _ in pc] for pc in pieces]
     # which levels push in u = sqrt(x); u holds the state in u of each level
@@ -466,11 +458,9 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
     u = [_root(lv.x) if r or r_next else None
          for lv, r, r_next in zip(levels, root, root[1:] + [False])]
     # per level and bounded side: the Exp(1) draws, of which only the rows of
-    # bounded particles are filled, and this step's pushes, zero where unbounded
-    expo = [[np.empty(lv.x.shape[::-1]) if s in sd else None for s in (0, 1)]
-            for lv, sd in zip(levels, sides)]
-    push = [[np.zeros_like(lv.x) if s in sd else None for s in (0, 1)]
-            for lv, sd in zip(levels, sides)]
+    # bounded particles are filled
+    expo = [[np.empty(lv.x.shape[::-1]) if streams else None for streams in lv.bridge]
+            for lv in levels]
     contacts = 0.0
     rec_idx = _record_indices(n_steps, record_stride)
     rec_t, rec = [t0], [[lv.x] for lv in levels]
@@ -503,26 +493,22 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
                 else:
                     np.subtract(start_x[:, p], start_bound, out=g0)
                     np.subtract(raw_u[:, p], bound, out=g1)
-                out = push[k][side][:, p]
-                np.maximum(_bridge_max(g0, g1, var, expo[k][side][p].T), 0.0, out=out)
+                push = np.maximum(_bridge_max(g0, g1, var, expo[k][side][p].T), 0.0, out=g0)
                 if side == 0:
-                    proj[:, p] += out
+                    proj[:, p] += push
                 else:
-                    proj[:, p] -= out
+                    proj[:, p] -= push
             bounds = (u[k - 1] if root[k] else levels[k - 1].x) if k else None
             for q, lo, hi in clips[k]:
                 x = proj[:, q]
-                before = x.copy()
                 for clip, src in ((np.maximum, lo), (np.minimum, hi)):
                     clip(x, bounds[:, src] if isinstance(src, slice) else src, out=x)
-                moved = x - before
-                push[k][0][:, q] += np.maximum(moved, 0.0)
-                push[k][1][:, q] -= np.minimum(moved, 0.0)
             if root[k]:
+                # the state is proj^2, or the free proposal where nothing pushed
                 np.maximum(proj, 0.0, out=proj)
-                new_x, moves = _state_pushes(raw, raw_u, proj, push[k])
+                new_x = np.where(proj != raw_u, np.square(proj), raw)
             else:
-                new_x, moves = proj, push[k]
+                new_x = proj
             if k == 0 and stop is not None and stop.on_proposal:
                 stopped = stop.hits([new_x])
                 tau[alive & stopped] = t
@@ -532,9 +518,6 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
             lv.x = new_x if stop is None else np.where(where, new_x, lv.x)
             if u[k] is not None:
                 u[k] = _root(lv.x)
-            for side in sides[k]:
-                acc = (klow, kup)[side][k]
-                np.add(acc, moves[side], out=acc, where=where)
             if k:
                 contact = proj != raw_u
                 if stop is not None:
@@ -558,8 +541,6 @@ def _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop=None) ->
     return PathBundle(
         grid=np.asarray(rec_t),
         levels=[np.asarray(r) for r in rec],
-        k_lower=klow,
-        k_upper=kup,
         tau=tau,
         seed=seed,
         dt=dt,
@@ -580,17 +561,6 @@ def _draws(levels, n_steps) -> dict:
             per_step[kind] += n * lv.x.shape[1]
         per_step["exponential"] += sum(len(streams) for streams in lv.bridge)
     return {kind: n * n_steps * n_paths for kind, n in per_step.items()}
-
-
-def _state_pushes(raw, raw_u, proj, push):
-    """(state, [lower push, upper push]) in state units of a level pushed in
-    u = sqrt(x) to proj >= 0: the state is proj^2, or raw where nothing
-    pushed; the lower push is applied first, so a step moves each particle
-    by its free increment plus its lower push minus its upper push."""
-    lo, up = push
-    new_x = np.where(proj != raw_u, np.square(proj), raw)
-    x_lo = raw if lo is None else np.where(lo != 0.0, np.square(raw_u + lo), raw)
-    return new_x, [None if lo is None else x_lo - raw, None if up is None else x_lo - new_x]
 
 
 def _sampled_start(sample, n_paths, what) -> np.ndarray:
@@ -683,6 +653,8 @@ def simulate_gt(
     interlace.
     """
     N = len(level_specs)
+    if N == 0:
+        raise ValueError("level_specs is empty: a pattern needs at least one level")
     n_steps, dt = _resolve_steps(T, dt, t0)
     _check_counts(n_paths, record_stride)
     if callable(x0):
@@ -735,7 +707,7 @@ def simulate_edge(
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    _check_counts(n_paths, record_stride)
+    _check_counts(n_paths, record_stride, n=n)
     specs = edge_ladder(base, n)
     n_steps, dt = _resolve_steps(T, dt, t0)
     x0 = np.asarray(x0, float)
@@ -750,9 +722,4 @@ def simulate_edge(
     # level k holds edge particle k, bounded on one side by its leader
     _bridge_streams(levels, seed, lambda s, k, i: (4, 0, k))
     pb = _simulate(levels, n_steps, dt, t0, seed, ["edge"], record_stride)
-    return replace(
-        pb,
-        levels=[np.concatenate(pb.levels, axis=-1)],
-        k_lower=[np.hstack(pb.k_lower)],
-        k_upper=[np.hstack(pb.k_upper)],
-    )
+    return replace(pb, levels=[np.concatenate(pb.levels, axis=-1)])

@@ -109,7 +109,7 @@ class TestSimulateBytes:
             [[np.nan, np.inf]] * 3,
             [[0.1, 0.2], [0.3, 0.4], [0.1, 0.2]],
         ])
-        pb = rs.PathBundle(grid=np.array([0.0, 0.1, 0.2, 0.3]), levels=[arr], k_lower=[], k_upper=[],
+        pb = rs.PathBundle(grid=np.array([0.0, 0.1, 0.2, 0.3]), levels=[arr],
                            tau=np.full(3, np.inf), seed=0, dt=0.1, level_names=["x"])
         path = tmp_path / "trajectories.csv"
         write_csv(path, ["path_id", "time", "level", "index", "value"], cli._trajectory_blocks(pb))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -100,9 +101,7 @@ class TestTwoLevelSimulation:
         bm = make_spec("bm")
         pb = rs.simulate_two_level(bm, Shape.NNP1, np.array([-0.1, 0.1]), np.array([0.0]),
                                    T=0.2, dt=1e-3, n_paths=300, seed=5, y_spec=bm)
-        assert np.all(pb.k_lower[1] >= 0.0) and np.all(pb.k_upper[1] >= 0.0)
-        assert pb.k_lower[1].sum() > 0.0  # tight start guarantees contact
-        assert 0.0 < pb.contact_fraction < 0.5
+        assert 0.0 < pb.contact_fraction < 0.5  # tight start guarantees contact
 
     def test_contact_fraction_shrinks_with_dt(self):
         bm = make_spec("bm")
@@ -298,7 +297,8 @@ class TestGTSimulation:
     def test_reflecting_wall_push_is_exact_at_coarse_dt(self):
         # Brownian motion reflected at 0 from 0.2, in ten steps: the bridge
         # push off a wall leaves no step-size bias in the law or in the
-        # push, E k = E|N(0.2, 1)| - 0.2 (per-step projection is off by 0.17)
+        # push, E k = E|N(0.2, 1)| - 0.2 (per-step projection is off by 0.17).
+        # k = x_T - z_T, with z the free path replayed from the level's stream
         from scipy.special import ndtr
 
         from interlace_lab.harness.stats import ks_statistic_cdf
@@ -308,7 +308,11 @@ class TestGTSimulation:
         x = np.sort(pb.terminal(0)[:, 0])
         assert ks_statistic_cdf(x, ndtr(x - 0.2) - ndtr(-x - 0.2)) <= 0.02
         mean_abs = math.sqrt(2 / math.pi) * math.exp(-0.02) + 0.2 * (1 - 2 * ndtr(-0.2))
-        assert pb.k_lower[0].mean() == pytest.approx(mean_abs - 0.2, abs=3 * x.std() / math.sqrt(20000))
+        g, z = rs._stream(61, (2, 0, 0)), np.full(20000, 0.2)
+        for _ in range(10):
+            z = z + math.sqrt(pb.dt) * g.standard_normal(20000)
+        k = pb.terminal(0)[:, 0] - z
+        assert k.mean() == pytest.approx(mean_abs - 0.2, abs=3 * x.std() / math.sqrt(20000))
 
     def test_levels_interlace_at_terminal_time(self):
         specs = [make_spec("bm")] * 3
@@ -557,27 +561,41 @@ class TestCoarseGridControl:
 
 
 class TestStepResolution:
+    # each simulator's keyword arguments, any of which a case may override
     SIMULATORS = {
-        "two-level": lambda **kw: rs.simulate_two_level(
-            make_spec("bm"), Shape.NNP1, np.array([-1.0, 1.0]), np.array([0.0]),
-            seed=0, **{"n_paths": 2, **kw}),
-        "gt": lambda **kw: rs.simulate_gt(
-            [make_spec("bm")] * 2, [np.array([0.0]), np.array([-1.0, 1.0])],
-            seed=0, **{"n_paths": 2, **kw}),
-        "edge": lambda **kw: rs.simulate_edge(
-            make_spec("bm"), 2, "right", np.zeros(2), seed=0, **{"n_paths": 2, **kw}),
+        "two-level": lambda **kw: rs.simulate_two_level(**{
+            "spec": make_spec("bm"), "shape": Shape.NNP1, "x0": np.array([-1.0, 1.0]),
+            "y0": np.array([0.0]), "seed": 0, "n_paths": 2, **kw}),
+        "gt": lambda **kw: rs.simulate_gt(**{
+            "level_specs": [make_spec("bm")] * 2, "x0": [np.array([0.0]), np.array([-1.0, 1.0])],
+            "seed": 0, "n_paths": 2, **kw}),
+        "edge": lambda **kw: rs.simulate_edge(**{
+            "base": make_spec("bm"), "n": 2, "side": "right", "x0": np.zeros(2), "seed": 0,
+            "n_paths": 2, **kw}),
     }
 
-    @pytest.mark.parametrize("simulator", list(SIMULATORS))
-    @pytest.mark.parametrize("kw, match", [
-        (dict(n_paths=0), "n_paths must be a positive integer, got 0"),
-        (dict(n_paths=-3), "n_paths must be a positive integer, got -3"),
-        (dict(n_paths=2.0), "n_paths must be a positive integer, got 2.0"),
-        (dict(n_paths=True), "n_paths must be a positive integer, got True"),
-        (dict(record_stride=0), "record_stride must be a positive integer, got 0"),
-        (dict(record_stride=True), "record_stride must be a positive integer, got True"),
-    ], ids=["zero-paths", "negative-paths", "float-paths", "bool-paths", "zero-stride",
-            "bool-stride"])
+    # the path and stride counts go to every simulator, an empty system to
+    # the simulator it names
+    @pytest.mark.parametrize("simulator, kw, match", [
+        *(pytest.param(simulator, kw, match, id=f"{name}-{simulator}")
+          for simulator, (kw, match, name) in itertools.product(SIMULATORS, [
+              (dict(n_paths=0), "n_paths must be a positive integer, got 0", "zero-paths"),
+              (dict(n_paths=-3), "n_paths must be a positive integer, got -3", "negative-paths"),
+              (dict(n_paths=2.0), "n_paths must be a positive integer, got 2.0", "float-paths"),
+              (dict(n_paths=True), "n_paths must be a positive integer, got True", "bool-paths"),
+              (dict(record_stride=0), "record_stride must be a positive integer, got 0",
+               "zero-stride"),
+              (dict(record_stride=True), "record_stride must be a positive integer, got True",
+               "bool-stride"),
+          ])),
+        pytest.param("gt", dict(level_specs=[], x0=[]),
+                     "level_specs is empty: a pattern needs at least one level",
+                     id="no-levels-gt"),
+        pytest.param("edge", dict(n=0, x0=np.zeros(0)), "n must be a positive integer, got 0",
+                     id="no-particles-edge"),
+        pytest.param("edge", dict(n=-1, x0=np.zeros(0)), "n must be a positive integer, got -1",
+                     id="negative-particles-edge"),
+    ])
     def test_bad_counts_rejected_by_name(self, simulator, kw, match):
         with pytest.raises(ValueError, match=match):
             self.SIMULATORS[simulator](T=0.1, dt=0.05, **kw)
@@ -759,66 +777,65 @@ def _golden_cases():
 
     bm = make_spec("bm")
     refl = make_spec("bm_halfline:refl")
-    # name -> (simulation, first constrained level)
     return {
         # default y_spec is the conjugate bm_halfline:abs, so Y is killed at 0
-        "two-level-nnp1": (lambda: rs.simulate_two_level(
+        "two-level-nnp1": lambda: rs.simulate_two_level(
             refl, Shape.NNP1, np.array([0.05, 0.6, 1.3]), _y_pair, T=0.3, dt=2e-3,
-            n_paths=400, seed=7, record_stride=30), 1),
-        "two-level-nn": (lambda: rs.simulate_two_level(
+            n_paths=400, seed=7, record_stride=30),
+        "two-level-nn": lambda: rs.simulate_two_level(
             make_spec("bm_halfline:abs"), Shape.NN, np.array([1.0]), np.array([0.5]),
-            T=0.3, dt=2e-3, n_paths=400, seed=21, y_spec=refl), 1),
-        "two-level-np1n": (lambda: rs.simulate_two_level(
+            T=0.3, dt=2e-3, n_paths=400, seed=21, y_spec=refl),
+        "two-level-np1n": lambda: rs.simulate_two_level(
             bm, Shape.NP1N, np.array([0.0]), np.array([-0.3, 0.3]), T=0.3, dt=2e-3,
-            n_paths=400, seed=4), 1),
-        "gt2-gue": (lambda: run_gt2("gue", 400, 5e-3, 5), 1),
-        "gt2-besq": (lambda: run_gt2("besq:2", 400, 5e-3, 15, init_seed=21), 1),
+            n_paths=400, seed=4),
+        "gt2-gue": lambda: run_gt2("gue", 400, 5e-3, 5),
+        "gt2-besq": lambda: run_gt2("besq:2", 400, 5e-3, 15, init_seed=21),
         # sizes 2, 3, 3: crossings of the free first level make level 2 collide
-        "gt-equal-size": (lambda: rs.simulate_gt(
+        "gt-equal-size": lambda: rs.simulate_gt(
             [bm] * 3, [np.array([-0.05, 0.05]), np.array([-0.5, 0.0, 0.5]),
                        np.array([-0.2, 0.3, 0.8])],
-            T=0.3, dt=2e-3, n_paths=400, seed=8, record_stride=50), 1),
-        "edge-right-bm": (lambda: rs.simulate_edge(
-            bm, 3, "right", np.zeros(3), T=0.3, dt=2e-3, n_paths=400, seed=9), 0),
+            T=0.3, dt=2e-3, n_paths=400, seed=8, record_stride=50),
+        "edge-right-bm": lambda: rs.simulate_edge(
+            bm, 3, "right", np.zeros(3), T=0.3, dt=2e-3, n_paths=400, seed=9),
         # the benchmarked CLI system: one Y, no stop rule, levels recorded
-        "two-level-cli-csv": (lambda: rs.simulate_two_level(
+        "two-level-cli-csv": lambda: rs.simulate_two_level(
             bm, Shape.NNP1, np.array([-1.0, 1.0]), np.array([0.0]), T=1.0, dt=0.01,
-            n_paths=400, seed=7, y_spec=bm, record_stride=10), 1),
-        "edge-left-besq": (lambda: rs.simulate_edge(
+            n_paths=400, seed=7, y_spec=bm, record_stride=10),
+        "edge-left-besq": lambda: rs.simulate_edge(
             make_spec("besq:2"), 2, "left", np.array([2e-4, 1e-4]), T=0.3, dt=2e-3,
-            n_paths=400, seed=15, record_stride=40), 0),
+            n_paths=400, seed=15, record_stride=40),
     }
 
 
-def _digest(pb, first_constrained):
+def _digest(pb):
     h = hashlib.sha256()
-    for a in [*pb.levels, pb.tau, pb.grid,
-              *pb.k_lower[first_constrained:], *pb.k_upper[first_constrained:]]:
+    for a in [*pb.levels, pb.tau, pb.grid]:
         a = np.ascontiguousarray(a, dtype=float)
         h.update(repr(a.shape).encode())
         h.update(a.tobytes())
     return h.hexdigest()
 
 
-# sha256 of levels, tau, grid and the constrained levels' pushes, and the
-# exact contact fraction, for pinned seeds, drawn from the SFC64 streams of
-# rs._stream.  A change to the stepper that keeps the RNG layout and the
-# scheme must leave these unchanged.  The besq cases step exactly (dt chi'^2
-# draws from the normal streams) and push in u = sqrt(x); the others are bm
-# and bm_halfline systems, whose Euler steps and pushes are those of the
-# state-unit scheme bit for bit.  Their constant-coefficient step
-# x + b dt + sqrt(dt) xi and scalar bridge variances give the bits of the
-# step with a and b evaluated per particle.
+# sha256 of levels, tau and grid, and the exact contact fraction, for
+# pinned seeds, drawn from the SFC64 streams of rs._stream.  A change to the
+# stepper that keeps the RNG layout and the scheme must leave these
+# unchanged.  The besq cases step exactly (dt chi'^2 draws from the normal
+# streams) and push in u = sqrt(x); the others are bm and bm_halfline
+# systems, whose Euler steps and pushes are those of the state-unit scheme
+# bit for bit.  Their constant-coefficient step x + b dt + sqrt(dt) xi and
+# scalar bridge variances give the bits of the step with a and b evaluated
+# per particle.  Both tables were pinned again, from the same runs, when the
+# bundles stopped carrying per-path push totals.
 GOLDEN = {
-    "two-level-nnp1": ("a96efdf05d3408e7aa1557676822d9ae8689061412bc1e6d0ed0b620ae9f2a87", 0.07730000000000002),
-    "two-level-nn": ("10d36747f65744bc3b708a0ae5473eb2e726502b77155a7c0c0cb037f80b18ed", 0.04655000000000002),
-    "two-level-cli-csv": ("a310b6263c2cc68c6f28f1ee941e5952d2896b2809d74b6dc7f659fab7f688f1", 0.045250000000000005),
-    "two-level-np1n": ("89de169b1f03005e3600200ce85cbaea0c8800d9c531dcc320b573369ca8f617", 0.12165000000000004),
-    "gt2-gue": ("e6960b92c24e6c8d1b3742b763ce127390073db07f093f8ba7b863cfcaf81f38", 0.0853249999999999),
-    "gt2-besq": ("26bd0eb42a85a5f7ad17525408d8c397b67ca0ba396786a71957435472999525", 0.11232500000000005),
-    "gt-equal-size": ("11df30c16ac1d62d6b382528102f08fd2b7c9eaad8b2b90960a5196233827d1f", 0.14933888888888905),
-    "edge-right-bm": ("e8b3d33ce73d3ff4d265d4144c4571cc31e75d6d927741194034bf022987b705", 0.13456666666666664),
-    "edge-left-besq": ("8df83ed8415a7bab57548ce0792e189de34cce138a33ad4a6f5dc297ec328e6f", 0.08549999999999999),
+    "two-level-nnp1": ("0e0faa161f8012659ec49c971ca3e68955bf1dface3d5ae0526113189244688e", 0.07730000000000002),
+    "two-level-nn": ("8d2dbc9f1e2e9831fc3e1d555122ae52347d20b7d2bfcd7021d796c24d879914", 0.04655000000000002),
+    "two-level-cli-csv": ("cde6bcc91250fb5fb8559b3a99e093c6ff95c469f633bd8ab4cd120e143a9012", 0.045250000000000005),
+    "two-level-np1n": ("dfafcf73562bb50e7130b4c6c99e278a9a8c73ef43bbdb03392afd885c795be8", 0.12165000000000004),
+    "gt2-gue": ("60da23c7cd4a515f39ea0cd0a12a44f17655e13b468d9bd1c7b3bcc24c282fef", 0.0853249999999999),
+    "gt2-besq": ("d75d34fc2561c3ea3d8b3d54dc1559846ee06bebcd73d491c4347195be701a99", 0.11232500000000005),
+    "gt-equal-size": ("fba3f88ba7d5097e5e50f0c8d39c3ed70e2b371fc4f3686dcef5ce33e7a491a7", 0.14933888888888905),
+    "edge-right-bm": ("47b529c2e055799d77c9b17e9385a6f3e5d1fadde1f57fe4f2bf39323df0247e", 0.13456666666666664),
+    "edge-left-besq": ("982e7997056ed1d4b23fdbfdd0463fdb35fc33a1f6aedfcd7a10b3e955813538", 0.08549999999999999),
 }
 
 # The same cases with every stream a Philox generator under the same
@@ -830,23 +847,22 @@ GOLDEN = {
 # both tables when their entrance laws came to draw from the matrix models:
 # their starts are draws of the entrance law's own generator, not of a stream.
 GOLDEN_PHILOX = {
-    "two-level-nnp1": ("cc526ce7daa3aefca4f958daa7f6af2958528f655a1d4bcec7ff9b9cb1e90064", 0.07578333333333341),
-    "two-level-nn": ("af537c0e8cfff9b103f22966dd18eefbb6603c8604a5203bc6fccc17eb1e910e", 0.04170000000000003),
-    "two-level-cli-csv": ("5b7876ddc12aea19deaf55498bc2e77de59a007db816aaa535e127978702a7d1", 0.047499999999999966),
-    "two-level-np1n": ("686344fd1c26b7252cacb56f8e9baa04d00cb97683816fb2ea85f92597ad80ef", 0.11584999999999991),
-    "gt2-gue": ("9a61252944b8474c188d838dbf330fc492912bb0e6f9892a795c6dd3a2dbdabb", 0.08540624999999999),
-    "gt2-besq": ("1957a622e3472e08c8e58f1b3bd0ef4903d80a5b53c05b20983e74c4f67efeb5", 0.11491874999999997),
-    "gt-equal-size": ("dad2c1f06d76b4da6a34ef881a5d4e80b59fc66e0f437412282dcdf91df9085e", 0.14822499999999994),
-    "edge-right-bm": ("2636ba76ab5e20e8f447a06a48ea9072f11f78c8c68029e71d1faf3aa7216893", 0.13141666666666663),
-    "edge-left-besq": ("71adb49cae140ad58daf3dea67c8abcf6ea9a75183a307544ee3a4454afa3818", 0.08818333333333324),
+    "two-level-nnp1": ("1bfad9d8e22bd8da17c9b4f736e4b69787e9ef96164c24173142d8eb4ea386c7", 0.07578333333333341),
+    "two-level-nn": ("56d82eaa616ca7be3ae851753466fd5ee4df7324c3f7879d949d66951ee92751", 0.04170000000000003),
+    "two-level-cli-csv": ("df80a2903a43e6a2038ce1414cf09d61996dafdf302668bca01b848eebcc3bf4", 0.047499999999999966),
+    "two-level-np1n": ("6d4af64ead186f36891badc6b5990e9bd31b67d9f98ad7d5c85250b2dfb61a50", 0.11584999999999991),
+    "gt2-gue": ("dc648f0a9ea00428fc5fc8b790997b86e29b89bddba49de33d38b19b86abe68d", 0.08540624999999999),
+    "gt2-besq": ("3f777c8ee28c412034ab0f66982a12b5851f6bce0810769badd6058263775185", 0.11491874999999997),
+    "gt-equal-size": ("4472ffb0d97a5db566ee3f77e17fdd918b9c952a4b03720f27d45cef780defa1", 0.14822499999999994),
+    "edge-right-bm": ("a8f9b077dd39ea78c922927b7d61a2d96eea289d0af9e16cac6524e4dedde4cd", 0.13141666666666663),
+    "edge-left-besq": ("8daabf30c2b8688cbe49c8b6d61ed216707dfba0ed78d761b4e0bc69eab8596c", 0.08818333333333324),
 }
 
 
 def _assert_pinned(case, pins):
-    run, first_constrained = _golden_cases()[case]
-    pb = run()
+    pb = _golden_cases()[case]()
     digest, contact_fraction = pins[case]
-    assert _digest(pb, first_constrained) == digest
+    assert _digest(pb) == digest
     assert pb.contact_fraction == contact_fraction
 
 
