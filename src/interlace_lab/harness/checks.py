@@ -343,22 +343,23 @@ def run_gt2(family: str, paths, dt, seed, init_seed=11):
 def check_entrance_gt(paths=20000, seed=5):
     rows = []
     rng = np.random.default_rng(2024)
-    pb = run_gt2("gue", paths, ENTRANCE_GT_DT, seed)
-    ev = gue_sample(rng, 2, ORACLE_COUNT)
-    for idx in (0, 1):
-        ks = two_sample_ks(pb.terminal(1)[:, idx], ev[:, idx])
-        ok = ks <= LAW_TOL
-        rows.append({"case": f"gt2-dyson-eig{idx}", "ks": ks, "tolerance": LAW_TOL,
-                     "paths": paths, "dt": ENTRANCE_GT_DT,
-                     "stopped": int(np.isfinite(pb.tau).sum()), "pass": ok})
-    pb2 = run_gt2("besq:2", paths, ENTRANCE_GT_DT, seed + 10, init_seed=21)
-    evw = complex_wishart_sample(rng, 2, 2, ORACLE_COUNT, entry_variance=2.0)
-    for idx in (0, 1):
-        ks = two_sample_ks(pb2.terminal(1)[:, idx], evw[:, idx])
-        ok = ks <= LAW_TOL
-        rows.append({"case": f"gt2-besq-eig{idx}", "ks": ks, "tolerance": LAW_TOL,
-                     "paths": paths, "dt": ENTRANCE_GT_DT,
-                     "stopped": int(np.isfinite(pb2.tau).sum()), "pass": ok})
+    cases = (
+        ("dyson", lambda: run_gt2("gue", paths, ENTRANCE_GT_DT, seed),
+         lambda: gue_sample(rng, 2, ORACLE_COUNT)),
+        ("besq", lambda: run_gt2("besq:2", paths, ENTRANCE_GT_DT, seed + 10, init_seed=21),
+         lambda: complex_wishart_sample(rng, 2, 2, ORACLE_COUNT, entry_variance=2.0)),
+    )
+    for name, simulate, draw in cases:
+        pb = simulate()
+        ev = draw()
+        for idx in (0, 1):
+            ks = two_sample_ks(pb.terminal(1)[:, idx], ev[:, idx])
+            ok = ks <= LAW_TOL
+            rows.append({"case": f"gt2-{name}-eig{idx}", "ks": ks, "tolerance": LAW_TOL,
+                         "paths": paths, "dt": ENTRANCE_GT_DT,
+                         "stopped": int(np.isfinite(pb.tau).sum()), "pass": ok})
+        # one case's bundle and oracle at a time: free them before the next
+        del pb, ev
     return rows
 
 
@@ -390,6 +391,8 @@ def check_edge_formulas(paths=20000, seed=9):
         rows.append({"case": f"bm-max-n{n}", "sup_diff_oracle": d_oracle,
                      "sup_diff_sim": d_sim, "tolerance": LAW_TOL, "paths": paths_n,
                      "dt": dt_n, "pass": ok})
+        # free this oracle and simulation before the next draw
+        del ev, pb, mx
     evw = complex_wishart_sample(rng, 2, 2, ORACLE_COUNT, entry_variance=2.0)
     evw.sort(axis=0)
     zg = np.linspace(0.05, np.quantile(evw[:, 1], 1 - 5e-4) + 1.0, 61)

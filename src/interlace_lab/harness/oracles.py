@@ -10,7 +10,9 @@ each block's variates are drawn, in the order of one whole-array draw, and
 solved into the output, so a draw of any count holds its output and one
 block's temporaries.  The Jacobi ensemble draws its dense matrices and
 solves them in the same blocks, so a draw of at most _BLOCK matrices takes
-the variates of one whole-array draw; GUE corners draws one dense stack.
+the variates of one whole-array draw.  GUE corners draws each matrix
+entry for every matrix at once, and builds and solves the dense matrices
+in the same blocks.
 Every oracle is a matrix model, independent of every kernel formula in
 this package, so these are true cross-checks.  Matrices of size n <= 3
 are solved in closed form (kmgroup._closed_form: the quadratic for 2 x 2,
@@ -52,15 +54,32 @@ def _gram(A: np.ndarray) -> np.ndarray:
     return np.einsum("cik,cjk->cij", A, np.conj(A))
 
 
-def _gue_matrix(rng: np.random.Generator, n: int, count: int, scale: float) -> np.ndarray:
-    H = np.zeros((count, n, n), complex)
+def _gue_entries(rng: np.random.Generator, n: int, count: int, scale: float):
+    """The upper triangle of `count` dense GUE matrices, each entry drawn
+    for all matrices at once, in one order: row i's diagonal entry, then its
+    complex entries (i, j), j > i.  Returns the n diagonal columns and the
+    {(i, j): column} map of the off-diagonal ones."""
+    diag, off = [], {}
     for i in range(n):
-        H[:, i, i] = rng.normal(0.0, np.sqrt(scale), size=count)
+        diag.append(rng.normal(0.0, np.sqrt(scale), size=count))
         for j in range(i + 1, n):
-            off = (rng.normal(size=count) + 1j * rng.normal(size=count)) * np.sqrt(scale / 2.0)
-            H[:, i, j] = off
-            H[:, j, i] = np.conj(off)
+            off[i, j] = (rng.normal(size=count) + 1j * rng.normal(size=count)) * np.sqrt(scale / 2.0)
+    return diag, off
+
+
+def _hermitian(diag, off, rows: slice) -> np.ndarray:
+    """The dense Hermitian matrices of `rows` from _gue_entries' columns."""
+    H = np.zeros((len(diag[0][rows]), len(diag), len(diag)), complex)
+    for i, d in enumerate(diag):
+        H[:, i, i] = d[rows]
+    for (i, j), z in off.items():
+        H[:, i, j] = z[rows]
+        H[:, j, i] = np.conj(z[rows])
     return H
+
+
+def _gue_matrix(rng: np.random.Generator, n: int, count: int, scale: float) -> np.ndarray:
+    return _hermitian(*_gue_entries(rng, n, count, scale), slice(None))
 
 
 def gue_sample(rng: np.random.Generator, n: int, count: int, scale: float = 1.0) -> np.ndarray:
@@ -74,9 +93,16 @@ def gue_corners_sample(rng: np.random.Generator, n: int, count: int, scale: floa
     """Eigenvalues of the k x k top-left minors, k = 1..n, of one
     gue_sample matrix per draw: one (count, k) array per level.  Nested
     minors interlace, and the levels have the law at time `scale` of the
-    Brownian Gelfand-Tsetlin pattern started from the origin."""
-    H = _gue_matrix(rng, n, count, scale)
-    return [_eigvalsh(H[:, :k, :k]) for k in range(1, n + 1)]
+    Brownian Gelfand-Tsetlin pattern started from the origin.  The entries
+    are drawn for all matrices at once; the dense matrices are built and
+    solved a block of _BLOCK at a time."""
+    diag, off = _gue_entries(rng, n, count, scale)
+    levels = [np.empty((count, k)) for k in range(1, n + 1)]
+    for s in range(0, count, _BLOCK):
+        H = _hermitian(diag, off, slice(s, s + _BLOCK))
+        for k, level in enumerate(levels, 1):
+            level[s:s + _BLOCK] = _eigvalsh(H[:, :k, :k])
+    return levels
 
 
 def complex_wishart_sample(

@@ -15,38 +15,34 @@ def ks_statistic_cdf(samples: np.ndarray, cdf_values: np.ndarray) -> float:
     )
 
 
-def _counts_at_self(s: np.ndarray) -> np.ndarray:
-    """#{s_i <= s_j} for each j of a sorted array: the index just past s_j's
-    last tied copy."""
-    ends = np.append(s[1:] != s[:-1], True)  # s_j is the last copy of its value
-    if ends.all():
-        return np.arange(1, len(s) + 1)
-    last = np.flatnonzero(ends)
-    return np.repeat(last + 1, np.diff(last, prepend=-1))
-
-
 def two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample KS statistic sup |F_a - F_b| of two finite, non-empty
     samples, exact.
 
-    The supremum is taken at the sample points, where each F is a count
-    over the sample size.  Both samples are sorted once.  At a's points,
-    #a <= a_i is the index just past a_i's last tied copy and #b <= a_i a
-    binary search in b.  At b's points, #b <= b_j is found the same way,
-    and #a <= b_j counts the a_i whose left position in b (#b < a_i) is at
-    most j: the cumulative sum of a bincount of those positions.  So only
-    len(a) values are searched, each count is exact, and each |F_a - F_b|
-    is the same count/len quotient as from a search at every point.  A
-    NaN or an empty sample raises ValueError.
+    The statistic is searched only at the points of the smaller sample,
+    which becomes a (the statistic is symmetric, and so is |x - y| in IEEE
+    arithmetic).  Between two consecutive points of a, F_a is constant and
+    F_b monotone, so the supremum is taken at a point a_i of a or just
+    below it: at |#a <= a_i / len(a) - #b <= a_i / len(b)| or at
+    |#a < a_i / len(a) - #b < a_i / len(b)|.  Both samples are sorted
+    once, and the four counts are binary searches of a's points in a and
+    in b.  Each candidate is 0 or the same count/len quotient as the
+    search at some point of either sample, and rounding keeps each
+    quotient and difference monotone in its count, so the result equals,
+    bit for bit, that of a search at every point.  A NaN or an empty
+    sample raises ValueError.
     """
     a = np.sort(np.asarray(a, float))
     b = np.sort(np.asarray(b, float))
     if not (len(a) and len(b)) or np.isnan(a[-1]) or np.isnan(b[-1]):  # sort puts NaN last
         raise ValueError("two_sample_ks needs two non-empty samples without NaN")
-    a_left_in_b = np.bincount(np.searchsorted(b, a, side="left"), minlength=len(b) + 1)
-    d_at_a = np.abs(_counts_at_self(a) / len(a) - np.searchsorted(b, a, side="right") / len(b))
-    d_at_b = np.abs(np.cumsum(a_left_in_b[:-1]) / len(a) - _counts_at_self(b) / len(b))
-    return float(max(np.max(d_at_a), np.max(d_at_b)))
+    if len(a) > len(b):
+        a, b = b, a
+    d_at = np.abs(np.searchsorted(a, a, side="right") / len(a)
+                  - np.searchsorted(b, a, side="right") / len(b))
+    d_below = np.abs(np.searchsorted(a, a, side="left") / len(a)
+                     - np.searchsorted(b, a, side="left") / len(b))
+    return float(max(np.max(d_at), np.max(d_below)))
 
 
 def empirical_cdf_on_grid(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:

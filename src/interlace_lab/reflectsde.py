@@ -609,6 +609,9 @@ def simulate_two_level(
     else:
         y = np.broadcast_to(np.asarray(y0, float), (n_paths, np.asarray(y0).shape[-1])).copy()
     n1 = y.shape[-1]
+    for name, size in (("y", n1), ("x", n2)):
+        if size == 0:
+            raise ValueError(f"the {name} level is empty: each level needs at least one particle")
     if n2 != counts(shape, n1):
         raise ValueError(f"{n2} x and {n1} y particles do not match the shape {shape.value}")
     l, r = spec.interval
@@ -668,6 +671,9 @@ def simulate_gt(
     sizes = [x.shape[1] for x in states]
     if len(sizes) != N:
         raise ValueError("one initial array per level is required")
+    if 0 in sizes:
+        raise ValueError(f"level {sizes.index(0) + 1} is empty: each level needs at least one "
+                         "particle")
     for k in range(1, N):
         if sizes[k] - sizes[k - 1] not in (0, 1):
             raise ValueError("consecutive level sizes may grow by at most one")

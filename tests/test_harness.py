@@ -176,13 +176,17 @@ class TestClosedFormEigenvalues:
         # eigenvalues overwrite its spent diagonal, so the peak is the
         # output and one block's temporaries (measured 1.3 MiB above it);
         # a Jacobi block holds dense complex stacks and their Cholesky
-        # solves (measured 21.7 MiB above it, against 224 MiB unblocked)
+        # solves (measured 21.7 MiB above it, against 224 MiB unblocked);
+        # GUE corners holds its 3 x 3 entries for every draw, and one
+        # block's dense matrices and minor solves (measured 18.5 MiB above
+        # its six output columns, against 29.1 MiB unblocked)
         import tracemalloc
 
         for draw, n, slack_mib in (
                 (lambda rng: gue_sample(rng, 3, 200_000), 3, 2),
                 (lambda rng: complex_wishart_sample(rng, 2, 2, 200_000), 2, 2),
-                (lambda rng: jacobi_unitary_sample(rng, 3, 3, 4, 200_000), 3, 24)):
+                (lambda rng: jacobi_unitary_sample(rng, 3, 3, 4, 200_000), 3, 24),
+                (lambda rng: gue_corners_sample(rng, 3, 200_000), 1 + 2 + 3, 20)):
             rng = np.random.default_rng(14)
             tracemalloc.start()
             try:
@@ -405,6 +409,23 @@ class TestKSCompare:
             a, b = np.round(a, 2), np.round(b, 2)
         assert two_sample_ks(a, b) == self._merged_search_ks(a, b)
         assert two_sample_ks(b, a) == self._merged_search_ks(b, a)
+
+    def test_memory_of_an_oracle_sized_ks_stays_bounded(self):
+        # only the smaller sample's points are searched, so beside the
+        # larger sample's sorted copy the peak holds only arrays as long as
+        # the smaller sample
+        import tracemalloc
+
+        rng = np.random.default_rng(13)
+        a, b = rng.normal(size=5000), rng.normal(size=200_000)
+        for x, y in ((a, b), (b, a)):
+            tracemalloc.start()
+            try:
+                two_sample_ks(x, y)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * len(b) + 2**19, len(x)
 
     @pytest.mark.parametrize("a, b", [([], [1.0]), ([1.0], []), ([np.nan, 1.0], [1.0]),
                                       ([1.0], [2.0, np.nan])])

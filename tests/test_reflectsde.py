@@ -70,11 +70,11 @@ class TestSkorokhodMap:
 
 class TestTwoLevelSimulation:
     def test_free_particle_variance(self):
-        # no y level: a single unconstrained motion, terminal variance = T
+        # one particle with no neighbour level: a single unconstrained
+        # motion, terminal variance = T (a two-level system needs a y level)
         bm = make_spec("bm")
-        pb = rs.simulate_two_level(bm, Shape.NNP1, np.array([0.0]), np.zeros((1, 0)),
-                                   T=1.0, dt=1e-3, n_paths=30000, seed=1, y_spec=bm)
-        xs = pb.terminal(1)[:, 0]
+        pb = rs.simulate_gt([bm], [np.array([0.0])], T=1.0, dt=1e-3, n_paths=30000, seed=1)
+        xs = pb.terminal(0)[:, 0]
         assert abs(xs.mean()) < 3.0 / math.sqrt(30000)
         assert xs.var() == pytest.approx(1.0, abs=3 * math.sqrt(2.0 / 30000))
 
@@ -591,6 +591,18 @@ class TestStepResolution:
         pytest.param("gt", dict(level_specs=[], x0=[]),
                      "level_specs is empty: a pattern needs at least one level",
                      id="no-levels-gt"),
+        pytest.param("gt", dict(level_specs=[make_spec("bm")], x0=[np.zeros(0)]),
+                     "level 1 is empty: each level needs at least one particle",
+                     id="empty-level-gt"),
+        pytest.param("two-level", dict(shape=Shape.NN, x0=[], y0=[]),
+                     "the y level is empty: each level needs at least one particle",
+                     id="empty-levels-two-level"),
+        pytest.param("two-level", dict(shape=Shape.NNP1, x0=[0.0], y0=[]),
+                     "the y level is empty: each level needs at least one particle",
+                     id="empty-y-two-level"),
+        pytest.param("two-level", dict(shape=Shape.NP1N, x0=[], y0=[0.0]),
+                     "the x level is empty: each level needs at least one particle",
+                     id="empty-x-two-level"),
         pytest.param("edge", dict(n=0, x0=np.zeros(0)), "n must be a positive integer, got 0",
                      id="no-particles-edge"),
         pytest.param("edge", dict(n=-1, x0=np.zeros(0)), "n must be a positive integer, got -1",
