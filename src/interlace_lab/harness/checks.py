@@ -267,11 +267,7 @@ def dyson_marginal_cdf(x0, t, idx):
 
 def run_dyson_w12(paths, dt, seed):
     bm = make_spec("bm")
-
-    def y0(n):
-        rng = np.random.default_rng(99)
-        return rng.uniform(-1.0, 1.0, size=(n, 1))
-
+    y0 = np.random.default_rng(99).uniform(-1.0, 1.0, size=(paths, 1))
     pb = rs.simulate_two_level(
         bm, tl.Shape.NNP1, np.array([-1.0, 1.0]), y0, T=1.0, dt=dt,
         n_paths=paths, seed=seed, y_spec=bm,
@@ -282,11 +278,7 @@ def run_dyson_w12(paths, dt, seed):
 def run_bes3_w11(paths, dt, seed):
     spec = make_spec("bm_halfline:abs")
     ysp = make_spec("bm_halfline:refl")
-
-    def y0(n):
-        rng = np.random.default_rng(123)
-        return rng.uniform(0.0, 1.0, size=(n, 1))
-
+    y0 = np.random.default_rng(123).uniform(0.0, 1.0, size=(paths, 1))
     pb = rs.simulate_two_level(
         spec, tl.Shape.NN, np.array([1.0]), y0, T=1.0, dt=dt,
         n_paths=paths, seed=seed, y_spec=ysp,
@@ -328,15 +320,11 @@ def run_gt2(family: str, paths, dt, seed, init_seed=11):
     """GT(2) from the origin via the entrance law at t0 = 1e-3, run to T = 1."""
     elaw = km.entrance_law(family, 2)
     specs = edge_ladder(elaw.spec, 2)
-
-    def init(n):
-        rng = np.random.default_rng(init_seed)
-        x2 = elaw.sample(rng, 1e-3, n)
-        u = rng.random(n)
-        x1 = x2[:, 0] + u * (x2[:, 1] - x2[:, 0])
-        return [x1[:, None], x2]
-
-    return rs.simulate_gt(specs, init, T=1.0, dt=dt, n_paths=paths, seed=seed, t0=1e-3)
+    rng = np.random.default_rng(init_seed)
+    x2 = elaw.sample(rng, 1e-3, paths)
+    x1 = x2[:, 0] + rng.random(paths) * (x2[:, 1] - x2[:, 0])
+    return rs.simulate_gt(specs, [x1[:, None], x2], T=1.0, dt=dt, n_paths=paths, seed=seed,
+                          t0=1e-3)
 
 
 @register("entrance-gt", "pattern levels vs matrix oracles")

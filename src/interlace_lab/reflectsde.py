@@ -14,6 +14,11 @@ The rule is twolevel's (interlace_slices, interlace_bounds).
   * edge: one single-particle level per particle (catalog.edge_ladder),
     above=1 on the right edge (pushed up) and above=0 on the left edge.
 
+A level's start is one row of coordinates for every path or one row per
+path (_start).  A start that is not an array of finite numbers in one of
+these shapes, leaves its interval or does not interlace raises a
+ValueError that names it.
+
 Scheme: per time step each level in turn takes a free step and is then
 pushed off its bounds.  A non-killed besq level steps exactly, each
 particle drawn as x' = dt chi'^2_d(x / dt) (catalog.exact_step), and so
@@ -231,11 +236,6 @@ def _stream(seed: int, key: tuple) -> np.random.Generator:
     same ziggurat variates as Philox at about 70 % of its cost per normal.
     """
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
-
-
-def _streams(seed: int, kind: int, level: int, particles) -> list:
-    """One stream per particle i, keyed (kind, level, i)."""
-    return [_stream(seed, (kind, level, i)) for i in particles]
 
 
 def _check_counts(n_paths, record_stride, **counts):
@@ -563,14 +563,35 @@ def _draws(levels, n_steps) -> dict:
     return {kind: n * n_steps * n_paths for kind, n in per_step.items()}
 
 
-def _sampled_start(sample, n_paths, what) -> np.ndarray:
-    """A start sampler's output as a new float array of one row per path,
-    or a ValueError naming `what`, the shape it has and the shape wanted."""
-    a = np.array(sample, float)
-    if a.ndim != 2 or a.shape[0] != n_paths:
-        want = f"({n_paths}, {a.shape[1] if a.ndim == 2 else 'k'})"
-        raise ValueError(f"{what} has shape {a.shape}; expected {want}, one row per path")
-    return a
+def _start(x0, n_paths, what) -> np.ndarray:
+    """x0 as a new (n_paths, size) float array: one row for every path, of
+    shape (size,) or (1, size), or one row per path, (n_paths, size).  Any
+    other shape, or a start that is not finite numbers, raises a ValueError
+    that names `what`."""
+    try:
+        a = np.asarray(x0, float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} must be an array of finite numbers")
+    if a.ndim not in (1, 2) or a.ndim == 2 and a.shape[0] not in (1, n_paths):
+        k = a.shape[1] if a.ndim == 2 else "k"
+        raise ValueError(f"{what} has shape {a.shape}; expected ({k},) for every path or "
+                         f"({n_paths}, {k}), one row per path")
+    return np.broadcast_to(a, (n_paths, a.shape[-1])).copy()
+
+
+def _run(specs, starts, above, names, free_key, bridge_key, n_steps, dt, t0, seed,
+         record_stride, stop=None) -> PathBundle:
+    """Build, check and step an interlacing array: level k has spec
+    specs[k], start starts[k] and offset above[k], and its particle i draws
+    free steps from stream free_key(k, i) and side s's pushes from stream
+    bridge_key(s, k, i)."""
+    levels = [_Level(sp, x, [_stream(seed, free_key(k, i)) for i in range(x.shape[1])], ab)
+              for k, (sp, x, ab) in enumerate(zip(specs, starts, above))]
+    _check_start(levels, names)
+    _bridge_streams(levels, seed, bridge_key)
+    return _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop)
 
 
 def simulate_two_level(
@@ -592,30 +613,25 @@ def simulate_two_level(
     conjugate of spec, i.e. the two-level kernel dynamics).  X is then
     pushed off its updated Y neighbours, and walls, by the bridge-sampled
     pushes of the module docstring.
-    tau is set at the first Y collision or killing-boundary hit required
-    by the shape; stopped paths are frozen.  The particle counts of x0 and
-    y0 must be the shape's, and every path must interlace.
+    tau is set at the first Y collision or hit of a killing end of y_spec
+    required by the shape; stopped paths are frozen.  x0 and y0 are each
+    one row for every path or one row per path (_start), of the shape's
+    particle counts, and every path must interlace, else a ValueError names
+    the start.
     """
     check_shape_assumptions(spec, shape)
     _check_counts(n_paths, record_stride)
     if y_spec is None:
         y_spec = conjugate(spec)
     n_steps, dt = _resolve_steps(T, dt, t0)
-    x0 = np.asarray(x0, float)
-    n2 = x0.shape[-1]
-    x = np.broadcast_to(x0, (n_paths, n2)).copy()
-    if callable(y0):
-        y = _sampled_start(y0(n_paths), n_paths, "y0(n_paths)")
-    else:
-        y = np.broadcast_to(np.asarray(y0, float), (n_paths, np.asarray(y0).shape[-1])).copy()
-    n1 = y.shape[-1]
+    x, y = _start(x0, n_paths, "x0"), _start(y0, n_paths, "y0")
+    n1, n2 = y.shape[1], x.shape[1]
     for name, size in (("y", n1), ("x", n2)):
         if size == 0:
             raise ValueError(f"the {name} level is empty: each level needs at least one particle")
     if n2 != counts(shape, n1):
         raise ValueError(f"{n2} x and {n1} y particles do not match the shape {shape.value}")
-    l, r = spec.interval
-
+    l, r = y_spec.interval
     killing = (Boundary.EXIT, Boundary.REGULAR_ABSORBING)
     kill = (l if y_spec.behavior_l in killing else -np.inf,
             r if y_spec.behavior_r in killing else np.inf)
@@ -623,14 +639,8 @@ def simulate_two_level(
     # killed: such a system has no stop rule
     stop = (_StopRule(levels=(0,), on_proposal=True, kill=kill)
             if n1 > 1 or np.isfinite(kill).any() else None)
-    levels = [
-        _Level(y_spec, y, _streams(seed, 0, 0, range(n1))),
-        _Level(spec, x, _streams(seed, 1, 0, range(n2)), above=shape.above),
-    ]
-    names = ["y", "x"]
-    _check_start(levels, names)
-    _bridge_streams(levels, seed, _side_key)
-    return _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop)
+    return _run([y_spec, spec], [y, x], [0, shape.above], ["y", "x"], lambda k, i: (k, 0, i),
+                _side_key, n_steps, dt, t0, seed, record_stride, stop)
 
 
 def simulate_gt(
@@ -649,46 +659,32 @@ def simulate_gt(
 
     Level sizes come from the initial data and may grow by one per level
     (the triangular pattern) or stay equal (the alternating/symplectic
-    pattern, where the new level sits above the previous one).  x0: list of
-    per-level arrays or a callable sampler(n_paths) -> list of arrays.
-    tau is the first interior-level collision, matching the stopping rule
-    under which the pattern dynamics are defined.  Every path of x0 must
-    interlace.
+    pattern, where the new level sits above the previous one).  x0 is a
+    list of per-level starts, each one row for every path or one row per
+    path (_start); every path must interlace, else a ValueError names the
+    level.  tau is the first interior-level collision, matching the
+    stopping rule under which the pattern dynamics are defined.
     """
     N = len(level_specs)
     if N == 0:
         raise ValueError("level_specs is empty: a pattern needs at least one level")
     n_steps, dt = _resolve_steps(T, dt, t0)
     _check_counts(n_paths, record_stride)
-    if callable(x0):
-        states = [_sampled_start(np.atleast_2d(a), n_paths, f"x0(n_paths) level {k + 1}")
-                  for k, a in enumerate(x0(n_paths))]
-    else:
-        states = [
-            np.broadcast_to(np.asarray(a, float), (n_paths, np.asarray(a).shape[-1])).copy()
-            for a in x0
-        ]
+    if not isinstance(x0, (list, tuple, np.ndarray)) or len(x0) != N:
+        raise ValueError(f"x0 must be a list of one start per level, {N} in all")
+    states = [_start(a, n_paths, f"x0 level {k + 1}") for k, a in enumerate(x0)]
     sizes = [x.shape[1] for x in states]
-    if len(sizes) != N:
-        raise ValueError("one initial array per level is required")
     if 0 in sizes:
         raise ValueError(f"level {sizes.index(0) + 1} is empty: each level needs at least one "
                          "particle")
     for k in range(1, N):
         if sizes[k] - sizes[k - 1] not in (0, 1):
             raise ValueError("consecutive level sizes may grow by at most one")
-
-    levels = [
-        _Level(sp, x, _streams(seed, 2, k, range(sizes[k])),
-               above=int(k > 0 and sizes[k] == sizes[k - 1]))
-        for k, (sp, x) in enumerate(zip(level_specs, states))
-    ]
-    names = [f"level{k+1}" for k in range(N)]
-    _check_start(levels, names)
-    _bridge_streams(levels, seed, _side_key)
+    above = [int(k > 0 and sizes[k] == sizes[k - 1]) for k in range(N)]
     # only interior levels can collide; with none, no path ever stops
     stop = _StopRule(levels=tuple(range(1, N - 1)), on_proposal=False) if N > 2 else None
-    return _simulate(levels, n_steps, dt, t0, seed, names, record_stride, stop)
+    return _run(level_specs, states, above, [f"level{k+1}" for k in range(N)],
+                lambda k, i: (2, k, i), _side_key, n_steps, dt, t0, seed, record_stride, stop)
 
 
 def simulate_edge(
@@ -707,25 +703,22 @@ def simulate_edge(
 
     side='right': particle k (spec of ladder level k) is pushed up off
     particle k-1, ordering increasing.  side='left': pushed down, ordering
-    decreasing.  Particle 1 is free.  x0 must be ordered that way.  Each
-    push is the sampled maximum of the gap over the step (see the module
-    docstring), so no push inside a step is missed.
+    decreasing.  Particle 1 is free.  x0 is one row of n coordinates for
+    every path or one row per path (_start), ordered that way, else a
+    ValueError names it.  Each push is the sampled maximum of the gap over
+    the step (see the module docstring), so no push inside a step is missed.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     _check_counts(n_paths, record_stride, n=n)
     specs = edge_ladder(base, n)
     n_steps, dt = _resolve_steps(T, dt, t0)
-    x0 = np.asarray(x0, float)
-    if x0.shape[-1:] != (n,):
+    x = _start(x0, n_paths, "x0")
+    if x.shape[1] != n:
         raise ValueError(f"an edge of n = {n} particles needs {n} start coordinates, "
-                         f"got {x0.shape[-1] if x0.ndim else 1}")
-    x = np.broadcast_to(x0, (n_paths, n))
-    above = int(side == "right")
-    levels = [_Level(sp, x[:, i:i + 1].copy(), _streams(seed, 3, 0, [i]), above)
-              for i, sp in enumerate(specs)]
-    _check_start(levels, [f"{side} edge particle {i + 1}" for i in range(n)])
+                         f"got {x.shape[1]}")
     # level k holds edge particle k, bounded on one side by its leader
-    _bridge_streams(levels, seed, lambda s, k, i: (4, 0, k))
-    pb = _simulate(levels, n_steps, dt, t0, seed, ["edge"], record_stride)
-    return replace(pb, levels=[np.concatenate(pb.levels, axis=-1)])
+    pb = _run(specs, np.split(x, n, axis=1), [int(side == "right")] * n,
+              [f"{side} edge particle {i + 1}" for i in range(n)], lambda k, i: (3, 0, k),
+              lambda s, k, i: (4, 0, k), n_steps, dt, t0, seed, record_stride)
+    return replace(pb, levels=[np.concatenate(pb.levels, axis=-1)], level_names=["edge"])

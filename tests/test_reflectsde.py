@@ -118,11 +118,7 @@ class TestTwoLevelSimulation:
 
         spec = make_spec("bm_halfline:abs")
         ysp = make_spec("bm_halfline:refl")
-
-        def y0(n):
-            rng = np.random.default_rng(123)
-            return rng.uniform(0.0, 1.0, size=(n, 1))
-
+        y0 = np.random.default_rng(123).uniform(0.0, 1.0, size=(4000, 1))
         pb = rs.simulate_two_level(spec, Shape.NN, np.array([1.0]), y0, T=1.0, dt=2e-3,
                                    n_paths=4000, seed=21, y_spec=ysp)
         xs = np.sort(pb.terminal(1)[:, 0])
@@ -148,12 +144,8 @@ class TestTwoLevelSimulation:
 
     def test_every_path_is_checked_at_the_start(self):
         bm = make_spec("bm")
-
-        def y0(n):
-            y = np.zeros((n, 1))
-            y[1] = 5.0  # neither the first nor the last path
-            return y
-
+        y0 = np.zeros((4, 1))
+        y0[1] = 5.0  # neither the first nor the last path
         with pytest.raises(ValueError, match="initial x does not interlace with y"):
             rs.simulate_two_level(bm, Shape.NNP1, np.array([-1.0, 1.0]), y0,
                                   T=0.1, dt=1e-2, n_paths=4, seed=0, y_spec=bm)
@@ -176,14 +168,13 @@ class TestTwoLevelSimulation:
             rs.simulate_two_level(bm, Shape.NNP1, np.array([0.0, 1.0, 2.0]), np.array([0.5]),
                                   T=0.1, dt=1e-2, n_paths=2, seed=0, y_spec=bm)
 
-    @pytest.mark.parametrize("rows", [7, 1])
+    @pytest.mark.parametrize("rows", [7, 3])
     def test_sampled_y0_with_the_wrong_row_count_is_rejected_by_name(self, rows):
         bm = make_spec("bm")
-        with pytest.raises(ValueError, match=rf"y0\(n_paths\) has shape \({rows}, 1\); "
-                                             r"expected \(4, 1\), one row per path"):
-            rs.simulate_two_level(bm, Shape.NNP1, np.array([-1.0, 1.0]),
-                                  lambda n: np.zeros((rows, 1)), T=0.1, dt=0.05, n_paths=4,
-                                  y_spec=bm)
+        with pytest.raises(ValueError, match=rf"y0 has shape \({rows}, 1\); expected \(1,\) "
+                                             r"for every path or \(4, 1\), one row per path"):
+            rs.simulate_two_level(bm, Shape.NNP1, np.array([-1.0, 1.0]), np.zeros((rows, 1)),
+                                  T=0.1, dt=0.05, n_paths=4, y_spec=bm)
 
     def test_x_outside_its_wall_is_rejected(self):
         # X particle 0 starts below the reflecting wall at 0
@@ -212,6 +203,16 @@ class TestTwoLevelSimulation:
         assert stopped.mean() == pytest.approx(1.0 - 0.2358, abs=0.04)
         assert np.all((pb.tau[stopped] > 0.0) & (pb.tau[stopped] <= 1.0))
 
+    def test_y_is_killed_at_the_ends_of_its_own_interval(self):
+        # a bm_halfline:abs Y under bm's X is killed at 0, an end that bm's
+        # interval lacks.  From 0.3 it survives to T = 1 with probability
+        # 0.236; the stop is tested on the grid only, so a few more survive
+        pb = rs.simulate_two_level(make_spec("bm"), Shape.NNP1, np.array([-0.5, 1.0]),
+                                   np.array([0.3]), T=1.0, dt=0.01, n_paths=2000, seed=1,
+                                   y_spec=make_spec("bm_halfline:abs"))
+        assert pb.terminal(0).min() > 0.0
+        assert np.isfinite(pb.tau).mean() == pytest.approx(1.0 - 0.2358, abs=0.05)
+
     @pytest.mark.parametrize("sid, x0, y_id, y0, tested", [
         ("bm", [-1.0, 1.0], "bm", [0.0], False),                 # one free Y
         ("bm_halfline:refl", [0.05, 0.6], "bm_halfline:abs", [0.3], True),  # killed at 0
@@ -239,12 +240,9 @@ class TestGTSimulation:
 
     def test_sampled_level_with_the_wrong_row_count_is_rejected_by_name(self):
         besq2, besq4 = make_spec("besq:2"), make_spec("besq:4")
-
-        def x0(n):
-            return [np.full((n, 1), 0.5), np.tile([0.1, 1.0], (n + 2, 1))]
-
-        with pytest.raises(ValueError, match=r"x0\(n_paths\) level 2 has shape \(6, 2\); "
-                                             r"expected \(4, 2\), one row per path"):
+        x0 = [np.full((4, 1), 0.5), np.tile([0.1, 1.0], (6, 1))]
+        with pytest.raises(ValueError, match=r"x0 level 2 has shape \(6, 2\); expected \(2,\) "
+                                             r"for every path or \(4, 2\), one row per path"):
             rs.simulate_gt([besq2, besq4], x0, T=0.1, dt=0.05, n_paths=4, seed=0)
 
     def test_no_interior_collisions_under_pattern_initialization(self):
@@ -252,19 +250,15 @@ class TestGTSimulation:
 
         elaw = km.entrance_law("gue", 3)
         t0 = 1e-3
-
-        def init(n):
-            rng = np.random.default_rng(31)
-            x3 = elaw.sample(rng, t0, n)
-            x2 = np.column_stack([
-                rng.uniform(x3[:, 0], x3[:, 1]),
-                rng.uniform(x3[:, 1], x3[:, 2]),
-            ])
-            x1 = rng.uniform(x2[:, 0], x2[:, 1])[:, None]
-            return [x1, x2, x3]
-
+        rng = np.random.default_rng(31)
+        x3 = elaw.sample(rng, t0, 2000)
+        x2 = np.column_stack([
+            rng.uniform(x3[:, 0], x3[:, 1]),
+            rng.uniform(x3[:, 1], x3[:, 2]),
+        ])
+        x1 = rng.uniform(x2[:, 0], x2[:, 1])[:, None]
         specs = [make_spec("bm")] * 3
-        pb = rs.simulate_gt(specs, init, T=0.5, dt=1e-3, n_paths=2000, seed=13, t0=t0)
+        pb = rs.simulate_gt(specs, [x1, x2, x3], T=0.5, dt=1e-3, n_paths=2000, seed=13, t0=t0)
         assert int(np.isfinite(pb.tau).sum()) == 0
 
     def test_gt3_levels_match_gue_minors(self):
@@ -277,7 +271,7 @@ class TestGTSimulation:
 
         t0 = 1e-3
         pb = rs.simulate_gt([make_spec("bm")] * 3,
-                            lambda n: gue_corners_sample(np.random.default_rng(51), 3, n, t0),
+                            gue_corners_sample(np.random.default_rng(51), 3, 20000, t0),
                             T=1.0, dt=4e-3, n_paths=20000, seed=52, t0=t0)
         oracle = gue_corners_sample(np.random.default_rng(53), 3, 200000)
         assert not np.isfinite(pb.tau).any()
@@ -348,14 +342,10 @@ class TestGTSimulation:
 
         t0 = 1e-3
         specs = [make_spec("bm_halfline:refl"), make_spec("bm_halfline:abs")]
-
-        def init(n):
-            rng = np.random.default_rng(41)
-            y = np.abs(rng.normal(0.0, math.sqrt(t0), size=(n, 1)))
-            xh = y + np.abs(rng.normal(0.0, math.sqrt(t0), size=(n, 1)))
-            return [y, xh]
-
-        pb = rs.simulate_gt(specs, init, T=1.0, dt=1e-3, n_paths=8000, seed=44, t0=t0)
+        rng = np.random.default_rng(41)
+        y = np.abs(rng.normal(0.0, math.sqrt(t0), size=(8000, 1)))
+        xh = y + np.abs(rng.normal(0.0, math.sqrt(t0), size=(8000, 1)))
+        pb = rs.simulate_gt(specs, [y, xh], T=1.0, dt=1e-3, n_paths=8000, seed=44, t0=t0)
         xh = np.sort(pb.terminal(1)[:, 0])
         # x from ~0: conditioned law has density prop. z^2 e^{-z^2/2t}
         z = xh
@@ -607,10 +597,53 @@ class TestStepResolution:
                      id="no-particles-edge"),
         pytest.param("edge", dict(n=-1, x0=np.zeros(0)), "n must be a positive integer, got -1",
                      id="negative-particles-edge"),
+        pytest.param("edge", dict(x0=np.zeros((3, 2)), n_paths=4),
+                     r"x0 has shape \(3, 2\); expected \(2,\) for every path or \(4, 2\), one "
+                     "row per path", id="wrong-rows-edge"),
+        pytest.param("two-level", dict(x0=[np.nan, 1.0]),
+                     "x0 must be an array of finite numbers", id="nan-x-two-level"),
+        pytest.param("two-level", dict(y0=[np.inf]),
+                     "y0 must be an array of finite numbers", id="inf-y-two-level"),
+        pytest.param("gt", dict(x0=[[0.0], [-1.0, np.nan]]),
+                     "x0 level 2 must be an array of finite numbers", id="nan-level-gt"),
+        pytest.param("edge", dict(x0=[0.0, np.nan]),
+                     "x0 must be an array of finite numbers", id="nan-edge"),
+        pytest.param("two-level", dict(y0=lambda n: np.zeros((n, 1))),
+                     "y0 must be an array of finite numbers", id="callable-y-two-level"),
+        pytest.param("gt", dict(x0=lambda n: [np.zeros((n, 1)), np.zeros((n, 2))]),
+                     "x0 must be a list of one start per level, 2 in all", id="callable-gt"),
+        pytest.param("edge", dict(x0=lambda n: np.zeros((n, 2))),
+                     "x0 must be an array of finite numbers", id="callable-edge"),
     ])
     def test_bad_counts_rejected_by_name(self, simulator, kw, match):
         with pytest.raises(ValueError, match=match):
             self.SIMULATORS[simulator](T=0.1, dt=0.05, **kw)
+
+    @pytest.mark.parametrize("simulator, kw", [
+        # two Y particles that may collide, so some paths stop
+        ("two-level", dict(x0=[-0.5, 0.0, 0.5], y0=[-0.3, 0.3])),
+        # sizes 2, 3, 3: crossings of the free first level stop paths
+        ("gt", dict(level_specs=[make_spec("bm")] * 3,
+                    x0=[[-0.02, 0.02], [-0.5, 0.0, 0.5], [-0.2, 0.3, 0.8]])),
+        ("edge", dict(x0=[0.0, 0.0])),
+    ])
+    def test_one_row_per_path_gives_the_bundle_of_one_row(self, simulator, kw):
+        n_paths = 5
+
+        def tile(a):
+            return np.tile(a, (n_paths, 1))
+
+        tiled = {"y0": tile(kw["y0"])} if "y0" in kw else {}
+        tiled["x0"] = [tile(a) for a in kw["x0"]] if simulator == "gt" else tile(kw["x0"])
+        run = dict(T=0.3, dt=0.01, n_paths=n_paths, seed=3, record_stride=1)
+        one = self.SIMULATORS[simulator](**kw, **run)
+        per_path = self.SIMULATORS[simulator](**{**kw, **tiled}, **run)
+        assert len(one.levels) == len(per_path.levels)
+        for a, b in zip([*one.levels, one.tau, one.grid], [*per_path.levels, per_path.tau,
+                                                           per_path.grid]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert one.draws == per_path.draws
+        assert one.contact_fraction == per_path.contact_fraction
 
     @pytest.mark.parametrize("simulator", list(SIMULATORS))
     @pytest.mark.parametrize("kw, match", [
@@ -792,7 +825,7 @@ def _golden_cases():
     return {
         # default y_spec is the conjugate bm_halfline:abs, so Y is killed at 0
         "two-level-nnp1": lambda: rs.simulate_two_level(
-            refl, Shape.NNP1, np.array([0.05, 0.6, 1.3]), _y_pair, T=0.3, dt=2e-3,
+            refl, Shape.NNP1, np.array([0.05, 0.6, 1.3]), _y_pair(400), T=0.3, dt=2e-3,
             n_paths=400, seed=7, record_stride=30),
         "two-level-nn": lambda: rs.simulate_two_level(
             make_spec("bm_halfline:abs"), Shape.NN, np.array([1.0]), np.array([0.5]),
