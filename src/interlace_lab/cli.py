@@ -19,9 +19,9 @@ from . import reflectsde as rs
 from . import edgekernels as ek
 from .diffusion1d import (
     CATALOG_IDS,
+    FELLER_BY_DIVERGENCE,
     CatalogError,
     boundary_integrals,
-    classify_boundary,
     conjugate,
     duality_residual,
     kernel,
@@ -64,7 +64,7 @@ def cmd_classify(args):
                 "spec": sid, "endpoint": end,
                 "N": "inf" if nd else f"{nv:.6g}",
                 "Sigma": "inf" if sd else f"{sv:.6g}",
-                "class": classify_boundary(spec, end).value,
+                "class": FELLER_BY_DIVERGENCE[nd, sd].value,
             })
     _emit(args, "classify", ["spec", "endpoint", "N", "Sigma", "class"], rows)
 
@@ -80,12 +80,11 @@ def cmd_duality_check(args):
         hi = min(hi, r - 0.1 * (r - spec.c)) if np.isfinite(r) else hi / 2
         grid = np.linspace(lo, hi, args.grid)
         for t in args.times:
-            for x in grid:
-                for y in grid:
-                    rows.append({
-                        "spec": sid, "t": t, "x": f"{x:.6g}", "y": f"{y:.6g}",
-                        "residual": duality_residual(spec, t, float(x), float(y)),
-                    })
+            res = duality_residual(spec, t, grid[:, None], grid[None, :]).tolist()
+            for x, row in zip(grid, res):
+                for y, v in zip(grid, row):
+                    rows.append({"spec": sid, "t": t, "x": f"{x:.6g}", "y": f"{y:.6g}",
+                                 "residual": v})
     _emit(args, "duality", ["spec", "t", "x", "y", "residual"], rows)
 
 

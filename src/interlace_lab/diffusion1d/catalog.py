@@ -390,16 +390,25 @@ def kernel(spec: DiffusionSpec) -> TransitionKernel:
     return _kernel_by_name(spec.name)
 
 
-def duality_residual(spec: DiffusionSpec, t, x, y) -> float:
-    """|P_t 1_[l,y](x) - \\hat P_t 1_[x,r](y)| for strictly interior x, y."""
-    if not (spec.l < x < spec.r and spec.l < y < spec.r):
+def duality_residual(spec: DiffusionSpec, t, x, y):
+    """|P_t 1_[l,y](x) - \\hat P_t 1_[x,r](y)| for strictly interior x, y.
+
+    x and y broadcast against each other, so a grid is one call on
+    xs[:, None] and ys[None, :]; arrays give an array of residuals, two
+    scalars a float, each residual bit-identical to its own scalar call.
+    A time t that is not positive and finite raises ValueError, and an x
+    or y not strictly inside spec's interval DegenerateInputError.
+    """
+    if not (np.ndim(t) == 0 and t > 0 and math.isfinite(t)):
+        raise ValueError(f"duality residual requires a positive finite time t, got t={t!r}")
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    if not (np.all((spec.l < x) & (x < spec.r)) and np.all((spec.l < y) & (y < spec.r))):
         raise DegenerateInputError("duality residual requires interior x, y")
     kern = kernel(spec)
     dual = kernel(conjugate(spec))
-    lhs = float(kern.cdf(t, x, y))
     # \hat P_t 1_[x,r](y) = 1 - \hat F(t, y, x) ; interior x carries no atom
-    rhs = 1.0 - float(dual.cdf(t, y, x))
-    return abs(lhs - rhs)
+    res = np.abs(kern.cdf(t, x, y) - (1.0 - dual.cdf(t, y, x)))
+    return float(res) if res.ndim == 0 else res
 
 
 def conjugate_density_residual(spec: DiffusionSpec, t, x, y) -> float:

@@ -154,6 +154,16 @@ _SHELL_CAP = 1e8
 _SHELL_GROWTH = 0.01
 _MAX_SHELLS_FINITE = 240
 _MAX_SHELLS_INFINITE = 120
+#: shells per gl_nodes call and per evaluation of log s' and log m
+_SHELL_BLOCK = 16
+
+#: Feller class from whether (N, Sigma) diverge
+FELLER_BY_DIVERGENCE = {
+    (True, True): FellerClass.NATURAL,
+    (True, False): FellerClass.EXIT,
+    (False, True): FellerClass.ENTRANCE,
+    (False, False): FellerClass.REGULAR,
+}
 
 
 def _shell_edges(endpoint: float, interior: float, k: int):
@@ -165,86 +175,96 @@ def _shell_edges(endpoint: float, interior: float, k: int):
     return endpoint + (interior - endpoint) * 10.0 ** (-k)
 
 
-def _boundary_integral(log_outer, log_inner, endpoint, interior, max_shells):
-    """Shell-summed int (F(x0)-F(y)) g(y) dy toward an endpoint.
+class _ShellSum:
+    """int (F(x0)-F(y)) g(y) dy toward an endpoint, summed shell by shell.
 
-    log_inner is the log-density being accumulated into the monotone factor
-    F(x0)-F(y); log_outer the log-density it multiplies.  Works in log space
-    so superexponential scale densities cannot overflow.  Returns
-    (value_estimate, diverged: bool, decided: bool).
+    add() takes one shell's log-integrals of the inner density f = F' (which
+    accumulates into the monotone factor F(x0)-F(y)) and of the outer
+    density g.  Working in log space, superexponential scale densities
+    cannot overflow.  result stays None until a stop rule decides, then
+    holds (value_estimate, diverged: bool).
     """
-    total = 0.0
-    shells = []
-    log_acc = -np.inf  # log of int_{edge_k}^{x0} inner
-    prev_edge = interior
-    for k in range(1, max_shells + 1):
-        edge = _shell_edges(endpoint, interior, k)
-        if edge == prev_edge:
-            return total, False, True
-        xs, ws = gl_nodes(min(edge, prev_edge), max(edge, prev_edge), 64)
-        with np.errstate(all="ignore"):
-            li = np.asarray(log_inner(xs), float)
-            lo_ = np.asarray(log_outer(xs), float)
-        log_shell_inner = logsumexp_weighted(li, ws)
+
+    def __init__(self):
+        self.total = 0.0
+        self.shells = []
+        self.log_acc = -np.inf  # log of int_{edge_k}^{x0} inner
+        self.result = None
+
+    def add(self, log_shell_inner, log_mass):
         # bracket the monotone factor by its values at the shell edges
-        log_f_far = np.logaddexp(log_acc, log_shell_inner)
-        log_mass = logsumexp_weighted(lo_, ws)
+        log_f_far = np.logaddexp(self.log_acc, log_shell_inner)
         if np.isnan(log_mass) or np.isnan(log_f_far):
-            return total, True, True
+            self.result = (self.total, True)
+            return
         contrib_hi = math.exp(min(log_f_far + log_mass, 700.0))
-        contrib_lo = math.exp(max(min(log_acc + log_mass, 700.0), -745.0)) if np.isfinite(log_acc) else 0.0
+        contrib_lo = (math.exp(max(min(self.log_acc + log_mass, 700.0), -745.0))
+                      if np.isfinite(self.log_acc) else 0.0)
         contrib = 0.5 * (contrib_hi + contrib_lo)
-        total += contrib
+        self.log_acc = log_f_far
+        self.total = total = self.total + contrib
+        shells = self.shells
         shells.append(contrib_hi)
-        log_acc = log_f_far
-        prev_edge = edge
-        if total > _SHELL_CAP and contrib > _SHELL_GROWTH * total:
-            return total, True, True
-        if not np.isfinite(total) or not np.isfinite(contrib_hi):
-            return total, True, True
-        if len(shells) >= 3 and all(
-            s < 1e-13 * max(total, 1e-300) for s in shells[-3:]
-        ):
-            return total, False, True
+        if (total > _SHELL_CAP and contrib > _SHELL_GROWTH * total) or not (
+                np.isfinite(total) and np.isfinite(contrib_hi)):
+            self.result = (total, True)
+        elif len(shells) >= 3 and all(s < 1e-13 * max(total, 1e-300) for s in shells[-3:]):
+            self.result = (total, False)
         # non-decaying shell contributions extrapolate past any cap
-        if len(shells) >= 12:
-            recent = shells[-8:]
-            if recent[-1] > 1e-12 * max(total, 1.0) and all(
-                recent[i + 1] >= 0.99 * recent[i] for i in range(len(recent) - 1)
-            ):
-                return total, True, True
-    return total, False, False
+        elif len(shells) >= 12 and shells[-1] > 1e-12 * max(total, 1.0) and all(
+                b >= 0.99 * a for a, b in zip(shells[-8:], shells[-7:])):
+            self.result = (total, True)
 
 
 def boundary_integrals(spec: DiffusionSpec, endpoint: str):
-    """Return (N, Sigma) estimates and divergence flags at an endpoint."""
+    """Return (N, Sigma) estimates and divergence flags at endpoint 'l' or 'r'.
+
+    Both integrals walk the same geometric shells toward the end, in blocks
+    of _SHELL_BLOCK: one gl_nodes call per block, and log s', log m each
+    evaluated once per block, whose per-shell log-integrals feed N and
+    Sigma alike.  Each integral stops at its own shell by its own stop
+    rules; an end where either is still undecided after the last shell
+    raises InconclusiveBoundaryError carrying both partial values.
+    """
+    if endpoint not in ("l", "r"):
+        raise ValueError("endpoint must be 'l' or 'r'")
     ss = spec.scale
     e = spec.l if endpoint == "l" else spec.r
     interior = spec.c
     max_shells = _MAX_SHELLS_INFINITE if np.isinf(e) else _MAX_SHELLS_FINITE
-    n_val, n_div, n_dec = _boundary_integral(
-        ss.log_m, ss.log_s_prime, e, interior, max_shells
-    )
-    s_val, s_div, s_dec = _boundary_integral(
-        ss.log_s_prime, ss.log_m, e, interior, max_shells
-    )
-    if not (n_dec and s_dec):
-        raise InconclusiveBoundaryError(n_val, s_val)
-    return (n_val, n_div), (s_val, s_div)
+    n_sum, s_sum = _ShellSum(), _ShellSum()
+    prev_edge = interior
+    for k0 in range(1, max_shells + 1, _SHELL_BLOCK):
+        edges = [_shell_edges(e, interior, k)
+                 for k in range(k0, min(k0 + _SHELL_BLOCK, max_shells + 1))]
+        near = np.array([prev_edge] + edges[:-1])[:, None]
+        far = np.array(edges)[:, None]
+        with np.errstate(all="ignore"):  # a block may run past an end's overflow
+            xs, ws = gl_nodes(np.minimum(near, far), np.maximum(near, far), 64)
+            log_sp = np.asarray(ss.log_s_prime(xs), float)
+            log_m = np.asarray(ss.log_m(xs), float)
+        for i, edge in enumerate(edges):
+            if edge == prev_edge:  # the shells are finer than the end's float spacing
+                for walk in (n_sum, s_sum):
+                    if walk.result is None:
+                        walk.result = (walk.total, False)
+                return n_sum.result, s_sum.result
+            lse_sp = logsumexp_weighted(log_sp[i], ws[i])
+            lse_m = logsumexp_weighted(log_m[i], ws[i])
+            # N accumulates s' and weighs it by m; Sigma the other way round
+            for walk, inner, outer in ((n_sum, lse_sp, lse_m), (s_sum, lse_m, lse_sp)):
+                if walk.result is None:
+                    walk.add(inner, outer)
+            if n_sum.result is not None and s_sum.result is not None:
+                return n_sum.result, s_sum.result
+            prev_edge = edge
+    raise InconclusiveBoundaryError(n_sum.total, s_sum.total)
 
 
 def classify_boundary(spec: DiffusionSpec, endpoint: str) -> FellerClass:
     """Feller class at endpoint 'l' or 'r' by shell-refined quadrature."""
-    if endpoint not in ("l", "r"):
-        raise ValueError("endpoint must be 'l' or 'r'")
-    (n_val, n_div), (s_val, s_div) = boundary_integrals(spec, endpoint)
-    if n_div and s_div:
-        return FellerClass.NATURAL
-    if n_div:
-        return FellerClass.EXIT
-    if s_div:
-        return FellerClass.ENTRANCE
-    return FellerClass.REGULAR
+    (_, n_div), (_, s_div) = boundary_integrals(spec, endpoint)
+    return FELLER_BY_DIVERGENCE[n_div, s_div]
 
 
 # ---------------------------------------------------------------------------

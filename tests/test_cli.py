@@ -32,6 +32,41 @@ class TestCLI:
         assert len(rows) == 9
         assert all(float(r["residual"]) < 1e-8 for r in rows)
 
+    def test_classify_computes_each_ends_integrals_once(self, tmp_path, monkeypatch):
+        import interlace_lab.cli as cli
+        from interlace_lab.diffusion1d import core
+
+        calls = []
+        once = core.boundary_integrals
+
+        def counted(spec, end):
+            calls.append((spec.name, end))
+            return once(spec, end)
+
+        monkeypatch.setattr(cli, "boundary_integrals", counted)
+        monkeypatch.setattr(core, "boundary_integrals", counted)
+        assert main(["classify", "--spec", "besq:3", "--spec", "jac:1,1", "--out", str(tmp_path)]) == 0
+        assert calls == [("besq:3", "l"), ("besq:3", "r"), ("jac:1,1", "l"), ("jac:1,1", "r")]
+        assert [r["class"] for r in read_rows(tmp_path / "classify.csv")] == [
+            "entrance", "natural", "entrance", "entrance"]
+
+    def test_duality_check_makes_one_call_per_time(self, tmp_path, monkeypatch):
+        import interlace_lab.cli as cli
+
+        calls = []
+        grid_call = cli.duality_residual
+
+        def counted(spec, t, x, y):
+            calls.append((spec.name, t, np.broadcast(x, y).shape))
+            return grid_call(spec, t, x, y)
+
+        monkeypatch.setattr(cli, "duality_residual", counted)
+        assert main(["duality-check", "--spec", "ou", "--times", "0.25", "1.0",
+                     "--grid", "5", "--out", str(tmp_path)]) == 0
+        assert calls == [("ou", 0.25, (5, 5)), ("ou", 1.0, (5, 5))]
+        rows = read_rows(tmp_path / "duality.csv")
+        assert len(rows) == 50 and all(float(r["residual"]) < 1e-6 for r in rows)
+
     def test_density_value(self, tmp_path):
         assert main(["density", "--spec", "bm", "--t", "1", "--x", "0 1",
                      "--y", "0 1", "--out", str(tmp_path)]) == 0

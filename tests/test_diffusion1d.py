@@ -17,6 +17,7 @@ from interlace_lab.diffusion1d import (
     InconclusiveBoundaryError,
     TransitionKernel,
     TruncationError,
+    boundary_integrals,
     classify_boundary,
     conjugate,
     conjugate_density_residual,
@@ -160,6 +161,11 @@ class TestClassify:
         dual = conjugate(spec)
         for end in ("l", "r"):
             assert classify_boundary(dual, end) is DUAL_FELLER[classify_boundary(spec, end)]
+
+    @pytest.mark.parametrize("classify", [classify_boundary, boundary_integrals])
+    def test_an_unknown_endpoint_is_refused(self, classify):
+        with pytest.raises(ValueError, match="endpoint must be 'l' or 'r'"):
+            classify(make_spec("besq:3"), "left")
 
     def test_inconclusive_error_carries_values(self):
         err = InconclusiveBoundaryError(1.0, 2.0)
@@ -619,6 +625,37 @@ class TestDuality:
     def test_degenerate_step_raises(self):
         with pytest.raises(DegenerateInputError):
             conjugate_density_residual(make_spec("besq:3"), 0.5, 1.0, 1e-9)
+
+    @pytest.mark.parametrize("sid", ["bm", "ou", "besq:3", "lag:2", "jac:1,1", "bm_interval:abs,abs"])
+    def test_residual_grid_is_the_scalar_calls(self, sid):
+        # x against y broadcasts to the grid; every cell is its own scalar call, bit for bit
+        spec = make_spec(sid)
+        lo, hi = kernel(spec).window(0.6, spec.c)
+        xs, ys = np.linspace(lo, hi, 5)[1:4], np.linspace(lo, hi, 6)[1:5]
+        grid = duality_residual(spec, 0.6, xs[:, None], ys[None, :])
+        assert isinstance(grid, np.ndarray) and grid.shape == (3, 4)
+        for i, j in itertools.product(range(3), range(4)):
+            one = duality_residual(spec, 0.6, float(xs[i]), float(ys[j]))
+            assert type(one) is float and one == grid[i, j]
+        assert duality_residual(spec, 0.6, xs, ys[:3]).shape == (3,)
+
+    @pytest.mark.parametrize("t", [0.0, -0.5, np.nan, np.inf, -np.inf, np.array([0.5, 1.0])],
+                             ids=["zero", "negative", "nan", "inf", "-inf", "array"])
+    @pytest.mark.parametrize("sid", ["bm", "besq:3"])
+    def test_residual_refuses_a_bad_time_by_name(self, sid, t):
+        with pytest.raises(ValueError, match=r"\bt=") as err:
+            duality_residual(make_spec(sid), t, 1.0, 1.5)
+        assert not isinstance(err.value, DegenerateInputError)
+
+    @pytest.mark.parametrize(
+        "sid,x,y",
+        [("besq:3", 0.0, 1.0), ("besq:3", 1.0, -0.5), ("besq:3", np.array([0.5, 0.0]), 1.0),
+         ("besq:3", 1.0, np.array([[0.5], [np.nan]])), ("bm", np.array([0.0, np.inf]), 0.0),
+         ("jac:1,1", np.array([0.2, 0.4]), np.array([0.5, 1.0]))],
+    )
+    def test_residual_refuses_a_point_off_the_interior(self, sid, x, y):
+        with pytest.raises(DegenerateInputError, match="interior x, y"):
+            duality_residual(make_spec(sid), 0.5, x, y)
 
     @pytest.mark.parametrize(
         "sid,t,x,y",
